@@ -100,7 +100,7 @@ let parallel_gate () =
 
 (* Group-commit gate: the scaled update scenario with sequencer batching
    on (batch_max = 8) must allocate at most 480k minor words per
-   completed op — the unbatched build sits at ~687k, so this enforces
+   completed op — batches of one sit at ~687k, so this enforces
    the >= 30% reduction batching is for (the current build measures
    ~155k) — and must average strictly under one durable commit per op
    (~0.5 today; 1.0 would mean group commit stopped grouping). The

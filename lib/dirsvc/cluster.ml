@@ -11,14 +11,14 @@ type server_slot = {
   mutable nfs_server : Nfs_server.t option;
 }
 
-(* One replica group. A single-group deployment ([Params.shards] = 1,
-   and always for the RPC / NFS flavours) is exactly the pre-sharding
-   cluster: one network split off the engine RNG, legacy node ids and
-   names, service port "dirsvc". A sharded deployment gives each group
-   its own network whose RNG seed comes from [Rng.derive ~base:seed],
-   so shard k's event stream is independent of how many other shards
-   exist, plus a backbone network for cross-shard termination
-   queries. *)
+(* One replica group. Every deployment is built the same way, whatever
+   its shard count M ([Params.shards]; always 1 for the RPC / NFS
+   flavours): shard k gets its own network, whose RNG seed is element k
+   of [Rng.derive ~base:seed] — so shard k's event stream is independent
+   of how many other shards exist — its own service port
+   ([service_port]), group name "dirgrp<k>" and "s<k>."-prefixed machine
+   names. With M > 1 a backbone network (the next derived seed) carries
+   cross-shard termination queries. *)
 type shard = {
   index : int;
   snet : Simnet.Network.t;
@@ -30,12 +30,10 @@ type shard = {
 type t = {
   flavor : flavor;
   engine : Sim.Engine.t;
-  net : Simnet.Network.t; (* shard 0's network *)
   metrics : Sim.Metrics.t;
   params : Params.t;
-  port : string; (* shard 0's service port *)
   shard_arr : shard array;
-  backbone : Simnet.Network.t option;
+  backbone : Simnet.Network.t option; (* only when M > 1 *)
   mutable next_client : int;
 }
 
@@ -43,13 +41,13 @@ let flavor t = t.flavor
 
 let engine t = t.engine
 
-let net t = t.net
+let net t = t.shard_arr.(0).snet
 
 let metrics t = t.metrics
 
 let params t = t.params
 
-let port t = t.port
+let port t = t.shard_arr.(0).sport
 
 let shards t = Array.length t.shard_arr
 
@@ -63,11 +61,20 @@ let shard_port t k = t.shard_arr.(k).sport
 let run_until t time = Sim.Engine.run ~until:time t.engine
 
 (* Node-id scheme: shard k's servers live at 500k + server_id (Bullet
-   at 500k + 20 + server_id), so shard 0 keeps the legacy ids and no
-   shard collides with client ids (100+). *)
+   at 500k + 20 + server_id), so shard 0's servers are nodes 1..n and
+   no shard collides with client ids (100+). *)
 let dir_node_id ~shard_index server_id = (500 * shard_index) + server_id
 
 let bullet_node_id ~shard_index server_id = (500 * shard_index) + 20 + server_id
+
+(* Service port of shard k: "dirsvc" for a lone group, "dirsvc<k>" when
+   M > 1. Every capability embeds the port, so its length sets a
+   directory's encoded size, and so whether the directory's Bullet file
+   still fits inside an inode, which changes what an update writes to
+   disk. A sharded deployment's longer port therefore costs its updates
+   a little more; these are the sizes every figure and benchmark
+   baseline was measured with. *)
+let service_port ~shards k = if shards = 1 then "dirsvc" else Printf.sprintf "dirsvc%d" k
 
 let make_device ~engine ~metrics ~params ~name =
   Storage.Block_device.create engine ~metrics ~name
@@ -104,11 +111,10 @@ let boot_dir_server t shard server_id =
         | Some node -> Storage.Bullet.port_of (Sim.Node.id node)
         | None -> assert false
       in
-      let sharded = Array.length t.shard_arr > 1 in
       let server =
         Group_server.start ~params:t.params ~metrics:t.metrics
           ?nvram:slot.nvram
-          ?shard:(if sharded then Some shard.index else None)
+          ?shard:(if shards t > 1 then Some shard.index else None)
           ?xnet:t.backbone shard.snet ~server_id ~peers:(peers_of shard)
           ~node:slot.dir_node ~device:slot.device ~bullet_port
           ~gname:shard.sgname ~port:shard.sport ()
@@ -139,13 +145,10 @@ let boot_dir_server t shard server_id =
       in
       slot.nfs_server <- Some server
 
-let make_slots ~engine ~metrics ~params ~flavor ~shard_index ~multi n =
+let make_slots ~engine ~metrics ~params ~flavor ~shard_index n =
   Array.init n (fun i ->
       let server_id = i + 1 in
-      let prefixed fmt =
-        if multi then Printf.sprintf "s%d.%s%d" shard_index fmt server_id
-        else Printf.sprintf "%s%d" fmt server_id
-      in
+      let prefixed fmt = Printf.sprintf "s%d.%s%d" shard_index fmt server_id in
       let device = make_device ~engine ~metrics ~params ~name:(prefixed "disk") in
       let intent_device =
         match flavor with
@@ -207,75 +210,30 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
   in
   let engine = Sim.Engine.create ~seed () in
   let metrics = Sim.Metrics.create () in
+  (* Shard k's network runs on derived seed k — independent of the
+     engine RNG and of every other shard; index [shards_n] seeds the
+     backbone. *)
+  let seeds = Array.of_list (Sim.Rng.derive ~base:seed (shards_n + 1)) in
+  let network k =
+    Simnet.Network.create engine ~metrics ~latency:params.Params.net_latency
+      ~rails ~seed:seeds.(k) ()
+  in
+  let shard_arr =
+    Array.init shards_n (fun k ->
+        let snet = network k in
+        let slots = make_slots ~engine ~metrics ~params ~flavor ~shard_index:k n in
+        {
+          index = k;
+          snet;
+          sport = service_port ~shards:shards_n k;
+          sgname = Printf.sprintf "dirgrp%d" k;
+          slots;
+        })
+  in
+  (* A lone group has no cross-shard traffic to carry. *)
+  let backbone = if shards_n > 1 then Some (network shards_n) else None in
   let t =
-    if shards_n = 1 then begin
-      (* Single group: the exact legacy construction order (network
-         split off the engine RNG, legacy names), byte-identical per
-         seed to the pre-sharding cluster. *)
-      let net =
-        Simnet.Network.create engine ~metrics ~latency:params.Params.net_latency
-          ~rails ()
-      in
-      let slots =
-        make_slots ~engine ~metrics ~params ~flavor ~shard_index:0 ~multi:false
-          n
-      in
-      let shard0 =
-        { index = 0; snet = net; sport = "dirsvc"; sgname = "dirgrp"; slots }
-      in
-      {
-        flavor;
-        engine;
-        net;
-        metrics;
-        params;
-        port = shard0.sport;
-        shard_arr = [| shard0 |];
-        backbone = None;
-        next_client = 0;
-      }
-    end
-    else begin
-      (* Shard k's network runs on derived seed k — independent of the
-         engine RNG and of every other shard; index [shards_n] seeds
-         the backbone. *)
-      let seeds =
-        Array.of_list (Sim.Rng.derive ~base:seed (shards_n + 1))
-      in
-      let shard_arr =
-        Array.init shards_n (fun k ->
-            let snet =
-              Simnet.Network.create engine ~metrics
-                ~latency:params.Params.net_latency ~rails ~seed:seeds.(k) ()
-            in
-            let slots =
-              make_slots ~engine ~metrics ~params ~flavor ~shard_index:k
-                ~multi:true n
-            in
-            {
-              index = k;
-              snet;
-              sport = Printf.sprintf "dirsvc%d" k;
-              sgname = Printf.sprintf "dirgrp%d" k;
-              slots;
-            })
-      in
-      let backbone =
-        Simnet.Network.create engine ~metrics
-          ~latency:params.Params.net_latency ~rails ~seed:seeds.(shards_n) ()
-      in
-      {
-        flavor;
-        engine;
-        net = shard_arr.(0).snet;
-        metrics;
-        params;
-        port = shard_arr.(0).sport;
-        shard_arr;
-        backbone = Some backbone;
-        next_client = 0;
-      }
-    end
+    { flavor; engine; metrics; params; shard_arr; backbone; next_client = 0 }
   in
   Array.iter
     (fun sh -> Array.iter (boot_bullet t ~snet:sh.snet) sh.slots)
@@ -296,9 +254,10 @@ let client ?rpc_config t =
       ~name:(Printf.sprintf "client%d" t.next_client)
   in
   if Array.length t.shard_arr = 1 then begin
-    let nic = Simnet.Network.attach t.net node in
-    let transport = Rpc.Transport.create ?config:rpc_config t.net nic in
-    Client.make transport ~port:t.port
+    let net = net t in
+    let nic = Simnet.Network.attach net node in
+    let transport = Rpc.Transport.create ?config:rpc_config net nic in
+    Client.make transport ~port:(port t)
   end
   else begin
     (* One NIC + transport per shard: each shard's locate / port cache

@@ -22,8 +22,9 @@ type t
     flavours only) the deployment becomes a "cluster of clusters":
     [shards] independent replica groups of [servers] machines each, a
     hash partition of the namespace across them, and a backbone
-    network for cross-shard transaction termination. [shards = 1] is
-    byte-identical per seed to the pre-sharding cluster. *)
+    network for cross-shard transaction termination. Every shard count
+    is built the same way: shard k's network draws from its own seed,
+    derived from [seed]. *)
 val create :
   ?seed:int64 -> ?params:Params.t -> ?servers:int -> ?rails:int -> flavor -> t
   [@@ocaml.doc
@@ -50,7 +51,9 @@ val shards : t -> int
 (** Directory servers across every shard ([shards * n_servers]). *)
 val total_servers : t -> int
 
-(** Service port of shard [k] ("dirsvc" when there is one shard). *)
+(** Service port of shard [k]: ["dirsvc"] for a single group,
+    ["dirsvc<k>"] when sharded. Capabilities embed it, so its length
+    sets the size of every directory's encoding. *)
 val shard_port : t -> int -> string
 
 (** Run the simulation clock forward (absolute target time). *)

@@ -22,8 +22,20 @@ type staged_xact = {
   x_deadline : float;  (** when the resolver may act on abandonment *)
 }
 
+(* How a staged update record becomes stable — the one knob of the
+   commit pipeline, chosen from [batch_max] at start. [Eager] is the
+   paper's per-update commit (Fig. 5): every record is flushed on its
+   own before its result is published — in place on disk (new Bullet
+   file, then the object-table entry) or as one NVRAM append. [Logged]
+   is group commit: a whole delivery burst shares one flush — one
+   block-0 write carrying the records in the commit block's log, or one
+   NVRAM append burst — and the per-directory blocks are rewritten in
+   the background. *)
+type durability = Eager | Logged
+
 type t = {
   params : Params.t;
+  durability : durability;
   metrics : Sim.Metrics.t option;
   (* Per-op latency histograms, resolved once per op name: the labelled
      key ["dirsvc.op_ms{op=...,server=...}"] is built at first use, not
@@ -64,18 +76,19 @@ type t = {
   mutable last_update : float; (* for the NVRAM idle flush *)
   mutable op_log : applied list; (* newest first; see applied_log *)
   mutable forced_recovery : bool; (* administrator's escape hatch *)
-  (* Group commit (params.batch_max > 1). [pending] stages the records
-     of the delivery burst being processed; one flush makes them all
-     stable at once. In disk mode the flushed records move to [glog] —
-     the in-memory copy of the commit block's log — until the [dirty]
-     directories' own blocks are rewritten in the background, which
-     happens when the group goes quiet or the log outgrows block 0. *)
+  (* The commit pipeline. [pending] stages the records not yet flushed
+     (one under [Eager], a delivery burst under [Logged]); in disk mode
+     [dirty] names their directories. Under [Logged] the flushed records
+     move to [glog] — the in-memory copy of the commit block's log —
+     until the [dirty] directories' own blocks are rewritten in the
+     background, which happens when the group goes quiet or the log
+     outgrows block 0. *)
   mutable pending : log_record list; (* newest first *)
   mutable glog : log_record list; (* newest first *)
   dirty : (int, unit) Hashtbl.t;
   c_commit : Sim.Metrics.handle option;
-  (* Sharded deployment only ([shard] = None is the exact single-group
-     server). [staged_x] / [xdecisions] are driven exclusively by
+  (* Sharded deployment only ([shard] = None is a lone group).
+     [staged_x] / [xdecisions] are driven exclusively by
      ordered deliveries, so every replica of the shard converges;
      [xtransport] rides the backbone network for peer-shard
      termination queries. *)
@@ -123,8 +136,7 @@ let op_histogram t m ~op =
   match Hashtbl.find_opt t.op_hists op with
   | Some h -> h
   | None ->
-      (* The shard label exists only in sharded deployments: a
-         single-group run's metrics output must stay byte-identical. *)
+      (* The shard label exists only in sharded deployments. *)
       let labels =
         match t.shard with
         | None -> [ ("op", op); ("server", string_of_int t.server_id) ]
@@ -180,9 +192,7 @@ let current_vector t =
   in
   Array.init (n_servers t) (fun i -> up (i + 1))
 
-(* ---- Commit paths -------------------------------------------------- *)
-
-let batched t = t.params.Params.batch_max > 1
+(* ---- Commit pipeline ---------------------------------------------- *)
 
 let count_commit t =
   match t.c_commit with
@@ -272,140 +282,76 @@ let nvram_flush t nv =
   in
   List.iter (persist_dir_to_disk t) dirty
 
-let nvram_append_with_flush t nv record =
-  if not (Storage.Nvram.append nv record) then begin
-    nvram_flush t nv;
-    if not (Storage.Nvram.append nv record) then
-      failwith "dirsvc: NVRAM record larger than the whole log"
-  end
-
-(* Group commit, staging side: no I/O here — [flush_commits] makes the
-   whole delivery burst stable at once. The /tmp effect reaches across
-   the unflushed batch and (disk mode) the unapplied commit-block log: a
-   delete canceling an append that no per-directory block has seen yet
-   removes both records, and the next block-0 write — atomic — retires
-   the append from the durable log, so no window ever shows the append
-   without the delete being acknowledged. *)
+(* Staging: no I/O beyond an NVRAM annihilation — [flush] makes the
+   staged records stable. The /tmp effect reaches across the unflushed
+   records, the NVRAM log and (disk mode) the unapplied commit-block
+   log: a delete canceling an append that no per-directory block has
+   seen yet removes both records. On disk that leaves the append in
+   block 0 until the next block-0 write replaces the log — a window in
+   which a full-cluster crash brings the row back (DESIGN.md §8,
+   item 11). *)
 let row_cancels ~cap ~name r =
   match r.op with
   | Directory.Append_row { cap = c; name = n; _ } ->
       c.Capability.obj = cap.Capability.obj && n = name
   | _ -> false
 
-let stage_update t record =
-  let annihilated =
-    match record.op with
-    | Directory.Delete_row { cap; name } ->
-        let matches = row_cancels ~cap ~name in
-        if List.exists matches t.pending || List.exists matches t.glog then begin
-          t.pending <- List.filter (fun r -> not (matches r)) t.pending;
-          t.glog <- List.filter (fun r -> not (matches r)) t.glog;
-          let touches r = r.dir_id = record.dir_id in
-          if
-            not (List.exists touches t.pending || List.exists touches t.glog)
-          then Hashtbl.remove t.dirty record.dir_id;
-          true
-        end
-        else false
-    | _ -> false
-  in
-  if not annihilated then begin
-    t.pending <- record :: t.pending;
-    Hashtbl.replace t.dirty record.dir_id ()
-  end
-
-let commit_update t ~dir_id ~op =
+let stage t record =
   t.last_update <- Sim.Proc.now ();
-  match t.nvram with
-  | None ->
-      if batched t then stage_update t { useq = t.useq; dir_id; op }
-      else persist_dir_to_disk t dir_id
-  | Some nv -> (
-      let record = { useq = t.useq; dir_id; op } in
-      if batched t then
-        match (op : Directory.op) with
-        | Directory.Delete_row { cap; name } ->
-            let matches = row_cancels ~cap ~name in
-            if List.exists matches t.pending then
-              t.pending <- List.filter (fun r -> not (matches r)) t.pending
-            else begin
-              let cancelled = Storage.Nvram.remove_if nv matches in
-              if cancelled = [] then t.pending <- record :: t.pending
-            end
-        | _ -> t.pending <- record :: t.pending
-      else
-        match (op : Directory.op) with
-        | Directory.Delete_row { cap; name } ->
-            (* The /tmp effect: if the append this delete cancels is still
-               in the log, both records vanish — no disk I/O at all. *)
-            let cancelled = Storage.Nvram.remove_if nv (row_cancels ~cap ~name) in
-            if cancelled = [] then nvram_append_with_flush t nv record
-        | Directory.Create_dir _ | Directory.Delete_dir _
-        | Directory.Append_row _ | Directory.Chmod_row _
-        | Directory.Replace_set _ ->
-            nvram_append_with_flush t nv record)
+  let cancels =
+    match record.op with
+    | Directory.Delete_row { cap; name } -> Some (row_cancels ~cap ~name)
+    | _ -> None
+  in
+  match (t.nvram, cancels) with
+  | None, Some matches
+    when List.exists matches t.pending || List.exists matches t.glog ->
+      t.pending <- List.filter (fun r -> not (matches r)) t.pending;
+      t.glog <- List.filter (fun r -> not (matches r)) t.glog;
+      let touches r = r.dir_id = record.dir_id in
+      if not (List.exists touches t.pending || List.exists touches t.glog)
+      then Hashtbl.remove t.dirty record.dir_id
+  | None, _ ->
+      t.pending <- record :: t.pending;
+      Hashtbl.replace t.dirty record.dir_id ()
+  | Some _, Some matches when List.exists matches t.pending ->
+      t.pending <- List.filter (fun r -> not (matches r)) t.pending
+  | Some nv, Some matches ->
+      if Storage.Nvram.remove_if nv matches = [] then
+        t.pending <- record :: t.pending
+  | Some _, None -> t.pending <- record :: t.pending
 
-(* Group commit, stable side: one durable write covers every record the
-   drain staged — a single block-0 write (the records ride in the commit
-   block's log) or a single NVRAM append burst. *)
-let flush_commits t =
+(* One durable write makes every staged record stable: a single NVRAM
+   append burst (a full log is applied to disk first), or on disk the
+   records' own directory blocks ([Eager]) or one block-0 write that
+   carries them in the commit block's log ([Logged]). *)
+let flush t =
   match t.pending with
   | [] -> ()
   | pending -> (
       t.pending <- [];
       count_commit t;
-      match t.nvram with
-      | None ->
-          t.glog <- pending @ t.glog;
-          write_commit_block t ~recovering:false
-      | Some nv ->
+      match (t.nvram, t.durability) with
+      | Some nv, _ ->
           let records = List.rev pending in
           if not (Storage.Nvram.append_all nv records) then begin
             nvram_flush t nv;
             if not (Storage.Nvram.append_all nv records) then
               failwith "dirsvc: batch larger than the whole NVRAM log"
-          end)
+          end
+      | None, Eager -> persist_dirty t
+      | None, Logged ->
+          t.glog <- pending @ t.glog;
+          write_commit_block t ~recovering:false)
 
 (* ---- Applying ordered updates -------------------------------------- *)
 
+(* Apply one ordered update — a client's op, or the committed half of a
+   cross-shard move — and stage its record, so a crashed replica replays
+   either from its log like everything else. Under [Eager] the record is
+   stable before this returns, hence before the caller publishes the
+   result. *)
 let execute_op t ~origin ~uid op =
-  let useq' = t.useq + 1 in
-  let outcome = Directory.apply t.store ~seqno:useq' op in
-  (match outcome with
-  | Ok (store', result) ->
-      let dir_id =
-        match result with
-        | Directory.Created id -> id
-        | Directory.Updated -> (
-            match Directory.dir_id_of_op t.store op with
-            | Some id -> id
-            | None -> assert false)
-      in
-      t.useq <- useq';
-      t.store <- store';
-      t.op_log <- { a_useq = useq'; a_origin = origin; a_uid = uid; a_op = op } :: t.op_log;
-      commit_update t ~dir_id ~op
-  | Error _ -> ());
-  if origin = Sim.Node.id t.node then begin
-    let simplified =
-      match outcome with Ok (_, result) -> Ok result | Error e -> Error e
-    in
-    Hashtbl.replace t.results (origin, uid) simplified
-  end
-
-(* ---- Cross-shard transactions (ordered side) ------------------------ *)
-
-let xstatus_of t txid =
-  match Hashtbl.find_opt t.xdecisions txid with
-  | Some true -> Wire.Xcommitted
-  | Some false -> Wire.Xaborted
-  | None -> if Hashtbl.mem t.staged_x txid then Wire.Xstaged else Wire.Xunknown
-
-(* Apply a committed cross-shard half through the exact same durable
-   path as any ordered update: useq bump, op_log entry, commit block /
-   NVRAM record — so a crashed replica replays it from the commit
-   block's log like everything else. *)
-let apply_committed t ~origin ~uid op =
   let useq' = t.useq + 1 in
   match Directory.apply t.store ~seqno:useq' op with
   | Ok (store', result) ->
@@ -422,9 +368,18 @@ let apply_committed t ~origin ~uid op =
       t.op_log <-
         { a_useq = useq'; a_origin = origin; a_uid = uid; a_op = op }
         :: t.op_log;
-      commit_update t ~dir_id ~op;
+      stage t { useq = useq'; dir_id; op };
+      if t.durability = Eager then flush t;
       Ok result
   | Error e -> Error e
+
+(* ---- Cross-shard transactions (ordered side) ------------------------ *)
+
+let xstatus_of t txid =
+  match Hashtbl.find_opt t.xdecisions txid with
+  | Some true -> Wire.Xcommitted
+  | Some false -> Wire.Xaborted
+  | None -> if Hashtbl.mem t.staged_x txid then Wire.Xstaged else Wire.Xunknown
 
 let emit_xact t ~name ~txid =
   emit t ~name (fun () ->
@@ -466,7 +421,7 @@ let execute_xact t ~origin ~uid xact =
             Hashtbl.remove t.staged_x txid;
             Hashtbl.replace t.xdecisions txid true;
             emit_xact t ~name:"xcommitted" ~txid;
-            match apply_committed t ~origin ~uid staged.x_op with
+            match execute_op t ~origin ~uid staged.x_op with
             | Ok _ -> Wire.Ok_rep
             | Error e -> Wire.Err_rep (Wire.Op_error e))
         | None -> (
@@ -489,24 +444,20 @@ let execute_xact t ~origin ~uid xact =
   if origin = Sim.Node.id t.node then
     Hashtbl.replace t.xresults (origin, uid) reply
 
-let bump_processed t seqno =
-  if seqno > t.gprocessed then t.gprocessed <- seqno;
-  (* Group commit defers the wake-up to after [flush_commits]: a writer
-     must not see its result — and reply to the client — before the
-     burst containing it is stable. *)
-  if not (batched t) then Sim.Condvar.broadcast t.applied
-
-let process_delivery t = function
-  | Group.Types.Msg { seqno; origin = _; payload } ->
-      (if seqno > t.gprocessed then
-         match payload with
-         | Wire.Dir_op_msg { origin; uid; op } -> execute_op t ~origin ~uid op
-         | Wire.Dir_xact_msg { origin; uid; xact } ->
-             execute_xact t ~origin ~uid xact
-         | _ -> ());
-      bump_processed t seqno
-  | Group.Types.Joined { seqno; _ } | Group.Types.Departed { seqno; _ } ->
-      bump_processed t seqno
+let process_delivery t delivery =
+  let seqno = Group.Types.delivery_seqno delivery in
+  if seqno > t.gprocessed then begin
+    (match delivery with
+    | Group.Types.Msg { payload = Wire.Dir_op_msg { origin; uid; op }; _ } ->
+        let outcome = execute_op t ~origin ~uid op in
+        if origin = Sim.Node.id t.node then
+          Hashtbl.replace t.results (origin, uid) outcome
+    | Group.Types.Msg { payload = Wire.Dir_xact_msg { origin; uid; xact }; _ }
+      ->
+        execute_xact t ~origin ~uid xact
+    | Group.Types.Msg _ | Group.Types.Joined _ | Group.Types.Departed _ -> ());
+    t.gprocessed <- seqno
+  end
 
 (* ---- Client-facing handlers ---------------------------------------- *)
 
@@ -809,20 +760,6 @@ let load_disk_state t =
 
 (* ---- Recovery (Fig. 6) ---------------------------------------------- *)
 
-let group_config t =
-  let resilience =
-    match t.params.Params.resilience_override with
-    | Some r -> r
-    | None -> n_servers t - 1
-  in
-  {
-    Group.Types.default_config with
-    resilience;
-    dissemination = t.params.Params.dissemination;
-    batch_max = t.params.Params.batch_max;
-    batch_window = t.params.Params.batch_window_ms;
-  }
-
 let leave_group t =
   (match t.group with
   | Some g -> ( try Group.Member.leave g with Group.Types.Group_failure _ -> ())
@@ -923,7 +860,7 @@ let rec run_recovery t ~attempt =
     (10.0
     +. (float_of_int t.server_id *. 7.0)
     +. (float_of_int attempt *. 13.0));
-  let config = group_config t in
+  let config = Params.group_config t.params ~servers:(n_servers t) in
   let nic = Rpc.Transport.nic t.transport in
   let g =
     match
@@ -1051,13 +988,19 @@ let rec run_recovery t ~attempt =
 
 (* ---- The group thread (Fig. 5 bottom + recovery trigger) ------------ *)
 
-(* Group-commit step: drain every delivery the group layer has already
-   ordered (a batched multicast lands as a burst), apply them in memory,
-   then make the burst stable with one commit and wake the waiting
-   writers. Quiet periods — no delivery within batch_persist_idle_ms —
-   are used to apply the commit-block log to the dirty directories' own
-   blocks in the background. *)
-let group_step_batched t g =
+(* One step: drain the deliveries the group layer has ordered, apply
+   them (staging a record for each), flush, then wake the waiting
+   readers and writers. Under [Eager] every delivery is a burst of its
+   own, so each writer wakes as soon as its own update is stable; under
+   [Logged] a batched multicast lands as one burst sharing one flush.
+   Quiet periods — no delivery within batch_persist_idle_ms while the
+   commit-block log is non-empty — apply that log to the dirty
+   directories' own blocks in the background. *)
+let group_step t g =
+  let settle () =
+    flush t;
+    Sim.Condvar.broadcast t.applied
+  in
   let idle_work = Hashtbl.length t.dirty > 0 || t.glog <> [] in
   match
     let first =
@@ -1066,19 +1009,17 @@ let group_step_batched t g =
       else Group.Member.receive g
     in
     process_delivery t first;
-    while Group.Member.pending_deliveries g > 0 do
+    while t.durability = Logged && Group.Member.pending_deliveries g > 0 do
       process_delivery t (Group.Member.receive g)
     done
   with
-  | () ->
-      flush_commits t;
-      Sim.Condvar.broadcast t.applied
+  | () -> settle ()
   | exception Sim.Proc.Timeout -> persist_dirty t
   | exception Group.Types.Group_failure _ -> (
       (* Updates ordered before the failure are legitimate: make what we
-         already applied stable before rebuilding the group. *)
-      flush_commits t;
-      Sim.Condvar.broadcast t.applied;
+         already applied stable, then rebuild the group; with a majority
+         we continue, else we fall back to full recovery. *)
+      settle ();
       match Group.Member.reset g with
       | size when size >= majority t -> write_commit_block t ~recovering:false
       | _ -> t.serving <- false
@@ -1087,25 +1028,10 @@ let group_step_batched t g =
 let group_thread t () =
   while true do
     if not t.serving then run_recovery t ~attempt:0
-    else begin
+    else
       match t.group with
       | None -> t.serving <- false
-      | Some g ->
-          if batched t then group_step_batched t g
-          else begin
-            match Group.Member.receive g with
-            | delivery -> process_delivery t delivery
-            | exception Group.Types.Group_failure _ -> (
-                (* Rebuild the group; with a majority we continue, else we
-                   fall back to full recovery (Fig. 5's group thread). *)
-                match Group.Member.reset g with
-                | size when size >= majority t ->
-                    write_commit_block t ~recovering:false
-                | _ ->
-                    t.serving <- false
-                | exception Group.Types.Group_failure _ -> t.serving <- false)
-          end
-    end
+      | Some g -> group_step t g
   done
 
 let nvram_flusher t nv () =
@@ -1231,6 +1157,7 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
   let t =
     {
       params;
+      durability = (if params.Params.batch_max > 1 then Logged else Eager);
       metrics;
       op_hists = Hashtbl.create 8;
       net;
@@ -1263,14 +1190,8 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       pending = [];
       glog = [];
       dirty = Hashtbl.create 16;
-      (* Only resolved in group-commit mode: unbatched runs must leave
-         the metrics registry untouched so their output stays
-         byte-identical to the unbatched protocol's. *)
       c_commit =
-        (match metrics with
-        | Some m when params.Params.batch_max > 1 ->
-            Some (Sim.Metrics.counter m "dirsvc.commit")
-        | Some _ | None -> None);
+        Option.map (fun m -> Sim.Metrics.counter m "dirsvc.commit") metrics;
       shard;
       xtransport;
       staged_x = Hashtbl.create 8;

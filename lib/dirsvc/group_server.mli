@@ -23,7 +23,13 @@
     With an NVRAM log attached, the commit path changes to one NVRAM
     append; a background thread applies the log to disk when the server
     is idle or the log fills, and a delete annihilates a still-logged
-    append without any disk I/O at all (§4.1). *)
+    append without any disk I/O at all (§4.1).
+
+    Every update goes through one stage-and-flush pipeline. With
+    [params.batch_max] = 1 each update is flushed on its own before its
+    writer is woken, exactly as above; with larger batches a whole
+    delivered burst shares one commit-block (block 0) or NVRAM write,
+    and directory blocks are rewritten when the group goes quiet. *)
 
 (** One logged-but-unflushed modification. *)
 type log_record = { useq : int; dir_id : int; op : Directory.op }
@@ -49,8 +55,8 @@ type t
     an abandonment resolver. [xnet] is the inter-shard backbone; the
     server answers transaction-status queries on it (port
     ["xs@"^port]) so a peer shard can terminate a transaction whose
-    coordinator crashed. Both absent (the default) is the exact
-    single-group server, byte-identical per seed. *)
+    coordinator crashed. Both are absent in a single-group deployment,
+    which has no other shard to bounce to or query. *)
 val start :
   params:Params.t ->
   ?metrics:Sim.Metrics.t ->

@@ -60,3 +60,13 @@ let with_disk_scale t factor =
     disk_read_ms = t.disk_read_ms *. factor;
     intentions_write_ms = t.intentions_write_ms *. factor;
   }
+
+let group_config t ~servers =
+  {
+    Group.Types.default_config with
+    resilience =
+      (match t.resilience_override with Some r -> r | None -> servers - 1);
+    dissemination = t.dissemination;
+    batch_max = t.batch_max;
+    batch_window = t.batch_window_ms;
+  }

@@ -36,8 +36,9 @@ type t = {
           sequencer; BB broadcasts them from the sender) *)
   batch_max : int;
       (** sequencer-side batching degree passed to the group layer, and
-          the group-commit switch for the servers: 1 (the default) is
-          the exact unbatched protocol, byte-identical per seed *)
+          the servers' durability policy: 1 (the default) commits every
+          update in place before replying, as the paper does; above 1 a
+          delivered batch shares one commit-block or NVRAM write *)
   batch_window_ms : float;
       (** how long the sequencer holds a partial batch (ms) *)
   batch_persist_idle_ms : float;
@@ -49,8 +50,7 @@ type t = {
   admin_slots : int;  (** object-table slots (max directories) *)
   shards : int;
       (** number of independent replica groups the namespace is hash
-          partitioned over: 1 (the default) is the exact single-group
-          service, byte-identical per seed *)
+          partitioned over: 1 (the default) is the single-group service *)
   xshard_timeout_ms : float;
       (** cross-shard commit: how long a participant holds a staged
           prepare before asking around / presuming abort *)
@@ -61,3 +61,8 @@ val default : t
 (** [default] with every disk operation scaled by a factor — the
     disk-bottleneck ablation. *)
 val with_disk_scale : t -> float -> t
+
+(** The group-layer configuration of one replica group of [servers]
+    directory servers: resilience r = [servers] - 1 unless overridden,
+    plus the dissemination method and the batching knobs. *)
+val group_config : t -> servers:int -> Group.Types.config

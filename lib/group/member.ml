@@ -52,13 +52,14 @@ type t = {
   pending_sends : (int, unit Sim.Ivar.t) Hashtbl.t; (* uid -> done *)
   (* Sequencer state (only meaningful while me = sequencer). *)
   mutable seq_next : int;
-  (* Sequencer-side batching (batch_max > 1). Pending entries already
-     hold their seqnos [batch_base .. batch_base + batch_n - 1] in
-     [store] — only the ordering multicast is deferred. The scratch
-     vector is reused across flushes (grown geometrically, never
-     shrunk); [batch_timer] is the cancelable flush timer, armed when
-     the first entry of a batch arrives and revoked when the batch
-     fills to [batch_max] first. *)
+  (* Sequencer-side batching: every ordered entry travels in a batch,
+     batch_max = 1 being a batch of one. Pending entries already hold
+     their seqnos [batch_base .. batch_base + batch_n - 1] in [store] —
+     only the ordering multicast is deferred. The scratch vector is
+     reused across flushes (grown geometrically, never shrunk);
+     [batch_timer] is the cancelable flush timer, armed when the first
+     entry of a batch arrives without filling it and revoked when the
+     batch fills to [batch_max] first. *)
   mutable batch_base : int;
   mutable batch_n : int;
   mutable batch_scratch : Wire.entry array;
@@ -163,8 +164,6 @@ let halt_fd t =
       Sim.Timer.cancel tm;
       t.fd_tick <- None
   | None -> ()
-
-let batching t = t.config.batch_max > 1
 
 let cancel_batch_timer t =
   match t.batch_timer with
@@ -391,27 +390,10 @@ let store_data t ~seqno ~entry =
   advance t;
   if t.highest_seen > t.contig then request_retrans t
 
-(* ---- Sequencer duties ------------------------------------------- *)
+(* ---- Sequencer duties: ordering in batches ------------------------ *)
 
-let assign_and_multicast t entry =
-  let seqno = t.seq_next in
-  t.seq_next <- seqno + 1;
-  t.last_data_sent <- now t;
-  if tracing t then
-    emit t ~name:"assign" (fun () ->
-        [ ("gname", Sim.Trace.Str t.gname); ("seqno", Sim.Trace.Int seqno) ]);
-  (* The sequencer is the authoritative history: record the entry before
-     anything else so retransmission can always serve it, then deliver it
-     locally right away (the loopback copy becomes a harmless duplicate). *)
-  Hashtbl.replace t.store seqno entry;
-  if seqno > t.highest_seen then t.highest_seen <- seqno;
-  multicast t k_data
-    (Wire.Data { gname = t.gname; epoch = t.epoch; seqno; entry });
-  advance t;
-  seqno
-
-(* ---- Sequencer batching ------------------------------------------ *)
-
+(* Multicast the pending batch, then deliver it locally right away (the
+   loopback copy becomes a harmless duplicate). *)
 let flush_batch t =
   if t.batch_n > 0 then begin
     cancel_batch_timer t;
@@ -456,20 +438,16 @@ let flush_batch t =
    sequencer's authoritative [store] updated — immediately, so duplicate
    detection and retransmission behave exactly as if the entry had been
    multicast; only the ordering multicast itself is deferred until the
-   batch fills to [batch_max] or the flush timer fires. [body_known]
-   marks BB entries whose payload already traveled by the sender's own
-   broadcast. *)
-let enqueue_batch t entry ~body_known =
+   batch fills to [batch_max] or the flush timer fires. A batch that
+   fills on arrival (every batch when batch_max = 1) never arms the
+   timer. [body_known] marks BB entries whose payload already traveled
+   by the sender's own broadcast. [alone] orders a membership entry:
+   any pending batch goes first, and the entry travels by itself. *)
+let enqueue t entry ~body_known ~alone =
+  if alone then flush_batch t;
   let seqno = t.seq_next in
   t.seq_next <- seqno + 1;
-  if t.batch_n = 0 then begin
-    t.batch_base <- seqno;
-    t.batch_timer <-
-      Some
-        (Sim.Timer.after t.engine ~delay:t.config.batch_window (fun () ->
-             t.batch_timer <- None;
-             if is_sequencer t then flush_batch t))
-  end;
+  if t.batch_n = 0 then t.batch_base <- seqno;
   if t.batch_n >= Array.length t.batch_scratch then begin
     let bigger = Array.make (2 * Array.length t.batch_scratch) entry in
     Array.blit t.batch_scratch 0 bigger 0 t.batch_n;
@@ -480,68 +458,31 @@ let enqueue_batch t entry ~body_known =
   if not body_known then t.batch_bodies <- false;
   Hashtbl.replace t.store seqno entry;
   if seqno > t.highest_seen then t.highest_seen <- seqno;
-  if t.batch_n >= t.config.batch_max then flush_batch t;
+  if alone || t.batch_n >= t.config.batch_max then flush_batch t
+  else if t.batch_n = 1 then
+    t.batch_timer <-
+      Some
+        (Sim.Timer.after t.engine ~delay:t.config.batch_window (fun () ->
+             t.batch_timer <- None;
+             if is_sequencer t then flush_batch t));
   seqno
 
-let handle_bcast_req t ~origin ~uid ~payload =
+(* An application message reaching the sequencer: by [Bcast_req] (PB,
+   and the sequencer's own sends) or, under BB, as a broadcast body
+   ([body_known]) that a tiny Accept will order. *)
+let handle_bcast_req t ~origin ~uid ~payload ~body_known =
   match Hashtbl.find_opt t.assigned_uids (origin, uid) with
   | Some seqno ->
       (* Duplicate (origin retried): if already resilient, re-notify. *)
       if not (Hashtbl.mem t.pending_done seqno) then send_done t ~origin ~uid
   | None ->
-      let entry = Wire.App { origin; uid; payload } in
       let seqno =
-        if batching t then enqueue_batch t entry ~body_known:false
-        else assign_and_multicast t entry
+        enqueue t (Wire.App { origin; uid; payload }) ~body_known ~alone:false
       in
       Hashtbl.replace t.assigned_uids (origin, uid) seqno;
       Hashtbl.replace t.pending_done seqno (origin, uid);
       (* With r = 0 the send completes as soon as it is ordered. *)
       check_pending_done t
-
-(* BB method, sequencer side: the body arrived by the sender's own
-   broadcast; order it with a (tiny) Accept. *)
-let handle_bb_body_at_sequencer t ~origin ~uid ~payload =
-  match Hashtbl.find_opt t.assigned_uids (origin, uid) with
-  | Some seqno ->
-      if not (Hashtbl.mem t.pending_done seqno) then send_done t ~origin ~uid
-  | None ->
-      if batching t then begin
-        let seqno =
-          enqueue_batch t (Wire.App { origin; uid; payload }) ~body_known:true
-        in
-        Hashtbl.replace t.assigned_uids (origin, uid) seqno;
-        Hashtbl.replace t.pending_done seqno (origin, uid);
-        check_pending_done t
-      end
-      else begin
-        let seqno = t.seq_next in
-        t.seq_next <- seqno + 1;
-        t.last_data_sent <- now t;
-        let entry = Wire.App { origin; uid; payload } in
-        Hashtbl.replace t.store seqno entry;
-        if seqno > t.highest_seen then t.highest_seen <- seqno;
-        Hashtbl.replace t.assigned_uids (origin, uid) seqno;
-        Hashtbl.replace t.pending_done seqno (origin, uid);
-        multicast t k_accept
-          (Wire.Bb_accept
-             { gname = t.gname; epoch = t.epoch; seqno; origin; uid });
-        advance t;
-        check_pending_done t
-      end
-
-(* BB method, member side: pair an Accept with its broadcast body. A
-   missing body is recovered through the ordinary retransmission path
-   (the sequencer holds every ordered entry). *)
-let handle_bb_accept t ~seqno ~origin ~uid =
-  (match Hashtbl.find_opt t.bb_bodies (origin, uid) with
-  | Some payload ->
-      Hashtbl.remove t.bb_bodies (origin, uid);
-      store_data t ~seqno ~entry:(Wire.App { origin; uid; payload })
-  | None ->
-      if seqno > t.highest_seen then t.highest_seen <- seqno;
-      if t.highest_seen > t.contig then request_retrans t);
-  ()
 
 (* Member side: unpack a batch frame back into individual ordered
    entries — one store pass, then a single [advance], so one cumulative
@@ -557,9 +498,10 @@ let store_batch t (b : Wire.batch) =
   advance t;
   if t.highest_seen > t.contig then request_retrans t
 
-(* Member side: a batched Accept pairs each (origin, uid) in the flat
-   pair array with its broadcast body, exactly like [handle_bb_accept]
-   entry by entry, but with one [advance] for the whole range. *)
+(* BB method, member side: an Accept pairs each (origin, uid) in the
+   flat pair array with its broadcast body, then one [advance] covers
+   the whole range. A missing body is recovered through the ordinary
+   retransmission path (the sequencer holds every ordered entry). *)
 let handle_bb_accept_batch t ~base ~pairs =
   let n = Array.length pairs / 2 in
   if base + n - 1 > t.highest_seen then t.highest_seen <- base + n - 1;
@@ -590,12 +532,12 @@ let handle_join_req t ~joiner ~uid =
              base = seqno;
            })
   | None ->
-      (* Membership entries are never batched: flush any pending batch
-         first so the Join lands after it in the total order. Ordering
-         the Join also delivers it locally, so [t.members] already
-         includes the joiner when we build the grant. *)
-      flush_batch t;
-      let seqno = assign_and_multicast t (Wire.Join_member joiner) in
+      (* The Join travels alone, after any pending batch. Ordering it
+         also delivers it locally, so [t.members] already includes the
+         joiner when we build the grant. *)
+      let seqno =
+        enqueue t (Wire.Join_member joiner) ~body_known:false ~alone:true
+      in
       Hashtbl.replace t.join_assigned (joiner, uid) seqno;
       unicast t ~dst:joiner k_grant
         (Wire.Join_grant
@@ -618,43 +560,32 @@ let handle_retrans t ~member ~from =
         ("from", Sim.Trace.Int from);
         ("upto", Sim.Trace.Int upto);
       ]);
-  if batching t then begin
-    (* A seqno ordered inside a batch is resent inside a batch: each
-       contiguous stored run in [from..upto] travels as one covering
-       frame; gaps split the range. *)
-    let run = ref [] and run_len = ref 0 and run_base = ref from in
-    let flush_run () =
-      if !run_len > 0 then begin
-        let arr = Array.of_list (List.rev !run) in
-        unicast t ~dst:member k_data
-          (Wire.Data_batch
-             {
-               gname = t.gname;
-               epoch = t.epoch;
-               batch = Wire.encode_batch ~base:!run_base ~count:!run_len arr;
-             });
-        run := [];
-        run_len := 0
-      end
-    in
-    for seqno = from to upto do
-      match Hashtbl.find_opt t.store seqno with
-      | Some entry ->
-          if !run_len = 0 then run_base := seqno;
-          run := entry :: !run;
-          incr run_len
-      | None -> flush_run ()
-    done;
-    flush_run ()
-  end
-  else
-    for seqno = from to upto do
-      match Hashtbl.find_opt t.store seqno with
-      | Some entry ->
-          unicast t ~dst:member k_data
-            (Wire.Data { gname = t.gname; epoch = t.epoch; seqno; entry })
-      | None -> ()
-    done
+  (* Each contiguous stored run in [from..upto] travels as one covering
+     batch frame; gaps split the range. *)
+  let run = ref [] and run_len = ref 0 and run_base = ref from in
+  let flush_run () =
+    if !run_len > 0 then begin
+      let arr = Array.of_list (List.rev !run) in
+      unicast t ~dst:member k_data
+        (Wire.Data_batch
+           {
+             gname = t.gname;
+             epoch = t.epoch;
+             batch = Wire.encode_batch ~base:!run_base ~count:!run_len arr;
+           });
+      run := [];
+      run_len := 0
+    end
+  in
+  for seqno = from to upto do
+    match Hashtbl.find_opt t.store seqno with
+    | Some entry ->
+        if !run_len = 0 then run_base := seqno;
+        run := entry :: !run;
+        incr run_len
+    | None -> flush_run ()
+  done;
+  flush_run ()
 
 (* ---- Reset (ResetGroup view change) ------------------------------ *)
 
@@ -851,16 +782,6 @@ let reset t =
 
 let handle_packet t (packet : Simnet.Packet.t) =
   match packet.payload with
-  | Wire.Data { gname; epoch; seqno; entry } ->
-      if gname = t.gname then
-        if epoch_matches t epoch && t.status = Normal then begin
-          t.last_from_seq <- now t;
-          store_data t ~seqno ~entry
-        end
-        else if t.status = Idle && t.join_collect <> None then
-          (* Traffic racing our join: keep it until we know which group
-             (and base) we were admitted to. *)
-          t.join_stash <- (epoch, seqno, entry) :: t.join_stash
   | Wire.Data_batch { gname; epoch; batch } ->
       if gname = t.gname then
         if epoch_matches t epoch && t.status = Normal then begin
@@ -868,6 +789,8 @@ let handle_packet t (packet : Simnet.Packet.t) =
           store_batch t batch
         end
         else if t.status = Idle && t.join_collect <> None then
+          (* Traffic racing our join: keep it until we know which group
+             (and base) we were admitted to. *)
           for i = 0 to batch.Wire.count - 1 do
             t.join_stash <-
               (epoch, batch.Wire.base + i, Wire.decode_entry batch i)
@@ -880,19 +803,14 @@ let handle_packet t (packet : Simnet.Packet.t) =
       end
   | Wire.Bcast_req { gname; epoch; origin; uid; payload } ->
       if gname = t.gname && epoch_matches t epoch && is_sequencer t then
-        handle_bcast_req t ~origin ~uid ~payload
+        handle_bcast_req t ~origin ~uid ~payload ~body_known:false
   | Wire.Bb_body { gname; epoch; origin; uid; payload } ->
       if gname = t.gname && epoch_matches t epoch && t.status = Normal then
         if is_sequencer t then
-          handle_bb_body_at_sequencer t ~origin ~uid ~payload
+          handle_bcast_req t ~origin ~uid ~payload ~body_known:true
         else
           (* Keep our own loopback copy too: the Accept will need it. *)
           Hashtbl.replace t.bb_bodies (origin, uid) payload
-  | Wire.Bb_accept { gname; epoch; seqno; origin; uid } ->
-      if gname = t.gname && epoch_matches t epoch && t.status = Normal then begin
-        t.last_from_seq <- now t;
-        handle_bb_accept t ~seqno ~origin ~uid
-      end
   | Wire.Ack { gname; epoch; member; have_upto } ->
       if gname = t.gname && epoch_matches t epoch && is_sequencer t then
         record_ack t ~member ~have_upto
@@ -939,10 +857,9 @@ let handle_packet t (packet : Simnet.Packet.t) =
         | Some _ | None -> ()
       end
   | Wire.Leave_req { gname; epoch; member } ->
-      if gname = t.gname && epoch_matches t epoch && is_sequencer t then begin
-        flush_batch t;
-        ignore (assign_and_multicast t (Wire.Leave_member member))
-      end
+      if gname = t.gname && epoch_matches t epoch && is_sequencer t then
+        ignore
+          (enqueue t (Wire.Leave_member member) ~body_known:false ~alone:true)
   | Wire.Reset_invite { gname; instance; view; coord } ->
       if gname = t.gname then handle_reset_invite t ~instance ~view ~coord
   | Wire.Reset_state { gname; instance; view; member; have_upto } ->
@@ -1030,10 +947,7 @@ let make ?metrics ?(config = Types.default_config) net nic ~gname =
       seq_next = 1;
       batch_base = 0;
       batch_n = 0;
-      batch_scratch =
-        Array.make
-          (max 1 (min config.Types.batch_max 16))
-          (Wire.Join_member 0);
+      batch_scratch = Array.make 8 (Wire.Join_member 0);
       batch_bodies = true;
       batch_timer = None;
       acked = Hashtbl.create 8;
@@ -1167,7 +1081,7 @@ let send t ?size payload =
     (if t.sequencer = t.me then
        (* The sequencer's own sends never need forwarding: order and
           broadcast directly (identical under PB and BB). *)
-       handle_bcast_req t ~origin:t.me ~uid ~payload
+       handle_bcast_req t ~origin:t.me ~uid ~payload ~body_known:false
      else
        match t.config.dissemination with
        | Types.Pb ->
@@ -1246,8 +1160,7 @@ let leave t =
            Sim.Condvar.await ~timeout:t.config.send_timeout t.changed (fun () ->
                Hashtbl.length t.pending_done = 0)
          with Sim.Proc.Timeout -> ());
-        flush_batch t;
-        ignore (assign_and_multicast t (Wire.Leave_member t.me))
+        ignore (enqueue t (Wire.Leave_member t.me) ~body_known:false ~alone:true)
       end
       else
         unicast t ~dst:t.sequencer k_leave

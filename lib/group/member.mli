@@ -58,8 +58,8 @@ val members : t -> int list
 (** Deliveries buffered but not yet consumed by [receive]. *)
 val pending_deliveries : t -> int
 
-(** Whether the sequencer's batch flush timer is currently armed (only
-    ever true with [batch_max > 1]). A batch flushed by reaching
+(** Whether the sequencer's batch flush timer is currently armed (never
+    with [batch_max = 1]: such a batch fills on arrival). A batch flushed by reaching
     [batch_max] cancels its timer, so this returning [false] right after
     a full batch went out is the observable no-timer-corpse guarantee. *)
 val batch_timer_active : t -> bool

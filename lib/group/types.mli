@@ -64,8 +64,7 @@ type config = {
   batch_max : int;
       (** sequencer-side batching: order up to this many concurrently
           arriving updates with a single multicast. 1 (the default)
-          disables batching entirely — the packet stream, RNG draws and
-          traces are then byte-identical to the unbatched protocol *)
+          sends every update in a batch of its own, at once *)
   batch_window : float;
       (** how long (ms) the sequencer holds a partial batch before
           flushing it; the flush timer is cancelable, so a batch that

@@ -74,19 +74,6 @@ type Simnet.Payload.t +=
       uid : int;
       payload : Simnet.Payload.t;
     }
-  | Bb_accept of {
-      gname : string;
-      epoch : Types.epoch;
-      seqno : int;
-      origin : int;
-      uid : int;
-    }
-  | Data of {
-      gname : string;
-      epoch : Types.epoch;
-      seqno : int;
-      entry : entry;
-    }
   | Data_batch of { gname : string; epoch : Types.epoch; batch : batch }
   | Bb_accept_batch of {
       gname : string;
@@ -140,7 +127,6 @@ let () =
   Simnet.Payload.register_printer ~name:"group" (function
     | Bcast_req { origin; uid; _ } ->
         Some (Printf.sprintf "grp.req %d.%d" origin uid)
-    | Data { seqno; _ } -> Some (Printf.sprintf "grp.data #%d" seqno)
     | Data_batch { batch; _ } ->
         Some
           (Printf.sprintf "grp.data #%d..%d" batch.base
@@ -150,7 +136,6 @@ let () =
           (Printf.sprintf "grp.bb-accept #%d..%d" base
              (base + (Array.length pairs / 2) - 1))
     | Bb_body { origin; uid; _ } -> Some (Printf.sprintf "grp.bb-body %d.%d" origin uid)
-    | Bb_accept { seqno; _ } -> Some (Printf.sprintf "grp.bb-accept #%d" seqno)
     | Ack { member; have_upto; _ } ->
         Some (Printf.sprintf "grp.ack %d<=%d" member have_upto)
     | Done { uid; _ } -> Some (Printf.sprintf "grp.done %d" uid)

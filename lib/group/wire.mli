@@ -3,10 +3,13 @@
 
     Normal operation: a member sends [Bcast_req] point-to-point to the
     sequencer; the sequencer assigns the next global sequence number and
-    multicasts [Data]; members deliver strictly in sequence and return
+    multicasts it in a [Data_batch] (a batch of one unless concurrent
+    updates share it); members deliver strictly in sequence and return
     cumulative [Ack]s; once r+1 members hold the message the sequencer
     tells the origin with [Done], unblocking its SendToGroup. With a
     triplicated group and r = 2 that is 5 messages — the paper's count.
+    Under BB the sender broadcasts a [Bb_body] and the sequencer orders
+    it with a [Bb_accept_batch] instead.
 
     Failure handling: heartbeats double as "highest assigned seqno"
     gossip; gaps trigger [Retrans]; silence triggers [Fail]; recovery is
@@ -64,22 +67,10 @@ type Simnet.Payload.t +=
       uid : int;
       payload : Simnet.Payload.t;
     }
-  | Bb_accept of {
-      gname : string;
-      epoch : Types.epoch;
-      seqno : int;
-      origin : int;
-      uid : int;
-    }
-  | Data of {
-      gname : string;
-      epoch : Types.epoch;
-      seqno : int;
-      entry : entry;
-    }
   | Data_batch of { gname : string; epoch : Types.epoch; batch : batch }
       (** one ordered multicast covering a whole batch (PB, and BB
-          batches that contain entries whose bodies never traveled) *)
+          batches that contain entries whose bodies never traveled);
+          also the retransmission frame *)
   | Bb_accept_batch of {
       gname : string;
       epoch : Types.epoch;

@@ -25,23 +25,18 @@ let emit t ~name attrs =
   | Some engine ->
       Sim.Engine.emit engine ~subsystem:"storage" ~node:(-1) ~name attrs
 
-let append t r =
-  let size = t.size_of r in
-  if t.used + size > t.capacity then false
-  else begin
-    Sim.Proc.sleep t.write_ms;
-    t.records <- r :: t.records;
-    t.used <- t.used + size;
-    emit t ~name:"nvram.append" (fun () ->
-        [
-          ("bytes", Sim.Trace.Int size);
-          ("used", Sim.Trace.Int t.used);
-          ("records", Sim.Trace.Int (List.length t.records));
-        ]);
-    true
-  end
+(* Issue one board write: [complete] runs [write_ms] later, at the
+   completion event itself, whether or not the issuing fiber's node is
+   still alive — the rule [Block_device.submit] follows for disk
+   writes. A crash after issue loses the caller, never the write. *)
+let board_write t complete =
+  let engine = Sim.Proc.engine () in
+  Sim.Proc.suspend (fun waker ->
+      Sim.Engine.schedule engine ~delay:t.write_ms (fun () ->
+          complete ();
+          ignore (Sim.Proc.Waker.wake waker ())))
 
-(* Batched append: one NVRAM write latency covers the whole list. The
+(* Group commit: one NVRAM write latency covers the whole list. The
    board commits a contiguous region in a single DMA-like burst, which
    is what makes group commit pay — [n] records cost one [write_ms]
    instead of [n]. All-or-nothing on capacity. *)
@@ -52,30 +47,31 @@ let append_all t rs =
       let size = List.fold_left (fun acc r -> acc + t.size_of r) 0 rs in
       if t.used + size > t.capacity then false
       else begin
-        Sim.Proc.sleep t.write_ms;
-        List.iter (fun r -> t.records <- r :: t.records) rs;
-        t.used <- t.used + size;
-        emit t ~name:"nvram.append" (fun () ->
-            [
-              ("bytes", Sim.Trace.Int size);
-              ("used", Sim.Trace.Int t.used);
-              ("records", Sim.Trace.Int (List.length t.records));
-            ]);
+        board_write t (fun () ->
+            List.iter (fun r -> t.records <- r :: t.records) rs;
+            t.used <- t.used + size;
+            emit t ~name:"nvram.append" (fun () ->
+                [
+                  ("bytes", Sim.Trace.Int size);
+                  ("used", Sim.Trace.Int t.used);
+                  ("records", Sim.Trace.Int (List.length t.records));
+                ]));
         true
       end
 
 let remove_if t pred =
-  let removed, kept = List.partition pred t.records in
+  let removed = List.filter pred t.records in
   if removed = [] then []
   else begin
-    Sim.Proc.sleep t.write_ms;
-    t.records <- kept;
-    t.used <- t.used - List.fold_left (fun acc r -> acc + t.size_of r) 0 removed;
-    emit t ~name:"nvram.cancel" (fun () ->
-        [
-          ("removed", Sim.Trace.Int (List.length removed));
-          ("used", Sim.Trace.Int t.used);
-        ]);
+    board_write t (fun () ->
+        let gone, kept = List.partition (fun r -> List.memq r removed) t.records in
+        t.records <- kept;
+        t.used <- t.used - List.fold_left (fun acc r -> acc + t.size_of r) 0 gone;
+        emit t ~name:"nvram.cancel" (fun () ->
+            [
+              ("removed", Sim.Trace.Int (List.length gone));
+              ("used", Sim.Trace.Int t.used);
+            ]));
     List.rev removed
   end
 

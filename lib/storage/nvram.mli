@@ -32,19 +32,17 @@ val length : 'a t -> int
 (** Fraction of capacity in use, 0..1. *)
 val fill_ratio : 'a t -> float
 
-(** [append t r] logs a record, blocking for the NVRAM write latency.
-    Returns [false] (and logs nothing) when the record does not fit —
-    the caller must flush first. *)
-val append : 'a t -> 'a -> bool
-
-(** [append_all t rs] logs the records in order with a {e single} NVRAM
-    write latency for the whole list — group commit. All-or-nothing:
-    returns [false] (and logs nothing) when they do not all fit.
-    [append_all t []] is [true] and free. *)
+(** [append_all t rs] logs the records in order, blocking for a
+    {e single} NVRAM write latency for the whole list — group commit.
+    All-or-nothing: returns [false] (and logs nothing) when they do not
+    all fit; the caller must flush first. [append_all t []] is [true]
+    and free. Like a disk write, an issued write completes even if the
+    calling node crashes while it is in flight. *)
 val append_all : 'a t -> 'a list -> bool
 
 (** [remove_if t pred] removes all matching records {e without} any
-    latency beyond a single NVRAM write; returns them oldest-first. *)
+    latency beyond a single NVRAM write (which, like an append,
+    completes even if the caller crashes); returns them oldest-first. *)
 val remove_if : 'a t -> ('a -> bool) -> 'a list
 
 (** [take_all t] atomically drains the log, oldest-first (used by the

@@ -602,10 +602,11 @@ let suite =
 (* Sequencer-side batching: flat frames must roundtrip, and batched
    ordering must keep every protocol guarantee — total order, FIFO,
    loss recovery, and last-to-fail recovery — while flushing on either
-   the size cap or the window timer. *)
+   the size cap or the window timer. The protocol tests run at
+   batch_max 4 and at 1, where every entry travels in a batch of one. *)
 
-let batch_config =
-  { Group.Types.default_config with batch_max = 4; batch_window = 5.0 }
+let batch_config batch_max =
+  { Group.Types.default_config with batch_max; batch_window = 5.0 }
 
 let entry_equal (a : Group.Wire.entry) (b : Group.Wire.entry) =
   match (a, b) with
@@ -663,9 +664,9 @@ let collect_logs w get node_of ids ~timeout =
         ids);
   fun id -> List.rev !(Hashtbl.find logs id)
 
-let test_batched_total_order () =
+let test_batched_total_order batch_max () =
   let w = make_world ~seed:48L () in
-  let get, node_of = start_trio ~config:batch_config w in
+  let get, node_of = start_trio ~config:(batch_config batch_max) w in
   let log_of = collect_logs w get node_of [ 1; 2; 3 ] ~timeout:500.0 in
   at w ~delay:35.0 (fun () ->
       List.iter
@@ -748,12 +749,14 @@ let test_batch_window_flush () =
       Alcotest.(check bool) "held for the batch window" true (t >= 74.0);
       Alcotest.(check bool) "flushed promptly after it" true (t < 200.0)
 
-let test_batched_loss_retransmission () =
+let test_batched_loss_retransmission batch_max () =
   (* 20% loss with batching: lost batch frames are recovered through
      Retrans, which the sequencer answers with covering batch frames.
      Everything must arrive exactly once, in order, everywhere. *)
   let w = make_world ~seed:53L () in
-  let config = { batch_config with fail_timeout = 400.0; send_retries = 8 } in
+  let config =
+    { (batch_config batch_max) with fail_timeout = 400.0; send_retries = 8 }
+  in
   let get, node_of = start_trio ~config w in
   at w ~delay:30.0 (fun () -> Simnet.Network.set_loss w.net 0.2);
   let log_of = collect_logs w get node_of [ 1; 2; 3 ] ~timeout:3000.0 in
@@ -772,13 +775,13 @@ let test_batched_loss_retransmission () =
   Alcotest.(check (list string)) "member 2 identical" l1 (log_of 2);
   Alcotest.(check (list string)) "member 3 identical" l1 (log_of 3)
 
-let test_batched_sequencer_crash_recovery () =
+let test_batched_sequencer_crash_recovery batch_max () =
   (* Crash the sequencer mid-batch. Every send that RETURNED is held by
      r + 1 = 3 members, so the reset must preserve it — exactly once,
      in order. Entries still in the open batch may be lost (their
      senders never got Done) but must never be duplicated. *)
   let w = make_world ~seed:51L () in
-  let get, node_of = start_trio ~config:batch_config w in
+  let get, node_of = start_trio ~config:(batch_config batch_max) w in
   let acked = ref [] in
   let log = ref [] in
   at w ~delay:30.0 (fun () ->
@@ -828,17 +831,18 @@ let test_batched_sequencer_crash_recovery () =
   Alcotest.(check bool) "acked sends survive the reset in order" true
     (is_prefix acked seen_m);
   Alcotest.(check bool) "at most the open batch in flight" true
-    (List.length seen_m <= List.length acked + batch_config.Group.Types.batch_max);
+    (List.length seen_m <= List.length acked + batch_max);
   Alcotest.(check bool) "post-reset send delivered" true
     (List.mem "post-reset" seen)
 
-let bb_batch_config = { batch_config with dissemination = Group.Types.Bb }
-
-let test_bb_batched_total_order () =
+let test_bb_batched_total_order batch_max () =
   (* BB + batching: bodies broadcast from senders, one Bb_accept_batch
      orders a whole run of them. *)
   let w = make_world ~seed:52L () in
-  let get, node_of = start_trio ~config:bb_batch_config w in
+  let config =
+    { (batch_config batch_max) with dissemination = Group.Types.Bb }
+  in
+  let get, node_of = start_trio ~config w in
   let log_of = collect_logs w get node_of [ 1; 2; 3 ] ~timeout:800.0 in
   at w ~delay:35.0 (fun () ->
       List.iter
@@ -854,20 +858,30 @@ let test_bb_batched_total_order () =
   Alcotest.(check (list string)) "identical at 2" l1 (log_of 2);
   Alcotest.(check (list string)) "identical at 3" l1 (log_of 3)
 
+(* One case per batch size; the batch_max = 4 case keeps the plain
+   name. *)
+let at_batch_sizes name test =
+  List.map
+    (fun batch_max ->
+      let name =
+        if batch_max = 4 then name else Printf.sprintf "%s, batch %d" name batch_max
+      in
+      Alcotest.test_case name `Quick (test batch_max))
+    [ 4; 1 ]
+
 let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest batch_codec_property;
-      Alcotest.test_case "batched total order, concurrent senders" `Quick
-        test_batched_total_order;
       Alcotest.test_case "batch size-cap flush cancels the timer" `Quick
         test_batch_size_flush_cancels_timer;
       Alcotest.test_case "batch window timer flushes a lone message" `Quick
         test_batch_window_flush;
-      Alcotest.test_case "batched retransmission under loss" `Quick
-        test_batched_loss_retransmission;
-      Alcotest.test_case "sequencer crash mid-batch: no loss, no dup" `Quick
-        test_batched_sequencer_crash_recovery;
-      Alcotest.test_case "BB batched total order" `Quick
-        test_bb_batched_total_order;
     ]
+  @ at_batch_sizes "batched total order, concurrent senders"
+      test_batched_total_order
+  @ at_batch_sizes "batched retransmission under loss"
+      test_batched_loss_retransmission
+  @ at_batch_sizes "sequencer crash mid-batch: no loss, no dup"
+      test_batched_sequencer_crash_recovery
+  @ at_batch_sizes "BB batched total order" test_bb_batched_total_order

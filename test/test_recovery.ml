@@ -418,7 +418,7 @@ let test_uncommitted_suffix_discarded () =
     (Some
        (fun packet ->
          match packet.Simnet.Packet.payload with
-         | Group.Wire.Data _ when packet.src = 1 -> Simnet.Network.Drop
+         | Group.Wire.Data_batch _ when packet.src = 1 -> Simnet.Network.Drop
          | _ -> Simnet.Network.Deliver));
   let node1 = Rpc.Transport.node (Dirsvc.Client.transport client_at_1) in
   Sim.Proc.boot (C.engine cluster) node1 (fun () ->
@@ -547,8 +547,14 @@ let suite =
         `Quick test_batched_group_commit_replay;
     ]
 
-(* REVIEW REPRO: delete annihilating a glog append, then crash. *)
-let test_review_annihilation_crash () =
+(* Delete a row whose append is already on disk, crash every server at
+   the delete's ack: the delete, logged in block 0, must survive. The
+   setup runs inside [on_client]'s 60 s budget, so the idle persist has
+   long since written the append to the directory's own blocks and
+   emptied the commit-block log — this does not reach the window where
+   a delete annihilates an append still in that log, a known defect
+   (DESIGN.md §8, item 11). *)
+let test_persisted_row_delete_crash () =
   let params = { Dirsvc.Params.default with batch_max = 4 } in
   let cluster = boot ~seed:39L ~params C.Group_disk in
   let cap =
@@ -562,7 +568,7 @@ let test_review_annihilation_crash () =
         cap)
   in
   (* Delete the row, crash every server right after the ack — inside
-     the batch_persist_idle_ms window. *)
+     the batch_persist_idle_ms window of the delete itself. *)
   let client = C.client cluster in
   let cnode = Rpc.Transport.node (Dirsvc.Client.transport client) in
   let deleted = ref false in
@@ -589,6 +595,48 @@ let test_review_annihilation_crash () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "REVIEW repro: annihilated delete durability" `Quick
-        test_review_annihilation_crash;
+      Alcotest.test_case "delete of a persisted row survives a full crash"
+        `Quick test_persisted_row_delete_crash;
+    ]
+
+(* Group commit on NVRAM: a writer whose result is already applied may
+   reply while the group thread is still inside the burst's NVRAM
+   append. Like a disk write, an issued NVRAM write must complete even
+   if its node crashes, or the acknowledged row is lost when every
+   server crashes right after the ack. *)
+let test_nvram_group_commit_crash () =
+  let params = { Dirsvc.Params.default with batch_max = 4 } in
+  let cluster = boot ~seed:40L ~params C.Group_nvram in
+  let cap =
+    on_client cluster (fun client ->
+        retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
+  in
+  let client = C.client cluster in
+  let cnode = Rpc.Transport.node (Dirsvc.Client.transport client) in
+  let appended = ref false in
+  Sim.Proc.boot (C.engine cluster) cnode (fun () ->
+      retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"acked" [ cap ]);
+      appended := true);
+  let deadline = Sim.Engine.now (C.engine cluster) +. 30_000.0 in
+  while (not !appended) && Sim.Engine.now (C.engine cluster) < deadline do
+    advance cluster 0.5
+  done;
+  Alcotest.(check bool) "append acknowledged" true !appended;
+  List.iter (fun i -> C.crash_server cluster i) [ 1; 2; 3 ];
+  advance cluster 500.0;
+  List.iter (fun i -> C.restart_server cluster i) [ 1; 2; 3 ];
+  Alcotest.(check bool) "cluster recovers" true
+    (C.await_serving ~timeout:20_000.0 cluster ~count:3);
+  advance cluster 1_000.0;
+  check_converged_serving cluster;
+  on_client cluster (fun client ->
+      let listing = retrying (fun () -> Dirsvc.Client.list_dir client cap) in
+      Alcotest.(check (list string)) "acknowledged row survives" [ "acked" ]
+        (List.map (fun (n, _, _) -> n) listing.Dirsvc.Directory.entries))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "NVRAM group commit survives a crash at the ack"
+        `Quick test_nvram_group_commit_crash;
     ]

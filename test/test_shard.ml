@@ -1,7 +1,8 @@
-(* Sharded ("cluster of clusters") deployment tests: the shards = 1
-   byte-identity contract, per-shard seed independence, the Wrong_shard
-   bounce, port-cache staleness across a shard's view change, and
-   cross-shard move termination after a coordinator crash. *)
+(* Sharded ("cluster of clusters") deployment tests: per-shard seed
+   independence, the Wrong_shard bounce, port-cache staleness across a
+   shard's view change, and cross-shard move termination after a
+   coordinator crash. (shards = 1 is the default deployment, pinned by
+   the golden-digest test in test_trace.ml.) *)
 
 module C = Dirsvc.Cluster
 module Router = Dirsvc.Shard_router
@@ -38,31 +39,6 @@ let placement_for ~shards shard =
     if Router.shard_of_name ~shards name = shard then name else go (i + 1)
   in
   go 0
-
-(* The scaled same-seed golden run of test_trace, but with shards = 1
-   spelled out in the params: the sharding layer must be invisible when
-   there is one shard — same trace digest, op count, event count and
-   final clock as the pre-sharding build. *)
-let test_shards1_golden_digest () =
-  let params = { Dirsvc.Params.default with shards = 1 } in
-  let cluster =
-    C.create ~seed:5001L ~params ~servers:5 Dirsvc.Cluster.Group_disk
-  in
-  let trace = Sim.Trace.create ~capacity:65_536 () in
-  Sim.Engine.set_trace (C.engine cluster) (Some trace);
-  let point =
-    Workload.Throughput.append_deletes cluster ~clients:8 ~warmup:200.0
-      ~window:500.0
-  in
-  let engine = C.engine cluster in
-  Alcotest.(check string) "pinned trace digest"
-    "5f4c120198a2d63970cbd377d2c03d40"
-    (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
-  Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
-  Alcotest.(check int) "pinned event count" 10_853
-    (Sim.Engine.events_executed engine);
-  Alcotest.(check (float 1e-9)) "pinned final clock" 3492.6241034143059
-    (Sim.Engine.now engine)
 
 (* Per-shard network seeds come from [Sim.Rng.derive], whose streams are
    prefix-stable in the derived count: adding a shard must not perturb
@@ -252,8 +228,6 @@ let test_coordinator_crash_recovery () =
 let suite =
   let tc = Alcotest.test_case in
   [
-    tc "shards=1 matches pinned golden digest" `Quick
-      test_shards1_golden_digest;
     tc "adding a shard leaves other shards' streams intact" `Quick
       test_shard_seed_independence;
     tc "wrong-shard bounce and re-route" `Quick test_wrong_shard_bounce;

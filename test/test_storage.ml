@@ -202,15 +202,15 @@ let test_nvram_append_and_annihilate () =
     Storage.Nvram.create ~capacity:100 ~size_of:String.length ~write_ms:0.05 ()
   in
   run_fiber w n (fun () ->
-      Alcotest.(check bool) "append a" true (Storage.Nvram.append nv "aaaa");
-      Alcotest.(check bool) "append b" true (Storage.Nvram.append nv "bbbb");
+      Alcotest.(check bool) "append a" true (Storage.Nvram.append_all nv [ "aaaa" ]);
+      Alcotest.(check bool) "append b" true (Storage.Nvram.append_all nv [ "bbbb" ]);
       Alcotest.(check int) "used" 8 (Storage.Nvram.used_bytes nv);
       let removed = Storage.Nvram.remove_if nv (fun r -> r = "aaaa") in
       Alcotest.(check (list string)) "annihilated" [ "aaaa" ] removed;
       Alcotest.(check int) "space reclaimed" 4 (Storage.Nvram.used_bytes nv);
       (* Capacity enforcement. *)
       let big = String.make 97 'x' in
-      Alcotest.(check bool) "overflow refused" false (Storage.Nvram.append nv big);
+      Alcotest.(check bool) "overflow refused" false (Storage.Nvram.append_all nv [ big ]);
       Alcotest.(check (list string)) "drain order" [ "bbbb" ]
         (Storage.Nvram.take_all nv);
       Alcotest.(check int) "empty" 0 (Storage.Nvram.used_bytes nv))
@@ -225,7 +225,7 @@ let test_nvram_is_fast () =
     run_fiber w n (fun () ->
         let t0 = Sim.Proc.now () in
         for _ = 1 to 10 do
-          ignore (Storage.Nvram.append nv "record")
+          ignore (Storage.Nvram.append_all nv [ "record" ])
         done;
         Sim.Proc.now () -. t0)
   in

@@ -184,11 +184,11 @@ let suite =
     tc "deterministic scaled digest" `Quick test_deterministic_scaled_digest;
   ]
 
-(* The scaled same-seed run pinned to constants captured before the
-   batching work (batch_max = 1 is the wire-for-wire unbatched
-   protocol). Unlike the run-twice digest tests above, this catches a
-   change that perturbs the trace deterministically in BOTH runs —
-   one reordered or reworded event and the digest moves. *)
+(* The scaled same-seed run of the default deployment (batch_max = 1,
+   shards = 1) pinned to constants. Unlike the run-twice digest tests
+   above, this catches a change that perturbs the trace
+   deterministically in BOTH runs — one reordered or reworded event and
+   the digest moves. *)
 let test_scaled_digest_golden () =
   let cluster =
     Dirsvc.Cluster.create ~seed:5001L ~servers:5 Dirsvc.Cluster.Group_disk
@@ -201,12 +201,12 @@ let test_scaled_digest_golden () =
   in
   let engine = Dirsvc.Cluster.engine cluster in
   Alcotest.(check string) "pinned trace digest"
-    "5f4c120198a2d63970cbd377d2c03d40"
+    "51085e7805ada94b1bf8aff68cd74bf8"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
   Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
-  Alcotest.(check int) "pinned event count" 10_853
+  Alcotest.(check int) "pinned event count" 10_823
     (Sim.Engine.events_executed engine);
-  Alcotest.(check (float 1e-9)) "pinned final clock" 3492.6241034143059
+  Alcotest.(check (float 1e-9)) "pinned final clock" 3493.4885909654745
     (Sim.Engine.now engine)
 
 let suite =
