@@ -1,0 +1,99 @@
+(* The client-facing request path shared by the group, RPC and NFS
+   directory servers. A server supplies its write and read paths; this
+   module dispatches the Fig. 2 requests onto them, times each one, and
+   turns a write's outcome into the client's reply. *)
+
+type server = Replica of int | Named of string
+
+type t = {
+  engine : Sim.Engine.t;
+  node : int;
+  metrics : Sim.Metrics.t option;
+  labels : (string * string) list; (* server, then shard when sharded *)
+  server : Sim.Trace.attr;
+  (* Per-op latency histograms, resolved once per op name: the labelled
+     key ["dirsvc.op_ms{op=...,server=...}"] is built at first use, not
+     per request. *)
+  hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t;
+}
+
+let create ~metrics ~shard net ~node server =
+  let label, attr =
+    match server with
+    | Replica id -> (string_of_int id, Sim.Trace.Int id)
+    | Named name -> (name, Sim.Trace.Str name)
+  in
+  (* The shard label exists only in sharded deployments. *)
+  let shard_label =
+    match shard with None -> [] | Some k -> [ ("shard", string_of_int k) ]
+  in
+  {
+    engine = Simnet.Network.engine net;
+    node = Sim.Node.id node;
+    metrics;
+    labels = ("server", label) :: shard_label;
+    server = attr;
+    hists = Hashtbl.create 8;
+  }
+
+let histogram t m ~op =
+  match Hashtbl.find_opt t.hists op with
+  | Some h -> h
+  | None ->
+      let h =
+        Sim.Metrics.histogram_handle m "dirsvc.op_ms"
+          ~labels:(("op", op) :: t.labels)
+      in
+      Hashtbl.add t.hists op h;
+      h
+
+let timed t ~op f =
+  let started = Sim.Engine.now t.engine in
+  let reply = f () in
+  let elapsed = Sim.Engine.now t.engine -. started in
+  (match t.metrics with
+  | Some m -> Sim.Metrics.Histogram.observe (histogram t m ~op) elapsed
+  | None -> ());
+  Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:t.node ~name:"op"
+    (fun () ->
+      [
+        ("op", Sim.Trace.Str op);
+        ("server", t.server);
+        ("latency_ms", Sim.Trace.Float elapsed);
+        ( "status",
+          Sim.Trace.Str
+            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
+      ]);
+  reply
+
+(* A new directory's owner capability carries the check field the
+   initiator minted into the Create_dir. *)
+let write_reply ~port op outcome =
+  match (op, outcome) with
+  | Directory.Create_dir { secret; _ }, Ok (Directory.Created id) ->
+      Wire.Cap_rep (Capability.owner ~port ~obj:id secret)
+  | _, Ok _ -> Wire.Ok_rep
+  | _, Error e -> Wire.Err_rep (Wire.Op_error e)
+
+let handler t ~write ~read ~client:_ body =
+  match body with
+  | Wire.Dir_request (Wire.Write_op op) ->
+      Wire.Dir_reply (timed t ~op:(Directory.op_kind op) (fun () -> write op))
+  | Wire.Dir_request (Wire.List_req { cap; column }) ->
+      Wire.Dir_reply
+        (timed t ~op:"list" (fun () ->
+             read (fun store ->
+                 match Directory.list_dir store ~cap ~column with
+                 | Ok listing -> Wire.Listing_rep listing
+                 | Error e -> Wire.Err_rep (Wire.Op_error e))))
+  | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
+      Wire.Dir_reply
+        (timed t ~op:"lookup" (fun () ->
+             read (fun store ->
+                 let resolve (cap, name) =
+                   match Directory.lookup store ~cap ~name ~column with
+                   | Ok (cap, mask) -> Some (cap, mask)
+                   | Error _ -> None
+                 in
+                 Wire.Lookup_rep (List.map resolve items))))
+  | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))

@@ -1,0 +1,51 @@
+(** The client-facing request path of the directory servers.
+
+    The group server, the RPC pair and the NFS comparator answer the
+    same Fig. 2 interface; each supplies only its own write and read
+    paths, and this module does the rest: dispatch of
+    [Write_op] / [List_req] / [Lookup_req] (anything else is a "bad
+    request"), the per-op latency histogram
+    ["dirsvc.op_ms{op,server[,shard]}"] (handle cached per op), one
+    ["dirsvc"] / ["op"] trace event per request with its outcome, and
+    the write-result → reply mapping. *)
+
+(** How a server is labelled in metrics and traces: a replica by its
+    server id, a lone server by name (["nfs"]). *)
+type server = Replica of int | Named of string
+
+type t
+
+(** [create ~metrics ~shard net ~node server] — [shard] adds the
+    [shard] label (sharded deployments only). *)
+val create :
+  metrics:Sim.Metrics.t option ->
+  shard:int option ->
+  Simnet.Network.t ->
+  node:Sim.Node.t ->
+  server ->
+  t
+
+(** [timed t ~op f] runs [f], recording its simulated latency under
+    [op] and emitting the trace event. For requests a server answers
+    outside {!handler} (the group server's cross-shard commands). *)
+val timed : t -> op:string -> (unit -> Wire.reply) -> Wire.reply
+
+(** The client's reply to an applied write: the owner capability
+    (minted for [port]) for a Create_dir, [Ok_rep] for any other
+    success, the directory error otherwise. *)
+val write_reply :
+  port:string ->
+  Directory.op ->
+  (Directory.op_result, Directory.error) result ->
+  Wire.reply
+
+(** An RPC handler for the client port. [write op] performs one update
+    and returns its reply; [read serve] runs [serve] against a store
+    the server may answer from, or refuses with its own reply. *)
+val handler :
+  t ->
+  write:(Directory.op -> Wire.reply) ->
+  read:((Directory.store -> Wire.reply) -> Wire.reply) ->
+  client:int ->
+  Simnet.Payload.t ->
+  Simnet.Payload.t

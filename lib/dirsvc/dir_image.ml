@@ -1,0 +1,79 @@
+(* A directory's stable copy: an immutable Bullet file holding its
+   encoding, named by its object-table entry (paper §3, Fig. 3). *)
+
+type t = {
+  transport : Rpc.Transport.t;
+  bullet_port : string;
+  table : Storage.Object_table.t;
+  mutable files : Capability.t Directory.Store.t;
+      (* dir -> Bullet file currently holding it (in-core copy of the
+         object table's capabilities, for retiring old versions) *)
+}
+
+let attach transport ~bullet_port ~device ~slots =
+  {
+    transport;
+    bullet_port;
+    table = Storage.Object_table.attach device ~first_block:1 ~slots;
+    files = Directory.Store.empty;
+  }
+
+(* The Bullet server can be transiently unlocatable when all its worker
+   threads are busy; a directory server must ride that out, not die. *)
+let create_file t data =
+  let rec go tries =
+    match Storage.Bullet.create t.transport ~port:t.bullet_port data with
+    | cap -> cap
+    | exception Rpc.Transport.Rpc_failure _ when tries > 0 ->
+        Sim.Timer.sleep 25.0;
+        go (tries - 1)
+  in
+  go 8
+
+let delete_file t cap =
+  try Storage.Bullet.delete t.transport ~port:t.bullet_port cap
+  with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ()
+
+(* Off the critical path, per Fig. 5's "remove old Bullet files". *)
+let retire t = function
+  | Some cap -> Sim.Proc.spawn ~name:"retire-file" (fun () -> delete_file t cap)
+  | None -> ()
+
+let write t dir_id dir =
+  let cap = create_file t (Directory.encode_dir dir) in
+  Storage.Object_table.write_entry t.table ~dir_id
+    { Storage.Object_table.file_cap = cap; seqno = dir.Directory.seqno };
+  let old = Directory.Store.find_opt dir_id t.files in
+  t.files <- Directory.Store.add dir_id cap t.files;
+  old
+
+let clear_entry t dir_id = Storage.Object_table.clear_entry t.table ~dir_id
+
+let persist t ~deleted store dir_id =
+  match Directory.Store.find_opt dir_id store with
+  | Some dir -> retire t (write t dir_id dir)
+  | None ->
+      clear_entry t dir_id;
+      deleted ();
+      let old = Directory.Store.find_opt dir_id t.files in
+      t.files <- Directory.Store.remove dir_id t.files;
+      retire t old
+
+let take_files t =
+  let files = t.files in
+  t.files <- Directory.Store.empty;
+  files
+
+let load t ~lost =
+  List.fold_left
+    (fun store (dir_id, { Storage.Object_table.file_cap; _ }) ->
+      match Storage.Bullet.read t.transport ~port:t.bullet_port file_cap with
+      | data ->
+          let dir = Directory.decode_dir data in
+          t.files <- Directory.Store.add dir_id file_cap t.files;
+          Directory.Store.add dir_id dir store
+      | exception (Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _) ->
+          lost dir_id;
+          store)
+    Directory.empty
+    (Storage.Object_table.scan t.table)

@@ -1,0 +1,46 @@
+(** The stable copy of a replica's directories, shared by the group
+    server and the RPC pair: each directory lives in its own immutable
+    Bullet file, and its object-table entry (one disk block, written
+    after the file exists) is the commit point. A new version is a new
+    file; the file it replaces is deleted afterwards, off the critical
+    path. *)
+
+type t
+
+(** [attach transport ~bullet_port ~device ~slots] — the object table
+    occupies blocks [1 .. slots] of [device] (block 0 is the commit
+    block); files are created on the Bullet server at [bullet_port]. *)
+val attach :
+  Rpc.Transport.t ->
+  bullet_port:string ->
+  device:Storage.Block_device.t ->
+  slots:int ->
+  t
+
+(** [persist t ~deleted store dir_id] makes [dir_id]'s state in [store]
+    the stable copy: a new Bullet file, then the object-table entry,
+    then the old file is retired. A directory absent from [store] has
+    its entry cleared, then [deleted ()] runs, then its file is
+    retired. *)
+val persist :
+  t -> deleted:(unit -> unit) -> Directory.store -> Directory.dir_id -> unit
+
+(** [load t ~lost] reads every directory the object table names, at
+    boot. A file that cannot be read is skipped and reported to
+    [lost]. *)
+val load : t -> lost:(Directory.dir_id -> unit) -> Directory.store
+
+(** Primitives for rewriting a whole image (recovery): *)
+
+(** [write t dir_id dir] stores [dir] in a new file and commits its
+    entry; returns the file it replaced, which is not deleted. *)
+val write : t -> Directory.dir_id -> Directory.dir -> Capability.t option
+
+val clear_entry : t -> Directory.dir_id -> unit
+
+(** Forget every file of the image, returning them (dir -> file). *)
+val take_files : t -> Capability.t Directory.Store.t
+
+(** Delete one file now, ignoring a failed or unreachable Bullet
+    server. *)
+val delete_file : t -> Capability.t -> unit

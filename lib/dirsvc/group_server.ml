@@ -37,18 +37,13 @@ type t = {
   params : Params.t;
   durability : durability;
   metrics : Sim.Metrics.t option;
-  (* Per-op latency histograms, resolved once per op name: the labelled
-     key ["dirsvc.op_ms{op=...,server=...}"] is built at first use, not
-     per request. *)
-  op_hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t;
   net : Simnet.Network.t;
   node : Sim.Node.t;
   transport : Rpc.Transport.t;
   server_id : int;
   peers : (int * int) list; (* (server_id, node_id), all servers *)
   device : Storage.Block_device.t;
-  table : Storage.Object_table.t;
-  bullet_port : string;
+  image : Dir_image.t;
   gname : string;
   port : string;
   cpu : Sim.Resource.t;
@@ -56,9 +51,6 @@ type t = {
   (* Replicated state. *)
   mutable store : Directory.store;
   mutable useq : int;
-  mutable file_caps : Capability.t Directory.Store.t;
-      (* dir -> Bullet file currently holding it (in-core copy of the
-         object table's capabilities, for retiring old versions) *)
   (* Group state. *)
   mutable group : Group.Member.t option;
   mutable gprocessed : int; (* group position applied *)
@@ -69,8 +61,9 @@ type t = {
   mutable serving_watch : (unit -> unit) option;
   mutable stayed_up : bool;
   applied : Sim.Condvar.t;
-  results :
-    (int * int, (Directory.op_result, Directory.error) result) Hashtbl.t;
+  (* The reply to each update this server initiated, keyed by its
+     (origin, uid) and filed by the group thread at delivery. *)
+  replies : (int * int, Wire.reply) Hashtbl.t;
   mutable next_uid : int;
   mutable next_secret : int;
   mutable last_update : float; (* for the NVRAM idle flush *)
@@ -96,7 +89,6 @@ type t = {
   xtransport : Rpc.Transport.t option;
   staged_x : (int, staged_xact) Hashtbl.t;
   xdecisions : (int, bool) Hashtbl.t; (* txid -> committed? *)
-  xresults : (int * int, Wire.reply) Hashtbl.t;
 }
 
 let server_id t = t.server_id
@@ -132,47 +124,6 @@ let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"dirsvc"
     ~node:(Sim.Node.id t.node) ~name attrs
 
-let op_histogram t m ~op =
-  match Hashtbl.find_opt t.op_hists op with
-  | Some h -> h
-  | None ->
-      (* The shard label exists only in sharded deployments. *)
-      let labels =
-        match t.shard with
-        | None -> [ ("op", op); ("server", string_of_int t.server_id) ]
-        | Some k ->
-            [
-              ("op", op);
-              ("server", string_of_int t.server_id);
-              ("shard", string_of_int k);
-            ]
-      in
-      let h = Sim.Metrics.histogram_handle m "dirsvc.op_ms" ~labels in
-      Hashtbl.add t.op_hists op h;
-      h
-
-(* Wraps a client-facing handler: per-op latency lands in the
-   ["dirsvc.op_ms"] histogram labelled by server and op kind (handle
-   cached per op name), plus a trace event carrying the outcome. *)
-let timed_op t ~op f =
-  let engine = Simnet.Network.engine t.net in
-  let started = Sim.Engine.now engine in
-  let reply = f () in
-  let elapsed = Sim.Engine.now engine -. started in
-  (match t.metrics with
-  | Some m -> Sim.Metrics.Histogram.observe (op_histogram t m ~op) elapsed
-  | None -> ());
-  emit t ~name:"op" (fun () ->
-      [
-        ("op", Sim.Trace.Str op);
-        ("server", Sim.Trace.Int t.server_id);
-        ("latency_ms", Sim.Trace.Float elapsed);
-        ( "status",
-          Sim.Trace.Str
-            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
-  reply
-
 let fresh_secret t =
   t.next_secret <- t.next_secret + 1;
   Capability.mint_secret
@@ -203,25 +154,6 @@ let encode_glog t =
   Wire.encode_log_records
     (List.rev_map (fun (r : log_record) -> (r.useq, r.dir_id, r.op)) t.glog)
 
-let retire_old_file t dir_id =
-  match Directory.Store.find_opt dir_id t.file_caps with
-  | Some old_cap ->
-      t.file_caps <- Directory.Store.remove dir_id t.file_caps;
-      (* Off the critical path, per Fig. 5's "remove old Bullet files". *)
-      Sim.Proc.spawn ~name:"retire-file" (fun () ->
-          try Storage.Bullet.delete t.transport ~port:t.bullet_port old_cap
-          with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ())
-  | None -> ()
-
-(* The Bullet server can be transiently unlocatable when all its worker
-   threads are busy; a directory server must ride that out, not die. *)
-let rec bullet_create_with_retry t data tries =
-  match Storage.Bullet.create t.transport ~port:t.bullet_port data with
-  | cap -> cap
-  | exception Rpc.Transport.Rpc_failure _ when tries > 0 ->
-      Sim.Timer.sleep 25.0;
-      bullet_create_with_retry t data (tries - 1)
-
 (* The commit block carries the group-commit log; when the encoded log
    no longer fits beside the header in block 0, the log is applied to
    the per-directory blocks first (clearing it) — hence the mutual
@@ -246,23 +178,12 @@ let rec write_commit_block t ~recovering =
       log;
     }
 
-(* Persist directory [dir_id]'s current state: new Bullet file + object
-   table entry, or tombstone + commit block on deletion. *)
+(* Persist directory [dir_id]'s current state. A deletion must leave a
+   trace of the update somewhere: the sequence number in the commit
+   block (paper §3). *)
 and persist_dir_to_disk t dir_id =
-  match Directory.Store.find_opt dir_id t.store with
-  | Some dir ->
-      let data = Directory.encode_dir dir in
-      let cap = bullet_create_with_retry t data 8 in
-      Storage.Object_table.write_entry t.table ~dir_id
-        { Storage.Object_table.file_cap = cap; seqno = dir.Directory.seqno };
-      retire_old_file t dir_id;
-      t.file_caps <- Directory.Store.add dir_id cap t.file_caps
-  | None ->
-      Storage.Object_table.clear_entry t.table ~dir_id;
-      (* The deletion must leave a trace of the update somewhere: the
-         sequence number in the commit block (paper §3). *)
-      write_commit_block t ~recovering:false;
-      retire_old_file t dir_id
+  Dir_image.persist t.image t.store dir_id ~deleted:(fun () ->
+      write_commit_block t ~recovering:false)
 
 (* Apply the group-commit log to the per-directory blocks: rewrite every
    dirty directory, then forget the log. The stale copy left in block 0
@@ -275,12 +196,11 @@ and persist_dirty t =
   Hashtbl.reset t.dirty;
   List.iter (persist_dir_to_disk t) (List.sort compare dirty)
 
-let nvram_flush t nv =
-  let records = Storage.Nvram.take_all nv in
-  let dirty =
-    List.sort_uniq compare (List.map (fun r -> r.dir_id) records)
-  in
-  List.iter (persist_dir_to_disk t) dirty
+let persist_records t records =
+  List.iter (persist_dir_to_disk t)
+    (List.sort_uniq compare (List.map (fun r -> r.dir_id) records))
+
+let nvram_flush t nv = persist_records t (Storage.Nvram.take_all nv)
 
 (* Staging: no I/O beyond an NVRAM annihilation — [flush] makes the
    staged records stable. The /tmp effect reaches across the unflushed
@@ -322,9 +242,11 @@ let stage t record =
   | Some _, None -> t.pending <- record :: t.pending
 
 (* One durable write makes every staged record stable: a single NVRAM
-   append burst (a full log is applied to disk first), or on disk the
-   records' own directory blocks ([Eager]) or one block-0 write that
-   carries them in the commit block's log ([Logged]). *)
+   append burst (a full log is applied to disk first; records too large
+   for even an empty log are made stable in place, as [Eager] does on
+   disk), or on disk the records' own directory blocks ([Eager]) or one
+   block-0 write that carries them in the commit block's log
+   ([Logged]). *)
 let flush t =
   match t.pending with
   | [] -> ()
@@ -337,7 +259,7 @@ let flush t =
           if not (Storage.Nvram.append_all nv records) then begin
             nvram_flush t nv;
             if not (Storage.Nvram.append_all nv records) then
-              failwith "dirsvc: batch larger than the whole NVRAM log"
+              persist_records t records
           end
       | None, Eager -> persist_dirty t
       | None, Logged ->
@@ -385,6 +307,13 @@ let emit_xact t ~name ~txid =
   emit t ~name (fun () ->
       [ ("server", Sim.Trace.Int t.server_id); ("txid", Sim.Trace.Int txid) ])
 
+(* The reply for a transaction already decided, else [undecided ()]. *)
+let decided_reply t txid ~undecided =
+  match Hashtbl.find_opt t.xdecisions txid with
+  | Some true -> Wire.Ok_rep
+  | Some false -> Wire.Err_rep (Wire.Unavailable "transaction aborted")
+  | None -> undecided ()
+
 (* Every replica of the shard executes these in total order, so the
    staged / decided state is replicated without extra messages. The
    decision table never demotes a commit: a straggling best-effort
@@ -392,11 +321,8 @@ let emit_xact t ~name ~txid =
 let execute_xact t ~origin ~uid xact =
   let reply =
     match xact with
-    | Wire.Xprepare { txid; op; peer_port; src } -> (
-        match Hashtbl.find_opt t.xdecisions txid with
-        | Some true -> Wire.Ok_rep
-        | Some false -> Wire.Err_rep (Wire.Unavailable "transaction aborted")
-        | None ->
+    | Wire.Xprepare { txid; op; peer_port; src } ->
+        decided_reply t txid ~undecided:(fun () ->
             if Hashtbl.mem t.staged_x txid then Wire.Ok_rep
             else (
               (* Dry-run validation against the current store; the op is
@@ -417,19 +343,14 @@ let execute_xact t ~origin ~uid xact =
               | Error e -> Wire.Err_rep (Wire.Op_error e)))
     | Wire.Xcommit { txid } -> (
         match Hashtbl.find_opt t.staged_x txid with
-        | Some staged -> (
+        | Some staged ->
             Hashtbl.remove t.staged_x txid;
             Hashtbl.replace t.xdecisions txid true;
             emit_xact t ~name:"xcommitted" ~txid;
-            match execute_op t ~origin ~uid staged.x_op with
-            | Ok _ -> Wire.Ok_rep
-            | Error e -> Wire.Err_rep (Wire.Op_error e))
-        | None -> (
-            match Hashtbl.find_opt t.xdecisions txid with
-            | Some true -> Wire.Ok_rep
-            | Some false ->
-                Wire.Err_rep (Wire.Unavailable "transaction aborted")
-            | None ->
+            Dir_front.write_reply ~port:t.port staged.x_op
+              (execute_op t ~origin ~uid staged.x_op)
+        | None ->
+            decided_reply t txid ~undecided:(fun () ->
                 Wire.Err_rep (Wire.Unavailable "no such staged transaction")))
     | Wire.Xabort { txid } ->
         Hashtbl.remove t.staged_x txid;
@@ -442,7 +363,7 @@ let execute_xact t ~origin ~uid xact =
     | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
   in
   if origin = Sim.Node.id t.node then
-    Hashtbl.replace t.xresults (origin, uid) reply
+    Hashtbl.replace t.replies (origin, uid) reply
 
 let process_delivery t delivery =
   let seqno = Group.Types.delivery_seqno delivery in
@@ -451,7 +372,8 @@ let process_delivery t delivery =
     | Group.Types.Msg { payload = Wire.Dir_op_msg { origin; uid; op }; _ } ->
         let outcome = execute_op t ~origin ~uid op in
         if origin = Sim.Node.id t.node then
-          Hashtbl.replace t.results (origin, uid) outcome
+          Hashtbl.replace t.replies (origin, uid)
+            (Dir_front.write_reply ~port:t.port op outcome)
     | Group.Types.Msg { payload = Wire.Dir_xact_msg { origin; uid; xact }; _ }
       ->
         execute_xact t ~origin ~uid xact
@@ -467,158 +389,104 @@ let await_applied t pred =
     true
   with Sim.Proc.Timeout -> false
 
-let handle_read t serve =
+(* Every client request is refused without a majority. *)
+let with_group t f =
   if not (majority_ok t) then Wire.Err_rep Wire.No_majority
-  else begin
+  else
     match t.group with
     | None -> Wire.Err_rep (Wire.Unavailable "no group")
-    | Some g ->
-        (* Fig. 5's read path: any buffered (sent but not yet applied)
-           messages must be applied before we answer, otherwise a client
-           could read past its own write performed via another server. *)
-        let target = (Group.Member.info g).highest_seen in
-        if not (await_applied t (fun () -> t.gprocessed >= target)) then
-          Wire.Err_rep (Wire.Unavailable "catch-up timeout")
-        else begin
-          Sim.Resource.use t.cpu t.params.cpu_read_ms;
-          serve t.store
-        end
-  end
+    | Some g -> f g
+
+let handle_read t serve =
+  with_group t (fun g ->
+      (* Fig. 5's read path: any buffered (sent but not yet applied)
+         messages must be applied before we answer, otherwise a client
+         could read past its own write performed via another server. *)
+      let target = (Group.Member.info g).highest_seen in
+      if not (await_applied t (fun () -> t.gprocessed >= target)) then
+        Wire.Err_rep (Wire.Unavailable "catch-up timeout")
+      else begin
+        Sim.Resource.use t.cpu t.params.cpu_read_ms;
+        serve t.store
+      end)
+
+(* Send one message through the total order, stamped with a fresh
+   (origin, uid), and wait until the local group thread has executed it
+   and filed its reply. *)
+let send_and_await t g message =
+  let origin = Sim.Node.id t.node in
+  let uid = fresh_uid t in
+  match Group.Member.send g (message ~origin ~uid) with
+  | exception Group.Types.Group_failure reason ->
+      Wire.Err_rep (Wire.Unavailable ("group: " ^ reason))
+  | () ->
+      let key = (origin, uid) in
+      if not (await_applied t (fun () -> Hashtbl.mem t.replies key)) then
+        Wire.Err_rep (Wire.Unavailable "execution timeout")
+      else begin
+        let reply = Hashtbl.find t.replies key in
+        Hashtbl.remove t.replies key;
+        reply
+      end
 
 let handle_write t op =
-  if not (majority_ok t) then Wire.Err_rep Wire.No_majority
-  else begin
-    match t.group with
-    | None -> Wire.Err_rep (Wire.Unavailable "no group")
-    | Some g -> (
-        (* The initiator generates the check field: every replica must
-           mint the same capability (paper §3.1). *)
-        let op =
-          match op with
-          | Directory.Create_dir { columns; hint; _ } ->
-              Directory.Create_dir { columns; secret = fresh_secret t; hint }
-          | other -> other
-        in
-        Sim.Resource.use t.cpu t.params.cpu_write_ms;
-        let origin = Sim.Node.id t.node in
-        let uid = fresh_uid t in
-        match
-          Group.Member.send g (Wire.Dir_op_msg { origin; uid; op })
-        with
-        | exception Group.Types.Group_failure reason ->
-            Wire.Err_rep (Wire.Unavailable ("group: " ^ reason))
-        | () ->
-            if
-              not
-                (await_applied t (fun () -> Hashtbl.mem t.results (origin, uid)))
-            then Wire.Err_rep (Wire.Unavailable "execution timeout")
-            else begin
-              let result = Hashtbl.find t.results (origin, uid) in
-              Hashtbl.remove t.results (origin, uid);
-              match result with
-              | Ok (Directory.Created id) ->
-                  let secret =
-                    match op with
-                    | Directory.Create_dir { secret; _ } -> secret
-                    | _ -> assert false
-                  in
-                  Wire.Cap_rep (Capability.owner ~port:t.port ~obj:id secret)
-              | Ok Directory.Updated -> Wire.Ok_rep
-              | Error e -> Wire.Err_rep (Wire.Op_error e)
-            end)
-  end
+  with_group t (fun g ->
+      (* The initiator generates the check field: every replica must
+         mint the same capability (paper §3.1). *)
+      let op =
+        match op with
+        | Directory.Create_dir { columns; hint; _ } ->
+            Directory.Create_dir { columns; secret = fresh_secret t; hint }
+        | other -> other
+      in
+      Sim.Resource.use t.cpu t.params.cpu_write_ms;
+      send_and_await t g (fun ~origin ~uid ->
+          Wire.Dir_op_msg { origin; uid; op }))
 
 (* Prepare / commit / abort ride the shard's own total order exactly
    like a write; only the status query is answered from local state. *)
 let handle_xshard t cmd =
-  if not (majority_ok t) then Wire.Err_rep Wire.No_majority
-  else begin
-    match t.group with
-    | None -> Wire.Err_rep (Wire.Unavailable "no group")
-    | Some g -> (
-        match cmd with
-        | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
-        | _ -> (
-            Sim.Resource.use t.cpu t.params.cpu_write_ms;
-            let origin = Sim.Node.id t.node in
-            let uid = fresh_uid t in
-            match
-              Group.Member.send g (Wire.Dir_xact_msg { origin; uid; xact = cmd })
-            with
-            | exception Group.Types.Group_failure reason ->
-                Wire.Err_rep (Wire.Unavailable ("group: " ^ reason))
-            | () ->
-                if
-                  not
-                    (await_applied t (fun () ->
-                         Hashtbl.mem t.xresults (origin, uid)))
-                then Wire.Err_rep (Wire.Unavailable "execution timeout")
-                else begin
-                  let reply = Hashtbl.find t.xresults (origin, uid) in
-                  Hashtbl.remove t.xresults (origin, uid);
-                  reply
-                end))
-  end
+  with_group t (fun g ->
+      match cmd with
+      | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
+      | _ ->
+          Sim.Resource.use t.cpu t.params.cpu_write_ms;
+          send_and_await t g (fun ~origin ~uid ->
+              Wire.Dir_xact_msg { origin; uid; xact = cmd }))
 
 (* The shard-level NOTHERE: a capability minted by another shard names
    that shard's port, so a port mismatch bounces the client to the
    owner. Single-group servers ([shard] = None) never check. *)
-let request_cap = function
-  | Wire.Write_op op -> (
-      match op with
-      | Directory.Create_dir _ -> None
-      | Directory.Delete_dir { cap }
-      | Directory.Append_row { cap; _ }
-      | Directory.Chmod_row { cap; _ }
-      | Directory.Delete_row { cap; _ }
-      | Directory.Replace_set { cap; _ } ->
-          Some cap)
-  | Wire.List_req { cap; _ } -> Some cap
-  | Wire.Lookup_req { items = (cap, _) :: _; _ } -> Some cap
-  | Wire.Lookup_req { items = []; _ } | Wire.Xshard_req _ -> None
-
 let wrong_shard t request =
-  match t.shard with
+  Option.is_some t.shard
+  &&
+  match Wire.cap_of_request request with
+  | Some cap -> not (String.equal cap.Capability.port t.port)
   | None -> false
-  | Some _ -> (
-      match request_cap request with
-      | Some cap -> not (String.equal cap.Capability.port t.port)
-      | None -> false)
 
-let client_handler t ~client:_ body =
-  match body with
-  | Wire.Dir_request request when wrong_shard t request ->
-      Wire.Dir_reply (Wire.Err_rep Wire.Wrong_shard)
-  | Wire.Dir_request (Wire.Xshard_req cmd) ->
-      Wire.Dir_reply (timed_op t ~op:"xshard" (fun () -> handle_xshard t cmd))
-  | Wire.Dir_request (Wire.Write_op op) ->
-      Wire.Dir_reply
-        (timed_op t ~op:(Directory.op_kind op) (fun () -> handle_write t op))
-  | Wire.Dir_request (Wire.List_req { cap; column }) ->
-      Wire.Dir_reply
-        (timed_op t ~op:"list" (fun () ->
-             handle_read t (fun store ->
-                 match Directory.list_dir store ~cap ~column with
-                 | Ok listing -> Wire.Listing_rep listing
-                 | Error e -> Wire.Err_rep (Wire.Op_error e))))
-  | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
-      Wire.Dir_reply
-        (timed_op t ~op:"lookup" (fun () ->
-             handle_read t (fun store ->
-                 let resolve (cap, name) =
-                   match Directory.lookup store ~cap ~name ~column with
-                   | Ok (cap, mask) -> Some (cap, mask)
-                   | Error _ -> None
-                 in
-                 Wire.Lookup_rep (List.map resolve items))))
-  | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))
+let client_handler t front =
+  let serve =
+    Dir_front.handler front ~write:(handle_write t) ~read:(handle_read t)
+  in
+  fun ~client body ->
+    match body with
+    | Wire.Dir_request request when wrong_shard t request ->
+        Wire.Dir_reply (Wire.Err_rep Wire.Wrong_shard)
+    | Wire.Dir_request (Wire.Xshard_req cmd) ->
+        Wire.Dir_reply
+          (Dir_front.timed front ~op:"xshard" (fun () -> handle_xshard t cmd))
+    | body -> serve ~client body
 
 (* ---- Admin (recovery) handlers -------------------------------------- *)
 
+let read_commit_block t =
+  try Storage.Commit_block.decode (Storage.Block_device.peek t.device 0)
+  with Storage.Codec.Corrupt _ -> None
+
 let my_mourned t =
-  match Storage.Commit_block.decode (Storage.Block_device.peek t.device 0) with
+  match read_commit_block t with
   | Some cb -> Skeen.mourned_of_vector cb.Storage.Commit_block.config_vector
-  | None | (exception Storage.Codec.Corrupt _) -> Skeen.Int_set.empty
+  | None -> Skeen.Int_set.empty
 
 let admin_handler t ~client:_ body =
   match body with
@@ -674,30 +542,17 @@ let admin_handler t ~client:_ body =
 (* ---- Boot-time state loading ---------------------------------------- *)
 
 let load_disk_state t =
-  let commit =
-    match Storage.Commit_block.decode (Storage.Block_device.peek t.device 0) with
-    | cb -> cb
-    | exception Storage.Codec.Corrupt _ -> None
-  in
+  let commit = read_commit_block t in
   let crashed_during_recovery =
     match commit with Some cb -> cb.Storage.Commit_block.recovering | None -> false
   in
-  (* Load every directory named by the object table from Bullet. *)
-  let entries = Storage.Object_table.scan t.table in
-  List.iter
-    (fun (dir_id, { Storage.Object_table.file_cap; _ }) ->
-      match Storage.Bullet.read t.transport ~port:t.bullet_port file_cap with
-      | data ->
-          let dir = Directory.decode_dir data in
-          t.store <- Directory.Store.add dir_id dir t.store;
-          t.file_caps <- Directory.Store.add dir_id file_cap t.file_caps
-      | exception (Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _) ->
-          emit t ~name:"lost_dir" (fun () ->
-              [
-                ("server", Sim.Trace.Int t.server_id);
-                ("dir", Sim.Trace.Int dir_id);
-              ]))
-    entries;
+  t.store <-
+    Dir_image.load t.image ~lost:(fun dir_id ->
+        emit t ~name:"lost_dir" (fun () ->
+            [
+              ("server", Sim.Trace.Int t.server_id);
+              ("dir", Sim.Trace.Int dir_id);
+            ]));
   let max_dir_seqno =
     Directory.Store.fold
       (fun _ dir acc -> max acc dir.Directory.seqno)
@@ -826,27 +681,17 @@ let fetch_state_from t ~donor_node ~join_base =
 (* Rewrite our whole disk image from the fetched store. Recovery-time
    I/O; not on any client's critical path. *)
 let reinstall_disk_state t =
-  let old_caps = t.file_caps in
-  t.file_caps <- Directory.Store.empty;
+  let old_files = Dir_image.take_files t.image in
   (* Clear slots that no longer exist. *)
   Directory.Store.iter
     (fun dir_id _ ->
       if not (Directory.Store.mem dir_id t.store) then
-        Storage.Object_table.clear_entry t.table ~dir_id)
-    old_caps;
+        Dir_image.clear_entry t.image dir_id)
+    old_files;
   Directory.Store.iter
-    (fun dir_id dir ->
-      let data = Directory.encode_dir dir in
-      let cap = bullet_create_with_retry t data 8 in
-      Storage.Object_table.write_entry t.table ~dir_id
-        { Storage.Object_table.file_cap = cap; seqno = dir.Directory.seqno };
-      t.file_caps <- Directory.Store.add dir_id cap t.file_caps)
+    (fun dir_id dir -> ignore (Dir_image.write t.image dir_id dir))
     t.store;
-  Directory.Store.iter
-    (fun _ old_cap ->
-      try Storage.Bullet.delete t.transport ~port:t.bullet_port old_cap
-      with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ())
-    old_caps;
+  Directory.Store.iter (fun _ cap -> Dir_image.delete_file t.image cap) old_files;
   match t.nvram with
   | None -> ()
   | Some nv -> ignore (Storage.Nvram.take_all nv)
@@ -1070,17 +915,13 @@ let is_xact_leader t =
 let decide_staged t txid ~commit =
   match t.group with
   | None -> ()
-  | Some g -> (
-      let origin = Sim.Node.id t.node in
-      let uid = fresh_uid t in
+  | Some g ->
       let xact =
         if commit then Wire.Xcommit { txid } else Wire.Xabort { txid }
       in
-      match Group.Member.send g (Wire.Dir_xact_msg { origin; uid; xact }) with
-      | exception Group.Types.Group_failure _ -> ()
-      | () ->
-          if await_applied t (fun () -> Hashtbl.mem t.xresults (origin, uid))
-          then Hashtbl.remove t.xresults (origin, uid))
+      ignore
+        (send_and_await t g (fun ~origin ~uid ->
+             Wire.Dir_xact_msg { origin; uid; xact }))
 
 (* A transaction abandoned past its deadline (coordinator crash).
    Presumed abort, with one asymmetry: the coordinator commits the
@@ -1151,37 +992,33 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
         let xnic = Simnet.Network.attach xnet node in
         Some (Rpc.Transport.create ~config:rpc_config xnet xnic)
   in
-  let table =
-    Storage.Object_table.attach device ~first_block:1 ~slots:params.Params.admin_slots
-  in
   let t =
     {
       params;
       durability = (if params.Params.batch_max > 1 then Logged else Eager);
       metrics;
-      op_hists = Hashtbl.create 8;
       net;
       node;
       transport;
       server_id;
       peers;
       device;
-      table;
-      bullet_port;
+      image =
+        Dir_image.attach transport ~bullet_port ~device
+          ~slots:params.Params.admin_slots;
       gname;
       port;
       cpu = Sim.Resource.create ~name:"dir-cpu" ~capacity:1 ();
       nvram;
       store = Directory.empty;
       useq = 0;
-      file_caps = Directory.Store.empty;
       group = None;
       gprocessed = 0;
       serving = false;
       serving_watch = None;
       stayed_up = false;
       applied = Sim.Condvar.create ();
-      results = Hashtbl.create 32;
+      replies = Hashtbl.create 32;
       next_uid = 0;
       next_secret = 0;
       last_update = 0.0;
@@ -1196,11 +1033,13 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       xtransport;
       staged_x = Hashtbl.create 8;
       xdecisions = Hashtbl.create 8;
-      xresults = Hashtbl.create 8;
     }
   in
+  let front =
+    Dir_front.create ~metrics ~shard net ~node (Dir_front.Replica server_id)
+  in
   Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
-    (client_handler t);
+    (client_handler t front);
   Rpc.Transport.serve transport ~port:(admin_port (Sim.Node.id node)) ~threads:2
     (admin_handler t);
   (match t.xtransport with

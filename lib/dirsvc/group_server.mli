@@ -29,7 +29,10 @@
     [params.batch_max] = 1 each update is flushed on its own before its
     writer is woken, exactly as above; with larger batches a whole
     delivered burst shares one commit-block (block 0) or NVRAM write,
-    and directory blocks are rewritten when the group goes quiet. *)
+    and directory blocks are rewritten when the group goes quiet.
+
+    The client request path (dispatch, op timing, reply mapping) is
+    {!Dir_front}; the Bullet-file directory image is {!Dir_image}. *)
 
 (** One logged-but-unflushed modification. *)
 type log_record = { useq : int; dir_id : int; op : Directory.op }

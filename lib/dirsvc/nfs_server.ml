@@ -1,8 +1,5 @@
 type t = {
   params : Params.t;
-  metrics : Sim.Metrics.t option;
-  op_hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t; (* per-op, see timed_op *)
-  engine : Sim.Engine.t;
   node : Sim.Node.t;
   device : Storage.Block_device.t;
   port : string;
@@ -46,80 +43,21 @@ let handle_write t op =
   in
   match Directory.dir_id_of_op t.store op with
   | None -> Wire.Err_rep (Wire.Op_error (Directory.Bad_request "bad op"))
-  | Some dir_id -> (
-      match Directory.apply t.store ~seqno:(t.useq + 1) op with
-      | Ok (store', result) ->
-          t.useq <- t.useq + 1;
-          t.store <- store';
-          disk_commit t dir_id;
-          (match result with
-          | Directory.Created id ->
-              let secret =
-                match op with
-                | Directory.Create_dir { secret; _ } -> secret
-                | _ -> assert false
-              in
-              Wire.Cap_rep (Capability.owner ~port:t.port ~obj:id secret)
-          | Directory.Updated -> Wire.Ok_rep)
-      | Error e -> Wire.Err_rep (Wire.Op_error e))
+  | Some dir_id ->
+      let outcome =
+        match Directory.apply t.store ~seqno:(t.useq + 1) op with
+        | Ok (store', result) ->
+            t.useq <- t.useq + 1;
+            t.store <- store';
+            disk_commit t dir_id;
+            Ok result
+        | Error e -> Error e
+      in
+      Dir_front.write_reply ~port:t.port op outcome
 
 let handle_read t serve =
   Sim.Resource.use t.cpu t.params.Params.nfs_cpu_read_ms;
   serve t.store
-
-let op_histogram t m ~op =
-  match Hashtbl.find_opt t.op_hists op with
-  | Some h -> h
-  | None ->
-      let h =
-        Sim.Metrics.histogram_handle m "dirsvc.op_ms"
-          ~labels:[ ("op", op); ("server", "nfs") ]
-      in
-      Hashtbl.add t.op_hists op h;
-      h
-
-let timed_op t ~op f =
-  let started = Sim.Engine.now t.engine in
-  let reply = f () in
-  let elapsed = Sim.Engine.now t.engine -. started in
-  (match t.metrics with
-  | Some m -> Sim.Metrics.Histogram.observe (op_histogram t m ~op) elapsed
-  | None -> ());
-  Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:(Sim.Node.id t.node)
-    ~name:"op" (fun () ->
-      [
-        ("op", Sim.Trace.Str op);
-        ("server", Sim.Trace.Str "nfs");
-        ("latency_ms", Sim.Trace.Float elapsed);
-        ( "status",
-          Sim.Trace.Str
-            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
-  reply
-
-let client_handler t ~client:_ body =
-  match body with
-  | Wire.Dir_request (Wire.Write_op op) ->
-      Wire.Dir_reply
-        (timed_op t ~op:(Directory.op_kind op) (fun () -> handle_write t op))
-  | Wire.Dir_request (Wire.List_req { cap; column }) ->
-      Wire.Dir_reply
-        (timed_op t ~op:"list" (fun () ->
-             handle_read t (fun store ->
-                 match Directory.list_dir store ~cap ~column with
-                 | Ok listing -> Wire.Listing_rep listing
-                 | Error e -> Wire.Err_rep (Wire.Op_error e))))
-  | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
-      Wire.Dir_reply
-        (timed_op t ~op:"lookup" (fun () ->
-             handle_read t (fun store ->
-                 let resolve (cap, name) =
-                   match Directory.lookup store ~cap ~name ~column with
-                   | Ok (cap, mask) -> Some (cap, mask)
-                   | Error _ -> None
-                 in
-                 Wire.Lookup_rep (List.map resolve items))))
-  | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))
 
 let start ~params ?metrics net ~node ~device ~port () =
   let nic = Simnet.Network.attach net node in
@@ -127,9 +65,6 @@ let start ~params ?metrics net ~node ~device ~port () =
   let t =
     {
       params;
-      metrics;
-      op_hists = Hashtbl.create 8;
-      engine = Simnet.Network.engine net;
       node;
       device;
       port;
@@ -139,6 +74,9 @@ let start ~params ?metrics net ~node ~device ~port () =
       next_secret = 0;
     }
   in
+  let front =
+    Dir_front.create ~metrics ~shard:None net ~node (Dir_front.Named "nfs")
+  in
   Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
-    (client_handler t);
+    (Dir_front.handler front ~write:(handle_write t) ~read:(handle_read t));
   t

@@ -4,7 +4,9 @@
     guarantees for remote caches — just the same operation surface with
     UNIX-like costs: a lookup touches only the server's cache; an update
     performs a single synchronous disk write. Exists purely so the
-    benches can reproduce the paper's comparison columns. *)
+    benches can reproduce the paper's comparison columns.
+
+    The client request path is {!Dir_front}. *)
 
 type t
 

@@ -1,21 +1,15 @@
 type t = {
   params : Params.t;
-  metrics : Sim.Metrics.t option;
-  op_hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t; (* per-op, see timed_op *)
-  net : Simnet.Network.t;
   node : Sim.Node.t;
   transport : Rpc.Transport.t;
   server_id : int; (* 1 or 2 *)
   peer_node : int;
-  device : Storage.Block_device.t;
   intent_device : Storage.Block_device.t;
-  table : Storage.Object_table.t;
-  bullet_port : string;
+  image : Dir_image.t;
   port : string;
   cpu : Sim.Resource.t;
   mutable store : Directory.store;
   mutable useq : int;
-  mutable file_caps : Capability.t Directory.Store.t;
   locked : (int, unit) Hashtbl.t; (* dir ids with an operation in flight *)
   unlocked : Sim.Condvar.t;
   mutable next_intent_block : int;
@@ -77,36 +71,8 @@ let next_seqno t op =
       | None -> 1)
   | None -> 1
 
-let rec bullet_create_with_retry t data tries =
-  match Storage.Bullet.create t.transport ~port:t.bullet_port data with
-  | cap -> cap
-  | exception Rpc.Transport.Rpc_failure _ when tries > 0 ->
-      Sim.Timer.sleep 25.0;
-      bullet_create_with_retry t data (tries - 1)
-
 let persist_dir_to_disk t dir_id =
-  match Directory.Store.find_opt dir_id t.store with
-  | Some dir ->
-      let data = Directory.encode_dir dir in
-      let cap = bullet_create_with_retry t data 8 in
-      Storage.Object_table.write_entry t.table ~dir_id
-        { Storage.Object_table.file_cap = cap; seqno = dir.Directory.seqno };
-      (match Directory.Store.find_opt dir_id t.file_caps with
-      | Some old_cap ->
-          Sim.Proc.spawn ~name:"retire-file" (fun () ->
-              try Storage.Bullet.delete t.transport ~port:t.bullet_port old_cap
-              with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ())
-      | None -> ());
-      t.file_caps <- Directory.Store.add dir_id cap t.file_caps
-  | None ->
-      Storage.Object_table.clear_entry t.table ~dir_id;
-      (match Directory.Store.find_opt dir_id t.file_caps with
-      | Some old_cap ->
-          t.file_caps <- Directory.Store.remove dir_id t.file_caps;
-          Sim.Proc.spawn ~name:"retire-file" (fun () ->
-              try Storage.Bullet.delete t.transport ~port:t.bullet_port old_cap
-              with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ())
-      | None -> ())
+  Dir_image.persist t.image ~deleted:ignore t.store dir_id
 
 let apply_in_core t op =
   let seqno = next_seqno t op in
@@ -205,24 +171,13 @@ let handle_write t op =
                 +. (float_of_int t.server_id *. 3.7)
                 +. (float_of_int tries *. 2.3));
               attempt (tries + 1)
-          | `Ok | `Down -> (
+          | `Ok | `Down ->
               let outcome = apply_in_core t op in
-              match outcome with
-              | Ok result ->
-                  persist_dir_to_disk t dir_id;
-                  unlock t dir_id;
-                  (match result with
-                  | Directory.Created id ->
-                      let secret =
-                        match op with
-                        | Directory.Create_dir { secret; _ } -> secret
-                        | _ -> assert false
-                      in
-                      Wire.Cap_rep (Capability.owner ~port:t.port ~obj:id secret)
-                  | Directory.Updated -> Wire.Ok_rep)
-              | Error e ->
-                  unlock t dir_id;
-                  Wire.Err_rep (Wire.Op_error e))
+              (match outcome with
+              | Ok _ -> persist_dir_to_disk t dir_id
+              | Error _ -> ());
+              unlock t dir_id;
+              Dir_front.write_reply ~port:t.port op outcome
         end
       in
       attempt 0
@@ -231,64 +186,6 @@ let handle_read t serve =
   Sim.Resource.use t.cpu t.params.Params.cpu_read_ms;
   serve t.store
 
-let op_histogram t m ~op =
-  match Hashtbl.find_opt t.op_hists op with
-  | Some h -> h
-  | None ->
-      let h =
-        Sim.Metrics.histogram_handle m "dirsvc.op_ms"
-          ~labels:[ ("op", op); ("server", string_of_int t.server_id) ]
-      in
-      Hashtbl.add t.op_hists op h;
-      h
-
-(* Same observability contract as the group server: the per-op latency
-   histogram ["dirsvc.op_ms"] labelled by server and op kind (handle
-   cached per op name), plus one "dirsvc" trace event per request. *)
-let timed_op t ~op f =
-  let engine = Simnet.Network.engine t.net in
-  let started = Sim.Engine.now engine in
-  let reply = f () in
-  let elapsed = Sim.Engine.now engine -. started in
-  (match t.metrics with
-  | Some m -> Sim.Metrics.Histogram.observe (op_histogram t m ~op) elapsed
-  | None -> ());
-  Sim.Engine.emit engine ~subsystem:"dirsvc" ~node:(Sim.Node.id t.node)
-    ~name:"op" (fun () ->
-      [
-        ("op", Sim.Trace.Str op);
-        ("server", Sim.Trace.Int t.server_id);
-        ("latency_ms", Sim.Trace.Float elapsed);
-        ( "status",
-          Sim.Trace.Str
-            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
-  reply
-
-let client_handler t ~client:_ body =
-  match body with
-  | Wire.Dir_request (Wire.Write_op op) ->
-      Wire.Dir_reply
-        (timed_op t ~op:(Directory.op_kind op) (fun () -> handle_write t op))
-  | Wire.Dir_request (Wire.List_req { cap; column }) ->
-      Wire.Dir_reply
-        (timed_op t ~op:"list" (fun () ->
-             handle_read t (fun store ->
-                 match Directory.list_dir store ~cap ~column with
-                 | Ok listing -> Wire.Listing_rep listing
-                 | Error e -> Wire.Err_rep (Wire.Op_error e))))
-  | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
-      Wire.Dir_reply
-        (timed_op t ~op:"lookup" (fun () ->
-             handle_read t (fun store ->
-                 let resolve (cap, name) =
-                   match Directory.lookup store ~cap ~name ~column with
-                   | Ok (cap, mask) -> Some (cap, mask)
-                   | Error _ -> None
-                 in
-                 Wire.Lookup_rep (List.map resolve items))))
-  | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))
-
 let admin_handler t ~client:_ body =
   match body with
   | Wire.Intend_req { op } -> handle_intend t op
@@ -296,15 +193,7 @@ let admin_handler t ~client:_ body =
   | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))
 
 let load_disk_state t =
-  let entries = Storage.Object_table.scan t.table in
-  List.iter
-    (fun (dir_id, { Storage.Object_table.file_cap; _ }) ->
-      match Storage.Bullet.read t.transport ~port:t.bullet_port file_cap with
-      | data ->
-          t.store <- Directory.Store.add dir_id (Directory.decode_dir data) t.store;
-          t.file_caps <- Directory.Store.add dir_id file_cap t.file_caps
-      | exception (Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _) -> ())
-    entries;
+  t.store <- Dir_image.load t.image ~lost:ignore;
   (* Catch up from the peer when it is reachable (restart path). *)
   match
     Rpc.Transport.trans t.transport
@@ -328,29 +217,21 @@ let start ~params ?metrics net ~server_id ~peer_node ~node ~device
     { Rpc.Transport.default_config with trans_timeout = 3_000.0 }
   in
   let transport = Rpc.Transport.create ~config:rpc_config net nic in
-  let table =
-    Storage.Object_table.attach device ~first_block:1
-      ~slots:params.Params.admin_slots
-  in
   let t =
     {
       params;
-      metrics;
-      op_hists = Hashtbl.create 8;
-      net;
       node;
       transport;
       server_id;
       peer_node;
-      device;
       intent_device;
-      table;
-      bullet_port;
+      image =
+        Dir_image.attach transport ~bullet_port ~device
+          ~slots:params.Params.admin_slots;
       port;
       cpu = Sim.Resource.create ~name:"dir-cpu" ~capacity:1 ();
       store = Directory.empty;
       useq = 0;
-      file_caps = Directory.Store.empty;
       locked = Hashtbl.create 8;
       unlocked = Sim.Condvar.create ();
       next_intent_block = 0;
@@ -360,8 +241,11 @@ let start ~params ?metrics net ~server_id ~peer_node ~node ~device
       next_secret = 0;
     }
   in
+  let front =
+    Dir_front.create ~metrics ~shard:None net ~node (Dir_front.Replica server_id)
+  in
   Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
-    (client_handler t);
+    (Dir_front.handler front ~write:(handle_write t) ~read:(handle_read t));
   Rpc.Transport.serve transport
     ~port:(Printf.sprintf "dirx@%d" (Sim.Node.id node))
     ~threads:2 (admin_handler t);

@@ -18,7 +18,10 @@
        lose the second replica, exactly the paper's §5 criticism.}}
 
     The two servers partition the directory-id space (odd/even) instead
-    of agreeing on an allocation order. *)
+    of agreeing on an allocation order.
+
+    The client request path is {!Dir_front}; the Bullet-file directory
+    image is {!Dir_image}, shared with the group server. *)
 
 type t
 

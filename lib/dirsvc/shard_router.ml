@@ -64,21 +64,6 @@ let count_cross t =
   | None -> ()
   | Some h -> Sim.Metrics.incr_handle h
 
-let cap_of_request = function
-  | Wire.Write_op op -> (
-      match op with
-      | Directory.Create_dir _ -> None
-      | Directory.Delete_dir { cap }
-      | Directory.Append_row { cap; _ }
-      | Directory.Chmod_row { cap; _ }
-      | Directory.Delete_row { cap; _ }
-      | Directory.Replace_set { cap; _ } ->
-          Some cap)
-  | Wire.List_req { cap; _ } -> Some cap
-  | Wire.Lookup_req { items = (cap, _) :: _; _ } -> Some cap
-  | Wire.Lookup_req { items = []; _ } -> None
-  | Wire.Xshard_req _ -> None
-
 let raw_call t ~shard request =
   Rpc.Transport.trans t.transports.(shard) ~port:t.ports.(shard)
     ~timeout:t.timeout (Wire.Dir_request request)
@@ -90,7 +75,7 @@ let call t ~shard request =
          Recompute the owner from the capability's port and retry
          once; a second bounce is a real error. *)
       let owner =
-        match cap_of_request request with
+        match Wire.cap_of_request request with
         | Some cap -> shard_of_cap t cap
         | None -> None
       in

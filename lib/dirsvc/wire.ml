@@ -47,6 +47,20 @@ type reply =
   | Err_rep of service_error
   | Xstatus_rep of xshard_status
 
+let cap_of_request = function
+  | Write_op op -> (
+      match op with
+      | Directory.Create_dir _ -> None
+      | Directory.Delete_dir { cap }
+      | Directory.Append_row { cap; _ }
+      | Directory.Chmod_row { cap; _ }
+      | Directory.Delete_row { cap; _ }
+      | Directory.Replace_set { cap; _ } ->
+          Some cap)
+  | List_req { cap; _ } -> Some cap
+  | Lookup_req { items = (cap, _) :: _; _ } -> Some cap
+  | Lookup_req { items = []; _ } | Xshard_req _ -> None
+
 type Simnet.Payload.t +=
   | Dir_request of request
   | Dir_reply of reply

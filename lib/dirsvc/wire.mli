@@ -54,6 +54,11 @@ type reply =
   | Err_rep of service_error
   | Xstatus_rep of xshard_status
 
+(** The capability a request addresses, if any: the target of a write
+    other than Create_dir, the listed directory, or the first looked-up
+    item. A sharded deployment routes and bounces on its port. *)
+val cap_of_request : request -> Capability.t option
+
 type Simnet.Payload.t +=
   | Dir_request of request
   | Dir_reply of reply

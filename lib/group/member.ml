@@ -383,10 +383,13 @@ let request_retrans t =
          { gname = t.gname; epoch = t.epoch; member = t.me; from = t.contig + 1 })
   end
 
+(* An ordered entry is worth holding at [seqno] unless it was already
+   delivered or is already held. *)
+let unheld t seqno = seqno > t.contig && not (Hashtbl.mem t.store seqno)
+
 let store_data t ~seqno ~entry =
   if seqno > t.highest_seen then t.highest_seen <- seqno;
-  if seqno > t.contig && not (Hashtbl.mem t.store seqno) then
-    Hashtbl.replace t.store seqno entry;
+  if unheld t seqno then Hashtbl.replace t.store seqno entry;
   advance t;
   if t.highest_seen > t.contig then request_retrans t
 
@@ -492,8 +495,7 @@ let store_batch t (b : Wire.batch) =
   if last > t.highest_seen then t.highest_seen <- last;
   for i = 0 to b.Wire.count - 1 do
     let seqno = b.Wire.base + i in
-    if seqno > t.contig && not (Hashtbl.mem t.store seqno) then
-      Hashtbl.replace t.store seqno (Wire.decode_entry b i)
+    if unheld t seqno then Hashtbl.replace t.store seqno (Wire.decode_entry b i)
   done;
   advance t;
   if t.highest_seen > t.contig then request_retrans t
@@ -511,7 +513,7 @@ let handle_bb_accept_batch t ~base ~pairs =
     | Some payload ->
         Hashtbl.remove t.bb_bodies (origin, uid);
         let seqno = base + i in
-        if seqno > t.contig && not (Hashtbl.mem t.store seqno) then
+        if unheld t seqno then
           Hashtbl.replace t.store seqno (Wire.App { origin; uid; payload })
     | None -> ()
   done;
@@ -519,36 +521,29 @@ let handle_bb_accept_batch t ~base ~pairs =
   if t.highest_seen > t.contig then request_retrans t
 
 let handle_join_req t ~joiner ~uid =
-  match Hashtbl.find_opt t.join_assigned (joiner, uid) with
-  | Some seqno ->
-      unicast t ~dst:joiner k_grant
-        (Wire.Join_grant
-           {
-             gname = t.gname;
-             epoch = t.epoch;
-             uid;
-             members = t.members;
-             sequencer = t.sequencer;
-             base = seqno;
-           })
-  | None ->
-      (* The Join travels alone, after any pending batch. Ordering it
-         also delivers it locally, so [t.members] already includes the
-         joiner when we build the grant. *)
-      let seqno =
-        enqueue t (Wire.Join_member joiner) ~body_known:false ~alone:true
-      in
-      Hashtbl.replace t.join_assigned (joiner, uid) seqno;
-      unicast t ~dst:joiner k_grant
-        (Wire.Join_grant
-           {
-             gname = t.gname;
-             epoch = t.epoch;
-             uid;
-             members = t.members;
-             sequencer = t.sequencer;
-             base = seqno;
-           })
+  let seqno =
+    match Hashtbl.find_opt t.join_assigned (joiner, uid) with
+    | Some seqno -> seqno
+    | None ->
+        (* The Join travels alone, after any pending batch. Ordering it
+           also delivers it locally, so [t.members] already includes the
+           joiner when we build the grant. *)
+        let seqno =
+          enqueue t (Wire.Join_member joiner) ~body_known:false ~alone:true
+        in
+        Hashtbl.replace t.join_assigned (joiner, uid) seqno;
+        seqno
+  in
+  unicast t ~dst:joiner k_grant
+    (Wire.Join_grant
+       {
+         gname = t.gname;
+         epoch = t.epoch;
+         uid;
+         members = t.members;
+         sequencer = t.sequencer;
+         base = seqno;
+       })
 
 let handle_retrans t ~member ~from =
   let upto = min (from + t.config.retrans_batch - 1) (t.seq_next - 1) in
@@ -629,8 +624,7 @@ let handle_reset_fetch t ~requester ~from ~upto =
 let handle_reset_entries t entries =
   List.iter
     (fun (seqno, entry) ->
-      if seqno > t.contig && not (Hashtbl.mem t.store seqno) then
-        Hashtbl.replace t.store seqno entry)
+      if unheld t seqno then Hashtbl.replace t.store seqno entry)
     entries;
   advance t
 
@@ -652,8 +646,7 @@ let apply_reset_commit t ~epoch ~members:new_members ~sequencer ~base ~patch =
     clear_batch t;
     List.iter
       (fun (seqno, entry) ->
-        if seqno > t.contig && not (Hashtbl.mem t.store seqno) then
-          Hashtbl.replace t.store seqno entry)
+        if unheld t seqno then Hashtbl.replace t.store seqno entry)
       patch;
     (* Entries beyond the agreed base belonged to the dead view: drop
        them so the new sequencer can reuse those sequence numbers. *)
@@ -1053,7 +1046,7 @@ let join_group ?metrics ?config net nic ~gname =
         stash;
       t
 
-let send t ?size payload =
+let send t payload =
   if t.status <> Normal then
     raise (Group_failure ("send while " ^ Types.status_to_string t.status));
   let uid = fresh_uid t in
@@ -1117,7 +1110,6 @@ let send t ?size payload =
             ]);
         attempt (n + 1)
   in
-  ignore size;
   attempt 1
 
 let rec receive ?timeout t =

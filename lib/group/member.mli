@@ -42,7 +42,7 @@ val gname : t -> string
 
 val me : t -> int
 
-val send : t -> ?size:int -> Simnet.Payload.t -> unit
+val send : t -> Simnet.Payload.t -> unit
 
 val receive : ?timeout:float -> t -> Types.delivery
 

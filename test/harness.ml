@@ -30,3 +30,24 @@ let at world ~delay f = Sim.Engine.schedule world.engine ~delay f
    periodic fibers — heartbeats, failure detectors — keep the event heap
    non-empty forever). *)
 let run_until world time = Sim.Engine.run ~until:time world.engine
+
+(* Collect every "dirsvc"/"op" event [engine] emits from now on;
+   the returned function lists them oldest first. A sink, so the trace
+   ring's capacity never drops one. *)
+let collect_op_events engine =
+  let events = ref [] in
+  let trace = Sim.Trace.create () in
+  Sim.Trace.set_sink trace
+    (Some
+       (fun e ->
+         if e.Sim.Trace.subsystem = "dirsvc" && e.Sim.Trace.name = "op" then
+           events := e :: !events));
+  Sim.Engine.set_trace engine (Some trace);
+  fun () -> List.rev !events
+
+(* The keys of every dirsvc.op_ms histogram, sorted. *)
+let op_ms_keys metrics =
+  List.filter_map
+    (fun (key, _) ->
+      if Sim.Metrics.base_key key = "dirsvc.op_ms" then Some key else None)
+    (Sim.Metrics.histograms metrics)

@@ -64,10 +64,51 @@ let crud_cycle client =
   | exception Dirsvc.Wire.Dir_error (Dirsvc.Wire.Op_error Dirsvc.Directory.Not_found) ->
       ()
 
+(* The client requests [crud_cycle] makes, as (op, status). *)
+let crud_requests =
+  [
+    ("create_dir", "ok"); ("append_row", "ok"); ("append_row", "ok");
+    ("chmod_row", "ok"); ("list", "ok"); ("lookup", "ok");
+    ("delete_row", "ok"); ("lookup", "ok"); ("lookup", "ok");
+    ("delete_dir", "ok"); ("list", "err");
+  ]
+
+let str_attr e name =
+  match List.assoc_opt name e.Sim.Trace.attrs with
+  | Some (Sim.Trace.Str s) -> s
+  | _ -> Alcotest.failf "op event without string attribute %s" name
+
+(* Besides the semantics, the request front end's contract: one
+   "dirsvc"/"op" trace event per client request, carrying its outcome,
+   and exactly one dirsvc.op_ms histogram per (op, server) that served —
+   a replica labelled by its id, the NFS comparator by "nfs". *)
 let test_crud flavor () =
   let cluster = boot flavor in
+  let op_events = Harness.collect_op_events (C.engine cluster) in
   on_client cluster crud_cycle;
-  check_converged cluster
+  check_converged cluster;
+  let events = op_events () in
+  Alcotest.(check (list (pair string string)))
+    "one op event per request, with its status" crud_requests
+    (List.map (fun e -> (str_attr e "op", str_attr e "status")) events);
+  let server e =
+    match (flavor, List.assoc_opt "server" e.Sim.Trace.attrs) with
+    | C.Nfs_single, Some (Sim.Trace.Str "nfs") -> "nfs"
+    | (C.Group_disk | C.Group_nvram | C.Rpc_pair), Some (Sim.Trace.Int id)
+      when id >= 1 && id <= C.n_servers cluster ->
+        string_of_int id
+    | _ -> Alcotest.fail "op event names no server of this deployment"
+  in
+  let expected =
+    List.sort_uniq compare
+      (List.map
+         (fun e ->
+           Sim.Metrics.labelled "dirsvc.op_ms"
+             ~labels:[ ("op", str_attr e "op"); ("server", server e) ])
+         events)
+  in
+  Alcotest.(check (list string)) "dirsvc.op_ms keys" expected
+    (Harness.op_ms_keys (C.metrics cluster))
 
 let test_cross_client_visibility () =
   (* A write through one client/server is immediately visible through
@@ -192,6 +233,31 @@ let test_nvram_flushes_when_full () =
         (List.length listing.Dirsvc.Directory.entries));
   check_converged cluster
 
+let test_nvram_oversized_update () =
+  (* An update whose log record is larger than the whole 24 KB log
+     cannot be logged even after a drain; it is made stable on disk in
+     place instead — and survives a crash of every server. The pause
+     lets the idle flush empty the log first, so no later flush writes
+     the directory on the update's behalf. *)
+  let cluster = boot C.Group_nvram in
+  let name = String.make 30_000 'x' in
+  let cap =
+    on_client cluster (fun client ->
+        let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+        Sim.Proc.sleep 1_000.0;
+        Dirsvc.Client.append_row client cap ~name [ cap ];
+        cap)
+  in
+  check_converged cluster;
+  List.iter (C.crash_server cluster) [ 1; 2; 3 ];
+  List.iter (C.restart_server cluster) [ 1; 2; 3 ];
+  Alcotest.(check bool) "recovers" true (C.await_serving cluster ~count:3);
+  on_client cluster (fun client ->
+      Alcotest.(check bool) "row survived on disk" true
+        (with_unavailable_retry (fun () -> Dirsvc.Client.lookup client cap name)
+        <> None));
+  check_converged cluster
+
 let test_rpc_pair_lazy_replication_converges () =
   let cluster = boot ~seed:15L C.Rpc_pair in
   on_client cluster (fun client ->
@@ -302,6 +368,7 @@ let suite =
     tc "writes survive two crashes (r=2)" `Quick test_writes_survive_two_crashes;
     tc "nvram annihilation (no disk I/O)" `Quick test_nvram_annihilation;
     tc "nvram flushes when full" `Quick test_nvram_flushes_when_full;
+    tc "nvram: update larger than the log" `Quick test_nvram_oversized_update;
     tc "rpc pair: lazy replication converges" `Quick
       test_rpc_pair_lazy_replication_converges;
     tc "rpc pair: diverges under partition" `Quick

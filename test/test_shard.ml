@@ -130,6 +130,7 @@ let test_wrong_shard_bounce () =
 let test_stale_port_cache () =
   let params = { Dirsvc.Params.default with shards = 2 } in
   let cluster = boot ~seed:22L ~params C.Group_disk in
+  let op_events = Harness.collect_op_events (C.engine cluster) in
   on_client ~budget:120_000.0 cluster (fun client ->
       let placement = placement_for ~shards:2 1 in
       let cap =
@@ -158,7 +159,33 @@ let test_stale_port_cache () =
       in
       Dirsvc.Client.append_row client cap0 ~name:"other" [ cap0 ];
       Alcotest.(check bool) "shard 0 unaffected" true
-        (Dirsvc.Client.lookup client cap0 "other" <> None))
+        (Dirsvc.Client.lookup client cap0 "other" <> None));
+  (* Every op histogram of a sharded deployment carries the shard of
+     the server that served it: one key per (op, server, shard) seen in
+     the op events, whose node ids are 500 * shard + server id. *)
+  let key e =
+    let attr name = List.assoc_opt name e.Sim.Trace.attrs in
+    match (attr "op", attr "server") with
+    | Some (Sim.Trace.Str op), Some (Sim.Trace.Int sid)
+      when e.Sim.Trace.node mod 500 = sid ->
+        Sim.Metrics.labelled "dirsvc.op_ms"
+          ~labels:
+            [
+              ("op", op);
+              ("server", string_of_int sid);
+              ("shard", string_of_int (e.Sim.Trace.node / 500));
+            ]
+    | _ -> Alcotest.fail "malformed op event"
+  in
+  let keys = Harness.op_ms_keys (C.metrics cluster) in
+  Alcotest.(check (list string)) "dirsvc.op_ms keys carry the shard"
+    (List.sort_uniq compare (List.map key (op_events ())))
+    keys;
+  Alcotest.(check (list string)) "both shards served" [ "0"; "1" ]
+    (List.sort_uniq compare
+       (List.map
+          (fun k -> List.assoc "shard" (Sim.Metrics.labels_of_key k))
+          keys))
 
 exception Coordinator_crash
 
