@@ -127,7 +127,7 @@ let seed_count = ref 1
 (* Derived per-rerun seeds for [--seeds K]; [] when the mode is off. *)
 let variance_seeds ~base =
   if !seed_count <= 1 then []
-  else Workload.Scenarios.derive_seeds ~base !seed_count
+  else Sim.Rng.derive ~base !seed_count
 
 (* A seeded figure's runs: its grid at [base] and, under [--seeds K],
    the whole grid again once per derived seed. *)
@@ -456,10 +456,7 @@ let group_messages = [ "req"; "data"; "ack"; "done" ]
    across one counted update. *)
 let one_update (flavor, label) =
   let cluster = C.create ~seed:19L flavor in
-  (match flavor with
-  | C.Group_disk | C.Group_nvram ->
-      ignore (C.await_serving cluster ~count:(C.n_servers cluster))
-  | C.Rpc_pair | C.Nfs_single -> C.run_until cluster 100.0);
+  ignore (C.await_ready cluster);
   (* The paper's 5-message count is for an initiator that is not the
      sequencer (the common case); steer the measurement client to a
      server other than node 1, the group creator. *)

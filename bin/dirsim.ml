@@ -207,10 +207,7 @@ let run_demo seed flavor trace_out show_metrics =
   let cluster = C.create ~seed:(Int64.of_int seed) flavor in
   let out = open_trace_out trace_out in
   attach_observability cluster out;
-  (match flavor with
-  | C.Group_disk | C.Group_nvram ->
-      ignore (C.await_serving cluster ~count:(C.n_servers cluster))
-  | C.Rpc_pair | C.Nfs_single -> C.run_until cluster 100.0);
+  ignore (C.await_ready cluster);
   printf "deployment up (%d server(s)); performing a CRUD cycle...\n"
     (C.n_servers cluster);
   let client = C.client cluster in

@@ -1,24 +1,21 @@
 (** Client library for the directory service.
 
-    One [t] per client process; it rides an RPC transport, so server
-    selection uses the locate / port-cache / NOTHERE mechanism — the
-    load-balancing behaviour behind the paper's Figure 8.
+    A client is a {!Shard_router}: every deployment routes through its
+    partition map, and a lone group is a one-shard router. Each shard
+    is reached over its own RPC transport, so server selection uses the
+    locate / port-cache / NOTHERE mechanism — the load-balancing
+    behaviour behind the paper's Figure 8. Build one with
+    {!Cluster.client}.
 
     All operations raise {!Wire.Dir_error} on a service-reported error
     and {!Rpc.Transport.Rpc_failure} when no server answers at all. *)
 
-type t
+type t = Shard_router.t
 
-val make : ?timeout:float -> Rpc.Transport.t -> port:string -> t
-
-(** A client for a sharded deployment: requests route through the
-    shard router's partition map and follow [Wrong_shard] bounces. *)
-val make_sharded : ?timeout:float -> Shard_router.t -> t
-
-(** The underlying transport (shard 0's in a sharded client). *)
+(** The underlying transport (shard 0's). *)
 val transport : t -> Rpc.Transport.t
 
-(** The shard router, when this client is sharded. *)
+(** The shard router; always [Some] (every client is one). *)
 val router : t -> Shard_router.t option
 
 (** Updates (Fig. 2). *)
@@ -54,7 +51,7 @@ val lookup :
   t -> ?column:int -> Capability.t -> string -> (Capability.t * int) option
 
 (** The paper's "Lookup set": several names resolved in one request
-    (one request per shard touched, for a sharded client). *)
+    (one request per shard touched). *)
 val lookup_set :
   t ->
   ?column:int ->

@@ -253,27 +253,20 @@ let client ?rpc_config t =
       ~id:(100 + t.next_client)
       ~name:(Printf.sprintf "client%d" t.next_client)
   in
-  if Array.length t.shard_arr = 1 then begin
-    let net = net t in
-    let nic = Simnet.Network.attach net node in
-    let transport = Rpc.Transport.create ?config:rpc_config net nic in
-    Client.make transport ~port:(port t)
-  end
-  else begin
-    (* One NIC + transport per shard: each shard's locate / port cache
-       lives in its own transport, so a view change on one shard never
-       touches another shard's cache. *)
-    let transports =
-      Array.map
-        (fun sh ->
-          let nic = Simnet.Network.attach sh.snet node in
-          Rpc.Transport.create ?config:rpc_config sh.snet nic)
-        t.shard_arr
-    in
-    let ports = Array.map (fun sh -> sh.sport) t.shard_arr in
-    Client.make_sharded
-      (Shard_router.make ~metrics:t.metrics transports ~ports)
-  end
+  (* One NIC + transport per shard: each shard's locate / port cache
+     lives in its own transport, so a view change on one shard never
+     touches another shard's cache. *)
+  let transports =
+    Array.map
+      (fun sh ->
+        let nic = Simnet.Network.attach sh.snet node in
+        Rpc.Transport.create ?config:rpc_config sh.snet nic)
+      t.shard_arr
+  in
+  let ports = Array.map (fun sh -> sh.sport) t.shard_arr in
+  (* A lone group has no cross-shard moves to count. *)
+  let metrics = if shards t > 1 then Some t.metrics else None in
+  Shard_router.make ?metrics transports ~ports
 
 let crash_server_in t ~shard server_id =
   Sim.Node.crash t.shard_arr.(shard).slots.(server_id - 1).dir_node
@@ -389,6 +382,14 @@ let await_serving ?(timeout = 2000.0) t ~count =
   let ok = go () in
   set_watch None;
   ok
+
+let await_ready ?timeout t =
+  match t.flavor with
+  | Group_disk | Group_nvram ->
+      await_serving ?timeout t ~count:(total_servers t)
+  | Rpc_pair | Nfs_single ->
+      run_until t (Sim.Engine.now t.engine +. 100.0);
+      true
 
 let bullet_port t server_id =
   match t.shard_arr.(0).slots.(server_id - 1).bullet_node with

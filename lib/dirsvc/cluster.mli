@@ -59,9 +59,8 @@ val shard_port : t -> int -> string
 (** Run the simulation clock forward (absolute target time). *)
 val run_until : t -> float -> unit
 
-(** [client t] creates a fresh client machine with its own transport.
-    In a sharded deployment the client gets one transport per shard
-    (separate locate caches) behind a {!Shard_router}. [rpc_config]
+(** [client t] creates a fresh client machine with one transport per
+    shard (separate locate caches) behind a {!Shard_router}. [rpc_config]
     tunes the client kernel's transaction behaviour (e.g. tests that
     must not fail over to another server pass
     [{ default_config with max_attempts = 1 }]). *)
@@ -106,6 +105,12 @@ val device : t -> int -> Storage.Block_device.t
     serving — counted across every shard — or [timeout] elapses;
     returns whether it happened. Runs the engine. *)
 val await_serving : ?timeout:float -> t -> count:int -> bool
+
+(** Wait until the deployment serves clients: for the group flavours,
+    {!await_serving} on every server of every shard; the RPC and NFS
+    baselines get 100 ms of simulated time to boot and answer [true].
+    The one ready-wait every driver uses. *)
+val await_ready : ?timeout:float -> t -> bool
 
 (** The client-facing service port of this deployment. *)
 val port : t -> string

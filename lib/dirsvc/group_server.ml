@@ -456,7 +456,7 @@ let handle_xshard t cmd =
 
 (* The shard-level NOTHERE: a capability minted by another shard names
    that shard's port, so a port mismatch bounces the client to the
-   owner. Single-group servers ([shard] = None) never check. *)
+   owner. The servers of a lone group ([shard] = None) never check. *)
 let wrong_shard t request =
   Option.is_some t.shard
   &&

@@ -1,5 +1,6 @@
-(** Client-side shard routing for the multi-group ("cluster of
-    clusters") deployment.
+(** Client-side shard routing: the route every {!Client} takes. A
+    lone group is the one-shard case; with M > 1 the deployment is a
+    "cluster of clusters".
 
     The namespace is hash partitioned over M independent replica
     groups: a directory lives on the shard its placement name hashes
@@ -15,7 +16,8 @@ type t
 
 (** [make transports ~ports] — [transports.(k)] reaches shard [k]'s
     network and [ports.(k)] is its service port. [metrics] receives
-    the [dirsvc.cross_shard] counter. *)
+    the [dirsvc.cross_shard] counter; pass it only when there is more
+    than one shard. *)
 val make :
   ?timeout:float -> ?metrics:Sim.Metrics.t -> Rpc.Transport.t array ->
   ports:string array -> t

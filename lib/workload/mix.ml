@@ -6,93 +6,64 @@ type point = {
   errors : int;
 }
 
-let ensure_serving cluster =
-  match Dirsvc.Cluster.flavor cluster with
-  | Dirsvc.Cluster.Group_disk | Dirsvc.Cluster.Group_nvram ->
-      ignore
-        (Dirsvc.Cluster.await_serving cluster
-           ~count:(Dirsvc.Cluster.total_servers cluster))
-  | Dirsvc.Cluster.Rpc_pair | Dirsvc.Cluster.Nfs_single ->
-      Dirsvc.Cluster.run_until cluster
-        (Sim.Engine.now (Dirsvc.Cluster.engine cluster) +. 100.0)
+(* Transient refusals during setup (a view change settling) are
+   retried. *)
+let rec with_retry tries f =
+  match f () with
+  | v -> v
+  | exception (Dirsvc.Wire.Dir_error _ | Rpc.Transport.Rpc_failure _)
+    when tries > 0 ->
+      Sim.Proc.sleep 200.0;
+      with_retry (tries - 1) f
 
 let run ?(warmup = 300.0) ?(window = 3_000.0) ?(read_fraction = 0.98) cluster
     ~clients =
-  ensure_serving cluster;
-  let engine = Dirsvc.Cluster.engine cluster in
-  let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  let reads = ref 0 and writes = ref 0 and errors = ref 0 in
-  let gate : (float * float) Sim.Ivar.t = Sim.Ivar.create () in
-  let arrived = ref 0 in
-  for i = 1 to clients do
-    let client = Dirsvc.Cluster.client cluster in
-    let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-    Sim.Proc.boot engine node ~name:"mix-client" (fun () ->
-        (* Setup: a private directory with a handful of rows. Transient
-           refusals (view change settling) are retried. *)
-        let rec with_retry tries f =
-          match f () with
-          | v -> v
-          | exception _ when tries > 0 ->
-              Sim.Proc.sleep 200.0;
-              with_retry (tries - 1) f
-        in
-        let cap =
-          with_retry 10 (fun () ->
-              Dirsvc.Client.create_dir client ~columns:[ "owner" ])
-        in
-        for j = 1 to 4 do
-          with_retry 10 (fun () ->
-              try
-                Dirsvc.Client.append_row client cap
-                  ~name:(Printf.sprintf "f%d" j) [ cap ]
-              with
-              | Dirsvc.Wire.Dir_error
-                  (Dirsvc.Wire.Op_error Dirsvc.Directory.Already_exists)
-              ->
-                (* an earlier attempt's reply was lost; the row is there *)
-                ())
-        done;
-        incr arrived;
-        if !arrived = clients then begin
-          let now = Sim.Proc.now () in
-          Sim.Ivar.fill gate (now +. warmup, now +. warmup +. window)
-        end;
-        let t_start, t_stop = Sim.Ivar.read gate in
-        let serial = ref 0 in
-        while Sim.Proc.now () < t_stop do
-          let in_window () = Sim.Proc.now () >= t_start in
-          if Sim.Rng.float rng < read_fraction then begin
-            match Dirsvc.Client.lookup client cap "f2" with
-            | _ -> if in_window () then incr reads
-            | exception _ ->
-                incr errors;
-                Sim.Proc.sleep 5.0
-          end
-          else begin
-            incr serial;
-            let name = Printf.sprintf "w%d.%d" i !serial in
-            match
-              Dirsvc.Client.append_row client cap ~name [ cap ];
-              Dirsvc.Client.delete_row client cap ~name
-            with
-            | () -> if in_window () then incr writes
-            | exception _ ->
-                incr errors;
-                Sim.Proc.sleep 5.0
-          end
-        done)
-  done;
-  if not (Sim.Drive.run_until_filled ~quantum:1_000.0 ~max_quanta:120 engine gate)
-  then failwith "Mix.run: clients never ready";
-  (match Sim.Ivar.peek gate with
-  | Some (_, t_stop) -> Dirsvc.Cluster.run_until cluster (t_stop +. 500.0)
-  | None -> assert false);
+  ignore (Dirsvc.Cluster.await_ready cluster);
+  let rng = Sim.Rng.split (Sim.Engine.rng (Dirsvc.Cluster.engine cluster)) in
+  (* Each client's setup: a private directory with a handful of rows.
+     Its op is a lookup (kind 0) with probability [read_fraction], else
+     an append+delete pair (kind 1). *)
+  let setup i client =
+    let cap =
+      with_retry 10 (fun () ->
+          Dirsvc.Client.create_dir client ~columns:[ "owner" ])
+    in
+    for j = 1 to 4 do
+      with_retry 10 (fun () ->
+          try
+            Dirsvc.Client.append_row client cap
+              ~name:(Printf.sprintf "f%d" j) [ cap ]
+          with
+          | Dirsvc.Wire.Dir_error
+              (Dirsvc.Wire.Op_error Dirsvc.Directory.Already_exists)
+          ->
+            (* an earlier attempt's reply was lost; the row is there *)
+            ())
+    done;
+    let serial = ref 0 in
+    fun () ->
+      if Sim.Rng.float rng < read_fraction then begin
+        ignore (Dirsvc.Client.lookup client cap "f2");
+        0
+      end
+      else begin
+        incr serial;
+        let name = Printf.sprintf "w%d.%d" i !serial in
+        Dirsvc.Client.append_row client cap ~name [ cap ];
+        Dirsvc.Client.delete_row client cap ~name;
+        1
+      end
+  in
+  let tally =
+    Driver.closed_loop cluster ~warmup ~window ~clients ~kinds:2 ~warm:false
+      ~setup
+  in
   let seconds = window /. 1000.0 in
+  let reads = tally.window.(0) and writes = tally.window.(1) in
   {
     clients;
-    ops_per_second = float_of_int (!reads + !writes) /. seconds;
-    reads_per_second = float_of_int !reads /. seconds;
-    writes_per_second = float_of_int !writes /. seconds;
-    errors = !errors;
+    ops_per_second = float_of_int (reads + writes) /. seconds;
+    reads_per_second = float_of_int reads /. seconds;
+    writes_per_second = float_of_int writes /. seconds;
+    errors = tally.errors;
   }

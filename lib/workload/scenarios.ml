@@ -4,34 +4,11 @@ type fig7 = {
   lookup_ms : Stats.summary;
 }
 
-(* Run [f client] as a fiber on a fresh client machine, drive the
-   simulation until it finishes, and return its result. *)
-let with_client cluster f =
-  let client = Dirsvc.Cluster.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  let result = ref None in
-  let finished = Sim.Ivar.create () in
-  Sim.Proc.boot (Dirsvc.Cluster.engine cluster) node ~name:"workload" (fun () ->
-      result := Some (f client);
-      Sim.Ivar.fill finished ());
-  let engine = Dirsvc.Cluster.engine cluster in
-  if
-    not
-      (Sim.Drive.run_until_filled ~quantum:10_000.0 ~max_quanta:1_000 engine
-         finished)
-  then failwith "Scenarios.with_client: fiber never finished";
-  match !result with
-  | Some v -> v
-  | None -> failwith "Scenarios.with_client: fiber never finished"
-
-let ensure_serving cluster =
-  match Dirsvc.Cluster.flavor cluster with
-  | Dirsvc.Cluster.Group_disk | Dirsvc.Cluster.Group_nvram ->
-      ignore
-        (Dirsvc.Cluster.await_serving cluster
-           ~count:(Dirsvc.Cluster.total_servers cluster))
-  | Dirsvc.Cluster.Rpc_pair | Dirsvc.Cluster.Nfs_single ->
-      Dirsvc.Cluster.run_until cluster (Sim.Engine.now (Dirsvc.Cluster.engine cluster) +. 100.0)
+(* Run [f client] on a fresh client machine once the deployment
+   serves, and drive the simulation until it finishes. *)
+let run_scenario cluster f =
+  ignore (Dirsvc.Cluster.await_ready cluster);
+  Driver.on_client ~quantum:10_000.0 ~max_quanta:1_000 cluster f
 
 let timed f =
   let t0 = Sim.Proc.now () in
@@ -39,8 +16,7 @@ let timed f =
   Sim.Proc.now () -. t0
 
 let append_delete ?(repeats = 20) cluster =
-  ensure_serving cluster;
-  with_client cluster (fun client ->
+  run_scenario cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       (* Warm up caches and the port cache. *)
       Dirsvc.Client.append_row client cap ~name:"warm" [ cap ];
@@ -65,8 +41,7 @@ let nfs_file_ops cluster =
   (create, read)
 
 let tmp_file ?(repeats = 20) cluster =
-  ensure_serving cluster;
-  with_client cluster (fun client ->
+  run_scenario cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       let use_bullet =
         match Dirsvc.Cluster.flavor cluster with
@@ -106,17 +81,12 @@ let tmp_file ?(repeats = 20) cluster =
       List.init repeats one)
 
 let lookup ?(repeats = 50) cluster =
-  ensure_serving cluster;
-  with_client cluster (fun client ->
+  run_scenario cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       Dirsvc.Client.append_row client cap ~name:"target" [ cap ];
       ignore (Dirsvc.Client.lookup client cap "target");
       List.init repeats (fun _ ->
           timed (fun () -> ignore (Dirsvc.Client.lookup client cap "target"))))
-
-(* Seed plumbing for multi-seed sweeps: one base seed deterministically
-   names the whole family of reruns. *)
-let derive_seeds ~base count = Sim.Rng.derive ~base count
 
 let run_fig7 ?repeats cluster =
   let append_delete_ms = Stats.summarise (append_delete ?repeats cluster) in

@@ -24,12 +24,6 @@ type fig7 = {
     the simulation until they complete. *)
 val run_fig7 : ?repeats:int -> Dirsvc.Cluster.t -> fig7
 
-(** [derive_seeds ~base count] — [count] independent per-rerun seeds,
-    deterministically derived from [base] via [Sim.Rng.split]; the
-    [--seeds K] sweep harnesses rerun a figure once per derived seed
-    and report mean ± 95% CI across the runs. *)
-val derive_seeds : base:int64 -> int -> int64 list
-
 (** Individual scenarios, for tests: each returns the latency samples. *)
 
 val append_delete : ?repeats:int -> Dirsvc.Cluster.t -> float list

@@ -5,126 +5,65 @@ type point = {
   total_ops : int;
 }
 
-let ensure_serving cluster =
-  match Dirsvc.Cluster.flavor cluster with
-  | Dirsvc.Cluster.Group_disk | Dirsvc.Cluster.Group_nvram ->
-      ignore
-        (Dirsvc.Cluster.await_serving cluster
-           ~count:(Dirsvc.Cluster.total_servers cluster))
-  | Dirsvc.Cluster.Rpc_pair | Dirsvc.Cluster.Nfs_single ->
-      Dirsvc.Cluster.run_until cluster
-        (Sim.Engine.now (Dirsvc.Cluster.engine cluster) +. 100.0)
-
-(* Launch one closed-loop client fiber running [loop_body] repeatedly.
-   The fiber first performs one un-counted setup iteration (creating its
-   directory, warming its port cache), then waits at [gate] for every
-   client to be ready; only then does the measurement window open — so a
-   slow setup under contention cannot eat into the window. *)
-let closed_loop cluster ~gate ~arrived ~clients ~warmup ~window ~completed
-    ~total ~errors loop_body =
-  let client = Dirsvc.Cluster.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  Sim.Proc.boot (Dirsvc.Cluster.engine cluster) node ~name:"load-client"
-    (fun () ->
-      (match loop_body client with
-      | () -> incr total
-      | exception _ -> incr errors);
-      incr arrived;
-      if !arrived = clients then begin
-        let now = Sim.Proc.now () in
-        Sim.Ivar.fill gate (now +. warmup, now +. warmup +. window)
-      end;
-      let t_start, t_stop = Sim.Ivar.read gate in
-      while Sim.Proc.now () < t_stop do
-        match loop_body client with
-        | () ->
-            incr total;
-            if Sim.Proc.now () >= t_start then incr completed
-        | exception _ ->
-            incr errors;
-            Sim.Proc.sleep 5.0
-      done)
-
-let run_window cluster ~warmup ~window ~clients ~setup ~op =
-  ensure_serving cluster;
-  let engine = Dirsvc.Cluster.engine cluster in
-  (* Shared setup runs (and advances the clock) first. *)
-  let shared = setup cluster in
-  let completed = ref 0 and total = ref 0 and errors = ref 0 in
-  let gate = Sim.Ivar.create () in
-  let arrived = ref 0 in
-  for i = 1 to clients do
-    closed_loop cluster ~gate ~arrived ~clients ~warmup ~window ~completed
-      ~total ~errors (op shared i)
-  done;
-  (* Drive the clock until the window (whose bounds the clients pick once
-     all are ready) has fully elapsed. The gate ivar doubles as the
-     readiness signal, so the engine stops the instant the last client
-     arrives instead of being polled in 1 s chunks. *)
-  if not (Sim.Drive.run_until_filled ~quantum:1_000.0 ~max_quanta:120 engine gate)
-  then failwith "Throughput.run_window: clients never ready";
-  (match Sim.Ivar.peek gate with
-  | Some (_, t_stop) -> Dirsvc.Cluster.run_until cluster (t_stop +. 500.0)
-  | None -> assert false);
+(* [prepare cluster] runs once the deployment is ready, and may advance
+   the clock with shared setup; it returns [per_client], where
+   [per_client i client] is client [i]'s op. The op's first run
+   (creating the client's directory, warming its port cache) happens
+   before the gate: counted in [total_ops], never in the window. *)
+let run_window cluster ~warmup ~window ~clients prepare =
+  ignore (Dirsvc.Cluster.await_ready cluster);
+  let per_client = prepare cluster in
+  let tally =
+    Driver.closed_loop cluster ~warmup ~window ~clients ~kinds:1 ~warm:true
+      ~setup:(fun i client ->
+        let op = per_client i client in
+        fun () ->
+          op ();
+          0)
+  in
   {
     clients;
-    per_second = float_of_int !completed /. (window /. 1000.0);
-    errors = !errors;
-    total_ops = !total;
+    per_second = float_of_int tally.window.(0) /. (window /. 1000.0);
+    errors = tally.errors;
+    total_ops = tally.total;
   }
 
-(* Run [f] on a fresh client fiber and wait for it. *)
-let run_setup cluster f =
-  let client = Dirsvc.Cluster.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  let result = ref None in
-  let finished = Sim.Ivar.create () in
-  Sim.Proc.boot (Dirsvc.Cluster.engine cluster) node ~name:"setup" (fun () ->
-      result := Some (f client);
-      Sim.Ivar.fill finished ());
-  let engine = Dirsvc.Cluster.engine cluster in
-  if
-    not
-      (Sim.Drive.run_until_filled ~quantum:1_000.0 ~max_quanta:100 engine
-         finished)
-  then failwith "Throughput: setup never finished";
-  match !result with
-  | Some v -> v
-  | None -> failwith "Throughput: setup never finished"
-
 let lookups ?(warmup = 300.0) ?(window = 2_000.0) cluster ~clients =
-  let setup cluster =
-    run_setup cluster (fun client ->
-        let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
-        Dirsvc.Client.append_row client cap ~name:"target" [ cap ];
-        cap)
-  in
-  let op cap _i client =
-    match Dirsvc.Client.lookup client cap "target" with
-    | Some _ | None -> ()
-  in
-  run_window cluster ~warmup ~window ~clients ~setup ~op
+  run_window cluster ~warmup ~window ~clients (fun cluster ->
+      let cap =
+        Driver.on_client ~quantum:1_000.0 ~max_quanta:100 cluster
+          (fun client ->
+            let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+            Dirsvc.Client.append_row client cap ~name:"target" [ cap ];
+            cap)
+      in
+      fun _i client () ->
+        match Dirsvc.Client.lookup client cap "target" with
+        | Some _ | None -> ())
+
+(* [create ()] once, on the first call that gets through it: a
+   client's directories are made by its first op that succeeds in
+   making them. *)
+let lazily create =
+  let made = ref None in
+  fun () ->
+    match !made with
+    | Some v -> v
+    | None ->
+        let v = create () in
+        made := Some v;
+        v
 
 let append_deletes ?(warmup = 500.0) ?(window = 4_000.0) cluster ~clients =
-  (* Per-run table, not module state: concurrent or repeated runs must
-     not see each other's capabilities. *)
-  let caps_table : (int, Capability.t) Hashtbl.t = Hashtbl.create 16 in
-  let setup _cluster = () in
-  let op () i client =
-    (* Per-client directory: create lazily on first use. *)
-    let cap =
-      match Hashtbl.find_opt caps_table i with
-      | Some cap -> cap
-      | None ->
-          let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
-          Hashtbl.replace caps_table i cap;
-          cap
-    in
-    let name = Printf.sprintf "t%d" i in
-    Dirsvc.Client.append_row client cap ~name [ cap ];
-    Dirsvc.Client.delete_row client cap ~name
-  in
-  run_window cluster ~warmup ~window ~clients ~setup ~op
+  run_window cluster ~warmup ~window ~clients (fun _cluster i client ->
+      let dir =
+        lazily (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ])
+      in
+      let name = Printf.sprintf "t%d" i in
+      fun () ->
+        let cap = dir () in
+        Dirsvc.Client.append_row client cap ~name [ cap ];
+        Dirsvc.Client.delete_row client cap ~name)
 
 (* The shard sweep's workload: update-heavy, every client hammering its
    own directories, placed across the shards by the partition map (so
@@ -138,40 +77,28 @@ let append_deletes ?(warmup = 500.0) ?(window = 4_000.0) cluster ~clients =
    degenerates to append_deletes with an occasional move. *)
 let shard_updates ?(warmup = 500.0) ?(window = 4_000.0) ?(cross_period = 0)
     cluster ~clients =
-  let dirs : (int, Capability.t * Capability.t) Hashtbl.t = Hashtbl.create 16 in
-  let iter_no : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let setup _cluster = () in
-  let op () i client =
-    let dir_a, dir_b =
-      match Hashtbl.find_opt dirs i with
-      | Some pair -> pair
-      | None ->
-          let dir_a =
-            Dirsvc.Client.create_dir
-              ~placement:(Printf.sprintf "c%d.a" i)
-              client ~columns:[ "owner" ]
-          in
-          let dir_b =
-            Dirsvc.Client.create_dir
-              ~placement:(Printf.sprintf "c%d.b" i)
-              client ~columns:[ "owner" ]
-          in
-          Hashtbl.replace dirs i (dir_a, dir_b);
-          (dir_a, dir_b)
-    in
-    let k =
-      (match Hashtbl.find_opt iter_no i with Some k -> k | None -> 0) + 1
-    in
-    Hashtbl.replace iter_no i k;
-    let name = Printf.sprintf "t%d" i in
-    Dirsvc.Client.append_row client dir_a ~name [ dir_a ];
-    if cross_period > 0 && k mod cross_period = 0 then begin
-      Dirsvc.Client.move_row client ~src:dir_a ~dst:dir_b ~name;
-      Dirsvc.Client.delete_row client dir_b ~name
-    end
-    else Dirsvc.Client.delete_row client dir_a ~name
-  in
-  run_window cluster ~warmup ~window ~clients ~setup ~op
+  run_window cluster ~warmup ~window ~clients (fun _cluster i client ->
+      let create suffix =
+        Dirsvc.Client.create_dir
+          ~placement:(Printf.sprintf "c%d.%s" i suffix)
+          client ~columns:[ "owner" ]
+      in
+      let dirs =
+        lazily (fun () ->
+            let dir_a = create "a" in
+            (dir_a, create "b"))
+      in
+      let name = Printf.sprintf "t%d" i in
+      let k = ref 0 in
+      fun () ->
+        let dir_a, dir_b = dirs () in
+        incr k;
+        Dirsvc.Client.append_row client dir_a ~name [ dir_a ];
+        if cross_period > 0 && !k mod cross_period = 0 then begin
+          Dirsvc.Client.move_row client ~src:dir_a ~dst:dir_b ~name;
+          Dirsvc.Client.delete_row client dir_b ~name
+        end
+        else Dirsvc.Client.delete_row client dir_a ~name)
 
 (* Every point builds a fresh deployment, so points share nothing and
    can fan out over a domain pool; Pool.map joins in submission order,

@@ -51,3 +51,17 @@ let op_ms_keys metrics =
     (fun (key, _) ->
       if Sim.Metrics.base_key key = "dirsvc.op_ms" then Some key else None)
     (Sim.Metrics.histograms metrics)
+
+(* Run [f client] on a fresh client fiber of [cluster], advancing the
+   clock by exactly [budget] simulated ms; fail the test if the fiber
+   has not completed by then. *)
+let on_client ?(budget = 60_000.0) cluster f =
+  let module C = Dirsvc.Cluster in
+  let client = C.client cluster in
+  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
+  let result = ref None in
+  Sim.Proc.boot (C.engine cluster) node (fun () -> result := Some (f client));
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. budget);
+  match !result with
+  | Some v -> v
+  | None -> Alcotest.fail "client fiber did not complete"

@@ -9,23 +9,13 @@ let boot_pair ?(seed = 61L) () =
   C.run_until cluster 100.0;
   cluster
 
-let on_client ?(budget = 60_000.0) cluster f =
-  let client = C.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  let result = ref None in
-  Sim.Proc.boot (C.engine cluster) node (fun () -> result := Some (f client));
-  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. budget);
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "client fiber did not complete"
-
 let test_concurrent_writes_same_directory () =
   (* Two clients hammer the same directory with distinct rows through
      (potentially) different servers: the intend/busy protocol must
      serialise without deadlock and both replicas converge. *)
   let cluster = boot_pair () in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         Dirsvc.Client.create_dir client ~columns:[ "owner" ])
   in
   let finished = ref 0 in
@@ -59,12 +49,12 @@ let test_degraded_mode_when_peer_down () =
      point of assuming clean failures, and why partitions break it). *)
   let cluster = boot_pair ~seed:62L () in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         Dirsvc.Client.create_dir client ~columns:[ "owner" ])
   in
   C.crash_server cluster 2;
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 500.0);
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       Dirsvc.Client.append_row client cap ~name:"alone" [ cap ];
       match Dirsvc.Client.lookup client cap "alone" with
       | Some _ -> ()
@@ -73,7 +63,7 @@ let test_degraded_mode_when_peer_down () =
 let test_restart_pulls_peer_state () =
   let cluster = boot_pair ~seed:63L () in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
         Dirsvc.Client.append_row client cap ~name:"kept" [ cap ];
         cap)

@@ -6,24 +6,8 @@ module C = Dirsvc.Cluster
 
 let boot ?(seed = 9L) ?params flavor =
   let cluster = C.create ~seed ?params flavor in
-  (match flavor with
-  | C.Group_disk | C.Group_nvram ->
-      Alcotest.(check bool) "cluster boots" true
-        (C.await_serving cluster ~count:(C.n_servers cluster))
-  | C.Rpc_pair | C.Nfs_single -> C.run_until cluster 100.0);
+  Alcotest.(check bool) "cluster boots" true (C.await_ready cluster);
   cluster
-
-(* Run [f client] on a fresh client fiber; fail the test if it does not
-   complete within [budget] simulated ms. *)
-let on_client ?(budget = 60_000.0) cluster f =
-  let client = C.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  let result = ref None in
-  Sim.Proc.boot (C.engine cluster) node (fun () -> result := Some (f client));
-  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. budget);
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "client fiber did not complete"
 
 (* Transient refusals (a reset settling after boot, a view change in
    progress) are retryable by design; real clients retry them. *)
@@ -85,7 +69,7 @@ let str_attr e name =
 let test_crud flavor () =
   let cluster = boot flavor in
   let op_events = Harness.collect_op_events (C.engine cluster) in
-  on_client cluster crud_cycle;
+  Harness.on_client cluster crud_cycle;
   check_converged cluster;
   let events = op_events () in
   Alcotest.(check (list (pair string string)))
@@ -116,21 +100,22 @@ let test_cross_client_visibility () =
      the paper's read path guarantee. *)
   let cluster = boot ~seed:10L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
         Dirsvc.Client.append_row client cap ~name:"shared" [ cap ];
         cap)
   in
   (* Several fresh clients: jitter makes them cache different servers. *)
   for i = 1 to 5 do
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         match Dirsvc.Client.lookup client cap "shared" with
         | Some _ -> ()
         | None -> Alcotest.failf "client %d missed the write" i)
   done;
   (* Delete, then read back through yet another client: must be gone. *)
-  on_client cluster (fun client -> Dirsvc.Client.delete_row client cap ~name:"shared");
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
+      Dirsvc.Client.delete_row client cap ~name:"shared");
+  Harness.on_client cluster (fun client ->
       Alcotest.(check bool) "delete visible everywhere" true
         (Dirsvc.Client.lookup client cap "shared" = None))
 
@@ -139,7 +124,7 @@ let test_majority_refusal_under_partition () =
      or a client could list a directory it successfully deleted. *)
   let cluster = boot ~seed:11L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
         Dirsvc.Client.append_row client cap ~name:"foo" [ cap ];
         cap)
@@ -149,7 +134,7 @@ let test_majority_refusal_under_partition () =
   Simnet.Network.set_partitions (C.net cluster)
     [ [ 1; 2; 21; 22; 101; 102; 103; 104; 105; 106; 107; 108 ]; [ 3; 23 ] ];
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 1_500.0);
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       Dirsvc.Client.delete_row client cap ~name:"foo");
   (* Now the minority server: it must refuse both reads and writes. *)
   Alcotest.(check (list int)) "only {1,2} serving" [ 1; 2 ]
@@ -171,7 +156,7 @@ let test_writes_survive_two_crashes () =
      three servers — and the survivor refuses service (no majority). *)
   let cluster = boot ~seed:12L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
         Dirsvc.Client.append_row client cap ~name:"precious" [ cap ];
         cap)
@@ -188,7 +173,7 @@ let test_writes_survive_two_crashes () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "survivor lost a completed write");
   (* Clients get No_majority. *)
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       match Dirsvc.Client.lookup client cap "precious" with
       | _ -> Alcotest.fail "request should be refused"
       | exception Dirsvc.Wire.Dir_error Dirsvc.Wire.No_majority -> ()
@@ -198,7 +183,7 @@ let test_nvram_annihilation () =
   (* The /tmp effect: an append+delete pair that never leaves NVRAM must
      cost no disk writes at all. *)
   let cluster = boot ~seed:13L C.Group_nvram in
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       Dirsvc.Client.append_row client cap ~name:"warm" [ cap ];
       Dirsvc.Client.delete_row client cap ~name:"warm";
@@ -223,7 +208,7 @@ let test_nvram_flushes_when_full () =
   (* Overflowing the 24 KB log forces a flush; nothing is lost. *)
   let params = { Dirsvc.Params.default with nvram_capacity = 600 } in
   let cluster = boot ~seed:14L ~params C.Group_nvram in
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       for i = 1 to 30 do
         Dirsvc.Client.append_row client cap ~name:(Printf.sprintf "r%d" i) [ cap ]
@@ -242,7 +227,7 @@ let test_nvram_oversized_update () =
   let cluster = boot C.Group_nvram in
   let name = String.make 30_000 'x' in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
         Sim.Proc.sleep 1_000.0;
         Dirsvc.Client.append_row client cap ~name [ cap ];
@@ -252,7 +237,7 @@ let test_nvram_oversized_update () =
   List.iter (C.crash_server cluster) [ 1; 2; 3 ];
   List.iter (C.restart_server cluster) [ 1; 2; 3 ];
   Alcotest.(check bool) "recovers" true (C.await_serving cluster ~count:3);
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       Alcotest.(check bool) "row survived on disk" true
         (with_unavailable_retry (fun () -> Dirsvc.Client.lookup client cap name)
         <> None));
@@ -260,7 +245,7 @@ let test_nvram_oversized_update () =
 
 let test_rpc_pair_lazy_replication_converges () =
   let cluster = boot ~seed:15L C.Rpc_pair in
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       for i = 1 to 8 do
         Dirsvc.Client.append_row client cap ~name:(Printf.sprintf "r%d" i) [ cap ]
@@ -274,7 +259,7 @@ let test_rpc_pair_diverges_under_partition () =
      guarantee consistency across partitions. Demonstrate it. *)
   let cluster = boot ~seed:16L C.Rpc_pair in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         Dirsvc.Client.create_dir client ~columns:[ "owner" ])
   in
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 2_000.0);
@@ -296,8 +281,8 @@ let test_rpc_pair_diverges_under_partition () =
     in
     go 10
   in
-  on_client cluster (write_one "left");
-  on_client cluster (write_one "right");
+  Harness.on_client cluster (write_one "left");
+  Harness.on_client cluster (write_one "right");
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 3_000.0);
   match Dirsvc.Consistency.check_convergence (C.store_snapshots cluster) with
   | Error _ -> () (* divergence demonstrated *)
@@ -305,7 +290,7 @@ let test_rpc_pair_diverges_under_partition () =
 
 let test_group_applied_log_replays () =
   let cluster = boot ~seed:17L C.Group_disk in
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       for i = 1 to 6 do
         Dirsvc.Client.append_row client cap ~name:(Printf.sprintf "r%d" i) [ cap ]
@@ -331,7 +316,7 @@ let random_ops_converge_property =
     (fun (seed, plan) ->
       let cluster = boot ~seed:(Int64.of_int (1000 + seed)) C.Group_disk in
       let cap =
-        on_client cluster (fun client ->
+        Harness.on_client cluster (fun client ->
             with_unavailable_retry (fun () ->
                 Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
       in
@@ -384,7 +369,7 @@ let test_crud_over_bb () =
     { Dirsvc.Params.default with dissemination = Group.Types.Bb }
   in
   let cluster = boot ~seed:51L ~params C.Group_disk in
-  on_client cluster crud_cycle;
+  Harness.on_client cluster crud_cycle;
   check_converged cluster
 
 let suite =
@@ -401,13 +386,13 @@ let test_rail_failure_invisible () =
   Alcotest.(check bool) "boots on 2 rails" true
     (C.await_serving cluster ~count:3);
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         with_unavailable_retry (fun () ->
             Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   (* Kill rail 0 entirely, mid-flight. *)
   Simnet.Network.fail_rail (C.net cluster) ~rail:0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       (* No retry wrapper: the failure must be completely invisible. *)
       Dirsvc.Client.append_row client cap ~name:"over-rail-1" [ cap ];
       match Dirsvc.Client.lookup client cap "over-rail-1" with
@@ -431,7 +416,7 @@ let batched_params = { Dirsvc.Params.default with batch_max = 4 }
 
 let test_batched_crud flavor () =
   let cluster = boot ~seed:12L ~params:batched_params flavor in
-  on_client cluster crud_cycle;
+  Harness.on_client cluster crud_cycle;
   check_converged cluster
 
 let suite =

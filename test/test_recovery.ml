@@ -12,16 +12,6 @@ let boot ?(seed = 21L) ?params flavor =
 let advance cluster ms =
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. ms)
 
-let on_client ?(budget = 60_000.0) cluster f =
-  let client = C.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  let result = ref None in
-  Sim.Proc.boot (C.engine cluster) node (fun () -> result := Some (f client));
-  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. budget);
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "client fiber did not complete"
-
 let rec retrying ?(tries = 20) f =
   match f () with
   | v -> v
@@ -42,13 +32,13 @@ let check_converged_serving cluster =
 let test_crash_one_rejoin () =
   let cluster = boot ~seed:31L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   C.crash_server cluster 3;
   advance cluster 500.0;
   (* Majority continues to serve reads and writes. *)
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"while-down" [ cap ]));
   Alcotest.(check (list int)) "two serving" [ 1; 2 ] (C.serving_servers cluster);
   (* Restart: the server recovers the missed update via state transfer. *)
@@ -70,12 +60,12 @@ let test_last_to_fail_ordering () =
      data. *)
   let cluster = boot ~seed:32L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   C.crash_server cluster 3;
   advance cluster 500.0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"latest" [ cap ]));
   advance cluster 500.0;
   C.crash_server cluster 1;
@@ -92,7 +82,7 @@ let test_last_to_fail_ordering () =
     (C.await_serving ~timeout:15_000.0 cluster ~count:3);
   advance cluster 1_000.0;
   check_converged_serving cluster;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       match retrying (fun () -> Dirsvc.Client.lookup client cap "latest") with
       | Some _ -> ()
       | None -> Alcotest.fail "the {1,2}-era update was lost")
@@ -103,12 +93,12 @@ let test_improved_rule_end_to_end () =
      may recover because 1 stayed up with the highest sequence number. *)
   let cluster = boot ~seed:33L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   C.crash_server cluster 3;
   advance cluster 500.0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"w1" [ cap ]));
   C.crash_server cluster 2;
   advance cluster 1_000.0;
@@ -117,7 +107,7 @@ let test_improved_rule_end_to_end () =
   Alcotest.(check bool) "{1,3} recover via the improved rule" true
     (C.await_serving ~timeout:15_000.0 cluster ~count:2);
   advance cluster 1_000.0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       (match retrying (fun () -> Dirsvc.Client.lookup client cap "w1") with
       | Some _ -> ()
       | None -> Alcotest.fail "pre-crash update lost");
@@ -129,10 +119,10 @@ let test_crash_during_recovery_flag () =
      (sequence number zeroed) and fetch everything from a donor. *)
   let cluster = boot ~seed:34L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"durable" [ cap ]));
   C.crash_server cluster 2;
   advance cluster 500.0;
@@ -158,7 +148,7 @@ let test_crash_during_recovery_flag () =
 let test_full_cluster_reboot_durability () =
   let cluster = boot ~seed:35L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap =
           retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ])
         in
@@ -178,7 +168,7 @@ let test_full_cluster_reboot_durability () =
     (C.await_serving ~timeout:20_000.0 cluster ~count:3);
   advance cluster 1_000.0;
   check_converged_serving cluster;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let listing =
         retrying (fun () -> Dirsvc.Client.list_dir client cap)
       in
@@ -190,7 +180,7 @@ let test_nvram_survives_crash () =
      reliable medium, so the restarted server replays it. *)
   let cluster = boot ~seed:36L C.Group_nvram in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap =
           retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ])
         in
@@ -215,12 +205,12 @@ let test_sequencer_server_crash () =
      creator): view change + service continues. *)
   let cluster = boot ~seed:37L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   C.crash_server cluster 1;
   advance cluster 1_000.0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () ->
           Dirsvc.Client.append_row client cap ~name:"post-seq-crash" [ cap ]));
   Alcotest.(check (list int)) "survivors serve" [ 2; 3 ]
@@ -236,7 +226,7 @@ let crash_storm_property =
     (fun (seed, victims) ->
       let cluster = boot ~seed:(Int64.of_int (2000 + seed)) C.Group_disk in
       let cap =
-        on_client cluster (fun client ->
+        Harness.on_client cluster (fun client ->
             retrying (fun () ->
                 Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
       in
@@ -247,7 +237,7 @@ let crash_storm_property =
           let tag = !counter in
           C.crash_server cluster victim;
           advance cluster 400.0;
-          on_client cluster (fun client ->
+          Harness.on_client cluster (fun client ->
               try
                 retrying ~tries:8 (fun () ->
                     Dirsvc.Client.append_row client cap
@@ -288,12 +278,12 @@ let test_force_recover_escape_hatch () =
      data — the paper's §3.1 "escape for system administrators". *)
   let cluster = boot ~seed:38L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   C.crash_server cluster 3;
   advance cluster 500.0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"kept" [ cap ]));
   advance cluster 500.0;
   C.crash_server cluster 1;
@@ -311,7 +301,7 @@ let test_force_recover_escape_hatch () =
     (C.await_serving ~timeout:20_000.0 cluster ~count:2);
   advance cluster 1_000.0;
   (* Server 1 had applied the update before crashing, so it survives. *)
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       match retrying (fun () -> Dirsvc.Client.lookup client cap "kept") with
       | Some _ -> ()
       | None -> Alcotest.fail "best reachable data lost");
@@ -324,14 +314,14 @@ let test_exactly_once_across_reboot () =
      (origin, uid) exactly once. *)
   let cluster = boot ~seed:39L C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"a" [ cap ]));
   C.reboot_server cluster 2;
   ignore (C.await_serving ~timeout:15_000.0 cluster ~count:3);
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"b" [ cap ]));
   advance cluster 1_000.0;
   List.iter
@@ -376,7 +366,7 @@ let test_uncommitted_suffix_discarded () =
   let cluster = boot ~seed:41L C.Group_disk in
   let net = C.net cluster in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   (* A client whose port cache points at server 1 (the group creator,
@@ -434,7 +424,7 @@ let test_uncommitted_suffix_discarded () =
   Alcotest.(check (list int)) "majority serves without the ghost" [ 2; 3 ]
     (C.serving_servers cluster);
   (* Confirm the ghost really is only on server 1's disk-backed state. *)
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"real" [ cap ]));
   C.restart_server cluster 1;
   Alcotest.(check bool) "server 1 back" true
@@ -464,13 +454,13 @@ let test_five_replica_crash_storm () =
   let cluster = C.create ~seed:42L ~servers:5 C.Group_disk in
   Alcotest.(check bool) "five boot" true (C.await_serving cluster ~count:5);
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   C.crash_server cluster 2;
   C.crash_server cluster 5;
   advance cluster 1_000.0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       retrying (fun () ->
           Dirsvc.Client.append_row client cap ~name:"with-3-of-5" [ cap ]));
   Alcotest.(check (list int)) "three keep serving" [ 1; 3; 4 ]
@@ -481,7 +471,7 @@ let test_five_replica_crash_storm () =
     (C.await_serving ~timeout:20_000.0 cluster ~count:5);
   advance cluster 1_000.0;
   check_converged_serving cluster;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       match retrying (fun () -> Dirsvc.Client.lookup client cap "with-3-of-5") with
       | Some _ -> ()
       | None -> Alcotest.fail "update lost in the storm")
@@ -501,7 +491,7 @@ let test_batched_group_commit_replay () =
   let params = { Dirsvc.Params.default with batch_max = 4 } in
   let cluster = boot ~seed:38L ~params C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap =
           retrying (fun () ->
               Dirsvc.Client.create_dir client ~columns:[ "owner" ])
@@ -534,7 +524,7 @@ let test_batched_group_commit_replay () =
     (C.await_serving ~timeout:20_000.0 cluster ~count:3);
   advance cluster 1_000.0;
   check_converged_serving cluster;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let listing = retrying (fun () -> Dirsvc.Client.list_dir client cap) in
       Alcotest.(check (list string)) "all rows incl. the logged tail survive"
         [ "r1"; "r2"; "r3"; "tail" ]
@@ -549,7 +539,7 @@ let suite =
 
 (* Delete a row whose append is already on disk, crash every server at
    the delete's ack: the delete, logged in block 0, must survive. The
-   setup runs inside [on_client]'s 60 s budget, so the idle persist has
+   setup runs inside [Harness.on_client]'s 60 s budget, so the idle persist has
    long since written the append to the directory's own blocks and
    emptied the commit-block log — this does not reach the window where
    a delete annihilates an append still in that log, a known defect
@@ -558,7 +548,7 @@ let test_persisted_row_delete_crash () =
   let params = { Dirsvc.Params.default with batch_max = 4 } in
   let cluster = boot ~seed:39L ~params C.Group_disk in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         let cap =
           retrying (fun () ->
               Dirsvc.Client.create_dir client ~columns:[ "owner" ])
@@ -586,7 +576,7 @@ let test_persisted_row_delete_crash () =
   Alcotest.(check bool) "cluster recovers" true
     (C.await_serving ~timeout:20_000.0 cluster ~count:3);
   advance cluster 1_000.0;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let listing = retrying (fun () -> Dirsvc.Client.list_dir client cap) in
       Alcotest.(check (list string)) "acknowledged delete survives the crash"
         []
@@ -608,7 +598,7 @@ let test_nvram_group_commit_crash () =
   let params = { Dirsvc.Params.default with batch_max = 4 } in
   let cluster = boot ~seed:40L ~params C.Group_nvram in
   let cap =
-    on_client cluster (fun client ->
+    Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
   let client = C.client cluster in
@@ -629,7 +619,7 @@ let test_nvram_group_commit_crash () =
     (C.await_serving ~timeout:20_000.0 cluster ~count:3);
   advance cluster 1_000.0;
   check_converged_serving cluster;
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let listing = retrying (fun () -> Dirsvc.Client.list_dir client cap) in
       Alcotest.(check (list string)) "acknowledged row survives" [ "acked" ]
         (List.map (fun (n, _, _) -> n) listing.Dirsvc.Directory.entries))

@@ -13,16 +13,6 @@ let boot ?(seed = 9L) ?params flavor =
     (C.await_serving cluster ~count:(C.total_servers cluster));
   cluster
 
-let on_client ?(budget = 60_000.0) cluster f =
-  let client = C.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  let result = ref None in
-  Sim.Proc.boot (C.engine cluster) node (fun () -> result := Some (f client));
-  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. budget);
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "client fiber did not complete"
-
 (* Transient refusals during a view change are retryable by design. *)
 let rec with_unavailable_retry ?(tries = 20) f =
   match f () with
@@ -86,7 +76,7 @@ let test_shard_seed_independence () =
 let test_wrong_shard_bounce () =
   let params = { Dirsvc.Params.default with shards = 2 } in
   let cluster = boot ~seed:21L ~params C.Group_disk in
-  on_client cluster (fun client ->
+  Harness.on_client cluster (fun client ->
       let router =
         match Dirsvc.Client.router client with
         | Some r -> r
@@ -131,7 +121,7 @@ let test_stale_port_cache () =
   let params = { Dirsvc.Params.default with shards = 2 } in
   let cluster = boot ~seed:22L ~params C.Group_disk in
   let op_events = Harness.collect_op_events (C.engine cluster) in
-  on_client ~budget:120_000.0 cluster (fun client ->
+  Harness.on_client ~budget:120_000.0 cluster (fun client ->
       let placement = placement_for ~shards:2 1 in
       let cap =
         with_unavailable_retry (fun () ->
@@ -198,7 +188,7 @@ exception Coordinator_crash
 let test_coordinator_crash_recovery () =
   let params = { Dirsvc.Params.default with shards = 2 } in
   let cluster = boot ~seed:23L ~params C.Group_disk in
-  on_client ~budget:120_000.0 cluster (fun client ->
+  Harness.on_client ~budget:120_000.0 cluster (fun client ->
       let pa = placement_for ~shards:2 0 and pb = placement_for ~shards:2 1 in
       let dir_a =
         with_unavailable_retry (fun () ->
@@ -252,6 +242,83 @@ let test_coordinator_crash_recovery () =
       Alcotest.(check bool) "subsequent move unaffected" true
         (Dirsvc.Client.lookup client dir_b "s" <> None))
 
+(* The shard of every "lookup" op served, sorted: a server's node id
+   is 500 * shard + server id. *)
+let lookup_shards events =
+  List.filter_map
+    (fun e ->
+      match List.assoc_opt "op" e.Sim.Trace.attrs with
+      | Some (Sim.Trace.Str "lookup") -> Some (e.Sim.Trace.node / 500)
+      | _ -> None)
+    events
+  |> List.sort compare
+
+let cap_found = Alcotest.(list (option (testable Capability.pp Capability.equal)))
+
+(* Lookup set scatter/gather: names from two shards, interleaved and
+   with misses, come back in request order from one lookup per shard
+   touched. *)
+let test_lookup_set_two_shards () =
+  let params = { Dirsvc.Params.default with shards = 2 } in
+  let cluster = boot ~seed:24L ~params C.Group_disk in
+  let dir_a, dir_b =
+    Harness.on_client cluster (fun client ->
+        let create shard =
+          with_unavailable_retry (fun () ->
+              Dirsvc.Client.create_dir
+                ~placement:(placement_for ~shards:2 shard)
+                client ~columns:[ "owner" ])
+        in
+        let dir_a = create 0 in
+        let dir_b = create 1 in
+        Dirsvc.Client.append_row client dir_a ~name:"a1" [ dir_b ];
+        Dirsvc.Client.append_row client dir_a ~name:"a2" [ dir_a ];
+        Dirsvc.Client.append_row client dir_b ~name:"b1" [ dir_a ];
+        (dir_a, dir_b))
+  in
+  let op_events = Harness.collect_op_events (C.engine cluster) in
+  let found =
+    Harness.on_client cluster (fun client ->
+        Dirsvc.Client.lookup_set client
+          [
+            (dir_a, "a1"); (dir_b, "b1"); (dir_a, "ghost"); (dir_b, "ghost");
+            (dir_a, "a2");
+          ])
+  in
+  Alcotest.check cap_found "results in request order"
+    [ Some dir_b; Some dir_a; None; None; Some dir_a ]
+    (List.map (Option.map fst) found);
+  Alcotest.(check (list int)) "one lookup per shard touched" [ 0; 1 ]
+    (lookup_shards (op_events ()))
+
+(* A lone group is a one-shard router: a lookup set is one request,
+   and no cross-shard counter is registered. *)
+let test_lookup_set_one_shard () =
+  let cluster = boot ~seed:25L C.Group_disk in
+  let dir =
+    Harness.on_client cluster (fun client ->
+        let dir =
+          with_unavailable_retry (fun () ->
+              Dirsvc.Client.create_dir client ~columns:[ "owner" ])
+        in
+        Dirsvc.Client.append_row client dir ~name:"x" [ dir ];
+        Dirsvc.Client.append_row client dir ~name:"y" [ dir ];
+        dir)
+  in
+  let op_events = Harness.collect_op_events (C.engine cluster) in
+  let found =
+    Harness.on_client cluster (fun client ->
+        Dirsvc.Client.lookup_set client [ (dir, "x"); (dir, "z"); (dir, "y") ])
+  in
+  Alcotest.check cap_found "results in request order"
+    [ Some dir; None; Some dir ]
+    (List.map (Option.map fst) found);
+  Alcotest.(check (list int)) "one lookup request" [ 0 ]
+    (lookup_shards (op_events ()));
+  Alcotest.(check bool) "no dirsvc.cross_shard counter" false
+    (List.mem_assoc "dirsvc.cross_shard"
+       (Sim.Metrics.counters (C.metrics cluster)))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -261,4 +328,7 @@ let suite =
     tc "stale port cache after shard view change" `Quick test_stale_port_cache;
     tc "coordinator crash: resolver terminates the move" `Quick
       test_coordinator_crash_recovery;
+    tc "lookup set scatters over two shards" `Quick test_lookup_set_two_shards;
+    tc "lookup set on one shard is one request" `Quick
+      test_lookup_set_one_shard;
   ]
