@@ -69,11 +69,9 @@ let bullet_node_id ~shard_index server_id = (500 * shard_index) + 20 + server_id
 
 (* Service port of shard k: "dirsvc" for a lone group, "dirsvc<k>" when
    M > 1. Every capability embeds the port, so its length sets a
-   directory's encoded size, and so whether the directory's Bullet file
-   still fits inside an inode, which changes what an update writes to
-   disk. A sharded deployment's longer port therefore costs its updates
-   a little more; these are the sizes every figure and benchmark
-   baseline was measured with. *)
+   directory's encoded size. A directory of up to 960 B is one Bullet
+   write (its inode block) whatever the port's length, so the port does
+   not change what such an update writes to disk. *)
 let service_port ~shards k = if shards = 1 then "dirsvc" else Printf.sprintf "dirsvc%d" k
 
 let make_device ~engine ~metrics ~params ~name =

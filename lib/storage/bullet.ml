@@ -28,9 +28,10 @@ let () =
 
 (* ---- On-disk inode layout ----------------------------------------
 
-   Several fixed-size inode slots share one block, so a batch of
-   tombstones costs one write. A slot is either free, or holds a file's
-   metadata plus — for small ("immediate") files — the data itself. *)
+   An inode slot is one whole disk block. A slot is either free, or
+   holds a file's metadata plus — for files that fit in the block
+   ("immediate" files) — the data itself, so creating one is a single
+   atomic block write. *)
 
 type file = {
   obj : int;
@@ -47,8 +48,6 @@ type t = {
   port : string;
   first_block : int;
   inode_blocks : int;
-  slots_per_block : int;
-  slot_bytes : int;
   data_first : int;
   data_blocks : int;
   cpu : Sim.Resource.t option;
@@ -58,16 +57,16 @@ type t = {
   slot_owner : int option array; (* slot -> obj *)
   data_free : bool array;
   mutable next_obj : int;
-  mutable dirty_tombstones : int list; (* slot indexes awaiting flush *)
+  mutable dirty_tombstones : file list; (* retired files awaiting flush *)
   mutable free_stack : int list;
       (* recently freed slots, newest first: LIFO reuse means the next
          create's inode write almost always covers the tombstone *)
   flush_kick : Sim.Condvar.t;
 }
 
-let immediate_limit t = t.slot_bytes - 64
+let immediate_limit t = Block_device.block_size t.device - 64
 
-let slot_block t slot = t.first_block + (slot / t.slots_per_block)
+let slot_block t slot = t.first_block + slot
 
 let encode_slot = function
   | None ->
@@ -91,26 +90,10 @@ let encode_slot = function
       end;
       Codec.Writer.contents w
 
-(* Build the current disk image of an inode block from in-core state. *)
-let block_image t block_index =
-  let w = Buffer.create t.slot_bytes in
-  for i = 0 to t.slots_per_block - 1 do
-    let slot = ((block_index - t.first_block) * t.slots_per_block) + i in
-    let owner =
-      match t.slot_owner.(slot) with
-      | Some obj -> Hashtbl.find_opt t.files obj
-      | None -> None
-    in
-    let encoded = encode_slot owner in
-    if Bytes.length encoded > t.slot_bytes then
-      invalid_arg "Bullet: file too large for inode slot";
-    Buffer.add_bytes w encoded;
-    Buffer.add_string w (String.make (t.slot_bytes - Bytes.length encoded) '\000')
-  done;
-  Buffer.to_bytes w
-
-let write_inode_block t block_index =
-  Block_device.write t.device block_index (block_image t block_index)
+(* Write a slot's current in-core state to its inode block. *)
+let write_inode_block t slot =
+  let owner = Option.bind t.slot_owner.(slot) (Hashtbl.find_opt t.files) in
+  Block_device.write t.device (slot_block t slot) (encode_slot owner)
 
 let charge_cpu t =
   match t.cpu with None -> () | Some cpu -> Sim.Resource.use cpu t.cpu_ms
@@ -144,9 +127,6 @@ let alloc_data_blocks t count =
 
 let do_create t data =
   let slot = find_free_slot t in
-  (* Reusing a pending-tombstone slot: this create's inode write covers
-     the tombstone, so drop it from the flush queue. *)
-  t.dirty_tombstones <- List.filter (fun s -> s <> slot) t.dirty_tombstones;
   let obj = t.next_obj in
   t.next_obj <- obj + 1;
   let secret =
@@ -163,6 +143,10 @@ let do_create t data =
       { obj; secret; data; slot; data_blocks = blocks }
     end
   in
+  (* Reusing a pending-tombstone slot: this create's inode write covers
+     the tombstone, so drop it from the flush queue. *)
+  t.dirty_tombstones <-
+    List.filter (fun f -> f.slot <> slot) t.dirty_tombstones;
   Hashtbl.replace t.files obj file;
   t.slot_owner.(slot) <- Some obj;
   (* Write the data blocks first, then commit via the inode block. *)
@@ -174,7 +158,7 @@ let do_create t data =
       in
       Block_device.write t.device block (Bytes.of_string chunk))
     file.data_blocks;
-  write_inode_block t (slot_block t slot);
+  write_inode_block t slot;
   Capability.owner ~port:t.port ~obj secret
 
 let lookup_validated t cap ~need =
@@ -196,76 +180,67 @@ let do_delete t cap =
   Hashtbl.remove t.files file.obj;
   if file.data_blocks = [] then begin
     (* Immediate file: the slot is reusable at once — the next create
-       that lands in this block persists the tombstone for free, so
-       steady-state retirement costs no disk writes. Until then the
-       on-disk inode is an orphan (the real Bullet collected such
-       garbage offline); the idle flusher eventually clears it. *)
+       that lands in it persists the tombstone for free, so steady-state
+       retirement costs no disk writes. Until then the on-disk inode is
+       an orphan (the real Bullet collected such garbage offline); the
+       idle flusher eventually clears it. *)
     t.slot_owner.(file.slot) <- None;
-    t.free_stack <- file.slot :: t.free_stack;
-    t.dirty_tombstones <- file.slot :: t.dirty_tombstones;
-    Sim.Condvar.broadcast t.flush_kick
-  end
-  else begin
-    (* Files with separate data blocks keep their slot until the
-       tombstone is durable, so a crash cannot leave two inodes naming
-       the same data blocks. *)
-    t.dirty_tombstones <- file.slot :: t.dirty_tombstones;
-    Sim.Condvar.broadcast t.flush_kick
-  end
+    t.free_stack <- file.slot :: t.free_stack
+  end;
+  (* Files with separate data blocks keep their slot and blocks until
+     the tombstone is durable, so a crash cannot leave two inodes naming
+     the same data blocks. *)
+  t.dirty_tombstones <- file :: t.dirty_tombstones;
+  Sim.Condvar.broadcast t.flush_kick
 
 let flusher t () =
   while true do
     Sim.Condvar.await t.flush_kick (fun () -> t.dirty_tombstones <> []);
     (* Let tombstones accumulate; most are covered for free by reusing
-       creates. Whatever remains is batched into per-block writes. *)
+       creates. Whatever remains costs one block write each. *)
     Sim.Proc.sleep t.flush_interval;
-    let slots = t.dirty_tombstones in
+    let retired = t.dirty_tombstones in
     t.dirty_tombstones <- [];
-    List.iter (fun slot -> t.slot_owner.(slot) <- None) slots;
-    let blocks = List.sort_uniq compare (List.map (slot_block t) slots) in
-    List.iter (write_inode_block t) blocks
+    List.iter (fun f -> t.slot_owner.(f.slot) <- None) retired;
+    List.iter
+      (fun (f : file) ->
+        write_inode_block t f.slot;
+        (* The tombstone is durable: its data blocks may be reused. *)
+        List.iter (fun b -> t.data_free.(b - t.data_first) <- true) f.data_blocks)
+      retired
   done
 
 let recover t =
-  for block = t.first_block to t.first_block + t.inode_blocks - 1 do
-    let image = Block_device.peek t.device block in
-    if Bytes.length image > 0 then
-      for i = 0 to t.slots_per_block - 1 do
-        let off = i * t.slot_bytes in
-        if off + t.slot_bytes <= Bytes.length image then begin
-          let slice = Bytes.sub image off t.slot_bytes in
-          let r = Codec.Reader.of_bytes slice in
-          match Codec.Reader.u8 r with
-          | 1 ->
-              let obj = Codec.Reader.u32 r in
-              let secret = Codec.Reader.i64 r in
-              let immediate = Codec.Reader.u8 r = 1 in
-              let slot = ((block - t.first_block) * t.slots_per_block) + i in
-              let file =
-                if immediate then
-                  let data = Codec.Reader.string r in
-                  { obj; secret; data; slot; data_blocks = [] }
-                else begin
-                  let size = Codec.Reader.u32 r in
-                  let blocks = Codec.Reader.list r Codec.Reader.u32 in
-                  let buffer = Buffer.create size in
-                  List.iter
-                    (fun b ->
-                      Buffer.add_bytes buffer (Block_device.peek t.device b))
-                    blocks;
-                  let data = Buffer.sub buffer 0 size in
-                  List.iter
-                    (fun b -> t.data_free.(b - t.data_first) <- false)
-                    blocks;
-                  { obj; secret; data; slot; data_blocks = blocks }
-                end
-              in
-              Hashtbl.replace t.files obj file;
-              t.slot_owner.(file.slot) <- Some obj;
-              if obj >= t.next_obj then t.next_obj <- obj + 1
-          | _ -> ()
-        end
-      done
+  for slot = 0 to t.inode_blocks - 1 do
+    let image = Block_device.peek t.device (slot_block t slot) in
+    if Bytes.length image > 0 then begin
+      let r = Codec.Reader.of_bytes image in
+      match Codec.Reader.u8 r with
+      | 1 ->
+          let obj = Codec.Reader.u32 r in
+          let secret = Codec.Reader.i64 r in
+          let immediate = Codec.Reader.u8 r = 1 in
+          let file =
+            if immediate then
+              let data = Codec.Reader.string r in
+              { obj; secret; data; slot; data_blocks = [] }
+            else begin
+              let size = Codec.Reader.u32 r in
+              let blocks = Codec.Reader.list r Codec.Reader.u32 in
+              let buffer = Buffer.create size in
+              List.iter
+                (fun b -> Buffer.add_bytes buffer (Block_device.peek t.device b))
+                blocks;
+              let data = Buffer.sub buffer 0 size in
+              List.iter (fun b -> t.data_free.(b - t.data_first) <- false) blocks;
+              { obj; secret; data; slot; data_blocks = blocks }
+            end
+          in
+          Hashtbl.replace t.files obj file;
+          t.slot_owner.(slot) <- Some obj;
+          if obj >= t.next_obj then t.next_obj <- obj + 1
+      | _ -> ()
+    end
   done
 
 let handler t ~client:_ body =
@@ -292,8 +267,6 @@ let start net transport ~device ~first_block ~region_blocks ?(inode_blocks = 0)
   in
   if inode_blocks >= region_blocks then
     invalid_arg "Bullet.start: no room for data blocks";
-  let slots_per_block = 4 in
-  let slot_bytes = Block_device.block_size device / slots_per_block in
   let data_first = first_block + inode_blocks in
   let data_blocks = region_blocks - inode_blocks in
   let t =
@@ -304,15 +277,13 @@ let start net transport ~device ~first_block ~region_blocks ?(inode_blocks = 0)
       port = port_of (Rpc.Transport.node_id transport);
       first_block;
       inode_blocks;
-      slots_per_block;
-      slot_bytes;
       data_first;
       data_blocks;
       cpu;
       cpu_ms;
       flush_interval;
       files = Hashtbl.create 64;
-      slot_owner = Array.make (inode_blocks * slots_per_block) None;
+      slot_owner = Array.make inode_blocks None;
       data_free = Array.make data_blocks true;
       next_obj = 1;
       dirty_tombstones = [];

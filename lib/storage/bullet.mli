@@ -7,16 +7,19 @@
     {ul
     {- files are {e immutable}: an update to a directory writes a new
        Bullet file and retires the old one;}
-    {- [create] returns only after the file is committed to disk. Small
-       files (a typical directory) are {e immediate}: the data lives in
-       the inode slot, so creation costs exactly one disk write — which
-       is what makes a group-service update cost two disk operations in
-       the paper's §3.1 analysis;}
+    {- [create] returns only after the file is committed to disk. An
+       inode slot is one whole disk block, and a file of up to
+       [block_size - 64] bytes (a typical directory) is {e immediate}:
+       the data lives in its inode block, so creation costs exactly one
+       disk write — which is what makes a group-service update cost two
+       disk operations in the paper's §3.1 analysis;}
     {- reads are served from core (no disk I/O), like the paper's cached
        directory lookups;}
     {- deletion retires the file in core immediately; inode tombstones
-       are flushed lazily in batches (several inode slots share a block),
-       keeping retirement off the update critical path;}
+       are flushed lazily, and mostly covered for free by the next create
+       reusing the slot, keeping retirement off the update critical path.
+       A larger file's data blocks are freed once its tombstone is on
+       disk;}
     {- a restarted server recovers its files by scanning the inode
        region, so only un-committed creations are lost in a crash.}}
 

@@ -100,24 +100,27 @@ let test_bullet_out_of_inodes () =
     Storage.Block_device.create engine ~blocks:16 ~block_size:1024
       ~read_ms:1.0 ~write_ms:1.0 ()
   in
-  (* 2 inode blocks at 4 slots each: 8 files max. *)
+  (* An inode slot is a whole block: 2 inode blocks hold 2 files. *)
   ignore
     (Storage.Bullet.start net st ~device ~first_block:0 ~region_blocks:16
        ~inode_blocks:2 ());
   let client = Sim.Node.create ~id:2 ~name:"client" in
   let cnic = Simnet.Network.attach net client in
   let ct = Rpc.Transport.create net cnic in
+  let created = ref 0 in
   let outcome = ref "" in
   Sim.Proc.boot engine client (fun () ->
       let port = Storage.Bullet.port_of 1 in
       (try
          for i = 1 to 9 do
-           ignore (Storage.Bullet.create ct ~port (Printf.sprintf "f%d" i))
+           ignore (Storage.Bullet.create ct ~port (Printf.sprintf "f%d" i));
+           incr created
          done;
          outcome := "no failure"
        with Storage.Bullet.Error e -> outcome := e));
   Sim.Engine.run ~until:5_000.0 engine;
-  Alcotest.(check string) "ninth create refused" "bullet: out of inodes"
+  Alcotest.(check int) "two creates fit" 2 !created;
+  Alcotest.(check string) "third create refused" "bullet: out of inodes"
     !outcome
 
 let test_directory_digest_distinguishes_content () =

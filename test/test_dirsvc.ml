@@ -204,6 +204,40 @@ let test_nvram_annihilation () =
       Alcotest.(check (list int)) "no disk writes for annihilated pairs"
         writes_before writes_after)
 
+(* §3.1 at a realistic directory size: appending a row to a directory
+   of 4 rows and 3 columns costs each replica exactly 2 disk writes,
+   one Bullet create and one object-table write, although the
+   directory's encoding is far larger than a quarter block. *)
+let test_update_costs_two_disk_writes () =
+  let cluster = boot ~seed:19L C.Group_disk in
+  let disk_writes () =
+    List.init 3 (fun i ->
+        Storage.Block_device.writes_completed (C.device cluster (i + 1)))
+  in
+  Harness.on_client cluster (fun client ->
+      let cap =
+        Dirsvc.Client.create_dir client ~columns:[ "owner"; "group"; "other" ]
+      in
+      for i = 1 to 4 do
+        Dirsvc.Client.append_row client cap ~name:(Printf.sprintf "row%d" i)
+          [ cap; cap; cap ]
+      done;
+      (* Let the retired versions' tombstones reach disk first. *)
+      Sim.Proc.sleep 1_000.0;
+      let dir =
+        Dirsvc.Directory.Store.find cap.Capability.obj
+          (snd (List.hd (C.store_snapshots cluster)))
+      in
+      let size = String.length (Dirsvc.Directory.encode_dir dir) in
+      Alcotest.(check bool)
+        (Printf.sprintf "4-row directory (%d B) exceeds 192 B" size)
+        true (size > 192);
+      let before = disk_writes () in
+      Dirsvc.Client.append_row client cap ~name:"row5" [ cap; cap; cap ];
+      Sim.Proc.sleep 200.0;
+      Alcotest.(check (list int)) "2 disk writes at each replica" [ 2; 2; 2 ]
+        (List.map2 ( - ) (disk_writes ()) before))
+
 let test_nvram_flushes_when_full () =
   (* Overflowing the 24 KB log forces a flush; nothing is lost. *)
   let params = { Dirsvc.Params.default with nvram_capacity = 600 } in
@@ -352,6 +386,8 @@ let suite =
       test_majority_refusal_under_partition;
     tc "writes survive two crashes (r=2)" `Quick test_writes_survive_two_crashes;
     tc "nvram annihilation (no disk I/O)" `Quick test_nvram_annihilation;
+    tc "update = 2 disk writes per replica (4x3 directory)" `Quick
+      test_update_costs_two_disk_writes;
     tc "nvram flushes when full" `Quick test_nvram_flushes_when_full;
     tc "nvram: update larger than the log" `Quick test_nvram_oversized_update;
     tc "rpc pair: lazy replication converges" `Quick

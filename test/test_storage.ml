@@ -144,13 +144,21 @@ let test_bullet_create_read_delete () =
       | exception Storage.Bullet.Error _ -> ());
   Alcotest.(check int) "no live files" 0 (Storage.Bullet.live_files bullet)
 
+(* A file that fits in its inode block (up to block_size - 64 bytes)
+   is created with one atomic block write, a ~900 B directory as well
+   as a tiny one. *)
 let test_bullet_small_create_is_one_disk_write () =
   let w, _server, client, ct, device, _bullet, _st = bullet_world () in
   run_fiber w client (fun () ->
-      let before = Storage.Block_device.writes_completed device in
-      ignore (Storage.Bullet.create ct ~port:port1 "tiny directory contents");
-      let after = Storage.Block_device.writes_completed device in
-      Alcotest.(check int) "immediate file = 1 write" 1 (after - before))
+      List.iter
+        (fun data ->
+          let before = Storage.Block_device.writes_completed device in
+          ignore (Storage.Bullet.create ct ~port:port1 data);
+          let after = Storage.Block_device.writes_completed device in
+          Alcotest.(check int)
+            (Printf.sprintf "immediate %d B file = 1 write" (String.length data))
+            1 (after - before))
+        [ "tiny directory contents"; String.make 900 'd' ])
 
 let test_bullet_rights () =
   let w, _server, client, ct, _device, _bullet, _st = bullet_world () in
@@ -170,6 +178,34 @@ let test_bullet_large_file () =
       let cap = Storage.Bullet.create ct ~port:port1 big in
       Alcotest.(check string) "big file intact" big
         (Storage.Bullet.read ct ~port:port1 cap))
+
+(* Deleting a large file returns its data blocks once its tombstone is
+   on disk, and not before: 3 rounds of 10 five-block files need 150
+   blocks of a data region that holds 84. *)
+let test_bullet_reuses_freed_data_blocks () =
+  let w, _server, client, ct, _device, bullet, _st = bullet_world () in
+  let content round i =
+    String.init 4500 (fun k -> Char.chr (((round * 31) + (i * 7) + k) mod 256))
+  in
+  run_fiber w client (fun () ->
+      for round = 1 to 3 do
+        let caps =
+          List.init 10 (fun i ->
+              Storage.Bullet.create ct ~port:port1 (content round i))
+        in
+        List.iteri
+          (fun i cap ->
+            Alcotest.(check string) "large file intact" (content round i)
+              (Storage.Bullet.read ct ~port:port1 cap))
+          caps;
+        List.iter (Storage.Bullet.delete ct ~port:port1) caps;
+        (match Storage.Bullet.create ct ~port:port1 (String.make 40_000 'x') with
+        | _ -> Alcotest.fail "blocks reused before their tombstones are durable"
+        | exception Storage.Bullet.Error e ->
+            Alcotest.(check string) "blocks still held" "bullet: disk full" e);
+        Sim.Proc.sleep 2_000.0
+      done);
+  Alcotest.(check int) "no live files" 0 (Storage.Bullet.live_files bullet)
 
 let test_bullet_crash_recovery () =
   let w, server, client, ct, device, _bullet, _st = bullet_world () in
@@ -248,6 +284,8 @@ let suite =
       test_bullet_small_create_is_one_disk_write;
     tc "bullet rights enforcement" `Quick test_bullet_rights;
     tc "bullet large file" `Quick test_bullet_large_file;
+    tc "bullet reuses freed data blocks" `Quick
+      test_bullet_reuses_freed_data_blocks;
     tc "bullet crash recovery" `Quick test_bullet_crash_recovery;
     tc "nvram append and annihilate" `Quick test_nvram_append_and_annihilate;
     tc "nvram is fast" `Quick test_nvram_is_fast;

@@ -201,7 +201,7 @@ let test_scaled_digest_golden () =
   in
   let engine = Dirsvc.Cluster.engine cluster in
   Alcotest.(check string) "pinned trace digest"
-    "51085e7805ada94b1bf8aff68cd74bf8"
+    "010802abb59b75a27c6ae5e294cc7d6d"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
   Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
   Alcotest.(check int) "pinned event count" 10_823
