@@ -1,15 +1,12 @@
 (* dirsim: command-line driver for the fault-tolerant directory service
    simulation.
 
-     dirsim fig7  [--seed N] [--repeats N] [--disk-ms MS]
-     dirsim fig8  [--seed N] [--clients N] [--jobs N]
-     dirsim fig9  [--seed N] [--clients N] [--jobs N]
      dirsim demo  [--flavor group|nvram|rpc|nfs]
      dirsim drill [--seed N]          # crash + recovery fault drill
      dirsim trace [--contains TEXT] [--until MS]   # annotated timeline
 
    All time is simulated; runs complete in well under a second of wall
-   clock. *)
+   clock. The paper's figures are bench/main.exe's experiments. *)
 
 module C = Dirsvc.Cluster
 
@@ -35,25 +32,6 @@ let flavor_arg =
   Cmdliner.Arg.(
     value & opt flavor_conv C.Group_disk & info [ "flavor" ] ~docv:"FLAVOR" ~doc)
 
-let disk_ms_arg =
-  let doc = "Disk write latency in simulated milliseconds." in
-  Cmdliner.Arg.(value & opt float 40.0 & info [ "disk-ms" ] ~docv:"MS" ~doc)
-
-let repeats_arg =
-  let doc = "Iterations per scenario." in
-  Cmdliner.Arg.(value & opt int 12 & info [ "repeats" ] ~docv:"N" ~doc)
-
-let clients_arg =
-  let doc = "Maximum number of concurrent clients to sweep." in
-  Cmdliner.Arg.(value & opt int 7 & info [ "clients" ] ~docv:"N" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Run sweep points on $(docv) domains. Output is byte-identical for \
-     every value; 1 runs everything inline."
-  in
-  Cmdliner.Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
-
 let trace_out_arg =
   let doc =
     "Write every trace event as JSONL to $(docv) ($(b,-) for stdout). Same \
@@ -65,12 +43,6 @@ let trace_out_arg =
 let metrics_arg =
   let doc = "Print the metrics registry (counters, latency histograms) at exit." in
   Cmdliner.Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let params_with ~disk_ms =
-  {
-    Dirsvc.Params.default with
-    disk_write_ms = disk_ms;
-  }
 
 (* ---- observability plumbing ------------------------------------------- *)
 
@@ -127,79 +99,6 @@ let attach_observability cluster out =
 let finish_observability cluster out show_metrics =
   close_trace_out out;
   if show_metrics then print_metrics (C.metrics cluster)
-
-(* ---- fig7 ------------------------------------------------------------ *)
-
-let run_fig7 seed repeats disk_ms trace_out show_metrics =
-  let params = params_with ~disk_ms in
-  printf "Fig. 7 single-client latencies (seed %d, disk %.0f ms):\n\n" seed disk_ms;
-  let out = open_trace_out trace_out in
-  let rows =
-    List.map
-      (fun (flavor, name) ->
-        let cluster = C.create ~seed:(Int64.of_int seed) ~params flavor in
-        attach_observability cluster out;
-        let fig = Workload.Scenarios.run_fig7 ~repeats cluster in
-        if show_metrics then begin
-          printf "== %s ==" name;
-          print_metrics (C.metrics cluster)
-        end;
-        [
-          name;
-          Printf.sprintf "%.0f" fig.Workload.Scenarios.append_delete_ms.Workload.Stats.mean;
-          Printf.sprintf "%.0f" fig.Workload.Scenarios.tmp_file_ms.Workload.Stats.mean;
-          Printf.sprintf "%.1f" fig.Workload.Scenarios.lookup_ms.Workload.Stats.mean;
-        ])
-      [
-        (C.Group_disk, "group(3)");
-        (C.Rpc_pair, "rpc(2)");
-        (C.Nfs_single, "nfs(1)");
-        (C.Group_nvram, "group+nvram(3)");
-      ]
-  in
-  close_trace_out out;
-  print_string
-    (Workload.Tables.render
-       ~header:[ "service"; "append-delete ms"; "tmp file ms"; "lookup ms" ]
-       rows)
-
-(* ---- fig8 / fig9 ------------------------------------------------------ *)
-
-let sweep ~pool title seed max_clients measure flavor =
-  let points =
-    Workload.Throughput.sweep ~pool
-      (fun () -> C.create ~seed:(Int64.of_int seed) flavor)
-      measure
-      (List.init max_clients (fun i -> i + 1))
-  in
-  print_string
-    (Workload.Tables.series ~title ~x_label:"clients" ~y_label:"ops/s"
-       (List.map
-          (fun p ->
-            (p.Workload.Throughput.clients, p.Workload.Throughput.per_second))
-          points))
-
-let run_fig8 seed clients jobs =
-  printf "Fig. 8 lookup throughput (seed %d):\n\n" seed;
-  Sim.Pool.with_pool ~jobs (fun pool ->
-      sweep ~pool "group service (lookups/s)" seed clients
-        (fun cluster ~clients -> Workload.Throughput.lookups cluster ~clients)
-        C.Group_disk;
-      sweep ~pool "rpc service (lookups/s)" (seed + 1) clients
-        (fun cluster ~clients -> Workload.Throughput.lookups cluster ~clients)
-        C.Rpc_pair)
-
-let run_fig9 seed clients jobs =
-  printf "Fig. 9 append-delete throughput (seed %d):\n\n" seed;
-  Sim.Pool.with_pool ~jobs (fun pool ->
-      sweep ~pool "group service (pairs/s)" seed clients
-        (fun cluster ~clients ->
-          Workload.Throughput.append_deletes cluster ~clients)
-        C.Group_disk;
-      sweep ~pool "group+nvram (pairs/s)" (seed + 1) clients
-        (fun cluster ~clients ->
-          Workload.Throughput.append_deletes cluster ~clients)
-        C.Group_nvram)
 
 (* ---- demo ------------------------------------------------------------ *)
 
@@ -304,23 +203,6 @@ let run_trace seed contains until trace_out =
 
 open Cmdliner
 
-let fig7_cmd =
-  Cmd.v
-    (Cmd.info "fig7" ~doc:"Reproduce Fig. 7 (single-client latencies).")
-    Term.(
-      const run_fig7 $ seed_arg $ repeats_arg $ disk_ms_arg $ trace_out_arg
-      $ metrics_arg)
-
-let fig8_cmd =
-  Cmd.v
-    (Cmd.info "fig8" ~doc:"Reproduce Fig. 8 (lookup throughput sweep).")
-    Term.(const run_fig8 $ seed_arg $ clients_arg $ jobs_arg)
-
-let fig9_cmd =
-  Cmd.v
-    (Cmd.info "fig9" ~doc:"Reproduce Fig. 9 (append-delete throughput sweep).")
-    Term.(const run_fig9 $ seed_arg $ clients_arg $ jobs_arg)
-
 let demo_cmd =
   Cmd.v
     (Cmd.info "demo" ~doc:"Boot a deployment and run a CRUD cycle.")
@@ -353,6 +235,6 @@ let main_cmd =
      (Kaashoek, Tanenbaum & Verstoep, ICDCS 1993)"
   in
   Cmd.group (Cmd.info "dirsim" ~version:"1.0" ~doc)
-    [ fig7_cmd; fig8_cmd; fig9_cmd; demo_cmd; drill_cmd; trace_cmd ]
+    [ demo_cmd; drill_cmd; trace_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

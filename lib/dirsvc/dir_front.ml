@@ -82,14 +82,18 @@ let handler t ~write ~read ~client:_ body =
   | Wire.Dir_request (Wire.List_req { cap; column }) ->
       Wire.Dir_reply
         (timed t ~op:"list" (fun () ->
-             read (fun store ->
+             read ~dirs:[ cap.Capability.obj ] (fun store ->
                  match Directory.list_dir store ~cap ~column with
                  | Ok listing -> Wire.Listing_rep listing
                  | Error e -> Wire.Err_rep (Wire.Op_error e))))
   | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
       Wire.Dir_reply
         (timed t ~op:"lookup" (fun () ->
-             read (fun store ->
+             let dirs =
+               List.sort_uniq compare
+                 (List.map (fun ((cap : Capability.t), _) -> cap.obj) items)
+             in
+             read ~dirs (fun store ->
                  let resolve (cap, name) =
                    match Directory.lookup store ~cap ~name ~column with
                    | Ok (cap, mask) -> Some (cap, mask)

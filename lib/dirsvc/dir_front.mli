@@ -40,12 +40,18 @@ val write_reply :
   Wire.reply
 
 (** An RPC handler for the client port. [write op] performs one update
-    and returns its reply; [read serve] runs [serve] against a store
-    the server may answer from, or refuses with its own reply. *)
+    and returns its reply; [read ~dirs serve] runs [serve] against a
+    store the server may answer from, or refuses with its own reply.
+    [dirs] names the directories the read looks at (the [obj] ids of a
+    lookup's items, or of a listing's capability), so a replicated
+    server need only catch up on updates to those. *)
 val handler :
   t ->
   write:(Directory.op -> Wire.reply) ->
-  read:((Directory.store -> Wire.reply) -> Wire.reply) ->
+  read:
+    (dirs:Directory.dir_id list ->
+    (Directory.store -> Wire.reply) ->
+    Wire.reply) ->
   client:int ->
   Simnet.Payload.t ->
   Simnet.Payload.t

@@ -397,14 +397,70 @@ let with_group t f =
     | None -> Wire.Err_rep (Wire.Unavailable "no group")
     | Some g -> f g
 
-let handle_read t serve =
+(* Whether the ordered entry at [seqno], not yet applied here, can
+   change one of the directories [dirs] a read names. An entry not held
+   yet might be anything. A directory update touches its own directory;
+   a Create_dir touches none that exists yet (a read naming a directory
+   missing from the store waits for everything, see [read_blocker]). A
+   cross-shard commit applies whatever its prepare staged, so it touches
+   everything; the other transaction steps change no directory. *)
+let blocks_read t g ~dirs seqno =
+  match Group.Member.held g seqno with
+  | None -> true
+  | Some (Group.Wire.App { payload; _ }) -> (
+      match payload with
+      | Wire.Dir_op_msg { op = Directory.Create_dir _; _ } -> false
+      | Wire.Dir_op_msg { op; _ } -> (
+          match Directory.dir_id_of_op t.store op with
+          | Some dir -> List.mem dir dirs
+          | None -> true)
+      | Wire.Dir_xact_msg { xact = Wire.Xcommit _; _ } -> true
+      | _ -> false)
+  | Some (Group.Wire.Join_member _ | Group.Wire.Leave_member _) -> false
+
+(* The first ordered entry up to [target] that a read of [dirs] must see
+   applied before it is answered, if any. A read naming a directory the
+   store does not hold falls back to Fig. 5's full wait: every buffered
+   entry blocks it. *)
+let read_blocker t g ~dirs ~target =
+  let known = List.for_all (fun dir -> Directory.Store.mem dir t.store) dirs in
+  let rec scan seqno =
+    if seqno > target then None
+    else if (not known) || blocks_read t g ~dirs seqno then Some seqno
+    else scan (seqno + 1)
+  in
+  scan (t.gprocessed + 1)
+
+let handle_read t ~dirs serve =
   with_group t (fun g ->
-      (* Fig. 5's read path: any buffered (sent but not yet applied)
-         messages must be applied before we answer, otherwise a client
-         could read past its own write performed via another server. *)
+      (* Fig. 5's read path, narrowed to the directories read: every
+         update to [dirs] ordered before the read arrived (up to the
+         highest seqno buffered then) must be applied first, otherwise a
+         client could read past its own write performed via another
+         server. Linearizability is local, so updates to other
+         directories need not be waited for. *)
       let target = (Group.Member.info g).highest_seen in
-      if not (await_applied t (fun () -> t.gprocessed >= target)) then
-        Wire.Err_rep (Wire.Unavailable "catch-up timeout")
+      let blocker () = read_blocker t g ~dirs ~target in
+      let caught_up =
+        match blocker () with
+        | None -> true
+        | Some seqno ->
+            let started = Sim.Proc.now () in
+            let caught_up =
+              await_applied t (fun () -> Option.is_none (blocker ()))
+            in
+            emit t ~name:"read_wait" (fun () ->
+                [
+                  ("server", Sim.Trace.Int t.server_id);
+                  ( "dir",
+                    Sim.Trace.Str
+                      (String.concat "," (List.map string_of_int dirs)) );
+                  ("seqno", Sim.Trace.Int seqno);
+                  ("waited_ms", Sim.Trace.Float (Sim.Proc.now () -. started));
+                ]);
+            caught_up
+      in
+      if not caught_up then Wire.Err_rep (Wire.Unavailable "catch-up timeout")
       else begin
         Sim.Resource.use t.cpu t.params.cpu_read_ms;
         serve t.store

@@ -55,7 +55,7 @@ let handle_write t op =
       in
       Dir_front.write_reply ~port:t.port op outcome
 
-let handle_read t serve =
+let handle_read t ~dirs:_ serve =
   Sim.Resource.use t.cpu t.params.Params.nfs_cpu_read_ms;
   serve t.store
 

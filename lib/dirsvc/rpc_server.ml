@@ -182,7 +182,7 @@ let handle_write t op =
       in
       attempt 0
 
-let handle_read t serve =
+let handle_read t ~dirs:_ serve =
   Sim.Resource.use t.cpu t.params.Params.cpu_read_ms;
   serve t.store
 

@@ -205,6 +205,8 @@ let info t =
     highest_seen = t.highest_seen;
   }
 
+let held t seqno = Hashtbl.find_opt t.store seqno
+
 let is_sequencer t = t.status = Normal && t.sequencer = t.me
 
 let unicast t ~dst key payload =

@@ -55,6 +55,12 @@ val info : t -> Types.info
 (** Sorted ids of the current view (= [(info t).members]). *)
 val members : t -> int list
 
+(** The ordered entry this member holds at [seqno] — an application
+    payload or a membership change — or [None] while it is not held.
+    Delivered entries stay held, so a caller that consumes deliveries
+    asynchronously can look ahead at what it has yet to apply. *)
+val held : t -> int -> Wire.entry option
+
 (** Deliveries buffered but not yet consumed by [receive]. *)
 val pending_deliveries : t -> int
 

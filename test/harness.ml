@@ -52,16 +52,53 @@ let op_ms_keys metrics =
       if Sim.Metrics.base_key key = "dirsvc.op_ms" then Some key else None)
     (Sim.Metrics.histograms metrics)
 
-(* Run [f client] on a fresh client fiber of [cluster], advancing the
-   clock by exactly [budget] simulated ms; fail the test if the fiber
-   has not completed by then. *)
-let on_client ?(budget = 60_000.0) cluster f =
-  let module C = Dirsvc.Cluster in
-  let client = C.client cluster in
+(* Boot [f] on [client]'s machine without running the engine; the
+   returned cell holds its result once the caller has run the clock far
+   enough. *)
+let start_on cluster client f =
   let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
   let result = ref None in
-  Sim.Proc.boot (C.engine cluster) node (fun () -> result := Some (f client));
+  Sim.Proc.boot (Dirsvc.Cluster.engine cluster) node (fun () ->
+      result := Some (f ()));
+  result
+
+(* Run [f client] on a client fiber (a fresh client unless [client] is
+   given) of [cluster], advancing the clock by exactly [budget]
+   simulated ms; fail the test if the fiber has not completed by then. *)
+let on_client ?(budget = 60_000.0) ?client cluster f =
+  let module C = Dirsvc.Cluster in
+  let client = match client with Some c -> c | None -> C.client cluster in
+  let result = start_on cluster client (fun () -> f client) in
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. budget);
   match !result with
   | Some v -> v
   | None -> Alcotest.fail "client fiber did not complete"
+
+(* A client whose port cache leads with replica [server]: fresh clients
+   run [probe] (its failures ignored) until one has located that
+   replica first. With [max_attempts = 1] in [rpc_config] its requests
+   then go to that replica only. *)
+let client_at ?rpc_config ?(tries = 12) cluster ~server probe =
+  let module C = Dirsvc.Cluster in
+  let rec find tries =
+    if tries = 0 then Alcotest.failf "no client cached server %d" server
+    else begin
+      let client = C.client ?rpc_config cluster in
+      ignore (start_on cluster client (fun () -> try probe client with _ -> ()));
+      C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 500.0);
+      match
+        Rpc.Transport.cached_servers
+          (Dirsvc.Client.transport client)
+          ~port:(C.port cluster)
+      with
+      | first :: _ when first = server -> client
+      | _ -> find (tries - 1)
+    end
+  in
+  find tries
+
+(* [timed f] is [f ()] paired with the simulated ms it took. *)
+let timed f =
+  let started = Sim.Proc.now () in
+  let v = f () in
+  (v, Sim.Proc.now () -. started)

@@ -1,6 +1,7 @@
 (* End-to-end tests of the directory service deployments: operation
    semantics over the wire, cross-server consistency, majority refusal,
-   NVRAM behaviour, and the RPC baseline's known weaknesses. *)
+   NVRAM behaviour, the group server's per-directory read gate, and the
+   RPC baseline's known weaknesses. *)
 
 module C = Dirsvc.Cluster
 
@@ -343,6 +344,147 @@ let test_group_applied_log_replays () =
       | Error detail -> Alcotest.failf "server %d replay: %s" sid detail)
     [ 1; 2; 3 ]
 
+(* ---- The per-directory read gate ----------------------------------- *)
+
+(* A read waits only for the buffered updates to the directories it
+   names. Each case starts an update on one client and, [delay] ms later
+   (ordered everywhere by then, but the 2 x 40 ms flush still under
+   way), a read on another; both clients have located a server before.
+   [race] returns the read's result, its latency and whether the update
+   was still unacknowledged when the read returned. *)
+let race ?(delay = 15.0) cluster ~writer ~reader ~write ~read =
+  let write_done = Harness.start_on cluster writer (fun () -> write writer) in
+  let read_done =
+    Harness.start_on cluster reader (fun () ->
+        Sim.Proc.sleep delay;
+        let outcome = Harness.timed (fun () -> read reader) in
+        (outcome, !write_done = None))
+  in
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 5_000.0);
+  match (!read_done, !write_done) with
+  | Some ((v, latency), overlapped), Some () -> (v, latency, overlapped)
+  | _ -> Alcotest.fail "race did not complete"
+
+(* Directories D (row "d") and E (empty), and two clients that have
+   located a server. *)
+let gate_setup seed =
+  let cluster = boot ~seed C.Group_disk in
+  let writer = C.client cluster and reader = C.client cluster in
+  let d, e =
+    Harness.on_client ~client:writer cluster (fun client ->
+        let d = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+        let e = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+        Dirsvc.Client.append_row client d ~name:"d" [ d ];
+        (d, e))
+  in
+  Harness.on_client ~client:reader cluster (fun client ->
+      ignore (Dirsvc.Client.lookup client d "d"));
+  (cluster, writer, reader, d, e)
+
+let disk_write_ms = Dirsvc.Params.default.disk_write_ms
+
+(* (a) The replica answering a lookup of D is flushing an update to E:
+   the lookup no longer waits for that flush. *)
+let test_gate_other_dir_flush () =
+  let cluster, writer, reader, d, e = gate_setup 61L in
+  let found, latency, overlapped =
+    race cluster ~writer ~reader
+      ~write:(fun c -> Dirsvc.Client.append_row c e ~name:"e" [ e ])
+      ~read:(fun c -> Dirsvc.Client.lookup c d "d")
+  in
+  Alcotest.(check bool) "D's row found" true (found <> None);
+  Alcotest.(check bool) "returned while E's update was still flushing" true
+    overlapped;
+  if latency >= disk_write_ms then
+    Alcotest.failf "lookup of D took %.1f ms behind E's flush" latency
+
+(* (b) A lookup racing the flush of an update to the same directory
+   still waits for it and sees the new row. *)
+let test_gate_same_dir_flush () =
+  let cluster, writer, reader, d, _ = gate_setup 62L in
+  let found, latency, _ =
+    race cluster ~writer ~reader
+      ~write:(fun c -> Dirsvc.Client.append_row c d ~name:"x" [ d ])
+      ~read:(fun c -> Dirsvc.Client.lookup c d "x")
+  in
+  Alcotest.(check bool) "new row visible" true (found <> None);
+  Alcotest.(check bool) "waited for the flush" true (latency > disk_write_ms)
+
+(* (c) A lookup set over D and E waits when only E has a buffered
+   update. *)
+let test_gate_lookup_set () =
+  let cluster, writer, reader, d, e = gate_setup 63L in
+  let found, latency, _ =
+    race cluster ~writer ~reader
+      ~write:(fun c -> Dirsvc.Client.append_row c e ~name:"e" [ e ])
+      ~read:(fun c -> Dirsvc.Client.lookup_set c [ (d, "d"); (e, "e") ])
+  in
+  Alcotest.(check (list bool)) "both rows found" [ true; true ]
+    (List.map Option.is_some found);
+  Alcotest.(check bool) "waited for E's flush" true (latency > disk_write_ms)
+
+(* (d) A read of a directory whose Create_dir is still buffered at the
+   replica falls back to the full wait. Replica 2's disk is kept busy,
+   so it lags: it is still flushing an update to E, with the Create_dir
+   queued behind it, when the reader pinned to it asks for the new
+   directory (whose capability came back from replica 1). *)
+let test_gate_unknown_dir () =
+  let cluster = boot ~seed:64L C.Group_disk in
+  let d, e =
+    Harness.on_client cluster (fun client ->
+        let d = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+        let e = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+        (d, e))
+  in
+  let warm client = ignore (Dirsvc.Client.lookup client d "d") in
+  let pinned =
+    { Rpc.Transport.default_config with max_attempts = 1; trans_timeout = 3_000.0 }
+  in
+  let reader = Harness.client_at ~rpc_config:pinned cluster ~server:2 warm in
+  let creator = Harness.client_at ~rpc_config:pinned cluster ~server:1 warm in
+  let writer = C.client cluster in
+  (* Four writes of the last (unused) block, rewriting its contents,
+     queued on replica 2's disk ahead of the update to E. *)
+  let disk2 = C.device cluster 2 in
+  let last = Storage.Block_device.blocks disk2 - 1 in
+  for _ = 1 to 4 do
+    ignore
+      (Harness.start_on cluster writer (fun () ->
+           Storage.Block_device.write disk2 last
+             (Storage.Block_device.peek disk2 last)))
+  done;
+  ignore
+    (Harness.start_on cluster writer (fun () ->
+         Dirsvc.Client.append_row writer e ~name:"e" [ e ]));
+  let created =
+    Harness.start_on cluster creator (fun () ->
+        Sim.Proc.sleep 5.0;
+        Dirsvc.Client.create_dir creator ~columns:[ "owner" ])
+  in
+  let listed =
+    Harness.start_on cluster reader (fun () ->
+        let rec cap () =
+          match !created with
+          | Some cap -> cap
+          | None ->
+              Sim.Proc.sleep 1.0;
+              cap ()
+        in
+        let cap = cap () in
+        let store2 = List.assoc 2 (C.store_snapshots cluster) in
+        let buffered = not (Dirsvc.Directory.Store.mem cap.Capability.obj store2) in
+        (buffered, Harness.timed (fun () -> Dirsvc.Client.list_dir reader cap)))
+  in
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 5_000.0);
+  match !listed with
+  | None -> Alcotest.fail "read did not complete"
+  | Some (buffered, (listing, latency)) ->
+      Alcotest.(check bool) "create still buffered at replica 2" true buffered;
+      Alcotest.(check int) "new directory found, empty" 0
+        (List.length listing.Dirsvc.Directory.entries);
+      Alcotest.(check bool) "waited for the create" true
+        (latency > disk_write_ms)
+
 let random_ops_converge_property =
   QCheck.Test.make ~name:"random multi-client traffic converges (group)"
     ~count:6
@@ -395,6 +537,14 @@ let suite =
     tc "rpc pair: diverges under partition" `Quick
       test_rpc_pair_diverges_under_partition;
     tc "applied log replays to live store" `Quick test_group_applied_log_replays;
+    tc "read gate: lookup skips another directory's flush" `Quick
+      test_gate_other_dir_flush;
+    tc "read gate: lookup waits for its directory's flush" `Quick
+      test_gate_same_dir_flush;
+    tc "read gate: lookup set waits for any directory it names" `Quick
+      test_gate_lookup_set;
+    tc "read gate: unknown directory falls back to the full wait" `Quick
+      test_gate_unknown_dir;
     QCheck_alcotest.to_alcotest random_ops_converge_property;
   ]
 

@@ -379,28 +379,8 @@ let test_uncommitted_suffix_discarded () =
     { Rpc.Transport.default_config with max_attempts = 1; trans_timeout = 300.0 }
   in
   let client_at_1 =
-    let rec find tries =
-      if tries = 0 then Alcotest.fail "no client cached server 1"
-      else begin
-        let client = C.client ~rpc_config:one_shot cluster in
-        let probe = ref false in
-        Sim.Proc.boot (C.engine cluster)
-          (Rpc.Transport.node (Dirsvc.Client.transport client))
-          (fun () ->
-            (try ignore (Dirsvc.Client.lookup client cap "warm") with _ -> ());
-            probe := true);
-        advance cluster 500.0;
-        ignore !probe;
-        match
-          Rpc.Transport.cached_servers
-            (Dirsvc.Client.transport client)
-            ~port:(C.port cluster)
-        with
-        | 1 :: _ -> client
-        | _ -> find (tries - 1)
-      end
-    in
-    find 12
+    Harness.client_at ~rpc_config:one_shot cluster ~server:1 (fun client ->
+        ignore (Dirsvc.Client.lookup client cap "warm"))
   in
   (* Drop every group data packet server 1 sends: the ghost update will
      be applied (and disk-committed) only at server 1. *)
@@ -629,4 +609,99 @@ let suite =
   @ [
       Alcotest.test_case "NVRAM group commit survives a crash at the ack"
         `Quick test_nvram_group_commit_crash;
+    ]
+
+(* A replica rejoining behind a backlog of updates to one directory
+   answers reads of the other directories at once. The backlog builds
+   while the rejoiner rewrites its whole disk image — one Bullet file
+   per directory, [n_dirs] of them — as writers keep updating directory
+   E; afterwards it applies the backlog at the same disk-bound rate the
+   writers add to it, so it stays seconds behind. A reader pinned to it
+   reads other directories: each read must come back within one disk
+   write, not after the backlog (which used to take longer than the
+   4 s catch-up timeout). *)
+let test_rejoin_reads_skip_backlog () =
+  let cluster = boot ~seed:71L C.Group_disk in
+  let n_dirs = 120 in
+  let dirs, e =
+    Harness.on_client ~budget:120_000.0 cluster (fun client ->
+        let dirs =
+          List.init n_dirs (fun _ ->
+              retrying (fun () ->
+                  Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
+        in
+        let read_dirs = List.filteri (fun i _ -> i < 5) dirs in
+        List.iter
+          (fun cap ->
+            retrying (fun () ->
+                Dirsvc.Client.append_row client cap ~name:"row" [ cap ]))
+          read_dirs;
+        (read_dirs, List.nth dirs (n_dirs - 1)))
+  in
+  let pinned =
+    { Rpc.Transport.default_config with max_attempts = 1; trans_timeout = 6_000.0 }
+  in
+  let reader =
+    Harness.client_at ~rpc_config:pinned cluster ~server:3 (fun client ->
+        ignore (Dirsvc.Client.lookup client (List.hd dirs) "row"))
+  in
+  C.crash_server cluster 3;
+  advance cluster 500.0;
+  (* Writers append and delete their own row of E until told to stop,
+     riding out refusals and failovers. *)
+  let stop = ref false in
+  List.iter
+    (fun w ->
+      let writer = C.client cluster in
+      let name = Printf.sprintf "w%d" w in
+      ignore
+        (Harness.start_on cluster writer (fun () ->
+             while not !stop do
+               try
+                 Dirsvc.Client.append_row writer e ~name [ e ];
+                 Dirsvc.Client.delete_row writer e ~name
+               with Dirsvc.Wire.Dir_error _ | Rpc.Transport.Rpc_failure _ ->
+                 Sim.Proc.sleep 50.0
+             done)))
+    [ 1; 2; 3 ];
+  advance cluster 1_000.0;
+  C.restart_server cluster 3;
+  Alcotest.(check bool) "server 3 serving again" true
+    (C.await_serving ~timeout:30_000.0 cluster ~count:3);
+  let useq sid = Dirsvc.Group_server.useq (C.group_server cluster sid) in
+  let reads =
+    Harness.start_on cluster reader (fun () ->
+        let outcomes =
+          List.map
+            (fun cap ->
+              Harness.timed (fun () ->
+                  match Dirsvc.Client.lookup reader cap "row" with
+                  | Some _ -> Ok ()
+                  | None -> Error "row missing"
+                  | exception Dirsvc.Wire.Dir_error err ->
+                      Error (Dirsvc.Wire.service_error_to_string err)))
+            dirs
+        in
+        (outcomes, useq 3 < useq 1))
+  in
+  advance cluster 30_000.0;
+  stop := true;
+  match !reads with
+  | None -> Alcotest.fail "reads did not complete"
+  | Some (outcomes, behind) ->
+      Alcotest.(check bool) "server 3 still behind after the reads" true behind;
+      List.iter
+        (fun (outcome, latency) ->
+          match outcome with
+          | Error why -> Alcotest.failf "read on server 3 failed: %s" why
+          | Ok () when latency >= Dirsvc.Params.default.disk_write_ms ->
+              Alcotest.failf "read on server 3 took %.1f ms" latency
+          | Ok () -> ())
+        outcomes
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "rejoined replica reads skip its backlog" `Quick
+        test_rejoin_reads_skip_backlog;
     ]

@@ -242,6 +242,62 @@ let test_coordinator_crash_recovery () =
       Alcotest.(check bool) "subsequent move unaffected" true
         (Dirsvc.Client.lookup client dir_b "s" <> None))
 
+(* The read gate's fallback for cross-shard commits: a commit applies
+   whatever its prepare staged, so while one is buffered every read on
+   that shard waits for it — here a lookup of a directory the move
+   does not touch, issued while the destination shard flushes the
+   commit. *)
+let test_xcommit_blocks_reads () =
+  let params = { Dirsvc.Params.default with shards = 2 } in
+  let cluster = boot ~seed:26L ~params C.Group_disk in
+  let coordinator = C.client cluster and reader = C.client cluster in
+  let create client shard =
+    with_unavailable_retry (fun () ->
+        Dirsvc.Client.create_dir
+          ~placement:(placement_for ~shards:2 shard)
+          client ~columns:[ "owner" ])
+  in
+  let src, dst, other =
+    Harness.on_client ~client:coordinator cluster (fun client ->
+        let src = create client 0 in
+        let dst = create client 1 in
+        let other = create client 1 in
+        Dirsvc.Client.append_row client src ~name:"moved" [ src ];
+        Dirsvc.Client.append_row client other ~name:"still" [ other ];
+        (src, dst, other))
+  in
+  Harness.on_client ~client:reader cluster (fun client ->
+      ignore (Dirsvc.Client.lookup client other "still"));
+  (* The destination's commit is sent as soon as the source's returns. *)
+  let src_committed = ref false in
+  let moved =
+    Harness.start_on cluster coordinator (fun () ->
+        Dirsvc.Client.move_row coordinator ~src ~dst ~name:"moved"
+          ~hook:(fun step -> if step = "committed_src" then src_committed := true))
+  in
+  let read =
+    Harness.start_on cluster reader (fun () ->
+        while not !src_committed do
+          Sim.Proc.sleep 1.0
+        done;
+        Sim.Proc.sleep 15.0;
+        let pending = !moved = None in
+        let found, latency =
+          Harness.timed (fun () -> Dirsvc.Client.lookup reader other "still")
+        in
+        (found, latency, pending))
+  in
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 10_000.0);
+  match (!read, !moved) with
+  | Some (found, latency, pending), Some () ->
+      Alcotest.(check bool) "unrelated row found" true (found <> None);
+      Alcotest.(check bool) "read issued before the move completed" true
+        pending;
+      if latency <= Dirsvc.Params.default.disk_write_ms then
+        Alcotest.failf "lookup took %.1f ms: it did not wait for the commit"
+          latency
+  | _ -> Alcotest.fail "move or read did not complete"
+
 (* The shard of every "lookup" op served, sorted: a server's node id
    is 500 * shard + server id. *)
 let lookup_shards events =
@@ -328,6 +384,8 @@ let suite =
     tc "stale port cache after shard view change" `Quick test_stale_port_cache;
     tc "coordinator crash: resolver terminates the move" `Quick
       test_coordinator_crash_recovery;
+    tc "buffered cross-shard commit makes every read wait" `Quick
+      test_xcommit_blocks_reads;
     tc "lookup set scatters over two shards" `Quick test_lookup_set_two_shards;
     tc "lookup set on one shard is one request" `Quick
       test_lookup_set_one_shard;
