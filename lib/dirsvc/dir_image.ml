@@ -30,39 +30,32 @@ let create_file t data =
   in
   go 8
 
-let delete_file t cap =
-  try Storage.Bullet.delete t.transport ~port:t.bullet_port cap
-  with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ()
-
-(* Off the critical path, per Fig. 5's "remove old Bullet files". *)
+(* Off the critical path, per Fig. 5's "remove old Bullet files". The
+   Bullet server may be down or the file already gone; either way the
+   file is no longer named, so a failure is ignored. *)
 let retire t = function
-  | Some cap -> Sim.Proc.spawn ~name:"retire-file" (fun () -> delete_file t cap)
+  | Some cap ->
+      Sim.Proc.spawn ~name:"retire-file" (fun () ->
+          try Storage.Bullet.delete t.transport ~port:t.bullet_port cap
+          with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ())
   | None -> ()
 
-let write t dir_id dir =
-  let cap = create_file t (Directory.encode_dir dir) in
-  Storage.Object_table.write_entry t.table ~dir_id
-    { Storage.Object_table.file_cap = cap; seqno = dir.Directory.seqno };
-  let old = Directory.Store.find_opt dir_id t.files in
-  t.files <- Directory.Store.add dir_id cap t.files;
-  old
-
-let clear_entry t dir_id = Storage.Object_table.clear_entry t.table ~dir_id
-
 let persist t ~deleted store dir_id =
-  match Directory.Store.find_opt dir_id store with
-  | Some dir -> retire t (write t dir_id dir)
-  | None ->
-      clear_entry t dir_id;
-      deleted ();
-      let old = Directory.Store.find_opt dir_id t.files in
-      t.files <- Directory.Store.remove dir_id t.files;
-      retire t old
-
-let take_files t =
-  let files = t.files in
-  t.files <- Directory.Store.empty;
-  files
+  let file =
+    match Directory.Store.find_opt dir_id store with
+    | Some dir ->
+        let cap = create_file t (Directory.encode_dir dir) in
+        Storage.Object_table.write_entry t.table ~dir_id
+          { Storage.Object_table.file_cap = cap; seqno = dir.Directory.seqno };
+        Some cap
+    | None ->
+        Storage.Object_table.clear_entry t.table ~dir_id;
+        deleted ();
+        None
+  in
+  let old = Directory.Store.find_opt dir_id t.files in
+  t.files <- Directory.Store.update dir_id (fun _ -> file) t.files;
+  retire t old
 
 let load t ~lost =
   List.fold_left

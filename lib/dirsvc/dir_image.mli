@@ -29,18 +29,3 @@ val persist :
     boot. A file that cannot be read is skipped and reported to
     [lost]. *)
 val load : t -> lost:(Directory.dir_id -> unit) -> Directory.store
-
-(** Primitives for rewriting a whole image (recovery): *)
-
-(** [write t dir_id dir] stores [dir] in a new file and commits its
-    entry; returns the file it replaced, which is not deleted. *)
-val write : t -> Directory.dir_id -> Directory.dir -> Capability.t option
-
-val clear_entry : t -> Directory.dir_id -> unit
-
-(** Forget every file of the image, returning them (dir -> file). *)
-val take_files : t -> Capability.t Directory.Store.t
-
-(** Delete one file now, ignoring a failed or unreachable Bullet
-    server. *)
-val delete_file : t -> Capability.t -> unit

@@ -560,39 +560,10 @@ let admin_handler t ~client:_ body =
          store + watermark form a consistent cut. *)
       if not (await_applied t (fun () -> t.gprocessed >= required)) then
         Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "fetch quiesce timeout"))
-      else begin
-        (* Incremental transfer: only directories whose seqno differs
-           from the requester's inventory travel; the donor's state is
-           authoritative, so a mismatch in either direction resends. *)
-        let inventory = Hashtbl.create 32 in
-        List.iter
-          (fun (dir_id, seqno, digest) ->
-            Hashtbl.replace inventory dir_id (seqno, digest))
-          have;
-        let changed =
-          Directory.Store.filter
-            (fun dir_id dir ->
-              match Hashtbl.find_opt inventory dir_id with
-              | Some (seqno, digest) ->
-                  seqno <> dir.Directory.seqno
-                  || not (Int64.equal digest (Directory.digest dir))
-              | None -> true)
-            t.store
-        in
-        let deleted =
-          List.filter_map
-            (fun (dir_id, _, _) ->
-              if Directory.Store.mem dir_id t.store then None else Some dir_id)
-            have
-        in
+      else
+        let changed, deleted = Wire.delta t.store ~have in
         Wire.Fetch_state_rep
-          {
-            changed = Wire.encode_store changed;
-            deleted;
-            useq = t.useq;
-            watermark = t.gprocessed;
-          }
-      end
+          { changed; deleted; useq = t.useq; watermark = t.gprocessed }
   | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad admin request"))
 
 (* ---- Boot-time state loading ---------------------------------------- *)
@@ -711,46 +682,55 @@ let exchange_with_peers t member_nodes =
   in
   mine :: others
 
+(* Adopt the donor's state: only the directories that differ from our
+   inventory travel (an already-identical store costs almost nothing).
+   Returns the ids of the directories the transfer changed and deleted. *)
 let fetch_state_from t ~donor_node ~join_base =
-  let have =
-    Directory.Store.fold
-      (fun dir_id dir acc ->
-        (dir_id, dir.Directory.seqno, Directory.digest dir) :: acc)
-      t.store []
-  in
   match
     Rpc.Transport.trans t.transport ~port:(admin_port donor_node)
       ~timeout:3000.0
-      (Wire.Fetch_state_req { required = join_base; have })
+      (Wire.Fetch_state_req { required = join_base; have = Wire.inventory t.store })
   with
   | Wire.Fetch_state_rep { changed; deleted; useq; watermark } ->
-      let changed = Wire.decode_store changed in
-      let merged =
-        Directory.Store.union (fun _ donor_dir _mine -> Some donor_dir) changed
-          (List.fold_left
-             (fun store dir_id -> Directory.Store.remove dir_id store)
-             t.store deleted)
-      in
-      Some (merged, useq, watermark)
+      let store, changed = Wire.install t.store ~changed ~deleted in
+      t.store <- store;
+      t.useq <- useq;
+      t.gprocessed <- max watermark join_base;
+      t.op_log <- [];
+      Some (changed, deleted)
   | _ | (exception Rpc.Transport.Rpc_failure _) -> None
 
-(* Rewrite our whole disk image from the fetched store. Recovery-time
-   I/O; not on any client's critical path. *)
-let reinstall_disk_state t =
-  let old_files = Dir_image.take_files t.image in
-  (* Clear slots that no longer exist. *)
-  Directory.Store.iter
-    (fun dir_id _ ->
-      if not (Directory.Store.mem dir_id t.store) then
-        Dir_image.clear_entry t.image dir_id)
-    old_files;
-  Directory.Store.iter
-    (fun dir_id dir -> ignore (Dir_image.write t.image dir_id dir))
-    t.store;
-  Directory.Store.iter (fun _ cap -> Dir_image.delete_file t.image cap) old_files;
-  match t.nvram with
-  | None -> ()
-  | Some nv -> ignore (Storage.Nvram.take_all nv)
+(* Make the stable copy match the adopted store. A directory's copy is
+   stale only if the transfer changed or deleted it, or if its latest
+   state lived only in a log — the commit block's ([dirty] names every
+   directory [glog] and [pending] touch) or the NVRAM's — which the
+   transfer supersedes, so the logs are dropped.
+   Each goes through [Dir_image.persist] with no block-0 write: the
+   recovering flag stays set until [run_recovery]'s final block-0
+   write, which records the donor's seqno and an empty log. *)
+let reinstall_disk_state t ~changed ~deleted =
+  let started = Sim.Proc.now () in
+  let logged =
+    List.sort_uniq compare
+      (Hashtbl.fold (fun d () acc -> d :: acc) t.dirty
+         (match t.nvram with
+         | Some nv -> List.map (fun r -> r.dir_id) (Storage.Nvram.take_all nv)
+         | None -> []))
+  in
+  t.pending <- [];
+  t.glog <- [];
+  Hashtbl.reset t.dirty;
+  let rewritten = List.sort_uniq compare (changed @ deleted @ logged) in
+  List.iter (Dir_image.persist t.image ~deleted:ignore t.store) rewritten;
+  emit t ~name:"reinstalled" (fun () ->
+      [
+        ("server", Sim.Trace.Int t.server_id);
+        ("changed", Sim.Trace.Int (List.length changed));
+        ("deleted", Sim.Trace.Int (List.length deleted));
+        ("logged", Sim.Trace.Int (List.length logged));
+        ("rewritten", Sim.Trace.Int (List.length rewritten));
+        ("ms", Sim.Trace.Float (Sim.Proc.now () -. started));
+      ])
 
 let all_server_ids t = List.map fst t.peers
 
@@ -833,19 +813,14 @@ let rec run_recovery t ~attempt =
               (* Always adopt the donor's state, even when our own
                  sequence number is equal or higher: a rebooted server
                  may carry an uncommitted suffix that must be
-                 discarded. The transfer is incremental, so an
-                 already-identical store costs almost nothing. *)
+                 discarded. *)
               let donor_node = List.assoc donor t.peers in
               (* Mark recovery in progress: a crash between here and the
                  final commit-block write leaves mixed state behind. *)
               write_commit_block t ~recovering:true;
               match fetch_state_from t ~donor_node ~join_base with
-              | Some (store, useq, watermark) ->
-                  t.store <- store;
-                  t.useq <- useq;
-                  t.gprocessed <- max watermark join_base;
-                  t.op_log <- [];
-                  reinstall_disk_state t;
+              | Some (changed, deleted) ->
+                  reinstall_disk_state t ~changed ~deleted;
                   true
               | None -> false
             end

@@ -189,22 +189,26 @@ let handle_read t ~dirs:_ serve =
 let admin_handler t ~client:_ body =
   match body with
   | Wire.Intend_req { op } -> handle_intend t op
-  | Wire.Pull_state_req -> Wire.Pull_state_rep { state = Wire.encode_store t.store }
+  | Wire.Fetch_state_req { have; _ } ->
+      let changed, deleted = Wire.delta t.store ~have in
+      Wire.Fetch_state_rep { changed; deleted; useq = t.useq; watermark = 0 }
   | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))
 
+(* Catch up from the peer when it is reachable (restart path): only the
+   directories that differ from the disk image travel, and only those
+   are queued for a lazy rewrite. *)
 let load_disk_state t =
   t.store <- Dir_image.load t.image ~lost:ignore;
-  (* Catch up from the peer when it is reachable (restart path). *)
   match
     Rpc.Transport.trans t.transport
       ~port:(Printf.sprintf "dirx@%d" t.peer_node)
-      ~timeout:100.0 Wire.Pull_state_req
+      ~timeout:100.0
+      (Wire.Fetch_state_req { required = 0; have = Wire.inventory t.store })
   with
-  | Wire.Pull_state_rep { state } ->
-      t.store <- Wire.decode_store state;
-      Directory.Store.iter
-        (fun dir_id _ -> t.lazy_queue <- t.lazy_queue @ [ dir_id ])
-        t.store;
+  | Wire.Fetch_state_rep { changed; deleted; _ } ->
+      let store, changed = Wire.install t.store ~changed ~deleted in
+      t.store <- store;
+      t.lazy_queue <- t.lazy_queue @ changed @ deleted;
       Sim.Condvar.broadcast t.lazy_kick
   | _ | (exception Rpc.Transport.Rpc_failure _) -> ()
 

@@ -88,30 +88,53 @@ type Simnet.Payload.t +=
   | Intend_req of { op : Directory.op }
   | Intend_ok
   | Intend_busy
-  | Pull_state_req
-  | Pull_state_rep of { state : string }
 
 let encode_store store =
   let w = Storage.Codec.Writer.create () in
-  let entries = Directory.Store.bindings store in
   Storage.Codec.Writer.list w
     (fun w (dir_id, dir) ->
       Storage.Codec.Writer.u32 w dir_id;
       Storage.Codec.Writer.string w (Directory.encode_dir dir))
-    entries;
+    (Directory.Store.bindings store);
   Bytes.to_string (Storage.Codec.Writer.contents w)
 
-let decode_store data =
+(* The (dir id, dir) entries [encode_store] wrote, in id order. *)
+let decode_entries data =
   let r = Storage.Codec.Reader.of_bytes (Bytes.of_string data) in
-  let entries =
-    Storage.Codec.Reader.list r (fun r ->
-        let dir_id = Storage.Codec.Reader.u32 r in
-        let dir = Directory.decode_dir (Storage.Codec.Reader.string r) in
-        (dir_id, dir))
+  Storage.Codec.Reader.list r (fun r ->
+      let dir_id = Storage.Codec.Reader.u32 r in
+      (dir_id, Directory.decode_dir (Storage.Codec.Reader.string r)))
+
+(* Incremental state transfer: the donor's state is authoritative. *)
+let inventory store =
+  Directory.Store.fold
+    (fun dir_id dir acc ->
+      (dir_id, dir.Directory.seqno, Directory.digest dir) :: acc)
+    store []
+
+let delta store ~have =
+  let mine =
+    List.fold_left
+      (fun m (dir_id, seqno, digest) -> Directory.Store.add dir_id (seqno, digest) m)
+      Directory.Store.empty have
   in
-  List.fold_left
-    (fun store (dir_id, dir) -> Directory.Store.add dir_id dir store)
-    Directory.empty entries
+  let differs dir_id dir =
+    Directory.Store.find_opt dir_id mine
+    <> Some (dir.Directory.seqno, Directory.digest dir)
+  in
+  ( encode_store (Directory.Store.filter differs store),
+    List.filter_map
+      (fun (dir_id, _, _) ->
+        if Directory.Store.mem dir_id store then None else Some dir_id)
+      have )
+
+let install store ~changed ~deleted =
+  let changed = decode_entries changed in
+  ( List.fold_left
+      (fun store (dir_id, dir) -> Directory.Store.add dir_id dir store)
+      (List.fold_left (Fun.flip Directory.Store.remove) store deleted)
+      changed,
+    List.map fst changed )
 
 (* Byte codec for operations: the group-commit log in the commit block
    stores encoded ops so a crashed server can replay modifications whose
@@ -260,6 +283,4 @@ let () =
     | Intend_req _ -> Some "dir.intend"
     | Intend_ok -> Some "dir.intend-ok"
     | Intend_busy -> Some "dir.intend-busy"
-    | Pull_state_req -> Some "dir.pull?"
-    | Pull_state_rep _ -> Some "dir.pull"
     | _ -> None)

@@ -1,7 +1,8 @@
 (** Wire messages of the directory service: the client-facing request /
     reply surface (shared by all four implementations), the group
     message that carries an update through the total order, the
-    recovery-time server-to-server exchange, and the RPC baseline's
+    recovery-time server-to-server exchange and state transfer (shared
+    by the group server and the RPC pair), and the RPC baseline's
     intentions protocol. *)
 
 (** Client-visible failures beyond the data-model errors. *)
@@ -81,12 +82,10 @@ type Simnet.Payload.t +=
       have : (int * int * int64) list;
           (** requester's (dir id, seqno, content digest) inventory *)
     }
-      (** recovery: send me what differs from my inventory once you have
-          processed group position [required]. The donor is
-          authoritative: any directory whose seqno {e differs} (not just
-          trails) is resent, and directories absent at the donor are
-          reported deleted — a rebooted requester may hold uncommitted
-          versions that must be discarded. *)
+      (** state transfer, for both replicated services: send me what
+          differs from my inventory (see [delta]) once you have
+          processed group position [required] — 0 for the RPC pair,
+          which has no group positions. *)
   | Fetch_state_rep of {
       changed : string;  (** encoded store of dirs to install/overwrite *)
       deleted : int list;  (** requester's dirs that no longer exist *)
@@ -97,14 +96,27 @@ type Simnet.Payload.t +=
       (** RPC service: store my intention before I commit (paper §1) *)
   | Intend_ok
   | Intend_busy  (** conflicting operation in progress; back off *)
-  | Pull_state_req
-  | Pull_state_rep of { state : string }
 
-(** Codec for whole stores (recovery state transfer). *)
+(** Incremental state transfer ({!Fetch_state_req} / {!Fetch_state_rep}):
+    the joiner sends its [inventory], the donor answers with its
+    [delta], and the joiner [install]s that. *)
 
-val encode_store : Directory.store -> string
+val inventory : Directory.store -> (int * int * int64) list
 
-val decode_store : string -> Directory.store
+(** [delta store ~have]: the encoded directories of [store] whose seqno
+    or digest differs from inventory [have] (or that [have] lacks), and
+    the ids in [have] that [store] no longer holds. The donor is
+    authoritative, so a mismatch in either direction resends: a rebooted
+    requester may hold uncommitted versions that must be discarded. *)
+val delta :
+  Directory.store -> have:(int * int * int64) list -> string * Directory.dir_id list
+
+(** [install store ~changed ~deleted] applies a [delta] to [store]; it
+    returns the new store and the ids of the directories [changed]
+    carried. *)
+val install :
+  Directory.store -> changed:string -> deleted:Directory.dir_id list ->
+  Directory.store * Directory.dir_id list
 
 (** Byte codec for single operations (the commit block's group-commit
     log). Decoding raises {!Storage.Codec.Corrupt} on garbage. *)

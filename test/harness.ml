@@ -102,3 +102,20 @@ let timed f =
   let started = Sim.Proc.now () in
   let v = f () in
   (v, Sim.Proc.now () -. started)
+
+(* Check that server [server]'s object table names exactly the
+   directories of [store], each at its in-core seqno. *)
+let check_object_table cluster ~server store =
+  let module C = Dirsvc.Cluster in
+  let table =
+    Storage.Object_table.attach (C.device cluster server) ~first_block:1
+      ~slots:(C.params cluster).Dirsvc.Params.admin_slots
+  in
+  Alcotest.(check (list (pair int int)))
+    "object table seqnos = in-core seqnos"
+    (List.map
+       (fun (dir_id, dir) -> (dir_id, dir.Dirsvc.Directory.seqno))
+       (Dirsvc.Directory.Store.bindings store))
+    (List.map
+       (fun (dir_id, entry) -> (dir_id, entry.Storage.Object_table.seqno))
+       (Storage.Object_table.scan table))

@@ -61,19 +61,35 @@ let test_degraded_mode_when_peer_down () =
       | None -> Alcotest.fail "degraded write invisible")
 
 let test_restart_pulls_peer_state () =
+  (* Server 2 restarts from its disk image and pulls only what changed
+     at server 1 meanwhile: a row appended and a directory deleted
+     while it was down both reach its store, and its lazily rewritten
+     object table then matches that store. *)
   let cluster = boot_pair ~seed:63L () in
-  let cap =
+  let cap, gone =
     Harness.on_client cluster (fun client ->
         let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+        let gone = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
         Dirsvc.Client.append_row client cap ~name:"kept" [ cap ];
-        cap)
+        (cap, gone))
   in
-  C.reboot_server cluster 2;
+  C.crash_server cluster 2;
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 500.0);
+  Harness.on_client cluster (fun client ->
+      Dirsvc.Client.append_row client cap ~name:"while-down" [ cap ];
+      Dirsvc.Client.delete_dir client gone);
+  C.restart_server cluster 2;
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 3_000.0);
   let store2 = List.assoc 2 (C.store_snapshots cluster) in
-  match Dirsvc.Directory.lookup store2 ~cap ~name:"kept" ~column:0 with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "restarted server did not pull peer state"
+  List.iter
+    (fun name ->
+      match Dirsvc.Directory.lookup store2 ~cap ~name ~column:0 with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.failf "restarted server lacks row %S" name)
+    [ "kept"; "while-down" ];
+  Alcotest.(check bool) "deleted directory gone" false
+    (Dirsvc.Directory.Store.mem gone.Capability.obj store2);
+  Harness.check_object_table cluster ~server:2 store2
 
 (* ---- assorted edge cases ------------------------------------------- *)
 

@@ -217,6 +217,87 @@ let test_sequencer_server_crash () =
     (C.serving_servers cluster);
   check_converged_serving cluster
 
+(* The commit block's group-commit log as a server's block 0 holds it. *)
+let commit_log device =
+  match Storage.Commit_block.decode (Storage.Block_device.peek device 0) with
+  | Some cb -> Dirsvc.Wire.decode_log_records cb.Storage.Commit_block.log
+  | None -> []
+
+let test_transfer_clears_commit_log () =
+  (* Server 3 crashes while its last updates live only in the commit
+     block's log. A state transfer supersedes that log, so the block-0
+     write that ends its recovery must not carry the records back: they
+     may hold a suffix the donor discarded, which a later reboot would
+     replay. *)
+  let params = { Dirsvc.Params.default with batch_max = 8 } in
+  let cluster = boot ~seed:38L ~params C.Group_disk in
+  let caps =
+    Harness.on_client cluster (fun client ->
+        List.init 6 (fun _ ->
+            retrying (fun () ->
+                Dirsvc.Client.create_dir client ~columns:[ "owner" ])))
+  in
+  let device = C.device cluster 3 in
+  (* Within the 150 ms idle-persist window of the last append. *)
+  Harness.on_client ~budget:2_000.0 cluster (fun client ->
+      List.iter
+        (fun cap ->
+          retrying (fun () ->
+              Dirsvc.Client.append_row client cap ~name:"first" [ cap ]))
+        caps;
+      C.crash_server cluster 3);
+  Alcotest.(check bool) "crashed with a non-empty log" true
+    (commit_log device <> []);
+  Harness.on_client cluster (fun client ->
+      List.iter
+        (fun cap ->
+          retrying (fun () ->
+              Dirsvc.Client.append_row client cap ~name:"second" [ cap ]))
+        caps);
+  C.restart_server cluster 3;
+  Alcotest.(check bool) "server 3 back" true
+    (C.await_serving ~timeout:15_000.0 cluster ~count:3);
+  advance cluster 100.0;
+  Alcotest.(check int) "no log records after the transfer" 0
+    (List.length (commit_log device));
+  check_converged_serving cluster
+
+let test_rejoin_rewrites_changes flavor () =
+  (* A rejoining replica rewrites only the directories that changed
+     while it was down, not its whole image, and its object table then
+     matches its store exactly. *)
+  let cluster = boot ~seed:39L flavor in
+  let caps =
+    Harness.on_client cluster (fun client ->
+        List.init 40 (fun _ ->
+            retrying (fun () ->
+                Dirsvc.Client.create_dir client ~columns:[ "owner" ])))
+  in
+  advance cluster 1_000.0;
+  C.crash_server cluster 3;
+  advance cluster 500.0;
+  let gone = List.nth caps 1 in
+  Harness.on_client cluster (fun client ->
+      let cap = List.hd caps in
+      retrying (fun () ->
+          Dirsvc.Client.append_row client cap ~name:"while-down" [ cap ]);
+      retrying (fun () -> Dirsvc.Client.delete_dir client gone));
+  let device = C.device cluster 3 in
+  let before = Storage.Block_device.writes_completed device in
+  C.restart_server cluster 3;
+  Alcotest.(check bool) "server 3 back" true
+    (C.await_serving ~timeout:15_000.0 cluster ~count:3);
+  let written = Storage.Block_device.writes_completed device - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "rejoin wrote %d blocks (at most 8)" written)
+    true (written <= 8);
+  advance cluster 1_000.0;
+  check_converged_serving cluster;
+  let store = List.assoc 3 (C.store_snapshots cluster) in
+  Alcotest.(check bool) "deleted directory gone" false
+    (Dirsvc.Directory.Store.mem gone.Capability.obj store);
+  Harness.check_object_table cluster ~server:3 store
+
 let crash_storm_property =
   (* Random single-server crash/restart schedules interleaved with
      writes: all serving replicas converge and no acknowledged write on
@@ -266,6 +347,12 @@ let suite =
     tc "full cluster reboot durability" `Quick test_full_cluster_reboot_durability;
     tc "nvram survives crash" `Quick test_nvram_survives_crash;
     tc "sequencer-hosting server crash" `Quick test_sequencer_server_crash;
+    tc "state transfer clears the commit-block log" `Quick
+      test_transfer_clears_commit_log;
+    tc "rejoin rewrites only what changed (disk)" `Quick
+      (test_rejoin_rewrites_changes C.Group_disk);
+    tc "rejoin rewrites only what changed (nvram)" `Quick
+      (test_rejoin_rewrites_changes C.Group_nvram);
     QCheck_alcotest.to_alcotest crash_storm_property;
   ]
 

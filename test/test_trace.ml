@@ -201,7 +201,7 @@ let test_scaled_digest_golden () =
   in
   let engine = Dirsvc.Cluster.engine cluster in
   Alcotest.(check string) "pinned trace digest"
-    "010802abb59b75a27c6ae5e294cc7d6d"
+    "12fa1b1d1dcb27a5554b0421d14af813"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
   Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
   Alcotest.(check int) "pinned event count" 10_823
