@@ -5,7 +5,7 @@ type server_slot = {
   bullet_node : Sim.Node.t option;
   device : Storage.Block_device.t;
   intent_device : Storage.Block_device.t option;
-  nvram : Group_server.nvram option;
+  nvram : Storage.Block_device.t option; (* Group_nvram's commit block *)
   mutable group_server : Group_server.t option;
   mutable rpc_server : Rpc_server.t option;
   mutable nfs_server : Nfs_server.t option;
@@ -55,8 +55,6 @@ let n_servers t = Array.length t.shard_arr.(0).slots
 
 let total_servers t =
   Array.fold_left (fun acc sh -> acc + Array.length sh.slots) 0 t.shard_arr
-
-let shard_port t k = t.shard_arr.(k).sport
 
 let run_until t time = Sim.Engine.run ~until:time t.engine
 
@@ -163,9 +161,9 @@ let make_slots ~engine ~metrics ~params ~flavor ~shard_index n =
         match flavor with
         | Group_nvram ->
             Some
-              (Storage.Nvram.create ~engine
-                 ~capacity:params.Params.nvram_capacity
-                 ~size_of:Group_server.log_record_size
+              (Storage.Block_device.create engine ~name:(prefixed "nvram")
+                 ~blocks:1 ~block_size:params.Params.nvram_capacity
+                 ~read_ms:params.Params.nvram_write_ms
                  ~write_ms:params.Params.nvram_write_ms ())
         | Group_disk | Rpc_pair | Nfs_single -> None
       in
@@ -325,6 +323,10 @@ let total_serving t =
     0 t.shard_arr
 
 let device t server_id = t.shard_arr.(0).slots.(server_id - 1).device
+
+let commit_device t server_id =
+  let slot = t.shard_arr.(0).slots.(server_id - 1) in
+  Option.value slot.nvram ~default:slot.device
 
 (* Event-driven replacement for a 20 ms chunked poller: each serving
    transition stops the engine via [set_serving_watch]; we then drain to

@@ -51,11 +51,6 @@ val shards : t -> int
 (** Directory servers across every shard ([shards * n_servers]). *)
 val total_servers : t -> int
 
-(** Service port of shard [k]: ["dirsvc"] for a single group,
-    ["dirsvc<k>"] when sharded. Capabilities embed it, so its length
-    sets the size of every directory's encoding. *)
-val shard_port : t -> int -> string
-
 (** Run the simulation clock forward (absolute target time). *)
 val run_until : t -> float -> unit
 
@@ -100,6 +95,10 @@ val serving_servers : t -> int list
 val serving_servers_in : t -> shard:int -> int list
 
 val device : t -> int -> Storage.Block_device.t
+
+(** The device holding server [i]'s commit block (shard 0): its NVRAM
+    board under [Group_nvram], else its disk. *)
+val commit_device : t -> int -> Storage.Block_device.t
 
 (** Wait (in simulated time) until at least [count] group servers are
     serving — counted across every shard — or [timeout] elapses;

@@ -1,8 +1,5 @@
+(* One staged or logged-but-unapplied modification. *)
 type log_record = { useq : int; dir_id : int; op : Directory.op }
-
-let log_record_size r = 16 + Wire.op_size r.op
-
-type nvram = log_record Storage.Nvram.t
 
 let admin_port node_id = Printf.sprintf "dira@%d" node_id
 
@@ -22,20 +19,20 @@ type staged_xact = {
   x_deadline : float;  (** when the resolver may act on abandonment *)
 }
 
-(* How a staged update record becomes stable — the one knob of the
-   commit pipeline, chosen from [batch_max] at start. [Eager] is the
-   paper's per-update commit (Fig. 5): every record is flushed on its
-   own before its result is published — in place on disk (new Bullet
-   file, then the object-table entry) or as one NVRAM append. [Logged]
-   is group commit: a whole delivery burst shares one flush — one
-   block-0 write carrying the records in the commit block's log, or one
-   NVRAM append burst — and the per-directory blocks are rewritten in
-   the background. *)
-type durability = Eager | Logged
-
 type t = {
   params : Params.t;
-  durability : durability;
+  (* The commit pipeline's two knobs, fixed at start. [group_commit]
+     ([batch_max] > 1) says when a flush happens: after a whole
+     delivered burst, which shares it, instead of after each update
+     before its result is published (the paper's Fig. 5). [in_place]
+     says where it goes: the records' own directory blocks (new Bullet
+     file, then the object-table entry), instead of one commit-block
+     write carrying them in the commit block's log, the directory blocks
+     being rewritten in the background. Only the paper's per-update
+     commit on disk writes in place; on NVRAM the board is the log
+     (§4.1). [nvram] only makes a cancel durable, see [stage]. *)
+  group_commit : bool;
+  in_place : bool;
   metrics : Sim.Metrics.t option;
   net : Simnet.Network.t;
   node : Sim.Node.t;
@@ -43,11 +40,12 @@ type t = {
   server_id : int;
   peers : (int * int) list; (* (server_id, node_id), all servers *)
   device : Storage.Block_device.t;
+  commit_device : Storage.Block_device.t; (* [device], or the NVRAM board *)
+  nvram : bool; (* the commit block lives on the NVRAM board *)
   image : Dir_image.t;
   gname : string;
   port : string;
   cpu : Sim.Resource.t;
-  nvram : nvram option;
   (* Replicated state. *)
   mutable store : Directory.store;
   mutable useq : int;
@@ -66,19 +64,16 @@ type t = {
   replies : (int * int, Wire.reply) Hashtbl.t;
   mutable next_uid : int;
   mutable next_secret : int;
-  mutable last_update : float; (* for the NVRAM idle flush *)
   mutable op_log : applied list; (* newest first; see applied_log *)
   mutable forced_recovery : bool; (* administrator's escape hatch *)
-  (* The commit pipeline. [pending] stages the records not yet flushed
-     (one under [Eager], a delivery burst under [Logged]); in disk mode
-     [dirty] names their directories. Under [Logged] the flushed records
-     move to [glog] — the in-memory copy of the commit block's log —
-     until the [dirty] directories' own blocks are rewritten in the
+  (* [pending] stages the records not yet flushed (one update, or a
+     delivery burst under [group_commit]). Unless [in_place], the
+     flushed records move to [glog] — the in-memory copy of the commit
+     block's log — until the directories they touch are rewritten in the
      background, which happens when the group goes quiet or the log
-     outgrows block 0. *)
+     outgrows the commit block. *)
   mutable pending : log_record list; (* newest first *)
   mutable glog : log_record list; (* newest first *)
-  dirty : (int, unit) Hashtbl.t;
   c_commit : Sim.Metrics.handle option;
   (* Sharded deployment only ([shard] = None is a lone group).
      [staged_x] / [xdecisions] are driven exclusively by
@@ -150,66 +145,52 @@ let count_commit t =
   | Some h -> Sim.Metrics.incr_handle h
   | None -> ()
 
-let encode_glog t =
+let encode_log records =
   Wire.encode_log_records
-    (List.rev_map (fun (r : log_record) -> (r.useq, r.dir_id, r.op)) t.glog)
+    (List.rev_map (fun (r : log_record) -> (r.useq, r.dir_id, r.op)) records)
 
-(* The commit block carries the group-commit log; when the encoded log
-   no longer fits beside the header in block 0, the log is applied to
-   the per-directory blocks first (clearing it) — hence the mutual
-   recursion with [persist_dir_to_disk], whose deletion branch writes
-   the commit block in turn. That inner write always sees an empty log,
-   so the recursion terminates after one level. *)
-let rec write_commit_block t ~recovering =
-  let log = encode_glog t in
-  let log =
-    if String.length log + 64 <= Storage.Block_device.block_size t.device then
-      log
-    else begin
-      persist_dirty t;
-      ""
-    end
-  in
-  Storage.Commit_block.write t.device
+let logged_dirs t =
+  List.sort_uniq compare (List.map (fun r -> r.dir_id) (t.pending @ t.glog))
+
+(* [log] is [glog] encoded, which always fits in the commit block:
+   [flush] only lets [glog] grow when the result fits. *)
+let write_commit_block ?log t ~recovering =
+  Storage.Commit_block.write t.commit_device
     {
       Storage.Commit_block.config_vector = current_vector t;
       seqno = t.useq;
       recovering;
-      log;
+      log = (match log with Some log -> log | None -> encode_log t.glog);
     }
 
 (* Persist directory [dir_id]'s current state. A deletion must leave a
    trace of the update somewhere: the sequence number in the commit
    block (paper §3). *)
-and persist_dir_to_disk t dir_id =
+let persist_dir t dir_id =
   Dir_image.persist t.image t.store dir_id ~deleted:(fun () ->
       write_commit_block t ~recovering:false)
 
-(* Apply the group-commit log to the per-directory blocks: rewrite every
-   dirty directory, then forget the log. The stale copy left in block 0
-   is harmless — boot-time replay is idempotent (a record is skipped
-   when the directory's own seqno already covers it), so the log needs
-   no extra disk write to be truncated. *)
-and persist_dirty t =
-  t.glog <- [];
-  let dirty = Hashtbl.fold (fun d () acc -> d :: acc) t.dirty [] in
-  Hashtbl.reset t.dirty;
-  List.iter (persist_dir_to_disk t) (List.sort compare dirty)
+(* Rewrite every directory a staged or logged record touches; a
+   directory's records leave [glog] once its blocks are rewritten, so a
+   deletion's commit-block write on the way still carries the records
+   of the directories not rewritten yet. The stale copy of the log left
+   in the commit block is harmless — boot-time replay is idempotent (a
+   record is skipped when the directory's own seqno already covers it),
+   so the log needs no extra write to be truncated, and a crash while
+   the directories are being rewritten loses nothing. *)
+let apply_log t =
+  let dirs = logged_dirs t in
+  t.pending <- [];
+  List.iter
+    (fun dir ->
+      persist_dir t dir;
+      t.glog <- List.filter (fun r -> r.dir_id <> dir) t.glog)
+    dirs
 
-let persist_records t records =
-  List.iter (persist_dir_to_disk t)
-    (List.sort_uniq compare (List.map (fun r -> r.dir_id) records))
-
-let nvram_flush t nv = persist_records t (Storage.Nvram.take_all nv)
-
-(* Staging: no I/O beyond an NVRAM annihilation — [flush] makes the
-   staged records stable. The /tmp effect reaches across the unflushed
-   records, the NVRAM log and (disk mode) the unapplied commit-block
-   log: a delete canceling an append that no per-directory block has
-   seen yet removes both records. On disk that leaves the append in
-   block 0 until the next block-0 write replaces the log — a window in
-   which a full-cluster crash brings the row back (DESIGN.md §8,
-   item 11). *)
+(* Staging: no I/O beyond an NVRAM cancel — [flush] makes the staged
+   records stable. The /tmp effect reaches across the unflushed records
+   and the unapplied log: a delete canceling an append that no
+   per-directory block has seen yet removes both records. *)
 let row_cancels ~cap ~name r =
   match r.op with
   | Directory.Append_row { cap = c; name = n; _ } ->
@@ -217,62 +198,57 @@ let row_cancels ~cap ~name r =
   | _ -> false
 
 let stage t record =
-  t.last_update <- Sim.Proc.now ();
   let cancels =
     match record.op with
-    | Directory.Delete_row { cap; name } -> Some (row_cancels ~cap ~name)
-    | _ -> None
+    | Directory.Delete_row { cap; name } -> row_cancels ~cap ~name
+    | _ -> fun _ -> false
   in
-  match (t.nvram, cancels) with
-  | None, Some matches
-    when List.exists matches t.pending || List.exists matches t.glog ->
-      t.pending <- List.filter (fun r -> not (matches r)) t.pending;
-      t.glog <- List.filter (fun r -> not (matches r)) t.glog;
-      let touches r = r.dir_id = record.dir_id in
-      if not (List.exists touches t.pending || List.exists touches t.glog)
-      then Hashtbl.remove t.dirty record.dir_id
-  | None, _ ->
-      t.pending <- record :: t.pending;
-      Hashtbl.replace t.dirty record.dir_id ()
-  | Some _, Some matches when List.exists matches t.pending ->
-      t.pending <- List.filter (fun r -> not (matches r)) t.pending
-  | Some nv, Some matches ->
-      if Storage.Nvram.remove_if nv matches = [] then
-        t.pending <- record :: t.pending
-  | Some _, None -> t.pending <- record :: t.pending
+  let logged = List.exists cancels t.glog in
+  if logged || List.exists cancels t.pending then begin
+    let keep r = not (cancels r) in
+    t.pending <- List.filter keep t.pending;
+    t.glog <- List.filter keep t.glog;
+    (* NVRAM pays one 9 ms board write to make the cancel durable; disk
+       stays write-free, a known window (DESIGN.md §8 item 11). *)
+    if t.nvram && logged then write_commit_block t ~recovering:false
+  end
+  else t.pending <- record :: t.pending
 
-(* One durable write makes every staged record stable: a single NVRAM
-   append burst (a full log is applied to disk first; records too large
-   for even an empty log are made stable in place, as [Eager] does on
-   disk), or on disk the records' own directory blocks ([Eager]) or one
-   block-0 write that carries them in the commit block's log
-   ([Logged]). *)
+(* One durable write makes every staged record stable: the records' own
+   directory blocks ([in_place]) or one commit-block write that carries
+   them in the log. When the log would no longer fit beside the header,
+   it is applied in place together with the records instead, and the
+   commit block is written with the log emptied. *)
 let flush t =
   match t.pending with
   | [] -> ()
-  | pending -> (
-      t.pending <- [];
+  | pending ->
       count_commit t;
-      match (t.nvram, t.durability) with
-      | Some nv, _ ->
-          let records = List.rev pending in
-          if not (Storage.Nvram.append_all nv records) then begin
-            nvram_flush t nv;
-            if not (Storage.Nvram.append_all nv records) then
-              persist_records t records
-          end
-      | None, Eager -> persist_dirty t
-      | None, Logged ->
-          t.glog <- pending @ t.glog;
-          write_commit_block t ~recovering:false)
+      if t.in_place then apply_log t
+      else begin
+        let records = pending @ t.glog in
+        let log = encode_log records in
+        if
+          String.length log + 64
+          <= Storage.Block_device.block_size t.commit_device
+        then begin
+          t.pending <- [];
+          t.glog <- records;
+          write_commit_block t ~log ~recovering:false
+        end
+        else begin
+          apply_log t;
+          write_commit_block t ~recovering:false
+        end
+      end
 
 (* ---- Applying ordered updates -------------------------------------- *)
 
 (* Apply one ordered update — a client's op, or the committed half of a
    cross-shard move — and stage its record, so a crashed replica replays
-   either from its log like everything else. Under [Eager] the record is
-   stable before this returns, hence before the caller publishes the
-   result. *)
+   either from its log like everything else. Without [group_commit] the
+   record is stable before this returns, hence before the caller
+   publishes the result. *)
 let execute_op t ~origin ~uid op =
   let useq' = t.useq + 1 in
   match Directory.apply t.store ~seqno:useq' op with
@@ -291,7 +267,7 @@ let execute_op t ~origin ~uid op =
         { a_useq = useq'; a_origin = origin; a_uid = uid; a_op = op }
         :: t.op_log;
       stage t { useq = useq'; dir_id; op };
-      if t.durability = Eager then flush t;
+      if not t.group_commit then flush t;
       Ok result
   | Error e -> Error e
 
@@ -536,7 +512,7 @@ let client_handler t front =
 (* ---- Admin (recovery) handlers -------------------------------------- *)
 
 let read_commit_block t =
-  try Storage.Commit_block.decode (Storage.Block_device.peek t.device 0)
+  try Storage.Commit_block.decode (Storage.Block_device.peek t.commit_device 0)
   with Storage.Codec.Corrupt _ -> None
 
 let my_mourned t =
@@ -544,17 +520,20 @@ let my_mourned t =
   | Some cb -> Skeen.mourned_of_vector cb.Storage.Commit_block.config_vector
   | None -> Skeen.Int_set.empty
 
+(* What this server contributes to Skeen's exchange; [serving] is
+   false while it recovers. *)
+let peer_state t =
+  {
+    Skeen.server = t.server_id;
+    mourned = my_mourned t;
+    useq = t.useq;
+    stayed_up = t.stayed_up;
+    serving = majority_ok t;
+  }
+
 let admin_handler t ~client:_ body =
   match body with
-  | Wire.Exchange_req _ ->
-      Wire.Exchange_rep
-        {
-          server = t.server_id;
-          mourned = Skeen.Int_set.elements (my_mourned t);
-          useq = t.useq;
-          stayed_up = t.stayed_up;
-          serving = majority_ok t;
-        }
+  | Wire.Exchange_req _ -> Wire.Exchange_rep (peer_state t)
   | Wire.Fetch_state_req { required; have } ->
       (* Quiesce to the requester's join point before snapshotting, so
          store + watermark form a consistent cut. *)
@@ -611,24 +590,16 @@ let load_disk_state t =
           true
       | Error _ -> false
   in
-  (* Replay the NVRAM log (reliable medium: it survived the crash). *)
-  (match t.nvram with
-  | None -> ()
-  | Some nv ->
-      List.iter (fun r -> ignore (replay_record r)) (Storage.Nvram.peek_all nv));
-  (* Replay the commit block's group-commit log: records made stable by
-     a block-0 write whose per-directory blocks were never rewritten.
-     Replayed records go back into [glog]/[dirty] so they stay covered
-     by future block-0 writes until their directories are persisted. *)
+  (* Replay the commit block's log: records made stable by a
+     commit-block write whose per-directory blocks were never rewritten.
+     Replayed records go back into [glog] so they stay covered by future
+     commit-block writes until their directories are persisted. *)
   (match commit with
   | Some cb when cb.Storage.Commit_block.log <> "" ->
       List.iter
         (fun (useq, dir_id, op) ->
           let record = { useq; dir_id; op } in
-          if replay_record record then begin
-            t.glog <- record :: t.glog;
-            Hashtbl.replace t.dirty dir_id ()
-          end)
+          if replay_record record then t.glog <- record :: t.glog)
         (Wire.decode_log_records cb.Storage.Commit_block.log)
   | Some _ | None -> ());
   if crashed_during_recovery then begin
@@ -649,15 +620,6 @@ let leave_group t =
   t.group <- None
 
 let exchange_with_peers t member_nodes =
-  let mine =
-    {
-      Skeen.server = t.server_id;
-      mourned = my_mourned t;
-      useq = t.useq;
-      stayed_up = t.stayed_up;
-      serving = false (* we are recovering *);
-    }
-  in
   let others =
     List.filter_map
       (fun (sid, node_id) ->
@@ -668,19 +630,11 @@ let exchange_with_peers t member_nodes =
               ~timeout:100.0
               (Wire.Exchange_req { server = t.server_id })
           with
-          | Wire.Exchange_rep { server; mourned; useq; stayed_up; serving } ->
-              Some
-                {
-                  Skeen.server;
-                  mourned = Skeen.Int_set.of_list mourned;
-                  useq;
-                  stayed_up;
-                  serving;
-                }
+          | Wire.Exchange_rep peer -> Some peer
           | _ | (exception Rpc.Transport.Rpc_failure _) -> None)
       t.peers
   in
-  mine :: others
+  peer_state t :: others
 
 (* Adopt the donor's state: only the directories that differ from our
    inventory travel (an already-identical store costs almost nothing).
@@ -702,24 +656,16 @@ let fetch_state_from t ~donor_node ~join_base =
 
 (* Make the stable copy match the adopted store. A directory's copy is
    stale only if the transfer changed or deleted it, or if its latest
-   state lived only in a log — the commit block's ([dirty] names every
-   directory [glog] and [pending] touch) or the NVRAM's — which the
-   transfer supersedes, so the logs are dropped.
-   Each goes through [Dir_image.persist] with no block-0 write: the
-   recovering flag stays set until [run_recovery]'s final block-0
+   state lived only in the staged records or the commit block's log,
+   which the transfer supersedes, so both are dropped.
+   Each goes through [Dir_image.persist] with no commit-block write: the
+   recovering flag stays set until [run_recovery]'s final commit-block
    write, which records the donor's seqno and an empty log. *)
 let reinstall_disk_state t ~changed ~deleted =
   let started = Sim.Proc.now () in
-  let logged =
-    List.sort_uniq compare
-      (Hashtbl.fold (fun d () acc -> d :: acc) t.dirty
-         (match t.nvram with
-         | Some nv -> List.map (fun r -> r.dir_id) (Storage.Nvram.take_all nv)
-         | None -> []))
-  in
+  let logged = logged_dirs t in
   t.pending <- [];
   t.glog <- [];
-  Hashtbl.reset t.dirty;
   let rewritten = List.sort_uniq compare (changed @ deleted @ logged) in
   List.iter (Dir_image.persist t.image ~deleted:ignore t.store) rewritten;
   emit t ~name:"reinstalled" (fun () ->
@@ -866,31 +812,33 @@ let rec run_recovery t ~attempt =
 
 (* One step: drain the deliveries the group layer has ordered, apply
    them (staging a record for each), flush, then wake the waiting
-   readers and writers. Under [Eager] every delivery is a burst of its
-   own, so each writer wakes as soon as its own update is stable; under
-   [Logged] a batched multicast lands as one burst sharing one flush.
+   readers and writers. Without [group_commit] every delivery is a
+   burst of its own, so each writer wakes as soon as its own update is
+   stable; with it a batched multicast lands as one burst sharing one
+   flush.
    Quiet periods — no delivery within batch_persist_idle_ms while the
-   commit-block log is non-empty — apply that log to the dirty
-   directories' own blocks in the background. *)
+   commit-block log is non-empty — apply that log to the directories'
+   own blocks in the background. *)
 let group_step t g =
   let settle () =
     flush t;
     Sim.Condvar.broadcast t.applied
   in
-  let idle_work = Hashtbl.length t.dirty > 0 || t.glog <> [] in
   match
     let first =
-      if idle_work then
+      if t.glog <> [] then
         Group.Member.receive ~timeout:t.params.Params.batch_persist_idle_ms g
       else Group.Member.receive g
     in
     process_delivery t first;
-    while t.durability = Logged && Group.Member.pending_deliveries g > 0 do
+    (* Keyed on [batch_max], not on the log: NVRAM at batch_max = 1
+       still commits each delivery on its own, as the paper does. *)
+    while t.group_commit && Group.Member.pending_deliveries g > 0 do
       process_delivery t (Group.Member.receive g)
     done
   with
   | () -> settle ()
-  | exception Sim.Proc.Timeout -> persist_dirty t
+  | exception Sim.Proc.Timeout -> apply_log t
   | exception Group.Types.Group_failure _ -> (
       (* Updates ordered before the failure are legitimate: make what we
          already applied stable, then rebuild the group; with a majority
@@ -908,14 +856,6 @@ let group_thread t () =
       match t.group with
       | None -> t.serving <- false
       | Some g -> group_step t g
-  done
-
-let nvram_flusher t nv () =
-  while true do
-    Sim.Timer.sleep (t.params.nvram_flush_idle_ms /. 2.0) ;
-    let idle = Sim.Proc.now () -. t.last_update > t.params.nvram_flush_idle_ms in
-    let full = Storage.Nvram.fill_ratio nv > t.params.nvram_flush_ratio in
-    if Storage.Nvram.length nv > 0 && (idle || full) then nvram_flush t nv
   done
 
 (* ---- Cross-shard abandonment resolver -------------------------------- *)
@@ -1026,7 +966,8 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
   let t =
     {
       params;
-      durability = (if params.Params.batch_max > 1 then Logged else Eager);
+      group_commit = params.Params.batch_max > 1;
+      in_place = params.Params.batch_max = 1 && Option.is_none nvram;
       metrics;
       net;
       node;
@@ -1034,13 +975,14 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       server_id;
       peers;
       device;
+      commit_device = Option.value nvram ~default:device;
+      nvram = Option.is_some nvram;
       image =
         Dir_image.attach transport ~bullet_port ~device
           ~slots:params.Params.admin_slots;
       gname;
       port;
       cpu = Sim.Resource.create ~name:"dir-cpu" ~capacity:1 ();
-      nvram;
       store = Directory.empty;
       useq = 0;
       group = None;
@@ -1052,12 +994,10 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       replies = Hashtbl.create 32;
       next_uid = 0;
       next_secret = 0;
-      last_update = 0.0;
       op_log = [];
       forced_recovery = false;
       pending = [];
       glog = [];
-      dirty = Hashtbl.create 16;
       c_commit =
         Option.map (fun m -> Sim.Metrics.counter m "dirsvc.commit") metrics;
       shard;
@@ -1079,9 +1019,6 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
   | None -> ());
   Sim.Proc.boot (Simnet.Network.engine net) node ~name:"dirsvc.boot" (fun () ->
       load_disk_state t;
-      (match t.nvram with
-      | Some nv -> Sim.Proc.spawn ~name:"dirsvc.nvflush" (nvram_flusher t nv)
-      | None -> ());
       (if t.shard <> None then
          Sim.Proc.spawn ~name:"dirsvc.xresolve" (xact_resolver t));
       group_thread t ());

@@ -20,32 +20,29 @@
        the configuration vector and continues, otherwise it runs the
        recovery protocol of Fig. 6.}}
 
-    With an NVRAM log attached, the commit path changes to one NVRAM
-    append; a background thread applies the log to disk when the server
-    is idle or the log fills, and a delete annihilates a still-logged
-    append without any disk I/O at all (§4.1).
-
     Every update goes through one stage-and-flush pipeline. With
     [params.batch_max] = 1 each update is flushed on its own before its
     writer is woken, exactly as above; with larger batches a whole
-    delivered burst shares one commit-block (block 0) or NVRAM write,
-    and directory blocks are rewritten when the group goes quiet.
+    delivered burst shares one commit-block write that carries the
+    updates in the commit block's log, and directory blocks are
+    rewritten when the group goes quiet or the log outgrows the block.
+
+    With an NVRAM board attached, the commit block lives on the board
+    and every flush goes through its log, one board write per flush; the
+    same idle or overflow rule applies the log to disk, and a delete
+    annihilates a still-logged append without any disk I/O at all
+    (§4.1).
 
     The client request path (dispatch, op timing, reply mapping) is
     {!Dir_front}; the Bullet-file directory image is {!Dir_image}. *)
-
-(** One logged-but-unflushed modification. *)
-type log_record = { useq : int; dir_id : int; op : Directory.op }
-
-val log_record_size : log_record -> int
-
-type nvram = log_record Storage.Nvram.t
 
 type t
 
 (** [start params net ~server_id ~peers ~node ~device ~bullet_port ~gname
     ~port ()] boots a directory server (fresh or after a crash: all
     persistent state is re-read from [device] — and [nvram] if given).
+    [nvram] is the server's NVRAM board, a one-block device that then
+    holds the commit block in place of [device]'s block 0.
     [peers] lists every configured directory server as
     [(server_id, node_id)], including this one. The returned handle is
     ready immediately; the server starts serving once recovery
@@ -63,7 +60,7 @@ type t
 val start :
   params:Params.t ->
   ?metrics:Sim.Metrics.t ->
-  ?nvram:nvram ->
+  ?nvram:Storage.Block_device.t ->
   ?shard:int ->
   ?xnet:Simnet.Network.t ->
   Simnet.Network.t ->

@@ -5,8 +5,6 @@ type t = {
   intentions_write_ms : float;
   nvram_write_ms : float;
   nvram_capacity : int;
-  nvram_flush_idle_ms : float;
-  nvram_flush_ratio : float;
   cpu_read_ms : float;
   cpu_write_ms : float;
   bullet_cpu_ms : float;
@@ -33,8 +31,6 @@ let default =
     intentions_write_ms = 15.0;
     nvram_write_ms = 9.0;
     nvram_capacity = 24 * 1024;
-    nvram_flush_idle_ms = 250.0;
-    nvram_flush_ratio = 0.75;
     cpu_read_ms = 3.0;
     cpu_write_ms = 2.0;
     bullet_cpu_ms = 0.4;

@@ -15,11 +15,9 @@ type t = {
       (** the RPC service's intentions-log append: sequential, cheaper
           than a random write *)
   nvram_write_ms : float;
-      (** logging one modification record to the VME NVRAM board *)
+      (** one write to the VME NVRAM board, which holds the commit block
+          and its log *)
   nvram_capacity : int;  (** bytes; the paper's board held 24 KB *)
-  nvram_flush_idle_ms : float;
-      (** flush the NVRAM log after this much idle time *)
-  nvram_flush_ratio : float;  (** ...or when fuller than this fraction *)
   cpu_read_ms : float;
       (** directory server processing per read request (the paper's
           ≈3 ms, which bounds a server at ≈333 lookups/s) *)
@@ -38,13 +36,14 @@ type t = {
       (** sequencer-side batching degree passed to the group layer, and
           the servers' durability policy: 1 (the default) commits every
           update in place before replying, as the paper does; above 1 a
-          delivered batch shares one commit-block or NVRAM write *)
+          delivered batch shares one commit-block write *)
   batch_window_ms : float;
       (** how long the sequencer holds a partial batch (ms) *)
   batch_persist_idle_ms : float;
-      (** group-commit mode: how long a server waits for more ordered
-          updates before applying the commit-block log to the
-          per-directory disk blocks in the background *)
+      (** how long a server with a non-empty commit-block log (group
+          commit on disk, or any NVRAM server) waits for more ordered
+          updates before applying the log to the per-directory disk
+          blocks in the background *)
   disk_blocks : int;  (** geometry of each server machine's disk *)
   disk_block_size : int;
   admin_slots : int;  (** object-table slots (max directories) *)

@@ -25,8 +25,6 @@ let store_snapshot t = t.store
 
 let useq t = t.useq
 
-let lazy_backlog t = List.length t.lazy_queue
-
 let fresh_secret t =
   t.next_secret <- t.next_secret + 1;
   Capability.mint_secret

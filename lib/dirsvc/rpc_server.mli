@@ -45,6 +45,3 @@ val store_snapshot : t -> Directory.store
 
 (** Updates applied by this replica (for convergence checks). *)
 val useq : t -> int
-
-(** Disk copies still pending in the lazy-replication queue. *)
-val lazy_backlog : t -> int

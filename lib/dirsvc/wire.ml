@@ -67,13 +67,7 @@ type Simnet.Payload.t +=
   | Dir_op_msg of { origin : int; uid : int; op : Directory.op }
   | Dir_xact_msg of { origin : int; uid : int; xact : xshard_cmd }
   | Exchange_req of { server : int }
-  | Exchange_rep of {
-      server : int;
-      mourned : int list;
-      useq : int;
-      stayed_up : bool;
-      serving : bool;
-    }
+  | Exchange_rep of Skeen.peer_state
   | Fetch_state_req of {
       required : int;
       have : (int * int * int64) list;
@@ -275,7 +269,7 @@ let () =
     | Dir_xact_msg { origin; uid; _ } ->
         Some (Printf.sprintf "dir.xact %d.%d" origin uid)
     | Exchange_req { server } -> Some (Printf.sprintf "dir.exchange? s%d" server)
-    | Exchange_rep { server; useq; _ } ->
+    | Exchange_rep { Skeen.server; useq; _ } ->
         Some (Printf.sprintf "dir.exchange s%d useq=%d" server useq)
     | Fetch_state_req { required; have } ->
         Some (Printf.sprintf "dir.fetch? >=%d (have %d)" required (List.length have))

@@ -69,13 +69,7 @@ type Simnet.Payload.t +=
       (** a cross-shard transaction record travelling through one
           shard's total order *)
   | Exchange_req of { server : int }
-  | Exchange_rep of {
-      server : int;
-      mourned : int list;
-      useq : int;
-      stayed_up : bool;
-      serving : bool;
-    }
+  | Exchange_rep of Skeen.peer_state
       (** recovery: mourned set + update sequence number (Fig. 6) *)
   | Fetch_state_req of {
       required : int;
@@ -132,5 +126,5 @@ val encode_log_records : (int * int * Directory.op) list -> string
 
 val decode_log_records : string -> (int * int * Directory.op) list
 
-(** Rough wire/NVRAM footprint of an operation in bytes. *)
+(** Rough wire footprint of an operation in bytes. *)
 val op_size : Directory.op -> int

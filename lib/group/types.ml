@@ -9,8 +9,6 @@ let epoch_compare a b =
   | 0 -> compare a.view b.view
   | c -> c
 
-let pp_epoch fmt e = Format.fprintf fmt "%d/%d" e.instance e.view
-
 type status = Idle | Normal | Broken | Resetting | Left
 
 let status_to_string = function

@@ -17,8 +17,6 @@ type epoch = { instance : int; view : int }
 
 val epoch_compare : epoch -> epoch -> int
 
-val pp_epoch : Format.formatter -> epoch -> unit
-
 type status =
   | Idle  (** created but not yet admitted to a group *)
   | Normal  (** operating *)

@@ -73,8 +73,6 @@ let events_executed t = t.events_executed
 
 let set_trace t trace = t.trace <- trace
 
-let trace_buffer t = t.trace
-
 let tracing t = t.trace <> None
 
 (* [attrs] is a thunk so that instrumented hot paths pay nothing beyond

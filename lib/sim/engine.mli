@@ -59,8 +59,6 @@ val events_executed : t -> int
     tracing; instrumented code pays only a closure allocation then. *)
 val set_trace : t -> Trace.t option -> unit
 
-val trace_buffer : t -> Trace.t option
-
 val tracing : t -> bool
 
 (** [emit t ~subsystem ~node ~name attrs] records a trace event stamped

@@ -19,8 +19,6 @@ let rec send t v =
   | None -> Queue.push v t.queue
   | Some waker -> if not (Proc.Waker.wake waker v) then send t v
 
-let try_recv t = Queue.take_opt t.queue
-
 let recv ?timeout t =
   match Queue.take_opt t.queue with
   | Some v -> v

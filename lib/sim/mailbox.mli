@@ -21,8 +21,6 @@ val send : 'a t -> 'a -> unit
     {!Proc.Timeout} if [timeout] (milliseconds) elapses first. *)
 val recv : ?timeout:float -> 'a t -> 'a
 
-val try_recv : 'a t -> 'a option
-
 (** Queued (undelivered) message count. *)
 val length : 'a t -> int
 

@@ -184,18 +184,14 @@ let labels_of_key key =
 
 (* ---- The registry ------------------------------------------------- *)
 
-type series = { mutable items : float list (* newest first *); mutable n : int }
-
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  series : (string, series) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
 }
 
 let create () =
   {
     counters = Hashtbl.create 32;
-    series = Hashtbl.create 32;
     histograms = Hashtbl.create 32;
   }
 
@@ -219,8 +215,6 @@ let counter t key = counter_ref t key
 
 let incr_handle ?(by = 1) h = h := !h + by
 
-let incr_labelled ?by t key ~labels = incr ?by t (labelled key ~labels)
-
 let count t key = match Hashtbl.find_opt t.counters key with Some r -> !r | None -> 0
 
 let counters t =
@@ -241,27 +235,6 @@ let delta ~before ~after =
       let d = lookup key after - lookup key before in
       if d = 0 then None else Some (key, d))
     keys
-
-let series_ref t key =
-  match Hashtbl.find_opt t.series key with
-  | Some r -> r
-  | None ->
-      let r = { items = []; n = 0 } in
-      Hashtbl.add t.series key r;
-      r
-
-let observe t key v =
-  let r = series_ref t key in
-  r.items <- v :: r.items;
-  r.n <- r.n + 1
-
-let samples t key =
-  match Hashtbl.find_opt t.series key with
-  | Some r -> List.rev r.items
-  | None -> []
-
-let sample_count t key =
-  match Hashtbl.find_opt t.series key with Some r -> r.n | None -> 0
 
 let histogram_ref ?bounds t key =
   match Hashtbl.find_opt t.histograms key with
@@ -285,7 +258,6 @@ let histograms t =
 
 let reset t =
   Hashtbl.reset t.counters;
-  Hashtbl.reset t.series;
   Hashtbl.reset t.histograms
 
 let to_json t =

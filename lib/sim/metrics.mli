@@ -1,4 +1,4 @@
-(** Named counters, sample collections and latency histograms.
+(** Named counters and latency histograms.
 
     The benches rebuild the paper's §3.1 cost analysis (messages and disk
     operations per directory update) from these counters, and the figure
@@ -73,9 +73,6 @@ val create : unit -> t
 
 val incr : ?by:int -> t -> string -> unit
 
-(** [incr] on [labelled key ~labels]. *)
-val incr_labelled : ?by:int -> t -> string -> labels:(string * string) list -> unit
-
 (** Pre-resolved counter handle: the key is interned once and hot paths
     bump the underlying cell directly — no key building, hashing or
     table lookup per event. A handle and [incr] on the same key update
@@ -98,15 +95,6 @@ val counters : t -> (string * int) list
     counters present only in [before] yield negative deltas. Zero deltas
     are omitted. *)
 val delta : before:(string * int) list -> after:(string * int) list -> (string * int) list
-
-(** Samples (exact values, retained; prefer histograms on hot paths). *)
-
-val observe : t -> string -> float -> unit
-
-val samples : t -> string -> float list
-
-(** O(1). *)
-val sample_count : t -> string -> int
 
 (** Histograms. *)
 

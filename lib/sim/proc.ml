@@ -120,8 +120,6 @@ let engine () = (get_ctx ()).engine
 
 let node () = (get_ctx ()).node
 
-let self_name () = (get_ctx ()).name
-
 let with_timeout d f =
   let ctx = get_ctx () in
   suspend (fun w ->

@@ -68,8 +68,6 @@ val engine : unit -> Engine.t
 
 val node : unit -> Node.t
 
-val self_name : unit -> string
-
 (** [with_timeout d f] runs [f ()] in a child fiber and raises {!Timeout}
     at the caller if no result arrived after [d] milliseconds. On timeout
     the child keeps running in the background and its eventual result is

@@ -11,8 +11,6 @@ let create ?(name = "resource") ~capacity () =
 
 let name t = t.name
 
-let in_use t = t.held
-
 let queued t =
   t.wait_queue <- List.filter Proc.Waker.is_viable t.wait_queue;
   List.length t.wait_queue

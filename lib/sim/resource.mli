@@ -16,9 +16,6 @@ val create : ?name:string -> capacity:int -> unit -> t
 
 val name : t -> string
 
-(** Fibers currently holding a unit. *)
-val in_use : t -> int
-
 (** Fibers queued waiting for a unit. *)
 val queued : t -> int
 

@@ -136,18 +136,9 @@ let event_to_text e =
   Printf.sprintf "%10.3f  [%s@%d] %s%s" e.time e.subsystem e.node e.name
     (if attrs = "" then "" else " " ^ attrs)
 
-let pp_event fmt e = Format.pp_print_string fmt (event_to_text e)
-
 let to_jsonl t =
   let buf = Buffer.create 4096 in
   iter t (fun e ->
       Buffer.add_string buf (event_to_jsonl e);
-      Buffer.add_char buf '\n');
-  Buffer.contents buf
-
-let to_text t =
-  let buf = Buffer.create 4096 in
-  iter t (fun e ->
-      Buffer.add_string buf (event_to_text e);
       Buffer.add_char buf '\n');
   Buffer.contents buf

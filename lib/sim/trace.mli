@@ -74,10 +74,5 @@ val event_to_jsonl : event -> string
 
 val event_to_text : event -> string
 
-val pp_event : Format.formatter -> event -> unit
-
 (** All retained events as newline-terminated JSONL. *)
 val to_jsonl : t -> string
-
-(** All retained events as an annotated text timeline. *)
-val to_text : t -> string

@@ -299,8 +299,6 @@ let start net transport ~device ~first_block ~region_blocks ?(inode_blocks = 0)
 
 let live_files t = Hashtbl.length t.files
 
-let pending_tombstones t = List.length t.dirty_tombstones
-
 (* ---- Client helpers ---------------------------------------------- *)
 
 let expect_ok = function

@@ -58,9 +58,6 @@ val start :
 (** Live (non-retired) file count. *)
 val live_files : t -> int
 
-(** Tombstones not yet flushed to disk. *)
-val pending_tombstones : t -> int
-
 (** Client operations (run from any fiber with an RPC transport). All
     raise {!Error} on service-reported failure. *)
 

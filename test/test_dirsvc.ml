@@ -182,28 +182,47 @@ let test_writes_survive_two_crashes () =
 
 let test_nvram_annihilation () =
   (* The /tmp effect: an append+delete pair that never leaves NVRAM must
-     cost no disk writes at all. *)
+     cost no disk writes at all — one board write logs the append, one
+     more makes the cancel durable, and the board's log ends empty. *)
   let cluster = boot ~seed:13L C.Group_nvram in
+  let writes device =
+    List.init 3 (fun i ->
+        Storage.Block_device.writes_completed (device cluster (i + 1)))
+  in
   Harness.on_client cluster (fun client ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       Dirsvc.Client.append_row client cap ~name:"warm" [ cap ];
       Dirsvc.Client.delete_row client cap ~name:"warm";
       Sim.Proc.sleep 50.0;
-      let writes_before =
-        List.init 3 (fun i ->
-            Storage.Block_device.writes_completed (C.device cluster (i + 1)))
-      in
+      let disk_before = writes C.device in
+      let board_before = writes C.commit_device in
       for i = 1 to 5 do
         let name = Printf.sprintf "tmp%d" i in
         Dirsvc.Client.append_row client cap ~name [ cap ];
         Dirsvc.Client.delete_row client cap ~name
       done;
-      let writes_after =
-        List.init 3 (fun i ->
-            Storage.Block_device.writes_completed (C.device cluster (i + 1)))
-      in
       Alcotest.(check (list int)) "no disk writes for annihilated pairs"
-        writes_before writes_after)
+        disk_before (writes C.device);
+      Alcotest.(check (list int)) "two board writes per pair" [ 10; 10; 10 ]
+        (List.map2 ( - ) (writes C.commit_device) board_before);
+      List.iter
+        (fun i ->
+          let log =
+            match
+              Storage.Commit_block.decode
+                (Storage.Block_device.peek (C.commit_device cluster i) 0)
+            with
+            | Some cb -> cb.Storage.Commit_block.log
+            | None -> ""
+          in
+          Alcotest.(check (list int)) "no tmp row left in the board's log" []
+            (List.filter_map
+               (fun (useq, _, op) ->
+                 match op with
+                 | Dirsvc.Directory.Append_row _ -> Some useq
+                 | _ -> None)
+               (Dirsvc.Wire.decode_log_records log)))
+        [ 1; 2; 3 ])
 
 (* §3.1 at a realistic directory size: appending a row to a directory
    of 4 rows and 3 columns costs each replica exactly 2 disk writes,
@@ -240,7 +259,7 @@ let test_update_costs_two_disk_writes () =
         (List.map2 ( - ) (disk_writes ()) before))
 
 let test_nvram_flushes_when_full () =
-  (* Overflowing the 24 KB log forces a flush; nothing is lost. *)
+  (* Overflowing the board's log applies it to disk; nothing is lost. *)
   let params = { Dirsvc.Params.default with nvram_capacity = 600 } in
   let cluster = boot ~seed:14L ~params C.Group_nvram in
   Harness.on_client cluster (fun client ->
@@ -255,9 +274,9 @@ let test_nvram_flushes_when_full () =
 
 let test_nvram_oversized_update () =
   (* An update whose log record is larger than the whole 24 KB log
-     cannot be logged even after a drain; it is made stable on disk in
+     cannot be logged even in an empty log; it is made stable on disk in
      place instead — and survives a crash of every server. The pause
-     lets the idle flush empty the log first, so no later flush writes
+     lets the idle apply empty the log first, so no later apply writes
      the directory on the update's behalf. *)
   let cluster = boot C.Group_nvram in
   let name = String.make 30_000 'x' in

@@ -792,3 +792,112 @@ let suite =
       Alcotest.test_case "rejoined replica reads skip its backlog" `Quick
         test_rejoin_reads_skip_backlog;
     ]
+
+(* Eight directories get one acknowledged append each, and every server
+   crashes 350 ms after the last ack: the group has been quiet long
+   enough for the idle apply to be rewriting the directories' own
+   blocks from the NVRAM log, but it has not finished. The commit block
+   keeps the whole log until its next write, so each row not yet in its
+   directory's blocks is replayed at boot. *)
+let test_nvram_crash_during_apply () =
+  let cluster = boot ~seed:41L C.Group_nvram in
+  let caps =
+    Harness.on_client cluster (fun client ->
+        List.init 8 (fun _ ->
+            retrying (fun () ->
+                Dirsvc.Client.create_dir client ~columns:[ "owner" ])))
+  in
+  let client = C.client cluster in
+  let cnode = Rpc.Transport.node (Dirsvc.Client.transport client) in
+  let appended = ref false in
+  Sim.Proc.boot (C.engine cluster) cnode (fun () ->
+      List.iter
+        (fun cap ->
+          retrying (fun () ->
+              Dirsvc.Client.append_row client cap ~name:"acked" [ cap ]))
+        caps;
+      appended := true);
+  let deadline = Sim.Engine.now (C.engine cluster) +. 30_000.0 in
+  while (not !appended) && Sim.Engine.now (C.engine cluster) < deadline do
+    advance cluster 0.5
+  done;
+  Alcotest.(check bool) "appends acknowledged" true !appended;
+  advance cluster 350.0;
+  List.iter (fun i -> C.crash_server cluster i) [ 1; 2; 3 ];
+  advance cluster 500.0;
+  List.iter (fun i -> C.restart_server cluster i) [ 1; 2; 3 ];
+  Alcotest.(check bool) "cluster recovers" true
+    (C.await_serving ~timeout:20_000.0 cluster ~count:3);
+  advance cluster 1_000.0;
+  check_converged_serving cluster;
+  Harness.on_client cluster (fun client ->
+      let rows =
+        List.map
+          (fun cap ->
+            let listing = retrying (fun () -> Dirsvc.Client.list_dir client cap) in
+            List.length listing.Dirsvc.Directory.entries)
+          caps
+      in
+      Alcotest.(check (list int)) "every acknowledged row survives"
+        (List.init 8 (fun _ -> 1))
+        rows)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case
+        "nvram: full crash while the log is applied loses no acknowledged row"
+        `Quick test_nvram_crash_during_apply;
+    ]
+
+(* Group commit on disk: an append to directory Y and the deletion of
+   directory X sit in the commit block's log when the group goes quiet.
+   The idle apply rewrites X first, and X's deletion writes the commit
+   block; that write must still carry Y's append, which is not in Y's
+   blocks yet. Every server crashes 250 ms after the acks, after that
+   write and before Y's rewrite completes. *)
+let test_delete_dir_during_apply () =
+  let params = { Dirsvc.Params.default with batch_max = 4 } in
+  let cluster = boot ~seed:42L ~params C.Group_disk in
+  let x, y =
+    Harness.on_client cluster (fun client ->
+        let create () =
+          retrying (fun () ->
+              Dirsvc.Client.create_dir client ~columns:[ "owner" ])
+        in
+        let x = create () in
+        (x, create ()))
+  in
+  let client = C.client cluster in
+  let cnode = Rpc.Transport.node (Dirsvc.Client.transport client) in
+  let acked = ref false in
+  Sim.Proc.boot (C.engine cluster) cnode (fun () ->
+      retrying (fun () -> Dirsvc.Client.append_row client y ~name:"acked" [ y ]);
+      retrying (fun () -> Dirsvc.Client.delete_dir client x);
+      acked := true);
+  let deadline = Sim.Engine.now (C.engine cluster) +. 30_000.0 in
+  while (not !acked) && Sim.Engine.now (C.engine cluster) < deadline do
+    advance cluster 0.5
+  done;
+  Alcotest.(check bool) "updates acknowledged" true !acked;
+  advance cluster 250.0;
+  List.iter (fun i -> C.crash_server cluster i) [ 1; 2; 3 ];
+  advance cluster 500.0;
+  List.iter (fun i -> C.restart_server cluster i) [ 1; 2; 3 ];
+  Alcotest.(check bool) "cluster recovers" true
+    (C.await_serving ~timeout:20_000.0 cluster ~count:3);
+  advance cluster 1_000.0;
+  check_converged_serving cluster;
+  Harness.on_client cluster (fun client ->
+      let listing = retrying (fun () -> Dirsvc.Client.list_dir client y) in
+      Alcotest.(check (list string)) "acknowledged row survives" [ "acked" ]
+        (List.map (fun (n, _, _) -> n) listing.Dirsvc.Directory.entries))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case
+        "group commit: a directory delete while the log is applied keeps \
+         the other rows"
+        `Quick test_delete_dir_during_apply;
+    ]

@@ -321,16 +321,6 @@ let test_metrics_delta_negative () =
     [ ("a", -3) ]
     (Sim.Metrics.delta ~before ~after)
 
-let test_metrics_sample_count () =
-  let m = Sim.Metrics.create () in
-  for i = 1 to 1000 do
-    Sim.Metrics.observe m "lat" (float_of_int i)
-  done;
-  Alcotest.(check int) "sample_count" 1000 (Sim.Metrics.sample_count m "lat");
-  Alcotest.(check int) "samples agree" 1000
-    (List.length (Sim.Metrics.samples m "lat"));
-  Alcotest.(check int) "missing key" 0 (Sim.Metrics.sample_count m "nope")
-
 let test_histogram_buckets () =
   let h = Sim.Metrics.Histogram.create ~bounds:[| 1.0; 2.0; 4.0; 8.0 |] () in
   List.iter
@@ -631,7 +621,6 @@ let suite =
     tc "heap pop releases entries" `Quick test_heap_pop_releases_entries;
     tc "metrics delta" `Quick test_metrics_delta;
     tc "metrics delta negative" `Quick test_metrics_delta_negative;
-    tc "metrics sample count" `Quick test_metrics_sample_count;
     tc "histogram buckets" `Quick test_histogram_buckets;
     tc "histogram quantiles" `Quick test_histogram_quantiles;
     tc "histogram labelled keys" `Quick test_histogram_labelled;

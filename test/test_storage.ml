@@ -1,5 +1,5 @@
 (* Tests for the storage substrates: block device, commit block, object
-   table, Bullet server, NVRAM. *)
+   table, Bullet server. *)
 
 open Harness
 
@@ -231,43 +231,6 @@ let test_bullet_crash_recovery () =
           | None -> Alcotest.fail "create never completed"));
   run_until w 500.0
 
-let test_nvram_append_and_annihilate () =
-  let w = make_world () in
-  let n = node ~id:1 "n1" in
-  let nv =
-    Storage.Nvram.create ~capacity:100 ~size_of:String.length ~write_ms:0.05 ()
-  in
-  run_fiber w n (fun () ->
-      Alcotest.(check bool) "append a" true (Storage.Nvram.append_all nv [ "aaaa" ]);
-      Alcotest.(check bool) "append b" true (Storage.Nvram.append_all nv [ "bbbb" ]);
-      Alcotest.(check int) "used" 8 (Storage.Nvram.used_bytes nv);
-      let removed = Storage.Nvram.remove_if nv (fun r -> r = "aaaa") in
-      Alcotest.(check (list string)) "annihilated" [ "aaaa" ] removed;
-      Alcotest.(check int) "space reclaimed" 4 (Storage.Nvram.used_bytes nv);
-      (* Capacity enforcement. *)
-      let big = String.make 97 'x' in
-      Alcotest.(check bool) "overflow refused" false (Storage.Nvram.append_all nv [ big ]);
-      Alcotest.(check (list string)) "drain order" [ "bbbb" ]
-        (Storage.Nvram.take_all nv);
-      Alcotest.(check int) "empty" 0 (Storage.Nvram.used_bytes nv))
-
-let test_nvram_is_fast () =
-  let w = make_world () in
-  let n = node ~id:1 "n1" in
-  let nv =
-    Storage.Nvram.create ~capacity:24_576 ~size_of:String.length ~write_ms:0.05 ()
-  in
-  let elapsed =
-    run_fiber w n (fun () ->
-        let t0 = Sim.Proc.now () in
-        for _ = 1 to 10 do
-          ignore (Storage.Nvram.append_all nv [ "record" ])
-        done;
-        Sim.Proc.now () -. t0)
-  in
-  Alcotest.(check bool) "10 appends well under one disk write" true
-    (elapsed < 1.0)
-
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -287,40 +250,4 @@ let suite =
     tc "bullet reuses freed data blocks" `Quick
       test_bullet_reuses_freed_data_blocks;
     tc "bullet crash recovery" `Quick test_bullet_crash_recovery;
-    tc "nvram append and annihilate" `Quick test_nvram_append_and_annihilate;
-    tc "nvram is fast" `Quick test_nvram_is_fast;
   ]
-
-(* Group commit on NVRAM: one board write covers a whole record batch,
-   all-or-nothing on capacity. *)
-let test_nvram_append_all_group_commit () =
-  let w = make_world () in
-  let n = node ~id:1 "n1" in
-  let nv =
-    Storage.Nvram.create ~capacity:20 ~size_of:String.length ~write_ms:0.05 ()
-  in
-  run_fiber w n (fun () ->
-      let t0 = Sim.Proc.now () in
-      Alcotest.(check bool) "batch fits" true
-        (Storage.Nvram.append_all nv [ "aaaa"; "bbbb"; "cccc" ]);
-      Alcotest.(check (float 1e-9)) "one write for the whole batch" 0.05
-        (Sim.Proc.now () -. t0);
-      Alcotest.(check int) "all recorded" 12 (Storage.Nvram.used_bytes nv);
-      (* 12 + 9 > 20: refused atomically, nothing written. *)
-      Alcotest.(check bool) "overflow refused" false
-        (Storage.Nvram.append_all nv [ "dddd"; "eeeee" ]);
-      Alcotest.(check int) "no partial append" 12 (Storage.Nvram.used_bytes nv);
-      let t1 = Sim.Proc.now () in
-      Alcotest.(check bool) "empty batch is free" true
-        (Storage.Nvram.append_all nv []);
-      Alcotest.(check (float 1e-9)) "and instant" 0.0 (Sim.Proc.now () -. t1);
-      Alcotest.(check (list string)) "drain order oldest-first"
-        [ "aaaa"; "bbbb"; "cccc" ]
-        (Storage.Nvram.take_all nv))
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "nvram append_all = one write, all-or-nothing" `Quick
-        test_nvram_append_all_group_commit;
-    ]
