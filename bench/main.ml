@@ -759,16 +759,22 @@ let ablation_method =
 (* ---- Availability: unavailability window around failures ----------- *)
 
 (* Not a paper figure, but the paper's availability claim made concrete:
-   how long are clients refused while the group absorbs a crash, and how
-   long until a restarted replica is back in the view? Returns the first
-   refused and first later completed update times (nan when absent) and
-   the rejoin time. *)
+   how long are clients refused while the group absorbs a crash, how
+   long does the probe client stall, and how long until a restarted
+   replica is back in the view? The victim is a fixed server, or the
+   one the probe client is talking to (the head of its port cache) when
+   the crash comes. Returns the first refused and first later completed
+   update times (nan when absent), the longest probe pair that ended
+   after the crash, and the rejoin time. *)
+let crash_at = 500.0
+
 let outage_run (victim, label) =
   let cluster = C.create ~seed:47L C.Group_disk in
   ignore (C.await_serving cluster ~count:3);
   let client = C.client cluster in
-  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
-  let outage_start = ref nan and outage_end = ref nan in
+  let transport = Dirsvc.Client.transport client in
+  let node = Rpc.Transport.node transport in
+  let outage_start = ref nan and outage_end = ref nan and stall = ref 0.0 in
   Sim.Proc.boot (C.engine cluster) node (fun () ->
       let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
       (* Probe with updates: writes must traverse the group, so they
@@ -779,6 +785,7 @@ let outage_run (victim, label) =
       while Float.is_nan !outage_end && Sim.Proc.now () < 20_000.0 do
         incr serial;
         let name = Printf.sprintf "probe%d" !serial in
+        let started = Sim.Proc.now () in
         (match
            Dirsvc.Client.append_row client cap ~name [ cap ];
            Dirsvc.Client.delete_row client cap ~name
@@ -788,39 +795,51 @@ let outage_run (victim, label) =
               outage_end := Sim.Proc.now ()
         | exception _ ->
             if Float.is_nan !outage_start then outage_start := Sim.Proc.now ());
+        if Sim.Proc.now () > crash_at then
+          stall := Float.max !stall (Sim.Proc.now () -. started);
         Sim.Proc.sleep 10.0
       done);
-  Sim.Engine.schedule (C.engine cluster) ~delay:500.0 (fun () ->
-      C.crash_server cluster victim);
+  let crashed = ref 0 in
+  Sim.Engine.schedule (C.engine cluster) ~delay:crash_at (fun () ->
+      crashed :=
+        (match victim with
+        | Some server -> server
+        | None -> List.hd (Rpc.Transport.cached_servers transport ~port:(C.port cluster)));
+      C.crash_server cluster !crashed);
   C.run_until cluster 22_000.0;
   let t_restart = Sim.Engine.now (C.engine cluster) in
-  C.restart_server cluster victim;
+  C.restart_server cluster !crashed;
   ignore (C.await_serving ~timeout:20_000.0 cluster ~count:3);
   let rejoin = Sim.Engine.now (C.engine cluster) -. t_restart in
-  (label, !outage_start, !outage_end, rejoin)
+  (label, !crashed, !outage_start, !outage_end, !stall, rejoin)
 
 let availability =
   let render measured =
     let rows =
       List.map
-        (fun (label, start, stop, rejoin) ->
+        (fun (label, server, start, stop, stall, rejoin) ->
+          let label = Printf.sprintf "%s (server %d)" label server in
           ( (match (Float.is_nan start, Float.is_nan stop) with
             | true, _ ->
-                Printf.sprintf "  %-28s no client-visible outage; rejoin %.0f ms\n"
-                  label rejoin
+                Printf.sprintf
+                  "  %-40s no refusals; stall %.0f ms; rejoin %.0f ms\n" label
+                  stall rejoin
             | false, false ->
-                Printf.sprintf "  %-28s outage %.0f ms; rejoin %.0f ms\n" label
-                  (stop -. start) rejoin
+                Printf.sprintf
+                  "  %-40s outage %.0f ms; stall %.0f ms; rejoin %.0f ms\n" label
+                  (stop -. start) stall rejoin
             | false, true ->
-                Printf.sprintf "  %-28s outage did not end within the run\n"
+                Printf.sprintf "  %-40s outage did not end within the run\n"
                   label),
             J.Obj
               [
                 ("scenario", J.String label);
+                ("server", J.Int server);
                 ( "outage_ms",
                   if Float.is_nan start then J.Float 0.0
                   else if Float.is_nan stop then J.Null
                   else J.Float (stop -. start) );
+                ("stall_ms", J.Float stall);
                 ("rejoin_ms", J.Float rejoin);
               ] ))
         measured
@@ -831,16 +850,21 @@ let availability =
           :: List.map fst rows)
          @ [
              "(outage = first refused update to first completed update; \
-              crash at t=500;\n\
-             \ lookups are served locally by the survivors and see no \
-              outage)\n";
+              stall = longest\n\
+             \ probe pair (append + delete) ending after the crash at \
+              t=500; lookups are\n\
+             \ served locally by the survivors and see no outage)\n";
            ]))
       (J.List (List.map snd rows))
   in
   experiment "availability"
     (fun pool ->
       submit_all pool outage_run
-        [ (3, "follower server crash:"); (1, "sequencer-hosting crash:") ])
+        [
+          (Some 3, "follower crash");
+          (Some 1, "sequencer-hosting crash");
+          (None, "probe client's server crash");
+        ])
     render
 
 (* ---- Bechamel microbenchmarks: one Test.make per table/figure ------ *)

@@ -63,6 +63,7 @@ type t = {
      (origin, uid) and filed by the group thread at delivery. *)
   replies : (int * int, Wire.reply) Hashtbl.t;
   mutable next_uid : int;
+  mutable boot : int; (* this boot's number, durable in the commit block *)
   mutable next_secret : int;
   mutable op_log : applied list; (* newest first; see applied_log *)
   mutable forced_recovery : bool; (* administrator's escape hatch *)
@@ -124,9 +125,11 @@ let fresh_secret t =
   Capability.mint_secret
     (Int64.of_int ((Sim.Node.id t.node * 1_000_000_007) + t.next_secret))
 
+(* Unique across reboots: the boot count leads, so a rebooted server's
+   (origin, uid) keys never repeat its earlier ones. *)
 let fresh_uid t =
   t.next_uid <- t.next_uid + 1;
-  t.next_uid
+  (t.boot * 1_000_000_000) + t.next_uid
 
 let current_vector t =
   let up =
@@ -160,6 +163,7 @@ let write_commit_block ?log t ~recovering =
       Storage.Commit_block.config_vector = current_vector t;
       seqno = t.useq;
       recovering;
+      boot = t.boot;
       log = (match log with Some log -> log | None -> encode_log t.glog);
     }
 
@@ -549,6 +553,12 @@ let admin_handler t ~client:_ body =
 
 let load_disk_state t =
   let commit = read_commit_block t in
+  (* Count this boot before anything can mint a uid. *)
+  let block =
+    Option.value commit ~default:(Storage.Commit_block.make ~servers:(n_servers t))
+  in
+  t.boot <- block.Storage.Commit_block.boot + 1;
+  Storage.Commit_block.write t.commit_device { block with boot = t.boot };
   let crashed_during_recovery =
     match commit with Some cb -> cb.Storage.Commit_block.recovering | None -> false
   in
@@ -993,6 +1003,7 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       applied = Sim.Condvar.create ();
       replies = Hashtbl.create 32;
       next_uid = 0;
+      boot = 0;
       next_secret = 0;
       op_log = [];
       forced_recovery = false;

@@ -101,6 +101,9 @@ type applied = {
   a_useq : int;
   a_origin : int;  (** initiating server's node id *)
   a_uid : int;
+      (** [boot * 1_000_000_000 + n]: the server's boot count (kept in
+          its commit block) and the n-th update it initiated in that
+          boot, so a uid never repeats across reboots *)
   a_op : Directory.op;
 }
 

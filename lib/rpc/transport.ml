@@ -17,7 +17,25 @@ let default_config =
     locate_backoff = 5.0;
   }
 
-type outcome = Got_reply of Simnet.Payload.t | Bounced
+(* While a reply is outstanding the client asks the server every
+   [enquiry_period] ms whether it still holds the request; two
+   consecutive unanswered enquiries end the attempt as [Dead]. A dead
+   server is therefore abandoned within [3 * enquiry_period] of its
+   crash, and one lost [Alive] never abandons a live one. *)
+let enquiry_period = 200.0
+
+type outcome = Got_reply of Simnet.Payload.t | Bounced | Dead
+
+(* One outstanding attempt: its reply cell and the liveness enquiry
+   that watches it. *)
+type call = {
+  xid : int;
+  server : int;
+  sent : float; (* when the request went out *)
+  ivar : outcome Sim.Ivar.t;
+  mutable unanswered : int; (* enquiries sent since the last Alive *)
+  mutable probe : Sim.Timer.t; (* the next enquiry *)
+}
 
 type service = {
   mutable active : bool;
@@ -31,7 +49,8 @@ type t = {
   node_id : int;
   mutable next_xid : int;
   services : (string, service) Hashtbl.t;
-  pending : (int, outcome Sim.Ivar.t) Hashtbl.t; (* by xid *)
+  pending : (int, call) Hashtbl.t; (* by xid *)
+  held : (int, unit) Hashtbl.t; (* xids accepted and not yet replied to *)
   locates : (int, int list ref) Hashtbl.t; (* xid -> responders, newest first *)
   port_cache : (string, int list ref) Hashtbl.t;
 }
@@ -49,6 +68,14 @@ let fresh_xid t =
 
 let send t ~dst payload = Simnet.Network.send t.net t.nic ~dst ~proto:Wire.proto payload
 
+let engine t = Simnet.Network.engine t.net
+
+(* End an attempt; its enquiry stops with it. *)
+let complete t call outcome =
+  Hashtbl.remove t.pending call.xid;
+  Sim.Timer.cancel call.probe;
+  Sim.Ivar.fill call.ivar outcome
+
 let handle_packet t (packet : Simnet.Packet.t) =
   match packet.payload with
   | Wire.Locate { port; xid; client } -> (
@@ -61,23 +88,31 @@ let handle_packet t (packet : Simnet.Packet.t) =
       match Hashtbl.find_opt t.services port with
       | Some service when service.active && Sim.Mailbox.waiters service.queue > 0
         ->
+          Hashtbl.replace t.held xid ();
           Sim.Mailbox.send service.queue (xid, client, body)
       | Some _ | None ->
           send t ~dst:client (Wire.Not_here { port; xid; server = t.node_id }))
   | Wire.Reply { xid; server; body } -> (
       match Hashtbl.find_opt t.pending xid with
-      | Some ivar ->
-          Hashtbl.remove t.pending xid;
+      | Some call ->
           (* The kernel acknowledges the reply: third packet of the
              3-message Amoeba RPC. *)
           send t ~dst:server (Wire.Ack { xid; client = t.node_id });
-          Sim.Ivar.fill ivar (Got_reply body)
+          complete t call (Got_reply body)
       | None -> ())
   | Wire.Not_here { xid; _ } -> (
       match Hashtbl.find_opt t.pending xid with
-      | Some ivar ->
-          Hashtbl.remove t.pending xid;
-          Sim.Ivar.fill ivar Bounced
+      | Some call -> complete t call Bounced
+      | None -> ())
+  | Wire.Enquiry { xid; client } ->
+      (* Answered by the kernel, not by a worker: a server that is
+         busy with the request says so at no cost. A fresh incarnation
+         holds no xid and stays silent. *)
+      if Hashtbl.mem t.held xid then
+        send t ~dst:client (Wire.Alive { xid; server = t.node_id })
+  | Wire.Alive { xid; _ } -> (
+      match Hashtbl.find_opt t.pending xid with
+      | Some call -> call.unanswered <- 0
       | None -> ())
   | Wire.Here_is { xid; server; _ } -> (
       match Hashtbl.find_opt t.locates xid with
@@ -96,6 +131,7 @@ let create ?(config = default_config) net nic =
       next_xid = 0;
       services = Hashtbl.create 4;
       pending = Hashtbl.create 16;
+      held = Hashtbl.create 16;
       locates = Hashtbl.create 4;
       port_cache = Hashtbl.create 4;
     }
@@ -132,6 +168,7 @@ let serve t ~port ?(threads = 2) handler =
     while service.active do
       let xid, client, body = Sim.Mailbox.recv service.queue in
       let reply = handler ~client body in
+      Hashtbl.remove t.held xid;
       send t ~dst:client (Wire.Reply { xid; server = t.node_id; body = reply })
     done
   in
@@ -186,78 +223,111 @@ let locate t ~port =
       ]);
   in_arrival_order
 
+(* The server to try first: the head of the cached list, located first
+   if the cache is empty. *)
 let ensure_located t ~port =
   match cached_servers t ~port with
-  | _ :: _ as servers -> servers
+  | server :: _ -> server
   | [] ->
       let rec try_rounds round =
         if round > t.config.locate_rounds then
           raise (Rpc_failure (Printf.sprintf "service %s: not located" port));
         match locate t ~port with
-        | _ :: _ as servers -> servers
+        | server :: _ -> server
         | [] ->
             Sim.Proc.sleep t.config.locate_backoff;
             try_rounds (round + 1)
       in
       try_rounds 1
 
+(* Ask the server of pending call [xid] every [enquiry_period] whether
+   it still holds the request; two unanswered enquiries in a row end
+   the attempt. *)
+let rec arm_enquiry t xid =
+  Sim.Timer.after (engine t) ~delay:enquiry_period (fun () -> enquire t xid)
+
+and enquire t xid =
+  match Hashtbl.find_opt t.pending xid with
+  | None -> ()
+  | Some call when call.unanswered >= 2 -> complete t call Dead
+  | Some call ->
+      call.unanswered <- call.unanswered + 1;
+      send t ~dst:call.server (Wire.Enquiry { xid; client = t.node_id });
+      call.probe <- arm_enquiry t xid
+
+(* Give up on [call]'s server: report why and drop it from the cache. *)
+let abandon t ~port call ~name =
+  emit t ~name (fun () ->
+      [
+        ("port", Sim.Trace.Str port);
+        ("xid", Sim.Trace.Int call.xid);
+        ("server", Sim.Trace.Int call.server);
+        ("waited_ms", Sim.Trace.Float (Sim.Engine.now (engine t) -. call.sent));
+      ]);
+  drop_cached t ~port call.server
+
 let trans t ~port ?timeout ?(size = 128) body =
   let timeout =
     match timeout with Some d -> d | None -> t.config.trans_timeout
   in
-  let started = Sim.Engine.now (Simnet.Network.engine t.net) in
+  let started = Sim.Engine.now (engine t) in
   let rec attempt n =
     if n > t.config.max_attempts then
       raise (Rpc_failure (Printf.sprintf "service %s: no reply" port));
-    match ensure_located t ~port with
-    | [] -> assert false (* ensure_located raises instead *)
-    | server :: _ -> (
-        let xid = fresh_xid t in
-        let ivar = Sim.Ivar.create () in
-        Hashtbl.replace t.pending xid ivar;
-        emit t ~name:"trans" (fun () ->
+    let server = ensure_located t ~port in
+    let xid = fresh_xid t in
+    emit t ~name:"trans" (fun () ->
+        [
+          ("port", Sim.Trace.Str port);
+          ("xid", Sim.Trace.Int xid);
+          ("server", Sim.Trace.Int server);
+          ("attempt", Sim.Trace.Int n);
+          ("size", Sim.Trace.Int size);
+        ]);
+    Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto ~size
+      (Wire.Request { port; xid; client = t.node_id; body });
+    let call =
+      {
+        xid;
+        server;
+        sent = Sim.Engine.now (engine t);
+        ivar = Sim.Ivar.create ();
+        unanswered = 0;
+        probe = arm_enquiry t xid;
+      }
+    in
+    Hashtbl.replace t.pending xid call;
+    match Sim.Ivar.read ~timeout call.ivar with
+    | Got_reply reply ->
+        emit t ~name:"trans.done" (fun () ->
             [
               ("port", Sim.Trace.Str port);
               ("xid", Sim.Trace.Int xid);
               ("server", Sim.Trace.Int server);
-              ("attempt", Sim.Trace.Int n);
-              ("size", Sim.Trace.Int size);
+              ("attempts", Sim.Trace.Int n);
+              ( "latency_ms",
+                Sim.Trace.Float (Sim.Engine.now (engine t) -. started) );
             ]);
-        Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto ~size
-          (Wire.Request { port; xid; client = t.node_id; body });
-        match Sim.Ivar.read ~timeout ivar with
-        | Got_reply reply ->
-            emit t ~name:"trans.done" (fun () ->
-                [
-                  ("port", Sim.Trace.Str port);
-                  ("xid", Sim.Trace.Int xid);
-                  ("server", Sim.Trace.Int server);
-                  ("attempts", Sim.Trace.Int n);
-                  ( "latency_ms",
-                    Sim.Trace.Float
-                      (Sim.Engine.now (Simnet.Network.engine t.net) -. started)
-                  );
-                ]);
-            reply
-        | Bounced ->
-            (* NOTHERE: the server was busy; try the next cached one. *)
-            emit t ~name:"trans.bounce" (fun () ->
-                [
-                  ("port", Sim.Trace.Str port);
-                  ("xid", Sim.Trace.Int xid);
-                  ("server", Sim.Trace.Int server);
-                ]);
-            drop_cached t ~port server;
-            attempt (n + 1)
-        | exception Sim.Proc.Timeout ->
-            Hashtbl.remove t.pending xid;
-            emit t ~name:"trans.timeout" (fun () ->
-                [
-                  ("port", Sim.Trace.Str port);
-                  ("xid", Sim.Trace.Int xid);
-                  ("server", Sim.Trace.Int server);
-                ]);
-            drop_cached t ~port server;
-            attempt (n + 1))
+        reply
+    | Bounced ->
+        (* NOTHERE: the server was busy; try the next cached one. *)
+        emit t ~name:"trans.bounce" (fun () ->
+            [
+              ("port", Sim.Trace.Str port);
+              ("xid", Sim.Trace.Int xid);
+              ("server", Sim.Trace.Int server);
+            ]);
+        drop_cached t ~port server;
+        attempt (n + 1)
+    | Dead ->
+        (* Two enquiries went unanswered: the server crashed, rebooted
+           or is cut off. Handled like a timeout, only sooner. *)
+        abandon t ~port call ~name:"trans.dead";
+        attempt (n + 1)
+    | exception Sim.Proc.Timeout ->
+        (* Forget the call; nobody reads its cell any more. *)
+        complete t call Dead;
+        abandon t ~port call ~name:"trans.timeout";
+        attempt (n + 1)
   in
   attempt 1

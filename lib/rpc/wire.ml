@@ -10,6 +10,8 @@ type Simnet.Payload.t +=
   | Reply of { xid : int; server : int; body : Simnet.Payload.t }
   | Not_here of { port : string; xid : int; server : int }
   | Ack of { xid : int; client : int }
+  | Enquiry of { xid : int; client : int }
+  | Alive of { xid : int; server : int }
 
 let proto = "rpc"
 
@@ -23,4 +25,6 @@ let () =
     | Not_here { port; server; _ } ->
         Some (Printf.sprintf "rpc.nothere %s @%d" port server)
     | Ack { xid; _ } -> Some (Printf.sprintf "rpc.ack #%d" xid)
+    | Enquiry { xid; _ } -> Some (Printf.sprintf "rpc.enquiry #%d" xid)
+    | Alive { xid; server } -> Some (Printf.sprintf "rpc.alive #%d @%d" xid server)
     | _ -> None)

@@ -6,7 +6,13 @@
     currently listening on the port answers HEREIS; a busy server that
     receives a request answers NOTHERE, making the client fall back to
     another cached server. The paper's Figure 8 throughput shape comes
-    from this heuristic. *)
+    from this heuristic.
+
+    While a reply is outstanding the client's kernel sends the server an
+    {e enquiry} now and then (Birrell & Nelson's call probe); the
+    server's kernel answers ALIVE while it holds the request. A client
+    whose enquiries go unanswered gives up on that server long before
+    its transaction timeout. *)
 
 type Simnet.Payload.t +=
   | Locate of { port : string; xid : int; client : int }
@@ -20,6 +26,12 @@ type Simnet.Payload.t +=
   | Reply of { xid : int; server : int; body : Simnet.Payload.t }
   | Not_here of { port : string; xid : int; server : int }
   | Ack of { xid : int; client : int }
+  | Enquiry of { xid : int; client : int }
+      (** client to server while a reply is outstanding: do you still
+          hold [xid]? *)
+  | Alive of { xid : int; server : int }
+      (** the server's answer: [xid] was accepted and not yet replied
+          to. A server that does not hold it stays silent. *)
 
 (** Socket protocol key all RPC traffic travels on. *)
 val proto : string

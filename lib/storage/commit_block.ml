@@ -2,6 +2,7 @@ type t = {
   config_vector : bool array;
   seqno : int;
   recovering : bool;
+  boot : int;
   log : string;
 }
 
@@ -12,6 +13,7 @@ let make ~servers =
     config_vector = Array.make servers true;
     seqno = 0;
     recovering = false;
+    boot = 0;
     log = "";
   }
 
@@ -22,6 +24,7 @@ let encode t =
   Array.iter (Codec.Writer.bool w) t.config_vector;
   Codec.Writer.u32 w t.seqno;
   Codec.Writer.bool w t.recovering;
+  Codec.Writer.u32 w t.boot;
   Codec.Writer.string w t.log;
   Codec.Writer.contents w
 
@@ -35,8 +38,9 @@ let decode data =
     let config_vector = Array.init n (fun _ -> Codec.Reader.bool r) in
     let seqno = Codec.Reader.u32 r in
     let recovering = Codec.Reader.bool r in
+    let boot = Codec.Reader.u32 r in
     let log = Codec.Reader.string r in
-    Some { config_vector; seqno; recovering; log }
+    Some { config_vector; seqno; recovering; boot; log }
   end
 
 let read device = decode (Block_device.read device 0)
@@ -48,7 +52,7 @@ let pp fmt t =
     String.concat ""
       (Array.to_list (Array.map (fun b -> if b then "1" else "0") t.config_vector))
   in
-  Format.fprintf fmt "[%s] seq=%d%s%s" vector t.seqno
+  Format.fprintf fmt "[%s] seq=%d boot=%d%s%s" vector t.seqno t.boot
     (if t.recovering then " recovering" else "")
     (if t.log = "" then ""
      else Printf.sprintf " log=%dB" (String.length t.log))

@@ -7,12 +7,17 @@
     otherwise would leave no trace that an update happened), and the
     {e recovering} flag, set while a recovery is in progress so a crash
     during recovery is detectable (the server must then treat its own
-    state as inconsistent and zero its sequence number). *)
+    state as inconsistent and zero its sequence number). It also counts
+    the server's boots, so the request ids a server mints never repeat
+    across reboots. *)
 
 type t = {
   config_vector : bool array;  (** indexed by server number *)
   seqno : int;
   recovering : bool;
+  boot : int;
+      (** how many times the server has booted on this block, counting
+          the current boot; made durable before the server serves *)
   log : string;
       (** group-commit log: encoded directory operations that were made
           stable by this block write but not yet applied to their
@@ -21,7 +26,7 @@ type t = {
 }
 
 val make : servers:int -> t
-(** All-up vector, seqno 0, not recovering, empty log. *)
+(** All-up vector, seqno 0, not recovering, boot 0, empty log. *)
 
 val encode : t -> bytes
 

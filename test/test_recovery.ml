@@ -433,6 +433,55 @@ let test_exactly_once_across_reboot () =
     [ 1; 3 ];
   check_converged_serving cluster
 
+(* A rebooted server mints request ids it never used before: the
+   updates initiated by server 2 before and after its reboot share no
+   (origin, uid), so every replica's log holds each key once. *)
+let test_uids_unique_across_reboot () =
+  let cluster = boot ~seed:43L C.Group_disk in
+  let cap =
+    Harness.on_client cluster (fun client ->
+        retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
+  in
+  let pinned = { Rpc.Transport.default_config with max_attempts = 1 } in
+  let append_via_server_2 names =
+    let client =
+      Harness.client_at ~rpc_config:pinned cluster ~server:2 (fun client ->
+          ignore (Dirsvc.Client.lookup client cap "probe"))
+    in
+    Harness.on_client ~client cluster (fun client ->
+        List.iter
+          (fun name ->
+            retrying (fun () ->
+                Dirsvc.Client.append_row client cap ~name [ cap ]))
+          names)
+  in
+  append_via_server_2 [ "a"; "b"; "c" ];
+  C.reboot_server cluster 2;
+  Alcotest.(check bool) "server 2 serving again" true
+    (C.await_serving ~timeout:15_000.0 cluster ~count:3);
+  append_via_server_2 [ "d"; "e"; "f" ];
+  advance cluster 1_000.0;
+  let origins =
+    List.filter_map
+      (fun (a : Dirsvc.Group_server.applied) ->
+        match a.a_op with
+        | Dirsvc.Directory.Append_row _ -> Some a.a_origin
+        | _ -> None)
+      (Dirsvc.Group_server.applied_log (C.group_server cluster 1))
+  in
+  Alcotest.(check int) "six appends, all through one server" 1
+    (List.length (List.sort_uniq compare origins));
+  Alcotest.(check int) "six appends logged" 6 (List.length origins);
+  List.iter
+    (fun sid ->
+      match
+        Dirsvc.Consistency.check_exactly_once
+          (Dirsvc.Group_server.applied_log (C.group_server cluster sid))
+      with
+      | Ok () -> ()
+      | Error detail -> Alcotest.failf "server %d: %s" sid detail)
+    [ 1; 2; 3 ]
+
 let suite =
   suite
   @ [
@@ -440,6 +489,8 @@ let suite =
         test_force_recover_escape_hatch;
       Alcotest.test_case "exactly-once across reboot" `Quick
         test_exactly_once_across_reboot;
+      Alcotest.test_case "request ids unique across a reboot" `Quick
+        test_uids_unique_across_reboot;
     ]
 
 (* The uncommitted-suffix hazard, end to end. A write reaches only the
@@ -699,10 +750,12 @@ let suite =
     ]
 
 (* A replica rejoining behind a backlog of updates to one directory
-   answers reads of the other directories at once. The backlog builds
-   while the rejoiner rewrites its whole disk image — one Bullet file
-   per directory, [n_dirs] of them — as writers keep updating directory
-   E; afterwards it applies the backlog at the same disk-bound rate the
+   answers reads of the other directories at once. Every directory
+   changes while the replica is down, so its rejoin rewrites all of
+   them — one Bullet file per directory, [n_dirs] of them — and the
+   backlog builds meanwhile as writers keep updating directory E (a
+   rejoin that rewrites only E is over before a backlog forms);
+   afterwards it applies the backlog at the same disk-bound rate the
    writers add to it, so it stays seconds behind. A reader pinned to it
    reads other directories: each read must come back within one disk
    write, not after the backlog (which used to take longer than the
@@ -710,7 +763,7 @@ let suite =
 let test_rejoin_reads_skip_backlog () =
   let cluster = boot ~seed:71L C.Group_disk in
   let n_dirs = 120 in
-  let dirs, e =
+  let all_dirs, dirs, e =
     Harness.on_client ~budget:120_000.0 cluster (fun client ->
         let dirs =
           List.init n_dirs (fun _ ->
@@ -723,7 +776,7 @@ let test_rejoin_reads_skip_backlog () =
             retrying (fun () ->
                 Dirsvc.Client.append_row client cap ~name:"row" [ cap ]))
           read_dirs;
-        (read_dirs, List.nth dirs (n_dirs - 1)))
+        (dirs, read_dirs, List.nth dirs (n_dirs - 1)))
   in
   let pinned =
     { Rpc.Transport.default_config with max_attempts = 1; trans_timeout = 6_000.0 }
@@ -734,6 +787,12 @@ let test_rejoin_reads_skip_backlog () =
   in
   C.crash_server cluster 3;
   advance cluster 500.0;
+  Harness.on_client ~budget:120_000.0 cluster (fun client ->
+      List.iter
+        (fun cap ->
+          retrying (fun () ->
+              Dirsvc.Client.append_row client cap ~name:"missed" [ cap ]))
+        all_dirs);
   (* Writers append and delete their own row of E until told to stop,
      riding out refusals and failovers. *)
   let stop = ref false in

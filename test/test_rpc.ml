@@ -172,6 +172,146 @@ let test_stop_serving () =
   Alcotest.(check (pair string string)) "served then refused" ("ok", "failed")
     outcome
 
+(* ---- Liveness enquiries ---------------------------------------------- *)
+
+let period = Rpc.Transport.enquiry_period
+
+(* The names of the [rpc] trace events [w] emits from now on. *)
+let rpc_events w =
+  let names = ref [] in
+  let trace = Sim.Trace.create () in
+  Sim.Trace.set_sink trace
+    (Some
+       (fun e ->
+         if e.Sim.Trace.subsystem = "rpc" then names := e.Sim.Trace.name :: !names));
+  Sim.Engine.set_trace w.engine (Some trace);
+  fun () -> List.rev !names
+
+(* Count Enquiry and Alive packets on the wire; [drop_alive] drops the
+   first [n] Alive packets. *)
+let count_probes ?(drop_alive = 0) w =
+  let enquiries = ref 0 and alives = ref 0 in
+  Simnet.Network.set_fault_filter w.net
+    (Some
+       (fun packet ->
+         match packet.Simnet.Packet.payload with
+         | Rpc.Wire.Enquiry _ ->
+             incr enquiries;
+             Simnet.Network.Deliver
+         | Rpc.Wire.Alive _ ->
+             incr alives;
+             if !alives <= drop_alive then Simnet.Network.Drop
+             else Simnet.Network.Deliver
+         | _ -> Simnet.Network.Deliver));
+  (enquiries, alives)
+
+(* Serve "ha" on [st]: every request sleeps [!delay] ms, then is
+   answered with [tag]; [runs] counts handler invocations. *)
+let serve_work st tag ~delay ~runs =
+  Rpc.Transport.serve st ~port:"ha" (fun ~client:_ _ ->
+      incr runs;
+      Sim.Proc.sleep !delay;
+      Echo_rep tag)
+
+let test_dead_server_abandoned () =
+  let w = setup_world () in
+  let n1, st1 = rpc_node w ~id:1 "server1" in
+  let n2, st2 = rpc_node w ~id:2 "server2" in
+  let delays = [| ref 0.0; ref 0.0 |] in
+  serve_work st1 "s1" ~delay:delays.(0) ~runs:(ref 0);
+  serve_work st2 "s2" ~delay:delays.(1) ~runs:(ref 0);
+  let client, ct = rpc_node w ~id:3 "client" in
+  let events = rpc_events w in
+  let result =
+    run_fiber w client (fun () ->
+        ignore (Rpc.Transport.trans ct ~port:"ha" (Echo_req "x"));
+        (* The server the client will use holds the request for 10 s
+           and crashes 100 ms into it. *)
+        let holder = List.hd (Rpc.Transport.cached_servers ct ~port:"ha") in
+        delays.(holder - 1) := 10_000.0;
+        let crashed_at = Sim.Proc.now () +. 100.0 in
+        at w ~delay:100.0 (fun () -> Sim.Node.crash (if holder = 1 then n1 else n2));
+        let reply = Rpc.Transport.trans ct ~port:"ha" ~timeout:5_000.0 (Echo_req "x") in
+        (holder, reply, Sim.Proc.now () -. crashed_at))
+  in
+  let holder, reply, after_crash = result in
+  (match reply with
+  | Echo_rep tag ->
+      Alcotest.(check string) "served by the survivor"
+        (if holder = 1 then "s2" else "s1") tag
+  | _ -> Alcotest.fail "wrong reply payload");
+  Alcotest.(check bool)
+    (Printf.sprintf "completed %.0f ms after the crash, within 3P" after_crash)
+    true (after_crash <= 3.0 *. period);
+  Alcotest.(check int) "one dead verdict" 1
+    (List.length (List.filter (String.equal "trans.dead") (events ())));
+  Alcotest.(check bool) "no timeout" false (List.mem "trans.timeout" (events ()))
+
+let test_slow_live_server_kept () =
+  let w = setup_world () in
+  let _server, st = rpc_node w ~id:1 "server" in
+  let runs = ref 0 in
+  serve_work st "s1" ~delay:(ref 3_000.0) ~runs;
+  let client, ct = rpc_node w ~id:2 "client" in
+  let enquiries, alives = count_probes w in
+  let events = rpc_events w in
+  let reply =
+    run_fiber w client (fun () ->
+        Rpc.Transport.trans ct ~port:"ha" ~timeout:5_000.0 (Echo_req "x"))
+  in
+  Alcotest.(check bool) "replied" true (reply = Echo_rep "s1");
+  Alcotest.(check int) "handler ran once" 1 !runs;
+  Alcotest.(check bool) "enquiries sent" true (!enquiries >= 10);
+  Alcotest.(check int) "every enquiry answered" !enquiries !alives;
+  Alcotest.(check (list string)) "one clean attempt"
+    [ "locate"; "locate.done"; "trans"; "trans.done" ]
+    (events ())
+
+let test_rebooted_server_silent () =
+  let w = setup_world () in
+  let server, st = rpc_node w ~id:1 "server" in
+  let delay = ref 10_000.0 in
+  serve_work st "old" ~delay ~runs:(ref 0);
+  let client, ct = rpc_node w ~id:2 "client" in
+  let rebooted_at = 100.0 in
+  (* The server reboots while it holds the request, and its new
+     incarnation serves again at once. *)
+  at w ~delay:rebooted_at (fun () ->
+      Sim.Node.crash server;
+      Sim.Node.restart server;
+      let st' = Rpc.Transport.create w.net (Simnet.Network.attach w.net server) in
+      serve_work st' "new" ~delay:(ref 0.0) ~runs:(ref 0));
+  let events = rpc_events w in
+  let reply, finished =
+    run_fiber w client (fun () ->
+        let reply = Rpc.Transport.trans ct ~port:"ha" ~timeout:5_000.0 (Echo_req "x") in
+        (reply, Sim.Proc.now ()))
+  in
+  Alcotest.(check bool) "served by the new incarnation" true (reply = Echo_rep "new");
+  Alcotest.(check bool)
+    (Printf.sprintf "failed over %.0f ms after the reboot, within 3P"
+       (finished -. rebooted_at))
+    true
+    (finished -. rebooted_at <= 3.0 *. period);
+  Alcotest.(check bool) "dead verdict" true (List.mem "trans.dead" (events ()))
+
+let test_lost_alive_tolerated () =
+  let w = setup_world () in
+  let _server, st = rpc_node w ~id:1 "server" in
+  let runs = ref 0 in
+  serve_work st "s1" ~delay:(ref 3_000.0) ~runs;
+  let client, ct = rpc_node w ~id:2 "client" in
+  let _enquiries, alives = count_probes ~drop_alive:1 w in
+  let events = rpc_events w in
+  let reply =
+    run_fiber w client (fun () ->
+        Rpc.Transport.trans ct ~port:"ha" ~timeout:5_000.0 (Echo_req "x"))
+  in
+  Alcotest.(check bool) "replied" true (reply = Echo_rep "s1");
+  Alcotest.(check bool) "an Alive was dropped" true (!alives > 1);
+  Alcotest.(check int) "handler ran once" 1 !runs;
+  Alcotest.(check bool) "not abandoned" false (List.mem "trans.dead" (events ()))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -182,4 +322,12 @@ let suite =
     tc "busy server bounces NOTHERE" `Quick test_busy_server_bounces;
     tc "failover to second server" `Quick test_failover_to_second_server;
     tc "stop serving" `Quick test_stop_serving;
+    tc "crashed server abandoned within 3 enquiry periods" `Quick
+      test_dead_server_abandoned;
+    tc "slow live server answers enquiries and is kept" `Quick
+      test_slow_live_server_kept;
+    tc "rebooted server's new incarnation stays silent" `Quick
+      test_rebooted_server_silent;
+    tc "one lost Alive does not abandon a live server" `Quick
+      test_lost_alive_tolerated;
   ]

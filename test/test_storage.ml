@@ -50,6 +50,7 @@ let test_commit_block_roundtrip () =
       Storage.Commit_block.config_vector = [| true; true; false |];
       seqno = 17;
       recovering = true;
+      boot = 4;
       log = "abc";
     }
   in
@@ -63,6 +64,7 @@ let test_commit_block_roundtrip () =
       Alcotest.(check (array bool)) "vector" cb.config_vector got.config_vector;
       Alcotest.(check int) "seqno" 17 got.Storage.Commit_block.seqno;
       Alcotest.(check bool) "recovering" true got.recovering;
+      Alcotest.(check int) "boot" 4 got.boot;
       Alcotest.(check string) "log" "abc" got.log
   | None -> Alcotest.fail "commit block missing"
 
@@ -76,13 +78,16 @@ let test_commit_block_blank () =
 let commit_block_codec_property =
   QCheck.Test.make ~name:"commit block codec roundtrip" ~count:200
     QCheck.(
-      pair (triple (list bool) (int_bound 1_000_000) bool) printable_string)
-    (fun ((vector, seqno, recovering), log) ->
+      pair
+        (quad (list bool) (int_bound 1_000_000) bool (int_bound 1_000))
+        printable_string)
+    (fun ((vector, seqno, recovering, boot), log) ->
       let cb =
         {
           Storage.Commit_block.config_vector = Array.of_list vector;
           seqno;
           recovering;
+          boot;
           log;
         }
       in
@@ -91,6 +96,7 @@ let commit_block_codec_property =
           got.Storage.Commit_block.config_vector = cb.config_vector
           && got.seqno = seqno
           && got.recovering = recovering
+          && got.boot = boot
           && got.log = log
       | None -> false)
 

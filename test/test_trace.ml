@@ -201,12 +201,12 @@ let test_scaled_digest_golden () =
   in
   let engine = Dirsvc.Cluster.engine cluster in
   Alcotest.(check string) "pinned trace digest"
-    "12fa1b1d1dcb27a5554b0421d14af813"
+    "8fa0daf7adf2c594adef2398268ee0c1"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
   Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
-  Alcotest.(check int) "pinned event count" 10_823
+  Alcotest.(check int) "pinned event count" 11_322
     (Sim.Engine.events_executed engine);
-  Alcotest.(check (float 1e-9)) "pinned final clock" 3493.4885909654745
+  Alcotest.(check (float 1e-9)) "pinned final clock" 3533.7066196043988
     (Sim.Engine.now engine)
 
 let suite =
