@@ -181,14 +181,14 @@ let op_kind = function
   | Replace_set _ -> "replace_set"
 
 let dir_id_of_op store = function
-  | Create_dir { hint = Some id; _ } -> Some id
-  | Create_dir { hint = None; _ } -> Some (lowest_free_id store)
+  | Create_dir { hint = Some id; _ } -> id
+  | Create_dir { hint = None; _ } -> lowest_free_id store
   | Delete_dir { cap }
   | Append_row { cap; _ }
   | Chmod_row { cap; _ }
   | Delete_row { cap; _ }
   | Replace_set { cap; _ } ->
-      Some cap.obj
+      cap.obj
 
 type listing = {
   listed_columns : string list;

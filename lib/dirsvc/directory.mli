@@ -101,9 +101,10 @@ val apply : store -> seqno:int -> op -> (store * op_result, error) result
 val op_kind : op -> string
 
 (** [dir_id_of_op store op] is the directory an operation touches once
-    applied — for Create the id it {e would} allocate. Used by the NVRAM
-    server's annihilation and coalescing logic. *)
-val dir_id_of_op : store -> op -> dir_id option
+    applied — for Create the id that [apply store] allocates, the one
+    its [Created] result names. The servers key their locks, read gate
+    and log records on it. *)
+val dir_id_of_op : store -> op -> dir_id
 
 (** Reads (Fig. 2's List / Lookup). [column] selects the protection
     domain; the capability must carry that column's read right. *)

@@ -30,7 +30,7 @@ type t = {
      write carrying them in the commit block's log, the directory blocks
      being rewritten in the background. Only the paper's per-update
      commit on disk writes in place; on NVRAM the board is the log
-     (§4.1). [nvram] only makes a cancel durable, see [stage]. *)
+     (§4.1). *)
   group_commit : bool;
   in_place : bool;
   metrics : Sim.Metrics.t option;
@@ -41,7 +41,6 @@ type t = {
   peers : (int * int) list; (* (server_id, node_id), all servers *)
   device : Storage.Block_device.t;
   commit_device : Storage.Block_device.t; (* [device], or the NVRAM board *)
-  nvram : bool; (* the commit block lives on the NVRAM board *)
   image : Dir_image.t;
   gname : string;
   port : string;
@@ -75,6 +74,7 @@ type t = {
      outgrows the commit block. *)
   mutable pending : log_record list; (* newest first *)
   mutable glog : log_record list; (* newest first *)
+  mutable cancelled : bool; (* a cancel shrank [glog] since the last flush *)
   c_commit : Sim.Metrics.handle option;
   (* Sharded deployment only ([shard] = None is a lone group).
      [staged_x] / [xdecisions] are driven exclusively by
@@ -191,10 +191,13 @@ let apply_log t =
       t.glog <- List.filter (fun r -> r.dir_id <> dir) t.glog)
     dirs
 
-(* Staging: no I/O beyond an NVRAM cancel — [flush] makes the staged
-   records stable. The /tmp effect reaches across the unflushed records
-   and the unapplied log: a delete canceling an append that no
-   per-directory block has seen yet removes both records. *)
+(* Staging does no I/O: [flush] makes the staged records stable. The
+   /tmp effect reaches across the unflushed records and the unapplied
+   log: a delete canceling an append that no per-directory block has
+   seen yet removes both records. A cancel that shrinks [glog] leaves
+   the commit block's log stale, so it is flushed like a staged record:
+   the burst's own commit-block write makes it durable before any
+   writer is woken. *)
 let row_cancels ~cap ~name r =
   match r.op with
   | Directory.Append_row { cap = c; name = n; _ } ->
@@ -212,21 +215,21 @@ let stage t record =
     let keep r = not (cancels r) in
     t.pending <- List.filter keep t.pending;
     t.glog <- List.filter keep t.glog;
-    (* NVRAM pays one 9 ms board write to make the cancel durable; disk
-       stays write-free, a known window (DESIGN.md §8 item 11). *)
-    if t.nvram && logged then write_commit_block t ~recovering:false
+    t.cancelled <- t.cancelled || logged
   end
   else t.pending <- record :: t.pending
 
-(* One durable write makes every staged record stable: the records' own
-   directory blocks ([in_place]) or one commit-block write that carries
-   them in the log. When the log would no longer fit beside the header,
-   it is applied in place together with the records instead, and the
-   commit block is written with the log emptied. *)
+(* One durable write makes every staged record (and every cancel)
+   stable: the records' own directory blocks ([in_place]) or one
+   commit-block write that carries them in the log. When the log would
+   no longer fit beside the header, it is applied in place together
+   with the records instead, and the commit block is written with the
+   log emptied. *)
 let flush t =
   match t.pending with
-  | [] -> ()
+  | [] when not t.cancelled -> ()
   | pending ->
+      t.cancelled <- false;
       count_commit t;
       if t.in_place then apply_log t
       else begin
@@ -255,16 +258,9 @@ let flush t =
    publishes the result. *)
 let execute_op t ~origin ~uid op =
   let useq' = t.useq + 1 in
+  let dir_id = Directory.dir_id_of_op t.store op in
   match Directory.apply t.store ~seqno:useq' op with
   | Ok (store', result) ->
-      let dir_id =
-        match result with
-        | Directory.Created id -> id
-        | Directory.Updated -> (
-            match Directory.dir_id_of_op t.store op with
-            | Some id -> id
-            | None -> assert false)
-      in
       t.useq <- useq';
       t.store <- store';
       t.op_log <-
@@ -390,10 +386,8 @@ let blocks_read t g ~dirs seqno =
   | Some (Group.Wire.App { payload; _ }) -> (
       match payload with
       | Wire.Dir_op_msg { op = Directory.Create_dir _; _ } -> false
-      | Wire.Dir_op_msg { op; _ } -> (
-          match Directory.dir_id_of_op t.store op with
-          | Some dir -> List.mem dir dirs
-          | None -> true)
+      | Wire.Dir_op_msg { op; _ } ->
+          List.mem (Directory.dir_id_of_op t.store op) dirs
       | Wire.Dir_xact_msg { xact = Wire.Xcommit _; _ } -> true
       | _ -> false)
   | Some (Group.Wire.Join_member _ | Group.Wire.Leave_member _) -> false
@@ -986,7 +980,6 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       peers;
       device;
       commit_device = Option.value nvram ~default:device;
-      nvram = Option.is_some nvram;
       image =
         Dir_image.attach transport ~bullet_port ~device
           ~slots:params.Params.admin_slots;
@@ -1009,6 +1002,7 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       forced_recovery = false;
       pending = [];
       glog = [];
+      cancelled = false;
       c_commit =
         Option.map (fun m -> Sim.Metrics.counter m "dirsvc.commit") metrics;
       shard;

@@ -29,9 +29,11 @@
 
     With an NVRAM board attached, the commit block lives on the board
     and every flush goes through its log, one board write per flush; the
-    same idle or overflow rule applies the log to disk, and a delete
-    annihilates a still-logged append without any disk I/O at all
-    (§4.1).
+    same idle or overflow rule applies the log to disk (§4.1). On either
+    medium a delete annihilates an append still in the log: neither
+    reaches a directory block, but the cancel is made durable by the
+    burst's own commit-block write before any writer is woken, so the
+    pair costs two commit-block writes and no directory-block write.
 
     The client request path (dispatch, op timing, reply mapping) is
     {!Dir_front}; the Bullet-file directory image is {!Dir_image}. *)

@@ -41,19 +41,17 @@ let handle_write t op =
         Directory.Create_dir { columns; secret = fresh_secret t; hint }
     | other -> other
   in
-  match Directory.dir_id_of_op t.store op with
-  | None -> Wire.Err_rep (Wire.Op_error (Directory.Bad_request "bad op"))
-  | Some dir_id ->
-      let outcome =
-        match Directory.apply t.store ~seqno:(t.useq + 1) op with
-        | Ok (store', result) ->
-            t.useq <- t.useq + 1;
-            t.store <- store';
-            disk_commit t dir_id;
-            Ok result
-        | Error e -> Error e
-      in
-      Dir_front.write_reply ~port:t.port op outcome
+  let dir_id = Directory.dir_id_of_op t.store op in
+  let outcome =
+    match Directory.apply t.store ~seqno:(t.useq + 1) op with
+    | Ok (store', result) ->
+        t.useq <- t.useq + 1;
+        t.store <- store';
+        disk_commit t dir_id;
+        Ok result
+    | Error e -> Error e
+  in
+  Dir_front.write_reply ~port:t.port op outcome
 
 let handle_read t ~dirs:_ serve =
   Sim.Resource.use t.cpu t.params.Params.nfs_cpu_read_ms;

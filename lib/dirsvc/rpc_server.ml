@@ -62,11 +62,9 @@ let unlock t dir_id =
    stamp because operations on one directory are serialised by the
    locks. *)
 let next_seqno t op =
-  match Directory.dir_id_of_op t.store op with
-  | Some dir_id -> (
-      match Directory.Store.find_opt dir_id t.store with
-      | Some dir -> dir.Directory.seqno + 1
-      | None -> 1)
+  let dir_id = Directory.dir_id_of_op t.store op in
+  match Directory.Store.find_opt dir_id t.store with
+  | Some dir -> dir.Directory.seqno + 1
   | None -> 1
 
 let persist_dir_to_disk t dir_id =
@@ -98,20 +96,18 @@ let write_intention t op =
     (Storage.Codec.Writer.contents w)
 
 let handle_intend t op =
-  match Directory.dir_id_of_op t.store op with
-  | None -> Wire.Intend_busy
-  | Some dir_id ->
-      if not (try_lock t dir_id) then Wire.Intend_busy
-      else begin
-        write_intention t op;
-        (* Apply in core right away: reads at this replica stay
-           consistent. The disk copy is made lazily below. *)
-        ignore (apply_in_core t op);
-        unlock t dir_id;
-        t.lazy_queue <- t.lazy_queue @ [ dir_id ];
-        Sim.Condvar.broadcast t.lazy_kick;
-        Wire.Intend_ok
-      end
+  let dir_id = Directory.dir_id_of_op t.store op in
+  if not (try_lock t dir_id) then Wire.Intend_busy
+  else begin
+    write_intention t op;
+    (* Apply in core right away: reads at this replica stay
+       consistent. The disk copy is made lazily below. *)
+    ignore (apply_in_core t op);
+    unlock t dir_id;
+    t.lazy_queue <- t.lazy_queue @ [ dir_id ];
+    Sim.Condvar.broadcast t.lazy_kick;
+    Wire.Intend_ok
+  end
 
 let lazy_replicator t () =
   while true do
@@ -150,35 +146,33 @@ let handle_write t op =
           { columns; secret = fresh_secret t; hint = Some (fresh_dir_id t) }
     | other -> other
   in
-  match Directory.dir_id_of_op t.store op with
-  | None -> Wire.Err_rep (Wire.Op_error (Directory.Bad_request "bad op"))
-  | Some dir_id ->
-      let rec attempt tries =
-        if tries > 12 then Wire.Err_rep (Wire.Unavailable "peer busy")
-        else begin
-          lock t dir_id;
-          match intend_at_peer t op with
-          | `Busy ->
-              (* Conflicting operation at the peer: release and retry.
-                 The backoff is deliberately asymmetric between the two
-                 servers, or simultaneous initiators would collide again
-                 on every round. *)
-              unlock t dir_id;
-              Sim.Timer.sleep
-                (2.0
-                +. (float_of_int t.server_id *. 3.7)
-                +. (float_of_int tries *. 2.3));
-              attempt (tries + 1)
-          | `Ok | `Down ->
-              let outcome = apply_in_core t op in
-              (match outcome with
-              | Ok _ -> persist_dir_to_disk t dir_id
-              | Error _ -> ());
-              unlock t dir_id;
-              Dir_front.write_reply ~port:t.port op outcome
-        end
-      in
-      attempt 0
+  let dir_id = Directory.dir_id_of_op t.store op in
+  let rec attempt tries =
+    if tries > 12 then Wire.Err_rep (Wire.Unavailable "peer busy")
+    else begin
+      lock t dir_id;
+      match intend_at_peer t op with
+      | `Busy ->
+          (* Conflicting operation at the peer: release and retry. The
+             backoff is deliberately asymmetric between the two servers,
+             or simultaneous initiators would collide again on every
+             round. *)
+          unlock t dir_id;
+          Sim.Timer.sleep
+            (2.0
+            +. (float_of_int t.server_id *. 3.7)
+            +. (float_of_int tries *. 2.3));
+          attempt (tries + 1)
+      | `Ok | `Down ->
+          let outcome = apply_in_core t op in
+          (match outcome with
+          | Ok _ -> persist_dir_to_disk t dir_id
+          | Error _ -> ());
+          unlock t dir_id;
+          Dir_front.write_reply ~port:t.port op outcome
+    end
+  in
+  attempt 0
 
 let handle_read t ~dirs:_ serve =
   Sim.Resource.use t.cpu t.params.Params.cpu_read_ms;

@@ -1,0 +1,376 @@
+(* Crash-point sweep. A scripted client workload runs once to count its
+   crash points: every block write issued on a disk or an NVRAM board,
+   and every reply a client receives. It is then rerun on the same seed
+   once per point k. At the k-th point the chosen servers and every
+   client crash; the servers restart, and each replica's store must
+   keep every acknowledged state: an acknowledged append's row is
+   there, an acknowledged delete's row or directory is not. An op still
+   in flight at the crash may land either way (DESIGN.md §6.5). An
+   issued write completes even if its node crashes
+   ([Storage.Block_device]), so crashing at a write's issue is the
+   latest crash that write survives. The technique follows the
+   crash-consistency checkers ALICE and CrashMonkey.
+
+   [suite] is the quick set that [dune runtest] runs; [slow_suite] is
+   the wider sweep of [dune build @crash-slow]. *)
+
+module C = Dirsvc.Cluster
+
+type op =
+  | Create of string  (** a directory, by its label in the script *)
+  | Delete_dir of string
+  | Append of string * string  (** directory label, row name *)
+  | Delete of string * string
+
+type step = Op of op | Pause of float (* simulated ms *)
+
+let op_to_string = function
+  | Create d -> Printf.sprintf "create_dir %s" d
+  | Delete_dir d -> Printf.sprintf "delete_dir %s" d
+  | Append (d, r) -> Printf.sprintf "append_row %s/%s" d r
+  | Delete (d, r) -> Printf.sprintf "delete_row %s/%s" d r
+
+(* The directory or row an op changes, and whether it leaves it there. *)
+let item = function
+  | Create d | Delete_dir d -> (d, None)
+  | Append (d, r) | Delete (d, r) -> (d, Some r)
+
+let leaves_present = function
+  | Create _ | Append _ -> true
+  | Delete_dir _ | Delete _ -> false
+
+type victims = All | Pair of int * int | Sequencer
+
+type config = {
+  name : string;
+  flavor : C.flavor;
+  batch_max : int;
+  victims : victims;
+  seed : int64;
+  script : step list list;  (** one step list per concurrent client *)
+}
+
+type invoked = { client : int; op : op; mutable acked : bool }
+
+(* One run of a configuration, crashing at point [crash_at] (0: never).
+   Points count only while [armed]: from the script's start. *)
+type run = {
+  cluster : C.t;
+  crash_at : int;
+  mutable armed : bool;
+  mutable points : int;
+  mutable point : string; (* the crash point, described *)
+  mutable crashed : int list; (* the servers crashed *)
+  mutable history : invoked list; (* newest first *)
+  caps : (string, Capability.t) Hashtbl.t;
+  server_of_node : (int, int) Hashtbl.t;
+  mutable sequencer : int; (* node id that ordered the latest batch *)
+  mutable largest_batch : int;
+  mutable clients : Sim.Node.t list;
+  mutable finished : int;
+}
+
+let crash cfg r =
+  let victims =
+    match cfg.victims with
+    | All -> List.init (C.n_servers r.cluster) (fun i -> i + 1)
+    | Pair (a, b) -> [ a; b ]
+    | Sequencer -> [ Hashtbl.find r.server_of_node r.sequencer ]
+  in
+  r.crashed <- victims;
+  List.iter (C.crash_server r.cluster) victims;
+  List.iter Sim.Node.crash r.clients;
+  Sim.Engine.stop (C.engine r.cluster)
+
+let hit cfg r describe =
+  if r.armed && r.crashed = [] then begin
+    r.points <- r.points + 1;
+    if r.points = r.crash_at then begin
+      r.point <- describe ();
+      crash cfg r
+    end
+  end
+
+let int_attr e key =
+  match List.assoc_opt key e.Sim.Trace.attrs with
+  | Some (Sim.Trace.Int n) -> n
+  | _ -> -1
+
+let str_attr e key =
+  match List.assoc_opt key e.Sim.Trace.attrs with
+  | Some (Sim.Trace.Str s) -> s
+  | _ -> "?"
+
+(* Counts the write points, and follows which node is the sequencer and
+   which server runs on which node. *)
+let install_sink cfg r =
+  let trace = Sim.Trace.create ~capacity:16 () in
+  Sim.Trace.set_sink trace
+    (Some
+       (fun e ->
+         match (e.Sim.Trace.subsystem, e.Sim.Trace.name) with
+         | "storage", "disk.write" ->
+             hit cfg r (fun () ->
+                 Printf.sprintf "t=%.3f ms storage/disk.write dev=%s block=%d"
+                   e.Sim.Trace.time (str_attr e "dev") (int_attr e "block"))
+         | "grp", "assign.batch" ->
+             r.sequencer <- e.Sim.Trace.node;
+             if r.armed then
+               r.largest_batch <- max r.largest_batch (int_attr e "count")
+         | "dirsvc", _ ->
+             let sid = int_attr e "server" in
+             if sid > 0 then
+               Hashtbl.replace r.server_of_node e.Sim.Trace.node sid
+         | _ -> ()));
+  Sim.Engine.set_trace (C.engine r.cluster) (Some trace)
+
+let perform r client op =
+  let cap d = Hashtbl.find r.caps d in
+  match op with
+  | Create d ->
+      Hashtbl.replace r.caps d
+        (Dirsvc.Client.create_dir client ~columns:[ "owner" ])
+  | Delete_dir d -> Dirsvc.Client.delete_dir client (cap d)
+  | Append (d, name) -> Dirsvc.Client.append_row client (cap d) ~name [ cap d ]
+  | Delete (d, name) -> Dirsvc.Client.delete_row client (cap d) ~name
+
+let start_client cfg r id steps =
+  let client = C.client r.cluster in
+  let node = Rpc.Transport.node (Dirsvc.Client.transport client) in
+  r.clients <- node :: r.clients;
+  Sim.Proc.boot (C.engine r.cluster) node (fun () ->
+      List.iter
+        (fun step ->
+          if Sim.Node.is_alive node then
+            match step with
+            | Pause ms -> Sim.Proc.sleep ms
+            | Op op ->
+                let invoked = { client = id; op; acked = false } in
+                r.history <- invoked :: r.history;
+                perform r client op;
+                invoked.acked <- true;
+                hit cfg r (fun () ->
+                    Printf.sprintf "t=%.3f ms client%d ack of %s"
+                      (Sim.Proc.now ()) id (op_to_string op)))
+        steps;
+      r.finished <- r.finished + 1)
+
+(* Boot [cfg]'s cluster and start its clients; points count from here. *)
+let start cfg ~crash_at =
+  let params = { Dirsvc.Params.default with batch_max = cfg.batch_max } in
+  let r =
+    {
+      cluster = C.create ~seed:cfg.seed ~params cfg.flavor;
+      crash_at;
+      armed = false;
+      points = 0;
+      point = "";
+      crashed = [];
+      history = [];
+      caps = Hashtbl.create 4;
+      server_of_node = Hashtbl.create 4;
+      sequencer = -1;
+      largest_batch = 0;
+      clients = [];
+      finished = 0;
+    }
+  in
+  install_sink cfg r;
+  if not (C.await_ready r.cluster) then Alcotest.fail "cluster does not boot";
+  r.armed <- true;
+  List.iteri (fun i steps -> start_client cfg r (i + 1) steps) cfg.script;
+  r
+
+let ops_on r key =
+  List.rev (List.filter (fun i -> item i.op = key) r.history)
+
+(* The states an item may be found in: the one its last acknowledged op
+   left, or the one any later op (all in flight) would leave. *)
+let allowed r key =
+  let rec go acked_state rest = function
+    | [] -> acked_state :: rest
+    | i :: more when i.acked -> go (leaves_present i.op) [] more
+    | i :: more -> go acked_state (leaves_present i.op :: rest) more
+  in
+  go false [] (ops_on r key)
+
+let describe_invoked i =
+  Printf.sprintf "%s (client%d%s)" (op_to_string i.op) i.client
+    (if i.acked then ", acked" else ", in flight")
+
+(* Whether [store] holds the item, or None when nothing was acknowledged
+   to check it against: its directory's creation never was, or a row's
+   directory is gone (the directory's own check covers that). *)
+let found r store (d, row) =
+  match Hashtbl.find_opt r.caps d with
+  | None -> None
+  | Some cap -> (
+      let dir =
+        match Dirsvc.Directory.Store.find_opt cap.Capability.obj store with
+        | Some dir when Capability.validate cap dir.Dirsvc.Directory.secret ->
+            Some dir
+        | Some _ | None -> None
+      in
+      match (dir, row) with
+      | Some _, None -> Some true
+      | Some dir, Some name ->
+          Some
+            (List.exists
+               (fun (rw : Dirsvc.Directory.row) -> rw.name = name)
+               dir.Dirsvc.Directory.rows)
+      | None, None -> Some false
+      | None, Some _ -> None)
+
+(* Every violation a replica's store shows. *)
+let check_all r =
+  let keys = List.sort_uniq compare (List.map (fun i -> item i.op) r.history) in
+  List.concat_map
+    (fun (server, store) ->
+      List.filter_map
+        (fun ((d, row) as key) ->
+          match found r store key with
+          | Some present when not (List.mem present (allowed r key)) ->
+              Some
+                (Printf.sprintf "server %d: %s %s; ops: %s" server
+                   (match row with
+                   | None -> "directory " ^ d
+                   | Some name -> Printf.sprintf "row %s/%s" d name)
+                   (if present then "is back after an acknowledged delete"
+                    else "is lost after an acknowledged create or append")
+                   (String.concat "; "
+                      (List.map describe_invoked (ops_on r key))))
+          | Some _ | None -> None)
+        keys)
+    (C.store_snapshots r.cluster)
+
+let recover_and_check r =
+  let advance ms =
+    C.run_until r.cluster (Sim.Engine.now (C.engine r.cluster) +. ms)
+  in
+  advance 500.0;
+  List.iter (C.restart_server r.cluster) r.crashed;
+  let n = C.n_servers r.cluster in
+  if not (C.await_serving ~timeout:20_000.0 r.cluster ~count:n) then
+    [ "the crashed servers do not all serve again within 20 s" ]
+  else begin
+    advance 1_000.0;
+    check_all r
+  end
+
+(* Points after the script's last ack: the idle apply of the log and
+   the Bullet server's background writes. *)
+let settle_ms = 1_000.0
+
+(* Sweep every point of [cfg]; returns the failure reports. *)
+let sweep ~suite ~index cfg =
+  let dry = start cfg ~crash_at:0 in
+  let engine = C.engine dry.cluster in
+  let deadline = Sim.Engine.now engine +. 60_000.0 in
+  let running () = dry.finished < List.length dry.clients in
+  while running () && Sim.Engine.now engine < deadline do
+    C.run_until dry.cluster (Sim.Engine.now engine +. 10.0)
+  done;
+  if running () then Alcotest.failf "%s: the script does not finish" cfg.name;
+  let window_end = Sim.Engine.now engine +. settle_ms in
+  C.run_until dry.cluster window_end;
+  let points = dry.points in
+  Printf.printf "%s: %d crash points, ordered batches of up to %d\n" cfg.name
+    points dry.largest_batch;
+  let report k r ~point problems =
+    let in_flight = List.filter (fun i -> not i.acked) r.history in
+    Printf.sprintf
+      "%s, seed %Ld, k = %d of %d\n\
+      \  point: %s\n\
+      \  in flight: %s\n\
+       %s\n\
+      \  replay: dune exec test/test_main.exe -- test %s %d"
+      cfg.name cfg.seed k points point
+      (if in_flight = [] then "none"
+       else String.concat ", " (List.map describe_invoked in_flight))
+      (String.concat "\n" (List.map (fun p -> "  violation: " ^ p) problems))
+      suite index
+  in
+  (match check_all dry with
+  | [] -> []
+  | problems -> [ report 0 dry ~point:"none (no crash)" problems ])
+  @ List.concat_map
+      (fun k ->
+        let r = start cfg ~crash_at:k in
+        C.run_until r.cluster window_end;
+        if r.crashed = [] then
+          [ report k r ~point:"never reached" [ "the rerun diverged" ] ]
+        else
+          match recover_and_check r with
+          | [] -> []
+          | problems -> [ report k r ~point:r.point problems ])
+      (List.init points (fun k -> k + 1))
+
+let case ~suite index cfg =
+  Alcotest.test_case cfg.name `Quick (fun () ->
+      match sweep ~suite ~index cfg with
+      | [] -> ()
+      | reports ->
+          Alcotest.failf "%d crash point(s) violated:\n%s"
+            (List.length reports)
+            (String.concat "\n\n" reports))
+
+(* One directory, then appends and deletes back to back. *)
+let append_delete dir rows =
+  Op (Create dir)
+  :: List.concat_map
+       (fun row -> [ Op (Append (dir, row)); Op (Delete (dir, row)) ])
+       rows
+
+let rows prefix n = List.init n (fun i -> Printf.sprintf "%s%d" prefix (i + 1))
+
+let media =
+  [
+    (C.Group_disk, 1); (C.Group_disk, 4); (C.Group_nvram, 1); (C.Group_nvram, 4);
+  ]
+
+let config ?(victims = All) (flavor, batch_max) what script =
+  let name =
+    Printf.sprintf "%s batch %d: %s"
+      (match flavor with C.Group_nvram -> "Group_nvram" | _ -> "Group_disk")
+      batch_max what
+  in
+  { name; flavor; batch_max; victims; seed = 39L; script }
+
+let quick =
+  List.map
+    (fun m -> config m "full crash" [ append_delete "d" (rows "r" 6) ])
+    media
+
+let slow =
+  List.concat_map
+    (fun m ->
+      List.map
+        (fun (a, b) ->
+          config m ~victims:(Pair (a, b))
+            (Printf.sprintf "servers %d+%d crash" a b)
+            [ append_delete "d" (rows "r" 6) ])
+        [ (1, 2); (1, 3); (2, 3) ])
+    media
+  @ List.concat_map
+      (fun m ->
+        [
+          (* Four writers, so ordered batches carry several updates. *)
+          config m ~victims:Sequencer "sequencer crash, four writers"
+            (List.map
+               (fun dir -> append_delete dir (rows dir 3))
+               [ "a"; "b"; "c"; "d" ]);
+          (* The pause lets the idle apply start before the deletion. *)
+          config m "full crash, delete_dir while applying"
+            [
+              [
+                Op (Create "x"); Op (Create "y"); Op (Append ("y", "y1"));
+                Op (Append ("x", "x1")); Pause 170.0; Op (Delete_dir "x");
+                Op (Append ("y", "y2"));
+              ];
+            ];
+        ])
+      [ (C.Group_disk, 4); (C.Group_nvram, 4) ]
+
+let suite = List.mapi (case ~suite:"crash") quick
+
+let slow_suite = List.mapi (case ~suite:"crash-slow") slow

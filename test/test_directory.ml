@@ -148,13 +148,15 @@ let test_delete_dir_invalidates () =
       | Error _ -> Alcotest.fail "delete failed")
 
 let test_create_id_allocation () =
-  (* Lowest-free allocation is deterministic and reuses freed ids. *)
+  (* Lowest-free allocation is deterministic and reuses freed ids, and
+     [dir_id_of_op] names the id before the create is applied. *)
   let create store =
-    match
-      D.apply store ~seqno:1
-        (D.Create_dir { columns = [ "c" ]; secret; hint = None })
-    with
-    | Ok (store, D.Created id) -> (store, id)
+    let op = D.Create_dir { columns = [ "c" ]; secret; hint = None } in
+    match D.apply store ~seqno:1 op with
+    | Ok (store', D.Created id) ->
+        Alcotest.(check int) "dir_id_of_op = created id" id
+          (D.dir_id_of_op store op);
+        (store', id)
     | _ -> Alcotest.fail "create failed"
   in
   let store, id0 = create D.empty in
@@ -174,6 +176,7 @@ let test_hint_allocation () =
   match D.apply D.empty ~seqno:1 op with
   | Ok (store, D.Created id) ->
       Alcotest.(check int) "hint honoured" 42 id;
+      Alcotest.(check int) "dir_id_of_op = hint" 42 (D.dir_id_of_op D.empty op);
       Alcotest.(check bool) "hint collision refused" true
         (D.apply store ~seqno:2 op = Error D.Already_exists)
   | _ -> Alcotest.fail "create failed"

@@ -655,13 +655,24 @@ let suite =
         `Quick test_batched_group_commit_replay;
     ]
 
+let crash_all cluster = List.iter (fun i -> C.crash_server cluster i) [ 1; 2; 3 ]
+
+(* Restart every (crashed) server, and list [cap] once all serve. *)
+let names_after_restart cluster cap =
+  advance cluster 500.0;
+  List.iter (fun i -> C.restart_server cluster i) [ 1; 2; 3 ];
+  Alcotest.(check bool) "cluster recovers" true
+    (C.await_serving ~timeout:20_000.0 cluster ~count:3);
+  advance cluster 1_000.0;
+  Harness.on_client cluster (fun client ->
+      let listing = retrying (fun () -> Dirsvc.Client.list_dir client cap) in
+      List.map (fun (n, _, _) -> n) listing.Dirsvc.Directory.entries)
+
 (* Delete a row whose append is already on disk, crash every server at
    the delete's ack: the delete, logged in block 0, must survive. The
-   setup runs inside [Harness.on_client]'s 60 s budget, so the idle persist has
-   long since written the append to the directory's own blocks and
-   emptied the commit-block log — this does not reach the window where
-   a delete annihilates an append still in that log, a known defect
-   (DESIGN.md §8, item 11). *)
+   setup runs inside [Harness.on_client]'s 60 s budget, so the idle
+   persist has long since written the append to the directory's own
+   blocks and emptied the commit-block log. *)
 let test_persisted_row_delete_crash () =
   let params = { Dirsvc.Params.default with batch_max = 4 } in
   let cluster = boot ~seed:39L ~params C.Group_disk in
@@ -688,17 +699,36 @@ let test_persisted_row_delete_crash () =
     advance cluster 10.0
   done;
   Alcotest.(check bool) "delete acknowledged" true !deleted;
-  List.iter (fun i -> C.crash_server cluster i) [ 1; 2; 3 ];
-  advance cluster 500.0;
-  List.iter (fun i -> C.restart_server cluster i) [ 1; 2; 3 ];
-  Alcotest.(check bool) "cluster recovers" true
-    (C.await_serving ~timeout:20_000.0 cluster ~count:3);
-  advance cluster 1_000.0;
-  Harness.on_client cluster (fun client ->
-      let listing = retrying (fun () -> Dirsvc.Client.list_dir client cap) in
+  crash_all cluster;
+  Alcotest.(check (list string)) "acknowledged delete survives the crash" []
+    (names_after_restart cluster cap)
+
+(* Append a row and delete it straight away: the delete cancels the
+   append while it is still in the commit block's log, so neither
+   reaches a directory block. Every server crashes at the delete's ack,
+   and the cancel must already be durable in block 0, or replay brings
+   the row back. *)
+let test_logged_row_delete_crash () =
+  let params = { Dirsvc.Params.default with batch_max = 4 } in
+  let cluster = boot ~seed:39L ~params C.Group_disk in
+  let client = C.client cluster in
+  let cnode = Rpc.Transport.node (Dirsvc.Client.transport client) in
+  let deleted = ref None in
+  Sim.Proc.boot (C.engine cluster) cnode (fun () ->
+      let cap =
+        retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ])
+      in
+      retrying (fun () ->
+          Dirsvc.Client.append_row client cap ~name:"victim" [ cap ]);
+      retrying (fun () -> Dirsvc.Client.delete_row client cap ~name:"victim");
+      crash_all cluster;
+      deleted := Some cap);
+  advance cluster 30_000.0;
+  match !deleted with
+  | None -> Alcotest.fail "delete not acknowledged"
+  | Some cap ->
       Alcotest.(check (list string)) "acknowledged delete survives the crash"
-        []
-        (List.map (fun (n, _, _) -> n) listing.Dirsvc.Directory.entries))
+        [] (names_after_restart cluster cap)
 
 let suite =
   suite
@@ -959,4 +989,11 @@ let suite =
         "group commit: a directory delete while the log is applied keeps \
          the other rows"
         `Quick test_delete_dir_during_apply;
+    ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "delete of a logged row survives a full crash" `Quick
+        test_logged_row_delete_crash;
     ]
