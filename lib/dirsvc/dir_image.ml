@@ -25,7 +25,7 @@ let create_file t data =
     match Storage.Bullet.create t.transport ~port:t.bullet_port data with
     | cap -> cap
     | exception Rpc.Transport.Rpc_failure _ when tries > 0 ->
-        Sim.Timer.sleep 25.0;
+        Sim.Proc.sleep 25.0;
         go (tries - 1)
   in
   go 8

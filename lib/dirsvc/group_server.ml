@@ -1,4 +1,4 @@
-(* One staged or logged-but-unapplied modification. *)
+(* One modification whose directory blocks are not rewritten yet. *)
 type log_record = { useq : int; dir_id : int; op : Directory.op }
 
 let admin_port node_id = Printf.sprintf "dira@%d" node_id
@@ -66,15 +66,19 @@ type t = {
   mutable next_secret : int;
   mutable op_log : applied list; (* newest first; see applied_log *)
   mutable forced_recovery : bool; (* administrator's escape hatch *)
-  (* [pending] stages the records not yet flushed (one update, or a
-     delivery burst under [group_commit]). Unless [in_place], the
-     flushed records move to [glog] — the in-memory copy of the commit
-     block's log — until the directories they touch are rewritten in the
-     background, which happens when the group goes quiet or the log
-     outgrows the commit block. *)
-  mutable pending : log_record list; (* newest first *)
-  mutable glog : log_record list; (* newest first *)
-  mutable cancelled : bool; (* a cancel shrank [glog] since the last flush *)
+  (* Set from the block-0 write before a state fetch until the final
+     block-0 write of that recovery: every commit-block write in between
+     carries it, so a crash there leaves a server nobody recovers from
+     (paper §3). *)
+  mutable recovering : bool;
+  (* Every record whose directory blocks are not rewritten yet, newest
+     first: the in-memory copy of the commit block's log, plus what the
+     next flush adds to it. Unless [in_place], the directories are
+     rewritten when the group goes quiet or the log outgrows the commit
+     block. [stale]: a staged record or a cancel is not in the commit
+     block yet. *)
+  mutable log : log_record list;
+  mutable stale : bool;
   c_commit : Sim.Metrics.handle option;
   (* Sharded deployment only ([shard] = None is a lone group).
      [staged_x] / [xdecisions] are driven exclusively by
@@ -87,8 +91,6 @@ type t = {
   xdecisions : (int, bool) Hashtbl.t; (* txid -> committed? *)
 }
 
-let server_id t = t.server_id
-
 let serving t = t.serving
 
 let set_serving_watch t w = t.serving_watch <- w
@@ -99,11 +101,6 @@ let notify_serving t =
 let useq t = t.useq
 
 let store_snapshot t = t.store
-
-let view t =
-  match t.group with
-  | Some g when t.serving -> Group.Member.members g
-  | Some _ | None -> []
 
 let n_servers t = List.length t.peers
 
@@ -152,52 +149,58 @@ let encode_log records =
   Wire.encode_log_records
     (List.rev_map (fun (r : log_record) -> (r.useq, r.dir_id, r.op)) records)
 
-let logged_dirs t =
-  List.sort_uniq compare (List.map (fun r -> r.dir_id) (t.pending @ t.glog))
+let fits t log =
+  String.length log + 64 <= Storage.Block_device.block_size t.commit_device
 
-(* [log] is [glog] encoded, which always fits in the commit block:
-   [flush] only lets [glog] grow when the result fits. *)
-let write_commit_block ?log t ~recovering =
+(* [records] encoded, less the newest ones that do not fit. The log fits
+   in the commit block, except inside a flush that overflows: a
+   deletion's write there leaves out the newest records, the flush's
+   own, acknowledged to nobody yet. Everything older fit at the previous
+   write. *)
+let rec fitting t = function
+  | [] -> ""
+  | _ :: older as records ->
+      let log = encode_log records in
+      if fits t log then log else fitting t older
+
+let write_commit_block ?log t =
   Storage.Commit_block.write t.commit_device
     {
       Storage.Commit_block.config_vector = current_vector t;
       seqno = t.useq;
-      recovering;
+      recovering = t.recovering;
       boot = t.boot;
-      log = (match log with Some log -> log | None -> encode_log t.glog);
+      log = (match log with Some log -> log | None -> fitting t t.log);
     }
 
-(* Persist directory [dir_id]'s current state. A deletion must leave a
-   trace of the update somewhere: the sequence number in the commit
-   block (paper §3). *)
-let persist_dir t dir_id =
-  Dir_image.persist t.image t.store dir_id ~deleted:(fun () ->
-      write_commit_block t ~recovering:false)
-
-(* Rewrite every directory a staged or logged record touches; a
-   directory's records leave [glog] once its blocks are rewritten, so a
-   deletion's commit-block write on the way still carries the records
-   of the directories not rewritten yet. The stale copy of the log left
+(* The one way a directory's stable copy is written: persist each of
+   [dirs], then drop its records. A deletion leaves a trace of the
+   update in the commit block's seqno (paper §3), and that write still
+   carries the records of the directories not rewritten yet, its own
+   included: replay re-creates directories in their logged order, and
+   a Create_dir takes the lowest free id. The stale copy of the log left
    in the commit block is harmless — boot-time replay is idempotent (a
    record is skipped when the directory's own seqno already covers it),
-   so the log needs no extra write to be truncated, and a crash while
-   the directories are being rewritten loses nothing. *)
-let apply_log t =
-  let dirs = logged_dirs t in
-  t.pending <- [];
+   so the log needs no extra write to be truncated, and a crash during
+   the rewrites loses nothing. *)
+let rewrite t dirs =
   List.iter
     (fun dir ->
-      persist_dir t dir;
-      t.glog <- List.filter (fun r -> r.dir_id <> dir) t.glog)
+      Dir_image.persist t.image t.store dir ~deleted:(fun () ->
+          write_commit_block t);
+      t.log <- List.filter (fun r -> r.dir_id <> dir) t.log)
     dirs
 
-(* Staging does no I/O: [flush] makes the staged records stable. The
-   /tmp effect reaches across the unflushed records and the unapplied
-   log: a delete canceling an append that no per-directory block has
-   seen yet removes both records. A cancel that shrinks [glog] leaves
-   the commit block's log stale, so it is flushed like a staged record:
-   the burst's own commit-block write makes it durable before any
-   writer is woken. *)
+let logged_dirs t = List.sort_uniq compare (List.map (fun r -> r.dir_id) t.log)
+
+let apply_log t = rewrite t (logged_dirs t)
+
+(* Staging does no I/O: [flush] makes the log's changes stable. The
+   /tmp effect reaches across the whole log: a delete canceling an
+   append that no per-directory block has seen yet removes both records.
+   A cancel changes the log like a staged record does, so the burst's
+   own commit-block write makes it durable before any writer is
+   woken. *)
 let row_cancels ~cap ~name r =
   match r.op with
   | Directory.Append_row { cap = c; name = n; _ } ->
@@ -210,66 +213,53 @@ let stage t record =
     | Directory.Delete_row { cap; name } -> row_cancels ~cap ~name
     | _ -> fun _ -> false
   in
-  let logged = List.exists cancels t.glog in
-  if logged || List.exists cancels t.pending then begin
-    let keep r = not (cancels r) in
-    t.pending <- List.filter keep t.pending;
-    t.glog <- List.filter keep t.glog;
-    t.cancelled <- t.cancelled || logged
-  end
-  else t.pending <- record :: t.pending
+  t.log <-
+    (if List.exists cancels t.log then
+       List.filter (fun r -> not (cancels r)) t.log
+     else record :: t.log);
+  t.stale <- true
 
-(* One durable write makes every staged record (and every cancel)
-   stable: the records' own directory blocks ([in_place]) or one
-   commit-block write that carries them in the log. When the log would
-   no longer fit beside the header, it is applied in place together
-   with the records instead, and the commit block is written with the
+(* One durable write makes the log's changes stable: the records' own
+   directory blocks ([in_place]) or one commit-block write that carries
+   the log. When the log would no longer fit beside the header, it is
+   applied in place instead, and the commit block is written with the
    log emptied. *)
 let flush t =
-  match t.pending with
-  | [] when not t.cancelled -> ()
-  | pending ->
-      t.cancelled <- false;
-      count_commit t;
-      if t.in_place then apply_log t
+  if t.stale then begin
+    t.stale <- false;
+    count_commit t;
+    if t.in_place then apply_log t
+    else
+      let log = encode_log t.log in
+      if fits t log then write_commit_block ~log t
       else begin
-        let records = pending @ t.glog in
-        let log = encode_log records in
-        if
-          String.length log + 64
-          <= Storage.Block_device.block_size t.commit_device
-        then begin
-          t.pending <- [];
-          t.glog <- records;
-          write_commit_block t ~log ~recovering:false
-        end
-        else begin
-          apply_log t;
-          write_commit_block t ~recovering:false
-        end
+        apply_log t;
+        write_commit_block t
       end
+  end
 
 (* ---- Applying ordered updates -------------------------------------- *)
 
 (* Apply one ordered update — a client's op, or the committed half of a
    cross-shard move — and stage its record, so a crashed replica replays
    either from its log like everything else. Without [group_commit] the
-   record is stable before this returns, hence before the caller
-   publishes the result. *)
+   record is stable before this returns its reply, hence before the
+   reply is published. *)
 let execute_op t ~origin ~uid op =
   let useq' = t.useq + 1 in
   let dir_id = Directory.dir_id_of_op t.store op in
-  match Directory.apply t.store ~seqno:useq' op with
-  | Ok (store', result) ->
-      t.useq <- useq';
-      t.store <- store';
-      t.op_log <-
-        { a_useq = useq'; a_origin = origin; a_uid = uid; a_op = op }
-        :: t.op_log;
-      stage t { useq = useq'; dir_id; op };
-      if not t.group_commit then flush t;
-      Ok result
-  | Error e -> Error e
+  Dir_front.write_reply ~port:t.port op
+    (match Directory.apply t.store ~seqno:useq' op with
+    | Ok (store', result) ->
+        t.useq <- useq';
+        t.store <- store';
+        t.op_log <-
+          { a_useq = useq'; a_origin = origin; a_uid = uid; a_op = op }
+          :: t.op_log;
+        stage t { useq = useq'; dir_id; op };
+        if not t.group_commit then flush t;
+        Ok result
+    | Error e -> Error e)
 
 (* ---- Cross-shard transactions (ordered side) ------------------------ *)
 
@@ -295,49 +285,49 @@ let decided_reply t txid ~undecided =
    decision table never demotes a commit: a straggling best-effort
    abort from a coordinator that already committed is a no-op. *)
 let execute_xact t ~origin ~uid xact =
-  let reply =
-    match xact with
-    | Wire.Xprepare { txid; op; peer_port; src } ->
-        decided_reply t txid ~undecided:(fun () ->
-            if Hashtbl.mem t.staged_x txid then Wire.Ok_rep
-            else (
-              (* Dry-run validation against the current store; the op is
-                 re-applied for real at commit, so a conflicting update
-                 landing in between can still fail the commit. *)
-              match Directory.apply t.store ~seqno:(t.useq + 1) op with
-              | Ok _ ->
-                  Hashtbl.replace t.staged_x txid
-                    {
-                      x_op = op;
-                      x_peer_port = peer_port;
-                      x_src = src;
-                      x_deadline =
-                        Sim.Proc.now () +. t.params.Params.xshard_timeout_ms;
-                    };
-                  emit_xact t ~name:"xstaged" ~txid;
-                  Wire.Ok_rep
-              | Error e -> Wire.Err_rep (Wire.Op_error e)))
-    | Wire.Xcommit { txid } -> (
-        match Hashtbl.find_opt t.staged_x txid with
-        | Some staged ->
-            Hashtbl.remove t.staged_x txid;
-            Hashtbl.replace t.xdecisions txid true;
-            emit_xact t ~name:"xcommitted" ~txid;
-            Dir_front.write_reply ~port:t.port staged.x_op
-              (execute_op t ~origin ~uid staged.x_op)
-        | None ->
-            decided_reply t txid ~undecided:(fun () ->
-                Wire.Err_rep (Wire.Unavailable "no such staged transaction")))
-    | Wire.Xabort { txid } ->
-        Hashtbl.remove t.staged_x txid;
-        (match Hashtbl.find_opt t.xdecisions txid with
-        | Some true -> () (* commit is final *)
-        | Some false | None ->
-            Hashtbl.replace t.xdecisions txid false;
-            emit_xact t ~name:"xaborted" ~txid);
-        Wire.Ok_rep
-    | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
-  in
+  match xact with
+  | Wire.Xprepare { txid; op; peer_port; src } ->
+      decided_reply t txid ~undecided:(fun () ->
+          if Hashtbl.mem t.staged_x txid then Wire.Ok_rep
+          else (
+            (* Dry-run validation against the current store; the op is
+               re-applied for real at commit, so a conflicting update
+               landing in between can still fail the commit. *)
+            match Directory.apply t.store ~seqno:(t.useq + 1) op with
+            | Ok _ ->
+                Hashtbl.replace t.staged_x txid
+                  {
+                    x_op = op;
+                    x_peer_port = peer_port;
+                    x_src = src;
+                    x_deadline =
+                      Sim.Proc.now () +. t.params.Params.xshard_timeout_ms;
+                  };
+                emit_xact t ~name:"xstaged" ~txid;
+                Wire.Ok_rep
+            | Error e -> Wire.Err_rep (Wire.Op_error e)))
+  | Wire.Xcommit { txid } -> (
+      match Hashtbl.find_opt t.staged_x txid with
+      | Some staged ->
+          Hashtbl.remove t.staged_x txid;
+          Hashtbl.replace t.xdecisions txid true;
+          emit_xact t ~name:"xcommitted" ~txid;
+          execute_op t ~origin ~uid staged.x_op
+      | None ->
+          decided_reply t txid ~undecided:(fun () ->
+              Wire.Err_rep (Wire.Unavailable "no such staged transaction")))
+  | Wire.Xabort { txid } ->
+      Hashtbl.remove t.staged_x txid;
+      (match Hashtbl.find_opt t.xdecisions txid with
+      | Some true -> () (* commit is final *)
+      | Some false | None ->
+          Hashtbl.replace t.xdecisions txid false;
+          emit_xact t ~name:"xaborted" ~txid);
+      Wire.Ok_rep
+  | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
+
+(* The reply to an update this server initiated waits for its sender. *)
+let file_reply t ~origin ~uid reply =
   if origin = Sim.Node.id t.node then
     Hashtbl.replace t.replies (origin, uid) reply
 
@@ -346,13 +336,10 @@ let process_delivery t delivery =
   if seqno > t.gprocessed then begin
     (match delivery with
     | Group.Types.Msg { payload = Wire.Dir_op_msg { origin; uid; op }; _ } ->
-        let outcome = execute_op t ~origin ~uid op in
-        if origin = Sim.Node.id t.node then
-          Hashtbl.replace t.replies (origin, uid)
-            (Dir_front.write_reply ~port:t.port op outcome)
+        file_reply t ~origin ~uid (execute_op t ~origin ~uid op)
     | Group.Types.Msg { payload = Wire.Dir_xact_msg { origin; uid; xact }; _ }
       ->
-        execute_xact t ~origin ~uid xact
+        file_reply t ~origin ~uid (execute_xact t ~origin ~uid xact)
     | Group.Types.Msg _ | Group.Types.Joined _ | Group.Types.Departed _ -> ());
     t.gprocessed <- seqno
   end
@@ -596,14 +583,14 @@ let load_disk_state t =
   in
   (* Replay the commit block's log: records made stable by a
      commit-block write whose per-directory blocks were never rewritten.
-     Replayed records go back into [glog] so they stay covered by future
+     Replayed records go back into the log so they stay covered by future
      commit-block writes until their directories are persisted. *)
   (match commit with
   | Some cb when cb.Storage.Commit_block.log <> "" ->
       List.iter
         (fun (useq, dir_id, op) ->
           let record = { useq; dir_id; op } in
-          if replay_record record then t.glog <- record :: t.glog)
+          if replay_record record then t.log <- record :: t.log)
         (Wire.decode_log_records cb.Storage.Commit_block.log)
   | Some _ | None -> ());
   if crashed_during_recovery then begin
@@ -660,18 +647,18 @@ let fetch_state_from t ~donor_node ~join_base =
 
 (* Make the stable copy match the adopted store. A directory's copy is
    stale only if the transfer changed or deleted it, or if its latest
-   state lived only in the staged records or the commit block's log,
-   which the transfer supersedes, so both are dropped.
-   Each goes through [Dir_image.persist] with no commit-block write: the
-   recovering flag stays set until [run_recovery]'s final commit-block
-   write, which records the donor's seqno and an empty log. *)
+   state lived only in the commit block's log, which the transfer
+   supersedes, so the log is dropped first. The rewrites are the commit
+   pipeline's own: a directory the transfer deleted writes the commit
+   block like any deletion, with the recovering flag still set, so a
+   crash before [run_recovery]'s final write (the donor's seqno, an
+   empty log, the flag cleared) leaves a server nobody recovers from. *)
 let reinstall_disk_state t ~changed ~deleted =
   let started = Sim.Proc.now () in
   let logged = logged_dirs t in
-  t.pending <- [];
-  t.glog <- [];
+  t.log <- [];
   let rewritten = List.sort_uniq compare (changed @ deleted @ logged) in
-  List.iter (Dir_image.persist t.image ~deleted:ignore t.store) rewritten;
+  rewrite t rewritten;
   emit t ~name:"reinstalled" (fun () ->
       [
         ("server", Sim.Trace.Int t.server_id);
@@ -687,7 +674,7 @@ let all_server_ids t = List.map fst t.peers
 let rec run_recovery t ~attempt =
   leave_group t;
   (* Stagger retries so concurrent creators converge. *)
-  Sim.Timer.sleep
+  Sim.Proc.sleep
     (10.0
     +. (float_of_int t.server_id *. 7.0)
     +. (float_of_int attempt *. 13.0));
@@ -711,7 +698,7 @@ let rec run_recovery t ~attempt =
     if List.length (Group.Member.members g) >= majority t then true
     else if Sim.Proc.now () > deadline then false
     else begin
-      Sim.Timer.sleep 15.0;
+      Sim.Proc.sleep 15.0;
       wait_majority ()
     end
   in
@@ -725,22 +712,8 @@ let rec run_recovery t ~attempt =
         (* Administrator override: accept the best reachable data even
            when the last-to-fail set is not covered. *)
         match verdict with
-        | Skeen.Wait_for _ when t.forced_recovery ->
-            let donor =
-              List.fold_left
-                (fun best p ->
-                  match best with
-                  | None -> Some p
-                  | Some b ->
-                      if
-                        p.Skeen.useq > b.Skeen.useq
-                        || (p.Skeen.useq = b.Skeen.useq
-                            && p.Skeen.server < b.Skeen.server)
-                      then Some p
-                      else best)
-                None present
-            in
-            (match donor with
+        | Skeen.Wait_for _ when t.forced_recovery -> (
+            match Skeen.donor present with
             | Some d ->
                 emit t ~name:"forced_recovery" (fun () ->
                     [
@@ -767,7 +740,8 @@ let rec run_recovery t ~attempt =
               let donor_node = List.assoc donor t.peers in
               (* Mark recovery in progress: a crash between here and the
                  final commit-block write leaves mixed state behind. *)
-              write_commit_block t ~recovering:true;
+              t.recovering <- true;
+              write_commit_block t;
               match fetch_state_from t ~donor_node ~join_base with
               | Some (changed, deleted) ->
                   reinstall_disk_state t ~changed ~deleted;
@@ -781,7 +755,8 @@ let rec run_recovery t ~attempt =
             notify_serving t;
             t.stayed_up <- true;
             t.forced_recovery <- false;
-            write_commit_block t ~recovering:false;
+            t.recovering <- false;
+            write_commit_block t;
             emit t ~name:"recovered" (fun () ->
                 [
                   ("server", Sim.Trace.Int t.server_id);
@@ -804,7 +779,7 @@ let rec run_recovery t ~attempt =
               ]);
           if tries > 6 then run_recovery t ~attempt:(attempt + 1)
           else begin
-            Sim.Timer.sleep 60.0;
+            Sim.Proc.sleep 60.0;
             attempt_exchange (tries + 1)
           end
       | Skeen.No_majority -> run_recovery t ~attempt:(attempt + 1)
@@ -830,7 +805,7 @@ let group_step t g =
   in
   match
     let first =
-      if t.glog <> [] then
+      if t.log <> [] then
         Group.Member.receive ~timeout:t.params.Params.batch_persist_idle_ms g
       else Group.Member.receive g
     in
@@ -849,7 +824,7 @@ let group_step t g =
          we continue, else we fall back to full recovery. *)
       settle ();
       match Group.Member.reset g with
-      | size when size >= majority t -> write_commit_block t ~recovering:false
+      | size when size >= majority t -> write_commit_block t
       | _ -> t.serving <- false
       | exception Group.Types.Group_failure _ -> t.serving <- false)
 
@@ -932,7 +907,7 @@ let resolve_staged t txid staged =
 
 let xact_resolver t () =
   while true do
-    Sim.Timer.sleep 250.0;
+    Sim.Proc.sleep 250.0;
     if is_xact_leader t then begin
       let now = Sim.Proc.now () in
       let expired =
@@ -1000,9 +975,9 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       next_secret = 0;
       op_log = [];
       forced_recovery = false;
-      pending = [];
-      glog = [];
-      cancelled = false;
+      recovering = false;
+      log = [];
+      stale = false;
       c_commit =
         Option.map (fun m -> Sim.Metrics.counter m "dirsvc.commit") metrics;
       shard;

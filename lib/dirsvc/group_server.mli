@@ -76,8 +76,6 @@ val start :
   unit ->
   t
 
-val server_id : t -> int
-
 val serving : t -> bool
 
 (** Register (or clear) a callback run synchronously each time the
@@ -90,12 +88,6 @@ val useq : t -> int
 
 (** Snapshot of the in-core store (tests and the consistency checker). *)
 val store_snapshot : t -> Directory.store
-
-(** Current group view as seen by this server (empty while recovering). *)
-val view : t -> int list
-
-(** Admin RPC port of the server on node [node_id] (recovery traffic). *)
-val admin_port : int -> string
 
 (** One successfully applied update, attributed to the initiating
     server and its request uid — the unit of the exactly-once check. *)

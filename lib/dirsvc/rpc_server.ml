@@ -19,11 +19,7 @@ type t = {
   mutable next_secret : int;
 }
 
-let server_id t = t.server_id
-
 let store_snapshot t = t.store
-
-let useq t = t.useq
 
 let fresh_secret t =
   t.next_secret <- t.next_secret + 1;
@@ -158,7 +154,7 @@ let handle_write t op =
              or simultaneous initiators would collide again on every
              round. *)
           unlock t dir_id;
-          Sim.Timer.sleep
+          Sim.Proc.sleep
             (2.0
             +. (float_of_int t.server_id *. 3.7)
             +. (float_of_int tries *. 2.3));

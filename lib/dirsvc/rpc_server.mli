@@ -39,9 +39,4 @@ val start :
   unit ->
   t
 
-val server_id : t -> int
-
 val store_snapshot : t -> Directory.store
-
-(** Updates applied by this replica (for convergence checks). *)
-val useq : t -> int

@@ -54,6 +54,10 @@ type verdict =
       (** safe only once these servers join (last set not covered) *)
   | No_majority
 
+(** [donor peers] is the peer with the highest sequence number, ties
+    going to the lowest server id; [None] for no peers. *)
+val donor : peer_state list -> peer_state option
+
 (** [decide ~all ~present] runs the recovery predicate over the pooled
     states of the [present] servers. [all] is the full set of directory
     servers ever configured. *)

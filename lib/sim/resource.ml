@@ -11,10 +11,6 @@ let create ?(name = "resource") ~capacity () =
 
 let name t = t.name
 
-let queued t =
-  t.wait_queue <- List.filter Proc.Waker.is_viable t.wait_queue;
-  List.length t.wait_queue
-
 let acquire t =
   if t.held < t.capacity then t.held <- t.held + 1
   else Proc.suspend (fun waker -> t.wait_queue <- t.wait_queue @ [ waker ])

@@ -16,9 +16,6 @@ val create : ?name:string -> capacity:int -> unit -> t
 
 val name : t -> string
 
-(** Fibers queued waiting for a unit. *)
-val queued : t -> int
-
 val acquire : t -> unit
 
 val release : t -> unit

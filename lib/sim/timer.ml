@@ -13,12 +13,3 @@ let guard engine waker ~delay exn =
   in
   Proc.Waker.on_wake waker (fun () -> Engine.cancel_timer tm);
   tm
-
-let sleep d =
-  let engine = Proc.engine () in
-  Proc.suspend (fun w ->
-      let tm =
-        Engine.schedule_timer engine ~delay:d (fun () ->
-            ignore (Proc.Waker.wake w ()))
-      in
-      Proc.Waker.on_wake w (fun () -> Engine.cancel_timer tm))

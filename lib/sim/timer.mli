@@ -28,8 +28,3 @@ val active : t -> bool
     waker is consumed first (the guarded event happened), the timer is
     revoked automatically via {!Proc.Waker.on_wake}. *)
 val guard : Engine.t -> 'a Proc.Waker.t -> delay:float -> exn -> t
-
-(** [sleep d] is {!Proc.sleep} riding a cancelable timer: the pending
-    tick is revoked if the fiber is woken through some other path.
-    Use for retry/backoff sleeps in protocol code. *)
-val sleep : float -> unit

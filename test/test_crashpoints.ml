@@ -22,7 +22,11 @@ type op =
   | Append of string * string  (** directory label, row name *)
   | Delete of string * string
 
-type step = Op of op | Pause of float (* simulated ms *)
+type step =
+  | Op of op
+  | Pause of float  (** simulated ms *)
+  | Down of int  (** crash one server; not a crash point *)
+  | Up of int  (** restart it *)
 
 let op_to_string = function
   | Create d -> Printf.sprintf "create_dir %s" d
@@ -144,6 +148,8 @@ let start_client cfg r id steps =
           if Sim.Node.is_alive node then
             match step with
             | Pause ms -> Sim.Proc.sleep ms
+            | Down server -> C.crash_server r.cluster server
+            | Up server -> C.restart_server r.cluster server
             | Op op ->
                 let invoked = { client = id; op; acked = false } in
                 r.history <- invoked :: r.history;
@@ -371,6 +377,25 @@ let slow =
         ])
       [ (C.Group_disk, 4); (C.Group_nvram, 4) ]
 
-let suite = List.mapi (case ~suite:"crash") quick
+(* Server 1 misses three updates, one a directory deletion, and is
+   crashed again at every point of its rejoin: the fetch, the reinstall
+   and the commit-block writes around them. Server 1, because it wins
+   Skeen's tie-break: a replica that reboots with the recovering flag
+   set must not donate. *)
+let rejoin =
+  List.map
+    (fun m ->
+      config m "full crash during server 1's rejoin"
+        [
+          [
+            Op (Create "x"); Op (Create "y"); Op (Create "z");
+            Op (Append ("x", "x1")); Pause 500.0; Down 1; Pause 500.0;
+            Op (Append ("x", "x2")); Op (Delete_dir "y"); Op (Append ("z", "z1"));
+            Up 1; Pause 3000.0;
+          ];
+        ])
+    media
+
+let suite = List.mapi (case ~suite:"crash") (quick @ rejoin)
 
 let slow_suite = List.mapi (case ~suite:"crash-slow") slow

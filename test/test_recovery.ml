@@ -982,6 +982,47 @@ let test_delete_dir_during_apply () =
       Alcotest.(check (list string)) "acknowledged row survives" [ "acked" ]
         (List.map (fun (n, _, _) -> n) listing.Dirsvc.Directory.entries))
 
+(* Group commit on disk: directory X's deletion sits in the commit
+   block's log when appends to Y outgrow the 1 KB block. The overflowing
+   flush rewrites X first, and X's deletion writes the commit block
+   while the log still holds every record, the overflowing one
+   included: that write must leave out the records that do not fit,
+   not fail. *)
+let test_delete_dir_met_by_overflow () =
+  let params = { Dirsvc.Params.default with batch_max = 4 } in
+  let cluster = boot ~seed:42L ~params C.Group_disk in
+  let names = List.init 16 (fun i -> Printf.sprintf "%s-%02d" (String.make 40 'r') i) in
+  let y =
+    Harness.on_client cluster (fun client ->
+        let create () =
+          retrying (fun () ->
+              Dirsvc.Client.create_dir client ~columns:[ "owner" ])
+        in
+        let x = create () in
+        let y = create () in
+        retrying (fun () -> Dirsvc.Client.delete_dir client x);
+        List.iter
+          (fun name ->
+            retrying (fun () -> Dirsvc.Client.append_row client y ~name [ y ]))
+          names;
+        y)
+  in
+  let check what =
+    Harness.on_client cluster (fun client ->
+        let listing = retrying (fun () -> Dirsvc.Client.list_dir client y) in
+        Alcotest.(check (list string)) what names
+          (List.map (fun (n, _, _) -> n) listing.Dirsvc.Directory.entries))
+  in
+  check "every row appended";
+  List.iter (fun i -> C.crash_server cluster i) [ 1; 2; 3 ];
+  advance cluster 500.0;
+  List.iter (fun i -> C.restart_server cluster i) [ 1; 2; 3 ];
+  Alcotest.(check bool) "cluster recovers" true
+    (C.await_serving ~timeout:20_000.0 cluster ~count:3);
+  advance cluster 1_000.0;
+  check_converged_serving cluster;
+  check "every row survives a full crash"
+
 let suite =
   suite
   @ [
@@ -996,4 +1037,7 @@ let suite =
   @ [
       Alcotest.test_case "delete of a logged row survives a full crash" `Quick
         test_logged_row_delete_crash;
+      Alcotest.test_case
+        "group commit: a directory deletion met by an overflowing flush"
+        `Quick test_delete_dir_met_by_overflow;
     ]

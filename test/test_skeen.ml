@@ -105,8 +105,9 @@ let test_mourned_of_vector () =
 
 let safety_property =
   (* If the verdict is Recover, then either the last set is covered, or
-     a stayed-up member holds the maximum seqno. Never recover without a
-     majority. *)
+     a stayed-up member holds the maximum seqno, and the donor is
+     [S.donor] of the serving peers if any serve, else of all present.
+     Never recover without a majority. *)
   QCheck.Test.make ~name:"recover verdicts are always justified" ~count:500
     QCheck.(
       list_of_size Gen.(1 -- 3)
@@ -133,11 +134,16 @@ let safety_property =
           let improved =
             List.exists (fun p -> p.S.stayed_up && p.S.useq = max_useq) present
           in
+          let serving = List.filter (fun p -> p.S.serving) present in
           List.length present >= 2
           && (covered || improved)
           && List.exists
                (fun p -> p.S.server = donor && p.S.useq = max_useq)
-               present)
+               present
+          && Option.map
+               (fun p -> p.S.server)
+               (S.donor (if serving = [] then present else serving))
+             = Some donor)
 
 (* A rebooted server with an inflated (uncommitted-suffix) sequence
    number must NOT become donor when an operating majority exists. *)
