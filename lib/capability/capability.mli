@@ -12,9 +12,7 @@
     (as in Amoeba's directory service). *)
 
 type rights = int
-(** Rights mask; the low {!rights_bits} bits are significant. *)
-
-val rights_bits : int
+(** Rights mask; the low 8 bits are significant. *)
 
 val all_rights : rights
 

@@ -618,7 +618,6 @@ let exchange_with_peers t member_nodes =
         else
           match
             Rpc.Transport.trans t.transport ~port:(admin_port node_id)
-              ~timeout:100.0
               (Wire.Exchange_req { server = t.server_id })
           with
           | Wire.Exchange_rep peer -> Some peer
@@ -633,7 +632,6 @@ let exchange_with_peers t member_nodes =
 let fetch_state_from t ~donor_node ~join_base =
   match
     Rpc.Transport.trans t.transport ~port:(admin_port donor_node)
-      ~timeout:3000.0
       (Wire.Fetch_state_req { required = join_base; have = Wire.inventory t.store })
   with
   | Wire.Fetch_state_rep { changed; deleted; useq; watermark } ->
@@ -890,7 +888,6 @@ let resolve_staged t txid staged =
         match
           Rpc.Transport.trans xt
             ~port:(xstatus_port staged.x_peer_port)
-            ~timeout:500.0
             (Wire.Dir_request (Wire.Xshard_req (Wire.Xstatus { txid })))
         with
         | Wire.Dir_reply (Wire.Xstatus_rep Wire.Xcommitted) ->
@@ -929,18 +926,13 @@ let xact_resolver t () =
 let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
     ~device ~bullet_port ~gname ~port () =
   let nic = Simnet.Network.attach net node in
-  (* Server-to-server calls (Bullet commits, recovery fetches) must ride
-     out disk backlogs without spurious retries. *)
-  let rpc_config =
-    { Rpc.Transport.default_config with trans_timeout = 3_000.0 }
-  in
-  let transport = Rpc.Transport.create ~config:rpc_config net nic in
+  let transport = Rpc.Transport.create net nic in
   let xtransport =
     match xnet with
     | None -> None
     | Some xnet ->
         let xnic = Simnet.Network.attach xnet node in
-        Some (Rpc.Transport.create ~config:rpc_config xnet xnic)
+        Some (Rpc.Transport.create xnet xnic)
   in
   let t =
     {

@@ -123,14 +123,17 @@ let intend_at_peer t op =
   match
     Rpc.Transport.trans t.transport
       ~port:(Printf.sprintf "dirx@%d" t.peer_node)
-      ~timeout:120.0 (Wire.Intend_req { op })
+      (Wire.Intend_req { op })
   with
   | Wire.Intend_ok -> `Ok
   | Wire.Intend_busy -> `Busy
   | _ -> `Down
   | exception Rpc.Transport.Rpc_failure _ ->
-      (* Peer unreachable: the RPC service assumes crash, proceeds alone
-         — this is precisely why it cannot tolerate partitions. *)
+      (* The transport's dead verdict (two unanswered enquiries, at
+         most 600 ms): the RPC service takes the silent peer for
+         crashed and proceeds alone — this is precisely why it cannot
+         tolerate partitions. A peer that is merely slow keeps
+         answering enquiries and is waited for. *)
       `Down
 
 let handle_write t op =
@@ -190,7 +193,6 @@ let load_disk_state t =
   match
     Rpc.Transport.trans t.transport
       ~port:(Printf.sprintf "dirx@%d" t.peer_node)
-      ~timeout:100.0
       (Wire.Fetch_state_req { required = 0; have = Wire.inventory t.store })
   with
   | Wire.Fetch_state_rep { changed; deleted; _ } ->
@@ -203,12 +205,7 @@ let load_disk_state t =
 let start ~params ?metrics net ~server_id ~peer_node ~node ~device
     ~intent_device ~bullet_port ~port () =
   let nic = Simnet.Network.attach net node in
-  (* Server-to-server calls (Bullet commits, recovery fetches) must ride
-     out disk backlogs without spurious retries. *)
-  let rpc_config =
-    { Rpc.Transport.default_config with trans_timeout = 3_000.0 }
-  in
-  let transport = Rpc.Transport.create ~config:rpc_config net nic in
+  let transport = Rpc.Transport.create net nic in
   let t =
     {
       params;

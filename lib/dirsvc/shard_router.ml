@@ -11,7 +11,6 @@ type t = {
   transports : Rpc.Transport.t array; (* one per shard: shards live on
                                          separate networks *)
   ports : string array;
-  timeout : float;
   cross_shard : Sim.Metrics.handle option;
   mutable next_txid : int;
 }
@@ -26,14 +25,13 @@ let shard_of_name ~shards name =
     name;
   !h mod shards
 
-let make ?(timeout = 5_000.0) ?metrics transports ~ports =
+let make ?metrics transports ~ports =
   if Array.length ports = 0 then invalid_arg "Shard_router.make: no shards";
   if Array.length transports <> Array.length ports then
     invalid_arg "Shard_router.make: one transport per shard";
   {
     transports;
     ports;
-    timeout;
     cross_shard =
       (match metrics with
       | None -> None
@@ -66,7 +64,7 @@ let count_cross t =
 
 let raw_call t ~shard request =
   Rpc.Transport.trans t.transports.(shard) ~port:t.ports.(shard)
-    ~timeout:t.timeout (Wire.Dir_request request)
+    (Wire.Dir_request request)
 
 let call t ~shard request =
   match raw_call t ~shard request with

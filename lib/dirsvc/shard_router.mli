@@ -19,8 +19,7 @@ type t
     the [dirsvc.cross_shard] counter; pass it only when there is more
     than one shard. *)
 val make :
-  ?timeout:float -> ?metrics:Sim.Metrics.t -> Rpc.Transport.t array ->
-  ports:string array -> t
+  ?metrics:Sim.Metrics.t -> Rpc.Transport.t array -> ports:string array -> t
 
 val shards : t -> int
 

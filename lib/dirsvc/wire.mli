@@ -112,13 +112,6 @@ val install :
   Directory.store -> changed:string -> deleted:Directory.dir_id list ->
   Directory.store * Directory.dir_id list
 
-(** Byte codec for single operations (the commit block's group-commit
-    log). Decoding raises {!Storage.Codec.Corrupt} on garbage. *)
-
-val encode_op : Storage.Codec.Writer.t -> Directory.op -> unit
-
-val decode_op : Storage.Codec.Reader.t -> Directory.op
-
 (** Codec for the commit-block log: [(useq, dir_id, op)] records,
     oldest first. [encode_log_records []] is [""]. *)
 

@@ -70,8 +70,9 @@ type t = {
   acked : (int, int) Hashtbl.t; (* member -> cumulative have_upto *)
   last_heard : (int, float) Hashtbl.t; (* member -> last ack/hb time *)
   pending_done : (int, int * int) Hashtbl.t; (* seqno -> origin, uid *)
-  assigned_uids : (int * int, int) Hashtbl.t; (* (origin, uid) -> seqno *)
-  join_assigned : (int * int, int) Hashtbl.t; (* (joiner, uid) -> seqno *)
+  assigned_uids : (int * int, int) Hashtbl.t;
+      (* (origin, uid) -> seqno, for sends and joins alike: both draw
+         their uids from [fresh_uid], so the keys never collide *)
   mutable last_data_sent : float;
   (* The failure detector's pending tick. Held so that a member leaving
      the group can revoke it: the tick is tombstoned in the heap instead
@@ -245,14 +246,16 @@ let declare_broken t ~notify_peers reason =
 
 let needed_holders t = min (t.config.resilience + 1) (List.length t.members)
 
+(* Wake the local SendToGroup waiting on [uid], if it still waits. *)
+let complete_send t uid =
+  match Hashtbl.find_opt t.pending_sends uid with
+  | Some ivar ->
+      Hashtbl.remove t.pending_sends uid;
+      Sim.Ivar.fill ivar ()
+  | None -> ()
+
 let send_done t ~origin ~uid =
-  if origin = t.me then begin
-    match Hashtbl.find_opt t.pending_sends uid with
-    | Some ivar ->
-        Hashtbl.remove t.pending_sends uid;
-        Sim.Ivar.fill ivar ()
-    | None -> ()
-  end
+  if origin = t.me then complete_send t uid
   else unicast t ~dst:origin k_done (Wire.Done { gname = t.gname; epoch = t.epoch; uid })
 
 let holders t seqno =
@@ -524,7 +527,7 @@ let handle_bb_accept_batch t ~base ~pairs =
 
 let handle_join_req t ~joiner ~uid =
   let seqno =
-    match Hashtbl.find_opt t.join_assigned (joiner, uid) with
+    match Hashtbl.find_opt t.assigned_uids (joiner, uid) with
     | Some seqno -> seqno
     | None ->
         (* The Join travels alone, after any pending batch. Ordering it
@@ -533,7 +536,7 @@ let handle_join_req t ~joiner ~uid =
         let seqno =
           enqueue t (Wire.Join_member joiner) ~body_known:false ~alone:true
         in
-        Hashtbl.replace t.join_assigned (joiner, uid) seqno;
+        Hashtbl.replace t.assigned_uids (joiner, uid) seqno;
         seqno
   in
   unicast t ~dst:joiner k_grant
@@ -663,7 +666,6 @@ let apply_reset_commit t ~epoch ~members:new_members ~sequencer ~base ~patch =
     t.reset_seen <- (epoch.view, sequencer);
     Hashtbl.reset t.pending_done;
     Hashtbl.reset t.assigned_uids;
-    Hashtbl.reset t.join_assigned;
     Hashtbl.reset t.bb_bodies;
     fail_pending_sends t "view changed";
     if sequencer = t.me then begin
@@ -810,13 +812,7 @@ let handle_packet t (packet : Simnet.Packet.t) =
       if gname = t.gname && epoch_matches t epoch && is_sequencer t then
         record_ack t ~member ~have_upto
   | Wire.Done { gname; epoch; uid } ->
-      if gname = t.gname && epoch_matches t epoch then begin
-        match Hashtbl.find_opt t.pending_sends uid with
-        | Some ivar ->
-            Hashtbl.remove t.pending_sends uid;
-            Sim.Ivar.fill ivar ()
-        | None -> ()
-      end
+      if gname = t.gname && epoch_matches t epoch then complete_send t uid
   | Wire.Retrans { gname; epoch; member; from } ->
       if gname = t.gname && epoch_matches t epoch && is_sequencer t then
         handle_retrans t ~member ~from
@@ -949,7 +945,6 @@ let make ?metrics ?(config = Types.default_config) net nic ~gname =
       last_heard = Hashtbl.create 8;
       pending_done = Hashtbl.create 8;
       assigned_uids = Hashtbl.create 32;
-      join_assigned = Hashtbl.create 8;
       last_data_sent = 0.0;
       fd_tick = None;
       last_from_seq = Sim.Engine.now engine;

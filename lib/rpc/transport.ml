@@ -2,7 +2,6 @@ exception Rpc_failure of string
 
 type config = {
   locate_window : float;
-  trans_timeout : float;
   max_attempts : int;
   locate_rounds : int;
   locate_backoff : float;
@@ -11,7 +10,6 @@ type config = {
 let default_config =
   {
     locate_window = 2.0;
-    trans_timeout = 400.0;
     max_attempts = 6;
     locate_rounds = 4;
     locate_backoff = 5.0;
@@ -255,21 +253,7 @@ and enquire t xid =
       send t ~dst:call.server (Wire.Enquiry { xid; client = t.node_id });
       call.probe <- arm_enquiry t xid
 
-(* Give up on [call]'s server: report why and drop it from the cache. *)
-let abandon t ~port call ~name =
-  emit t ~name (fun () ->
-      [
-        ("port", Sim.Trace.Str port);
-        ("xid", Sim.Trace.Int call.xid);
-        ("server", Sim.Trace.Int call.server);
-        ("waited_ms", Sim.Trace.Float (Sim.Engine.now (engine t) -. call.sent));
-      ]);
-  drop_cached t ~port call.server
-
-let trans t ~port ?timeout ?(size = 128) body =
-  let timeout =
-    match timeout with Some d -> d | None -> t.config.trans_timeout
-  in
+let trans t ~port ?(size = 128) body =
   let started = Sim.Engine.now (engine t) in
   let rec attempt n =
     if n > t.config.max_attempts then
@@ -297,7 +281,7 @@ let trans t ~port ?timeout ?(size = 128) body =
       }
     in
     Hashtbl.replace t.pending xid call;
-    match Sim.Ivar.read ~timeout call.ivar with
+    match Sim.Ivar.read call.ivar with
     | Got_reply reply ->
         emit t ~name:"trans.done" (fun () ->
             [
@@ -321,13 +305,16 @@ let trans t ~port ?timeout ?(size = 128) body =
         attempt (n + 1)
     | Dead ->
         (* Two enquiries went unanswered: the server crashed, rebooted
-           or is cut off. Handled like a timeout, only sooner. *)
-        abandon t ~port call ~name:"trans.dead";
-        attempt (n + 1)
-    | exception Sim.Proc.Timeout ->
-        (* Forget the call; nobody reads its cell any more. *)
-        complete t call Dead;
-        abandon t ~port call ~name:"trans.timeout";
+           or is cut off, and it may have executed the request. *)
+        emit t ~name:"trans.dead" (fun () ->
+            [
+              ("port", Sim.Trace.Str port);
+              ("xid", Sim.Trace.Int xid);
+              ("server", Sim.Trace.Int server);
+              ( "waited_ms",
+                Sim.Trace.Float (Sim.Engine.now (engine t) -. call.sent) );
+            ]);
+        drop_cached t ~port server;
         attempt (n + 1)
   in
   attempt 1

@@ -7,15 +7,13 @@
 type t
 
 (** Raised by {!trans} when a transaction cannot be completed: the
-    service was never located, or every attempt timed out / bounced. *)
+    service was never located, or every attempt was bounced or its
+    server found dead. *)
 exception Rpc_failure of string
 
 type config = {
   locate_window : float;
       (** how long a locate broadcast collects HEREIS answers (ms) *)
-  trans_timeout : float;
-      (** default per-attempt reply timeout (ms), for a server that keeps
-          answering enquiries but does not reply *)
   max_attempts : int;  (** request attempts before giving up *)
   locate_rounds : int;  (** locate broadcasts before giving up *)
   locate_backoff : float;  (** pause between locate rounds (ms) *)
@@ -61,21 +59,20 @@ val stop_serving : t -> port:string -> unit
 (** Client side. [trans t ~port body] performs one transaction: locate
     (cached), send request, await reply. While the reply is outstanding
     the transport sends the server an enquiry every {!enquiry_period}
-    ms; the server's
-    kernel answers while it holds the request. An attempt ends when the
-    reply arrives, the server bounces it (NOTHERE, [rpc]/[trans.bounce]),
-    two consecutive enquiries go unanswered ([trans.dead]: the server
-    crashed, rebooted or is cut off, so it is abandoned within 600 ms),
-    or [timeout] runs out on a server that kept answering
-    ([trans.timeout]). After a dead verdict or a timeout the server
-    leaves the port cache and the next attempt goes to another one; as
-    with a timeout, the abandoned server may still have executed the
-    request. A reply within 200 ms costs no enquiry, so an RPC stays 3
-    packets. Raises {!Rpc_failure} when the service is unreachable. Must
-    run inside a fiber on the transport's node. *)
+    ms; the server's kernel answers while it holds the request. An
+    attempt ends in one of three ways: the reply arrives, the server
+    bounces it (NOTHERE, [rpc]/[trans.bounce]), or two consecutive
+    enquiries go unanswered ([trans.dead]: the server crashed, rebooted
+    or is cut off, so it is abandoned within 600 ms). There is no
+    deadline: a server that keeps answering enquiries is waited for
+    however long its handler takes. After a dead verdict the server
+    leaves the port cache and the next attempt goes to another one; the
+    abandoned server may still have executed the request. A reply
+    within 200 ms costs no enquiry, so an RPC stays 3 packets. Raises
+    {!Rpc_failure} when the service is unreachable. Must run inside a
+    fiber on the transport's node. *)
 val trans :
-  t -> port:string -> ?timeout:float -> ?size:int -> Simnet.Payload.t ->
-  Simnet.Payload.t
+  t -> port:string -> ?size:int -> Simnet.Payload.t -> Simnet.Payload.t
 
 (** The cached server list for [port], in first-replied-first order
     (tests observe the balancing behaviour through this). *)

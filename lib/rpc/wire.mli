@@ -11,8 +11,8 @@
     While a reply is outstanding the client's kernel sends the server an
     {e enquiry} now and then (Birrell & Nelson's call probe); the
     server's kernel answers ALIVE while it holds the request. A client
-    whose enquiries go unanswered gives up on that server long before
-    its transaction timeout. *)
+    whose enquiries go unanswered gives up on that server; there is no
+    other deadline on a transaction. *)
 
 type Simnet.Payload.t +=
   | Locate of { port : string; xid : int; client : int }

@@ -107,15 +107,6 @@ module Histogram = struct
       walk 0 0
     end
 
-  let merge_into ~into t =
-    if into.bounds <> t.bounds then
-      invalid_arg "Histogram.merge_into: different bucket boundaries";
-    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
-    into.n <- into.n + t.n;
-    into.sum <- into.sum +. t.sum;
-    if t.min < into.min then into.min <- t.min;
-    if t.max > into.max then into.max <- t.max
-
   let summary_to_json t =
     if t.n = 0 then Json.Obj [ ("n", Json.Int 0) ]
     else

@@ -13,12 +13,10 @@
 module Histogram : sig
   type t
 
-  (** Default bucket upper bounds, in milliseconds: 0.05 .. 10000,
-      roughly log-spaced, plus an implicit overflow bucket. *)
-  val default_bounds : float array
-
   (** [create ?bounds ()] — [bounds] must be strictly increasing upper
-      bounds. Raises [Invalid_argument] otherwise. *)
+      bounds; the default runs from 0.05 to 10000 ms, roughly
+      log-spaced. An implicit overflow bucket sits above the last.
+      Raises [Invalid_argument] on bounds that do not increase. *)
   val create : ?bounds:float array -> unit -> t
 
   val observe : t -> float -> unit
@@ -41,9 +39,6 @@ module Histogram : sig
   (** Non-empty buckets as [(lower, upper, count)], ascending;
       the overflow bucket's upper bound is [infinity]. *)
   val buckets : t -> (float * float * int) list
-
-  (** Accumulate [t] into [into]. Both must share bucket boundaries. *)
-  val merge_into : into:t -> t -> unit
 
   (** [{n; mean; min; max; p50; p90; p95; p99}] — just [{n = 0}] when
       empty. *)

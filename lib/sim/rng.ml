@@ -50,14 +50,3 @@ let bool t ~p = float t < p
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | list -> List.nth list (int t (List.length list))
-
-let shuffle t list =
-  let arr = Array.of_list list in
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr

@@ -41,6 +41,3 @@ val bool : t -> p:float -> bool
 (** [pick rng list] selects a uniformly random element.
     Raises [Invalid_argument] on the empty list. *)
 val pick : t -> 'a list -> 'a
-
-(** [shuffle rng list] returns a uniformly random permutation. *)
-val shuffle : t -> 'a list -> 'a list

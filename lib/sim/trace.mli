@@ -63,10 +63,8 @@ val events : t -> event list
 
 val iter : t -> (event -> unit) -> unit
 
-val event_to_json : event -> Json.t
-
-(** Inverse of {!event_to_json}. Raises [Invalid_argument] on a value
-    that is not an encoded event. *)
+(** Decodes one event's JSON object, as {!event_to_jsonl} prints it.
+    Raises [Invalid_argument] on a value that is not an encoded event. *)
 val event_of_json : Json.t -> event
 
 (** One compact JSON object, no trailing newline. *)

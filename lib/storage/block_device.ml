@@ -9,7 +9,6 @@ type t = {
   data : bytes array;
   mutable busy_until : float;
   mutable writes_completed : int;
-  mutable reads_completed : int;
 }
 
 let create engine ?metrics ?(name = "disk") ~blocks ~block_size ~read_ms
@@ -27,7 +26,6 @@ let create engine ?metrics ?(name = "disk") ~blocks ~block_size ~read_ms
     data = Array.init blocks (fun _ -> Bytes.create 0);
     busy_until = 0.0;
     writes_completed = 0;
-    reads_completed = 0;
   }
 
 let name t = t.name
@@ -83,9 +81,7 @@ let read t i =
   emit_op t ~name:"disk.read" ~block:i ~latency:t.read_ms;
   let queued = max 0.0 (t.busy_until -. Sim.Engine.now t.engine) in
   observe_hist t "disk.read_ms" (queued +. t.read_ms);
-  submit t ~latency:t.read_ms (fun () ->
-      t.reads_completed <- t.reads_completed + 1;
-      Bytes.copy t.data.(i))
+  submit t ~latency:t.read_ms (fun () -> Bytes.copy t.data.(i))
 
 let write t i data =
   check_index t i;
@@ -105,5 +101,3 @@ let peek t i =
   Bytes.copy t.data.(i)
 
 let writes_completed t = t.writes_completed
-
-let reads_completed t = t.reads_completed

@@ -49,5 +49,3 @@ val peek : t -> int -> bytes
 (** Number of completed write operations (for the disk-ops-per-update
     analysis). *)
 val writes_completed : t -> int
-
-val reads_completed : t -> int

@@ -484,7 +484,7 @@ let test_gate_unknown_dir () =
   in
   let warm client = ignore (Dirsvc.Client.lookup client d "d") in
   let pinned =
-    { Rpc.Transport.default_config with max_attempts = 1; trans_timeout = 3_000.0 }
+    { Rpc.Transport.default_config with max_attempts = 1 }
   in
   let reader = Harness.client_at ~rpc_config:pinned cluster ~server:2 warm in
   let creator = Harness.client_at ~rpc_config:pinned cluster ~server:1 warm in

@@ -514,7 +514,7 @@ let test_uncommitted_suffix_discarded () =
      eventually retry elsewhere and legitimately commit it — the
      documented absence of exactly-once semantics). *)
   let one_shot =
-    { Rpc.Transport.default_config with max_attempts = 1; trans_timeout = 300.0 }
+    { Rpc.Transport.default_config with max_attempts = 1 }
   in
   let client_at_1 =
     Harness.client_at ~rpc_config:one_shot cluster ~server:1 (fun client ->
@@ -809,7 +809,7 @@ let test_rejoin_reads_skip_backlog () =
         (dirs, read_dirs, List.nth dirs (n_dirs - 1)))
   in
   let pinned =
-    { Rpc.Transport.default_config with max_attempts = 1; trans_timeout = 6_000.0 }
+    { Rpc.Transport.default_config with max_attempts = 1 }
   in
   let reader =
     Harness.client_at ~rpc_config:pinned cluster ~server:3 (fun client ->
