@@ -553,8 +553,8 @@ let costs =
    the sends. *)
 let group_sends ~seed config ~count payload =
   let engine = Sim.Engine.create ~seed () in
-  let metrics = Sim.Metrics.create () in
-  let net = Simnet.Network.create engine ~metrics () in
+  let metrics = Sim.Engine.metrics engine in
+  let net = Simnet.Network.create engine () in
   let members = Hashtbl.create 3 in
   let nodes = Hashtbl.create 3 in
   List.iter
@@ -565,10 +565,10 @@ let group_sends ~seed config ~count payload =
       Sim.Proc.boot engine node (fun () ->
           let m =
             if id = 1 then
-              Group.Member.create_group ~metrics ~config net nic ~gname:"g"
+              Group.Member.create_group ~config net nic ~gname:"g"
             else begin
               Sim.Proc.sleep (float_of_int id);
-              Group.Member.join_group ~metrics ~config net nic ~gname:"g"
+              Group.Member.join_group ~config net nic ~gname:"g"
             end
           in
           Hashtbl.replace members id m))

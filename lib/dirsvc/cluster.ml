@@ -30,7 +30,6 @@ type shard = {
 type t = {
   flavor : flavor;
   engine : Sim.Engine.t;
-  metrics : Sim.Metrics.t;
   params : Params.t;
   shard_arr : shard array;
   backbone : Simnet.Network.t option; (* only when M > 1 *)
@@ -43,7 +42,7 @@ let engine t = t.engine
 
 let net t = t.shard_arr.(0).snet
 
-let metrics t = t.metrics
+let metrics t = Sim.Engine.metrics t.engine
 
 let params t = t.params
 
@@ -72,8 +71,8 @@ let bullet_node_id ~shard_index server_id = (500 * shard_index) + 20 + server_id
    not change what such an update writes to disk. *)
 let service_port ~shards k = if shards = 1 then "dirsvc" else Printf.sprintf "dirsvc%d" k
 
-let make_device ~engine ~metrics ~params ~name =
-  Storage.Block_device.create engine ~metrics ~name
+let make_device ~engine ~params ~name =
+  Storage.Block_device.create engine ~name
     ~blocks:params.Params.disk_blocks
     ~block_size:params.Params.disk_block_size
     ~read_ms:params.Params.disk_read_ms ~write_ms:params.Params.disk_write_ms
@@ -108,8 +107,7 @@ let boot_dir_server t shard server_id =
         | None -> assert false
       in
       let server =
-        Group_server.start ~params:t.params ~metrics:t.metrics
-          ?nvram:slot.nvram
+        Group_server.start ~params:t.params ?nvram:slot.nvram
           ?shard:(if shards t > 1 then Some shard.index else None)
           ?xnet:t.backbone shard.snet ~server_id ~peers:(peers_of shard)
           ~node:slot.dir_node ~device:slot.device ~bullet_port
@@ -127,8 +125,7 @@ let boot_dir_server t shard server_id =
         | None -> assert false
       in
       let server =
-        Rpc_server.start ~params:t.params ~metrics:t.metrics shard.snet
-          ~server_id
+        Rpc_server.start ~params:t.params shard.snet ~server_id
           ~peer_node:(Sim.Node.id shard.slots.(peer - 1).dir_node)
           ~node:slot.dir_node ~device:slot.device ~intent_device ~bullet_port
           ~port:shard.sport ()
@@ -136,21 +133,21 @@ let boot_dir_server t shard server_id =
       slot.rpc_server <- Some server
   | Nfs_single ->
       let server =
-        Nfs_server.start ~params:t.params ~metrics:t.metrics shard.snet
+        Nfs_server.start ~params:t.params shard.snet
           ~node:slot.dir_node ~device:slot.device ~port:shard.sport ()
       in
       slot.nfs_server <- Some server
 
-let make_slots ~engine ~metrics ~params ~flavor ~shard_index n =
+let make_slots ~engine ~params ~flavor ~shard_index n =
   Array.init n (fun i ->
       let server_id = i + 1 in
       let prefixed fmt = Printf.sprintf "s%d.%s%d" shard_index fmt server_id in
-      let device = make_device ~engine ~metrics ~params ~name:(prefixed "disk") in
+      let device = make_device ~engine ~params ~name:(prefixed "disk") in
       let intent_device =
         match flavor with
         | Rpc_pair ->
             Some
-              (Storage.Block_device.create engine ~metrics
+              (Storage.Block_device.create engine
                  ~name:(Printf.sprintf "intent%d" server_id)
                  ~blocks:64 ~block_size:params.Params.disk_block_size
                  ~read_ms:params.Params.disk_read_ms
@@ -205,19 +202,18 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
     | Rpc_pair | Nfs_single -> 1
   in
   let engine = Sim.Engine.create ~seed () in
-  let metrics = Sim.Metrics.create () in
   (* Shard k's network runs on derived seed k — independent of the
      engine RNG and of every other shard; index [shards_n] seeds the
      backbone. *)
   let seeds = Array.of_list (Sim.Rng.derive ~base:seed (shards_n + 1)) in
   let network k =
-    Simnet.Network.create engine ~metrics ~latency:params.Params.net_latency
-      ~rails ~seed:seeds.(k) ()
+    Simnet.Network.create engine ~latency:params.Params.net_latency ~rails
+      ~seed:seeds.(k) ()
   in
   let shard_arr =
     Array.init shards_n (fun k ->
         let snet = network k in
-        let slots = make_slots ~engine ~metrics ~params ~flavor ~shard_index:k n in
+        let slots = make_slots ~engine ~params ~flavor ~shard_index:k n in
         {
           index = k;
           snet;
@@ -228,9 +224,7 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
   in
   (* A lone group has no cross-shard traffic to carry. *)
   let backbone = if shards_n > 1 then Some (network shards_n) else None in
-  let t =
-    { flavor; engine; metrics; params; shard_arr; backbone; next_client = 0 }
-  in
+  let t = { flavor; engine; params; shard_arr; backbone; next_client = 0 } in
   Array.iter
     (fun sh -> Array.iter (boot_bullet t ~snet:sh.snet) sh.slots)
     t.shard_arr;
@@ -242,7 +236,7 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
     t.shard_arr;
   t
 
-let client ?rpc_config t =
+let client ?max_attempts t =
   t.next_client <- t.next_client + 1;
   let node =
     Sim.Node.create
@@ -256,13 +250,11 @@ let client ?rpc_config t =
     Array.map
       (fun sh ->
         let nic = Simnet.Network.attach sh.snet node in
-        Rpc.Transport.create ?config:rpc_config sh.snet nic)
+        Rpc.Transport.create ?max_attempts sh.snet nic)
       t.shard_arr
   in
-  let ports = Array.map (fun sh -> sh.sport) t.shard_arr in
-  (* A lone group has no cross-shard moves to count. *)
-  let metrics = if shards t > 1 then Some t.metrics else None in
-  Shard_router.make ?metrics transports ~ports
+  Shard_router.make transports
+    ~ports:(Array.map (fun sh -> sh.sport) t.shard_arr)
 
 let crash_server_in t ~shard server_id =
   Sim.Node.crash t.shard_arr.(shard).slots.(server_id - 1).dir_node

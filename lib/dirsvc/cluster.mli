@@ -38,6 +38,8 @@ val engine : t -> Sim.Engine.t
 
 val net : t -> Simnet.Network.t
 
+(** The engine's registry ({!Sim.Engine.metrics}): every network,
+    device, group member and server of the cluster counts into it. *)
 val metrics : t -> Sim.Metrics.t
 
 val params : t -> Params.t
@@ -55,11 +57,11 @@ val total_servers : t -> int
 val run_until : t -> float -> unit
 
 (** [client t] creates a fresh client machine with one transport per
-    shard (separate locate caches) behind a {!Shard_router}. [rpc_config]
-    tunes the client kernel's transaction behaviour (e.g. tests that
-    must not fail over to another server pass
-    [{ default_config with max_attempts = 1 }]). *)
-val client : ?rpc_config:Rpc.Transport.config -> t -> Client.t
+    shard (separate locate caches) behind a {!Shard_router}.
+    [max_attempts] bounds the client kernel's request attempts per
+    transaction (tests that must not fail over to another server pass
+    [~max_attempts:1]). *)
+val client : ?max_attempts:int -> t -> Client.t
 
 (** Fault injection. Server ids are 1-based; [_in] variants address a
     specific shard (shard 0 = the plain functions). *)

@@ -8,7 +8,6 @@ type server = Replica of int | Named of string
 type t = {
   engine : Sim.Engine.t;
   node : int;
-  metrics : Sim.Metrics.t option;
   labels : (string * string) list; (* server, then shard when sharded *)
   server : Sim.Trace.attr;
   (* Per-op latency histograms, resolved once per op name: the labelled
@@ -17,7 +16,7 @@ type t = {
   hists : (string, Sim.Metrics.Histogram.t) Hashtbl.t;
 }
 
-let create ~metrics ~shard net ~node server =
+let create ~shard net ~node server =
   let label, attr =
     match server with
     | Replica id -> (string_of_int id, Sim.Trace.Int id)
@@ -30,18 +29,19 @@ let create ~metrics ~shard net ~node server =
   {
     engine = Simnet.Network.engine net;
     node = Sim.Node.id node;
-    metrics;
     labels = ("server", label) :: shard_label;
     server = attr;
     hists = Hashtbl.create 8;
   }
 
-let histogram t m ~op =
+let histogram t ~op =
   match Hashtbl.find_opt t.hists op with
   | Some h -> h
   | None ->
       let h =
-        Sim.Metrics.histogram_handle m "dirsvc.op_ms"
+        Sim.Metrics.histogram_handle
+          (Sim.Engine.metrics t.engine)
+          "dirsvc.op_ms"
           ~labels:(("op", op) :: t.labels)
       in
       Hashtbl.add t.hists op h;
@@ -51,9 +51,7 @@ let timed t ~op f =
   let started = Sim.Engine.now t.engine in
   let reply = f () in
   let elapsed = Sim.Engine.now t.engine -. started in
-  (match t.metrics with
-  | Some m -> Sim.Metrics.Histogram.observe (histogram t m ~op) elapsed
-  | None -> ());
+  Sim.Metrics.Histogram.observe (histogram t ~op) elapsed;
   Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:t.node ~name:"op"
     (fun () ->
       [

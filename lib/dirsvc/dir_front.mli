@@ -5,9 +5,9 @@
     paths, and this module does the rest: dispatch of
     [Write_op] / [List_req] / [Lookup_req] (anything else is a "bad
     request"), the per-op latency histogram
-    ["dirsvc.op_ms{op,server[,shard]}"] (handle cached per op), one
-    ["dirsvc"] / ["op"] trace event per request with its outcome, and
-    the write-result → reply mapping. *)
+    ["dirsvc.op_ms{op,server[,shard]}"] in the engine's registry
+    (handle cached per op), one ["dirsvc"] / ["op"] trace event per
+    request with its outcome, and the write-result → reply mapping. *)
 
 (** How a server is labelled in metrics and traces: a replica by its
     server id, a lone server by name (["nfs"]). *)
@@ -15,10 +15,9 @@ type server = Replica of int | Named of string
 
 type t
 
-(** [create ~metrics ~shard net ~node server] — [shard] adds the
-    [shard] label (sharded deployments only). *)
+(** [create ~shard net ~node server] — [shard] adds the [shard] label
+    (sharded deployments only). *)
 val create :
-  metrics:Sim.Metrics.t option ->
   shard:int option ->
   Simnet.Network.t ->
   node:Sim.Node.t ->

@@ -33,7 +33,6 @@ type t = {
      (§4.1). *)
   group_commit : bool;
   in_place : bool;
-  metrics : Sim.Metrics.t option;
   net : Simnet.Network.t;
   node : Sim.Node.t;
   transport : Rpc.Transport.t;
@@ -79,7 +78,7 @@ type t = {
      block yet. *)
   mutable log : log_record list;
   mutable stale : bool;
-  c_commit : Sim.Metrics.handle option;
+  c_commit : Sim.Metrics.handle;
   (* Sharded deployment only ([shard] = None is a lone group).
      [staged_x] / [xdecisions] are driven exclusively by
      ordered deliveries, so every replica of the shard converges;
@@ -139,11 +138,6 @@ let current_vector t =
   Array.init (n_servers t) (fun i -> up (i + 1))
 
 (* ---- Commit pipeline ---------------------------------------------- *)
-
-let count_commit t =
-  match t.c_commit with
-  | Some h -> Sim.Metrics.incr_handle h
-  | None -> ()
 
 let encode_log records =
   Wire.encode_log_records
@@ -227,7 +221,7 @@ let stage t record =
 let flush t =
   if t.stale then begin
     t.stale <- false;
-    count_commit t;
+    Sim.Metrics.incr_handle t.c_commit;
     if t.in_place then apply_log t
     else
       let log = encode_log t.log in
@@ -679,14 +673,10 @@ let rec run_recovery t ~attempt =
   let config = Params.group_config t.params ~servers:(n_servers t) in
   let nic = Rpc.Transport.nic t.transport in
   let g =
-    match
-      Group.Member.join_group ?metrics:t.metrics ~config t.net nic
-        ~gname:t.gname
-    with
+    match Group.Member.join_group ~config t.net nic ~gname:t.gname with
     | g -> g
     | exception Group.Types.Join_failed _ ->
-        Group.Member.create_group ?metrics:t.metrics ~config t.net nic
-          ~gname:t.gname
+        Group.Member.create_group ~config t.net nic ~gname:t.gname
   in
   t.group <- Some g;
   let join_base = (Group.Member.info g).next_deliver - 1 in
@@ -923,8 +913,8 @@ let xact_resolver t () =
     end
   done
 
-let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
-    ~device ~bullet_port ~gname ~port () =
+let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
+    ~bullet_port ~gname ~port () =
   let nic = Simnet.Network.attach net node in
   let transport = Rpc.Transport.create net nic in
   let xtransport =
@@ -939,7 +929,6 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       params;
       group_commit = params.Params.batch_max > 1;
       in_place = params.Params.batch_max = 1 && Option.is_none nvram;
-      metrics;
       net;
       node;
       transport;
@@ -971,16 +960,16 @@ let start ~params ?metrics ?nvram ?shard ?xnet net ~server_id ~peers ~node
       log = [];
       stale = false;
       c_commit =
-        Option.map (fun m -> Sim.Metrics.counter m "dirsvc.commit") metrics;
+        Sim.Metrics.counter
+          (Sim.Engine.metrics (Simnet.Network.engine net))
+          "dirsvc.commit";
       shard;
       xtransport;
       staged_x = Hashtbl.create 8;
       xdecisions = Hashtbl.create 8;
     }
   in
-  let front =
-    Dir_front.create ~metrics ~shard net ~node (Dir_front.Replica server_id)
-  in
+  let front = Dir_front.create ~shard net ~node (Dir_front.Replica server_id) in
   Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
     (client_handler t front);
   Rpc.Transport.serve transport ~port:(admin_port (Sim.Node.id node)) ~threads:2

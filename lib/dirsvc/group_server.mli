@@ -61,7 +61,6 @@ type t
     which has no other shard to bounce to or query. *)
 val start :
   params:Params.t ->
-  ?metrics:Sim.Metrics.t ->
   ?nvram:Storage.Block_device.t ->
   ?shard:int ->
   ?xnet:Simnet.Network.t ->

@@ -57,7 +57,7 @@ let handle_read t ~dirs:_ serve =
   Sim.Resource.use t.cpu t.params.Params.nfs_cpu_read_ms;
   serve t.store
 
-let start ~params ?metrics net ~node ~device ~port () =
+let start ~params net ~node ~device ~port () =
   let nic = Simnet.Network.attach net node in
   let transport = Rpc.Transport.create net nic in
   let t =
@@ -72,9 +72,7 @@ let start ~params ?metrics net ~node ~device ~port () =
       next_secret = 0;
     }
   in
-  let front =
-    Dir_front.create ~metrics ~shard:None net ~node (Dir_front.Named "nfs")
-  in
+  let front = Dir_front.create ~shard:None net ~node (Dir_front.Named "nfs") in
   Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
     (Dir_front.handler front ~write:(handle_write t) ~read:(handle_read t));
   t

@@ -12,7 +12,6 @@ type t
 
 val start :
   params:Params.t ->
-  ?metrics:Sim.Metrics.t ->
   Simnet.Network.t ->
   node:Sim.Node.t ->
   device:Storage.Block_device.t ->

@@ -202,8 +202,8 @@ let load_disk_state t =
       Sim.Condvar.broadcast t.lazy_kick
   | _ | (exception Rpc.Transport.Rpc_failure _) -> ()
 
-let start ~params ?metrics net ~server_id ~peer_node ~node ~device
-    ~intent_device ~bullet_port ~port () =
+let start ~params net ~server_id ~peer_node ~node ~device ~intent_device
+    ~bullet_port ~port () =
   let nic = Simnet.Network.attach net node in
   let transport = Rpc.Transport.create net nic in
   let t =
@@ -231,7 +231,7 @@ let start ~params ?metrics net ~server_id ~peer_node ~node ~device
     }
   in
   let front =
-    Dir_front.create ~metrics ~shard:None net ~node (Dir_front.Replica server_id)
+    Dir_front.create ~shard:None net ~node (Dir_front.Replica server_id)
   in
   Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
     (Dir_front.handler front ~write:(handle_write t) ~read:(handle_read t));

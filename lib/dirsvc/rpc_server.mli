@@ -27,7 +27,6 @@ type t
 
 val start :
   params:Params.t ->
-  ?metrics:Sim.Metrics.t ->
   Simnet.Network.t ->
   server_id:int ->
   peer_node:int ->

@@ -11,7 +11,6 @@ type t = {
   transports : Rpc.Transport.t array; (* one per shard: shards live on
                                          separate networks *)
   ports : string array;
-  cross_shard : Sim.Metrics.handle option;
   mutable next_txid : int;
 }
 
@@ -25,17 +24,13 @@ let shard_of_name ~shards name =
     name;
   !h mod shards
 
-let make ?metrics transports ~ports =
+let make transports ~ports =
   if Array.length ports = 0 then invalid_arg "Shard_router.make: no shards";
   if Array.length transports <> Array.length ports then
     invalid_arg "Shard_router.make: one transport per shard";
   {
     transports;
     ports;
-    cross_shard =
-      (match metrics with
-      | None -> None
-      | Some m -> Some (Sim.Metrics.counter m "dirsvc.cross_shard"));
     next_txid = 0;
   }
 
@@ -57,10 +52,13 @@ let fresh_txid t =
   t.next_txid <- t.next_txid + 1;
   (Rpc.Transport.node_id t.transports.(0) * 1_000_000) + t.next_txid
 
+(* By key, not by a handle resolved in [make]: a lone group never
+   moves a row across shards, so its registry never shows the
+   counter. *)
 let count_cross t =
-  match t.cross_shard with
-  | None -> ()
-  | Some h -> Sim.Metrics.incr_handle h
+  Sim.Metrics.incr
+    (Sim.Engine.metrics (Rpc.Transport.engine t.transports.(0)))
+    "dirsvc.cross_shard"
 
 let raw_call t ~shard request =
   Rpc.Transport.trans t.transports.(shard) ~port:t.ports.(shard)

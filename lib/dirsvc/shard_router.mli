@@ -15,11 +15,8 @@
 type t
 
 (** [make transports ~ports] — [transports.(k)] reaches shard [k]'s
-    network and [ports.(k)] is its service port. [metrics] receives
-    the [dirsvc.cross_shard] counter; pass it only when there is more
-    than one shard. *)
-val make :
-  ?metrics:Sim.Metrics.t -> Rpc.Transport.t array -> ports:string array -> t
+    network and [ports.(k)] is its service port. *)
+val make : Rpc.Transport.t array -> ports:string array -> t
 
 val shards : t -> int
 
@@ -43,5 +40,5 @@ val call : t -> shard:int -> Wire.request -> Wire.reply
 (** Coordinator-unique transaction id for a cross-shard move. *)
 val fresh_txid : t -> int
 
-(** Bump the [dirsvc.cross_shard] counter (no-op without metrics). *)
+(** Bump the [dirsvc.cross_shard] counter in the engine's registry. *)
 val count_cross : t -> unit

@@ -2,10 +2,19 @@ open Types
 
 type item = Delivery of Types.delivery | Failed of string
 
-(* Pre-resolved counter handles: the protocol counts every message it
-   sends, so the hot path must not build or hash a key per packet. One
-   record per member, interned at [make] time; the [k_*] selectors
-   below name the fields at send sites. *)
+(* Protocol constants no deployment varies; times in ms. *)
+let send_timeout = 60.0 (* per-attempt wait for a send to complete *)
+
+let join_window = 5.0 (* how long [join_group] collects grants *)
+
+let reset_window = 15.0 (* how long [reset] collects member states *)
+
+let retrans_batch = 256 (* max entries per retransmission request *)
+
+(* Pre-resolved counter handles in the engine's registry: the protocol
+   counts every message it sends, so the hot path must not build or
+   hash a key per packet. One record per member, interned at [make]
+   time; send sites pass the handle to bump. *)
 type counters = {
   c_req : Sim.Metrics.handle;
   c_data : Sim.Metrics.handle;
@@ -34,7 +43,7 @@ type t = {
   gname : string;
   proto : string;
   config : Types.config;
-  counters : counters option;
+  counters : counters;
   me : int;
   mutable status : Types.status;
   mutable epoch : Types.epoch;
@@ -131,30 +140,6 @@ let make_counters m ~dissemination =
           ];
   }
 
-let k_req c = c.c_req
-let k_data c = c.c_data
-let k_ack c = c.c_ack
-let k_done c = c.c_done
-let k_accept c = c.c_accept
-let k_body c = c.c_body
-let k_hb c = c.c_hb
-let k_hback c = c.c_hback
-let k_join c = c.c_join
-let k_grant c = c.c_grant
-let k_reset c = c.c_reset
-let k_leave c = c.c_leave
-let k_fail c = c.c_fail
-let k_retrans c = c.c_retrans
-let k_retrans_served c = c.c_retrans_served
-let k_send_retry c = c.c_send_retry
-
-(* [k] selects the pre-resolved handle; static selectors, so a count is
-   one match and one increment — nothing allocated, nothing hashed. *)
-let count t k =
-  match t.counters with
-  | None -> ()
-  | Some c -> Sim.Metrics.incr_handle (k c)
-
 let now t = Sim.Engine.now t.engine
 
 (* Revoke the failure detector's pending tick (see [fd_tick]). Safe to
@@ -210,12 +195,12 @@ let held t seqno = Hashtbl.find_opt t.store seqno
 
 let is_sequencer t = t.status = Normal && t.sequencer = t.me
 
-let unicast t ~dst key payload =
-  count t key;
+let unicast t ~dst counter payload =
+  Sim.Metrics.incr_handle counter;
   Simnet.Network.send t.net t.nic ~dst ~proto:t.proto payload
 
-let multicast t key payload =
-  count t key;
+let multicast t counter payload =
+  Sim.Metrics.incr_handle counter;
   Simnet.Network.multicast t.net t.nic ~proto:t.proto payload
 
 let epoch_matches t epoch = Types.epoch_compare epoch t.epoch = 0
@@ -239,7 +224,8 @@ let declare_broken t ~notify_peers reason =
     Sim.Mailbox.send t.deliver_q (Failed reason);
     Sim.Condvar.broadcast t.changed;
     if notify_peers then
-      multicast t k_fail (Wire.Fail { gname = t.gname; epoch = t.epoch; reason })
+      multicast t t.counters.c_fail
+        (Wire.Fail { gname = t.gname; epoch = t.epoch; reason })
   end
 
 (* ---- Sequencer: resilience bookkeeping --------------------------- *)
@@ -256,7 +242,9 @@ let complete_send t uid =
 
 let send_done t ~origin ~uid =
   if origin = t.me then complete_send t uid
-  else unicast t ~dst:origin k_done (Wire.Done { gname = t.gname; epoch = t.epoch; uid })
+  else
+    unicast t ~dst:origin t.counters.c_done
+      (Wire.Done { gname = t.gname; epoch = t.epoch; uid })
 
 let holders t seqno =
   List.length
@@ -349,7 +337,7 @@ let send_cumulative_ack t =
   if t.status = Normal then
     if t.sequencer = t.me then record_ack t ~member:t.me ~have_upto:t.contig
     else
-      unicast t ~dst:t.sequencer k_ack
+      unicast t ~dst:t.sequencer t.counters.c_ack
         (Wire.Ack
            { gname = t.gname; epoch = t.epoch; member = t.me; have_upto = t.contig })
 
@@ -383,7 +371,7 @@ let request_retrans t =
           ("from", Sim.Trace.Int (t.contig + 1));
           ("highest_seen", Sim.Trace.Int t.highest_seen);
         ]);
-    unicast t ~dst:t.sequencer k_retrans
+    unicast t ~dst:t.sequencer t.counters.c_retrans
       (Wire.Retrans
          { gname = t.gname; epoch = t.epoch; member = t.me; from = t.contig + 1 })
   end
@@ -426,11 +414,11 @@ let flush_batch t =
             pairs.((2 * i) + 1) <- uid
         | Wire.Join_member _ | Wire.Leave_member _ -> assert false
       done;
-      multicast t k_accept
+      multicast t t.counters.c_accept
         (Wire.Bb_accept_batch { gname = t.gname; epoch = t.epoch; base; pairs })
     end
     else
-      multicast t k_data
+      multicast t t.counters.c_data
         (Wire.Data_batch
            {
              gname = t.gname;
@@ -539,7 +527,7 @@ let handle_join_req t ~joiner ~uid =
         Hashtbl.replace t.assigned_uids (joiner, uid) seqno;
         seqno
   in
-  unicast t ~dst:joiner k_grant
+  unicast t ~dst:joiner t.counters.c_grant
     (Wire.Join_grant
        {
          gname = t.gname;
@@ -551,8 +539,8 @@ let handle_join_req t ~joiner ~uid =
        })
 
 let handle_retrans t ~member ~from =
-  let upto = min (from + t.config.retrans_batch - 1) (t.seq_next - 1) in
-  count t k_retrans_served;
+  let upto = min (from + retrans_batch - 1) (t.seq_next - 1) in
+  Sim.Metrics.incr_handle t.counters.c_retrans_served;
   emit t ~name:"retrans" (fun () ->
       [
         ("gname", Sim.Trace.Str t.gname);
@@ -566,7 +554,7 @@ let handle_retrans t ~member ~from =
   let flush_run () =
     if !run_len > 0 then begin
       let arr = Array.of_list (List.rev !run) in
-      unicast t ~dst:member k_data
+      unicast t ~dst:member t.counters.c_data
         (Wire.Data_batch
            {
              gname = t.gname;
@@ -603,7 +591,7 @@ let handle_reset_invite t ~instance ~view ~coord =
     t.status <- Resetting;
     Sim.Condvar.broadcast t.changed;
     if coord <> t.me then
-      unicast t ~dst:coord k_reset
+      unicast t ~dst:coord t.counters.c_reset
         (Wire.Reset_state
            { gname = t.gname; instance; view; member = t.me; have_upto = t.contig })
   end
@@ -622,7 +610,7 @@ let handle_reset_fetch t ~requester ~from ~upto =
     | Some entry -> entries := (seqno, entry) :: !entries
     | None -> ()
   done;
-  unicast t ~dst:requester k_reset
+  unicast t ~dst:requester t.counters.c_reset
     (Wire.Reset_entries
        { gname = t.gname; instance = t.epoch.instance; entries = !entries })
 
@@ -703,16 +691,16 @@ let reset t =
       t.status <- Resetting;
       t.reset_states <- [ (t.me, t.contig) ];
       t.reset_collect_view <- Some view;
-      multicast t k_reset
+      multicast t t.counters.c_reset
         (Wire.Reset_invite
            { gname = t.gname; instance = t.epoch.instance; view; coord = t.me });
-      Sim.Proc.sleep t.config.reset_window;
+      Sim.Proc.sleep reset_window;
       t.reset_collect_view <- None;
       if t.status = Normal then List.length t.members
       else if t.reset_seen <> (view, t.me) then begin
         (* A higher-priority coordinator took over: wait for its commit. *)
         (try
-           Sim.Condvar.await ~timeout:(2.0 *. t.config.reset_window) t.changed
+           Sim.Condvar.await ~timeout:(2.0 *. reset_window) t.changed
              (fun () -> t.status = Normal)
          with Sim.Proc.Timeout -> ());
         if t.status = Normal then List.length t.members else attempt (n + 1)
@@ -725,7 +713,7 @@ let reset t =
           if t.contig >= base then true
           else begin
             let donor, _ = List.find (fun (_, h) -> h = base) states in
-            unicast t ~dst:donor k_reset
+            unicast t ~dst:donor t.counters.c_reset
               (Wire.Reset_fetch
                  {
                    gname = t.gname;
@@ -734,7 +722,7 @@ let reset t =
                    upto = base;
                  });
             (try
-               Sim.Condvar.await ~timeout:t.config.reset_window t.changed
+               Sim.Condvar.await ~timeout:reset_window t.changed
                  (fun () -> t.contig >= base)
              with Sim.Proc.Timeout -> ());
             t.contig >= base
@@ -754,7 +742,7 @@ let reset t =
                   | Some entry -> patch := (seqno, entry) :: !patch
                   | None -> ()
                 done;
-                unicast t ~dst:m k_reset
+                unicast t ~dst:m t.counters.c_reset
                   (Wire.Reset_commit
                      {
                        gname = t.gname;
@@ -822,7 +810,7 @@ let handle_packet t (packet : Simnet.Packet.t) =
         if highest > t.highest_seen then t.highest_seen <- highest;
         if t.highest_seen > t.contig then request_retrans t;
         if t.sequencer <> t.me then
-          unicast t ~dst:t.sequencer k_hback
+          unicast t ~dst:t.sequencer t.counters.c_hback
             (Wire.Hb_ack
                {
                  gname = t.gname;
@@ -887,7 +875,7 @@ let failure_detector t () =
       if t.sequencer = t.me then begin
         (* Suppress the heartbeat when data traffic is already flowing. *)
         if now t -. t.last_data_sent >= t.config.heartbeat_period then
-          multicast t k_hb
+          multicast t t.counters.c_hb
             (Wire.Heartbeat
                { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
         List.iter
@@ -907,7 +895,7 @@ let failure_detector t () =
         declare_broken t ~notify_peers:true "sequencer silent"
   done
 
-let make ?metrics ?(config = Types.default_config) net nic ~gname =
+let make ?(config = Types.default_config) net nic ~gname =
   let node = Simnet.Network.nic_node nic in
   let engine = Simnet.Network.engine net in
   let t =
@@ -920,10 +908,8 @@ let make ?metrics ?(config = Types.default_config) net nic ~gname =
       proto = Wire.proto gname;
       config;
       counters =
-        (match metrics with
-        | None -> None
-        | Some m ->
-            Some (make_counters m ~dissemination:config.Types.dissemination));
+        make_counters (Sim.Engine.metrics engine)
+          ~dissemination:config.Types.dissemination;
       me = Sim.Node.id node;
       status = Idle;
       epoch = { instance = 0; view = 0 };
@@ -975,8 +961,8 @@ let make ?metrics ?(config = Types.default_config) net nic ~gname =
       clear_batch t);
   t
 
-let create_group ?metrics ?config net nic ~gname =
-  let t = make ?metrics ?config net nic ~gname in
+let create_group ?config net nic ~gname =
+  let t = make ?config net nic ~gname in
   t.epoch <- { instance = fresh_instance t; view = 1 };
   t.members <- [ t.me ];
   t.sequencer <- t.me;
@@ -993,12 +979,12 @@ let create_group ?metrics ?config net nic ~gname =
    shared by every incarnation in a run, which gives exactly that. *)
 let fresh_uid t = (t.me * 100_000_000) + Sim.Engine.fresh_id t.engine
 
-let join_group ?metrics ?config net nic ~gname =
-  let t = make ?metrics ?config net nic ~gname in
+let join_group ?config net nic ~gname =
+  let t = make ?config net nic ~gname in
   let uid = fresh_uid t in
   t.join_collect <- Some [];
-  multicast t k_join (Wire.Join_req { gname; joiner = t.me; uid });
-  Sim.Proc.sleep t.config.join_window;
+  multicast t t.counters.c_join (Wire.Join_req { gname; joiner = t.me; uid });
+  Sim.Proc.sleep join_window;
   let grants = match t.join_collect with Some g -> g | None -> [] in
   t.join_collect <- None;
   (* Prefer the largest group; break ties toward the lowest sequencer.
@@ -1075,19 +1061,17 @@ let send t payload =
      else
        match t.config.dissemination with
        | Types.Pb ->
-           unicast t ~dst:t.sequencer k_req
+           unicast t ~dst:t.sequencer t.counters.c_req
              (Wire.Bcast_req
                 { gname = t.gname; epoch = t.epoch; origin = t.me; uid; payload })
        | Types.Bb ->
-           multicast t k_body
+           multicast t t.counters.c_body
              (Wire.Bb_body
                 { gname = t.gname; epoch = t.epoch; origin = t.me; uid; payload }));
-    match Sim.Ivar.read ~timeout:t.config.send_timeout ivar with
+    match Sim.Ivar.read ~timeout:send_timeout ivar with
     | () ->
         let wait = now t -. started in
-        (match t.counters with
-        | Some c -> Sim.Metrics.Histogram.observe c.c_send_ms wait
-        | None -> ());
+        Sim.Metrics.Histogram.observe t.counters.c_send_ms wait;
         if tracing t then
           emit t ~name:"send.done" (fun () ->
               [
@@ -1098,7 +1082,7 @@ let send t payload =
               ])
     | exception Sim.Proc.Timeout ->
         Hashtbl.remove t.pending_sends uid;
-        count t k_send_retry;
+        Sim.Metrics.incr_handle t.counters.c_send_retry;
         emit t ~name:"send.retry" (fun () ->
             [
               ("gname", Sim.Trace.Str t.gname);
@@ -1146,16 +1130,16 @@ let leave t =
         (* Drain pending resilience work, then order our own departure so
            the handover point is unambiguous. *)
         (try
-           Sim.Condvar.await ~timeout:t.config.send_timeout t.changed (fun () ->
+           Sim.Condvar.await ~timeout:send_timeout t.changed (fun () ->
                Hashtbl.length t.pending_done = 0)
          with Sim.Proc.Timeout -> ());
         ignore (enqueue t (Wire.Leave_member t.me) ~body_known:false ~alone:true)
       end
       else
-        unicast t ~dst:t.sequencer k_leave
+        unicast t ~dst:t.sequencer t.counters.c_leave
           (Wire.Leave_req { gname = t.gname; epoch = t.epoch; member = t.me });
       (try
-         Sim.Condvar.await ~timeout:t.config.send_timeout t.changed (fun () ->
+         Sim.Condvar.await ~timeout:send_timeout t.changed (fun () ->
              t.status = Left)
        with Sim.Proc.Timeout ->
          t.status <- Left;

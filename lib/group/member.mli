@@ -15,12 +15,16 @@
     {- [leave] — LeaveGroup}
     {- [info] — GetInfoGroup}}
 
+    A member counts every protocol message it sends ([grp.req],
+    [grp.data], …) and how long each send blocks
+    ([grp.send_ms{method}]) in its engine's registry
+    ({!Sim.Engine.metrics}).
+
     All functions must be called from a fiber on the member's node. *)
 
 type t
 
 val create_group :
-  ?metrics:Sim.Metrics.t ->
   ?config:Types.config ->
   Simnet.Network.t ->
   Simnet.Network.nic ->
@@ -28,10 +32,9 @@ val create_group :
   t
 
 (** [join_group net nic ~gname] broadcasts a join request, collects
-    grants for [join_window], and adopts the largest granting group.
+    grants for 5 ms, and adopts the largest granting group.
     Raises {!Types.Join_failed} when nobody grants. *)
 val join_group :
-  ?metrics:Sim.Metrics.t ->
   ?config:Types.config ->
   Simnet.Network.t ->
   Simnet.Network.nic ->

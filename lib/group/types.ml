@@ -33,11 +33,7 @@ type config = {
   resilience : int;
   heartbeat_period : float;
   fail_timeout : float;
-  send_timeout : float;
   send_retries : int;
-  join_window : float;
-  reset_window : float;
-  retrans_batch : int;
   batch_max : int;
   batch_window : float;
 }
@@ -48,11 +44,7 @@ let default_config =
     resilience = 2;
     heartbeat_period = 25.0;
     fail_timeout = 80.0;
-    send_timeout = 60.0;
     send_retries = 3;
-    join_window = 5.0;
-    reset_window = 15.0;
-    retrans_batch = 256;
     batch_max = 1;
     batch_window = 2.0;
   }

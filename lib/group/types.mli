@@ -54,11 +54,7 @@ type config = {
   heartbeat_period : float;  (** sequencer heartbeat interval (ms) *)
   fail_timeout : float;
       (** silence threshold before declaring a failure (ms) *)
-  send_timeout : float;  (** per-attempt wait for send completion (ms) *)
   send_retries : int;
-  join_window : float;  (** how long [join] collects grants (ms) *)
-  reset_window : float;  (** how long [reset] collects member states (ms) *)
-  retrans_batch : int;  (** max entries per retransmission request *)
   batch_max : int;
       (** sequencer-side batching: order up to this many concurrently
           arriving updates with a single multicast. 1 (the default)

@@ -1,19 +1,13 @@
 exception Rpc_failure of string
 
-type config = {
-  locate_window : float;
-  max_attempts : int;
-  locate_rounds : int;
-  locate_backoff : float;
-}
+(* Locate timing: how long (ms) a broadcast collects HEREIS answers,
+   how many broadcasts before giving up, and the pause (ms) between
+   them. *)
+let locate_window = 2.0
 
-let default_config =
-  {
-    locate_window = 2.0;
-    max_attempts = 6;
-    locate_rounds = 4;
-    locate_backoff = 5.0;
-  }
+let locate_rounds = 4
+
+let locate_backoff = 5.0
 
 (* While a reply is outstanding the client asks the server every
    [enquiry_period] ms whether it still holds the request; two
@@ -41,7 +35,7 @@ type service = {
 }
 
 type t = {
-  config : config;
+  max_attempts : int;
   net : Simnet.Network.t;
   nic : Simnet.Network.nic;
   node_id : int;
@@ -119,10 +113,10 @@ let handle_packet t (packet : Simnet.Packet.t) =
   | Wire.Ack _ -> ()
   | _ -> ()
 
-let create ?(config = default_config) net nic =
+let create ?(max_attempts = 6) net nic =
   let t =
     {
-      config;
+      max_attempts;
       net;
       nic;
       node_id = Sim.Node.id (Simnet.Network.nic_node nic);
@@ -192,13 +186,13 @@ let drop_cached t ~port server =
   | Some l -> l := List.filter (fun s -> s <> server) !l
   | None -> ()
 
-(* Broadcast a locate and collect HEREIS answers for [locate_window] ms.
-   The cache keeps responders in arrival order; the client always tries
-   the first one — the paper's "first server that replied" heuristic. *)
 let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"rpc"
     ~node:t.node_id ~name attrs
 
+(* Broadcast a locate and collect HEREIS answers for [locate_window] ms.
+   The cache keeps responders in arrival order; the client always tries
+   the first one — the paper's "first server that replied" heuristic. *)
 let locate t ~port =
   let xid = fresh_xid t in
   let responders = ref [] in
@@ -207,7 +201,7 @@ let locate t ~port =
       [ ("port", Sim.Trace.Str port); ("xid", Sim.Trace.Int xid) ]);
   Simnet.Network.multicast t.net t.nic ~proto:Wire.proto
     (Wire.Locate { port; xid; client = t.node_id });
-  Sim.Proc.sleep t.config.locate_window;
+  Sim.Proc.sleep locate_window;
   Hashtbl.remove t.locates xid;
   let in_arrival_order = List.rev !responders in
   Hashtbl.replace t.port_cache port (ref in_arrival_order);
@@ -228,12 +222,12 @@ let ensure_located t ~port =
   | server :: _ -> server
   | [] ->
       let rec try_rounds round =
-        if round > t.config.locate_rounds then
+        if round > locate_rounds then
           raise (Rpc_failure (Printf.sprintf "service %s: not located" port));
         match locate t ~port with
         | server :: _ -> server
         | [] ->
-            Sim.Proc.sleep t.config.locate_backoff;
+            Sim.Proc.sleep locate_backoff;
             try_rounds (round + 1)
       in
       try_rounds 1
@@ -256,7 +250,7 @@ and enquire t xid =
 let trans t ~port ?(size = 128) body =
   let started = Sim.Engine.now (engine t) in
   let rec attempt n =
-    if n > t.config.max_attempts then
+    if n > t.max_attempts then
       raise (Rpc_failure (Printf.sprintf "service %s: no reply" port));
     let server = ensure_located t ~port in
     let xid = fresh_xid t in

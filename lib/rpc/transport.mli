@@ -11,29 +11,24 @@ type t
     server found dead. *)
 exception Rpc_failure of string
 
-type config = {
-  locate_window : float;
-      (** how long a locate broadcast collects HEREIS answers (ms) *)
-  max_attempts : int;  (** request attempts before giving up *)
-  locate_rounds : int;  (** locate broadcasts before giving up *)
-  locate_backoff : float;  (** pause between locate rounds (ms) *)
-}
-
-val default_config : config
-
 (** How often (ms) a client asks the server of an outstanding
     transaction whether it still holds the request. Two consecutive
     unanswered enquiries end the attempt. *)
 val enquiry_period : float
 
-(** [create net nic ()] builds a transport on [nic] and starts its
-    dispatcher fiber. Call once per node incarnation. *)
-val create : ?config:config -> Simnet.Network.t -> Simnet.Network.nic -> t
+(** [create net nic] builds a transport on [nic] and starts its
+    dispatcher fiber. Call once per node incarnation. A transaction
+    makes at most [max_attempts] (default 6) request attempts before
+    {!trans} gives up. A locate broadcast collects HEREIS answers for
+    2 ms and is repeated after 5 ms, up to 4 broadcasts. *)
+val create : ?max_attempts:int -> Simnet.Network.t -> Simnet.Network.nic -> t
 
 val node_id : t -> int
 
 (** The node this transport runs on. *)
 val node : t -> Sim.Node.t
+
+val engine : t -> Sim.Engine.t
 
 (** The NIC this transport uses — other protocol layers on the same node
     (e.g. group communication) attach their sockets to the same NIC. *)

@@ -1,9 +1,9 @@
 (* Timers are heap entries that can be tombstoned in O(1): [cancel_timer]
    flips the state and the run loop discards the corpse when it surfaces,
-   without executing it, without counting it, and without advancing the
-   clock. This is what lets timeout guards (mailbox/condvar/ivar waits,
-   RPC attempt timers) vanish from the event count when the guarded thing
-   happens first — which is almost always. *)
+   without executing it or counting it; only the clock moves to its
+   time (see [run]). This is what lets timeout guards (mailbox/condvar/
+   ivar waits, RPC enquiry timers) vanish from the event count when the
+   guarded thing happens first — which is almost always. *)
 type timer_state = Armed of (unit -> unit) | Fired | Cancelled
 
 type timer = { mutable state : timer_state }
@@ -18,6 +18,7 @@ type t = {
   mutable stop_requested : bool;
   mutable events_executed : int;
   mutable trace : Trace.t option;
+  metrics : Metrics.t;
   mutable next_id : int;
 }
 
@@ -32,6 +33,7 @@ let create ?(seed = 0x12345678L) () =
     stop_requested = false;
     events_executed = 0;
     trace = None;
+    metrics = Metrics.create ();
     next_id = 0;
   }
 
@@ -74,6 +76,8 @@ let events_executed t = t.events_executed
 let set_trace t trace = t.trace <- trace
 
 let tracing t = t.trace <> None
+
+let metrics t = t.metrics
 
 (* [attrs] is a thunk so that instrumented hot paths pay nothing beyond
    a closure when tracing is off. *)

@@ -33,8 +33,11 @@ type timer
 (** [schedule_timer t ~delay f] is [schedule], but returns a handle that
     can revoke the event. A canceled timer is tombstoned in place: the
     run loop discards it when it reaches the top of the heap without
-    executing it, counting it in {!events_executed}, or advancing the
-    clock — it costs one lazy heap pop instead of a simulated event. *)
+    executing it or counting it in {!events_executed} — it costs one
+    lazy heap pop instead of a simulated event. The clock still
+    advances to the tombstone's time, as it would for a dead no-op
+    event, so {!now} after a drained-heap [run] does not depend on
+    whether a timer was canceled. *)
 val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
 
 (** O(1); idempotent; a no-op after the timer fired. *)
@@ -60,6 +63,11 @@ val events_executed : t -> int
 val set_trace : t -> Trace.t option -> unit
 
 val tracing : t -> bool
+
+(** The run's counters and latency histograms (see {!Metrics}). One
+    registry per engine, created with it: every layer counts into the
+    registry of the engine it runs on. *)
+val metrics : t -> Metrics.t
 
 (** [emit t ~subsystem ~node ~name attrs] records a trace event stamped
     with the current virtual time. [attrs] is a thunk, forced only when

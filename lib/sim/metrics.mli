@@ -4,7 +4,8 @@
     operations per directory update) from these counters, and the figure
     harnesses aggregate latency distributions recorded here. Histograms
     use fixed buckets, so memory stays constant no matter how many
-    operations a run performs. *)
+    operations a run performs. A simulation's registry is its engine's
+    ({!Engine.metrics}). *)
 
 (** Fixed-bucket latency histogram. Observations are assigned to
     log-spaced buckets; quantiles are estimated by linear interpolation

@@ -2,10 +2,11 @@
 
     A timer is a tombstoned heap entry: {!cancel} is O(1) and the engine
     discards the corpse lazily when it reaches the top of the heap —
-    without executing it, without counting it as a simulated event, and
-    without advancing the clock. Guard timers that rarely fire (receive
-    timeouts, RPC attempt deadlines, liveness ticks of departed members)
-    therefore cost a heap slot, not an event.
+    without executing it and without counting it as a simulated event;
+    the clock still advances to its time, as for a dead no-op event.
+    Guard timers that rarely fire (receive timeouts, RPC enquiries,
+    liveness ticks of departed members) therefore cost a heap slot, not
+    an event.
 
     Cancellation is invisible to the simulation: a canceled timer draws
     no RNG and runs no code, exactly like the dead no-op event it

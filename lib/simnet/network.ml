@@ -21,21 +21,16 @@ type rail = {
   mutable up : bool;
 }
 
-(* Pre-resolved packet counters. ["net.pkt." ^ proto] used to be built
-   (and hashed) on every packet; protos are few, so each is interned
-   once and found again by a small-string table probe with no
-   allocation. *)
-type counters = {
-  cm : Sim.Metrics.t;
-  pkt : Sim.Metrics.handle;
-  mcast_pkt : Sim.Metrics.handle;
-  by_proto : (string, Sim.Metrics.handle) Hashtbl.t;
-}
-
 type t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
-  counters : counters option;
+  (* Pre-resolved packet counters in the engine's registry.
+     ["net.pkt." ^ proto] used to be built (and hashed) on every packet;
+     protos are few, so each is interned once and found again by a
+     small-string table probe with no allocation. *)
+  pkt : Sim.Metrics.handle;
+  mcast_pkt : Sim.Metrics.handle;
+  by_proto : (string, Sim.Metrics.handle) Hashtbl.t;
   latency : latency;
   nics : (int, nic) Hashtbl.t; (* node id -> live NIC *)
   (* Receivers in ascending node-id order — the multicast fan-out order,
@@ -48,25 +43,18 @@ type t = {
   mutable fault_filter : (Packet.t -> fault_action) option;
 }
 
-let create engine ?metrics ?(latency = default_latency) ?(rails = 1) ?seed () =
+let create engine ?(latency = default_latency) ?(rails = 1) ?seed () =
   if rails < 1 then invalid_arg "Network.create: at least one rail";
+  let metrics = Sim.Engine.metrics engine in
   {
     engine;
     rng =
       (match seed with
       | None -> Sim.Rng.split (Sim.Engine.rng engine)
       | Some s -> Sim.Rng.create s);
-    counters =
-      (match metrics with
-      | None -> None
-      | Some cm ->
-          Some
-            {
-              cm;
-              pkt = Sim.Metrics.counter cm "net.pkt";
-              mcast_pkt = Sim.Metrics.counter cm "net.mcast";
-              by_proto = Hashtbl.create 8;
-            });
+    pkt = Sim.Metrics.counter metrics "net.pkt";
+    mcast_pkt = Sim.Metrics.counter metrics "net.mcast";
+    by_proto = Hashtbl.create 8;
     latency;
     nics = Hashtbl.create 16;
     receivers = None;
@@ -164,26 +152,20 @@ let nic_is_live t nic =
   | Some current -> current == nic
   | None -> false
 
-let proto_handle c proto =
-  match Hashtbl.find_opt c.by_proto proto with
+let proto_handle t proto =
+  match Hashtbl.find_opt t.by_proto proto with
   | Some h -> h
   | None ->
-      let h = Sim.Metrics.counter c.cm ("net.pkt." ^ proto) in
-      Hashtbl.add c.by_proto proto h;
+      let h =
+        Sim.Metrics.counter (Sim.Engine.metrics t.engine) ("net.pkt." ^ proto)
+      in
+      Hashtbl.add t.by_proto proto h;
       h
 
 (* One packet on the wire: the total and the per-proto counter. *)
 let count_packet t proto =
-  match t.counters with
-  | None -> ()
-  | Some c ->
-      Sim.Metrics.incr_handle c.pkt;
-      Sim.Metrics.incr_handle (proto_handle c proto)
-
-let count_mcast t =
-  match t.counters with
-  | None -> ()
-  | Some c -> Sim.Metrics.incr_handle c.mcast_pkt
+  Sim.Metrics.incr_handle t.pkt;
+  Sim.Metrics.incr_handle (proto_handle t proto)
 
 let delivery_delay t ~src ~dst =
   if src = dst then t.latency.local
@@ -266,7 +248,7 @@ let multicast t nic ~proto ?(size = 64) payload =
     (* Ethernet multicast: one packet on the wire regardless of the
        number of receivers — this is what makes SendToGroup cheap. *)
     count_packet t proto;
-    count_mcast t;
+    Sim.Metrics.incr_handle t.mcast_pkt;
     match apply_fault_filter t packet with
     | Drop -> ()
     | (Deliver | Delay _) as action ->

@@ -27,23 +27,15 @@ type fault_action = Deliver | Drop | Delay of float
     (loopback, no wire). *)
 type latency = { base : float; jitter : float; local : float }
 
+(** [create engine ()] makes an empty network. [latency] defaults to a
+    0.7 ms base, up to 0.2 ms jitter and 0.05 ms loopback. [seed] fixes
+    the network's own RNG stream instead of splitting it off the
+    engine's — a sharded cluster gives each shard's network a derived
+    seed so one shard's jitter stream does not depend on how many other
+    shards exist. Packet counters ([net.pkt], [net.pkt.<proto>],
+    [net.mcast]) go to the engine's registry ({!Sim.Engine.metrics}). *)
 val create :
-  Sim.Engine.t ->
-  ?metrics:Sim.Metrics.t ->
-  ?latency:latency ->
-  ?rails:int ->
-  ?seed:int64 ->
-  unit ->
-  t
-  [@@ocaml.doc
-    "[create engine ()] makes an empty network. [latency] defaults\n\
-    \ to a 0.7 ms base, up to 0.2 ms jitter and 0.05 ms loopback.\n\
-    \ [metrics] receives per-protocol packet counters (used to\n\
-    \ rebuild the paper's message cost analysis). [seed] fixes the\n\
-    \ network's own RNG stream instead of splitting it off the\n\
-    \ engine's — a sharded cluster gives each shard's network a\n\
-    \ derived seed so one shard's jitter stream does not depend on\n\
-    \ how many other shards exist."]
+  Sim.Engine.t -> ?latency:latency -> ?rails:int -> ?seed:int64 -> unit -> t
 
 val engine : t -> Sim.Engine.t
 

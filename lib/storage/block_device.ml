@@ -1,6 +1,5 @@
 type t = {
   engine : Sim.Engine.t;
-  metrics : Sim.Metrics.t option;
   name : string;
   blocks : int;
   block_size : int;
@@ -11,13 +10,12 @@ type t = {
   mutable writes_completed : int;
 }
 
-let create engine ?metrics ?(name = "disk") ~blocks ~block_size ~read_ms
+let create engine ?(name = "disk") ~blocks ~block_size ~read_ms
     ~write_ms () =
   if blocks <= 0 || block_size <= 0 then
     invalid_arg "Block_device.create: bad geometry";
   {
     engine;
-    metrics;
     name;
     blocks;
     block_size;
@@ -54,8 +52,7 @@ let submit t ~latency action =
           let v = action () in
           ignore (Sim.Proc.Waker.wake waker v)))
 
-let count t key =
-  match t.metrics with None -> () | Some m -> Sim.Metrics.incr m key
+let count t key = Sim.Metrics.incr (Sim.Engine.metrics t.engine) key
 
 (* [queue_ms] at emit time = how long the op will wait behind the arm. *)
 let emit_op t ~name ~block ~latency =
@@ -70,10 +67,8 @@ let emit_op t ~name ~block ~latency =
       ])
 
 let observe_hist t key latency =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-      Sim.Metrics.observe_hist m key ~labels:[ ("dev", t.name) ] latency
+  Sim.Metrics.observe_hist (Sim.Engine.metrics t.engine) key
+    ~labels:[ ("dev", t.name) ] latency
 
 let read t i =
   check_index t i;

@@ -8,13 +8,17 @@
     in flight (the controller still completes it, like a real disk).
 
     Writes are atomic per block, which is the paper's implicit assumption
-    for the commit block. *)
+    for the commit block.
+
+    Every device counts into its engine's registry
+    ({!Sim.Engine.metrics}): the [disk.read] / [disk.write] counters and
+    the [disk.read_ms] / [disk.write_ms] histograms labelled by device
+    name. *)
 
 type t
 
 val create :
   Sim.Engine.t ->
-  ?metrics:Sim.Metrics.t ->
   ?name:string ->
   blocks:int ->
   block_size:int ->

@@ -8,9 +8,8 @@ type world = {
 
 let make_world ?(seed = 1L) ?latency () =
   let engine = Sim.Engine.create ~seed () in
-  let metrics = Sim.Metrics.create () in
-  let net = Simnet.Network.create engine ~metrics ?latency () in
-  { engine; net; metrics }
+  let net = Simnet.Network.create engine ?latency () in
+  { engine; net; metrics = Sim.Engine.metrics engine }
 
 let node ~id name = Sim.Node.create ~id ~name
 
@@ -76,14 +75,14 @@ let on_client ?(budget = 60_000.0) ?client cluster f =
 
 (* A client whose port cache leads with replica [server]: fresh clients
    run [probe] (its failures ignored) until one has located that
-   replica first. With [max_attempts = 1] in [rpc_config] its requests
-   then go to that replica only. *)
-let client_at ?rpc_config ?(tries = 12) cluster ~server probe =
+   replica first. With [~max_attempts:1] its requests then go to that
+   replica only. *)
+let client_at ?max_attempts ?(tries = 12) cluster ~server probe =
   let module C = Dirsvc.Cluster in
   let rec find tries =
     if tries = 0 then Alcotest.failf "no client cached server %d" server
     else begin
-      let client = C.client ?rpc_config cluster in
+      let client = C.client ?max_attempts cluster in
       ignore (start_on cluster client (fun () -> try probe client with _ -> ()));
       C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 500.0);
       match

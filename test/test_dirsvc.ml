@@ -483,11 +483,8 @@ let test_gate_unknown_dir () =
         (d, e))
   in
   let warm client = ignore (Dirsvc.Client.lookup client d "d") in
-  let pinned =
-    { Rpc.Transport.default_config with max_attempts = 1 }
-  in
-  let reader = Harness.client_at ~rpc_config:pinned cluster ~server:2 warm in
-  let creator = Harness.client_at ~rpc_config:pinned cluster ~server:1 warm in
+  let reader = Harness.client_at ~max_attempts:1 cluster ~server:2 warm in
+  let creator = Harness.client_at ~max_attempts:1 cluster ~server:1 warm in
   let writer = C.client cluster in
   (* Four writes of the last (unused) block, rewriting its contents,
      queued on replica 2's disk ahead of the update to E. *)

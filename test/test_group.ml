@@ -21,12 +21,10 @@ let start_trio ?(config = Group.Types.default_config) w =
     Sim.Proc.boot w.engine n (fun () ->
         let m =
           if id = 1 then
-            Group.Member.create_group ~metrics:w.metrics ~config w.net nic
-              ~gname:"g"
+            Group.Member.create_group ~config w.net nic ~gname:"g"
           else begin
             Sim.Proc.sleep (2.0 +. float_of_int id);
-            Group.Member.join_group ~metrics:w.metrics ~config w.net nic
-              ~gname:"g"
+            Group.Member.join_group ~config w.net nic ~gname:"g"
           end
         in
         Hashtbl.replace members id m)

@@ -442,10 +442,9 @@ let test_uids_unique_across_reboot () =
     Harness.on_client cluster (fun client ->
         retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
   in
-  let pinned = { Rpc.Transport.default_config with max_attempts = 1 } in
   let append_via_server_2 names =
     let client =
-      Harness.client_at ~rpc_config:pinned cluster ~server:2 (fun client ->
+      Harness.client_at ~max_attempts:1 cluster ~server:2 (fun client ->
           ignore (Dirsvc.Client.lookup client cap "probe"))
     in
     Harness.on_client ~client cluster (fun client ->
@@ -513,11 +512,8 @@ let test_uncommitted_suffix_discarded () =
      so the ghost write exists only at server 1 (a normal client would
      eventually retry elsewhere and legitimately commit it — the
      documented absence of exactly-once semantics). *)
-  let one_shot =
-    { Rpc.Transport.default_config with max_attempts = 1 }
-  in
   let client_at_1 =
-    Harness.client_at ~rpc_config:one_shot cluster ~server:1 (fun client ->
+    Harness.client_at ~max_attempts:1 cluster ~server:1 (fun client ->
         ignore (Dirsvc.Client.lookup client cap "warm"))
   in
   (* Drop every group data packet server 1 sends: the ghost update will
@@ -760,6 +756,13 @@ let test_nvram_group_commit_crash () =
     advance cluster 0.5
   done;
   Alcotest.(check bool) "append acknowledged" true !appended;
+  (* The board is a device like the disk: its writes are counted in
+     the cluster's registry, not only traced. *)
+  let nvram_writes =
+    Option.fold ~none:0 ~some:Sim.Metrics.Histogram.count
+      (Sim.Metrics.histogram (C.metrics cluster) "disk.write_ms{dev=s0.nvram1}")
+  in
+  Alcotest.(check bool) "nvram writes counted" true (nvram_writes >= 1);
   List.iter (fun i -> C.crash_server cluster i) [ 1; 2; 3 ];
   advance cluster 500.0;
   List.iter (fun i -> C.restart_server cluster i) [ 1; 2; 3 ];
@@ -808,11 +811,8 @@ let test_rejoin_reads_skip_backlog () =
           read_dirs;
         (dirs, read_dirs, List.nth dirs (n_dirs - 1)))
   in
-  let pinned =
-    { Rpc.Transport.default_config with max_attempts = 1 }
-  in
   let reader =
-    Harness.client_at ~rpc_config:pinned cluster ~server:3 (fun client ->
+    Harness.client_at ~max_attempts:1 cluster ~server:3 (fun client ->
         ignore (Dirsvc.Client.lookup client (List.hd dirs) "row"))
   in
   C.crash_server cluster 3;

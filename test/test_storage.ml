@@ -4,8 +4,8 @@
 open Harness
 
 let make_device w ?(blocks = 64) ?(write_ms = 40.0) ?(read_ms = 15.0) () =
-  Storage.Block_device.create w.engine ~metrics:w.metrics ~blocks
-    ~block_size:1024 ~read_ms ~write_ms ()
+  Storage.Block_device.create w.engine ~blocks ~block_size:1024 ~read_ms
+    ~write_ms ()
 
 let test_device_latency_and_serialisation () =
   let w = make_world () in
