@@ -400,7 +400,7 @@ let fig8_grid ?points ?window pool ~seed =
 
 let fig8 =
   let bound servers =
-    Workload.Bounds.read_bound Dirsvc.Params.default ~servers
+    Workload.Bounds.read_bound ~servers
   in
   experiment "fig8"
     (seeded ~base:fig8_seed (fun pool ~seed -> fig8_grid pool ~seed))

@@ -73,8 +73,7 @@ let service_port ~shards k = if shards = 1 then "dirsvc" else Printf.sprintf "di
 
 let make_device ~engine ~params ~name =
   Storage.Block_device.create engine ~name
-    ~blocks:params.Params.disk_blocks
-    ~block_size:params.Params.disk_block_size
+    ~blocks:Params.disk_blocks ~block_size:Params.disk_block_size
     ~read_ms:params.Params.disk_read_ms ~write_ms:params.Params.disk_write_ms
     ()
 
@@ -85,13 +84,13 @@ let boot_bullet t ~snet slot =
   | Some node ->
       let nic = Simnet.Network.attach snet node in
       let transport = Rpc.Transport.create snet nic in
-      let cpu = Sim.Resource.create ~name:"bullet-cpu" ~capacity:1 () in
+      let cpu = Sim.Resource.create ~capacity:1 () in
       ignore
         (Storage.Bullet.start snet transport ~device:slot.device
            ~first_block:(t.params.Params.admin_slots + 1)
            ~region_blocks:
-             (t.params.Params.disk_blocks - t.params.Params.admin_slots - 1)
-           ~cpu ~cpu_ms:t.params.Params.bullet_cpu_ms ())
+             (Params.disk_blocks - t.params.Params.admin_slots - 1)
+           ~cpu ())
 
 let peers_of shard =
   Array.to_list shard.slots
@@ -149,7 +148,7 @@ let make_slots ~engine ~params ~flavor ~shard_index n =
             Some
               (Storage.Block_device.create engine
                  ~name:(Printf.sprintf "intent%d" server_id)
-                 ~blocks:64 ~block_size:params.Params.disk_block_size
+                 ~blocks:64 ~block_size:Params.disk_block_size
                  ~read_ms:params.Params.disk_read_ms
                  ~write_ms:params.Params.intentions_write_ms ())
         | Group_disk | Group_nvram | Nfs_single -> None
@@ -160,8 +159,8 @@ let make_slots ~engine ~params ~flavor ~shard_index n =
             Some
               (Storage.Block_device.create engine ~name:(prefixed "nvram")
                  ~blocks:1 ~block_size:params.Params.nvram_capacity
-                 ~read_ms:params.Params.nvram_write_ms
-                 ~write_ms:params.Params.nvram_write_ms ())
+                 ~read_ms:Params.nvram_write_ms ~write_ms:Params.nvram_write_ms
+                 ())
         | Group_disk | Rpc_pair | Nfs_single -> None
       in
       let bullet_node =
@@ -207,8 +206,7 @@ let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
      backbone. *)
   let seeds = Array.of_list (Sim.Rng.derive ~base:seed (shards_n + 1)) in
   let network k =
-    Simnet.Network.create engine ~latency:params.Params.net_latency ~rails
-      ~seed:seeds.(k) ()
+    Simnet.Network.create engine ~rails ~seed:seeds.(k) ()
   in
   let shard_arr =
     Array.init shards_n (fun k ->
@@ -320,60 +318,24 @@ let commit_device t server_id =
   let slot = t.shard_arr.(0).slots.(server_id - 1) in
   Option.value slot.nvram ~default:slot.device
 
-(* Event-driven replacement for a 20 ms chunked poller: each serving
-   transition stops the engine via [set_serving_watch]; we then drain to
-   the 20 ms boundary the poller would have sampled the predicate on, so
-   the final clock (which later scenarios anchor on) is unchanged.
-   [count] counts serving servers across every shard. *)
+(* Polls [count] (serving servers across every shard) every 20 ms of
+   virtual time, the way {!Sim.Drive} polls an ivar, so the clock ends
+   on a 20 ms boundary: the first one at or past the transition, or at
+   or past the deadline. *)
 let await_serving ?(timeout = 2000.0) t ~count =
-  let pred () = total_serving t >= count in
-  let quantum = 20.0 in
-  let start = Sim.Engine.now t.engine in
-  let deadline = start +. timeout in
-  (* The poller ran chunks while its clock (always on a boundary) was
-     below the deadline, so its last chunk ended on the first boundary
-     at or past it. *)
-  let cap = Sim.Drive.boundary_at_or_past ~start ~quantum deadline in
-  (* The watch is disarmed during boundary drains: a transition seen
-     mid-drain must not cut the drain short of the boundary. *)
-  let armed = ref false in
-  let watch () = if !armed && pred () then Sim.Engine.stop t.engine in
-  let set_watch w =
-    Array.iter
-      (fun sh ->
-        Array.iter
-          (fun slot ->
-            match slot.group_server with
-            | Some s -> Group_server.set_serving_watch s w
-            | None -> ())
-          sh.slots)
-      t.shard_arr
-  in
-  set_watch (Some watch);
-  let rec go () =
-    if pred () then true
+  let serving () = total_serving t >= count in
+  let deadline = Sim.Engine.now t.engine +. timeout in
+  let rec poll () =
+    if serving () then true
     else if Sim.Engine.now t.engine >= deadline then false
     else begin
-      let before = Sim.Engine.now t.engine in
-      armed := true;
-      Sim.Engine.run ~until:cap t.engine;
-      armed := false;
-      let now = Sim.Engine.now t.engine in
-      if pred () then begin
-        (* Stopped at the transition: execute the rest of the quantum,
-           exactly as the poller did before observing the flip. *)
-        Sim.Engine.run
-          ~until:(Sim.Drive.boundary_at_or_past ~start ~quantum now)
-          t.engine;
-        go ()
-      end
-      else if now > before then go ()
-      else false (* heap drained: nothing left that could flip it *)
+      let limit = Sim.Engine.now t.engine +. 20.0 in
+      Sim.Engine.run ~until:limit t.engine;
+      (* Short of the limit: the heap drained, nothing can flip it. *)
+      if Sim.Engine.now t.engine < limit then serving () else poll ()
     end
   in
-  let ok = go () in
-  set_watch None;
-  ok
+  poll ()
 
 let await_ready ?timeout t =
   match t.flavor with

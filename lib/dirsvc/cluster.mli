@@ -104,7 +104,9 @@ val commit_device : t -> int -> Storage.Block_device.t
 
 (** Wait (in simulated time) until at least [count] group servers are
     serving — counted across every shard — or [timeout] elapses;
-    returns whether it happened. Runs the engine. *)
+    returns whether it happened. Runs the engine in 20 ms chunks and
+    checks between them, so the clock stops on a chunk boundary: the
+    first one at or past the transition or the deadline. *)
 val await_serving : ?timeout:float -> t -> count:int -> bool
 
 (** Wait until the deployment serves clients: for the group flavours,

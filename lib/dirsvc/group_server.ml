@@ -51,9 +51,9 @@ type t = {
   mutable group : Group.Member.t option;
   mutable gprocessed : int; (* group position applied *)
   mutable serving : bool;
-  (* Called synchronously whenever [serving] flips to true — lets a
-     driver (Cluster.await_serving) stop the engine at the transition
-     instead of polling for it on a quantum. *)
+  (* Called synchronously whenever [serving] flips to true: how the
+     benchmark times a restarted server's rejoin to the millisecond.
+     Drivers that wait for serving poll [serving] instead. *)
   mutable serving_watch : (unit -> unit) option;
   mutable stayed_up : bool;
   applied : Sim.Condvar.t;
@@ -295,7 +295,7 @@ let execute_xact t ~origin ~uid xact =
                     x_peer_port = peer_port;
                     x_src = src;
                     x_deadline =
-                      Sim.Proc.now () +. t.params.Params.xshard_timeout_ms;
+                      Sim.Proc.now () +. Params.xshard_timeout_ms;
                   };
                 emit_xact t ~name:"xstaged" ~txid;
                 Wire.Ok_rep
@@ -417,7 +417,7 @@ let handle_read t ~dirs serve =
       in
       if not caught_up then Wire.Err_rep (Wire.Unavailable "catch-up timeout")
       else begin
-        Sim.Resource.use t.cpu t.params.cpu_read_ms;
+        Sim.Resource.use t.cpu Params.cpu_read_ms;
         serve t.store
       end)
 
@@ -450,7 +450,7 @@ let handle_write t op =
             Directory.Create_dir { columns; secret = fresh_secret t; hint }
         | other -> other
       in
-      Sim.Resource.use t.cpu t.params.cpu_write_ms;
+      Sim.Resource.use t.cpu Params.cpu_write_ms;
       send_and_await t g (fun ~origin ~uid ->
           Wire.Dir_op_msg { origin; uid; op }))
 
@@ -461,7 +461,7 @@ let handle_xshard t cmd =
       match cmd with
       | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
       | _ ->
-          Sim.Resource.use t.cpu t.params.cpu_write_ms;
+          Sim.Resource.use t.cpu Params.cpu_write_ms;
           send_and_await t g (fun ~origin ~uid ->
               Wire.Dir_xact_msg { origin; uid; xact = cmd }))
 
@@ -794,7 +794,7 @@ let group_step t g =
   match
     let first =
       if t.log <> [] then
-        Group.Member.receive ~timeout:t.params.Params.batch_persist_idle_ms g
+        Group.Member.receive ~timeout:Params.batch_persist_idle_ms g
       else Group.Member.receive g
     in
     process_delivery t first;
@@ -941,7 +941,7 @@ let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
           ~slots:params.Params.admin_slots;
       gname;
       port;
-      cpu = Sim.Resource.create ~name:"dir-cpu" ~capacity:1 ();
+      cpu = Sim.Resource.create ~capacity:1 ();
       store = Directory.empty;
       useq = 0;
       group = None;
@@ -970,7 +970,7 @@ let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
     }
   in
   let front = Dir_front.create ~shard net ~node (Dir_front.Replica server_id) in
-  Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
+  Rpc.Transport.serve transport ~port ~threads:Params.server_threads
     (client_handler t front);
   Rpc.Transport.serve transport ~port:(admin_port (Sim.Node.id node)) ~threads:2
     (admin_handler t);

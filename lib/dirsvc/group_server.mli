@@ -78,8 +78,10 @@ val start :
 val serving : t -> bool
 
 (** Register (or clear) a callback run synchronously each time the
-    server transitions to serving. Used by event-driven drivers to stop
-    the engine at the transition instead of polling [serving]. *)
+    server transitions to serving, at the exact simulated time of the
+    transition. Its one caller is the benchmark's [rejoin_ms] timer;
+    a driver that waits for serving polls {!serving} (see
+    [Cluster.await_serving]). *)
 val set_serving_watch : t -> (unit -> unit) option -> unit
 
 (** Highest update sequence number applied. *)

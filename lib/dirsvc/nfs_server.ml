@@ -34,7 +34,7 @@ let disk_commit t dir_id =
   Storage.Block_device.write t.device block (Bytes.of_string data)
 
 let handle_write t op =
-  Sim.Resource.use t.cpu t.params.Params.nfs_cpu_write_ms;
+  Sim.Resource.use t.cpu Params.nfs_cpu_write_ms;
   let op =
     match op with
     | Directory.Create_dir { columns; hint; _ } ->
@@ -54,7 +54,7 @@ let handle_write t op =
   Dir_front.write_reply ~port:t.port op outcome
 
 let handle_read t ~dirs:_ serve =
-  Sim.Resource.use t.cpu t.params.Params.nfs_cpu_read_ms;
+  Sim.Resource.use t.cpu Params.nfs_cpu_read_ms;
   serve t.store
 
 let start ~params net ~node ~device ~port () =
@@ -66,13 +66,13 @@ let start ~params net ~node ~device ~port () =
       node;
       device;
       port;
-      cpu = Sim.Resource.create ~name:"nfs-cpu" ~capacity:1 ();
+      cpu = Sim.Resource.create ~capacity:1 ();
       store = Directory.empty;
       useq = 0;
       next_secret = 0;
     }
   in
   let front = Dir_front.create ~shard:None net ~node (Dir_front.Named "nfs") in
-  Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
+  Rpc.Transport.serve transport ~port ~threads:Params.server_threads
     (Dir_front.handler front ~write:(handle_write t) ~read:(handle_read t));
   t

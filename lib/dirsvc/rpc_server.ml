@@ -137,7 +137,7 @@ let intend_at_peer t op =
       `Down
 
 let handle_write t op =
-  Sim.Resource.use t.cpu t.params.Params.cpu_write_ms;
+  Sim.Resource.use t.cpu Params.cpu_write_ms;
   let op =
     match op with
     | Directory.Create_dir { columns; _ } ->
@@ -174,7 +174,7 @@ let handle_write t op =
   attempt 0
 
 let handle_read t ~dirs:_ serve =
-  Sim.Resource.use t.cpu t.params.Params.cpu_read_ms;
+  Sim.Resource.use t.cpu Params.cpu_read_ms;
   serve t.store
 
 let admin_handler t ~client:_ body =
@@ -218,7 +218,7 @@ let start ~params net ~server_id ~peer_node ~node ~device ~intent_device
         Dir_image.attach transport ~bullet_port ~device
           ~slots:params.Params.admin_slots;
       port;
-      cpu = Sim.Resource.create ~name:"dir-cpu" ~capacity:1 ();
+      cpu = Sim.Resource.create ~capacity:1 ();
       store = Directory.empty;
       useq = 0;
       locked = Hashtbl.create 8;
@@ -233,7 +233,7 @@ let start ~params net ~server_id ~peer_node ~node ~device ~intent_device
   let front =
     Dir_front.create ~shard:None net ~node (Dir_front.Replica server_id)
   in
-  Rpc.Transport.serve transport ~port ~threads:params.Params.server_threads
+  Rpc.Transport.serve transport ~port ~threads:Params.server_threads
     (Dir_front.handler front ~write:(handle_write t) ~read:(handle_read t));
   Rpc.Transport.serve transport
     ~port:(Printf.sprintf "dirx@%d" (Sim.Node.id node))

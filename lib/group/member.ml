@@ -174,8 +174,6 @@ let emit t ~name attrs =
    the call site even when tracing is off, so the hot path checks first. *)
 let tracing t = Sim.Engine.tracing t.engine
 
-let gname t = t.gname
-
 let me t = t.me
 
 let members t = t.members
@@ -918,7 +916,7 @@ let make ?(config = Types.default_config) net nic ~gname =
       store = Hashtbl.create 256;
       contig = 0;
       highest_seen = 0;
-      deliver_q = Sim.Mailbox.create ~name:(gname ^ ".deliver") ();
+      deliver_q = Sim.Mailbox.create ();
       changed = Sim.Condvar.create ();
       pending_sends = Hashtbl.create 8;
       seq_next = 1;

@@ -41,8 +41,6 @@ val join_group :
   gname:string ->
   t
 
-val gname : t -> string
-
 val me : t -> int
 
 val send : t -> Simnet.Payload.t -> unit

@@ -152,7 +152,7 @@ let serve t ~port ?(threads = 2) handler =
         service.active <- true;
         service
     | None ->
-        let service = { active = true; queue = Sim.Mailbox.create ~name:port () } in
+        let service = { active = true; queue = Sim.Mailbox.create () } in
         Hashtbl.add t.services port service;
         service
   in

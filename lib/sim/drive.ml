@@ -1,50 +1,17 @@
-(* The workload drivers used to run the engine in fixed quanta and poll
-   a completion flag between chunks — thousands of bounded [Engine.run]
-   calls that existed only to re-check a bool. This helper keeps their
-   exact observable behavior (the clock lands on the same quantum
-   boundary a chunked poller would have reached, because later scenarios
-   on the same engine are sensitive to the start time) while waking
-   exactly once: an {!Ivar.on_fill} watcher stops the engine the instant
-   the completion ivar fills. *)
-
-(* Quantum boundaries must be the exact floats the chunked pollers
-   produced. Those were computed by iterated addition ([now +. quantum]
-   each round, each limit anchored on the previous one), and
-   [start +. quantum *. k] can differ from the iterated sum in the last
-   ulp — enough to shift a bounded run's final clock and, through it,
-   every later event of a same-seed run. So boundaries are walked, not
-   multiplied. *)
-let boundary_at_or_past ~start ~quantum time =
-  let b = ref start in
-  while !b < time do
-    b := !b +. quantum
-  done;
-  !b
-
+(* The clock lands on a quantum boundary, the iterated sum [start +.
+   quantum +. quantum +. ...] (a bounded [Engine.run] leaves [now] on
+   its limit). Later scenarios on the same engine start from that
+   clock, so a same-seed run depends on it to the last ulp. *)
 let run_until_filled ?(quantum = 10_000.0) ~max_quanta engine ivar =
-  if Ivar.is_filled ivar then true
-  else begin
-    let start = Engine.now engine in
-    let cap = ref start in
-    for _ = 1 to max_quanta do
-      cap := !cap +. quantum
-    done;
-    (* Disarm on exit: the ivar may outlive this call, and a late fill
-       must not stop an engine run it has nothing to do with. *)
-    let armed = ref true in
-    Ivar.on_fill ivar (fun () -> if !armed then Engine.stop engine);
-    Engine.run ~until:!cap engine;
-    if not (Ivar.is_filled ivar) then begin
-      armed := false;
-      false
-    end
+  let rec poll n =
+    if Ivar.is_filled ivar then true
+    else if n = 0 then false
     else begin
-      armed := false;
-      (* Land on the boundary the chunked poller stopped at: it only
-         observed the fill at the end of the quantum in which it
-         happened, and kept executing events until then. *)
-      let boundary = boundary_at_or_past ~start ~quantum (Engine.now engine) in
-      Engine.run ~until:(Float.min boundary !cap) engine;
-      true
+      let limit = Engine.now engine +. quantum in
+      Engine.run ~until:limit engine;
+      (* A run that ends short of its limit drained the heap: nothing
+         is left that could fill the ivar. *)
+      if Engine.now engine < limit then Ivar.is_filled ivar else poll (n - 1)
     end
-  end
+  in
+  poll max_quanta

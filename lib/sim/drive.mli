@@ -1,29 +1,14 @@
-(** Event-driven engine driving.
+(** Polling engine driver.
 
     [run_until_filled ~quantum ~max_quanta engine ivar] runs the engine
-    until [ivar] fills, then drains events up to the enclosing quantum
-    boundary and returns [true]. Returns [false] if the ivar is still
-    empty after [max_quanta] quanta of virtual time.
+    in chunks of [quantum] ms of virtual time, checking [ivar] before
+    each chunk, and returns [true] once it is filled. Returns [false]
+    if it is still empty after [max_quanta] chunks, or as soon as a
+    chunk drains the event heap (nothing is left that could fill it).
 
-    Behaviorally identical — same final clock, same events executed,
-    same RNG stream — to the polling loop it replaces:
-
-    {[ let rec drive n =
-         if Ivar.is_filled ivar then true
-         else if n = 0 then false
-         else (Engine.run ~until:(Engine.now engine +. quantum) engine;
-               drive (n - 1)) ]}
-
-    but the completion check costs one {!Ivar.on_fill} callback instead
-    of [max_quanta] bounded [run] calls. Boundaries are the iterated
-    sums [start +. quantum +. quantum +. ...] the poller computed, not
-    [start +. quantum *. k] — the two can differ in the last ulp, and
-    a same-seed run must land on identical floats. *)
+    The clock therefore stops on a chunk boundary, the iterated sum
+    [start +. quantum +. ... +. quantum], unless the heap drained first.
+    A chunk with nothing due only peeks at the heap, so polling costs
+    one bounded {!Engine.run} per quantum and no extra event. *)
 val run_until_filled :
   ?quantum:float -> max_quanta:int -> Engine.t -> 'a Ivar.t -> bool
-
-(** First chunk boundary at or past [time], walking [start], [start +.
-    quantum], [start +. quantum +. quantum], ... by iterated addition
-    (see above for why not multiplication). Exposed for drivers that
-    replicate other chunked pollers. *)
-val boundary_at_or_past : start:float -> quantum:float -> float -> float

@@ -3,14 +3,9 @@ type 'a state = Empty | Full of ('a, exn) result
 type 'a t = {
   mutable state : 'a state;
   mutable readers : 'a Proc.Waker.t list; (* oldest first *)
-  (* Called synchronously inside [complete], from whatever event filled
-     the ivar — no fiber, no extra engine event, no RNG. This is what
-     lets a driver loop stop the engine the instant a completion ivar
-     fills instead of polling for it on a quantum. *)
-  mutable watchers : (unit -> unit) list; (* oldest first *)
 }
 
-let create () = { state = Empty; readers = []; watchers = [] }
+let create () = { state = Empty; readers = [] }
 
 let complete t result =
   match t.state with
@@ -24,10 +19,7 @@ let complete t result =
         | Ok v -> ignore (Proc.Waker.wake waker v)
         | Error e -> ignore (Proc.Waker.wake_exn waker e)
       in
-      List.iter wake readers;
-      let watchers = t.watchers in
-      t.watchers <- [];
-      List.iter (fun f -> f ()) watchers
+      List.iter wake readers
 
 let fill t v = complete t (Ok v)
 
@@ -37,11 +29,6 @@ let is_filled t = match t.state with Full _ -> true | Empty -> false
 
 let peek t =
   match t.state with Full (Ok v) -> Some v | Full (Error _) | Empty -> None
-
-let on_fill t f =
-  match t.state with
-  | Full _ -> f ()
-  | Empty -> t.watchers <- t.watchers @ [ f ]
 
 let read ?timeout t =
   match t.state with

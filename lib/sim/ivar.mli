@@ -24,10 +24,3 @@ val is_filled : 'a t -> bool
 val read : ?timeout:float -> 'a t -> 'a
 
 val peek : 'a t -> 'a option
-
-(** [on_fill ivar f] runs [f] synchronously inside the fill — from the
-    very event that completed the ivar, with no extra engine event and
-    no RNG draw. If the ivar is already full, [f] runs immediately.
-    This is the hook event-driven drivers use to {!Engine.stop} the
-    engine the instant a completion signal arrives (see {!Drive}). *)
-val on_fill : 'a t -> (unit -> unit) -> unit

@@ -1,5 +1,4 @@
 type 'a t = {
-  name : string;
   queue : 'a Queue.t;
   (* Oldest first. Dead wakers (crashed node, fired timeout) are pruned
      lazily as they reach the front — [send] used to rebuild the whole
@@ -7,10 +6,7 @@ type 'a t = {
   wait_queue : 'a Proc.Waker.t Queue.t;
 }
 
-let create ?(name = "mailbox") () =
-  { name; queue = Queue.create (); wait_queue = Queue.create () }
-
-let name t = t.name
+let create () = { queue = Queue.create (); wait_queue = Queue.create () }
 
 (* Hand [v] to the oldest still-viable waiter; [wake] refuses dead
    wakers, so each is discarded the first time it surfaces. *)
@@ -43,4 +39,4 @@ let waiters t =
   Queue.transfer live t.wait_queue;
   Queue.length t.wait_queue
 
-let clear t = Queue.clear t.queue
+

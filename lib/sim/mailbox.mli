@@ -9,9 +9,7 @@
 
 type 'a t
 
-val create : ?name:string -> unit -> 'a t
-
-val name : 'a t -> string
+val create : unit -> 'a t
 
 (** [send mbox v] enqueues [v] or hands it directly to the oldest viable
     waiter. Callable from fibers and from plain engine events alike. *)
@@ -28,6 +26,3 @@ val length : 'a t -> int
     to decide whether a server is "listening" (idle thread available) —
     the NOTHERE heuristic from the paper. *)
 val waiters : 'a t -> int
-
-(** [clear mbox] drops all queued messages (crash cleanup). *)
-val clear : 'a t -> unit

@@ -47,7 +47,8 @@ module Histogram = struct
     !lo
 
   let observe t v =
-    t.counts.(bucket_index t v) <- t.counts.(bucket_index t v) + 1;
+    let i = bucket_index t v in
+    t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum +. v;
     if v < t.min then t.min <- v;
@@ -121,20 +122,6 @@ module Histogram = struct
           ("p95", Json.Float (quantile t 0.95));
           ("p99", Json.Float (quantile t 0.99));
         ]
-
-  let to_json t =
-    let bucket (lower, upper, count) =
-      Json.Obj
-        [
-          ("le", if upper = infinity then Json.Null else Json.Float upper);
-          ("from", Json.Float lower);
-          ("count", Json.Int count);
-        ]
-    in
-    match summary_to_json t with
-    | Json.Obj fields ->
-        Json.Obj (fields @ [ ("buckets", Json.List (List.map bucket (buckets t))) ])
-    | other -> other
 end
 
 (* ---- Labelled keys ------------------------------------------------ *)
@@ -227,19 +214,18 @@ let delta ~before ~after =
       if d = 0 then None else Some (key, d))
     keys
 
-let histogram_ref ?bounds t key =
+let histogram_ref t key =
   match Hashtbl.find_opt t.histograms key with
   | Some h -> h
   | None ->
-      let h = Histogram.create ?bounds () in
+      let h = Histogram.create () in
       Hashtbl.add t.histograms key h;
       h
 
-let observe_hist ?bounds ?(labels = []) t key v =
-  Histogram.observe (histogram_ref ?bounds t (labelled key ~labels)) v
+let observe_hist ?(labels = []) t key v =
+  Histogram.observe (histogram_ref t (labelled key ~labels)) v
 
-let histogram_handle ?bounds ?(labels = []) t key =
-  histogram_ref ?bounds t (labelled key ~labels)
+let histogram_handle ?(labels = []) t key = histogram_ref t (labelled key ~labels)
 
 let histogram t key = Hashtbl.find_opt t.histograms key
 
@@ -250,13 +236,3 @@ let histograms t =
 let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.histograms
-
-let to_json t =
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
-      ( "histograms",
-        Json.Obj
-          (List.map (fun (k, h) -> (k, Histogram.to_json h)) (histograms t)) );
-    ]

@@ -44,9 +44,6 @@ module Histogram : sig
   (** [{n; mean; min; max; p50; p90; p95; p99}] — just [{n = 0}] when
       empty. *)
   val summary_to_json : t -> Json.t
-
-  (** [summary_to_json] plus the per-bucket counts. *)
-  val to_json : t -> Json.t
 end
 
 (** [labelled key ~labels] canonicalises labels into the key:
@@ -95,10 +92,10 @@ val delta : before:(string * int) list -> after:(string * int) list -> (string *
 (** Histograms. *)
 
 (** [observe_hist t key v] records [v] into the histogram named
-    [labelled key ~labels], creating it (with [bounds]) on first use.
-    [bounds] only takes effect at creation. *)
+    [labelled key ~labels], creating it (with the default bounds) on
+    first use. *)
 val observe_hist :
-  ?bounds:float array -> ?labels:(string * string) list -> t -> string -> float -> unit
+  ?labels:(string * string) list -> t -> string -> float -> unit
 
 val histogram : t -> string -> Histogram.t option
 
@@ -108,12 +105,9 @@ val histogram : t -> string -> Histogram.t option
     the canonical labelled key is built at resolution time, not per
     observation. Orphaned by [reset], like counter handles. *)
 val histogram_handle :
-  ?bounds:float array -> ?labels:(string * string) list -> t -> string -> Histogram.t
+  ?labels:(string * string) list -> t -> string -> Histogram.t
 
 (** All histograms, sorted by name. *)
 val histograms : t -> (string * Histogram.t) list
 
 val reset : t -> unit
-
-(** Counters and histogram summaries as one JSON object. *)
-val to_json : t -> Json.t

@@ -32,4 +32,4 @@ let restart t =
 
 let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
 
-let pp fmt t = Format.fprintf fmt "%s#%d" t.name t.incarnation
+

@@ -33,5 +33,3 @@ val restart : t -> unit
 (** Hook invoked on [crash]; used by subsystems (e.g. network interfaces)
     to tear down volatile per-incarnation state. *)
 val on_crash : t -> (unit -> unit) -> unit
-
-val pp : Format.formatter -> t -> unit

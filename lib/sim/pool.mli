@@ -22,17 +22,13 @@ type t
 
 type 'a future
 
-(** [create ~jobs] spawns [jobs - 1] worker domains.
-    Raises [Invalid_argument] if [jobs < 1]. *)
-val create : jobs:int -> t
-
 (** The total concurrency level (including the submitting domain). *)
 val jobs : t -> int
 
 (** [submit pool f] enqueues [f] and returns its future. With
     [jobs = 1] the task runs inline before [submit] returns. An
     exception raised by [f] is captured and re-raised at [await].
-    Raises [Invalid_argument] if the pool has been shut down. *)
+    Raises [Invalid_argument] once the pool's [with_pool] has returned. *)
 val submit : t -> (unit -> 'a) -> 'a future
 
 (** [await fut] returns the task's result, running other queued tasks
@@ -46,10 +42,8 @@ val await : 'a future -> 'a
     remaining tasks still run to completion. *)
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** Drain the queue, stop the workers and join their domains.
-    Subsequent [submit]s raise; [await] on completed futures still
-    works. Idempotent. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] = create, run [f], always shutdown. *)
+(** [with_pool ~jobs f] spawns [jobs - 1] worker domains, runs [f] on
+    the pool, and then (also on exception) drains the queue, stops the
+    workers and joins their domains. Raises [Invalid_argument] if
+    [jobs < 1]. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a

@@ -1,15 +1,12 @@
 type t = {
-  name : string;
   capacity : int;
   mutable held : int;
   mutable wait_queue : unit Proc.Waker.t list; (* oldest first *)
 }
 
-let create ?(name = "resource") ~capacity () =
+let create ~capacity () =
   if capacity <= 0 then invalid_arg "Resource.create: capacity must be positive";
-  { name; capacity; held = 0; wait_queue = [] }
-
-let name t = t.name
+  { capacity; held = 0; wait_queue = [] }
 
 let acquire t =
   if t.held < t.capacity then t.held <- t.held + 1

@@ -12,16 +12,12 @@
 
 type t
 
-val create : ?name:string -> capacity:int -> unit -> t
+val create : capacity:int -> unit -> t
 
-val name : t -> string
-
-val acquire : t -> unit
-
-val release : t -> unit
-
-(** [use t d] = acquire; sleep [d]; release. *)
+(** [use t d] holds the resource for [d] ms: it waits its turn, sleeps
+    [d] and hands the resource to the next in line. *)
 val use : t -> float -> unit
 
-(** [with_held t f] = acquire; run [f]; release (also on exception). *)
+(** [with_held t f] holds the resource while [f] runs (released also on
+    exception). *)
 val with_held : t -> (unit -> 'a) -> 'a

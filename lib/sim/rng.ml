@@ -11,8 +11,6 @@ let next_raw t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t = next_raw t
-
 let split t = create (next_raw t)
 
 (* Multi-seed sweeps: seed i is exactly the seed [split] would hand the
@@ -46,7 +44,3 @@ let exponential t ~mean =
   -.mean *. log u
 
 let bool t ~p = float t < p
-
-let pick t = function
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | list -> List.nth list (int t (List.length list))

@@ -20,8 +20,6 @@ val split : t -> t
     Raises [Invalid_argument] on a negative count. *)
 val derive : base:int64 -> int -> int64 list
 
-val int64 : t -> int64
-
 (** [int rng bound] draws uniformly from [0, bound). Raises
     [Invalid_argument] if [bound <= 0]. *)
 val int : t -> int -> int
@@ -37,7 +35,3 @@ val exponential : t -> mean:float -> float
 
 (** [bool rng ~p] is [true] with probability [p]. *)
 val bool : t -> p:float -> bool
-
-(** [pick rng list] selects a uniformly random element.
-    Raises [Invalid_argument] on the empty list. *)
-val pick : t -> 'a list -> 'a

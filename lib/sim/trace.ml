@@ -25,8 +25,6 @@ let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { buffer = Array.make capacity None; next_seq = 0; sink = None }
 
-let capacity t = Array.length t.buffer
-
 let length t = min t.next_seq (Array.length t.buffer)
 
 let emitted t = t.next_seq
@@ -55,8 +53,6 @@ let events t =
       match t.buffer.((first + i) mod Array.length t.buffer) with
       | Some e -> e
       | None -> assert false)
-
-let iter t f = List.iter f (events t)
 
 (* ---- Rendering ---------------------------------------------------- *)
 
@@ -138,7 +134,9 @@ let event_to_text e =
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in
-  iter t (fun e ->
+  List.iter
+    (fun e ->
       Buffer.add_string buf (event_to_jsonl e);
-      Buffer.add_char buf '\n');
+      Buffer.add_char buf '\n')
+    (events t);
   Buffer.contents buf

@@ -32,8 +32,6 @@ type t
     events (default 65536). *)
 val create : ?capacity:int -> unit -> t
 
-val capacity : t -> int
-
 (** Events currently retained. *)
 val length : t -> int
 
@@ -60,8 +58,6 @@ val clear : t -> unit
 
 (** Retained events, oldest first. *)
 val events : t -> event list
-
-val iter : t -> (event -> unit) -> unit
 
 (** Decodes one event's JSON object, as {!event_to_jsonl} prints it.
     Raises [Invalid_argument] on a value that is not an encoded event. *)

@@ -90,7 +90,7 @@ let socket nic ~proto =
   match Hashtbl.find_opt nic.sockets proto with
   | Some mbox -> mbox
   | None ->
-      let mbox = Sim.Mailbox.create ~name:proto () in
+      let mbox = Sim.Mailbox.create () in
       Hashtbl.add nic.sockets proto mbox;
       mbox
 
@@ -101,11 +101,9 @@ let set_multicast_interest nic ~proto interested =
 let multicast_interested nic ~proto = not (Hashtbl.mem nic.mcast_opt_out proto)
 
 let rebind_socket nic ~proto =
-  let mbox = Sim.Mailbox.create ~name:proto () in
+  let mbox = Sim.Mailbox.create () in
   Hashtbl.replace nic.sockets proto mbox;
   mbox
-
-let rails t = Array.length t.rail_states
 
 let set_partitions t cells =
   Array.iter (fun rail -> rail.cells <- Some cells) t.rail_states

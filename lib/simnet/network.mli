@@ -106,9 +106,6 @@ val fail_rail : t -> rail:int -> unit
 
 val restore_rail : t -> rail:int -> unit
 
-(** Number of physical rails (1 unless created with [rails]). *)
-val rails : t -> int
-
 val heal : t -> unit
 
 val reachable : t -> int -> int -> bool

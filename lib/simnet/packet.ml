@@ -7,12 +7,3 @@ type t = {
   payload : Payload.t;
   size : int;
 }
-
-let pp fmt t =
-  let dst =
-    match t.dst with
-    | Unicast node -> string_of_int node
-    | Multicast -> "*"
-  in
-  Format.fprintf fmt "%d->%s %s %s" t.src dst t.proto
-    (Payload.to_string t.payload)

@@ -9,5 +9,3 @@ type t = {
   payload : Payload.t;
   size : int;  (** bytes, for statistics only *)
 }
-
-val pp : Format.formatter -> t -> unit

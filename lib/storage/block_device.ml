@@ -32,10 +32,6 @@ let blocks t = t.blocks
 
 let block_size t = t.block_size
 
-let read_ms t = t.read_ms
-
-let write_ms t = t.write_ms
-
 let check_index t i =
   if i < 0 || i >= t.blocks then
     invalid_arg (Printf.sprintf "%s: block %d out of range" t.name i)

@@ -33,10 +33,6 @@ val blocks : t -> int
 
 val block_size : t -> int
 
-val read_ms : t -> float
-
-val write_ms : t -> float
-
 (** [read t i] blocks the calling fiber for the disk latency and returns
     a copy of block [i]. *)
 val read : t -> int -> bytes

@@ -6,6 +6,13 @@ let right_destroy = 0x2
 
 let port_of node_id = Printf.sprintf "bullet@%d" node_id
 
+(* Processing per request on the server's [cpu] (ms). *)
+let cpu_ms = 0.4
+
+(* How long retired files' tombstones accumulate before the flusher
+   writes them (ms). *)
+let flush_interval = 300.0
+
 type Simnet.Payload.t +=
   | Create_req of string
   | Read_req of Capability.t
@@ -51,8 +58,6 @@ type t = {
   data_first : int;
   data_blocks : int;
   cpu : Sim.Resource.t option;
-  cpu_ms : float;
-  flush_interval : float;
   files : (int, file) Hashtbl.t; (* by obj *)
   slot_owner : int option array; (* slot -> obj *)
   data_free : bool array;
@@ -96,7 +101,7 @@ let write_inode_block t slot =
   Block_device.write t.device (slot_block t slot) (encode_slot owner)
 
 let charge_cpu t =
-  match t.cpu with None -> () | Some cpu -> Sim.Resource.use cpu t.cpu_ms
+  match t.cpu with None -> () | Some cpu -> Sim.Resource.use cpu cpu_ms
 
 let find_free_slot t =
   match t.free_stack with
@@ -198,7 +203,7 @@ let flusher t () =
     Sim.Condvar.await t.flush_kick (fun () -> t.dirty_tombstones <> []);
     (* Let tombstones accumulate; most are covered for free by reusing
        creates. Whatever remains costs one block write each. *)
-    Sim.Proc.sleep t.flush_interval;
+    Sim.Proc.sleep flush_interval;
     let retired = t.dirty_tombstones in
     t.dirty_tombstones <- [];
     List.iter (fun f -> t.slot_owner.(f.slot) <- None) retired;
@@ -261,7 +266,7 @@ let handler t ~client:_ body =
   | _ -> Err_rep "bullet: bad request"
 
 let start net transport ~device ~first_block ~region_blocks ?(inode_blocks = 0)
-    ?cpu ?(cpu_ms = 0.4) ?(flush_interval = 300.0) () =
+    ?cpu () =
   let inode_blocks =
     if inode_blocks > 0 then inode_blocks else max 1 (region_blocks / 4)
   in
@@ -280,8 +285,6 @@ let start net transport ~device ~first_block ~region_blocks ?(inode_blocks = 0)
       data_first;
       data_blocks;
       cpu;
-      cpu_ms;
-      flush_interval;
       files = Hashtbl.create 64;
       slot_owner = Array.make inode_blocks None;
       data_free = Array.make data_blocks true;

@@ -40,7 +40,7 @@ val port_of : int -> string
 (** [start net transport ~device ~first_block ~region_blocks ()] boots a
     Bullet server on [transport]'s node, owning device blocks
     [first_block, first_block + region_blocks). Performs the boot-time
-    recovery scan. [cpu] (with [cpu_ms] per request) models request
+    recovery scan. [cpu] (0.4 ms per request) models request
     processing cost. *)
 val start :
   Simnet.Network.t ->
@@ -50,8 +50,6 @@ val start :
   region_blocks:int ->
   ?inode_blocks:int ->
   ?cpu:Sim.Resource.t ->
-  ?cpu_ms:float ->
-  ?flush_interval:float ->
   unit ->
   t
 

@@ -46,13 +46,3 @@ let decode data =
 let read device = decode (Block_device.read device 0)
 
 let write device t = Block_device.write device 0 (encode t)
-
-let pp fmt t =
-  let vector =
-    String.concat ""
-      (Array.to_list (Array.map (fun b -> if b then "1" else "0") t.config_vector))
-  in
-  Format.fprintf fmt "[%s] seq=%d boot=%d%s%s" vector t.seqno t.boot
-    (if t.recovering then " recovering" else "")
-    (if t.log = "" then ""
-     else Printf.sprintf " log=%dB" (String.length t.log))

@@ -39,5 +39,3 @@ val decode : bytes -> t option
 val read : Block_device.t -> t option
 
 val write : Block_device.t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

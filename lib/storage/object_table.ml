@@ -10,8 +10,6 @@ let attach device ~first_block ~slots =
     invalid_arg "Object_table.attach: region exceeds device";
   { device; first_block; slots }
 
-let slots t = t.slots
-
 let block_of t dir_id =
   if dir_id < 0 || dir_id >= t.slots then
     invalid_arg (Printf.sprintf "Object_table: dir id %d out of range" dir_id);

@@ -18,8 +18,6 @@ type t
     at [first_block]. *)
 val attach : Block_device.t -> first_block:int -> slots:int -> t
 
-val slots : t -> int
-
 (** [write_entry t ~dir_id entry] commits one entry (one block write). *)
 val write_entry : t -> dir_id:int -> entry -> unit
 

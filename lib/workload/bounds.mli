@@ -7,8 +7,9 @@
     implementation 666." Write throughput is bounded by the single-pair
     latency because writes cannot be performed in parallel. *)
 
-(** [read_bound params ~servers] — lookups/second. *)
-val read_bound : Dirsvc.Params.t -> servers:int -> float
+(** [read_bound ~servers] — lookups/second at
+    {!Dirsvc.Params.cpu_read_ms} per lookup. *)
+val read_bound : servers:int -> float
 
 (** [write_bound ~pair_latency_ms] — append-delete pairs/second from a
     measured single-client pair latency. *)

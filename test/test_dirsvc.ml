@@ -660,3 +660,22 @@ let suite =
         `Quick
         (test_annihilation ~seed:13L C.Group_disk ~batch_max:4);
     ]
+
+(* A wait that cannot succeed polls 20 ms chunks while the clock is short
+   of the deadline: 50 ms ends on the third boundary, 60 ms. *)
+let test_await_serving_deadline () =
+  let cluster = boot C.Group_disk in
+  let engine = C.engine cluster in
+  let start = Sim.Engine.now engine in
+  Alcotest.(check bool) "one more server than exists" false
+    (C.await_serving ~timeout:50.0 cluster ~count:(C.total_servers cluster + 1));
+  Alcotest.(check (float 0.0)) "clock on the first boundary past the deadline"
+    (start +. 20.0 +. 20.0 +. 20.0)
+    (Sim.Engine.now engine)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "await_serving stops on the boundary past its deadline"
+        `Quick test_await_serving_deadline;
+    ]

@@ -170,6 +170,62 @@ let test_ivar_error_propagation () =
   Sim.Engine.run engine;
   Alcotest.(check string) "error surfaced" "cancelled: server down" !outcome
 
+(* Drive: an engine whose heap never drains (a tick every 0.03 ms),
+   polled in chunks of 0.1 ms. Chunk boundaries are iterated sums, which
+   differ from [start +. 0.1 *. k] in the last ulp: exact equality pins
+   them. *)
+let ticking_engine () =
+  let engine = Sim.Engine.create () in
+  let rec tick () = Sim.Engine.schedule engine ~delay:0.03 tick in
+  tick ();
+  engine
+
+let boundary ~start ~quantum k =
+  let b = ref start in
+  for _ = 1 to k do
+    b := !b +. quantum
+  done;
+  !b
+
+let check_exact = Alcotest.(check (float 0.0))
+
+let test_drive_fill_mid_chunk () =
+  let engine = ticking_engine () in
+  Sim.Engine.run ~until:1.5 engine;
+  let ivar = Sim.Ivar.create () in
+  (* 0.25 ms in: inside the third chunk, [1.7, 1.8]. *)
+  Sim.Engine.schedule engine ~delay:0.25 (fun () -> Sim.Ivar.fill ivar ());
+  Alcotest.(check bool) "filled" true
+    (Sim.Drive.run_until_filled ~quantum:0.1 ~max_quanta:10 engine ivar);
+  check_exact "clock on that chunk's boundary"
+    (boundary ~start:1.5 ~quantum:0.1 3)
+    (Sim.Engine.now engine)
+
+let test_drive_no_fill () =
+  let engine = ticking_engine () in
+  let ivar : unit Sim.Ivar.t = Sim.Ivar.create () in
+  Alcotest.(check bool) "not filled" false
+    (Sim.Drive.run_until_filled ~quantum:0.1 ~max_quanta:10 engine ivar);
+  check_exact "clock after max_quanta chunks"
+    (boundary ~start:0.0 ~quantum:0.1 10)
+    (Sim.Engine.now engine);
+  Alcotest.(check bool) "not the multiplied sum" true
+    (Sim.Engine.now engine <> 0.1 *. 10.0)
+
+let test_drive_drained_heap () =
+  let engine = Sim.Engine.create () in
+  let ivar : unit Sim.Ivar.t = Sim.Ivar.create () in
+  Sim.Engine.schedule engine ~delay:5.0 ignore;
+  Alcotest.(check bool) "drained, not filled" false
+    (Sim.Drive.run_until_filled ~quantum:10.0 ~max_quanta:1_000_000 engine ivar);
+  check_float "clock at the last event" 5.0 (Sim.Engine.now engine);
+  let filled = Sim.Ivar.create () in
+  Sim.Engine.schedule engine ~delay:2.0 (fun () -> Sim.Ivar.fill filled ());
+  Alcotest.(check bool) "filled by the last event" true
+    (Sim.Drive.run_until_filled ~quantum:10.0 ~max_quanta:1_000_000 engine filled);
+  check_float "clock at the fill, short of the boundary" 7.0
+    (Sim.Engine.now engine)
+
 let test_resource_serialises () =
   let engine = Sim.Engine.create () in
   let node = Sim.Node.create ~id:1 ~name:"n1" in
@@ -604,6 +660,10 @@ let suite =
     tc "message survives dead waiter" `Quick test_message_not_lost_on_dead_waiter;
     tc "ivar broadcast" `Quick test_ivar_broadcast;
     tc "ivar error" `Quick test_ivar_error_propagation;
+    tc "drive: fill mid-chunk stops on its boundary" `Quick
+      test_drive_fill_mid_chunk;
+    tc "drive: no fill runs max_quanta chunks" `Quick test_drive_no_fill;
+    tc "drive: drained heap returns at once" `Quick test_drive_drained_heap;
     tc "resource serialises" `Quick test_resource_serialises;
     tc "resource releases on exception" `Quick test_resource_release_on_exception;
     tc "with_timeout fires" `Quick test_with_timeout_fires;

@@ -104,11 +104,10 @@ let test_series_render () =
     List.exists (fun l -> String.length l > 50 && String.contains l '#') lines)
 
 let test_bounds () =
-  let params = Dirsvc.Params.default in
   Alcotest.(check (float 1e-6)) "3 servers at 3ms" 1000.0
-    (Workload.Bounds.read_bound params ~servers:3);
+    (Workload.Bounds.read_bound ~servers:3);
   Alcotest.(check (float 1e-6)) "2 servers" (2000.0 /. 3.0)
-    (Workload.Bounds.read_bound params ~servers:2);
+    (Workload.Bounds.read_bound ~servers:2);
   Alcotest.(check (float 1e-6)) "write bound from 184ms pairs" (1000.0 /. 184.0)
     (Workload.Bounds.write_bound ~pair_latency_ms:184.0)
 
