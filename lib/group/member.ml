@@ -84,9 +84,8 @@ type t = {
          their uids from [fresh_uid], so the keys never collide *)
   mutable last_data_sent : float;
   (* The failure detector's pending tick. Held so that a member leaving
-     the group can revoke it: the tick is tombstoned in the heap instead
-     of firing as a dead event, and the fd fiber — left suspended — is
-     simply never resumed, like the fail-stop fibers of a crashed node. *)
+     the group, or crashing, can revoke it: the tick is tombstoned in
+     the heap and the detector stops. *)
   mutable fd_tick : Sim.Timer.t option;
   (* Member-side failure detection. *)
   mutable last_from_seq : float;
@@ -761,7 +760,7 @@ let reset t =
   in
   attempt 1
 
-(* ---- Event loop --------------------------------------------------- *)
+(* ---- Packet handling ---------------------------------------------- *)
 
 let handle_packet t (packet : Simnet.Packet.t) =
   match packet.payload with
@@ -853,45 +852,40 @@ let handle_packet t (packet : Simnet.Packet.t) =
         apply_reset_commit t ~epoch ~members ~sequencer ~base ~patch
   | _ -> ()
 
-(* One heartbeat period on a cancelable timer, with the handle parked in
-   [t.fd_tick] so [halt_fd] can revoke it. Event-stream-identical to
-   [Proc.sleep] while the member is alive: the timer fires at the same
-   (time, seq) slot the sleep event occupied. *)
-let fd_sleep t =
-  Sim.Proc.suspend (fun w ->
-      let tm =
-        Sim.Timer.after t.engine ~delay:t.config.heartbeat_period (fun () ->
-            ignore (Sim.Proc.Waker.wake w ()))
-      in
-      Sim.Proc.Waker.on_wake w (fun () -> Sim.Timer.cancel tm);
-      t.fd_tick <- Some tm)
+(* One failure-detector tick: the sequencer heartbeats and watches
+   every member; a member watches the sequencer. *)
+let fd_check t =
+  if t.status = Normal then
+    if t.sequencer = t.me then begin
+      (* Suppress the heartbeat when data traffic is already flowing. *)
+      if now t -. t.last_data_sent >= t.config.heartbeat_period then
+        multicast t t.counters.c_hb
+          (Wire.Heartbeat
+             { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
+      List.iter
+        (fun m ->
+          if m <> t.me && t.status = Normal then
+            let heard =
+              match Hashtbl.find_opt t.last_heard m with
+              | Some v -> v
+              | None -> 0.0
+            in
+            if now t -. heard > t.config.fail_timeout then
+              declare_broken t ~notify_peers:true
+                (Printf.sprintf "member %d silent" m))
+        t.members
+    end
+    else if now t -. t.last_from_seq > t.config.fail_timeout then
+      declare_broken t ~notify_peers:true "sequencer silent"
 
-let failure_detector t () =
-  while t.status <> Left do
-    fd_sleep t;
-    if t.status = Normal then
-      if t.sequencer = t.me then begin
-        (* Suppress the heartbeat when data traffic is already flowing. *)
-        if now t -. t.last_data_sent >= t.config.heartbeat_period then
-          multicast t t.counters.c_hb
-            (Wire.Heartbeat
-               { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
-        List.iter
-          (fun m ->
-            if m <> t.me && t.status = Normal then
-              let heard =
-                match Hashtbl.find_opt t.last_heard m with
-                | Some v -> v
-                | None -> 0.0
-              in
-              if now t -. heard > t.config.fail_timeout then
-                declare_broken t ~notify_peers:true
-                  (Printf.sprintf "member %d silent" m))
-          t.members
-      end
-      else if now t -. t.last_from_seq > t.config.fail_timeout then
-        declare_broken t ~notify_peers:true "sequencer silent"
-  done
+(* The failure detector is one self-rearming timer, parked in
+   [t.fd_tick] so [halt_fd] can revoke it. *)
+let rec arm_fd t =
+  t.fd_tick <-
+    Some
+      (Sim.Timer.after t.engine ~delay:t.config.heartbeat_period (fun () ->
+           fd_check t;
+           if t.status <> Left then arm_fd t))
 
 let make ?(config = Types.default_config) net nic ~gname =
   let node = Simnet.Network.nic_node nic in
@@ -941,18 +935,14 @@ let make ?(config = Types.default_config) net nic ~gname =
       reset_collect_view = None;
     }
   in
-  (* A fresh socket per member endpoint: a previous (left) member's
-     fiber may still be blocked on the old queue and must not steal
-     packets destined for this incarnation. *)
-  let socket = Simnet.Network.rebind_socket nic ~proto:t.proto in
-  Sim.Proc.boot engine node ~name:(gname ^ ".grp-loop") (fun () ->
-      while t.status <> Left do
-        handle_packet t (Sim.Mailbox.recv socket)
-      done);
-  Sim.Proc.boot engine node ~name:(gname ^ ".grp-fd") (failure_detector t);
-  (* A crashed node's pending tick would fire as a dead event (the
-     waker's incarnation is gone); revoke it instead. The batch timer is
-     revoked for the same reason — and so a crashed sequencer's pending
+  (* Packets are handled in their delivery event, as the kernel would.
+     Listening replaces the handler of a previous (left) member endpoint
+     on this NIC, so a rejoin takes its packets over. *)
+  Simnet.Network.listen nic ~proto:t.proto (fun packet ->
+      if t.status <> Left then handle_packet t packet);
+  arm_fd t;
+  (* A crashed node's failure detector must stop ticking: revoke it.
+     The batch timer is revoked too, so a crashed sequencer's pending
      batch dies with it instead of being multicast posthumously. *)
   Sim.Node.on_crash node (fun () ->
       halt_fd t;
@@ -1003,7 +993,6 @@ let join_group ?config net nic ~gname =
   | None ->
       t.status <- Left;
       halt_fd t;
-      (* stops the fibers *)
       raise (Join_failed (Printf.sprintf "%s: no grant received" gname))
   | Some (sequencer, members, base, epoch, _) ->
       t.epoch <- epoch;

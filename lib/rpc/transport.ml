@@ -128,19 +128,14 @@ let create ?(max_attempts = 6) net nic =
       port_cache = Hashtbl.create 4;
     }
   in
-  let socket = Simnet.Network.socket nic ~proto:Wire.proto in
   (* The only RPC multicast is Locate, and a transport that has never
      served anything answers every Locate with silence — so until the
      first [serve], the NIC filters RPC multicasts out (unicast replies
      still arrive). For a pure client this removes one delivery event
-     plus one dispatch wakeup per broadcast in the whole run; under a
-     locate storm that is most of the event heap. *)
+     per broadcast in the whole run; under a locate storm that is most
+     of the event heap. *)
+  Simnet.Network.listen nic ~proto:Wire.proto (handle_packet t);
   Simnet.Network.set_multicast_interest nic ~proto:Wire.proto false;
-  let node = Simnet.Network.nic_node nic in
-  Sim.Proc.boot (Simnet.Network.engine net) node ~name:"rpc.dispatch" (fun () ->
-      while true do
-        handle_packet t (Sim.Mailbox.recv socket)
-      done);
   t
 
 let serve t ~port ?(threads = 2) handler =

@@ -16,11 +16,12 @@ exception Rpc_failure of string
     unanswered enquiries end the attempt. *)
 val enquiry_period : float
 
-(** [create net nic] builds a transport on [nic] and starts its
-    dispatcher fiber. Call once per node incarnation. A transaction
-    makes at most [max_attempts] (default 6) request attempts before
-    {!trans} gives up. A locate broadcast collects HEREIS answers for
-    2 ms and is repeated after 5 ms, up to 4 broadcasts. *)
+(** [create net nic] builds a transport that handles RPC packets as
+    they arrive on [nic], like the Amoeba kernel, with no dispatcher
+    thread. Call once per node incarnation. A transaction makes at most
+    [max_attempts] (default 6) request attempts before {!trans} gives
+    up. A locate broadcast collects HEREIS answers for 2 ms and is
+    repeated after 5 ms, up to 4 broadcasts. *)
 val create : ?max_attempts:int -> Simnet.Network.t -> Simnet.Network.nic -> t
 
 val node_id : t -> int
@@ -31,7 +32,7 @@ val node : t -> Sim.Node.t
 val engine : t -> Sim.Engine.t
 
 (** The NIC this transport uses — other protocol layers on the same node
-    (e.g. group communication) attach their sockets to the same NIC. *)
+    (e.g. group communication) listen on the same NIC. *)
 val nic : t -> Simnet.Network.nic
 
 (** Server side. [serve t ~port ~threads handler] registers a service and

@@ -18,13 +18,15 @@ let rec send t v =
 let recv ?timeout t =
   match Queue.take_opt t.queue with
   | Some v -> v
-  | None ->
-      let engine = Proc.engine () in
-      Proc.suspend (fun waker ->
-          Queue.push waker t.wait_queue;
-          match timeout with
-          | None -> ()
-          | Some d -> ignore (Timer.guard engine waker ~delay:d Proc.Timeout))
+  | None -> (
+      match timeout with
+      | None -> Proc.suspend (fun waker -> Queue.push waker t.wait_queue)
+      | Some d ->
+          (* Only a guarded wait needs the engine (one effect call). *)
+          let engine = Proc.engine () in
+          Proc.suspend (fun waker ->
+              Queue.push waker t.wait_queue;
+              ignore (Timer.guard engine waker ~delay:d Proc.Timeout)))
 
 let length t = Queue.length t.queue
 

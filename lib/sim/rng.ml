@@ -1,12 +1,18 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer rather than a mutable
+   int64 field: a field holds a boxed int64, so every draw allocated one.
+   Reading and writing the buffer keeps the whole step unboxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_raw t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -20,7 +26,7 @@ let derive ~base count =
   if count < 0 then invalid_arg "Rng.derive: negative count";
   let t = create base in
   let rec go i acc =
-    if i = count then List.rev acc else go (i + 1) ((split t).state :: acc)
+    if i = count then List.rev acc else go (i + 1) (next_raw t :: acc)
   in
   go 0 []
 

@@ -7,7 +7,8 @@ let default_latency = { base = 0.7; jitter = 0.2; local = 0.05 }
 type nic = {
   node : Sim.Node.t;
   incarnation : int;
-  sockets : (string, Packet.t Sim.Mailbox.t) Hashtbl.t;
+  (* proto -> handler, called inside the delivery event *)
+  handlers : (string, Packet.t -> unit) Hashtbl.t;
   (* Protos whose multicasts this NIC filters out, like a real NIC
      without the group's MAC address programmed. Opted-out receivers
      still participate in the per-receiver loss/jitter draws (the RNG
@@ -70,7 +71,7 @@ let attach t node =
     {
       node;
       incarnation = Sim.Node.incarnation node;
-      sockets = Hashtbl.create 8;
+      handlers = Hashtbl.create 8;
       mcast_opt_out = Hashtbl.create 4;
     }
   in
@@ -86,24 +87,18 @@ let attach t node =
 
 let nic_node nic = nic.node
 
+let listen nic ~proto handler = Hashtbl.replace nic.handlers proto handler
+
 let socket nic ~proto =
-  match Hashtbl.find_opt nic.sockets proto with
-  | Some mbox -> mbox
-  | None ->
-      let mbox = Sim.Mailbox.create () in
-      Hashtbl.add nic.sockets proto mbox;
-      mbox
+  let mbox = Sim.Mailbox.create () in
+  listen nic ~proto (Sim.Mailbox.send mbox);
+  mbox
 
 let set_multicast_interest nic ~proto interested =
   if interested then Hashtbl.remove nic.mcast_opt_out proto
   else Hashtbl.replace nic.mcast_opt_out proto ()
 
 let multicast_interested nic ~proto = not (Hashtbl.mem nic.mcast_opt_out proto)
-
-let rebind_socket nic ~proto =
-  let mbox = Sim.Mailbox.create () in
-  Hashtbl.replace nic.sockets proto mbox;
-  mbox
 
 let set_partitions t cells =
   Array.iter (fun rail -> rail.cells <- Some cells) t.rail_states
@@ -170,16 +165,16 @@ let delivery_delay t ~src ~dst =
   else
     t.latency.base +. Sim.Rng.uniform t.rng ~lo:0.0 ~hi:t.latency.jitter
 
-(* Deliver [packet] to [dst]'s socket after [delay]; re-checks liveness,
-   reachability and socket existence at delivery time, as a real wire +
-   NIC would. *)
+(* Hand [packet] to [dst]'s handler after [delay]; re-checks liveness,
+   reachability and the listener at delivery time, as a real wire + NIC
+   would. The handler runs inside this delivery event. *)
 let deliver_later t packet ~dst ~delay =
   Sim.Engine.schedule t.engine ~delay (fun () ->
       if reachable t packet.Packet.src dst then
         match Hashtbl.find_opt t.nics dst with
         | Some nic when nic_is_live t nic -> (
-            match Hashtbl.find_opt nic.sockets packet.proto with
-            | Some mbox -> Sim.Mailbox.send mbox packet
+            match Hashtbl.find_opt nic.handlers packet.proto with
+            | Some handler -> handler packet
             | None -> ())
         | Some _ | None -> ())
 
@@ -254,7 +249,7 @@ let multicast t nic ~proto ?(size = 64) payload =
         (* Visit receivers in node-id order so the per-receiver jitter
            draws are deterministic for a given seed. *)
         let deliver_one (dst, nic) =
-          if Hashtbl.mem nic.sockets proto then
+          if Hashtbl.mem nic.handlers proto then
             if not (lost t ~src ~dst) then begin
               (* The jitter draw happens for every reachable receiver,
                  opted-out or not: skipping it would shift the RNG

@@ -46,16 +46,28 @@ val attach : t -> Sim.Node.t -> nic
 
 val nic_node : nic -> Sim.Node.t
 
-(** [socket nic ~proto] returns the receive queue for [proto] packets,
-    creating it if needed. A NIC only receives multicasts for protocols
-    it has a socket for. *)
+(** [listen nic ~proto handler] makes [nic] receive [proto] packets:
+    each one that arrives is passed to [handler] {e inside its delivery
+    event}, as a kernel runs a protocol on packet arrival, so a packet
+    costs one engine event and no fiber wakeup. The handler must not
+    block (it runs outside any fiber); one that needs a thread hands the
+    work to a mailbox, as the RPC server's workers do. A second [listen]
+    on the same proto replaces the first handler — how a protocol
+    endpoint reincarnated on a live node (a member that left a group and
+    joins again) takes the packets over from its predecessor. A NIC only
+    receives multicasts for protocols it listens to. *)
+val listen : nic -> proto:string -> (Packet.t -> unit) -> unit
+
+(** [socket nic ~proto] is a fresh mailbox registered through {!listen}
+    for code that wants to receive [proto] packets from a fiber (tests,
+    probes). Like [listen], it replaces any earlier handler. *)
 val socket : nic -> proto:string -> Packet.t Sim.Mailbox.t
 
 (** [set_multicast_interest nic ~proto interested] programs the NIC's
     multicast filter for [proto], like (de)programming a group MAC
     address on real hardware. A NIC starts interested in every proto it
-    has a socket for; an opted-out NIC still receives {e unicasts} on
-    that socket. Filtering happens at send time and is invisible to the
+    listens to; an opted-out NIC still receives {e unicasts} for that
+    proto. Filtering happens at send time and is invisible to the
     simulation's RNG stream: the per-receiver loss and jitter draws
     still happen for opted-out receivers, only the (always discarded)
     delivery event is elided. Endpoints that can never act on a
@@ -64,22 +76,15 @@ val socket : nic -> proto:string -> Packet.t Sim.Mailbox.t
     50 pointless deliveries per packet. *)
 val set_multicast_interest : nic -> proto:string -> bool -> unit
 
-(** [rebind_socket nic ~proto] installs and returns a {e fresh} queue for
-    [proto], orphaning the previous one. Use when a protocol endpoint is
-    reincarnated on a live node (e.g. leaving and re-joining a group):
-    a fiber still blocked on the old queue must not steal packets meant
-    for the new endpoint. *)
-val rebind_socket : nic -> proto:string -> Packet.t Sim.Mailbox.t
-
 (** [send net nic ~dst ~proto payload] transmits a unicast packet. It is
     silently dropped when src and dst are in different partition cells,
     when the loss process fires, or when the destination has no live NIC
-    or no [proto] socket at delivery time. *)
+    or no [proto] listener at delivery time. *)
 val send : t -> nic -> dst:int -> proto:string -> ?size:int -> Payload.t -> unit
 
 (** [multicast net nic ~proto payload] delivers one packet to every node
-    in the sender's partition cell with a [proto] socket — including the
-    sender itself. *)
+    in the sender's partition cell that listens to [proto] — including
+    the sender itself. *)
 val multicast : t -> nic -> proto:string -> ?size:int -> Payload.t -> unit
 
 (** Partition control. [set_partitions net cells] installs clean cells,

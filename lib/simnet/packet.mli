@@ -5,7 +5,7 @@ type dst = Unicast of int | Multicast
 type t = {
   src : int;  (** sending node id *)
   dst : dst;
-  proto : string;  (** socket demultiplexing key, e.g. ["rpc"] *)
+  proto : string;  (** selects the receiving handler, e.g. ["rpc"] *)
   payload : Payload.t;
   size : int;  (** bytes, for statistics only *)
 }

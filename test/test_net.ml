@@ -337,3 +337,51 @@ let suite =
       Alcotest.test_case "redundant rails survive single failure" `Quick
         test_rails_survive_single_rail_failure;
     ]
+
+(* [listen]: the handler runs inside the delivery event itself — the
+   packet arrives at exactly the base latency, and delivering it costs
+   exactly one engine event (no fiber wakeup behind it). *)
+let test_listen_runs_in_delivery_event () =
+  let w = make_world ~latency:{ base = 1.0; jitter = 0.0; local = 0.05 } () in
+  let nic1 = Simnet.Network.attach w.net (node ~id:1 "n1") in
+  let nic2 = Simnet.Network.attach w.net (node ~id:2 "n2") in
+  let arrival = ref nan and events_at_arrival = ref (-1) in
+  Simnet.Network.listen nic2 ~proto:"test" (fun _ ->
+      arrival := Sim.Engine.now w.engine;
+      events_at_arrival := Sim.Engine.events_executed w.engine);
+  Simnet.Network.send w.net nic1 ~dst:2 ~proto:"test" (Ping 1);
+  Sim.Engine.run w.engine;
+  Alcotest.(check (float 0.0)) "one base latency" 1.0 !arrival;
+  Alcotest.(check int) "handled in the first event" 1 !events_at_arrival;
+  Alcotest.(check int) "one event in all" 1 (Sim.Engine.events_executed w.engine)
+
+(* A second [listen] on the same proto replaces the first handler: a
+   protocol endpoint reincarnated on a live node (a group member that
+   left and rejoins) takes over its predecessor's packets. *)
+let test_listen_replaces_handler () =
+  let w = make_world ~latency:{ base = 1.0; jitter = 0.0; local = 0.05 } () in
+  let nic1 = Simnet.Network.attach w.net (node ~id:1 "n1") in
+  let nic2 = Simnet.Network.attach w.net (node ~id:2 "n2") in
+  let old_got = ref [] and new_got = ref [] in
+  let record into (p : Simnet.Packet.t) =
+    match p.payload with Ping n -> into := n :: !into | _ -> ()
+  in
+  Simnet.Network.listen nic2 ~proto:"test" (record old_got);
+  Simnet.Network.send w.net nic1 ~dst:2 ~proto:"test" (Ping 1);
+  Sim.Engine.run w.engine;
+  Simnet.Network.listen nic2 ~proto:"test" (record new_got);
+  Simnet.Network.send w.net nic1 ~dst:2 ~proto:"test" (Ping 2);
+  Simnet.Network.multicast w.net nic1 ~proto:"test" (Ping 3);
+  Sim.Engine.run w.engine;
+  Alcotest.(check (list int)) "old handler saw only the first" [ 1 ] !old_got;
+  Alcotest.(check (list int)) "new handler gets the rest" [ 3; 2 ]
+    !new_got
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "listen runs in the delivery event" `Quick
+        test_listen_runs_in_delivery_event;
+      Alcotest.test_case "second listen replaces the handler" `Quick
+        test_listen_replaces_handler;
+    ]

@@ -204,7 +204,7 @@ let test_scaled_digest_golden () =
     "8fa0daf7adf2c594adef2398268ee0c1"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
   Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
-  Alcotest.(check int) "pinned event count" 11_322
+  Alcotest.(check int) "pinned event count" 7_330
     (Sim.Engine.events_executed engine);
   Alcotest.(check (float 1e-9)) "pinned final clock" 3533.7066196043988
     (Sim.Engine.now engine)
