@@ -52,16 +52,18 @@ let timed t ~op f =
   let reply = f () in
   let elapsed = Sim.Engine.now t.engine -. started in
   Sim.Metrics.Histogram.observe (histogram t ~op) elapsed;
-  Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:t.node ~name:"op"
-    (fun () ->
-      [
-        ("op", Sim.Trace.Str op);
-        ("server", t.server);
-        ("latency_ms", Sim.Trace.Float elapsed);
-        ( "status",
-          Sim.Trace.Str
-            (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
-      ]);
+  (* Guarded: the attrs thunk is allocated even when tracing is off. *)
+  if Sim.Engine.tracing t.engine then
+    Sim.Engine.emit t.engine ~subsystem:"dirsvc" ~node:t.node ~name:"op"
+      (fun () ->
+        [
+          ("op", Sim.Trace.Str op);
+          ("server", t.server);
+          ("latency_ms", Sim.Trace.Float elapsed);
+          ( "status",
+            Sim.Trace.Str
+              (match reply with Wire.Err_rep _ -> "err" | _ -> "ok") );
+        ]);
   reply
 
 (* A new directory's owner capability carries the check field the

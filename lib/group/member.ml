@@ -83,9 +83,10 @@ type t = {
       (* (origin, uid) -> seqno, for sends and joins alike: both draw
          their uids from [fresh_uid], so the keys never collide *)
   mutable last_data_sent : float;
-  (* The failure detector's pending tick. Held so that a member leaving
-     the group, or crashing, can revoke it: the tick is tombstoned in
-     the heap and the detector stops. *)
+  (* The failure detector's periodic timer. Held so that a member
+     leaving the group, or crashing, can revoke it: its pending tick is
+     tombstoned in the heap (or, revoked inside a tick, never re-pushed)
+     and the detector stops. *)
   mutable fd_tick : Sim.Timer.t option;
   (* Member-side failure detection. *)
   mutable last_from_seq : float;
@@ -141,8 +142,8 @@ let make_counters m ~dissemination =
 
 let now t = Sim.Engine.now t.engine
 
-(* Revoke the failure detector's pending tick (see [fd_tick]). Safe to
-   call at any point: canceling an already-fired timer is a no-op. *)
+(* Revoke the failure detector (see [fd_tick]). Safe to call at any
+   point, including from inside one of its ticks. *)
 let halt_fd t =
   match t.fd_tick with
   | Some tm ->
@@ -253,23 +254,28 @@ let holders t seqno =
        t.members)
 
 let check_pending_done t =
-  let needed = needed_holders t in
-  let ready =
-    Hashtbl.fold
-      (fun seqno (origin, uid) acc ->
-        if holders t seqno >= needed then (seqno, origin, uid) :: acc else acc)
-      t.pending_done []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (seqno, origin, uid) ->
-      Hashtbl.remove t.pending_done seqno;
-      send_done t ~origin ~uid)
-    ready
+  (* Every Hb_ack lands here; with nothing pending there is nothing to
+     fold and sort. *)
+  if Hashtbl.length t.pending_done > 0 then begin
+    let needed = needed_holders t in
+    let ready =
+      Hashtbl.fold
+        (fun seqno (origin, uid) acc ->
+          if holders t seqno >= needed then (seqno, origin, uid) :: acc
+          else acc)
+        t.pending_done []
+      |> List.sort compare
+    in
+    List.iter
+      (fun (seqno, origin, uid) ->
+        Hashtbl.remove t.pending_done seqno;
+        send_done t ~origin ~uid)
+      ready
+  end
 
 let record_ack t ~member ~have_upto =
   let previous =
-    match Hashtbl.find_opt t.acked member with Some v -> v | None -> -1
+    match Hashtbl.find t.acked member with v -> v | exception Not_found -> -1
   in
   if have_upto > previous then Hashtbl.replace t.acked member have_upto;
   Hashtbl.replace t.last_heard member (now t);
@@ -852,6 +858,22 @@ let handle_packet t (packet : Simnet.Packet.t) =
         apply_reset_commit t ~epoch ~members ~sequencer ~base ~patch
   | _ -> ()
 
+(* The sequencer's watch over the other members, one tick's worth: a
+   plain recursion, so a tick allocates no closure and no option. *)
+let rec watch_members t = function
+  | [] -> ()
+  | m :: rest ->
+      (if m <> t.me && t.status = Normal then
+         let heard =
+           match Hashtbl.find t.last_heard m with
+           | v -> v
+           | exception Not_found -> 0.0
+         in
+         if now t -. heard > t.config.fail_timeout then
+           declare_broken t ~notify_peers:true
+             (Printf.sprintf "member %d silent" m));
+      watch_members t rest
+
 (* One failure-detector tick: the sequencer heartbeats and watches
    every member; a member watches the sequencer. *)
 let fd_check t =
@@ -862,30 +884,22 @@ let fd_check t =
         multicast t t.counters.c_hb
           (Wire.Heartbeat
              { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
-      List.iter
-        (fun m ->
-          if m <> t.me && t.status = Normal then
-            let heard =
-              match Hashtbl.find_opt t.last_heard m with
-              | Some v -> v
-              | None -> 0.0
-            in
-            if now t -. heard > t.config.fail_timeout then
-              declare_broken t ~notify_peers:true
-                (Printf.sprintf "member %d silent" m))
-        t.members
+      watch_members t t.members
     end
     else if now t -. t.last_from_seq > t.config.fail_timeout then
       declare_broken t ~notify_peers:true "sequencer silent"
 
-(* The failure detector is one self-rearming timer, parked in
-   [t.fd_tick] so [halt_fd] can revoke it. *)
-let rec arm_fd t =
+(* The failure detector is one periodic timer, parked in [t.fd_tick] so
+   [halt_fd] can revoke it — also from inside a tick, when the tick
+   itself crashes the node (a fault filter on its heartbeat). A member
+   found [Left] after a tick stops, as a chain re-armed only while not
+   [Left] would. *)
+let arm_fd t =
   t.fd_tick <-
     Some
-      (Sim.Timer.after t.engine ~delay:t.config.heartbeat_period (fun () ->
+      (Sim.Timer.every t.engine ~period:t.config.heartbeat_period (fun () ->
            fd_check t;
-           if t.status <> Left then arm_fd t))
+           if t.status = Left then halt_fd t))
 
 let make ?(config = Types.default_config) net nic ~gname =
   let node = Simnet.Network.nic_node nic in

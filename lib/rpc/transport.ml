@@ -26,7 +26,7 @@ type call = {
   sent : float; (* when the request went out *)
   ivar : outcome Sim.Ivar.t;
   mutable unanswered : int; (* enquiries sent since the last Alive *)
-  mutable probe : Sim.Timer.t; (* the next enquiry *)
+  probe : Sim.Timer.t; (* the periodic enquiry *)
 }
 
 type service = {
@@ -62,7 +62,8 @@ let send t ~dst payload = Simnet.Network.send t.net t.nic ~dst ~proto:Wire.proto
 
 let engine t = Simnet.Network.engine t.net
 
-(* End an attempt; its enquiry stops with it. *)
+(* End an attempt; its enquiry stops with it, also when the enquiry's
+   own tick ends it. *)
 let complete t call outcome =
   Hashtbl.remove t.pending call.xid;
   Sim.Timer.cancel call.probe;
@@ -72,13 +73,13 @@ let handle_packet t (packet : Simnet.Packet.t) =
   match packet.payload with
   | Wire.Locate { port; xid; client } -> (
       match Hashtbl.find_opt t.services port with
-      | Some service when service.active && Sim.Mailbox.waiters service.queue > 0
+      | Some service when service.active && Sim.Mailbox.has_waiter service.queue
         ->
           send t ~dst:client (Wire.Here_is { port; xid; server = t.node_id })
       | Some _ | None -> ())
   | Wire.Request { port; xid; client; body } -> (
       match Hashtbl.find_opt t.services port with
-      | Some service when service.active && Sim.Mailbox.waiters service.queue > 0
+      | Some service when service.active && Sim.Mailbox.has_waiter service.queue
         ->
           Hashtbl.replace t.held xid ();
           Sim.Mailbox.send service.queue (xid, client, body)
@@ -185,6 +186,10 @@ let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"rpc"
     ~node:t.node_id ~name attrs
 
+(* Guard for the per-request emits: the attrs thunk is a closure
+   allocated at the call site even when tracing is off. *)
+let tracing t = Sim.Engine.tracing (engine t)
+
 (* Broadcast a locate and collect HEREIS answers for [locate_window] ms.
    The cache keeps responders in arrival order; the client always tries
    the first one — the paper's "first server that replied" heuristic. *)
@@ -192,22 +197,24 @@ let locate t ~port =
   let xid = fresh_xid t in
   let responders = ref [] in
   Hashtbl.replace t.locates xid responders;
-  emit t ~name:"locate" (fun () ->
-      [ ("port", Sim.Trace.Str port); ("xid", Sim.Trace.Int xid) ]);
+  if tracing t then
+    emit t ~name:"locate" (fun () ->
+        [ ("port", Sim.Trace.Str port); ("xid", Sim.Trace.Int xid) ]);
   Simnet.Network.multicast t.net t.nic ~proto:Wire.proto
     (Wire.Locate { port; xid; client = t.node_id });
   Sim.Proc.sleep locate_window;
   Hashtbl.remove t.locates xid;
   let in_arrival_order = List.rev !responders in
   Hashtbl.replace t.port_cache port (ref in_arrival_order);
-  emit t ~name:"locate.done" (fun () ->
-      [
-        ("port", Sim.Trace.Str port);
-        ("xid", Sim.Trace.Int xid);
-        ( "servers",
-          Sim.Trace.Str
-            (String.concat "," (List.map string_of_int in_arrival_order)) );
-      ]);
+  if tracing t then
+    emit t ~name:"locate.done" (fun () ->
+        [
+          ("port", Sim.Trace.Str port);
+          ("xid", Sim.Trace.Int xid);
+          ( "servers",
+            Sim.Trace.Str
+              (String.concat "," (List.map string_of_int in_arrival_order)) );
+        ]);
   in_arrival_order
 
 (* The server to try first: the head of the cached list, located first
@@ -227,20 +234,16 @@ let ensure_located t ~port =
       in
       try_rounds 1
 
-(* Ask the server of pending call [xid] every [enquiry_period] whether
-   it still holds the request; two unanswered enquiries in a row end
-   the attempt. *)
-let rec arm_enquiry t xid =
-  Sim.Timer.after (engine t) ~delay:enquiry_period (fun () -> enquire t xid)
-
-and enquire t xid =
+(* One tick of pending call [xid]'s enquiry, which runs every
+   [enquiry_period]: ask the server whether it still holds the
+   request; two unanswered enquiries in a row end the attempt. *)
+let enquire t xid =
   match Hashtbl.find_opt t.pending xid with
   | None -> ()
   | Some call when call.unanswered >= 2 -> complete t call Dead
   | Some call ->
       call.unanswered <- call.unanswered + 1;
-      send t ~dst:call.server (Wire.Enquiry { xid; client = t.node_id });
-      call.probe <- arm_enquiry t xid
+      send t ~dst:call.server (Wire.Enquiry { xid; client = t.node_id })
 
 let trans t ~port ?(size = 128) body =
   let started = Sim.Engine.now (engine t) in
@@ -249,14 +252,15 @@ let trans t ~port ?(size = 128) body =
       raise (Rpc_failure (Printf.sprintf "service %s: no reply" port));
     let server = ensure_located t ~port in
     let xid = fresh_xid t in
-    emit t ~name:"trans" (fun () ->
-        [
-          ("port", Sim.Trace.Str port);
-          ("xid", Sim.Trace.Int xid);
-          ("server", Sim.Trace.Int server);
-          ("attempt", Sim.Trace.Int n);
-          ("size", Sim.Trace.Int size);
-        ]);
+    if tracing t then
+      emit t ~name:"trans" (fun () ->
+          [
+            ("port", Sim.Trace.Str port);
+            ("xid", Sim.Trace.Int xid);
+            ("server", Sim.Trace.Int server);
+            ("attempt", Sim.Trace.Int n);
+            ("size", Sim.Trace.Int size);
+          ]);
     Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto ~size
       (Wire.Request { port; xid; client = t.node_id; body });
     let call =
@@ -266,21 +270,24 @@ let trans t ~port ?(size = 128) body =
         sent = Sim.Engine.now (engine t);
         ivar = Sim.Ivar.create ();
         unanswered = 0;
-        probe = arm_enquiry t xid;
+        probe =
+          Sim.Timer.every (engine t) ~period:enquiry_period (fun () ->
+              enquire t xid);
       }
     in
     Hashtbl.replace t.pending xid call;
     match Sim.Ivar.read call.ivar with
     | Got_reply reply ->
-        emit t ~name:"trans.done" (fun () ->
-            [
-              ("port", Sim.Trace.Str port);
-              ("xid", Sim.Trace.Int xid);
-              ("server", Sim.Trace.Int server);
-              ("attempts", Sim.Trace.Int n);
-              ( "latency_ms",
-                Sim.Trace.Float (Sim.Engine.now (engine t) -. started) );
-            ]);
+        if tracing t then
+          emit t ~name:"trans.done" (fun () ->
+              [
+                ("port", Sim.Trace.Str port);
+                ("xid", Sim.Trace.Int xid);
+                ("server", Sim.Trace.Int server);
+                ("attempts", Sim.Trace.Int n);
+                ( "latency_ms",
+                  Sim.Trace.Float (Sim.Engine.now (engine t) -. started) );
+              ]);
         reply
     | Bounced ->
         (* NOTHERE: the server was busy; try the next cached one. *)

@@ -3,12 +3,14 @@ type t = { mutable wait_queue : unit Proc.Waker.t list (* oldest first *) }
 let create () = { wait_queue = [] }
 
 let wait ?timeout t =
-  let engine = Proc.engine () in
-  Proc.suspend (fun waker ->
-      t.wait_queue <- t.wait_queue @ [ waker ];
-      match timeout with
-      | None -> ()
-      | Some d -> ignore (Timer.guard engine waker ~delay:d Proc.Timeout))
+  match timeout with
+  | None -> Proc.suspend (fun waker -> t.wait_queue <- t.wait_queue @ [ waker ])
+  | Some d ->
+      (* Only a guarded wait needs the engine (one effect call). *)
+      let engine = Proc.engine () in
+      Proc.suspend (fun waker ->
+          t.wait_queue <- t.wait_queue @ [ waker ];
+          ignore (Timer.guard engine waker ~delay:d Proc.Timeout))
 
 let broadcast t =
   let waiting = t.wait_queue in

@@ -3,8 +3,14 @@
    without executing it or counting it; only the clock moves to its
    time (see [run]). This is what lets timeout guards (mailbox/condvar/
    ivar waits, RPC enquiry timers) vanish from the event count when the
-   guarded thing happens first — which is almost always. *)
-type timer_state = Armed of (unit -> unit) | Fired | Cancelled
+   guarded thing happens first — which is almost always. A periodic
+   timer ([Every]) is the same record, re-pushed by the run loop after
+   each tick until it is cancelled. *)
+type timer_state =
+  | Armed of (unit -> unit)
+  | Every of float * (unit -> unit) (* period, tick *)
+  | Fired
+  | Cancelled
 
 type timer = { mutable state : timer_state }
 
@@ -61,13 +67,22 @@ let schedule_timer t ~delay f =
   push t ~delay (Timer tm);
   tm
 
+let schedule_every t ~period f =
+  if not (period > 0.0) then
+    invalid_arg "Engine.schedule_every: period must be positive";
+  let tm = { state = Every (period, f) } in
+  push t ~delay:period (Timer tm);
+  tm
+
 let cancel_timer tm =
   match tm.state with
-  | Armed _ -> tm.state <- Cancelled
+  | Armed _ | Every _ -> tm.state <- Cancelled
   | Fired | Cancelled -> ()
 
 let timer_active tm =
-  match tm.state with Armed _ -> true | Fired | Cancelled -> false
+  match tm.state with
+  | Armed _ | Every _ -> true
+  | Fired | Cancelled -> false
 
 let stop t = t.stop_requested <- true
 
@@ -107,13 +122,24 @@ let run ?until t =
               t.now <- time;
               t.events_executed <- t.events_executed + 1;
               f ()
-          | Timer tm -> (
+          | Timer tm as event -> (
               match tm.state with
               | Armed f ->
                   tm.state <- Fired;
                   t.now <- time;
                   t.events_executed <- t.events_executed + 1;
                   f ()
+              | Every (period, f) -> (
+                  t.now <- time;
+                  t.events_executed <- t.events_executed + 1;
+                  f ();
+                  (* The next tick is pushed after everything [f]
+                     scheduled, so it takes the same instant and the
+                     same seq a one-shot timer armed at the end of [f]
+                     would. A cancel from inside [f] stops it here. *)
+                  match tm.state with
+                  | Every _ -> push t ~delay:period event
+                  | Armed _ | Fired | Cancelled -> ())
               (* Tombstone: discarded without running or counting. The
                  clock still advances, exactly as when the entry fired
                  as a dead no-op event — [now] at a drained-heap [run]

@@ -40,10 +40,21 @@ type timer
     whether a timer was canceled. *)
 val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
 
-(** O(1); idempotent; a no-op after the timer fired. *)
+(** [schedule_every t ~period f] runs [f] at [now t +. period] and then
+    every [period] after each run, until canceled. It is one timer
+    record: after [f] returns, the run loop pushes the same heap value
+    again at [now +. period], unless [f] canceled it. The re-push comes
+    after every event [f] scheduled, so each tick has the instant and
+    the seq of a one-shot [schedule_timer] armed as [f]'s last action.
+    [period] must be positive. *)
+val schedule_every : t -> period:float -> (unit -> unit) -> timer
+
+(** O(1); idempotent; a no-op after a one-shot timer fired. Canceling a
+    periodic timer from inside its own callback stops it: no further
+    tick is pushed. *)
 val cancel_timer : timer -> unit
 
-(** A timer is active until it fires or is canceled. *)
+(** A timer is active until it fires (one-shot) or is canceled. *)
 val timer_active : timer -> bool
 
 (** [run t] executes events until the heap drains, [stop] is called, or
@@ -59,7 +70,9 @@ val stop : t -> unit
 val events_executed : t -> int
 
 (** Optional structured trace buffer (see {!Trace}). [None] disables
-    tracing; instrumented code pays only a closure allocation then. *)
+    tracing; instrumented code pays only a closure allocation then, and
+    per-packet or per-request call sites check {!tracing} first so they
+    pay nothing. *)
 val set_trace : t -> Trace.t option -> unit
 
 val tracing : t -> bool

@@ -34,10 +34,12 @@ let read ?timeout t =
   match t.state with
   | Full (Ok v) -> v
   | Full (Error e) -> raise e
-  | Empty ->
-      let engine = Proc.engine () in
-      Proc.suspend (fun waker ->
-          t.readers <- t.readers @ [ waker ];
-          match timeout with
-          | None -> ()
-          | Some d -> ignore (Timer.guard engine waker ~delay:d Proc.Timeout))
+  | Empty -> (
+      match timeout with
+      | None -> Proc.suspend (fun waker -> t.readers <- t.readers @ [ waker ])
+      | Some d ->
+          (* Only a guarded wait needs the engine (one effect call). *)
+          let engine = Proc.engine () in
+          Proc.suspend (fun waker ->
+              t.readers <- t.readers @ [ waker ];
+              ignore (Timer.guard engine waker ~delay:d Proc.Timeout)))

@@ -30,6 +30,16 @@ let recv ?timeout t =
 
 let length t = Queue.length t.queue
 
+(* Whether a viable waiter exists: dead wakers at the front are dropped
+   as [send] drops them, so the answer costs no allocation. *)
+let rec has_waiter t =
+  if Queue.is_empty t.wait_queue then false
+  else if Proc.Waker.is_viable (Queue.peek t.wait_queue) then true
+  else begin
+    ignore (Queue.take t.wait_queue);
+    has_waiter t
+  end
+
 (* Count viable waiters, compacting the dead ones out while we are
    touching every entry anyway. *)
 let waiters t =

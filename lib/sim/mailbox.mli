@@ -26,3 +26,9 @@ val length : 'a t -> int
     to decide whether a server is "listening" (idle thread available) —
     the NOTHERE heuristic from the paper. *)
 val waiters : 'a t -> int
+
+(** [has_waiter mbox] is [waiters mbox > 0] without rebuilding the wait
+    queue: it drops dead waiters from the front, as {!send} does, and
+    allocates nothing. The RPC layer asks it once per Locate and
+    Request packet. *)
+val has_waiter : 'a t -> bool

@@ -36,7 +36,8 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next_raw t) 2) in
   v mod bound
 
-let float t =
+(* Inlined so that [uniform] and [bool] keep the draw unboxed. *)
+let[@inline] float t =
   (* 53 random bits scaled into [0, 1). *)
   let bits = Int64.shift_right_logical (next_raw t) 11 in
   Int64.to_float bits /. 9007199254740992.0

@@ -18,10 +18,21 @@ type t
     canceled first. *)
 val after : Engine.t -> delay:float -> (unit -> unit) -> t
 
-(** O(1); idempotent; a no-op after the timer fired. *)
+(** [every engine ~period f] runs [f] at [now + period], then every
+    [period] after each run, until canceled. One timer record serves
+    every tick (a periodic tick allocates nothing of its own), and each
+    tick falls at the instant and in the order of the chain
+    [after ~delay:period] re-armed as [f]'s last action would give: the
+    engine re-pushes the timer after everything [f] scheduled. Liveness
+    rounds (the group failure detector, the RPC enquiry) use it. *)
+val every : Engine.t -> period:float -> (unit -> unit) -> t
+
+(** O(1); idempotent; a no-op after a one-shot timer fired. A periodic
+    timer canceled from outside is tombstoned like a one-shot one; one
+    canceled from inside its own callback is simply not re-pushed. *)
 val cancel : t -> unit
 
-(** A timer is active until it fires or is canceled. *)
+(** A timer is active until it fires (one-shot) or is canceled. *)
 val active : t -> bool
 
 (** [guard engine waker ~delay exn] arms a timeout on a suspended

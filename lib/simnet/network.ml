@@ -129,26 +129,32 @@ let rail_reachable rail a b =
       | _ -> false)
 
 (* One healthy rail between two hosts is enough: FLIP routes around the
-   damage without the layers above noticing. *)
-let reachable t a b =
-  a = b || Array.exists (fun rail -> rail_reachable rail a b) t.rail_states
+   damage without the layers above noticing. A plain recursion over the
+   rails: every delivery asks, so it allocates no closure. *)
+let rec any_rail_reachable rails i a b =
+  i < Array.length rails
+  && (rail_reachable rails.(i) a b || any_rail_reachable rails (i + 1) a b)
+
+let reachable t a b = a = b || any_rail_reachable t.rail_states 0 a b
 
 let set_loss t p = t.loss <- p
 
 let set_fault_filter t f = t.fault_filter <- f
 
+(* The per-packet lookups below use [Hashtbl.find] and catch
+   [Not_found] rather than [find_opt]: a hit then allocates no [Some]. *)
 let nic_is_live t nic =
   Sim.Node.is_alive nic.node
   && Sim.Node.incarnation nic.node = nic.incarnation
   &&
-  match Hashtbl.find_opt t.nics (Sim.Node.id nic.node) with
-  | Some current -> current == nic
-  | None -> false
+  match Hashtbl.find t.nics (Sim.Node.id nic.node) with
+  | current -> current == nic
+  | exception Not_found -> false
 
 let proto_handle t proto =
-  match Hashtbl.find_opt t.by_proto proto with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.by_proto proto with
+  | h -> h
+  | exception Not_found ->
       let h =
         Sim.Metrics.counter (Sim.Engine.metrics t.engine) ("net.pkt." ^ proto)
       in
@@ -167,16 +173,19 @@ let delivery_delay t ~src ~dst =
 
 (* Hand [packet] to [dst]'s handler after [delay]; re-checks liveness,
    reachability and the listener at delivery time, as a real wire + NIC
-   would. The handler runs inside this delivery event. *)
+   would. The handler runs inside this delivery event. On an untraced
+   run this closure and its event are all a receiver costs beyond the
+   packet record. *)
 let deliver_later t packet ~dst ~delay =
   Sim.Engine.schedule t.engine ~delay (fun () ->
       if reachable t packet.Packet.src dst then
-        match Hashtbl.find_opt t.nics dst with
-        | Some nic when nic_is_live t nic -> (
-            match Hashtbl.find_opt nic.handlers packet.proto with
-            | Some handler -> handler packet
-            | None -> ())
-        | Some _ | None -> ())
+        match Hashtbl.find t.nics dst with
+        | exception Not_found -> ()
+        | nic -> (
+            if nic_is_live t nic then
+              match Hashtbl.find nic.handlers packet.proto with
+              | handler -> handler packet
+              | exception Not_found -> ()))
 
 let apply_fault_filter t packet =
   match t.fault_filter with None -> Deliver | Some f -> f packet
@@ -197,14 +206,17 @@ let send t nic ~dst ~proto ?(size = 64) payload =
     let packet =
       { Packet.src = Sim.Node.id nic.node; dst = Unicast dst; proto; payload; size }
     in
-    Sim.Engine.emit t.engine ~subsystem:"net" ~node:packet.src ~name:"send"
-      (fun () ->
-        [
-          ("dst", Sim.Trace.Int dst);
-          ("proto", Sim.Trace.Str proto);
-          ("size", Sim.Trace.Int size);
-          ("payload", Sim.Trace.Str (Payload.to_string payload));
-        ]);
+    (* The attrs thunk is a closure allocated at the call site even
+       when tracing is off, so an untraced packet skips it. *)
+    if Sim.Engine.tracing t.engine then
+      Sim.Engine.emit t.engine ~subsystem:"net" ~node:packet.src ~name:"send"
+        (fun () ->
+          [
+            ("dst", Sim.Trace.Int dst);
+            ("proto", Sim.Trace.Str proto);
+            ("size", Sim.Trace.Int size);
+            ("payload", Sim.Trace.Str (Payload.to_string payload));
+          ]);
     count_packet t proto;
     match apply_fault_filter t packet with
     | Drop -> ()
@@ -231,13 +243,14 @@ let multicast t nic ~proto ?(size = 64) payload =
   if nic_is_live t nic then begin
     let src = Sim.Node.id nic.node in
     let packet = { Packet.src; dst = Multicast; proto; payload; size } in
-    Sim.Engine.emit t.engine ~subsystem:"net" ~node:src ~name:"mcast"
-      (fun () ->
-        [
-          ("proto", Sim.Trace.Str proto);
-          ("size", Sim.Trace.Int size);
-          ("payload", Sim.Trace.Str (Payload.to_string payload));
-        ]);
+    if Sim.Engine.tracing t.engine then
+      Sim.Engine.emit t.engine ~subsystem:"net" ~node:src ~name:"mcast"
+        (fun () ->
+          [
+            ("proto", Sim.Trace.Str proto);
+            ("size", Sim.Trace.Int size);
+            ("payload", Sim.Trace.Str (Payload.to_string payload));
+          ]);
     (* Ethernet multicast: one packet on the wire regardless of the
        number of receivers — this is what makes SendToGroup cheap. *)
     count_packet t proto;
@@ -247,8 +260,11 @@ let multicast t nic ~proto ?(size = 64) payload =
     | (Deliver | Delay _) as action ->
         let extra_delay = match action with Delay d -> d | Deliver | Drop -> 0.0 in
         (* Visit receivers in node-id order so the per-receiver jitter
-           draws are deterministic for a given seed. *)
-        let deliver_one (dst, nic) =
+           draws are deterministic for a given seed. A loop, not an
+           iterated closure: the fan-out allocates only the deliveries. *)
+        let receivers = receiver_array t in
+        for i = 0 to Array.length receivers - 1 do
+          let dst, nic = receivers.(i) in
           if Hashtbl.mem nic.handlers proto then
             if not (lost t ~src ~dst) then begin
               (* The jitter draw happens for every reachable receiver,
@@ -258,6 +274,5 @@ let multicast t nic ~proto ?(size = 64) payload =
               if multicast_interested nic ~proto then
                 deliver_later t packet ~dst ~delay
             end
-        in
-        Array.iter deliver_one (receiver_array t)
+        done
   end

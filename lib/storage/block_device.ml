@@ -51,16 +51,18 @@ let submit t ~latency action =
 let count t key = Sim.Metrics.incr (Sim.Engine.metrics t.engine) key
 
 (* [queue_ms] at emit time = how long the op will wait behind the arm. *)
+(* Guarded: the attrs thunk is allocated even when tracing is off. *)
 let emit_op t ~name ~block ~latency =
-  Sim.Engine.emit t.engine ~subsystem:"storage" ~node:(-1) ~name (fun () ->
-      [
-        ("dev", Sim.Trace.Str t.name);
-        ("block", Sim.Trace.Int block);
-        ( "queue_ms",
-          Sim.Trace.Float (max 0.0 (t.busy_until -. Sim.Engine.now t.engine))
-        );
-        ("latency_ms", Sim.Trace.Float latency);
-      ])
+  if Sim.Engine.tracing t.engine then
+    Sim.Engine.emit t.engine ~subsystem:"storage" ~node:(-1) ~name (fun () ->
+        [
+          ("dev", Sim.Trace.Str t.name);
+          ("block", Sim.Trace.Int block);
+          ( "queue_ms",
+            Sim.Trace.Float (max 0.0 (t.busy_until -. Sim.Engine.now t.engine))
+          );
+          ("latency_ms", Sim.Trace.Float latency);
+        ])
 
 let observe_hist t key latency =
   Sim.Metrics.observe_hist (Sim.Engine.metrics t.engine) key

@@ -883,3 +883,41 @@ let suite =
   @ at_batch_sizes "sequencer crash mid-batch: no loss, no dup"
       test_batched_sequencer_crash_recovery
   @ at_batch_sizes "BB batched total order" test_bb_batched_total_order
+
+(* A node that crashes inside its own failure-detector tick — here the
+   sequencer, from a fault filter on the heartbeat that tick multicasts
+   — must stop ticking: the crash hook cancels the detector's timer
+   while it is firing. Afterwards only the two live members' detectors
+   run (the group is broken and nobody resets it), one event per tick. *)
+let test_crash_inside_detector_tick () =
+  let w = make_world ~seed:27L () in
+  let _, node_of = start_trio w in
+  run_until w 100.0;
+  let crashed = ref false in
+  Simnet.Network.set_fault_filter w.net
+    (Some
+       (fun packet ->
+         match packet.Simnet.Packet.payload with
+         | Group.Wire.Heartbeat _ when packet.src = 1 && not !crashed ->
+             crashed := true;
+             Sim.Node.crash (node_of 1);
+             Simnet.Network.Drop
+         | _ -> Simnet.Network.Deliver));
+  run_until w 1_000.0;
+  Alcotest.(check bool) "sequencer crashed in its tick" true !crashed;
+  let events0 = Sim.Engine.events_executed w.engine in
+  run_until w 11_000.0;
+  let ticks_per_detector =
+    int_of_float (10_000.0 /. Group.Types.default_config.heartbeat_period)
+  in
+  Alcotest.(check int)
+    "two live detectors tick, the crashed one does not"
+    (2 * ticks_per_detector)
+    (Sim.Engine.events_executed w.engine - events0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "crash inside the detector tick stops it" `Quick
+        test_crash_inside_detector_tick;
+    ]

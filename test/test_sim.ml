@@ -711,3 +711,176 @@ let test_rng_pinned_draws () =
 let suite =
   suite
   @ [ Alcotest.test_case "rng pinned draws" `Quick test_rng_pinned_draws ]
+
+(* Run [f] [ticks] times, every [period]: on one [Timer.every] that its
+   last tick cancels, or on the chain it replaces, a one-shot [after]
+   re-armed as the callback's last action. *)
+let repeat engine ~periodic ~period ~ticks f =
+  let fired = ref 0 in
+  let tick () =
+    incr fired;
+    f ()
+  in
+  if periodic then begin
+    let tm = ref None in
+    tm :=
+      Some
+        (Sim.Timer.every engine ~period (fun () ->
+             tick ();
+             if !fired = ticks then Option.iter Sim.Timer.cancel !tm))
+  end
+  else
+    let rec arm () =
+      ignore
+        (Sim.Timer.after engine ~delay:period (fun () ->
+             tick ();
+             if !fired < ticks then arm ()))
+    in
+    arm ()
+
+(* The period is not a binary fraction, so the instants are the
+   iterated sum ((p +. p) +. p) …, which can differ from [k *. p] in
+   the last ulp. The runs are bounded, so a timer that keeps ticking
+   fails instead of hanging. *)
+let tick_times ~periodic ~period ~ticks =
+  let engine = Sim.Engine.create () in
+  let times = ref [] in
+  repeat engine ~periodic ~period ~ticks (fun () ->
+      times := Sim.Engine.now engine :: !times);
+  Sim.Engine.run ~until:(period *. float_of_int (2 * ticks)) engine;
+  List.rev !times
+
+let test_every_instants () =
+  let period = 0.1 and ticks = 50 in
+  let rec iterated_sum now k =
+    if k = 0 then []
+    else
+      let now = now +. period in
+      now :: iterated_sum now (k - 1)
+  in
+  let expected = iterated_sum 0.0 ticks in
+  let exact = Alcotest.(list (float 0.0)) in
+  Alcotest.check exact "chained after: iterated sum" expected
+    (tick_times ~periodic:false ~period ~ticks);
+  Alcotest.check exact "every: the same instants" expected
+    (tick_times ~periodic:true ~period ~ticks)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "every: chained-after instants" `Quick
+        test_every_instants;
+    ]
+
+(* At an instant a periodic tick shares with other events, it runs
+   where a chained [after] would: after the events scheduled before its
+   re-arm (including those its own previous tick scheduled) and before
+   those scheduled after. *)
+let shared_instant_log ~periodic =
+  let engine = Sim.Engine.create () in
+  let log = ref [] in
+  let record name () = log := (name, Sim.Engine.now engine) :: !log in
+  Sim.Engine.schedule engine ~delay:30.0 (record "before");
+  repeat engine ~periodic ~period:10.0 ~ticks:3 (fun () ->
+      record "tick" ();
+      (* Lands on the next tick's instant, scheduled ahead of its re-arm. *)
+      Sim.Engine.schedule engine ~delay:10.0 (record "inner"));
+  Sim.Engine.schedule engine ~delay:30.0 (record "after");
+  Sim.Engine.run ~until:1_000.0 engine;
+  List.rev !log
+
+let test_every_shared_instant_order () =
+  let expected =
+    [
+      ("tick", 10.0);
+      ("inner", 20.0);
+      ("tick", 20.0);
+      ("before", 30.0);
+      ("after", 30.0);
+      ("inner", 30.0);
+      ("tick", 30.0);
+      ("inner", 40.0);
+    ]
+  in
+  let log = Alcotest.(list (pair string (float 0.0))) in
+  Alcotest.check log "chained after" expected (shared_instant_log ~periodic:false);
+  Alcotest.check log "every: the same order" expected
+    (shared_instant_log ~periodic:true)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "every: chained-after order at a shared instant"
+        `Quick test_every_shared_instant_order;
+    ]
+
+(* Canceled from outside, a periodic timer is tombstoned like a one-shot
+   one: the pending tick neither runs nor counts, but the clock still
+   reaches its instant when the heap drains. *)
+let test_every_cancel_outside () =
+  let engine = Sim.Engine.create () in
+  let ticks = ref 0 in
+  let tm = Sim.Timer.every engine ~period:10.0 (fun () -> incr ticks) in
+  Sim.Engine.schedule engine ~delay:25.0 (fun () -> Sim.Timer.cancel tm);
+  Sim.Engine.run ~until:1_000.0 engine;
+  Alcotest.(check int) "ticks before the cancel" 2 !ticks;
+  Alcotest.(check bool) "inactive" false (Sim.Timer.active tm);
+  Alcotest.(check int) "two ticks and the cancel" 3
+    (Sim.Engine.events_executed engine);
+  Alcotest.(check (float 0.0)) "clock on the tombstone" 30.0
+    (Sim.Engine.now engine)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "every: a cancel from outside tombstones it" `Quick
+        test_every_cancel_outside;
+    ]
+
+(* Canceled from inside its own callback, a periodic timer is not
+   pushed again: no tick and no tombstone follow. *)
+let test_every_cancel_inside () =
+  let engine = Sim.Engine.create () in
+  let ticks = ref 0 in
+  let tm = ref None in
+  tm :=
+    Some
+      (Sim.Timer.every engine ~period:10.0 (fun () ->
+           incr ticks;
+           Alcotest.(check bool) "active while ticking" true
+             (Option.fold ~none:false ~some:Sim.Timer.active !tm);
+           if !ticks = 3 then Option.iter Sim.Timer.cancel !tm));
+  Sim.Engine.run ~until:1_000.0 engine;
+  Alcotest.(check int) "three ticks" 3 !ticks;
+  Alcotest.(check int) "three events" 3 (Sim.Engine.events_executed engine);
+  Alcotest.(check (float 0.0)) "clock on the last tick, no tombstone" 30.0
+    (Sim.Engine.now engine)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "every: a cancel from inside stops it" `Quick
+        test_every_cancel_inside;
+    ]
+
+(* [has_waiter] asks what [waiters > 0] asks, without rebuilding the
+   queue: a waiter whose node crashed does not count. *)
+let test_has_waiter_after_crash () =
+  let engine = Sim.Engine.create () in
+  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let mbox : int Sim.Mailbox.t = Sim.Mailbox.create () in
+  Alcotest.(check bool) "empty" false (Sim.Mailbox.has_waiter mbox);
+  Sim.Proc.boot engine node (fun () -> ignore (Sim.Mailbox.recv mbox));
+  Sim.Engine.run engine;
+  Alcotest.(check bool) "blocked receiver" true (Sim.Mailbox.has_waiter mbox);
+  Sim.Node.crash node;
+  Alcotest.(check bool) "receiver's node crashed" false
+    (Sim.Mailbox.has_waiter mbox);
+  Alcotest.(check int) "waiters agrees" 0 (Sim.Mailbox.waiters mbox)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "mailbox has_waiter false after the waiter's crash"
+        `Quick test_has_waiter_after_crash;
+    ]
