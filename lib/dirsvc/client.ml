@@ -109,51 +109,47 @@ let move_row ?hook t ~src ~dst ~name =
   in
   let src_shard = shard_of_cap t src and dst_shard = shard_of_cap t dst in
   if src_shard <> dst_shard then begin
-    (* Two-group coordinator commit: prepare both halves through
-       their shards' sequencers, then commit source (the delete)
-       first — its commit record is the commit point — then
-       destination. A coordinator that dies mid-protocol leaves the
-       shards' resolvers to finish the transaction; [hook] raising
-       at a checkpoint simulates exactly that crash, so no abort is
-       sent on a hook exception. *)
+    (* Two ordered steps: the destination stages the append and
+       reserves its name, then the source decides in one ordered step —
+       its decision is the commit point — deletes the row and forwards
+       the commit to the destination itself. A coordinator that dies
+       mid-protocol leaves the destination's resolver to ask the
+       source; [hook] raising at a checkpoint simulates exactly that
+       crash, so no abort is sent on a hook exception. *)
     Shard_router.count_cross t;
     let txid = Shard_router.fresh_txid t in
-    let src_port = Shard_router.port t ~shard:src_shard in
-    let dst_port = Shard_router.port t ~shard:dst_shard in
-    let abort_both () =
-      (try xcall t ~shard:src_shard (Wire.Xabort { txid }) with _ -> ());
+    (* Only while the source cannot commit: before the decision is
+       sent, or once it refused. *)
+    let release_dst () =
       try xcall t ~shard:dst_shard (Wire.Xabort { txid }) with _ -> ()
     in
-    let prepare shard cmd =
-      try xcall t ~shard cmd
-      with (Wire.Dir_error _ | Rpc.Transport.Rpc_failure _) as e ->
-        abort_both ();
-        raise e
-    in
-    prepare src_shard
-      (Wire.Xprepare
-         {
-           txid;
-           op = Directory.Delete_row { cap = src; name };
-           peer_port = dst_port;
-           src = true;
-         });
-    checkpoint "prepared_src";
-    prepare dst_shard
-      (Wire.Xprepare
-         {
-           txid;
-           op =
-             Directory.Append_row
-               { cap = dst; name; caps = [ rowcap ]; masks = [ mask ] };
-           peer_port = src_port;
-           src = false;
-         });
+    (try
+       xcall t ~shard:dst_shard
+         (Wire.Xprepare
+            {
+              txid;
+              op =
+                Directory.Append_row
+                  { cap = dst; name; caps = [ rowcap ]; masks = [ mask ] };
+              peer_port = Shard_router.port t ~shard:src_shard;
+            })
+     with (Wire.Dir_error _ | Rpc.Transport.Rpc_failure _) as e ->
+       release_dst ();
+       raise e);
     checkpoint "prepared_dst";
-    xcall t ~shard:src_shard (Wire.Xcommit { txid });
-    checkpoint "committed_src";
-    xcall t ~shard:dst_shard (Wire.Xcommit { txid });
-    checkpoint "committed_dst"
+    (try
+       xcall t ~shard:src_shard
+         (Wire.Xdecide
+            {
+              txid;
+              op = Directory.Delete_row { cap = src; name };
+              row = (rowcap, mask);
+              peer_port = Shard_router.port t ~shard:dst_shard;
+            })
+     with Wire.Dir_error (Wire.Op_error _) as e ->
+       release_dst ();
+       raise e);
+    checkpoint "committed_src"
   end
   else begin
     (* Same group orders both halves; no coordination needed. *)

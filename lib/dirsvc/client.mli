@@ -60,13 +60,16 @@ val lookup_set :
 
 (** [move_row t ~src ~dst ~name] moves the row [name] from directory
     [src] to directory [dst]. When the two directories live on
-    different shards this is a two-group coordinator commit (prepare
-    both, commit source then destination); otherwise a plain
-    append + delete. [hook] is called after each protocol step with
-    ["prepared_src"], ["prepared_dst"], ["committed_src"],
-    ["committed_dst"] — a hook that raises simulates a coordinator
-    crash at that point (no abort is sent), leaving termination to
-    the shards' resolvers. *)
+    different shards this is two ordered steps: the destination stages
+    the append and reserves the name, then the source decides — if the
+    row still carries what the lookup returned it deletes it and
+    forwards the commit to the destination, else the move raises
+    [Op_error Not_found]. The call returns once both halves are
+    durable. Otherwise it is a plain append + delete. [hook] is called
+    after each step with ["prepared_dst"] and ["committed_src"] — a
+    hook that raises simulates a coordinator crash at that point (no
+    abort is sent), leaving termination to the destination's
+    resolver. *)
 val move_row :
   ?hook:(string -> unit) ->
   t ->

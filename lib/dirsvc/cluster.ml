@@ -42,6 +42,8 @@ let engine t = t.engine
 
 let net t = t.shard_arr.(0).snet
 
+let backbone t = t.backbone
+
 let metrics t = Sim.Engine.metrics t.engine
 
 let params t = t.params

@@ -38,6 +38,10 @@ val engine : t -> Sim.Engine.t
 
 val net : t -> Simnet.Network.t
 
+(** The network linking the shards' servers (M > 1 only): it carries
+    cross-shard forwarded commits and termination queries. *)
+val backbone : t -> Simnet.Network.t option
+
 (** The engine's registry ({!Sim.Engine.metrics}): every network,
     device, group member and server of the cluster counts into it. *)
 val metrics : t -> Sim.Metrics.t

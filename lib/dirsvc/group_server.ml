@@ -10,13 +10,13 @@ type applied = {
   a_op : Directory.op;
 }
 
-(* One half of a cross-shard move, prepared through this shard's total
-   order and waiting for the coordinator's commit or abort. *)
+(* The destination half of a cross-shard move, staged through this
+   shard's total order and waiting for the source's decision. Until then
+   it reserves its (directory, name). *)
 type staged_xact = {
   x_op : Directory.op;
-  x_peer_port : string;  (** the other shard's service port *)
-  x_src : bool;  (** we hold the delete (source) side *)
-  x_deadline : float;  (** when the resolver may act on abandonment *)
+  x_peer_port : string;  (** the source shard's service port *)
+  x_deadline : float;  (** when the resolver may ask the source *)
 }
 
 type t = {
@@ -82,12 +82,15 @@ type t = {
   (* Sharded deployment only ([shard] = None is a lone group).
      [staged_x] / [xdecisions] are driven exclusively by
      ordered deliveries, so every replica of the shard converges;
-     [xtransport] rides the backbone network for peer-shard
-     termination queries. *)
+     [xtransport] rides the backbone network for forwarded commits and
+     termination queries. [forwards] holds, per (origin, uid) of a
+     commit decision this server initiated, the destination's answer to
+     the forwarded commit. *)
   shard : int option;
   xtransport : Rpc.Transport.t option;
   staged_x : (int, staged_xact) Hashtbl.t;
   xdecisions : (int, bool) Hashtbl.t; (* txid -> committed? *)
+  forwards : (int * int, Wire.reply Sim.Ivar.t) Hashtbl.t;
 }
 
 let serving t = t.serving
@@ -261,7 +264,7 @@ let xstatus_of t txid =
   match Hashtbl.find_opt t.xdecisions txid with
   | Some true -> Wire.Xcommitted
   | Some false -> Wire.Xaborted
-  | None -> if Hashtbl.mem t.staged_x txid then Wire.Xstaged else Wire.Xunknown
+  | None -> Wire.Xunknown
 
 let emit_xact t ~name ~txid =
   emit t ~name (fun () ->
@@ -274,39 +277,129 @@ let decided_reply t txid ~undecided =
   | Some false -> Wire.Err_rep (Wire.Unavailable "transaction aborted")
   | None -> undecided ()
 
+(* The backbone service of the shard whose client port is [port]:
+   served by every member of that shard on the backbone network. *)
+let xshard_port port = "xs@" ^ port
+
+let xshard_request cmd = Wire.Dir_request (Wire.Xshard_req cmd)
+
+(* The destination's answer to a forwarded commit. The decision is
+   final, so a transient failure is retried until the answer is final
+   too or the destination's own resolver can be left to finish. *)
+let forward_deadline_ms = 4000.0
+
+let rec send_commit xt ~txid ~port ~deadline =
+  match
+    Rpc.Transport.trans xt ~port (xshard_request (Wire.Xcommit { txid }))
+  with
+  | Wire.Dir_reply ((Wire.Ok_rep | Wire.Err_rep (Wire.Op_error _)) as reply) ->
+      reply
+  | _ | (exception Rpc.Transport.Rpc_failure _) ->
+      if Sim.Proc.now () > deadline then
+        Wire.Err_rep (Wire.Unavailable "commit forward timeout")
+      else begin
+        Sim.Proc.sleep 50.0;
+        send_commit xt ~txid ~port ~deadline
+      end
+
+(* On the server that initiated a commit decision: send the commit to
+   the destination from a fiber of its own, so it is ordered and flushed
+   there while this shard flushes the delete. [send_and_await] hands the
+   destination's answer to the client. *)
+let forward_commit t ~origin ~uid ~txid ~peer_port =
+  match t.xtransport with
+  | Some xt when origin = Sim.Node.id t.node ->
+      let answer = Sim.Ivar.create () in
+      Hashtbl.replace t.forwards (origin, uid) answer;
+      Sim.Proc.spawn ~name:"dirsvc.xforward" (fun () ->
+          Sim.Ivar.fill answer
+            (send_commit xt ~txid ~port:(xshard_port peer_port)
+               ~deadline:(Sim.Proc.now () +. forward_deadline_ms)))
+  | Some _ | None -> ()
+
+(* Whether the source row still carries the capability and mask the
+   client's lookup returned, and the delete would succeed. *)
+let row_unchanged t op (cap, mask) =
+  match op with
+  | Directory.Delete_row { cap = dir; name } -> (
+      match Directory.lookup t.store ~cap:dir ~name ~column:0 with
+      | Ok (cap', mask') ->
+          mask' = mask && Capability.equal cap' cap
+          && Result.is_ok (Directory.apply t.store ~seqno:(t.useq + 1) op)
+      | Error _ -> false)
+  | _ -> false
+
+(* Whether [op] could make the staged append [staged] fail when it
+   commits: an append of the reserved name, or the deletion of its
+   directory. A Replace_set never creates a row, so it cannot. *)
+let conflicts staged op =
+  match (staged, op) with
+  | ( Directory.Append_row { cap; name; _ },
+      Directory.Append_row { cap = c; name = n; _ } ) ->
+      cap.Capability.obj = c.Capability.obj && String.equal name n
+  | Directory.Append_row { cap; _ }, Directory.Delete_dir { cap = c } ->
+      cap.Capability.obj = c.Capability.obj
+  | _ -> false
+
+let conflicts_with_staged t op =
+  Hashtbl.length t.staged_x > 0
+  && Hashtbl.fold
+       (fun _ staged acc -> acc || conflicts staged.x_op op)
+       t.staged_x false
+
 (* Every replica of the shard executes these in total order, so the
    staged / decided state is replicated without extra messages. The
-   decision table never demotes a commit: a straggling best-effort
-   abort from a coordinator that already committed is a no-op. *)
+   decision table never demotes a commit: a straggling abort after a
+   commit is a no-op. *)
 let execute_xact t ~origin ~uid xact =
   match xact with
-  | Wire.Xprepare { txid; op; peer_port; src } ->
+  | Wire.Xprepare { txid; op; peer_port } ->
       decided_reply t txid ~undecided:(fun () ->
           if Hashtbl.mem t.staged_x txid then Wire.Ok_rep
-          else (
-            (* Dry-run validation against the current store; the op is
-               re-applied for real at commit, so a conflicting update
-               landing in between can still fail the commit. *)
+          else if conflicts_with_staged t op then Wire.Err_rep Wire.Busy
+          else
+            (* Dry-run validation against the current store; the
+               reservation keeps it valid until the decision. *)
             match Directory.apply t.store ~seqno:(t.useq + 1) op with
             | Ok _ ->
                 Hashtbl.replace t.staged_x txid
                   {
                     x_op = op;
                     x_peer_port = peer_port;
-                    x_src = src;
-                    x_deadline =
-                      Sim.Proc.now () +. Params.xshard_timeout_ms;
+                    x_deadline = Sim.Proc.now () +. Params.xshard_timeout_ms;
                   };
                 emit_xact t ~name:"xstaged" ~txid;
                 Wire.Ok_rep
-            | Error e -> Wire.Err_rep (Wire.Op_error e)))
+            | Error e -> Wire.Err_rep (Wire.Op_error e))
+  | Wire.Xdecide { txid; op; row; peer_port } -> (
+      match Hashtbl.find_opt t.xdecisions txid with
+      | Some false -> Wire.Err_rep (Wire.Unavailable "transaction aborted")
+      | Some true ->
+          (* A resent decision: the delete is done; forward again. *)
+          forward_commit t ~origin ~uid ~txid ~peer_port;
+          Wire.Ok_rep
+      | None ->
+          if row_unchanged t op row then begin
+            Hashtbl.replace t.xdecisions txid true;
+            emit_xact t ~name:"xdecided" ~txid;
+            forward_commit t ~origin ~uid ~txid ~peer_port;
+            execute_op t ~origin ~uid op
+          end
+          else begin
+            Hashtbl.replace t.xdecisions txid false;
+            emit_xact t ~name:"xaborted" ~txid;
+            Wire.Err_rep (Wire.Op_error Directory.Not_found)
+          end)
   | Wire.Xcommit { txid } -> (
       match Hashtbl.find_opt t.staged_x txid with
       | Some staged ->
-          Hashtbl.remove t.staged_x txid;
           Hashtbl.replace t.xdecisions txid true;
           emit_xact t ~name:"xcommitted" ~txid;
-          execute_op t ~origin ~uid staged.x_op
+          (* Still staged while it flushes: the read gate names its
+             directory from here. *)
+          let reply = execute_op t ~origin ~uid staged.x_op in
+          Hashtbl.remove t.staged_x txid;
+          reply
       | None ->
           decided_reply t txid ~undecided:(fun () ->
               Wire.Err_rep (Wire.Unavailable "no such staged transaction")))
@@ -330,7 +423,9 @@ let process_delivery t delivery =
   if seqno > t.gprocessed then begin
     (match delivery with
     | Group.Types.Msg { payload = Wire.Dir_op_msg { origin; uid; op }; _ } ->
-        file_reply t ~origin ~uid (execute_op t ~origin ~uid op)
+        file_reply t ~origin ~uid
+          (if conflicts_with_staged t op then Wire.Err_rep Wire.Busy
+           else execute_op t ~origin ~uid op)
     | Group.Types.Msg { payload = Wire.Dir_xact_msg { origin; uid; xact }; _ }
       ->
         file_reply t ~origin ~uid (execute_xact t ~origin ~uid xact)
@@ -359,17 +454,24 @@ let with_group t f =
    yet might be anything. A directory update touches its own directory;
    a Create_dir touches none that exists yet (a read naming a directory
    missing from the store waits for everything, see [read_blocker]). A
-   cross-shard commit applies whatever its prepare staged, so it touches
-   everything; the other transaction steps change no directory. *)
+   cross-shard decision touches the directory of its delete, and a
+   cross-shard commit that of the append its prepare staged; one whose
+   prepare is not applied yet might touch anything. The other
+   transaction steps change no directory. *)
 let blocks_read t g ~dirs seqno =
   match Group.Member.held g seqno with
   | None -> true
   | Some (Group.Wire.App { payload; _ }) -> (
       match payload with
       | Wire.Dir_op_msg { op = Directory.Create_dir _; _ } -> false
-      | Wire.Dir_op_msg { op; _ } ->
+      | Wire.Dir_op_msg { op; _ }
+      | Wire.Dir_xact_msg { xact = Wire.Xdecide { op; _ }; _ } ->
           List.mem (Directory.dir_id_of_op t.store op) dirs
-      | Wire.Dir_xact_msg { xact = Wire.Xcommit _; _ } -> true
+      | Wire.Dir_xact_msg { xact = Wire.Xcommit { txid }; _ } -> (
+          match Hashtbl.find_opt t.staged_x txid with
+          | Some staged ->
+              List.mem (Directory.dir_id_of_op t.store staged.x_op) dirs
+          | None -> true)
       | _ -> false)
   | Some (Group.Wire.Join_member _ | Group.Wire.Leave_member _) -> false
 
@@ -437,7 +539,12 @@ let send_and_await t g message =
       else begin
         let reply = Hashtbl.find t.replies key in
         Hashtbl.remove t.replies key;
-        reply
+        match Hashtbl.find_opt t.forwards key with
+        | None -> reply
+        | Some answer ->
+            (* A move is acknowledged once both halves are durable. *)
+            Hashtbl.remove t.forwards key;
+            Sim.Ivar.read answer
       end
 
 let handle_write t op =
@@ -454,16 +561,28 @@ let handle_write t op =
       send_and_await t g (fun ~origin ~uid ->
           Wire.Dir_op_msg { origin; uid; op }))
 
-(* Prepare / commit / abort ride the shard's own total order exactly
-   like a write; only the status query is answered from local state. *)
+let send_xact t g xact =
+  Sim.Resource.use t.cpu Params.cpu_write_ms;
+  send_and_await t g (fun ~origin ~uid ->
+      Wire.Dir_xact_msg { origin; uid; xact })
+
+(* Prepare / decide / commit / abort ride the shard's own total order
+   exactly like a write; only the status query is answered from local
+   state. A source that has not seen the transaction presumes abort,
+   but through its total order, so a late [Xdecide] is ordered after
+   the abort and refused; a decision ordered first stands. Only a
+   destination stages, and it never presumes. *)
 let handle_xshard t cmd =
   with_group t (fun g ->
       match cmd with
-      | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
-      | _ ->
-          Sim.Resource.use t.cpu Params.cpu_write_ms;
-          send_and_await t g (fun ~origin ~uid ->
-              Wire.Dir_xact_msg { origin; uid; xact = cmd }))
+      | Wire.Xstatus { txid } -> (
+          match xstatus_of t txid with
+          | Wire.Xunknown when not (Hashtbl.mem t.staged_x txid) -> (
+              match send_xact t g (Wire.Xabort { txid }) with
+              | Wire.Ok_rep -> Wire.Xstatus_rep (xstatus_of t txid)
+              | refused -> refused)
+          | status -> Wire.Xstatus_rep status)
+      | _ -> send_xact t g cmd)
 
 (* The shard-level NOTHERE: a capability minted by another shard names
    that shard's port, so a port mismatch bounces the client to the
@@ -827,17 +946,13 @@ let group_thread t () =
 
 (* ---- Cross-shard abandonment resolver -------------------------------- *)
 
-(* The backbone status port of the shard whose client port is [port]:
-   served by every member of that shard on the backbone network. *)
-let xstatus_port port = "xs@" ^ port
-
-let xstatus_handler t ~client:_ body =
+(* The backbone face of [handle_xshard]: forwarded commits and status
+   queries from the peer shards. *)
+let xshard_handler t ~client:_ body =
   match body with
-  | Wire.Dir_request (Wire.Xshard_req (Wire.Xstatus { txid })) ->
-      if not (majority_ok t) then
-        Wire.Dir_reply (Wire.Err_rep Wire.No_majority)
-      else Wire.Dir_reply (Wire.Xstatus_rep (xstatus_of t txid))
-  | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad status request"))
+  | Wire.Dir_request (Wire.Xshard_req cmd) ->
+      Wire.Dir_reply (handle_xshard t cmd)
+  | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad xshard request"))
 
 (* Only the lowest-node member of the current view resolves — a single
    decision maker per shard keeps resolution traffic down; the decision
@@ -850,49 +965,31 @@ let is_xact_leader t =
       | members -> List.fold_left min max_int members = Sim.Node.id t.node)
   | Some _ | None -> false
 
-let decide_staged t txid ~commit =
-  match t.group with
-  | None -> ()
-  | Some g ->
-      let xact =
-        if commit then Wire.Xcommit { txid } else Wire.Xabort { txid }
-      in
-      ignore
-        (send_and_await t g (fun ~origin ~uid ->
-             Wire.Dir_xact_msg { origin; uid; xact }))
+(* A staged half whose forwarded commit has not arrived by its deadline
+   (the coordinator or the source's initiating server crashed): ask the
+   source how the move ended. The source decides an unknown transaction
+   by ordering an abort, so its answer is final; anything else is asked
+   again on the next scan. *)
+let resolve_staged t xt txid staged =
+  match
+    Rpc.Transport.trans xt ~port:(xshard_port staged.x_peer_port)
+      (xshard_request (Wire.Xstatus { txid }))
+  with
+  | Wire.Dir_reply
+      (Wire.Xstatus_rep ((Wire.Xcommitted | Wire.Xaborted) as status)) -> (
+      match t.group with
+      | None -> ()
+      | Some g ->
+          let commit = status = Wire.Xcommitted in
+          emit_xact t ~txid
+            ~name:(if commit then "xresolve_commit" else "xresolve_abort");
+          ignore
+            (send_xact t g
+               (if commit then Wire.Xcommit { txid }
+                else Wire.Xabort { txid })))
+  | _ | (exception Rpc.Transport.Rpc_failure _) -> ()
 
-(* A transaction abandoned past its deadline (coordinator crash).
-   Presumed abort, with one asymmetry: the coordinator commits the
-   source (delete) side first, so the source can self-abort — if it is
-   still staged nobody committed anything — while the destination must
-   ask the source how it ended over the backbone before acting. *)
-let resolve_staged t txid staged =
-  if staged.x_src then begin
-    emit_xact t ~name:"xresolve_abort" ~txid;
-    decide_staged t txid ~commit:false
-  end
-  else
-    match t.xtransport with
-    | None -> decide_staged t txid ~commit:false
-    | Some xt -> (
-        match
-          Rpc.Transport.trans xt
-            ~port:(xstatus_port staged.x_peer_port)
-            (Wire.Dir_request (Wire.Xshard_req (Wire.Xstatus { txid })))
-        with
-        | Wire.Dir_reply (Wire.Xstatus_rep Wire.Xcommitted) ->
-            emit_xact t ~name:"xresolve_commit" ~txid;
-            decide_staged t txid ~commit:true
-        | Wire.Dir_reply (Wire.Xstatus_rep (Wire.Xaborted | Wire.Xunknown)) ->
-            emit_xact t ~name:"xresolve_abort" ~txid;
-            decide_staged t txid ~commit:false
-        | Wire.Dir_reply (Wire.Xstatus_rep Wire.Xstaged) ->
-            (* The source's own resolver will abort it at its deadline;
-               ask again on the next scan. *)
-            ()
-        | _ | (exception Rpc.Transport.Rpc_failure _) -> ())
-
-let xact_resolver t () =
+let xact_resolver t xt () =
   while true do
     Sim.Proc.sleep 250.0;
     if is_xact_leader t then begin
@@ -908,7 +1005,7 @@ let xact_resolver t () =
       in
       List.iter
         (fun (txid, staged) ->
-          if Hashtbl.mem t.staged_x txid then resolve_staged t txid staged)
+          if Hashtbl.mem t.staged_x txid then resolve_staged t xt txid staged)
         expired
     end
   done
@@ -967,6 +1064,7 @@ let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
       xtransport;
       staged_x = Hashtbl.create 8;
       xdecisions = Hashtbl.create 8;
+      forwards = Hashtbl.create 8;
     }
   in
   let front = Dir_front.create ~shard net ~node (Dir_front.Replica server_id) in
@@ -975,13 +1073,15 @@ let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
   Rpc.Transport.serve transport ~port:(admin_port (Sim.Node.id node)) ~threads:2
     (admin_handler t);
   (match t.xtransport with
-  | Some xt -> Rpc.Transport.serve xt ~port:(xstatus_port port) ~threads:2
-      (xstatus_handler t)
+  | Some xt ->
+      Rpc.Transport.serve xt ~port:(xshard_port port) ~threads:2
+        (xshard_handler t)
   | None -> ());
   Sim.Proc.boot (Simnet.Network.engine net) node ~name:"dirsvc.boot" (fun () ->
       load_disk_state t;
-      (if t.shard <> None then
-         Sim.Proc.spawn ~name:"dirsvc.xresolve" (xact_resolver t));
+      (match t.xtransport with
+      | Some xt -> Sim.Proc.spawn ~name:"dirsvc.xresolve" (xact_resolver t xt)
+      | None -> ());
       group_thread t ());
   t
 

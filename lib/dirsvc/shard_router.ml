@@ -5,7 +5,8 @@
    capability carries its shard in its service port, so routing a cap
    is a port-table lookup, not a hash. A request that reaches the
    wrong group bounces with [Wire.Wrong_shard] and is re-sent once to
-   the owner — the shard-level analogue of the RPC layer's NOTHERE. *)
+   the owner — the shard-level analogue of the RPC layer's NOTHERE. A
+   request refused [Wire.Busy] is re-sent until it is not. *)
 
 type t = {
   transports : Rpc.Transport.t array; (* one per shard: shards live on
@@ -64,24 +65,41 @@ let raw_call t ~shard request =
   Rpc.Transport.trans t.transports.(shard) ~port:t.ports.(shard)
     (Wire.Dir_request request)
 
-let call t ~shard request =
+(* A [Busy] refusal lasts until the move holding the name commits or
+   aborts: normally one ordered decision and one forwarded commit, at
+   worst the destination's resolver deadline. Retried with doubling
+   pauses; past [busy_limit_ms] in all it is reported as unavailable. *)
+let busy_first_pause_ms = 5.0
+
+let busy_max_pause_ms = 160.0
+
+let busy_limit_ms = 10_000.0
+
+let rec call_after ~waited t ~shard request =
   match raw_call t ~shard request with
+  | Wire.Dir_reply (Wire.Err_rep Wire.Busy) ->
+      if waited >= busy_limit_ms then
+        raise (Wire.Dir_error (Wire.Unavailable "name stays reserved"));
+      let pause =
+        Float.min busy_max_pause_ms (Float.max busy_first_pause_ms waited)
+      in
+      Sim.Proc.sleep pause;
+      call_after ~waited:(waited +. pause) t ~shard request
   | Wire.Dir_reply (Wire.Err_rep Wire.Wrong_shard) -> (
       (* Bounce: our guess was wrong (stale placement assumption).
          Recompute the owner from the capability's port and retry
-         once; a second bounce is a real error. *)
+         there; a bounce from the owner itself is a real error. *)
       let owner =
         match Wire.cap_of_request request with
         | Some cap -> shard_of_cap t cap
         | None -> None
       in
       match owner with
-      | Some owner when owner <> shard -> (
-          match raw_call t ~shard:owner request with
-          | Wire.Dir_reply (Wire.Err_rep e) -> raise (Wire.Dir_error e)
-          | Wire.Dir_reply reply -> reply
-          | _ -> raise (Wire.Dir_error (Wire.Unavailable "malformed reply")))
+      | Some owner when owner <> shard ->
+          call_after ~waited t ~shard:owner request
       | _ -> raise (Wire.Dir_error Wire.Wrong_shard))
   | Wire.Dir_reply (Wire.Err_rep e) -> raise (Wire.Dir_error e)
   | Wire.Dir_reply reply -> reply
   | _ -> raise (Wire.Dir_error (Wire.Unavailable "malformed reply"))
+
+let call t ~shard request = call_after ~waited:0.0 t ~shard request

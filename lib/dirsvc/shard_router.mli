@@ -33,8 +33,12 @@ val shard_of_name : shards:int -> string -> int
 val shard_of_cap : t -> Capability.t -> int option
 
 (** [call t ~shard request] sends to shard [shard]'s group, following
-    one {!Wire.Wrong_shard} bounce to the capability's owner.
-    Raises {!Wire.Dir_error} like {!Client}'s calls. *)
+    one {!Wire.Wrong_shard} bounce to the capability's owner. A
+    {!Wire.Busy} refusal (a name reserved by a cross-shard move) is
+    retried with doubling pauses (5 ms up to 160 ms) until the
+    reservation clears, so it never reaches the caller; after 10 s of
+    refusals it raises {!Wire.Unavailable}. Raises {!Wire.Dir_error}
+    like {!Client}'s calls. *)
 val call : t -> shard:int -> Wire.request -> Wire.reply
 
 (** Coordinator-unique transaction id for a cross-shard move. *)

@@ -3,35 +3,41 @@ type service_error =
   | No_majority
   | Unavailable of string
   | Wrong_shard
+  | Busy
 
 let service_error_to_string = function
   | Op_error e -> Directory.error_to_string e
   | No_majority -> "no majority of directory servers"
   | Unavailable reason -> "temporarily unavailable: " ^ reason
   | Wrong_shard -> "capability belongs to another shard"
+  | Busy -> "name reserved by a cross-shard move"
 
 exception Dir_error of service_error
 
-(* Cross-shard move: a two-group coordinator commit. The client (the
-   coordinator) prepares the delete on the source shard and the append
-   on the destination shard, then commits source first — the source's
-   commit is the commit point. Each participant stages the prepared op
-   and runs it through its own sequencer like any other update, so the
-   staged/committed state is totally ordered and replicated within the
-   shard. [peer_port] names the other shard so a participant left
-   staged by a crashed coordinator can ask the peer how it ended. *)
+(* Cross-shard move: the destination reserves, the source decides. The
+   client has the destination stage the append ([Xprepare]), then sends
+   the source one [Xdecide]: ordered there, it checks that the row still
+   carries the looked-up capability and mask, records the decision and,
+   on commit, deletes the row like any update. The source server that
+   initiated the decision forwards [Xcommit] to the destination over the
+   backbone, so both halves reach disk in parallel. Every record runs
+   through its own shard's sequencer, so the staged and decided state is
+   totally ordered and replicated within the shard. [peer_port] names
+   the other shard: the source forwards to it, and a destination left
+   staged asks it how the move ended. *)
 type xshard_cmd =
-  | Xprepare of {
+  | Xprepare of { txid : int; op : Directory.op; peer_port : string }
+  | Xdecide of {
       txid : int;
       op : Directory.op;
+      row : Capability.t * int;
       peer_port : string;
-      src : bool;  (** true on the source (delete) side *)
     }
   | Xcommit of { txid : int }
   | Xabort of { txid : int }
-  | Xstatus of { txid : int }  (** peer-to-peer termination query *)
+  | Xstatus of { txid : int }
 
-type xshard_status = Xcommitted | Xaborted | Xstaged | Xunknown
+type xshard_status = Xcommitted | Xaborted | Xunknown
 
 type request =
   | Write_op of Directory.op
@@ -256,8 +262,10 @@ let () =
     | Dir_request (Write_op _) -> Some "dir.write"
     | Dir_request (List_req _) -> Some "dir.list"
     | Dir_request (Lookup_req _) -> Some "dir.lookup"
-    | Dir_request (Xshard_req (Xprepare { txid; src; _ })) ->
-        Some (Printf.sprintf "dir.xprepare %d %s" txid (if src then "src" else "dst"))
+    | Dir_request (Xshard_req (Xprepare { txid; _ })) ->
+        Some (Printf.sprintf "dir.xprepare %d" txid)
+    | Dir_request (Xshard_req (Xdecide { txid; _ })) ->
+        Some (Printf.sprintf "dir.xdecide %d" txid)
     | Dir_request (Xshard_req (Xcommit { txid })) ->
         Some (Printf.sprintf "dir.xcommit %d" txid)
     | Dir_request (Xshard_req (Xabort { txid })) ->

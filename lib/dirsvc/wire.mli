@@ -16,30 +16,42 @@ type service_error =
       (** the capability hashes to a different replica group; the
           shard router re-routes on this bounce (NOTHERE analogue at
           the shard level) *)
+  | Busy
+      (** the update would conflict with a name a cross-shard move has
+          reserved at its destination; the shard router retries it
+          until the move commits or aborts *)
 
 val service_error_to_string : service_error -> string
 
 exception Dir_error of service_error
 
-(** Cross-shard move: a two-group coordinator commit (client-driven).
-    Participants stage the prepared op, run the stage/commit/abort
-    records through their own sequencer, and log them into the commit
-    block so recovery replays idempotently. [peer_port] lets a
-    participant abandoned mid-transaction query the other shard for
-    the outcome; commit order is source first, so the source's commit
-    record is the commit point. *)
+(** Cross-shard move: two ordered steps, one durable commit point.
+    The destination stages the append and reserves its name
+    ([Xprepare]); the source decides in one ordered step ([Xdecide]):
+    if the row still carries the capability and mask in [row] it records
+    the commit and deletes the row, else it records an abort. The
+    source's decision is the commit point. The source server that
+    initiated a commit forwards [Xcommit] to the destination before its
+    own flush, so the two halves reach disk in parallel. [peer_port]
+    names the other shard: the source forwards the commit there, and a
+    destination abandoned mid-transaction asks the source how the move
+    ended ([Xstatus]). A source that has never seen the transaction
+    orders an [Xabort] before it answers, so presumed abort and a late
+    [Xdecide] are decided by the source's total order. *)
 type xshard_cmd =
-  | Xprepare of {
+  | Xprepare of { txid : int; op : Directory.op; peer_port : string }
+      (** destination: stage [op] and reserve its name *)
+  | Xdecide of {
       txid : int;
-      op : Directory.op;
+      op : Directory.op;  (** the source's delete *)
+      row : Capability.t * int;  (** what the lookup returned *)
       peer_port : string;
-      src : bool;  (** true on the source (delete) side *)
-    }
+    }  (** source: the decision, and on commit the delete *)
   | Xcommit of { txid : int }
   | Xabort of { txid : int }
   | Xstatus of { txid : int }  (** peer-to-peer termination query *)
 
-type xshard_status = Xcommitted | Xaborted | Xstaged | Xunknown
+type xshard_status = Xcommitted | Xaborted | Xunknown
 
 type request =
   | Write_op of Directory.op

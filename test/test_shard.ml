@@ -180,10 +180,10 @@ let test_stale_port_cache () =
 exception Coordinator_crash
 
 (* Cross-shard move termination. First the happy path, then a
-   coordinator crash after the source committed (the commit point):
-   the destination's resolver must learn the outcome over the backbone
-   and complete the move. Then a crash before any commit: both shards
-   time out their staged halves and abort, leaving the row at the
+   coordinator crash after the source's decision (the commit point),
+   which has already forwarded the commit: the move must stand. Then a
+   crash before the decision: the destination's resolver times out its
+   staged half, the source presumes abort, and the row stays at the
    source. *)
 let test_coordinator_crash_recovery () =
   let params = { Dirsvc.Params.default with shards = 2 } in
@@ -205,8 +205,8 @@ let test_coordinator_crash_recovery () =
         (Dirsvc.Client.lookup client dir_b "ok" <> None);
       Alcotest.(check bool) "moved row gone from source" true
         (Dirsvc.Client.lookup client dir_a "ok" = None);
-      (* Crash after committing the source: dst is staged, src is the
-         commit point — the resolver must finish the move. *)
+      (* Crash after the source decided: the commit point is passed,
+         so the move must finish. *)
       Dirsvc.Client.append_row client dir_a ~name:"r" [ dir_a ];
       (match
          Dirsvc.Client.move_row
@@ -242,15 +242,24 @@ let test_coordinator_crash_recovery () =
       Alcotest.(check bool) "subsequent move unaffected" true
         (Dirsvc.Client.lookup client dir_b "s" <> None))
 
-(* The read gate's fallback for cross-shard commits: a commit applies
-   whatever its prepare staged, so while one is buffered every read on
-   that shard waits for it — here a lookup of a directory the move
-   does not touch, issued while the destination shard flushes the
-   commit. *)
+(* Calls [f] on every dirsvc trace event of [cluster] from now on. *)
+let on_dirsvc_event cluster f =
+  let trace = Sim.Trace.create () in
+  Sim.Trace.set_sink trace
+    (Some (fun e -> if e.Sim.Trace.subsystem = "dirsvc" then f e));
+  Sim.Engine.set_trace (C.engine cluster) (Some trace)
+
+(* The read gate for cross-shard commits: a buffered commit blocks the
+   reads of the directory its prepare staged, and only those. Two
+   lookups on the destination shard are issued as soon as a replica
+   there orders the commit, while its flush runs: one of the moved
+   row, which must wait for the flush and find the row, and one of
+   another directory on that shard, which must not wait. *)
 let test_xcommit_blocks_reads () =
   let params = { Dirsvc.Params.default with shards = 2 } in
   let cluster = boot ~seed:26L ~params C.Group_disk in
-  let coordinator = C.client cluster and reader = C.client cluster in
+  let coordinator = C.client cluster in
+  let reader = C.client cluster and other_reader = C.client cluster in
   let create client shard =
     with_unavailable_retry (fun () ->
         Dirsvc.Client.create_dir
@@ -266,37 +275,51 @@ let test_xcommit_blocks_reads () =
         Dirsvc.Client.append_row client other ~name:"still" [ other ];
         (src, dst, other))
   in
-  Harness.on_client ~client:reader cluster (fun client ->
-      ignore (Dirsvc.Client.lookup client other "still"));
-  (* The destination's commit is sent as soon as the source's returns. *)
-  let src_committed = ref false in
+  List.iter
+    (fun client ->
+      Harness.on_client ~client cluster (fun client ->
+          ignore (Dirsvc.Client.lookup client other "still")))
+    [ reader; other_reader ];
+  let committed = ref false in
+  on_dirsvc_event cluster (fun e ->
+      if e.Sim.Trace.name = "xcommitted" then committed := true);
   let moved =
     Harness.start_on cluster coordinator (fun () ->
-        Dirsvc.Client.move_row coordinator ~src ~dst ~name:"moved"
-          ~hook:(fun step -> if step = "committed_src" then src_committed := true))
+        Dirsvc.Client.move_row coordinator ~src ~dst ~name:"moved")
   in
-  let read =
-    Harness.start_on cluster reader (fun () ->
-        while not !src_committed do
+  let read_after_commit client dir name =
+    Harness.start_on cluster client (fun () ->
+        while not !committed do
           Sim.Proc.sleep 1.0
         done;
-        Sim.Proc.sleep 15.0;
         let pending = !moved = None in
         let found, latency =
-          Harness.timed (fun () -> Dirsvc.Client.lookup reader other "still")
+          Harness.timed (fun () -> Dirsvc.Client.lookup client dir name)
         in
         (found, latency, pending))
   in
+  let read_dst = read_after_commit reader dst "moved" in
+  let read_other = read_after_commit other_reader other "still" in
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 10_000.0);
-  match (!read, !moved) with
-  | Some (found, latency, pending), Some () ->
-      Alcotest.(check bool) "unrelated row found" true (found <> None);
-      Alcotest.(check bool) "read issued before the move completed" true
-        pending;
+  match (!read_dst, !read_other, !moved) with
+  | Some (found, latency, pending), Some (found', latency', pending'), Some ()
+    ->
+      Alcotest.(check bool) "reads issued before the move completed" true
+        (pending && pending');
+      Alcotest.(check bool) "moved row found at the destination" true
+        (found <> None);
       if latency <= Dirsvc.Params.default.disk_write_ms then
-        Alcotest.failf "lookup took %.1f ms: it did not wait for the commit"
-          latency
-  | _ -> Alcotest.fail "move or read did not complete"
+        Alcotest.failf
+          "lookup of the destination took %.1f ms: it did not wait for the \
+           commit"
+          latency;
+      Alcotest.(check bool) "unrelated row found" true (found' <> None);
+      if latency' >= Dirsvc.Params.default.disk_write_ms then
+        Alcotest.failf
+          "lookup of an unrelated directory took %.1f ms: it waited for the \
+           commit"
+          latency'
+  | _ -> Alcotest.fail "move or reads did not complete"
 
 (* The shard of every "lookup" op served, sorted: a server's node id
    is 500 * shard + server id. *)
@@ -384,9 +407,259 @@ let suite =
     tc "stale port cache after shard view change" `Quick test_stale_port_cache;
     tc "coordinator crash: resolver terminates the move" `Quick
       test_coordinator_crash_recovery;
-    tc "buffered cross-shard commit makes every read wait" `Quick
-      test_xcommit_blocks_reads;
+    tc "buffered cross-shard commit makes every read of its directory wait"
+      `Quick test_xcommit_blocks_reads;
     tc "lookup set scatters over two shards" `Quick test_lookup_set_two_shards;
     tc "lookup set on one shard is one request" `Quick
       test_lookup_set_one_shard;
   ]
+
+(* [f ()], or the service error it raised. *)
+let outcome f = try Ok (f ()) with Dirsvc.Wire.Dir_error e -> Error e
+
+let service_error =
+  Alcotest.testable
+    (fun fmt e ->
+      Format.pp_print_string fmt (Dirsvc.Wire.service_error_to_string e))
+    ( = )
+
+(* Two directories, one per shard of a fresh two-shard deployment, and
+   a row [name] in the source. *)
+let two_shard_dirs ~seed ~name =
+  let params = { Dirsvc.Params.default with shards = 2 } in
+  let cluster = boot ~seed ~params C.Group_disk in
+  let src, dst =
+    Harness.on_client cluster (fun client ->
+        let create shard =
+          with_unavailable_retry (fun () ->
+              Dirsvc.Client.create_dir
+                ~placement:(placement_for ~shards:2 shard)
+                client ~columns:[ "owner" ])
+        in
+        let src = create 0 in
+        let dst = create 1 in
+        Dirsvc.Client.append_row client src ~name [ src ];
+        (src, dst))
+  in
+  (cluster, src, dst)
+
+let lookup_in cluster dir name =
+  Harness.on_client cluster (fun client -> Dirsvc.Client.lookup client dir name)
+
+let cap_opt = Alcotest.(option (testable Capability.pp Capability.equal))
+
+(* A second client appends the moved name at the destination while the
+   move is staged there. The staged append reserves the name, so the
+   append is refused Busy (retried inside the router) until the move
+   commits, then fails Already_exists: the move succeeds and the row
+   is in exactly one directory, with the capability it had. *)
+let test_reserved_destination_name () =
+  let cluster, src, dst = two_shard_dirs ~seed:23L ~name:"m" in
+  let other = C.client cluster in
+  let appended = ref (ref None) in
+  let moved =
+    Harness.on_client cluster (fun client ->
+        outcome (fun () ->
+            Dirsvc.Client.move_row client ~src ~dst ~name:"m"
+              ~hook:(fun step ->
+                if step = "prepared_dst" then begin
+                  appended :=
+                    Harness.start_on cluster other (fun () ->
+                        outcome (fun () ->
+                            Dirsvc.Client.append_row other dst ~name:"m"
+                              [ dst ]));
+                  Sim.Proc.sleep 100.0
+                end)))
+  in
+  Alcotest.(check (result unit service_error)) "move succeeded" (Ok ()) moved;
+  Alcotest.(check (option (result unit service_error)))
+    "competing append refused"
+    (Some (Error (Dirsvc.Wire.Op_error Dirsvc.Directory.Already_exists)))
+    !(!appended);
+  Alcotest.check cap_opt "destination holds the moved row" (Some src)
+    (Option.map fst (lookup_in cluster dst "m"));
+  Alcotest.check cap_opt "source row deleted" None
+    (Option.map fst (lookup_in cluster src "m"))
+
+(* A second client deletes the row at the source while the move is
+   staged at the destination. The source's ordered decision finds the
+   row gone and aborts: the move fails Not_found and the destination
+   releases its staged append, so the deleted row never comes back. *)
+let test_source_deleted_during_move () =
+  let cluster, src, dst = two_shard_dirs ~seed:23L ~name:"d" in
+  let other = C.client cluster in
+  let deleted = ref (ref None) in
+  let moved =
+    Harness.on_client cluster (fun client ->
+        outcome (fun () ->
+            Dirsvc.Client.move_row client ~src ~dst ~name:"d"
+              ~hook:(fun step ->
+                if step = "prepared_dst" then begin
+                  deleted :=
+                    Harness.start_on cluster other (fun () ->
+                        outcome (fun () ->
+                            Dirsvc.Client.delete_row other src ~name:"d"));
+                  while !(!deleted) = None do
+                    Sim.Proc.sleep 1.0
+                  done
+                end)))
+  in
+  Alcotest.(check (option (result unit service_error)))
+    "competing delete succeeded" (Some (Ok ())) !(!deleted);
+  Alcotest.(check (result unit service_error)) "move refused"
+    (Error (Dirsvc.Wire.Op_error Dirsvc.Directory.Not_found)) moved;
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 8_000.0);
+  Alcotest.check cap_opt "row absent at the source" None
+    (Option.map fst (lookup_in cluster src "d"));
+  Alcotest.check cap_opt "row absent at the destination" None
+    (Option.map fst (lookup_in cluster dst "d"))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "competing append waits for the reserved name"
+        `Quick test_reserved_destination_name;
+      Alcotest.test_case "row deleted at the source aborts the move" `Quick
+        test_source_deleted_during_move;
+    ]
+
+(* The origin source server crashes as it sends the forwarded commit,
+   and the coordinator with it, so nobody resends the decision. The
+   destination's resolver asks the source, learns the commit and
+   finishes the move: one commit on each destination replica, the
+   source row stays deleted. *)
+let test_lost_forward () =
+  let cluster, src, dst = two_shard_dirs ~seed:27L ~name:"f" in
+  let coordinator = C.client cluster in
+  let backbone =
+    match C.backbone cluster with
+    | Some net -> net
+    | None -> Alcotest.fail "two shards have no backbone"
+  in
+  let origin = ref None in
+  Simnet.Network.set_fault_filter backbone
+    (Some
+       (fun packet ->
+         match packet.Simnet.Packet.payload with
+         | Rpc.Wire.Request
+             {
+               body =
+                 Dirsvc.Wire.Dir_request
+                   (Dirsvc.Wire.Xshard_req (Dirsvc.Wire.Xcommit _));
+               _;
+             }
+           when !origin = None ->
+             origin := Some packet.src;
+             C.crash_server_in cluster ~shard:0 (packet.src mod 500);
+             Sim.Node.crash
+               (Rpc.Transport.node (Dirsvc.Client.transport coordinator));
+             Simnet.Network.Drop
+         | _ -> Simnet.Network.Deliver));
+  let commits = ref [] and resolved = ref 0 in
+  on_dirsvc_event cluster (fun e ->
+      match e.Sim.Trace.name with
+      | "xcommitted" -> commits := e.Sim.Trace.node :: !commits
+      | "xresolve_commit" -> incr resolved
+      | _ -> ());
+  ignore
+    (Harness.start_on cluster coordinator (fun () ->
+         Dirsvc.Client.move_row coordinator ~src ~dst ~name:"f"));
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 8_000.0);
+  Sim.Engine.set_trace (C.engine cluster) None;
+  (match !origin with
+  | Some node when node < 500 -> ()
+  | _ -> Alcotest.fail "no forwarded commit left a source server");
+  Alcotest.(check int) "the destination's resolver committed once" 1
+    !resolved;
+  Alcotest.(check (list int)) "one commit on each destination replica"
+    [ 501; 502; 503 ]
+    (List.sort compare !commits);
+  Alcotest.check cap_opt "destination holds the moved row" (Some src)
+    (Option.map fst (lookup_in cluster dst "f"));
+  Alcotest.check cap_opt "source row stayed deleted" None
+    (Option.map fst (lookup_in cluster src "f"))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "lost forward: the destination's resolver commits"
+        `Quick test_lost_forward;
+    ]
+
+(* The coordinator stalls after the prepare for longer than the
+   destination's deadline and one resolver scan. The resolver's query
+   makes the source order an abort first, so the late decision is
+   refused and the row stays at the source only. *)
+let test_late_decide () =
+  let cluster, src, dst = two_shard_dirs ~seed:28L ~name:"l" in
+  let stall = Dirsvc.Params.xshard_timeout_ms +. 250.0 +. 500.0 in
+  let presumed = ref 0 in
+  on_dirsvc_event cluster (fun e ->
+      if e.Sim.Trace.name = "xresolve_abort" then incr presumed);
+  let moved =
+    Harness.on_client cluster (fun client ->
+        outcome (fun () ->
+            Dirsvc.Client.move_row client ~src ~dst ~name:"l"
+              ~hook:(fun step ->
+                if step = "prepared_dst" then Sim.Proc.sleep stall)))
+  in
+  Alcotest.(check (result unit service_error)) "late decision refused"
+    (Error (Dirsvc.Wire.Unavailable "transaction aborted")) moved;
+  Alcotest.(check int) "the destination's resolver aborted" 1 !presumed;
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 4_000.0);
+  Alcotest.check cap_opt "row still at the source" (Some src)
+    (Option.map fst (lookup_in cluster src "l"));
+  Alcotest.check cap_opt "nothing at the destination" None
+    (Option.map fst (lookup_in cluster dst "l"))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "late decision after the presumed abort is refused"
+        `Quick test_late_decide;
+    ]
+
+(* A move is acknowledged only once both halves are durable. Three
+   appends ordered at the destination just before the move's decision
+   keep its group thread flushing, so the forwarded commit is applied
+   and flushed well after the source's delete. A full crash of the
+   destination shard the instant the move returns, and a restart, must
+   still find the row there. *)
+let test_acked_move_survives_destination_crash () =
+  let cluster, src, dst = two_shard_dirs ~seed:29L ~name:"a" in
+  let others = List.init 3 (fun _ -> C.client cluster) in
+  Harness.on_client cluster (fun client ->
+      Dirsvc.Client.move_row client ~src ~dst ~name:"a" ~hook:(fun step ->
+          if step = "prepared_dst" then begin
+            List.iteri
+              (fun i other ->
+                ignore
+                  (Harness.start_on cluster other (fun () ->
+                       Dirsvc.Client.append_row other dst
+                         ~name:(Printf.sprintf "b%d" i) [ dst ])))
+              others;
+            Sim.Proc.sleep 3.0
+          end);
+      for sid = 1 to 3 do
+        C.crash_server_in cluster ~shard:1 sid
+      done;
+      Sim.Proc.sleep 100.0;
+      for sid = 1 to 3 do
+        C.restart_server_in cluster ~shard:1 sid
+      done);
+  Alcotest.(check bool) "destination shard serves again" true
+    (C.await_serving cluster ~count:(C.total_servers cluster));
+  Alcotest.check cap_opt "destination holds the moved row" (Some src)
+    (Option.map fst
+       (Harness.on_client cluster (fun client ->
+            with_unavailable_retry (fun () ->
+                Dirsvc.Client.lookup client dst "a"))));
+  Alcotest.check cap_opt "source row deleted" None
+    (Option.map fst (lookup_in cluster src "a"))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "acknowledged move survives a destination crash"
+        `Quick test_acked_move_survives_destination_crash;
+    ]
