@@ -93,7 +93,13 @@ type t = {
   forwards : (int * int, Wire.reply Sim.Ivar.t) Hashtbl.t;
 }
 
-let serving t = t.serving
+(* A replica whose group is between views does not serve. *)
+let serving t =
+  t.serving
+  &&
+  match t.group with
+  | Some g -> (Group.Member.info g).status = Group.Types.Normal
+  | None -> false
 
 let set_serving_watch t w = t.serving_watch <- w
 
@@ -640,7 +646,17 @@ let admin_handler t ~client:_ body =
       else
         let changed, deleted = Wire.delta t.store ~have in
         Wire.Fetch_state_rep
-          { changed; deleted; useq = t.useq; watermark = t.gprocessed }
+          {
+            changed;
+            deleted;
+            useq = t.useq;
+            watermark = t.gprocessed;
+            decisions = Hashtbl.fold (fun txid c acc -> (txid, c) :: acc) t.xdecisions [];
+            staged =
+              Hashtbl.fold
+                (fun txid s acc -> (txid, s.x_op, s.x_peer_port) :: acc)
+                t.staged_x [];
+          }
   | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad admin request"))
 
 (* ---- Boot-time state loading ---------------------------------------- *)
@@ -740,19 +756,36 @@ let exchange_with_peers t member_nodes =
   peer_state t :: others
 
 (* Adopt the donor's state: only the directories that differ from our
-   inventory travel (an already-identical store costs almost nothing).
-   Returns the ids of the directories the transfer changed and deleted. *)
+   inventory travel (an already-identical store costs almost nothing),
+   and the cross-shard tables come whole, so a rejoined replica answers
+   a status query for a move its shard decided. The decision table only
+   grows, so its share of the transfer grows with every move the shard
+   ever decided (DESIGN.md §9 item 6). Returns the ids of the
+   directories the transfer changed and deleted. *)
 let fetch_state_from t ~donor_node ~join_base =
   match
     Rpc.Transport.trans t.transport ~port:(admin_port donor_node)
       (Wire.Fetch_state_req { required = join_base; have = Wire.inventory t.store })
   with
-  | Wire.Fetch_state_rep { changed; deleted; useq; watermark } ->
+  | Wire.Fetch_state_rep { changed; deleted; useq; watermark; decisions; staged }
+    ->
       let store, changed = Wire.install t.store ~changed ~deleted in
       t.store <- store;
       t.useq <- useq;
       t.gprocessed <- max watermark join_base;
       t.op_log <- [];
+      Hashtbl.reset t.xdecisions;
+      List.iter (fun (txid, c) -> Hashtbl.replace t.xdecisions txid c) decisions;
+      Hashtbl.reset t.staged_x;
+      List.iter
+        (fun (txid, x_op, x_peer_port) ->
+          Hashtbl.replace t.staged_x txid
+            {
+              x_op;
+              x_peer_port;
+              x_deadline = Sim.Proc.now () +. Params.xshard_timeout_ms;
+            })
+        staged;
       Some (changed, deleted)
   | _ | (exception Rpc.Transport.Rpc_failure _) -> None
 
@@ -932,8 +965,8 @@ let group_step t g =
       settle ();
       match Group.Member.reset g with
       | size when size >= majority t -> write_commit_block t
-      | _ -> t.serving <- false
-      | exception Group.Types.Group_failure _ -> t.serving <- false)
+      | 0 -> () (* no view yet: the member's wait rule retries *)
+      | _ | (exception Group.Types.Group_failure _) -> t.serving <- false)
 
 let group_thread t () =
   while true do

@@ -182,7 +182,15 @@ let admin_handler t ~client:_ body =
   | Wire.Intend_req { op } -> handle_intend t op
   | Wire.Fetch_state_req { have; _ } ->
       let changed, deleted = Wire.delta t.store ~have in
-      Wire.Fetch_state_rep { changed; deleted; useq = t.useq; watermark = 0 }
+      Wire.Fetch_state_rep
+        {
+          changed;
+          deleted;
+          useq = t.useq;
+          watermark = 0;
+          decisions = [];
+          staged = [];
+        }
   | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))
 
 (* Catch up from the peer when it is reachable (restart path): only the

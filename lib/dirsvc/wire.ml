@@ -84,6 +84,8 @@ type Simnet.Payload.t +=
       deleted : int list;  (** requester's dirs that no longer exist *)
       useq : int;
       watermark : int;
+      decisions : (int * bool) list;
+      staged : (int * Directory.op * string) list;
     }
   | Intend_req of { op : Directory.op }
   | Intend_ok

@@ -97,6 +97,11 @@ type Simnet.Payload.t +=
       deleted : int list;  (** requester's dirs that no longer exist *)
       useq : int;
       watermark : int;
+      decisions : (int * bool) list;
+          (** the donor's cross-shard decisions: txid, committed? *)
+      staged : (int * Directory.op * string) list;
+          (** its staged destination halves: txid, op, the source
+              shard's port. Both empty for the RPC pair. *)
     }
   | Intend_req of { op : Directory.op }
       (** RPC service: store my intention before I commit (paper §1) *)

@@ -103,7 +103,7 @@ type t = {
      responded to in the current instance. *)
   mutable reset_seen : int * int;
   mutable reset_states : (int * int) list; (* member, have_upto; as coord *)
-  mutable reset_collect_view : int option;
+  mutable unsettled_since : float; (* the wait rule's clock *)
 }
 
 (* Instance and message ids come from the engine's per-run counter, not
@@ -141,6 +141,12 @@ let make_counters m ~dissemination =
   }
 
 let now t = Sim.Engine.now t.engine
+
+(* The one wait outside [Normal] (see [fd_check]): a live coordinator
+   commits within two reset windows of its invite (collect, then sync),
+   and [fail_timeout] is the silence the detector already forgives. *)
+let unsettled_deadline t =
+  t.unsettled_since +. (2.0 *. reset_window) +. t.config.fail_timeout
 
 (* Revoke the failure detector (see [fd_tick]). Safe to call at any
    point, including from inside one of its ticks. *)
@@ -217,6 +223,7 @@ let declare_broken t ~notify_peers reason =
     emit t ~name:"broken" (fun () ->
         [ ("gname", Sim.Trace.Str t.gname); ("reason", Sim.Trace.Str reason) ]);
     t.status <- Broken;
+    t.unsettled_since <- now t;
     clear_batch t;
     fail_pending_sends t reason;
     Sim.Mailbox.send t.deliver_q (Failed reason);
@@ -580,18 +587,21 @@ let handle_retrans t ~member ~from =
 
 (* ---- Reset (ResetGroup view change) ------------------------------ *)
 
-let reset_candidate_gt (va, ca) (vb, cb) = va > vb || (va = vb && ca > cb)
+(* Join [coord]'s reset into [view], ours too: the rule's clock restarts. *)
+let accept_invite t ~view ~coord =
+  t.reset_seen <- (view, coord);
+  if t.status = Normal then fail_pending_sends t "reset in progress";
+  t.status <- Resetting;
+  t.unsettled_since <- now t
 
 let handle_reset_invite t ~instance ~view ~coord =
   if
     instance = t.epoch.instance
     && (t.status = Normal || t.status = Broken || t.status = Resetting)
     && view > t.epoch.view
-    && reset_candidate_gt (view, coord) t.reset_seen
+    && compare (view, coord) t.reset_seen > 0
   then begin
-    t.reset_seen <- (view, coord);
-    if t.status = Normal then fail_pending_sends t "reset in progress";
-    t.status <- Resetting;
+    accept_invite t ~view ~coord;
     Sim.Condvar.broadcast t.changed;
     if coord <> t.me then
       unicast t ~dst:coord t.counters.c_reset
@@ -600,22 +610,26 @@ let handle_reset_invite t ~instance ~view ~coord =
   end
 
 let handle_reset_state t ~view ~member ~have_upto =
-  match t.reset_collect_view with
-  | Some v when v = view ->
-      if not (List.mem_assoc member t.reset_states) then
-        t.reset_states <- (member, have_upto) :: t.reset_states
-  | Some _ | None -> ()
+  if
+    t.status = Resetting
+    && t.reset_seen = (view, t.me)
+    && not (List.mem_assoc member t.reset_states)
+  then t.reset_states <- (member, have_upto) :: t.reset_states
 
-let handle_reset_fetch t ~requester ~from ~upto =
+(* The entries held in [from .. upto], in seqno order. *)
+let held_range t ~from ~upto =
   let entries = ref [] in
   for seqno = upto downto from do
     match Hashtbl.find_opt t.store seqno with
     | Some entry -> entries := (seqno, entry) :: !entries
     | None -> ()
   done;
+  !entries
+
+let handle_reset_fetch t ~requester ~from ~upto =
+  let entries = held_range t ~from ~upto in
   unicast t ~dst:requester t.counters.c_reset
-    (Wire.Reset_entries
-       { gname = t.gname; instance = t.epoch.instance; entries = !entries })
+    (Wire.Reset_entries { gname = t.gname; instance = t.epoch.instance; entries })
 
 let handle_reset_entries t entries =
   List.iter
@@ -681,90 +695,58 @@ let apply_reset_commit t ~epoch ~members:new_members ~sequencer ~base ~patch =
         ])
   end
 
+(* One attempt: invite, collect member states for a window, sync from
+   the most advanced member, commit the view to every member that
+   answered. A coordinator superseded by a higher invite waits for that
+   one's commit, until the wait rule's deadline only: the rule's next
+   [Failed] is the retry. *)
 let reset t =
   if t.status = Left || t.status = Idle then
     raise (Group_failure "reset: not a member");
-  let max_attempts = 8 in
-  let rec attempt n =
-    if n > max_attempts then List.length t.members
-    else begin
-      let view = max t.epoch.view (fst t.reset_seen) + 1 in
-      t.reset_seen <- (view, t.me);
-      if t.status = Normal then fail_pending_sends t "reset in progress";
-      t.status <- Resetting;
-      t.reset_states <- [ (t.me, t.contig) ];
-      t.reset_collect_view <- Some view;
-      multicast t t.counters.c_reset
-        (Wire.Reset_invite
-           { gname = t.gname; instance = t.epoch.instance; view; coord = t.me });
-      Sim.Proc.sleep reset_window;
-      t.reset_collect_view <- None;
-      if t.status = Normal then List.length t.members
-      else if t.reset_seen <> (view, t.me) then begin
-        (* A higher-priority coordinator took over: wait for its commit. *)
-        (try
-           Sim.Condvar.await ~timeout:(2.0 *. reset_window) t.changed
-             (fun () -> t.status = Normal)
-         with Sim.Proc.Timeout -> ());
-        if t.status = Normal then List.length t.members else attempt (n + 1)
-      end
-      else begin
-        let states = t.reset_states in
-        let base = List.fold_left (fun acc (_, h) -> max acc h) (-1) states in
-        (* Sync ourselves from the most advanced member first. *)
-        let synced =
-          if t.contig >= base then true
-          else begin
-            let donor, _ = List.find (fun (_, h) -> h = base) states in
-            unicast t ~dst:donor t.counters.c_reset
-              (Wire.Reset_fetch
-                 {
-                   gname = t.gname;
-                   instance = t.epoch.instance;
-                   from = t.contig + 1;
-                   upto = base;
-                 });
-            (try
-               Sim.Condvar.await ~timeout:reset_window t.changed
-                 (fun () -> t.contig >= base)
-             with Sim.Proc.Timeout -> ());
-            t.contig >= base
-          end
-        in
-        if (not synced) || t.reset_seen <> (view, t.me) then attempt (n + 1)
-        else begin
-          let new_members = List.sort compare (List.map fst states) in
-          let sequencer = List.hd new_members in
-          let epoch = { instance = t.epoch.instance; view } in
-          List.iter
-            (fun (m, have) ->
-              if m <> t.me then begin
-                let patch = ref [] in
-                for seqno = base downto have + 1 do
-                  match Hashtbl.find_opt t.store seqno with
-                  | Some entry -> patch := (seqno, entry) :: !patch
-                  | None -> ()
-                done;
-                unicast t ~dst:m t.counters.c_reset
-                  (Wire.Reset_commit
-                     {
-                       gname = t.gname;
-                       epoch;
-                       members = new_members;
-                       sequencer;
-                       base;
-                       patch = !patch;
-                     })
-              end)
-            states;
-          apply_reset_commit t ~epoch ~members:new_members ~sequencer ~base
-            ~patch:[];
-          List.length new_members
-        end
-      end
-    end
-  in
-  attempt 1
+  let view = max t.epoch.view (fst t.reset_seen) + 1 in
+  accept_invite t ~view ~coord:t.me;
+  t.reset_states <- [ (t.me, t.contig) ];
+  multicast t t.counters.c_reset
+    (Wire.Reset_invite
+       { gname = t.gname; instance = t.epoch.instance; view; coord = t.me });
+  Sim.Proc.sleep reset_window;
+  let ours () = t.status <> Normal && t.reset_seen = (view, t.me) in
+  let states = t.reset_states in
+  let base = List.fold_left (fun acc (_, h) -> max acc h) (-1) states in
+  if ours () && t.contig < base then begin
+    let donor, _ = List.find (fun (_, h) -> h = base) states in
+    unicast t ~dst:donor t.counters.c_reset
+      (Wire.Reset_fetch
+         {
+           gname = t.gname;
+           instance = t.epoch.instance;
+           from = t.contig + 1;
+           upto = base;
+         });
+    try
+      Sim.Condvar.await ~timeout:reset_window t.changed (fun () ->
+          t.contig >= base)
+    with Sim.Proc.Timeout -> ()
+  end;
+  if ours () && t.contig >= base then begin
+    let members = List.sort compare (List.map fst states) in
+    let sequencer = List.hd members in
+    let epoch = { instance = t.epoch.instance; view } in
+    List.iter
+      (fun (m, have) ->
+        if m <> t.me then
+          let patch = held_range t ~from:(have + 1) ~upto:base in
+          unicast t ~dst:m t.counters.c_reset
+            (Wire.Reset_commit
+               { gname = t.gname; epoch; members; sequencer; base; patch }))
+      states;
+    apply_reset_commit t ~epoch ~members ~sequencer ~base ~patch:[]
+  end;
+  (try
+     Sim.Condvar.await ~timeout:(unsettled_deadline t -. now t) t.changed
+       (fun () -> t.status = Normal)
+   with Sim.Proc.Timeout -> ());
+  if t.status = Normal then List.length t.members else 0
 
 (* ---- Packet handling ---------------------------------------------- *)
 
@@ -877,17 +859,26 @@ let rec watch_members t = function
 (* One failure-detector tick: the sequencer heartbeats and watches
    every member; a member watches the sequencer. *)
 let fd_check t =
-  if t.status = Normal then
-    if t.sequencer = t.me then begin
-      (* Suppress the heartbeat when data traffic is already flowing. *)
-      if now t -. t.last_data_sent >= t.config.heartbeat_period then
-        multicast t t.counters.c_hb
-          (Wire.Heartbeat
-             { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
-      watch_members t t.members
-    end
-    else if now t -. t.last_from_seq > t.config.fail_timeout then
-      declare_broken t ~notify_peers:true "sequencer silent"
+  match t.status with
+  | Normal ->
+      if t.sequencer = t.me then begin
+        (* Suppress the heartbeat when data traffic is already flowing. *)
+        if now t -. t.last_data_sent >= t.config.heartbeat_period then
+          multicast t t.counters.c_hb
+            (Wire.Heartbeat
+               { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
+        watch_members t t.members
+      end
+      else if now t -. t.last_from_seq > t.config.fail_timeout then
+        declare_broken t ~notify_peers:true "sequencer silent"
+  | Broken | Resetting ->
+      (* The wait rule: one [Failed] per expiry, so that the owner resets. *)
+      if now t > unsettled_deadline t then begin
+        t.unsettled_since <- now t;
+        emit t ~name:"unsettled" (fun () -> [ ("gname", Sim.Trace.Str t.gname) ]);
+        Sim.Mailbox.send t.deliver_q (Failed "no view installed")
+      end
+  | Idle | Left -> ()
 
 (* The failure detector is one periodic timer, parked in [t.fd_tick] so
    [halt_fd] can revoke it — also from inside a tick, when the tick
@@ -946,7 +937,7 @@ let make ?(config = Types.default_config) net nic ~gname =
       bb_bodies = Hashtbl.create 16;
       reset_seen = (0, -1);
       reset_states = [];
-      reset_collect_view = None;
+      unsettled_since = 0.0;
     }
   in
   (* Packets are handled in their delivery event, as the kernel would.
@@ -1102,14 +1093,9 @@ let rec receive ?timeout t =
   | Normal | Resetting -> ());
   match Sim.Mailbox.recv ?timeout t.deliver_q with
   | Delivery d -> d
-  | Failed reason ->
-      if t.status = Broken || t.status = Resetting then begin
-        (* Leave the marker for other would-be receivers; each call
-           raises once until a reset succeeds. *)
-        Sim.Mailbox.send t.deliver_q (Failed reason);
-        raise (Group_failure reason)
-      end
-      else receive ?timeout t
+  | Failed reason when t.status = Broken || t.status = Resetting ->
+      raise (Group_failure reason)
+  | Failed _ -> (* stale: a reset has succeeded since *) receive ?timeout t
 
 let pending_deliveries t = Sim.Mailbox.length t.deliver_q
 
@@ -1119,10 +1105,7 @@ let batch_timer_active t =
 let leave t =
   match t.status with
   | Left -> ()
-  | Idle ->
-      t.status <- Left;
-      halt_fd t
-  | Broken | Resetting ->
+  | Idle | Broken | Resetting ->
       t.status <- Left;
       halt_fd t;
       Sim.Condvar.broadcast t.changed

@@ -7,13 +7,21 @@
        the group breaks first}
     {- [receive] — ReceiveFromGroup: the next delivery in the global
        total order; raises {!Types.Group_failure} when the kernel has
-       detected a failure, after which the application must call
-       [reset]}
-    {- [reset] — ResetGroup: rebuild the group from the reachable
-       members; returns the new group size (the caller checks it against
-       its majority requirement)}
+       detected a failure (at once while [Broken]; while [Resetting],
+       when the wait rule below fires), after which the application
+       must call [reset]}
+    {- [reset] — ResetGroup: one attempt (invite, collect, sync,
+       commit) to rebuild the group from the reachable members; returns
+       the size of the view it ends in (the caller checks it against
+       its majority requirement), or 0 if it installed none (the wait
+       rule's next failure then prompts another attempt)}
     {- [leave] — LeaveGroup}
     {- [info] — GetInfoGroup}}
+
+    {b Wait rule.} A member [Broken] or [Resetting] for longer than
+    [2 * reset_window + fail_timeout] (15 ms windows: 110 ms by
+    default), counted from when it entered that status or last accepted
+    a reset invite, gets one failure queued for [receive].
 
     A member counts every protocol message it sends ([grp.req],
     [grp.data], …) and how long each send blocks

@@ -11,6 +11,20 @@
    latest crash that write survives. The technique follows the
    crash-consistency checkers ALICE and CrashMonkey.
 
+   Two more modes take their points from the group protocol: every
+   packet a server sends on a group ("grp:*") from the script's start.
+   [Crash_sender] crashes the sender just before its k-th packet and
+   restarts it [restart_ms] later; [Drop_packet] loses the k-th packet.
+   Clients survive there: they retry [Unavailable] and [No_majority],
+   and count any other error as an op in flight. Such a run is checked
+   once the script has finished and every server serves again, which
+   must happen within [serve_ms] (liveness).
+
+   Every run also checks two properties of the total order on each
+   replica incarnation's applied updates ([Group_server.applied_log]):
+   integrity, no (origin, uid) applied twice, and total order, every
+   two updates that two incarnations both applied in the same order.
+
    [suite] is the quick set that [dune runtest] runs; [slow_suite] is
    the wider sweep of [dune build @crash-slow]. *)
 
@@ -45,11 +59,22 @@ let leaves_present = function
 
 type victims = All | Pair of int * int | Sequencer
 
+type mode =
+  | Writes  (** [victims] and every client crash at a write or an ack *)
+  | Crash_sender  (** a server crashes before its k-th group packet *)
+  | Drop_packet  (** the k-th group packet is lost *)
+
+let mode_name = function
+  | Writes -> "writes"
+  | Crash_sender -> "crash-sender"
+  | Drop_packet -> "drop"
+
 type config = {
   name : string;
   flavor : C.flavor;
   batch_max : int;
   victims : victims;
+  mode : mode;
   seed : int64;
   script : step list list;  (** one step list per concurrent client *)
 }
@@ -72,6 +97,8 @@ type run = {
   mutable largest_batch : int;
   mutable clients : Sim.Node.t list;
   mutable finished : int;
+  mutable incarnations : (int * Dirsvc.Group_server.t) list;
+      (* every server process the run booted, newest first *)
 }
 
 let crash cfg r =
@@ -86,14 +113,59 @@ let crash cfg r =
   List.iter Sim.Node.crash r.clients;
   Sim.Engine.stop (C.engine r.cluster)
 
+(* Count one point; true at the k-th, once [describe]d into [r.point]. *)
+let reached r describe =
+  r.armed && r.point = ""
+  && begin
+       r.points <- r.points + 1;
+       r.points = r.crash_at
+     end
+  && begin
+       r.point <- describe ();
+       true
+     end
+
 let hit cfg r describe =
-  if r.armed && r.crashed = [] then begin
-    r.points <- r.points + 1;
-    if r.points = r.crash_at then begin
-      r.point <- describe ();
-      crash cfg r
-    end
-  end
+  if cfg.mode = Writes && reached r describe then crash cfg r
+
+(* Restart a crashed server and note its new incarnation; a server that
+   is up is left alone. *)
+let restart r server =
+  let before = C.group_server r.cluster server in
+  C.restart_server r.cluster server;
+  let after = C.group_server r.cluster server in
+  if after != before then r.incarnations <- (server, after) :: r.incarnations
+
+(* How long a sender crashed at its packet stays down. *)
+let restart_ms = 500.0
+
+(* The packet points: every group packet a server sends. The k-th is
+   lost; under [Crash_sender] its sender crashes first. *)
+let install_filter cfg r =
+  let n = C.n_servers r.cluster in
+  let engine = C.engine r.cluster in
+  Simnet.Network.set_fault_filter (C.net r.cluster)
+    (Some
+       (fun packet ->
+         let src = packet.Simnet.Packet.src in
+         if
+           src >= 1 && src <= n
+           && String.starts_with ~prefix:"grp:" packet.proto
+           && reached r (fun () ->
+                  Printf.sprintf "t=%.3f ms %s of %s by server %d"
+                    (Sim.Engine.now engine) (mode_name cfg.mode)
+                    (Simnet.Payload.to_string packet.payload)
+                    src)
+         then begin
+           if cfg.mode = Crash_sender then begin
+             r.crashed <- [ src ];
+             C.crash_server r.cluster src;
+             Sim.Engine.schedule engine ~delay:restart_ms (fun () ->
+                 restart r src)
+           end;
+           Simnet.Network.Drop
+         end
+         else Simnet.Network.Deliver))
 
 let int_attr e key =
   match List.assoc_opt key e.Sim.Trace.attrs with
@@ -128,6 +200,7 @@ let install_sink cfg r =
          | _ -> ()));
   Sim.Engine.set_trace (C.engine r.cluster) (Some trace)
 
+(* Raises [Not_found] when the directory's creation never returned. *)
 let perform r client op =
   let cap d = Hashtbl.find r.caps d in
   match op with
@@ -137,6 +210,27 @@ let perform r client op =
   | Delete_dir d -> Dirsvc.Client.delete_dir client (cap d)
   | Append (d, name) -> Dirsvc.Client.append_row client (cap d) ~name [ cap d ]
   | Delete (d, name) -> Dirsvc.Client.delete_row client (cap d) ~name
+
+(* One op until it returns; false when it failed for good. Only a run
+   that injects a packet fault tolerates errors: in the write-point
+   mode the run stops at its crash, and a dry run injects nothing, so
+   there any client error escapes the fiber and fails the case. *)
+let rec attempt cfg r client op =
+  if cfg.mode = Writes || r.crash_at = 0 then begin
+    perform r client op;
+    true
+  end
+  else
+    match perform r client op with
+    | () -> true
+    | exception
+        Dirsvc.Wire.Dir_error
+          (Dirsvc.Wire.Unavailable _ | Dirsvc.Wire.No_majority) ->
+        Sim.Proc.sleep 100.0;
+        attempt cfg r client op
+    | exception
+        (Dirsvc.Wire.Dir_error _ | Rpc.Transport.Rpc_failure _ | Not_found) ->
+        false
 
 let start_client cfg r id steps =
   let client = C.client r.cluster in
@@ -149,15 +243,16 @@ let start_client cfg r id steps =
             match step with
             | Pause ms -> Sim.Proc.sleep ms
             | Down server -> C.crash_server r.cluster server
-            | Up server -> C.restart_server r.cluster server
+            | Up server -> restart r server
             | Op op ->
                 let invoked = { client = id; op; acked = false } in
                 r.history <- invoked :: r.history;
-                perform r client op;
-                invoked.acked <- true;
-                hit cfg r (fun () ->
-                    Printf.sprintf "t=%.3f ms client%d ack of %s"
-                      (Sim.Proc.now ()) id (op_to_string op)))
+                if attempt cfg r client op then begin
+                  invoked.acked <- true;
+                  hit cfg r (fun () ->
+                      Printf.sprintf "t=%.3f ms client%d ack of %s"
+                        (Sim.Proc.now ()) id (op_to_string op))
+                end)
         steps;
       r.finished <- r.finished + 1)
 
@@ -179,10 +274,15 @@ let start cfg ~crash_at =
       largest_batch = 0;
       clients = [];
       finished = 0;
+      incarnations = [];
     }
   in
   install_sink cfg r;
+  if cfg.mode <> Writes then install_filter cfg r;
   if not (C.await_ready r.cluster) then Alcotest.fail "cluster does not boot";
+  r.incarnations <-
+    List.init (C.n_servers r.cluster) (fun i ->
+        (i + 1, C.group_server r.cluster (i + 1)));
   r.armed <- true;
   List.iteri (fun i steps -> start_client cfg r (i + 1) steps) cfg.script;
   r
@@ -249,19 +349,86 @@ let check_all r =
         keys)
     (C.store_snapshots r.cluster)
 
-let recover_and_check r =
-  let advance ms =
-    C.run_until r.cluster (Sim.Engine.now (C.engine r.cluster) +. ms)
+(* Integrity and total order over every incarnation's applied log. *)
+let check_order r =
+  let key (a : Dirsvc.Group_server.applied) = (a.a_origin, a.a_uid) in
+  let logs =
+    List.rev_map
+      (fun (server, gs) -> (server, Dirsvc.Group_server.applied_log gs))
+      r.incarnations
   in
-  advance 500.0;
-  List.iter (C.restart_server r.cluster) r.crashed;
+  let describe (origin, uid) = Printf.sprintf "(%d, %d)" origin uid in
+  let twice (server, log) =
+    let seen = Hashtbl.create 16 in
+    List.filter_map
+      (fun a ->
+        if Hashtbl.mem seen (key a) then
+          Some
+            (Printf.sprintf "server %d applied %s twice in one incarnation"
+               server (describe (key a)))
+        else begin
+          Hashtbl.add seen (key a) ();
+          None
+        end)
+      log
+  in
+  (* The first update [b] applied out of [a]'s order, if any. *)
+  let disorder (sa, la) (sb, lb) =
+    let index = Hashtbl.create 16 in
+    List.iteri (fun i a -> Hashtbl.replace index (key a) i) la;
+    let rec scan last = function
+      | [] -> None
+      | b :: rest -> (
+          match Hashtbl.find_opt index (key b) with
+          | Some i when i < fst last ->
+              Some
+                (Printf.sprintf
+                   "servers %d and %d applied %s and %s in opposite orders" sa
+                   sb (describe (snd last)) (describe (key b)))
+          | Some i -> scan (i, key b) rest
+          | None -> scan last rest)
+    in
+    scan (-1, (0, 0)) lb
+  in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest -> List.filter_map (disorder a) rest @ pairs rest
+  in
+  List.concat_map twice logs @ pairs logs
+
+let advance r ms =
+  C.run_until r.cluster (Sim.Engine.now (C.engine r.cluster) +. ms)
+
+(* How long every server may take to serve again once all are up. *)
+let serve_ms = 20_000.0
+
+let serve_and_check r =
   let n = C.n_servers r.cluster in
-  if not (C.await_serving ~timeout:20_000.0 r.cluster ~count:n) then
-    [ "the crashed servers do not all serve again within 20 s" ]
+  if not (C.await_serving ~timeout:serve_ms r.cluster ~count:n) then
+    [
+      Printf.sprintf "not every server serves within %.0f s of all being up"
+        (serve_ms /. 1000.0);
+    ]
   else begin
-    advance 1_000.0;
-    check_all r
+    advance r 1_000.0;
+    check_all r @ check_order r
   end
+
+let recover_and_check r =
+  advance r 500.0;
+  List.iter (restart r) r.crashed;
+  serve_and_check r
+
+(* The script's own time limit, from its start. *)
+let script_ms = 60_000.0
+
+let running r = r.finished < List.length r.clients
+
+let run_script r ~deadline =
+  let engine = C.engine r.cluster in
+  while running r && Sim.Engine.now engine < deadline do
+    C.run_until r.cluster (Sim.Engine.now engine +. 10.0)
+  done
 
 (* Points after the script's last ack: the idle apply of the log and
    the Bullet server's background writes. *)
@@ -271,17 +438,14 @@ let settle_ms = 1_000.0
 let sweep ~suite ~index cfg =
   let dry = start cfg ~crash_at:0 in
   let engine = C.engine dry.cluster in
-  let deadline = Sim.Engine.now engine +. 60_000.0 in
-  let running () = dry.finished < List.length dry.clients in
-  while running () && Sim.Engine.now engine < deadline do
-    C.run_until dry.cluster (Sim.Engine.now engine +. 10.0)
-  done;
-  if running () then Alcotest.failf "%s: the script does not finish" cfg.name;
+  let started = Sim.Engine.now engine in
+  run_script dry ~deadline:(started +. script_ms);
+  if running dry then Alcotest.failf "%s: the script does not finish" cfg.name;
   let window_end = Sim.Engine.now engine +. settle_ms in
   C.run_until dry.cluster window_end;
   let points = dry.points in
-  Printf.printf "%s: %d crash points, ordered batches of up to %d\n" cfg.name
-    points dry.largest_batch;
+  Printf.printf "%s: %d %s points, ordered batches of up to %d\n" cfg.name
+    points (mode_name cfg.mode) dry.largest_batch;
   let report k r ~point problems =
     let in_flight = List.filter (fun i -> not i.acked) r.history in
     Printf.sprintf
@@ -289,27 +453,42 @@ let sweep ~suite ~index cfg =
       \  point: %s\n\
       \  in flight: %s\n\
        %s\n\
-      \  replay: dune exec test/test_main.exe -- test %s %d"
+      \  replay: dune exec test/test_main.exe -- test %s %d  (mode %s, k = %d)"
       cfg.name cfg.seed k points point
       (if in_flight = [] then "none"
        else String.concat ", " (List.map describe_invoked in_flight))
       (String.concat "\n" (List.map (fun p -> "  violation: " ^ p) problems))
-      suite index
+      suite index (mode_name cfg.mode) k
   in
-  (match check_all dry with
+  let rerun k =
+    let r = start cfg ~crash_at:k in
+    C.run_until r.cluster window_end;
+    let problems =
+      if r.point = "" then [ "the rerun diverged" ]
+      else if cfg.mode = Writes then recover_and_check r
+      else begin
+        run_script r ~deadline:(started +. script_ms);
+        if running r then
+          [
+            Printf.sprintf "the script does not finish within %.0f s"
+              (script_ms /. 1000.0);
+          ]
+        else begin
+          List.iter (restart r) r.crashed;
+          serve_and_check r
+        end
+      end
+    in
+    match problems with
+    | [] -> []
+    | problems ->
+        let point = if r.point = "" then "never reached" else r.point in
+        [ report k r ~point problems ]
+  in
+  (match check_all dry @ check_order dry with
   | [] -> []
   | problems -> [ report 0 dry ~point:"none (no crash)" problems ])
-  @ List.concat_map
-      (fun k ->
-        let r = start cfg ~crash_at:k in
-        C.run_until r.cluster window_end;
-        if r.crashed = [] then
-          [ report k r ~point:"never reached" [ "the rerun diverged" ] ]
-        else
-          match recover_and_check r with
-          | [] -> []
-          | problems -> [ report k r ~point:r.point problems ])
-      (List.init points (fun k -> k + 1))
+  @ List.concat_map rerun (List.init points (fun k -> k + 1))
 
 let case ~suite index cfg =
   Alcotest.test_case cfg.name `Quick (fun () ->
@@ -334,13 +513,14 @@ let media =
     (C.Group_disk, 1); (C.Group_disk, 4); (C.Group_nvram, 1); (C.Group_nvram, 4);
   ]
 
-let config ?(victims = All) (flavor, batch_max) what script =
+let config ?(victims = All) ?(mode = Writes) (flavor, batch_max) what script =
   let name =
-    Printf.sprintf "%s batch %d: %s"
+    Printf.sprintf "%s batch %d: %s%s"
       (match flavor with C.Group_nvram -> "Group_nvram" | _ -> "Group_disk")
       batch_max what
+      (if mode = Writes then "" else Printf.sprintf " (%s)" (mode_name mode))
   in
-  { name; flavor; batch_max; victims; seed = 39L; script }
+  { name; flavor; batch_max; victims; mode; seed = 39L; script }
 
 let quick =
   List.map
@@ -382,20 +562,29 @@ let slow =
    and the commit-block writes around them. Server 1, because it wins
    Skeen's tie-break: a replica that reboots with the recovering flag
    set must not donate. *)
-let rejoin =
-  List.map
-    (fun m ->
-      config m "full crash during server 1's rejoin"
-        [
-          [
-            Op (Create "x"); Op (Create "y"); Op (Create "z");
-            Op (Append ("x", "x1")); Pause 500.0; Down 1; Pause 500.0;
-            Op (Append ("x", "x2")); Op (Delete_dir "y"); Op (Append ("z", "z1"));
-            Up 1; Pause 3000.0;
-          ];
-        ])
+let rejoin ?mode m =
+  config ?mode m "full crash during server 1's rejoin"
+    [
+      [
+        Op (Create "x"); Op (Create "y"); Op (Create "z");
+        Op (Append ("x", "x1")); Pause 500.0; Down 1; Pause 500.0;
+        Op (Append ("x", "x2")); Op (Delete_dir "y"); Op (Append ("z", "z1"));
+        Up 1; Pause 3000.0;
+      ];
+    ]
+
+(* The packet modes on the rejoin script: one medium in the quick set,
+   the other three in the slow one. *)
+let packet_modes media =
+  List.concat_map
+    (fun m -> [ rejoin ~mode:Crash_sender m; rejoin ~mode:Drop_packet m ])
     media
 
-let suite = List.mapi (case ~suite:"crash") (quick @ rejoin)
+let suite =
+  List.mapi (case ~suite:"crash")
+    (quick @ List.map rejoin media @ packet_modes [ (C.Group_disk, 4) ])
 
-let slow_suite = List.mapi (case ~suite:"crash-slow") slow
+let slow_suite =
+  List.mapi (case ~suite:"crash-slow")
+    (slow
+    @ packet_modes [ (C.Group_disk, 1); (C.Group_nvram, 1); (C.Group_nvram, 4) ])

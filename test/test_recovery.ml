@@ -1041,3 +1041,80 @@ let suite =
         "group commit: a directory deletion met by an overflowing flush"
         `Quick test_delete_dir_met_by_overflow;
     ]
+
+(* Two faults in one ResetGroup. Server 1, the sequencer, crashes; the
+   survivors reset, and the coordinator crashes as it sends its first
+   Reset_commit, which is lost. The other survivor accepted the invite
+   and waits for a commit that never comes. The wait rule must hand it
+   back a failure within [2 * reset_window + fail_timeout] (plus one
+   detector tick), it must not report serving meanwhile, and once both
+   crashed servers are back all three serve: Skeen's rule waits for the
+   survivor, which stayed up with the latest state. *)
+let test_reset_coordinator_dies () =
+  let cluster = boot ~seed:1L C.Group_disk in
+  let net = C.net cluster in
+  let config = Group.Types.default_config in
+  (* The rule's bound (a reset window is 15 ms), plus one detector tick. *)
+  let bound = (2.0 *. 15.0) +. config.fail_timeout +. config.heartbeat_period in
+  let lost = ref None and resetting = ref false and overlaps = ref 0 in
+  let own_broken = ref 0 and settled = ref None in
+  Simnet.Network.set_fault_filter net
+    (Some
+       (fun packet ->
+         match packet.Simnet.Packet.payload with
+         | Group.Wire.Reset_commit _ when !lost = None ->
+             lost := Some (packet.src, Sim.Engine.now (C.engine cluster));
+             C.crash_server cluster packet.src;
+             Simnet.Network.Drop
+         | (Group.Wire.Reset_state _ | Group.Wire.Reset_invite _)
+           when packet.src = 2 ->
+             resetting := true;
+             Simnet.Network.Deliver
+         | _ -> Simnet.Network.Deliver));
+  let trace = Sim.Trace.create () in
+  Sim.Trace.set_sink trace
+    (Some
+       (fun e ->
+         if e.Sim.Trace.subsystem = "grp" && e.Sim.Trace.node = 2 then
+           match e.Sim.Trace.name with
+           | "broken" -> incr own_broken
+           | "view" -> resetting := false
+           | "unsettled" when !settled = None ->
+               settled := Some e.Sim.Trace.time
+           | _ -> ()));
+  Sim.Engine.set_trace (C.engine cluster) (Some trace);
+  advance cluster 300.0;
+  C.crash_server cluster 1;
+  for _ = 1 to 400 do
+    advance cluster 5.0;
+    if !resetting && List.mem 2 (C.serving_servers cluster) then incr overlaps
+  done;
+  C.restart_server cluster 1;
+  (match !lost with
+  | Some (coord, _) -> C.restart_server cluster coord
+  | None -> Alcotest.fail "no Reset_commit was sent");
+  let all_back = C.await_serving ~timeout:20_000.0 cluster ~count:3 in
+  Sim.Engine.set_trace (C.engine cluster) None;
+  Alcotest.(check int) "server 2 entered Resetting from the invite" 0
+    !own_broken;
+  Alcotest.(check int) "server 2 not listed serving while Resetting" 0
+    !overlaps;
+  (match (!lost, !settled) with
+  | Some (_, t_lost), Some t_settled ->
+      Printf.printf "commit lost at %.1f ms; server 2 failed at %.1f ms\n"
+        t_lost t_settled;
+      if t_settled -. t_lost > bound then
+        Alcotest.failf "server 2 waited %.1f ms for the lost commit (bound %.1f)"
+          (t_settled -. t_lost) bound
+  | _ -> Alcotest.fail "server 2 never gave up on the lost commit");
+  Alcotest.(check bool) "all three serve again" true all_back;
+  ignore
+    (Harness.on_client ~budget:20_000.0 cluster (fun client ->
+         Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "reset coordinator dies before its commit" `Quick
+        test_reset_coordinator_dies;
+    ]

@@ -663,3 +663,81 @@ let suite =
       Alcotest.test_case "acknowledged move survives a destination crash"
         `Quick test_acked_move_survives_destination_crash;
     ]
+
+(* A source replica that rejoined by state transfer must know the moves
+   its shard decided. Source server 3 is down while a move commits;
+   every backbone packet is lost, so the forwarded commit never lands,
+   and the coordinator dies as the source decides. Server 3 rejoins from a peer's state, then
+   server 1 crashes and server 2 is cut from the backbone: when the
+   destination's resolver asks, only server 3 can answer. It must
+   answer that the move committed, so the row ends at the destination,
+   not in neither directory. *)
+let test_rejoined_source_knows_decision () =
+  let cluster, src, dst = two_shard_dirs ~seed:31L ~name:"s" in
+  let backbone =
+    match C.backbone cluster with
+    | Some net -> net
+    | None -> Alcotest.fail "two shards have no backbone"
+  in
+  let advance ms =
+    C.run_until cluster (Sim.Engine.now (C.engine cluster) +. ms)
+  in
+  C.crash_server_in cluster ~shard:0 3;
+  advance 1_000.0;
+  let coordinator = C.client cluster in
+  let cut = ref (fun (_ : Simnet.Packet.t) -> true) in
+  Simnet.Network.set_fault_filter backbone
+    (Some
+       (fun packet ->
+         if !cut packet then Simnet.Network.Drop else Simnet.Network.Deliver));
+  let decided = ref 0 and asked_3 = ref [] and resolved = ref 0 in
+  on_dirsvc_event cluster (fun e ->
+      match e.Sim.Trace.name with
+      | "xdecided" ->
+          incr decided;
+          Sim.Node.crash
+            (Rpc.Transport.node (Dirsvc.Client.transport coordinator))
+      | "xaborted" when e.Sim.Trace.node = 3 ->
+          asked_3 := e.Sim.Trace.time :: !asked_3
+      | "xresolve_commit" -> incr resolved
+      | _ -> ());
+  let moved =
+    Harness.start_on cluster coordinator (fun () ->
+        outcome (fun () ->
+            Dirsvc.Client.move_row coordinator ~src ~dst ~name:"s"))
+  in
+  advance 1_000.0;
+  Alcotest.(check int) "the source decided on both live replicas" 2 !decided;
+  Alcotest.(check bool) "the coordinator died in the move" false
+    (Sim.Node.is_alive
+       (Rpc.Transport.node (Dirsvc.Client.transport coordinator)));
+  Alcotest.(check bool) "the move never returned" true (!moved = None);
+  C.restart_server_in cluster ~shard:0 3;
+  Alcotest.(check bool) "server 3 rejoins" true
+    (C.await_serving ~timeout:20_000.0 cluster ~count:(C.total_servers cluster));
+  C.crash_server_in cluster ~shard:0 1;
+  (cut :=
+     fun packet ->
+       packet.Simnet.Packet.src = 2 || packet.dst = Simnet.Packet.Unicast 2);
+  advance 8_000.0;
+  Sim.Engine.set_trace (C.engine cluster) None;
+  Alcotest.(check (list (float 0.0))) "server 3 ordered no abort" []
+    !asked_3;
+  Alcotest.(check int) "the destination's resolver committed" 1 !resolved;
+  Alcotest.check cap_opt "destination holds the moved row" (Some src)
+    (Option.map fst
+       (Harness.on_client cluster (fun client ->
+            with_unavailable_retry (fun () ->
+                Dirsvc.Client.lookup client dst "s"))));
+  Alcotest.check cap_opt "source row stayed deleted" None
+    (Option.map fst
+       (Harness.on_client cluster (fun client ->
+            with_unavailable_retry (fun () ->
+                Dirsvc.Client.lookup client src "s"))))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "rejoined source replica knows the decided move"
+        `Quick test_rejoined_source_knows_decision;
+    ]
