@@ -95,64 +95,18 @@ let lookup t ?column cap name =
 
 (* ---- Cross-shard move ------------------------------------------------ *)
 
-let xcall t ~shard cmd =
-  match Shard_router.call t ~shard (Wire.Xshard_req cmd) with
-  | Wire.Ok_rep -> ()
-  | _ -> raise (Wire.Dir_error (Wire.Unavailable "unexpected xshard reply"))
-
-let move_row ?hook t ~src ~dst ~name =
-  let checkpoint stage = match hook with None -> () | Some f -> f stage in
-  let rowcap, mask =
-    match lookup t src name with
-    | Some (cap, mask) -> (cap, mask)
-    | None -> raise (Wire.Dir_error (Wire.Op_error Directory.Not_found))
-  in
-  let src_shard = shard_of_cap t src and dst_shard = shard_of_cap t dst in
-  if src_shard <> dst_shard then begin
-    (* Two ordered steps: the destination stages the append and
-       reserves its name, then the source decides in one ordered step —
-       its decision is the commit point — deletes the row and forwards
-       the commit to the destination itself. A coordinator that dies
-       mid-protocol leaves the destination's resolver to ask the
-       source; [hook] raising at a checkpoint simulates exactly that
-       crash, so no abort is sent on a hook exception. *)
+let move_row t ~src ~dst ~name =
+  if shard_of_cap t src <> shard_of_cap t dst then begin
+    (* One request: the source shard runs the move (see [Wire.Xmove]). *)
     Shard_router.count_cross t;
-    let txid = Shard_router.fresh_txid t in
-    (* Only while the source cannot commit: before the decision is
-       sent, or once it refused. *)
-    let release_dst () =
-      try xcall t ~shard:dst_shard (Wire.Xabort { txid }) with _ -> ()
-    in
-    (try
-       xcall t ~shard:dst_shard
-         (Wire.Xprepare
-            {
-              txid;
-              op =
-                Directory.Append_row
-                  { cap = dst; name; caps = [ rowcap ]; masks = [ mask ] };
-              peer_port = Shard_router.port t ~shard:src_shard;
-            })
-     with (Wire.Dir_error _ | Rpc.Transport.Rpc_failure _) as e ->
-       release_dst ();
-       raise e);
-    checkpoint "prepared_dst";
-    (try
-       xcall t ~shard:src_shard
-         (Wire.Xdecide
-            {
-              txid;
-              op = Directory.Delete_row { cap = src; name };
-              row = (rowcap, mask);
-              peer_port = Shard_router.port t ~shard:dst_shard;
-            })
-     with Wire.Dir_error (Wire.Op_error _) as e ->
-       release_dst ();
-       raise e);
-    checkpoint "committed_src"
+    expect_ok
+      (call_cap t src
+         (Wire.Xmove { txid = Shard_router.fresh_txid t; src; dst; name }))
   end
-  else begin
+  else
     (* Same group orders both halves; no coordination needed. *)
-    append_row t dst ~name ~masks:[ mask ] [ rowcap ];
-    delete_row t src ~name
-  end
+    match lookup t src name with
+    | Some (rowcap, mask) ->
+        append_row t dst ~name ~masks:[ mask ] [ rowcap ];
+        delete_row t src ~name
+    | None -> raise (Wire.Dir_error (Wire.Op_error Directory.Not_found))

@@ -60,20 +60,15 @@ val lookup_set :
 
 (** [move_row t ~src ~dst ~name] moves the row [name] from directory
     [src] to directory [dst]. When the two directories live on
-    different shards this is two ordered steps: the destination stages
-    the append and reserves the name, then the source decides — if the
-    row still carries what the lookup returned it deletes it and
+    different shards this is one request to the source shard, which
+    runs the move: it looks the row up, has the destination stage the
+    append and reserve the name, then decides in its total order — if
+    the row still carries what the lookup returned it deletes it and
     forwards the commit to the destination, else the move raises
     [Op_error Not_found]. The call returns once both halves are
-    durable. Otherwise it is a plain append + delete. [hook] is called
-    after each step with ["prepared_dst"] and ["committed_src"] — a
-    hook that raises simulates a coordinator crash at that point (no
-    abort is sent), leaving termination to the destination's
-    resolver. *)
+    durable. A move that raised [Unavailable] may still complete: the
+    destination re-sends the source's decision once its staged half
+    times out. Within one shard it is a plain lookup, append and
+    delete. *)
 val move_row :
-  ?hook:(string -> unit) ->
-  t ->
-  src:Capability.t ->
-  dst:Capability.t ->
-  name:string ->
-  unit
+  t -> src:Capability.t -> dst:Capability.t -> name:string -> unit

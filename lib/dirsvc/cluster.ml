@@ -1,15 +1,43 @@
 type flavor = Group_disk | Group_nvram | Rpc_pair | Nfs_single
 
-type server_slot = {
-  dir_node : Sim.Node.t;
-  bullet_node : Sim.Node.t option;
-  device : Storage.Block_device.t;
-  intent_device : Storage.Block_device.t option;
-  nvram : Storage.Block_device.t option; (* Group_nvram's commit block *)
-  mutable group_server : Group_server.t option;
-  mutable rpc_server : Rpc_server.t option;
-  mutable nfs_server : Nfs_server.t option;
-}
+(* One server's machines and devices, by flavour; the server field is
+   filled at each boot. *)
+type server_slot =
+  | Group_slot of {
+      dir_node : Sim.Node.t;
+      bullet_node : Sim.Node.t;
+      device : Storage.Block_device.t;
+      nvram : Storage.Block_device.t option; (* Group_nvram's commit block *)
+      mutable group_server : Group_server.t option;
+    }
+  | Rpc_slot of {
+      dir_node : Sim.Node.t;
+      bullet_node : Sim.Node.t;
+      device : Storage.Block_device.t;
+      intent_device : Storage.Block_device.t;
+      mutable rpc_server : Rpc_server.t option;
+    }
+  | Nfs_slot of {
+      dir_node : Sim.Node.t;
+      device : Storage.Block_device.t;
+      mutable nfs_server : Nfs_server.t option;
+    }
+
+let dir_node = function
+  | Group_slot { dir_node; _ }
+  | Rpc_slot { dir_node; _ }
+  | Nfs_slot { dir_node; _ } ->
+      dir_node
+
+let slot_device = function
+  | Group_slot { device; _ } | Rpc_slot { device; _ } | Nfs_slot { device; _ }
+    ->
+      device
+
+let bullet_node = function
+  | Group_slot { bullet_node; _ } | Rpc_slot { bullet_node; _ } ->
+      Some bullet_node
+  | Nfs_slot _ -> None
 
 (* One replica group. Every deployment is built the same way, whatever
    its shard count M ([Params.shards]; always 1 for the RPC / NFS
@@ -18,7 +46,7 @@ type server_slot = {
    of how many other shards exist — its own service port
    ([service_port]), group name "dirgrp<k>" and "s<k>."-prefixed machine
    names. With M > 1 a backbone network (the next derived seed) carries
-   cross-shard termination queries. *)
+   the cross-shard moves' steps between shards. *)
 type shard = {
   index : int;
   snet : Simnet.Network.t;
@@ -81,14 +109,14 @@ let make_device ~engine ~params ~name =
 
 (* Boot the Bullet server that shares server [i]'s disk. *)
 let boot_bullet t ~snet slot =
-  match slot.bullet_node with
+  match bullet_node slot with
   | None -> ()
   | Some node ->
       let nic = Simnet.Network.attach snet node in
       let transport = Rpc.Transport.create snet nic in
       let cpu = Sim.Resource.create ~capacity:1 () in
       ignore
-        (Storage.Bullet.start snet transport ~device:slot.device
+        (Storage.Bullet.start snet transport ~device:(slot_device slot)
            ~first_block:(t.params.Params.admin_slots + 1)
            ~region_blocks:
              (Params.disk_blocks - t.params.Params.admin_slots - 1)
@@ -96,97 +124,85 @@ let boot_bullet t ~snet slot =
 
 let peers_of shard =
   Array.to_list shard.slots
-  |> List.mapi (fun i slot -> (i + 1, Sim.Node.id slot.dir_node))
+  |> List.mapi (fun i slot -> (i + 1, Sim.Node.id (dir_node slot)))
 
 let boot_dir_server t shard server_id =
-  let slot = shard.slots.(server_id - 1) in
-  match t.flavor with
-  | Group_disk | Group_nvram ->
-      let bullet_port =
-        match slot.bullet_node with
-        | Some node -> Storage.Bullet.port_of (Sim.Node.id node)
-        | None -> assert false
-      in
-      let server =
-        Group_server.start ~params:t.params ?nvram:slot.nvram
-          ?shard:(if shards t > 1 then Some shard.index else None)
-          ?xnet:t.backbone shard.snet ~server_id ~peers:(peers_of shard)
-          ~node:slot.dir_node ~device:slot.device ~bullet_port
-          ~gname:shard.sgname ~port:shard.sport ()
-      in
-      slot.group_server <- Some server
-  | Rpc_pair ->
+  let bullet_port node = Storage.Bullet.port_of (Sim.Node.id node) in
+  match shard.slots.(server_id - 1) with
+  | Group_slot slot ->
+      slot.group_server <-
+        Some
+          (Group_server.start ~params:t.params ?nvram:slot.nvram
+             ?shard:(if shards t > 1 then Some shard.index else None)
+             ?xnet:t.backbone shard.snet ~server_id ~peers:(peers_of shard)
+             ~node:slot.dir_node ~device:slot.device
+             ~bullet_port:(bullet_port slot.bullet_node)
+             ~gname:shard.sgname ~port:shard.sport ())
+  | Rpc_slot slot ->
       let peer = if server_id = 1 then 2 else 1 in
-      let intent_device =
-        match slot.intent_device with Some d -> d | None -> assert false
-      in
-      let bullet_port =
-        match slot.bullet_node with
-        | Some node -> Storage.Bullet.port_of (Sim.Node.id node)
-        | None -> assert false
-      in
-      let server =
-        Rpc_server.start ~params:t.params shard.snet ~server_id
-          ~peer_node:(Sim.Node.id shard.slots.(peer - 1).dir_node)
-          ~node:slot.dir_node ~device:slot.device ~intent_device ~bullet_port
-          ~port:shard.sport ()
-      in
-      slot.rpc_server <- Some server
-  | Nfs_single ->
-      let server =
-        Nfs_server.start ~params:t.params shard.snet
-          ~node:slot.dir_node ~device:slot.device ~port:shard.sport ()
-      in
-      slot.nfs_server <- Some server
+      slot.rpc_server <-
+        Some
+          (Rpc_server.start ~params:t.params shard.snet ~server_id
+             ~peer_node:(Sim.Node.id (dir_node shard.slots.(peer - 1)))
+             ~node:slot.dir_node ~device:slot.device
+             ~intent_device:slot.intent_device
+             ~bullet_port:(bullet_port slot.bullet_node)
+             ~port:shard.sport ())
+  | Nfs_slot slot ->
+      slot.nfs_server <-
+        Some
+          (Nfs_server.start ~params:t.params shard.snet ~node:slot.dir_node
+             ~device:slot.device ~port:shard.sport ())
 
 let make_slots ~engine ~params ~flavor ~shard_index n =
   Array.init n (fun i ->
       let server_id = i + 1 in
       let prefixed fmt = Printf.sprintf "s%d.%s%d" shard_index fmt server_id in
+      let dir_node =
+        Sim.Node.create
+          ~id:(dir_node_id ~shard_index server_id)
+          ~name:(prefixed "dir")
+      in
       let device = make_device ~engine ~params ~name:(prefixed "disk") in
-      let intent_device =
-        match flavor with
-        | Rpc_pair ->
-            Some
-              (Storage.Block_device.create engine
-                 ~name:(Printf.sprintf "intent%d" server_id)
-                 ~blocks:64 ~block_size:Params.disk_block_size
-                 ~read_ms:params.Params.disk_read_ms
-                 ~write_ms:params.Params.intentions_write_ms ())
-        | Group_disk | Group_nvram | Nfs_single -> None
+      let bullet_node () =
+        Sim.Node.create
+          ~id:(bullet_node_id ~shard_index server_id)
+          ~name:(prefixed "bullet")
       in
-      let nvram =
-        match flavor with
-        | Group_nvram ->
-            Some
-              (Storage.Block_device.create engine ~name:(prefixed "nvram")
-                 ~blocks:1 ~block_size:params.Params.nvram_capacity
-                 ~read_ms:Params.nvram_write_ms ~write_ms:Params.nvram_write_ms
-                 ())
-        | Group_disk | Rpc_pair | Nfs_single -> None
-      in
-      let bullet_node =
-        match flavor with
-        | Nfs_single -> None
-        | Group_disk | Group_nvram | Rpc_pair ->
-            Some
-              (Sim.Node.create
-                 ~id:(bullet_node_id ~shard_index server_id)
-                 ~name:(prefixed "bullet"))
-      in
-      {
-        dir_node =
-          Sim.Node.create
-            ~id:(dir_node_id ~shard_index server_id)
-            ~name:(prefixed "dir");
-        bullet_node;
-        device;
-        intent_device;
-        nvram;
-        group_server = None;
-        rpc_server = None;
-        nfs_server = None;
-      })
+      match flavor with
+      | Group_disk | Group_nvram ->
+          let nvram =
+            if flavor = Group_nvram then
+              Some
+                (Storage.Block_device.create engine ~name:(prefixed "nvram")
+                   ~blocks:1 ~block_size:params.Params.nvram_capacity
+                   ~read_ms:Params.nvram_write_ms
+                   ~write_ms:Params.nvram_write_ms ())
+            else None
+          in
+          Group_slot
+            {
+              dir_node;
+              bullet_node = bullet_node ();
+              device;
+              nvram;
+              group_server = None;
+            }
+      | Rpc_pair ->
+          Rpc_slot
+            {
+              dir_node;
+              bullet_node = bullet_node ();
+              device;
+              intent_device =
+                Storage.Block_device.create engine
+                  ~name:(Printf.sprintf "intent%d" server_id)
+                  ~blocks:64 ~block_size:Params.disk_block_size
+                  ~read_ms:params.Params.disk_read_ms
+                  ~write_ms:params.Params.intentions_write_ms ();
+              rpc_server = None;
+            }
+      | Nfs_single -> Nfs_slot { dir_node; device; nfs_server = None })
 
 let create ?(seed = 7L) ?(params = Params.default) ?servers ?(rails = 1) flavor
     =
@@ -257,13 +273,13 @@ let client ?max_attempts t =
     ~ports:(Array.map (fun sh -> sh.sport) t.shard_arr)
 
 let crash_server_in t ~shard server_id =
-  Sim.Node.crash t.shard_arr.(shard).slots.(server_id - 1).dir_node
+  Sim.Node.crash (dir_node t.shard_arr.(shard).slots.(server_id - 1))
 
 let restart_server_in t ~shard server_id =
   let sh = t.shard_arr.(shard) in
-  let slot = sh.slots.(server_id - 1) in
-  if not (Sim.Node.is_alive slot.dir_node) then begin
-    Sim.Node.restart slot.dir_node;
+  let node = dir_node sh.slots.(server_id - 1) in
+  if not (Sim.Node.is_alive node) then begin
+    Sim.Node.restart node;
     boot_dir_server t sh server_id
   end
 
@@ -276,9 +292,10 @@ let reboot_server t server_id =
   restart_server t server_id
 
 let group_server_in t ~shard server_id =
-  match t.shard_arr.(shard).slots.(server_id - 1).group_server with
-  | Some s -> s
-  | None -> invalid_arg "Cluster.group_server: not a group deployment"
+  match t.shard_arr.(shard).slots.(server_id - 1) with
+  | Group_slot { group_server = Some s; _ } -> s
+  | Group_slot _ | Rpc_slot _ | Nfs_slot _ ->
+      invalid_arg "Cluster.group_server: not a group deployment"
 
 let group_server t server_id = group_server_in t ~shard:0 server_id
 
@@ -287,11 +304,12 @@ let store_snapshots_in t ~shard =
   |> List.mapi (fun i slot ->
          let server_id = i + 1 in
          let store =
-           match (slot.group_server, slot.rpc_server, slot.nfs_server) with
-           | Some s, _, _ -> Group_server.store_snapshot s
-           | None, Some s, _ -> Rpc_server.store_snapshot s
-           | None, None, Some s -> Nfs_server.store_snapshot s
-           | None, None, None -> Directory.empty
+           match slot with
+           | Group_slot { group_server = Some s; _ } ->
+               Group_server.store_snapshot s
+           | Rpc_slot { rpc_server = Some s; _ } -> Rpc_server.store_snapshot s
+           | Nfs_slot { nfs_server = Some s; _ } -> Nfs_server.store_snapshot s
+           | Group_slot _ | Rpc_slot _ | Nfs_slot _ -> Directory.empty
          in
          (server_id, store))
 
@@ -300,11 +318,11 @@ let store_snapshots t = store_snapshots_in t ~shard:0
 let serving_servers_in t ~shard =
   Array.to_list t.shard_arr.(shard).slots
   |> List.mapi (fun i slot ->
-         match slot.group_server with
-         | Some s when Group_server.serving s && Sim.Node.is_alive slot.dir_node
-           ->
+         match slot with
+         | Group_slot { group_server = Some s; dir_node; _ }
+           when Group_server.serving s && Sim.Node.is_alive dir_node ->
              Some (i + 1)
-         | Some _ | None -> None)
+         | Group_slot _ | Rpc_slot _ | Nfs_slot _ -> None)
   |> List.filter_map Fun.id
 
 let serving_servers t = serving_servers_in t ~shard:0
@@ -314,11 +332,12 @@ let total_serving t =
     (fun acc sh -> acc + List.length (serving_servers_in t ~shard:sh.index))
     0 t.shard_arr
 
-let device t server_id = t.shard_arr.(0).slots.(server_id - 1).device
+let device t server_id = slot_device t.shard_arr.(0).slots.(server_id - 1)
 
 let commit_device t server_id =
-  let slot = t.shard_arr.(0).slots.(server_id - 1) in
-  Option.value slot.nvram ~default:slot.device
+  match t.shard_arr.(0).slots.(server_id - 1) with
+  | Group_slot { nvram = Some board; _ } -> board
+  | slot -> slot_device slot
 
 (* Polls [count] (serving servers across every shard) every 20 ms of
    virtual time, the way {!Sim.Drive} polls an ivar, so the clock ends
@@ -348,6 +367,6 @@ let await_ready ?timeout t =
       true
 
 let bullet_port t server_id =
-  match t.shard_arr.(0).slots.(server_id - 1).bullet_node with
+  match bullet_node t.shard_arr.(0).slots.(server_id - 1) with
   | Some node -> Storage.Bullet.port_of (Sim.Node.id node)
   | None -> invalid_arg "Cluster.bullet_port: no bullet in this flavour"

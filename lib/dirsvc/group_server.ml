@@ -14,9 +14,8 @@ type applied = {
    shard's total order and waiting for the source's decision. Until then
    it reserves its (directory, name). *)
 type staged_xact = {
-  x_op : Directory.op;
-  x_peer_port : string;  (** the source shard's service port *)
-  x_deadline : float;  (** when the resolver may ask the source *)
+  x_prepare : Wire.prepare;
+  x_deadline : float;  (** when the resolver re-sends its decision *)
 }
 
 type t = {
@@ -82,8 +81,8 @@ type t = {
   (* Sharded deployment only ([shard] = None is a lone group).
      [staged_x] / [xdecisions] are driven exclusively by
      ordered deliveries, so every replica of the shard converges;
-     [xtransport] rides the backbone network for forwarded commits and
-     termination queries. [forwards] holds, per (origin, uid) of a
+     [xtransport] rides the backbone network for prepares, forwarded
+     commits and re-sent decisions. [forwards] holds, per (origin, uid) of a
      commit decision this server initiated, the destination's answer to
      the forwarded commit. *)
   shard : int option;
@@ -266,52 +265,38 @@ let execute_op t ~origin ~uid op =
 
 (* ---- Cross-shard transactions (ordered side) ------------------------ *)
 
-let xstatus_of t txid =
-  match Hashtbl.find_opt t.xdecisions txid with
-  | Some true -> Wire.Xcommitted
-  | Some false -> Wire.Xaborted
-  | None -> Wire.Xunknown
-
 let emit_xact t ~name ~txid =
   emit t ~name (fun () ->
       [ ("server", Sim.Trace.Int t.server_id); ("txid", Sim.Trace.Int txid) ])
 
-(* The reply for a transaction already decided, else [undecided ()]. *)
+(* The reply for a transaction already decided, else [undecided ()]: an
+   aborted move reads as its row not found. *)
 let decided_reply t txid ~undecided =
   match Hashtbl.find_opt t.xdecisions txid with
   | Some true -> Wire.Ok_rep
-  | Some false -> Wire.Err_rep (Wire.Unavailable "transaction aborted")
+  | Some false -> Wire.Err_rep (Wire.Op_error Directory.Not_found)
   | None -> undecided ()
 
 (* The backbone service of the shard whose client port is [port]:
    served by every member of that shard on the backbone network. *)
 let xshard_port port = "xs@" ^ port
 
-let xshard_request cmd = Wire.Dir_request (Wire.Xshard_req cmd)
-
-(* The destination's answer to a forwarded commit. The decision is
-   final, so a transient failure is retried until the answer is final
-   too or the destination's own resolver can be left to finish. *)
-let forward_deadline_ms = 4000.0
-
-let rec send_commit xt ~txid ~port ~deadline =
+(* One backbone request to the shard whose client port is [port]; no
+   reply at all reads as [Unavailable]. *)
+let xshard_call xt ~port cmd =
   match
-    Rpc.Transport.trans xt ~port (xshard_request (Wire.Xcommit { txid }))
+    Rpc.Transport.trans xt ~port:(xshard_port port)
+      (Wire.Dir_request (Wire.Xshard_req cmd))
   with
-  | Wire.Dir_reply ((Wire.Ok_rep | Wire.Err_rep (Wire.Op_error _)) as reply) ->
-      reply
+  | Wire.Dir_reply reply -> reply
   | _ | (exception Rpc.Transport.Rpc_failure _) ->
-      if Sim.Proc.now () > deadline then
-        Wire.Err_rep (Wire.Unavailable "commit forward timeout")
-      else begin
-        Sim.Proc.sleep 50.0;
-        send_commit xt ~txid ~port ~deadline
-      end
+      Wire.Err_rep (Wire.Unavailable ("no answer from " ^ port))
 
 (* On the server that initiated a commit decision: send the commit to
    the destination from a fiber of its own, so it is ordered and flushed
    there while this shard flushes the delete. [send_and_await] hands the
-   destination's answer to the client. *)
+   destination's answer to the client. One attempt: if it fails, the
+   destination's resolver re-sends the decision, which forwards again. *)
 let forward_commit t ~origin ~uid ~txid ~peer_port =
   match t.xtransport with
   | Some xt when origin = Sim.Node.id t.node ->
@@ -319,12 +304,11 @@ let forward_commit t ~origin ~uid ~txid ~peer_port =
       Hashtbl.replace t.forwards (origin, uid) answer;
       Sim.Proc.spawn ~name:"dirsvc.xforward" (fun () ->
           Sim.Ivar.fill answer
-            (send_commit xt ~txid ~port:(xshard_port peer_port)
-               ~deadline:(Sim.Proc.now () +. forward_deadline_ms)))
+            (xshard_call xt ~port:peer_port (Wire.Xcommit { txid })))
   | Some _ | None -> ()
 
 (* Whether the source row still carries the capability and mask the
-   client's lookup returned, and the delete would succeed. *)
+   coordinator's lookup returned, and the delete would succeed. *)
 let row_unchanged t op (cap, mask) =
   match op with
   | Directory.Delete_row { cap = dir; name } -> (
@@ -350,16 +334,17 @@ let conflicts staged op =
 let conflicts_with_staged t op =
   Hashtbl.length t.staged_x > 0
   && Hashtbl.fold
-       (fun _ staged acc -> acc || conflicts staged.x_op op)
+       (fun _ staged acc -> acc || conflicts staged.x_prepare.op op)
        t.staged_x false
 
 (* Every replica of the shard executes these in total order, so the
-   staged / decided state is replicated without extra messages. The
-   decision table never demotes a commit: a straggling abort after a
-   commit is a no-op. *)
+   staged / decided state is replicated without extra messages. Only a
+   source orders [Xdecide] and only a destination [Xabort], once its
+   source has answered an abort. The decision table never demotes a
+   commit: a straggling abort after a commit is a no-op. *)
 let execute_xact t ~origin ~uid xact =
   match xact with
-  | Wire.Xprepare { txid; op; peer_port } ->
+  | Wire.Xprepare ({ txid; op; _ } as prepare) ->
       decided_reply t txid ~undecided:(fun () ->
           if Hashtbl.mem t.staged_x txid then Wire.Ok_rep
           else if conflicts_with_staged t op then Wire.Err_rep Wire.Busy
@@ -370,32 +355,26 @@ let execute_xact t ~origin ~uid xact =
             | Ok _ ->
                 Hashtbl.replace t.staged_x txid
                   {
-                    x_op = op;
-                    x_peer_port = peer_port;
+                    x_prepare = prepare;
                     x_deadline = Sim.Proc.now () +. Params.xshard_timeout_ms;
                   };
                 emit_xact t ~name:"xstaged" ~txid;
                 Wire.Ok_rep
             | Error e -> Wire.Err_rep (Wire.Op_error e))
-  | Wire.Xdecide { txid; op; row; peer_port } -> (
-      match Hashtbl.find_opt t.xdecisions txid with
-      | Some false -> Wire.Err_rep (Wire.Unavailable "transaction aborted")
-      | Some true ->
-          (* A resent decision: the delete is done; forward again. *)
-          forward_commit t ~origin ~uid ~txid ~peer_port;
-          Wire.Ok_rep
-      | None ->
-          if row_unchanged t op row then begin
-            Hashtbl.replace t.xdecisions txid true;
-            emit_xact t ~name:"xdecided" ~txid;
-            forward_commit t ~origin ~uid ~txid ~peer_port;
-            execute_op t ~origin ~uid op
-          end
-          else begin
-            Hashtbl.replace t.xdecisions txid false;
-            emit_xact t ~name:"xaborted" ~txid;
-            Wire.Err_rep (Wire.Op_error Directory.Not_found)
-          end)
+  | Wire.Xdecide { txid; op; row; peer_port } ->
+      (* The first decision stands; one sent again is answered from the
+         table, and a commit is forwarded again. *)
+      let first = not (Hashtbl.mem t.xdecisions txid) in
+      if first then begin
+        let commit = row_unchanged t op row in
+        Hashtbl.replace t.xdecisions txid commit;
+        emit_xact t ~txid ~name:(if commit then "xdecided" else "xaborted")
+      end;
+      if Hashtbl.find t.xdecisions txid then begin
+        forward_commit t ~origin ~uid ~txid ~peer_port;
+        if first then execute_op t ~origin ~uid op else Wire.Ok_rep
+      end
+      else Wire.Err_rep (Wire.Op_error Directory.Not_found)
   | Wire.Xcommit { txid } -> (
       match Hashtbl.find_opt t.staged_x txid with
       | Some staged ->
@@ -403,7 +382,7 @@ let execute_xact t ~origin ~uid xact =
           emit_xact t ~name:"xcommitted" ~txid;
           (* Still staged while it flushes: the read gate names its
              directory from here. *)
-          let reply = execute_op t ~origin ~uid staged.x_op in
+          let reply = execute_op t ~origin ~uid staged.x_prepare.op in
           Hashtbl.remove t.staged_x txid;
           reply
       | None ->
@@ -417,7 +396,6 @@ let execute_xact t ~origin ~uid xact =
           Hashtbl.replace t.xdecisions txid false;
           emit_xact t ~name:"xaborted" ~txid);
       Wire.Ok_rep
-  | Wire.Xstatus { txid } -> Wire.Xstatus_rep (xstatus_of t txid)
 
 (* The reply to an update this server initiated waits for its sender. *)
 let file_reply t ~origin ~uid reply =
@@ -476,7 +454,7 @@ let blocks_read t g ~dirs seqno =
       | Wire.Dir_xact_msg { xact = Wire.Xcommit { txid }; _ } -> (
           match Hashtbl.find_opt t.staged_x txid with
           | Some staged ->
-              List.mem (Directory.dir_id_of_op t.store staged.x_op) dirs
+              List.mem (Directory.dir_id_of_op t.store staged.x_prepare.op) dirs
           | None -> true)
       | _ -> false)
   | Some (Group.Wire.Join_member _ | Group.Wire.Leave_member _) -> false
@@ -572,23 +550,52 @@ let send_xact t g xact =
   send_and_await t g (fun ~origin ~uid ->
       Wire.Dir_xact_msg { origin; uid; xact })
 
-(* Prepare / decide / commit / abort ride the shard's own total order
-   exactly like a write; only the status query is answered from local
-   state. A source that has not seen the transaction presumes abort,
-   but through its total order, so a late [Xdecide] is ordered after
-   the abort and refused; a decision ordered first stands. Only a
-   destination stages, and it never presumes. *)
-let handle_xshard t cmd =
-  with_group t (fun g ->
-      match cmd with
-      | Wire.Xstatus { txid } -> (
-          match xstatus_of t txid with
-          | Wire.Xunknown when not (Hashtbl.mem t.staged_x txid) -> (
-              match send_xact t g (Wire.Xabort { txid }) with
-              | Wire.Ok_rep -> Wire.Xstatus_rep (xstatus_of t txid)
-              | refused -> refused)
-          | status -> Wire.Xstatus_rep status)
-      | _ -> send_xact t g cmd)
+(* The source server that takes a client's [Xmove] runs the move: it
+   looks the row up under the read gate, has the destination stage the
+   append, then orders the decision, whose reply waits for the forwarded
+   commit. Only that ordered decision ends the move. A refused decision
+   releases the destination's reservation. A prepare refused outright
+   staged nothing; one that fails any other way may have staged the
+   append, so nothing is sent: an abort there could land after the
+   destination's resolver had the source commit, and lose the row. *)
+let handle_move t ~txid ~(src : Capability.t) ~(dst : Capability.t) ~name =
+  match t.xtransport with
+  | None -> Wire.Err_rep (Wire.Unavailable "no backbone")
+  | Some xt ->
+      handle_read t ~dirs:[ src.obj ] (fun store ->
+          match Directory.lookup store ~cap:src ~name ~column:0 with
+          | Error _ ->
+              (* Gone: perhaps by this very move, sent again. *)
+              decided_reply t txid ~undecided:(fun () ->
+                  Wire.Err_rep (Wire.Op_error Directory.Not_found))
+          | Ok (rowcap, mask) -> (
+              let decide =
+                Wire.Xdecide
+                  {
+                    txid;
+                    op = Directory.Delete_row { cap = src; name };
+                    row = (rowcap, mask);
+                    peer_port = dst.port;
+                  }
+              in
+              let append =
+                Directory.Append_row
+                  { cap = dst; name; caps = [ rowcap ]; masks = [ mask ] }
+              in
+              match
+                xshard_call xt ~port:dst.port
+                  (Wire.Xprepare
+                     { txid; op = append; peer_port = t.port; decide })
+              with
+              | Wire.Ok_rep -> (
+                  match with_group t (fun g -> send_xact t g decide) with
+                  | Wire.Err_rep (Wire.Op_error _) as refused ->
+                      ignore
+                        (xshard_call xt ~port:dst.port (Wire.Xabort { txid }));
+                      refused
+                  | reply -> reply)
+              | Wire.Err_rep (Wire.Op_error _ | Wire.Busy) as refused -> refused
+              | _ -> Wire.Err_rep (Wire.Unavailable "prepare unanswered")))
 
 (* The shard-level NOTHERE: a capability minted by another shard names
    that shard's port, so a port mismatch bounces the client to the
@@ -608,9 +615,10 @@ let client_handler t front =
     match body with
     | Wire.Dir_request request when wrong_shard t request ->
         Wire.Dir_reply (Wire.Err_rep Wire.Wrong_shard)
-    | Wire.Dir_request (Wire.Xshard_req cmd) ->
+    | Wire.Dir_request (Wire.Xmove { txid; src; dst; name }) ->
         Wire.Dir_reply
-          (Dir_front.timed front ~op:"xshard" (fun () -> handle_xshard t cmd))
+          (Dir_front.timed front ~op:"move" (fun () ->
+               handle_move t ~txid ~src ~dst ~name))
     | body -> serve ~client body
 
 (* ---- Admin (recovery) handlers -------------------------------------- *)
@@ -653,9 +661,7 @@ let admin_handler t ~client:_ body =
             watermark = t.gprocessed;
             decisions = Hashtbl.fold (fun txid c acc -> (txid, c) :: acc) t.xdecisions [];
             staged =
-              Hashtbl.fold
-                (fun txid s acc -> (txid, s.x_op, s.x_peer_port) :: acc)
-                t.staged_x [];
+              Hashtbl.fold (fun _ s acc -> s.x_prepare :: acc) t.staged_x [];
           }
   | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad admin request"))
 
@@ -758,7 +764,7 @@ let exchange_with_peers t member_nodes =
 (* Adopt the donor's state: only the directories that differ from our
    inventory travel (an already-identical store costs almost nothing),
    and the cross-shard tables come whole, so a rejoined replica answers
-   a status query for a move its shard decided. The decision table only
+   a re-sent decision for a move its shard decided. The decision table only
    grows, so its share of the transfer grows with every move the shard
    ever decided (DESIGN.md §9 item 6). Returns the ids of the
    directories the transfer changed and deleted. *)
@@ -778,11 +784,10 @@ let fetch_state_from t ~donor_node ~join_base =
       List.iter (fun (txid, c) -> Hashtbl.replace t.xdecisions txid c) decisions;
       Hashtbl.reset t.staged_x;
       List.iter
-        (fun (txid, x_op, x_peer_port) ->
-          Hashtbl.replace t.staged_x txid
+        (fun (prepare : Wire.prepare) ->
+          Hashtbl.replace t.staged_x prepare.txid
             {
-              x_op;
-              x_peer_port;
+              x_prepare = prepare;
               x_deadline = Sim.Proc.now () +. Params.xshard_timeout_ms;
             })
         staged;
@@ -979,13 +984,14 @@ let group_thread t () =
 
 (* ---- Cross-shard abandonment resolver -------------------------------- *)
 
-(* The backbone face of [handle_xshard]: forwarded commits and status
-   queries from the peer shards. *)
+(* The backbone face of the shard: prepares, decisions, forwarded
+   commits and aborts from the peer shards, each ordered here. *)
 let xshard_handler t ~client:_ body =
-  match body with
-  | Wire.Dir_request (Wire.Xshard_req cmd) ->
-      Wire.Dir_reply (handle_xshard t cmd)
-  | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad xshard request"))
+  Wire.Dir_reply
+    (match body with
+    | Wire.Dir_request (Wire.Xshard_req cmd) ->
+        with_group t (fun g -> send_xact t g cmd)
+    | _ -> Wire.Err_rep (Wire.Unavailable "bad xshard request"))
 
 (* Only the lowest-node member of the current view resolves — a single
    decision maker per shard keeps resolution traffic down; the decision
@@ -999,28 +1005,22 @@ let is_xact_leader t =
   | Some _ | None -> false
 
 (* A staged half whose forwarded commit has not arrived by its deadline
-   (the coordinator or the source's initiating server crashed): ask the
-   source how the move ended. The source decides an unknown transaction
-   by ordering an abort, so its answer is final; anything else is asked
-   again on the next scan. *)
+   (its coordinator crashed, or the forward was lost): re-send the
+   source's decision. A commit comes back [Ok_rep] once the source has
+   forwarded it here again; an abort comes back [Op_error], and only
+   then is the reservation released. Anything else is re-sent on the
+   next scan. *)
 let resolve_staged t xt txid staged =
-  match
-    Rpc.Transport.trans xt ~port:(xshard_port staged.x_peer_port)
-      (xshard_request (Wire.Xstatus { txid }))
-  with
-  | Wire.Dir_reply
-      (Wire.Xstatus_rep ((Wire.Xcommitted | Wire.Xaborted) as status)) -> (
+  let { Wire.peer_port; decide; _ } = staged.x_prepare in
+  match xshard_call xt ~port:peer_port decide with
+  | Wire.Ok_rep -> emit_xact t ~txid ~name:"xresolve_commit"
+  | Wire.Err_rep (Wire.Op_error _) -> (
       match t.group with
       | None -> ()
       | Some g ->
-          let commit = status = Wire.Xcommitted in
-          emit_xact t ~txid
-            ~name:(if commit then "xresolve_commit" else "xresolve_abort");
-          ignore
-            (send_xact t g
-               (if commit then Wire.Xcommit { txid }
-                else Wire.Xabort { txid })))
-  | _ | (exception Rpc.Transport.Rpc_failure _) -> ()
+          emit_xact t ~txid ~name:"xresolve_abort";
+          ignore (send_xact t g (Wire.Xabort { txid })))
+  | _ -> ()
 
 let xact_resolver t xt () =
   while true do

@@ -66,8 +66,10 @@ val disk_blocks : int
 
 val disk_block_size : int
 
-(** Cross-shard commit: how long a participant holds a staged prepare
-    before asking around / presuming abort (ms). *)
+(** Cross-shard move: how long a destination holds a staged prepare
+    before its resolver re-sends the source's decision (ms). It times a
+    re-send only and decides nothing: the source's ordered decision
+    ends every move. *)
 val xshard_timeout_ms : float
 
 (** [default] with every disk operation scaled by a factor — the

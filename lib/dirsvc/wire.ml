@@ -14,19 +14,28 @@ let service_error_to_string = function
 
 exception Dir_error of service_error
 
-(* Cross-shard move: the destination reserves, the source decides. The
-   client has the destination stage the append ([Xprepare]), then sends
-   the source one [Xdecide]: ordered there, it checks that the row still
+(* Cross-shard move: the source shard runs it, and only the source's
+   ordered decision ends it. The client sends one [Xmove] to the
+   source. The server that takes it looks the row up, has the
+   destination stage the append over the backbone ([Xprepare]), then
+   orders [Xdecide]: ordered there, it checks that the row still
    carries the looked-up capability and mask, records the decision and,
-   on commit, deletes the row like any update. The source server that
-   initiated the decision forwards [Xcommit] to the destination over the
-   backbone, so both halves reach disk in parallel. Every record runs
-   through its own shard's sequencer, so the staged and decided state is
-   totally ordered and replicated within the shard. [peer_port] names
-   the other shard: the source forwards to it, and a destination left
-   staged asks it how the move ended. *)
-type xshard_cmd =
-  | Xprepare of { txid : int; op : Directory.op; peer_port : string }
+   on commit, deletes the row like any update and forwards [Xcommit] to
+   the destination, so both halves reach disk in parallel. The staged
+   half keeps its [decide]: a destination whose half outlives its
+   deadline re-sends that decision to the source ([peer_port]), whose
+   total order decides each move once, whoever sends it. Every record
+   runs through its own shard's sequencer, so the staged and decided
+   state is totally ordered and replicated within the shard. *)
+type prepare = {
+  txid : int;
+  op : Directory.op;
+  peer_port : string;
+  decide : xshard_cmd;
+}
+
+and xshard_cmd =
+  | Xprepare of prepare
   | Xdecide of {
       txid : int;
       op : Directory.op;
@@ -35,14 +44,17 @@ type xshard_cmd =
     }
   | Xcommit of { txid : int }
   | Xabort of { txid : int }
-  | Xstatus of { txid : int }
-
-type xshard_status = Xcommitted | Xaborted | Xunknown
 
 type request =
   | Write_op of Directory.op
   | List_req of { cap : Capability.t; column : int }
   | Lookup_req of { items : (Capability.t * string) list; column : int }
+  | Xmove of {
+      txid : int;
+      src : Capability.t;
+      dst : Capability.t;
+      name : string;
+    }
   | Xshard_req of xshard_cmd
 
 type reply =
@@ -51,7 +63,6 @@ type reply =
   | Listing_rep of Directory.listing
   | Lookup_rep of (Capability.t * int) option list
   | Err_rep of service_error
-  | Xstatus_rep of xshard_status
 
 let cap_of_request = function
   | Write_op op -> (
@@ -63,7 +74,7 @@ let cap_of_request = function
       | Directory.Delete_row { cap; _ }
       | Directory.Replace_set { cap; _ } ->
           Some cap)
-  | List_req { cap; _ } -> Some cap
+  | List_req { cap; _ } | Xmove { src = cap; _ } -> Some cap
   | Lookup_req { items = (cap, _) :: _; _ } -> Some cap
   | Lookup_req { items = []; _ } | Xshard_req _ -> None
 
@@ -85,7 +96,7 @@ type Simnet.Payload.t +=
       useq : int;
       watermark : int;
       decisions : (int * bool) list;
-      staged : (int * Directory.op * string) list;
+      staged : prepare list;
     }
   | Intend_req of { op : Directory.op }
   | Intend_ok
@@ -264,6 +275,8 @@ let () =
     | Dir_request (Write_op _) -> Some "dir.write"
     | Dir_request (List_req _) -> Some "dir.list"
     | Dir_request (Lookup_req _) -> Some "dir.lookup"
+    | Dir_request (Xmove { txid; _ }) ->
+        Some (Printf.sprintf "dir.xmove %d" txid)
     | Dir_request (Xshard_req (Xprepare { txid; _ })) ->
         Some (Printf.sprintf "dir.xprepare %d" txid)
     | Dir_request (Xshard_req (Xdecide { txid; _ })) ->
@@ -272,8 +285,6 @@ let () =
         Some (Printf.sprintf "dir.xcommit %d" txid)
     | Dir_request (Xshard_req (Xabort { txid })) ->
         Some (Printf.sprintf "dir.xabort %d" txid)
-    | Dir_request (Xshard_req (Xstatus { txid })) ->
-        Some (Printf.sprintf "dir.xstatus? %d" txid)
     | Dir_reply _ -> Some "dir.reply"
     | Dir_op_msg { origin; uid; _ } -> Some (Printf.sprintf "dir.op %d.%d" origin uid)
     | Dir_xact_msg { origin; uid; _ } ->

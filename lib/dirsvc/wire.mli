@@ -25,39 +25,50 @@ val service_error_to_string : service_error -> string
 
 exception Dir_error of service_error
 
-(** Cross-shard move: two ordered steps, one durable commit point.
-    The destination stages the append and reserves its name
-    ([Xprepare]); the source decides in one ordered step ([Xdecide]):
-    if the row still carries the capability and mask in [row] it records
-    the commit and deletes the row, else it records an abort. The
-    source's decision is the commit point. The source server that
-    initiated a commit forwards [Xcommit] to the destination before its
-    own flush, so the two halves reach disk in parallel. [peer_port]
-    names the other shard: the source forwards the commit there, and a
-    destination abandoned mid-transaction asks the source how the move
-    ended ([Xstatus]). A source that has never seen the transaction
-    orders an [Xabort] before it answers, so presumed abort and a late
-    [Xdecide] are decided by the source's total order. *)
-type xshard_cmd =
-  | Xprepare of { txid : int; op : Directory.op; peer_port : string }
-      (** destination: stage [op] and reserve its name *)
+(** Cross-shard move: the source shard runs it, and only the source's
+    ordered decision ends it. The client sends one [Xmove] to the
+    source shard. The server that takes it looks the row up under the
+    read gate, has the destination stage the append and reserve its
+    name ([Xprepare], over the backbone), then orders [Xdecide]: if the
+    row still carries the capability and mask in [row] the source
+    records the commit, deletes the row and forwards [Xcommit] to the
+    destination before its own flush, so the two halves reach disk in
+    parallel; else it records an abort, answered [Op_error Not_found].
+    The staged half keeps its [decide]. When it outlives
+    {!Params.xshard_timeout_ms}, the destination re-sends that same
+    decision to the source ([peer_port]): a decided move is answered
+    from the source's decision table, and a commit forwarded again.
+    The source never orders [Xabort]; the destination orders it only
+    once the source has answered an abort. *)
+type prepare = {
+  txid : int;
+  op : Directory.op;  (** the destination's append *)
+  peer_port : string;  (** the source shard's service port *)
+  decide : xshard_cmd;  (** the source's [Xdecide], to re-send *)
+}
+
+and xshard_cmd =
+  | Xprepare of prepare  (** destination: stage [op] and reserve its name *)
   | Xdecide of {
       txid : int;
       op : Directory.op;  (** the source's delete *)
       row : Capability.t * int;  (** what the lookup returned *)
-      peer_port : string;
+      peer_port : string;  (** the destination shard's service port *)
     }  (** source: the decision, and on commit the delete *)
   | Xcommit of { txid : int }
   | Xabort of { txid : int }
-  | Xstatus of { txid : int }  (** peer-to-peer termination query *)
-
-type xshard_status = Xcommitted | Xaborted | Xunknown
 
 type request =
   | Write_op of Directory.op
   | List_req of { cap : Capability.t; column : int }
   | Lookup_req of { items : (Capability.t * string) list; column : int }
-  | Xshard_req of xshard_cmd
+  | Xmove of {
+      txid : int;
+      src : Capability.t;
+      dst : Capability.t;
+      name : string;
+    }  (** a cross-shard move of row [name], sent to the source shard *)
+  | Xshard_req of xshard_cmd  (** shard to shard, over the backbone *)
 
 type reply =
   | Cap_rep of Capability.t  (** Create_dir: the new owner capability *)
@@ -65,11 +76,11 @@ type reply =
   | Listing_rep of Directory.listing
   | Lookup_rep of (Capability.t * int) option list
   | Err_rep of service_error
-  | Xstatus_rep of xshard_status
 
 (** The capability a request addresses, if any: the target of a write
-    other than Create_dir, the listed directory, or the first looked-up
-    item. A sharded deployment routes and bounces on its port. *)
+    other than Create_dir, the listed directory, the first looked-up
+    item, or a move's source. A sharded deployment routes and bounces
+    on its port. *)
 val cap_of_request : request -> Capability.t option
 
 type Simnet.Payload.t +=
@@ -99,9 +110,9 @@ type Simnet.Payload.t +=
       watermark : int;
       decisions : (int * bool) list;
           (** the donor's cross-shard decisions: txid, committed? *)
-      staged : (int * Directory.op * string) list;
-          (** its staged destination halves: txid, op, the source
-              shard's port. Both empty for the RPC pair. *)
+      staged : prepare list;
+          (** its staged destination halves, each as its prepare.
+              Both empty for the RPC pair. *)
     }
   | Intend_req of { op : Directory.op }
       (** RPC service: store my intention before I commit (paper §1) *)

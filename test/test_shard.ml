@@ -177,17 +177,76 @@ let test_stale_port_cache () =
           (fun k -> List.assoc "shard" (Sim.Metrics.labels_of_key k))
           keys))
 
-exception Coordinator_crash
+(* Calls [f] on every dirsvc trace event of [cluster] from now on. *)
+let on_dirsvc_event cluster f =
+  let trace = Sim.Trace.create () in
+  Sim.Trace.set_sink trace
+    (Some (fun e -> if e.Sim.Trace.subsystem = "dirsvc" then f e));
+  Sim.Engine.set_trace (C.engine cluster) (Some trace)
 
-(* Cross-shard move termination. First the happy path, then a
-   coordinator crash after the source's decision (the commit point),
-   which has already forwarded the commit: the move must stand. Then a
-   crash before the decision: the destination's resolver times out its
-   staged half, the source presumes abort, and the row stays at the
-   source. *)
+let backbone cluster =
+  match C.backbone cluster with
+  | Some net -> net
+  | None -> Alcotest.fail "two shards have no backbone"
+
+(* A backbone fault filter: [request] decides the fate of every
+   cross-shard request (with its command), [prepare_reply] that of every
+   reply to an [Xprepare]. *)
+let filter_backbone ?(request = fun _ _ -> Simnet.Network.Deliver)
+    ?(prepare_reply = fun () -> Simnet.Network.Deliver) cluster =
+  let prepares = Hashtbl.create 8 in
+  Simnet.Network.set_fault_filter (backbone cluster)
+    (Some
+       (fun packet ->
+         match packet.Simnet.Packet.payload with
+         | Rpc.Wire.Request
+             {
+               xid;
+               body = Dirsvc.Wire.Dir_request (Dirsvc.Wire.Xshard_req cmd);
+               _;
+             } ->
+             (match cmd with
+             | Dirsvc.Wire.Xprepare _ -> Hashtbl.replace prepares xid ()
+             | _ -> ());
+             request packet cmd
+         | Rpc.Wire.Reply { xid; _ } when Hashtbl.mem prepares xid ->
+             prepare_reply ()
+         | _ -> Simnet.Network.Deliver))
+
+(* Crashes the server coordinating the next move — the sender of its
+   prepare — once the destination has staged it: before the decision.
+   [on_event] sees every dirsvc event. Returns the coordinator's node. *)
+let crash_coordinator_when_staged ?(on_event = ignore) cluster =
+  let coordinator = ref None and crashed = ref false in
+  filter_backbone cluster ~request:(fun packet cmd ->
+      (match cmd with
+      | Dirsvc.Wire.Xprepare _ when !coordinator = None ->
+          coordinator := Some packet.Simnet.Packet.src
+      | _ -> ());
+      Simnet.Network.Deliver);
+  on_dirsvc_event cluster (fun e ->
+      (match (e.Sim.Trace.name, !coordinator) with
+      | "xstaged", Some node when not !crashed ->
+          crashed := true;
+          C.crash_server_in cluster ~shard:(node / 500) (node mod 500)
+      | _ -> ());
+      on_event e);
+  coordinator
+
+(* [f ()], ignoring the failure of a client whose server died. *)
+let survive f =
+  try f () with Dirsvc.Wire.Dir_error _ | Rpc.Transport.Rpc_failure _ -> ()
+
+(* Cross-shard move termination. First the happy path, then a crash of
+   the coordinating source server after its decision (the commit
+   point) as it forwards the commit: the move must stand. Then a crash
+   of the coordinator before the decision: the destination's resolver
+   re-sends the decision, the source commits it, and the row ends at
+   the destination. *)
 let test_coordinator_crash_recovery () =
   let params = { Dirsvc.Params.default with shards = 2 } in
   let cluster = boot ~seed:23L ~params C.Group_disk in
+  let mover = C.client ~max_attempts:1 cluster in
   Harness.on_client ~budget:120_000.0 cluster (fun client ->
       let pa = placement_for ~shards:2 0 and pb = placement_for ~shards:2 1 in
       let dir_a =
@@ -208,46 +267,49 @@ let test_coordinator_crash_recovery () =
       (* Crash after the source decided: the commit point is passed,
          so the move must finish. *)
       Dirsvc.Client.append_row client dir_a ~name:"r" [ dir_a ];
-      (match
-         Dirsvc.Client.move_row
-           ~hook:(fun step ->
-             if step = "committed_src" then raise Coordinator_crash)
-           client ~src:dir_a ~dst:dir_b ~name:"r"
-       with
-      | () -> Alcotest.fail "hook should have crashed the coordinator"
-      | exception Coordinator_crash -> ());
+      let origin = ref None in
+      filter_backbone cluster ~request:(fun packet cmd ->
+          match cmd with
+          | Dirsvc.Wire.Xcommit _ when !origin = None ->
+              let node = packet.Simnet.Packet.src in
+              origin := Some node;
+              C.crash_server_in cluster ~shard:0 (node mod 500);
+              Simnet.Network.Drop
+          | _ -> Simnet.Network.Deliver);
+      survive (fun () ->
+          Dirsvc.Client.move_row client ~src:dir_a ~dst:dir_b ~name:"r");
       Sim.Proc.sleep 8_000.0;
       Alcotest.(check bool) "resolver completed the move at destination" true
         (Dirsvc.Client.lookup client dir_b "r" <> None);
       Alcotest.(check bool) "committed source stayed deleted" true
         (Dirsvc.Client.lookup client dir_a "r" = None);
-      (* Crash before any commit: presumed abort on both sides. *)
-      Dirsvc.Client.append_row client dir_a ~name:"s" [ dir_a ];
-      (match
-         Dirsvc.Client.move_row
-           ~hook:(fun step ->
-             if step = "prepared_dst" then raise Coordinator_crash)
-           client ~src:dir_a ~dst:dir_b ~name:"s"
-       with
-      | () -> Alcotest.fail "hook should have crashed the coordinator"
-      | exception Coordinator_crash -> ());
+      Option.iter
+        (fun node -> C.restart_server_in cluster ~shard:0 (node mod 500))
+        !origin;
       Sim.Proc.sleep 8_000.0;
-      Alcotest.(check bool) "aborted move left the row at the source" true
-        (Dirsvc.Client.lookup client dir_a "s" <> None);
-      Alcotest.(check bool) "nothing materialised at the destination" true
-        (Dirsvc.Client.lookup client dir_b "s" = None);
+      (* Crash before the decision: the resolver re-sends it, and the
+         source's order commits the move. *)
+      Dirsvc.Client.append_row client dir_a ~name:"s" [ dir_a ];
+      let coordinator = crash_coordinator_when_staged cluster in
+      ignore
+        (Harness.start_on cluster mover (fun () ->
+             survive (fun () ->
+                 Dirsvc.Client.move_row mover ~src:dir_a ~dst:dir_b
+                   ~name:"s")));
+      Sim.Proc.sleep 8_000.0;
+      Alcotest.(check bool) "the re-sent decision moved the row" true
+        (Dirsvc.Client.lookup client dir_b "s" <> None);
+      Alcotest.(check bool) "and deleted it at the source" true
+        (Dirsvc.Client.lookup client dir_a "s" = None);
+      Option.iter
+        (fun node -> C.restart_server_in cluster ~shard:0 (node mod 500))
+        !coordinator;
+      Sim.Proc.sleep 8_000.0;
       (* The transaction machinery is clean afterwards: another move
          succeeds end to end. *)
-      Dirsvc.Client.move_row client ~src:dir_a ~dst:dir_b ~name:"s";
+      Dirsvc.Client.move_row client ~src:dir_b ~dst:dir_a ~name:"s";
       Alcotest.(check bool) "subsequent move unaffected" true
-        (Dirsvc.Client.lookup client dir_b "s" <> None))
-
-(* Calls [f] on every dirsvc trace event of [cluster] from now on. *)
-let on_dirsvc_event cluster f =
-  let trace = Sim.Trace.create () in
-  Sim.Trace.set_sink trace
-    (Some (fun e -> if e.Sim.Trace.subsystem = "dirsvc" then f e));
-  Sim.Engine.set_trace (C.engine cluster) (Some trace)
+        (Dirsvc.Client.lookup client dir_a "s" <> None))
 
 (* The read gate for cross-shard commits: a buffered commit blocks the
    reads of the directory its prepare staged, and only those. Two
@@ -448,28 +510,35 @@ let lookup_in cluster dir name =
 
 let cap_opt = Alcotest.(option (testable Capability.pp Capability.equal))
 
+(* Runs [f] once, at the first [name] event of [cluster]'s dirsvc
+   trace. *)
+let at_first_event cluster name f =
+  let fired = ref false in
+  on_dirsvc_event cluster (fun e ->
+      if e.Sim.Trace.name = name && not !fired then begin
+        fired := true;
+        f ()
+      end)
+
 (* A second client appends the moved name at the destination while the
-   move is staged there. The staged append reserves the name, so the
-   append is refused Busy (retried inside the router) until the move
-   commits, then fails Already_exists: the move succeeds and the row
-   is in exactly one directory, with the capability it had. *)
+   move is staged there; the prepare's reply takes 100 ms longer. The
+   staged append reserves the name, so the append is refused Busy
+   (retried inside the router) until the move commits, then fails
+   Already_exists: the move succeeds and the row is in exactly one
+   directory, with the capability it had. *)
 let test_reserved_destination_name () =
   let cluster, src, dst = two_shard_dirs ~seed:23L ~name:"m" in
   let other = C.client cluster in
   let appended = ref (ref None) in
+  filter_backbone cluster ~prepare_reply:(fun () -> Simnet.Network.Delay 100.0);
+  at_first_event cluster "xstaged" (fun () ->
+      appended :=
+        Harness.start_on cluster other (fun () ->
+            outcome (fun () ->
+                Dirsvc.Client.append_row other dst ~name:"m" [ dst ])));
   let moved =
     Harness.on_client cluster (fun client ->
-        outcome (fun () ->
-            Dirsvc.Client.move_row client ~src ~dst ~name:"m"
-              ~hook:(fun step ->
-                if step = "prepared_dst" then begin
-                  appended :=
-                    Harness.start_on cluster other (fun () ->
-                        outcome (fun () ->
-                            Dirsvc.Client.append_row other dst ~name:"m"
-                              [ dst ]));
-                  Sim.Proc.sleep 100.0
-                end)))
+        outcome (fun () -> Dirsvc.Client.move_row client ~src ~dst ~name:"m"))
   in
   Alcotest.(check (result unit service_error)) "move succeeded" (Ok ()) moved;
   Alcotest.(check (option (result unit service_error)))
@@ -482,27 +551,22 @@ let test_reserved_destination_name () =
     (Option.map fst (lookup_in cluster src "m"))
 
 (* A second client deletes the row at the source while the move is
-   staged at the destination. The source's ordered decision finds the
+   staged at the destination; the prepare's reply takes 300 ms longer,
+   time enough for the delete. The source's ordered decision finds the
    row gone and aborts: the move fails Not_found and the destination
    releases its staged append, so the deleted row never comes back. *)
 let test_source_deleted_during_move () =
   let cluster, src, dst = two_shard_dirs ~seed:23L ~name:"d" in
   let other = C.client cluster in
   let deleted = ref (ref None) in
+  filter_backbone cluster ~prepare_reply:(fun () -> Simnet.Network.Delay 300.0);
+  at_first_event cluster "xstaged" (fun () ->
+      deleted :=
+        Harness.start_on cluster other (fun () ->
+            outcome (fun () -> Dirsvc.Client.delete_row other src ~name:"d")));
   let moved =
     Harness.on_client cluster (fun client ->
-        outcome (fun () ->
-            Dirsvc.Client.move_row client ~src ~dst ~name:"d"
-              ~hook:(fun step ->
-                if step = "prepared_dst" then begin
-                  deleted :=
-                    Harness.start_on cluster other (fun () ->
-                        outcome (fun () ->
-                            Dirsvc.Client.delete_row other src ~name:"d"));
-                  while !(!deleted) = None do
-                    Sim.Proc.sleep 1.0
-                  done
-                end)))
+        outcome (fun () -> Dirsvc.Client.move_row client ~src ~dst ~name:"d"))
   in
   Alcotest.(check (option (result unit service_error)))
     "competing delete succeeded" (Some (Ok ())) !(!deleted);
@@ -523,38 +587,25 @@ let suite =
         test_source_deleted_during_move;
     ]
 
-(* The origin source server crashes as it sends the forwarded commit,
-   and the coordinator with it, so nobody resends the decision. The
-   destination's resolver asks the source, learns the commit and
-   finishes the move: one commit on each destination replica, the
-   source row stays deleted. *)
+(* The origin source server, which coordinates the move, crashes as it
+   sends the forwarded commit, and the client with it, so nobody sends
+   the decision again but the destination. Its resolver re-sends the
+   decision, the source answers it from its decision table and forwards
+   the commit again: one commit on each destination replica, the source
+   row stays deleted. *)
 let test_lost_forward () =
   let cluster, src, dst = two_shard_dirs ~seed:27L ~name:"f" in
   let coordinator = C.client cluster in
-  let backbone =
-    match C.backbone cluster with
-    | Some net -> net
-    | None -> Alcotest.fail "two shards have no backbone"
-  in
   let origin = ref None in
-  Simnet.Network.set_fault_filter backbone
-    (Some
-       (fun packet ->
-         match packet.Simnet.Packet.payload with
-         | Rpc.Wire.Request
-             {
-               body =
-                 Dirsvc.Wire.Dir_request
-                   (Dirsvc.Wire.Xshard_req (Dirsvc.Wire.Xcommit _));
-               _;
-             }
-           when !origin = None ->
-             origin := Some packet.src;
-             C.crash_server_in cluster ~shard:0 (packet.src mod 500);
-             Sim.Node.crash
-               (Rpc.Transport.node (Dirsvc.Client.transport coordinator));
-             Simnet.Network.Drop
-         | _ -> Simnet.Network.Deliver));
+  filter_backbone cluster ~request:(fun packet cmd ->
+      match cmd with
+      | Dirsvc.Wire.Xcommit _ when !origin = None ->
+          origin := Some packet.Simnet.Packet.src;
+          C.crash_server_in cluster ~shard:0 (packet.src mod 500);
+          Sim.Node.crash
+            (Rpc.Transport.node (Dirsvc.Client.transport coordinator));
+          Simnet.Network.Drop
+      | _ -> Simnet.Network.Deliver);
   let commits = ref [] and resolved = ref 0 in
   on_dirsvc_event cluster (fun e ->
       match e.Sim.Trace.name with
@@ -587,30 +638,34 @@ let suite =
     ]
 
 (* The coordinator stalls after the prepare for longer than the
-   destination's deadline and one resolver scan. The resolver's query
-   makes the source order an abort first, so the late decision is
-   refused and the row stays at the source only. *)
+   destination's deadline and one resolver scan: every reply to the
+   prepare is lost until the source has decided. The resolver re-sends
+   the decision first, so the source commits the move then; the
+   coordinator's late decision is the same one, answered from the
+   decision table, and the row ends at the destination only. *)
 let test_late_decide () =
   let cluster, src, dst = two_shard_dirs ~seed:28L ~name:"l" in
-  let stall = Dirsvc.Params.xshard_timeout_ms +. 250.0 +. 500.0 in
-  let presumed = ref 0 in
+  let decided = ref 0 and resolved = ref 0 in
+  filter_backbone cluster ~prepare_reply:(fun () ->
+      if !decided = 0 then Simnet.Network.Drop else Simnet.Network.Deliver);
   on_dirsvc_event cluster (fun e ->
-      if e.Sim.Trace.name = "xresolve_abort" then incr presumed);
+      match e.Sim.Trace.name with
+      | "xdecided" -> incr decided
+      | "xresolve_commit" -> incr resolved
+      | _ -> ());
   let moved =
     Harness.on_client cluster (fun client ->
-        outcome (fun () ->
-            Dirsvc.Client.move_row client ~src ~dst ~name:"l"
-              ~hook:(fun step ->
-                if step = "prepared_dst" then Sim.Proc.sleep stall)))
+        outcome (fun () -> Dirsvc.Client.move_row client ~src ~dst ~name:"l"))
   in
-  Alcotest.(check (result unit service_error)) "late decision refused"
-    (Error (Dirsvc.Wire.Unavailable "transaction aborted")) moved;
-  Alcotest.(check int) "the destination's resolver aborted" 1 !presumed;
+  Alcotest.(check (result unit service_error))
+    "late decision answered from the decision table" (Ok ()) moved;
+  Alcotest.(check int) "the destination's resolver committed" 1 !resolved;
+  Alcotest.(check int) "decided once on each source replica" 3 !decided;
   C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 4_000.0);
-  Alcotest.check cap_opt "row still at the source" (Some src)
-    (Option.map fst (lookup_in cluster src "l"));
-  Alcotest.check cap_opt "nothing at the destination" None
-    (Option.map fst (lookup_in cluster dst "l"))
+  Alcotest.check cap_opt "row at the destination" (Some src)
+    (Option.map fst (lookup_in cluster dst "l"));
+  Alcotest.check cap_opt "nothing at the source" None
+    (Option.map fst (lookup_in cluster src "l"))
 
 let suite =
   suite
@@ -621,25 +676,25 @@ let suite =
 
 (* A move is acknowledged only once both halves are durable. Three
    appends ordered at the destination just before the move's decision
-   keep its group thread flushing, so the forwarded commit is applied
-   and flushed well after the source's delete. A full crash of the
-   destination shard the instant the move returns, and a restart, must
-   still find the row there. *)
+   (started as the destination stages the move, whose prepare reply
+   takes 3 ms longer) keep its group thread flushing, so the forwarded
+   commit is applied and flushed well after the source's delete. A full
+   crash of the destination shard the instant the move returns, and a
+   restart, must still find the row there. *)
 let test_acked_move_survives_destination_crash () =
   let cluster, src, dst = two_shard_dirs ~seed:29L ~name:"a" in
   let others = List.init 3 (fun _ -> C.client cluster) in
+  filter_backbone cluster ~prepare_reply:(fun () -> Simnet.Network.Delay 3.0);
+  at_first_event cluster "xstaged" (fun () ->
+      List.iteri
+        (fun i other ->
+          ignore
+            (Harness.start_on cluster other (fun () ->
+                 Dirsvc.Client.append_row other dst
+                   ~name:(Printf.sprintf "b%d" i) [ dst ])))
+        others);
   Harness.on_client cluster (fun client ->
-      Dirsvc.Client.move_row client ~src ~dst ~name:"a" ~hook:(fun step ->
-          if step = "prepared_dst" then begin
-            List.iteri
-              (fun i other ->
-                ignore
-                  (Harness.start_on cluster other (fun () ->
-                       Dirsvc.Client.append_row other dst
-                         ~name:(Printf.sprintf "b%d" i) [ dst ])))
-              others;
-            Sim.Proc.sleep 3.0
-          end);
+      Dirsvc.Client.move_row client ~src ~dst ~name:"a";
       for sid = 1 to 3 do
         C.crash_server_in cluster ~shard:1 sid
       done;
@@ -666,27 +721,34 @@ let suite =
 
 (* A source replica that rejoined by state transfer must know the moves
    its shard decided. Source server 3 is down while a move commits;
-   every backbone packet is lost, so the forwarded commit never lands,
-   and the coordinator dies as the source decides. Server 3 rejoins from a peer's state, then
+   every forwarded commit is lost, so none lands, and the client dies
+   as the source decides. Server 3 rejoins from a peer's state, then
    server 1 crashes and server 2 is cut from the backbone: when the
-   destination's resolver asks, only server 3 can answer. It must
-   answer that the move committed, so the row ends at the destination,
-   not in neither directory. *)
+   destination's resolver re-sends the decision, only server 3 can
+   answer. It must answer that the move committed, so the row ends at
+   the destination, not in neither directory. *)
 let test_rejoined_source_knows_decision () =
   let cluster, src, dst = two_shard_dirs ~seed:31L ~name:"s" in
-  let backbone =
-    match C.backbone cluster with
-    | Some net -> net
-    | None -> Alcotest.fail "two shards have no backbone"
-  in
   let advance ms =
     C.run_until cluster (Sim.Engine.now (C.engine cluster) +. ms)
   in
   C.crash_server_in cluster ~shard:0 3;
   advance 1_000.0;
   let coordinator = C.client cluster in
-  let cut = ref (fun (_ : Simnet.Packet.t) -> true) in
-  Simnet.Network.set_fault_filter backbone
+  let cut =
+    ref (fun (packet : Simnet.Packet.t) ->
+        match packet.payload with
+        | Rpc.Wire.Request
+            {
+              body =
+                Dirsvc.Wire.Dir_request
+                  (Dirsvc.Wire.Xshard_req (Dirsvc.Wire.Xcommit _));
+              _;
+            } ->
+            true
+        | _ -> false)
+  in
+  Simnet.Network.set_fault_filter (backbone cluster)
     (Some
        (fun packet ->
          if !cut packet then Simnet.Network.Drop else Simnet.Network.Deliver));
@@ -708,7 +770,7 @@ let test_rejoined_source_knows_decision () =
   in
   advance 1_000.0;
   Alcotest.(check int) "the source decided on both live replicas" 2 !decided;
-  Alcotest.(check bool) "the coordinator died in the move" false
+  Alcotest.(check bool) "the client died in the move" false
     (Sim.Node.is_alive
        (Rpc.Transport.node (Dirsvc.Client.transport coordinator)));
   Alcotest.(check bool) "the move never returned" true (!moved = None);
@@ -740,4 +802,198 @@ let suite =
   @ [
       Alcotest.test_case "rejoined source replica knows the decided move"
         `Quick test_rejoined_source_knows_decision;
+    ]
+
+(* The client is not part of a move: it dies as the destination stages
+   the move, and the source's coordinator still decides and commits it
+   at once. No resolver steps in, and the moved name is free long
+   before any deadline: another client's append to the destination and
+   its lookup of the moved name each return within 300 ms. *)
+let test_client_dies_mid_move () =
+  let cluster, src, dst = two_shard_dirs ~seed:32L ~name:"c" in
+  let mover = C.client cluster in
+  let resolved = ref 0 in
+  on_dirsvc_event cluster (fun e ->
+      match e.Sim.Trace.name with
+      | "xstaged" ->
+          Sim.Node.crash (Rpc.Transport.node (Dirsvc.Client.transport mover))
+      | "xresolve_commit" | "xresolve_abort" -> incr resolved
+      | _ -> ());
+  let moved =
+    Harness.start_on cluster mover (fun () ->
+        Dirsvc.Client.move_row mover ~src ~dst ~name:"c")
+  in
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 1_000.0);
+  Alcotest.(check bool) "the move never returned" true (!moved = None);
+  let appended, append_ms, found, lookup_ms =
+    Harness.on_client ~budget:1_000.0 cluster (fun client ->
+        let appended, append_ms =
+          Harness.timed (fun () ->
+              outcome (fun () ->
+                  Dirsvc.Client.append_row client dst ~name:"other" [ dst ]))
+        in
+        let found, lookup_ms =
+          Harness.timed (fun () -> Dirsvc.Client.lookup client dst "c")
+        in
+        (appended, append_ms, found, lookup_ms))
+  in
+  Alcotest.(check (result unit service_error)) "append at the destination"
+    (Ok ()) appended;
+  if append_ms >= 300.0 then
+    Alcotest.failf "the append took %.1f ms: the name stayed reserved"
+      append_ms;
+  if lookup_ms >= 300.0 then
+    Alcotest.failf "the lookup took %.1f ms" lookup_ms;
+  Alcotest.check cap_opt "destination holds the moved row" (Some src)
+    (Option.map fst found);
+  Alcotest.check cap_opt "source row deleted" None
+    (Option.map fst (lookup_in cluster src "c"));
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 4_000.0);
+  Sim.Engine.set_trace (C.engine cluster) None;
+  Alcotest.(check int) "no resolver step" 0 !resolved
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a client that dies mid-move does not matter" `Quick
+        test_client_dies_mid_move;
+    ]
+
+(* The coordinating source server dies after the destination staged
+   the move, before it decides; its client gets no answer. The
+   destination's resolver re-sends the decision, the source's order
+   commits it, and the commit forwarded again completes the move. *)
+let test_resent_decision_commits () =
+  let cluster, src, dst = two_shard_dirs ~seed:33L ~name:"c" in
+  let mover = C.client ~max_attempts:1 cluster in
+  let decided = ref 0 and resolved = ref 0 and commits = ref [] in
+  let coordinator =
+    crash_coordinator_when_staged cluster ~on_event:(fun e ->
+        match e.Sim.Trace.name with
+        | "xdecided" -> incr decided
+        | "xresolve_commit" -> incr resolved
+        | "xcommitted" -> commits := e.Sim.Trace.node :: !commits
+        | _ -> ())
+  in
+  let moved =
+    Harness.start_on cluster mover (fun () ->
+        match Dirsvc.Client.move_row mover ~src ~dst ~name:"c" with
+        | () -> "ok"
+        | exception Rpc.Transport.Rpc_failure _ -> "no reply"
+        | exception Dirsvc.Wire.Dir_error e ->
+            Dirsvc.Wire.service_error_to_string e)
+  in
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 8_000.0);
+  Sim.Engine.set_trace (C.engine cluster) None;
+  (match !coordinator with
+  | Some node when node < 500 -> ()
+  | _ -> Alcotest.fail "no source server coordinated the move");
+  Alcotest.(check (option string)) "the client got no answer"
+    (Some "no reply") !moved;
+  Alcotest.(check int) "the resolver's decision committed" 1 !resolved;
+  Alcotest.(check int) "decided on both live source replicas" 2 !decided;
+  Alcotest.(check (list int)) "one commit on each destination replica"
+    [ 501; 502; 503 ]
+    (List.sort compare !commits);
+  Alcotest.check cap_opt "destination holds the moved row" (Some src)
+    (Option.map fst (lookup_in cluster dst "c"));
+  Alcotest.check cap_opt "source row deleted" None
+    (Option.map fst (lookup_in cluster src "c"))
+
+(* As above, but a second client changes the row's mask while the
+   coordinator is dead. The re-sent decision finds the row changed, so
+   the source aborts, the destination's resolver releases the name, and
+   the row stays at the source with its new mask. *)
+let test_resent_decision_aborts () =
+  let cluster, src, dst = two_shard_dirs ~seed:34L ~name:"c" in
+  let mover = C.client ~max_attempts:1 cluster and other = C.client cluster in
+  let changed = ref (ref None) and resolved = ref 0 in
+  let started = ref false in
+  ignore
+    (crash_coordinator_when_staged cluster ~on_event:(fun e ->
+         match e.Sim.Trace.name with
+         | "xstaged" when not !started ->
+             started := true;
+             changed :=
+               Harness.start_on cluster other (fun () ->
+                   outcome (fun () ->
+                       with_unavailable_retry (fun () ->
+                           Dirsvc.Client.chmod_row other src ~name:"c"
+                             ~masks:[ 1 ])))
+         | "xresolve_abort" -> incr resolved
+         | _ -> ()));
+  ignore
+    (Harness.start_on cluster mover (fun () ->
+         survive (fun () -> Dirsvc.Client.move_row mover ~src ~dst ~name:"c")));
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 8_000.0);
+  Sim.Engine.set_trace (C.engine cluster) None;
+  Alcotest.(check (option (result unit service_error)))
+    "the row changed at the source" (Some (Ok ())) !(!changed);
+  Alcotest.(check int) "the resolver released the name" 1 !resolved;
+  Alcotest.(check (option (pair (testable Capability.pp Capability.equal) int)))
+    "row still at the source, with its new mask" (Some (src, 1))
+    (lookup_in cluster src "c");
+  Alcotest.check cap_opt "nothing at the destination" None
+    (Option.map fst (lookup_in cluster dst "c"));
+  let appended, append_ms =
+    Harness.on_client cluster (fun client ->
+        Harness.timed (fun () ->
+            outcome (fun () ->
+                Dirsvc.Client.append_row client dst ~name:"c" [ dst ])))
+  in
+  Alcotest.(check (result unit service_error)) "the name is free again"
+    (Ok ()) appended;
+  if append_ms >= 300.0 then
+    Alcotest.failf "the append took %.1f ms: the name stayed reserved" append_ms
+
+(* An ambiguous prepare: the destination stages the move, but every
+   reply to the prepare is lost, so the coordinator cannot tell whether
+   it did. It answers Unavailable and sends nothing. The staged half
+   outlives its deadline, the resolver re-sends the decision, and the
+   source commits it. The backbone is slow to deliver commits
+   (4 s), so an abort sent after the failed prepare would land between
+   the source's commit and the destination's, and lose the row. *)
+let test_ambiguous_prepare () =
+  let cluster, src, dst = two_shard_dirs ~seed:35L ~name:"c" in
+  let returned = ref false in
+  filter_backbone cluster
+    ~prepare_reply:(fun () ->
+      if !returned then Simnet.Network.Deliver else Simnet.Network.Drop)
+    ~request:(fun _ cmd ->
+      match cmd with
+      | Dirsvc.Wire.Xcommit _ -> Simnet.Network.Delay 4_000.0
+      | _ -> Simnet.Network.Deliver);
+  let moved =
+    Harness.on_client ~budget:12_000.0 cluster (fun client ->
+        let moved =
+          outcome (fun () -> Dirsvc.Client.move_row client ~src ~dst ~name:"c")
+        in
+        returned := true;
+        moved)
+  in
+  (match moved with
+  | Error (Dirsvc.Wire.Unavailable _) -> ()
+  | Ok () -> Alcotest.fail "the move reported success"
+  | Error e ->
+      Alcotest.failf "the move failed with %s"
+        (Dirsvc.Wire.service_error_to_string e));
+  let at_src = lookup_in cluster src "c" in
+  let at_dst = lookup_in cluster dst "c" in
+  Alcotest.(check int) "the row is in exactly one directory" 1
+    (List.length (List.filter Option.is_some [ at_src; at_dst ]));
+  Alcotest.check cap_opt "the re-sent decision moved it" (Some src)
+    (Option.map fst at_dst)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "coordinator dies before deciding: the re-sent \
+                          decision commits"
+        `Quick test_resent_decision_commits;
+      Alcotest.test_case "row changes while the coordinator is dead: the \
+                          re-sent decision aborts"
+        `Quick test_resent_decision_aborts;
+      Alcotest.test_case "ambiguous prepare: Unavailable, the row in one \
+                          directory"
+        `Quick test_ambiguous_prepare;
     ]
