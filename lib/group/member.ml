@@ -7,8 +7,6 @@ let send_timeout = 60.0 (* per-attempt wait for a send to complete *)
 
 let join_window = 5.0 (* how long [join_group] collects grants *)
 
-let reset_window = 15.0 (* how long [reset] collects member states *)
-
 let retrans_batch = 256 (* max entries per retransmission request *)
 
 (* Pre-resolved counter handles in the engine's registry: the protocol
@@ -45,8 +43,8 @@ type t = {
   config : Types.config;
   counters : counters;
   me : int;
-  mutable status : Types.status;
-  mutable epoch : Types.epoch;
+  mutable reset : Reset.state; (* status, installed view, ResetGroup *)
+  mutable reset_timer : Sim.Timer.t option; (* collect or sync window *)
   mutable members : int list; (* sorted *)
   mutable sequencer : int;
   (* Totally-ordered log. [store] holds every entry we know; [contig] is
@@ -99,11 +97,6 @@ type t = {
   bb_bodies : (int * int, Simnet.Payload.t) Hashtbl.t;
       (* BB method: bodies received by broadcast, keyed (origin, uid),
          awaiting the sequencer's Accept *)
-  (* Reset state. [reset_seen] is the highest (view, coord) invite we
-     responded to in the current instance. *)
-  mutable reset_seen : int * int;
-  mutable reset_states : (int * int) list; (* member, have_upto; as coord *)
-  mutable unsettled_since : float; (* the wait rule's clock *)
 }
 
 (* Instance and message ids come from the engine's per-run counter, not
@@ -142,27 +135,19 @@ let make_counters m ~dissemination =
 
 let now t = Sim.Engine.now t.engine
 
-(* The one wait outside [Normal] (see [fd_check]): a live coordinator
-   commits within two reset windows of its invite (collect, then sync),
-   and [fail_timeout] is the silence the detector already forgives. *)
-let unsettled_deadline t =
-  t.unsettled_since +. (2.0 *. reset_window) +. t.config.fail_timeout
+let status t = t.reset.status
+
+let epoch t = t.reset.epoch
 
 (* Revoke the failure detector (see [fd_tick]). Safe to call at any
    point, including from inside one of its ticks. *)
 let halt_fd t =
-  match t.fd_tick with
-  | Some tm ->
-      Sim.Timer.cancel tm;
-      t.fd_tick <- None
-  | None -> ()
+  Option.iter Sim.Timer.cancel t.fd_tick;
+  t.fd_tick <- None
 
 let cancel_batch_timer t =
-  match t.batch_timer with
-  | Some tm ->
-      Sim.Timer.cancel tm;
-      t.batch_timer <- None
-  | None -> ()
+  Option.iter Sim.Timer.cancel t.batch_timer;
+  t.batch_timer <- None
 
 (* Drop the pending batch without ordering it (view change, detected
    failure, node crash). The entries keep their [store] slots but were
@@ -189,15 +174,15 @@ let info t =
     members = t.members;
     sequencer = t.sequencer;
     me = t.me;
-    status = t.status;
-    epoch = t.epoch;
+    status = status t;
+    epoch = epoch t;
     next_deliver = t.contig + 1;
     highest_seen = t.highest_seen;
   }
 
 let held t seqno = Hashtbl.find_opt t.store seqno
 
-let is_sequencer t = t.status = Normal && t.sequencer = t.me
+let is_sequencer t = status t = Normal && t.sequencer = t.me
 
 let unicast t ~dst counter payload =
   Sim.Metrics.incr_handle counter;
@@ -207,7 +192,7 @@ let multicast t counter payload =
   Sim.Metrics.incr_handle counter;
   Simnet.Network.multicast t.net t.nic ~proto:t.proto payload
 
-let epoch_matches t epoch = Types.epoch_compare epoch t.epoch = 0
+let epoch_matches t e = Types.epoch_compare e (epoch t) = 0
 
 (* ---- Failure declaration ---------------------------------------- *)
 
@@ -219,18 +204,17 @@ let fail_pending_sends t reason =
     pending
 
 let declare_broken t ~notify_peers reason =
-  if t.status = Normal then begin
+  if status t = Normal then begin
     emit t ~name:"broken" (fun () ->
         [ ("gname", Sim.Trace.Str t.gname); ("reason", Sim.Trace.Str reason) ]);
-    t.status <- Broken;
-    t.unsettled_since <- now t;
+    t.reset <- { t.reset with status = Broken; since = now t };
     clear_batch t;
     fail_pending_sends t reason;
     Sim.Mailbox.send t.deliver_q (Failed reason);
     Sim.Condvar.broadcast t.changed;
     if notify_peers then
       multicast t t.counters.c_fail
-        (Wire.Fail { gname = t.gname; epoch = t.epoch; reason })
+        (Wire.Fail { gname = t.gname; epoch = epoch t; reason })
   end
 
 (* ---- Sequencer: resilience bookkeeping --------------------------- *)
@@ -249,7 +233,7 @@ let send_done t ~origin ~uid =
   if origin = t.me then complete_send t uid
   else
     unicast t ~dst:origin t.counters.c_done
-      (Wire.Done { gname = t.gname; epoch = t.epoch; uid })
+      (Wire.Done { gname = t.gname; epoch = epoch t; uid })
 
 let holders t seqno =
   List.length
@@ -321,7 +305,7 @@ let deliver_entry t seqno (entry : Wire.entry) =
       t.members <- List.filter (fun x -> x <> m) t.members;
       Sim.Mailbox.send t.deliver_q (Delivery (Departed { seqno; member = m }));
       if m = t.me then begin
-        t.status <- Left;
+        t.reset <- { t.reset with status = Left };
         halt_fd t;
         fail_pending_sends t "left group";
         Sim.Condvar.broadcast t.changed
@@ -344,12 +328,12 @@ let deliver_entry t seqno (entry : Wire.entry) =
       end
 
 let send_cumulative_ack t =
-  if t.status = Normal then
+  if status t = Normal then
     if t.sequencer = t.me then record_ack t ~member:t.me ~have_upto:t.contig
     else
       unicast t ~dst:t.sequencer t.counters.c_ack
         (Wire.Ack
-           { gname = t.gname; epoch = t.epoch; member = t.me; have_upto = t.contig })
+           { gname = t.gname; epoch = epoch t; member = t.me; have_upto = t.contig })
 
 (* Deliver every stored entry that has become contiguous. *)
 let advance t =
@@ -371,7 +355,7 @@ let advance t =
 
 let request_retrans t =
   if
-    t.status = Normal && t.sequencer <> t.me
+    status t = Normal && t.sequencer <> t.me
     && now t -. t.last_retrans_req > 4.0
   then begin
     t.last_retrans_req <- now t;
@@ -383,7 +367,7 @@ let request_retrans t =
         ]);
     unicast t ~dst:t.sequencer t.counters.c_retrans
       (Wire.Retrans
-         { gname = t.gname; epoch = t.epoch; member = t.me; from = t.contig + 1 })
+         { gname = t.gname; epoch = epoch t; member = t.me; from = t.contig + 1 })
   end
 
 (* An ordered entry is worth holding at [seqno] unless it was already
@@ -425,14 +409,14 @@ let flush_batch t =
         | Wire.Join_member _ | Wire.Leave_member _ -> assert false
       done;
       multicast t t.counters.c_accept
-        (Wire.Bb_accept_batch { gname = t.gname; epoch = t.epoch; base; pairs })
+        (Wire.Bb_accept_batch { gname = t.gname; epoch = epoch t; base; pairs })
     end
     else
       multicast t t.counters.c_data
         (Wire.Data_batch
            {
              gname = t.gname;
-             epoch = t.epoch;
+             epoch = epoch t;
              batch = Wire.encode_batch ~base ~count t.batch_scratch;
            });
     t.batch_bodies <- true;
@@ -541,7 +525,7 @@ let handle_join_req t ~joiner ~uid =
     (Wire.Join_grant
        {
          gname = t.gname;
-         epoch = t.epoch;
+         epoch = epoch t;
          uid;
          members = t.members;
          sequencer = t.sequencer;
@@ -568,7 +552,7 @@ let handle_retrans t ~member ~from =
         (Wire.Data_batch
            {
              gname = t.gname;
-             epoch = t.epoch;
+             epoch = epoch t;
              batch = Wire.encode_batch ~base:!run_base ~count:!run_len arr;
            });
       run := [];
@@ -585,36 +569,7 @@ let handle_retrans t ~member ~from =
   done;
   flush_run ()
 
-(* ---- Reset (ResetGroup view change) ------------------------------ *)
-
-(* Join [coord]'s reset into [view], ours too: the rule's clock restarts. *)
-let accept_invite t ~view ~coord =
-  t.reset_seen <- (view, coord);
-  if t.status = Normal then fail_pending_sends t "reset in progress";
-  t.status <- Resetting;
-  t.unsettled_since <- now t
-
-let handle_reset_invite t ~instance ~view ~coord =
-  if
-    instance = t.epoch.instance
-    && (t.status = Normal || t.status = Broken || t.status = Resetting)
-    && view > t.epoch.view
-    && compare (view, coord) t.reset_seen > 0
-  then begin
-    accept_invite t ~view ~coord;
-    Sim.Condvar.broadcast t.changed;
-    if coord <> t.me then
-      unicast t ~dst:coord t.counters.c_reset
-        (Wire.Reset_state
-           { gname = t.gname; instance; view; member = t.me; have_upto = t.contig })
-  end
-
-let handle_reset_state t ~view ~member ~have_upto =
-  if
-    t.status = Resetting
-    && t.reset_seen = (view, t.me)
-    && not (List.mem_assoc member t.reset_states)
-  then t.reset_states <- (member, have_upto) :: t.reset_states
+(* ---- Reset (ResetGroup view change): carrying out [Reset.step] ---- *)
 
 (* The entries held in [from .. upto], in seqno order. *)
 let held_range t ~from ~upto =
@@ -626,171 +581,145 @@ let held_range t ~from ~upto =
   done;
   !entries
 
-let handle_reset_fetch t ~requester ~from ~upto =
-  let entries = held_range t ~from ~upto in
-  unicast t ~dst:requester t.counters.c_reset
-    (Wire.Reset_entries { gname = t.gname; instance = t.epoch.instance; entries })
+let take t entries =
+  List.iter (fun (s, e) -> if unheld t s then Hashtbl.replace t.store s e) entries
 
-let handle_reset_entries t entries =
-  List.iter
-    (fun (seqno, entry) ->
-      if unheld t seqno then Hashtbl.replace t.store seqno entry)
-    entries;
-  advance t
+(* The contiguous prefix we would hold with [entries] taken. *)
+let rec reach t entries c =
+  if Hashtbl.mem t.store (c + 1) || List.mem_assoc (c + 1) entries then
+    reach t entries (c + 1)
+  else c
 
-let purge_beyond t base =
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s > base then s :: acc else acc) t.store []
-  in
-  List.iter (Hashtbl.remove t.store) stale;
-  t.highest_seen <- base
-
-let apply_reset_commit t ~epoch ~members:new_members ~sequencer ~base ~patch =
-  if
-    epoch.instance = t.epoch.instance
-    && epoch.view > t.epoch.view
-    && (t.status = Resetting || t.status = Broken || t.status = Normal)
-  then begin
-    (* A batch pending under the dead view was never multicast: drop it
-       (its seqnos sit beyond the agreed base and are purged below). *)
-    clear_batch t;
+let install t ~patch (v : Reset.view) =
+  (* A batch pending under the dead view was never multicast, and entries
+     past the base belonged to it: the new sequencer reuses their seqnos. *)
+  clear_batch t;
+  Option.iter Sim.Timer.cancel t.reset_timer;
+  take t patch;
+  Hashtbl.filter_map_inplace (fun s e -> if s > v.base then None else Some e) t.store;
+  t.highest_seen <- v.base;
+  advance t;
+  t.members <- v.members;
+  t.sequencer <- v.sequencer;
+  t.last_from_seq <- now t;
+  Hashtbl.reset t.pending_done;
+  Hashtbl.reset t.assigned_uids;
+  Hashtbl.reset t.bb_bodies;
+  fail_pending_sends t "view changed";
+  if v.sequencer = t.me then begin
+    t.seq_next <- v.base + 1;
+    Hashtbl.reset t.acked;
     List.iter
-      (fun (seqno, entry) ->
-        if unheld t seqno then Hashtbl.replace t.store seqno entry)
-      patch;
-    (* Entries beyond the agreed base belonged to the dead view: drop
-       them so the new sequencer can reuse those sequence numbers. *)
-    purge_beyond t base;
-    advance t;
-    assert (t.contig >= base);
-    t.epoch <- epoch;
-    t.members <- new_members;
-    t.sequencer <- sequencer;
-    t.status <- Normal;
-    t.last_from_seq <- now t;
-    t.reset_seen <- (epoch.view, sequencer);
-    Hashtbl.reset t.pending_done;
-    Hashtbl.reset t.assigned_uids;
-    Hashtbl.reset t.bb_bodies;
-    fail_pending_sends t "view changed";
-    if sequencer = t.me then begin
-      t.seq_next <- base + 1;
-      Hashtbl.reset t.acked;
-      List.iter
-        (fun m ->
-          Hashtbl.replace t.acked m base;
-          Hashtbl.replace t.last_heard m (now t))
-        new_members
-    end;
-    Sim.Condvar.broadcast t.changed;
-    emit t ~name:"view" (fun () ->
-        [
-          ("gname", Sim.Trace.Str t.gname);
-          ("instance", Sim.Trace.Int epoch.instance);
-          ("view", Sim.Trace.Int epoch.view);
-          ("sequencer", Sim.Trace.Int sequencer);
-          ( "members",
-            Sim.Trace.Str
-              (String.concat "," (List.map string_of_int new_members)) );
-        ])
-  end
-
-(* One attempt: invite, collect member states for a window, sync from
-   the most advanced member, commit the view to every member that
-   answered. A coordinator superseded by a higher invite waits for that
-   one's commit, until the wait rule's deadline only: the rule's next
-   [Failed] is the retry. *)
-let reset t =
-  if t.status = Left || t.status = Idle then
-    raise (Group_failure "reset: not a member");
-  let view = max t.epoch.view (fst t.reset_seen) + 1 in
-  accept_invite t ~view ~coord:t.me;
-  t.reset_states <- [ (t.me, t.contig) ];
-  multicast t t.counters.c_reset
-    (Wire.Reset_invite
-       { gname = t.gname; instance = t.epoch.instance; view; coord = t.me });
-  Sim.Proc.sleep reset_window;
-  let ours () = t.status <> Normal && t.reset_seen = (view, t.me) in
-  let states = t.reset_states in
-  let base = List.fold_left (fun acc (_, h) -> max acc h) (-1) states in
-  if ours () && t.contig < base then begin
-    let donor, _ = List.find (fun (_, h) -> h = base) states in
-    unicast t ~dst:donor t.counters.c_reset
-      (Wire.Reset_fetch
-         {
-           gname = t.gname;
-           instance = t.epoch.instance;
-           from = t.contig + 1;
-           upto = base;
-         });
-    try
-      Sim.Condvar.await ~timeout:reset_window t.changed (fun () ->
-          t.contig >= base)
-    with Sim.Proc.Timeout -> ()
+      (fun m ->
+        Hashtbl.replace t.acked m v.base;
+        Hashtbl.replace t.last_heard m (now t))
+      v.members
   end;
-  if ours () && t.contig >= base then begin
-    let members = List.sort compare (List.map fst states) in
-    let sequencer = List.hd members in
-    let epoch = { instance = t.epoch.instance; view } in
-    List.iter
-      (fun (m, have) ->
-        if m <> t.me then
+  emit t ~name:"view" (fun () ->
+      [
+        ("gname", Sim.Trace.Str t.gname);
+        ("instance", Sim.Trace.Int v.epoch.instance);
+        ("view", Sim.Trace.Int v.epoch.view);
+        ("sequencer", Sim.Trace.Int v.sequencer);
+        ("members", Sim.Trace.Str (String.concat "," (List.map string_of_int v.members)));
+      ])
+
+(* Run one input through [Reset.step] and carry out its actions ([patch]:
+   the packet's entries). The state lands after them, so an install delivers
+   before [Normal]; a [Normal] member joining a reset fails its sends. *)
+let rec feed ?(patch = []) t input =
+  let st, actions = Reset.step t.reset input in
+  List.iter (perform t ~patch) actions;
+  let was = status t in
+  t.reset <- st;
+  if was = Normal && st.status = Resetting then
+    fail_pending_sends t "reset in progress";
+  if st.status <> was then Sim.Condvar.broadcast t.changed
+
+and perform t ~patch action =
+  let gname = t.gname and instance = (epoch t).instance in
+  match action with
+  | Reset.Invite_all view ->
+      let invite = Wire.Reset_invite { gname; instance; view; coord = t.me } in
+      multicast t t.counters.c_reset invite
+  | Send_state { coord; view; have } ->
+      unicast t ~dst:coord t.counters.c_reset
+        (Wire.Reset_state { gname; instance; view; member = t.me; have_upto = have })
+  | Fetch { donor; from; upto } ->
+      unicast t ~dst:donor t.counters.c_reset
+        (Wire.Reset_fetch { gname; instance; from; upto })
+  | Take -> take t patch
+  | Arm delay ->
+      Option.iter Sim.Timer.cancel t.reset_timer;
+      t.reset_timer <-
+        Some
+          (Sim.Timer.after t.engine ~delay (fun () ->
+               t.reset_timer <- None;
+               feed t (Reset.Expired { contig = t.contig })))
+  | Send_commits ({ epoch; members; sequencer; base }, targets) ->
+      List.iter
+        (fun (m, have) ->
           let patch = held_range t ~from:(have + 1) ~upto:base in
           unicast t ~dst:m t.counters.c_reset
-            (Wire.Reset_commit
-               { gname = t.gname; epoch; members; sequencer; base; patch }))
-      states;
-    apply_reset_commit t ~epoch ~members ~sequencer ~base ~patch:[]
-  end;
+            (Wire.Reset_commit { gname; epoch; members; sequencer; base; patch }))
+        targets
+  | Install v -> install t ~patch v
+  | Failed ->
+      emit t ~name:"unsettled" (fun () -> [ ("gname", Sim.Trace.Str t.gname) ]);
+      Sim.Mailbox.send t.deliver_q (Failed "no view installed")
+
+(* One attempt, run by [Reset.step] from here on; then wait for a view
+   until the wait rule's deadline, whose next [Failed] is the retry. *)
+let reset t =
+  if status t = Left || status t = Idle then
+    raise (Group_failure "reset: not a member");
+  feed t (Reset.Start { now = now t; contig = t.contig });
   (try
-     Sim.Condvar.await ~timeout:(unsettled_deadline t -. now t) t.changed
-       (fun () -> t.status = Normal)
+     Sim.Condvar.await ~timeout:(Reset.deadline t.reset -. now t) t.changed
+       (fun () -> status t = Normal)
    with Sim.Proc.Timeout -> ());
-  if t.status = Normal then List.length t.members else 0
+  if status t = Normal then List.length t.members else 0
 
 (* ---- Packet handling ---------------------------------------------- *)
 
+(* Every packet here is this group's: a member listens on [Wire.proto
+   gname] only. *)
 let handle_packet t (packet : Simnet.Packet.t) =
   match packet.payload with
-  | Wire.Data_batch { gname; epoch; batch } ->
-      if gname = t.gname then
-        if epoch_matches t epoch && t.status = Normal then begin
-          t.last_from_seq <- now t;
-          store_batch t batch
-        end
-        else if t.status = Idle && t.join_collect <> None then
-          (* Traffic racing our join: keep it until we know which group
-             (and base) we were admitted to. *)
-          for i = 0 to batch.Wire.count - 1 do
-            t.join_stash <-
-              (epoch, batch.Wire.base + i, Wire.decode_entry batch i)
-              :: t.join_stash
-          done
-  | Wire.Bb_accept_batch { gname; epoch; base; pairs } ->
-      if gname = t.gname && epoch_matches t epoch && t.status = Normal then begin
+  | Wire.Data_batch { epoch; batch; _ } ->
+      if epoch_matches t epoch && status t = Normal then begin
+        t.last_from_seq <- now t;
+        store_batch t batch
+      end
+      else if status t = Idle && t.join_collect <> None then
+        (* Traffic racing our join: keep it until we know which group
+           (and base) we were admitted to. *)
+        for i = 0 to batch.Wire.count - 1 do
+          t.join_stash <-
+            (epoch, batch.Wire.base + i, Wire.decode_entry batch i) :: t.join_stash
+        done
+  | Wire.Bb_accept_batch { epoch; base; pairs; _ } ->
+      if epoch_matches t epoch && status t = Normal then begin
         t.last_from_seq <- now t;
         handle_bb_accept_batch t ~base ~pairs
       end
-  | Wire.Bcast_req { gname; epoch; origin; uid; payload } ->
-      if gname = t.gname && epoch_matches t epoch && is_sequencer t then
+  | Wire.Bcast_req { epoch; origin; uid; payload; _ } ->
+      if epoch_matches t epoch && is_sequencer t then
         handle_bcast_req t ~origin ~uid ~payload ~body_known:false
-  | Wire.Bb_body { gname; epoch; origin; uid; payload } ->
-      if gname = t.gname && epoch_matches t epoch && t.status = Normal then
+  | Wire.Bb_body { epoch; origin; uid; payload; _ } ->
+      if epoch_matches t epoch && status t = Normal then
         if is_sequencer t then
           handle_bcast_req t ~origin ~uid ~payload ~body_known:true
         else
           (* Keep our own loopback copy too: the Accept will need it. *)
           Hashtbl.replace t.bb_bodies (origin, uid) payload
-  | Wire.Ack { gname; epoch; member; have_upto } ->
-      if gname = t.gname && epoch_matches t epoch && is_sequencer t then
-        record_ack t ~member ~have_upto
-  | Wire.Done { gname; epoch; uid } ->
-      if gname = t.gname && epoch_matches t epoch then complete_send t uid
-  | Wire.Retrans { gname; epoch; member; from } ->
-      if gname = t.gname && epoch_matches t epoch && is_sequencer t then
-        handle_retrans t ~member ~from
-  | Wire.Heartbeat { gname; epoch; highest } ->
-      if gname = t.gname && epoch_matches t epoch && t.status = Normal then begin
+  | Wire.Ack { epoch; member; have_upto; _ } ->
+      if epoch_matches t epoch && is_sequencer t then record_ack t ~member ~have_upto
+  | Wire.Done { epoch; uid; _ } -> if epoch_matches t epoch then complete_send t uid
+  | Wire.Retrans { epoch; member; from; _ } ->
+      if epoch_matches t epoch && is_sequencer t then handle_retrans t ~member ~from
+  | Wire.Heartbeat { epoch; highest; _ } ->
+      if epoch_matches t epoch && status t = Normal then begin
         t.last_from_seq <- now t;
         if highest > t.highest_seen then t.highest_seen <- highest;
         if t.highest_seen > t.contig then request_retrans t;
@@ -799,45 +728,41 @@ let handle_packet t (packet : Simnet.Packet.t) =
             (Wire.Hb_ack
                {
                  gname = t.gname;
-                 epoch = t.epoch;
+                 epoch;
                  member = t.me;
                  have_upto = t.contig;
                })
       end
-  | Wire.Hb_ack { gname; epoch; member; have_upto } ->
-      if gname = t.gname && epoch_matches t epoch && is_sequencer t then
-        record_ack t ~member ~have_upto
-  | Wire.Fail { gname; epoch; reason } ->
-      if gname = t.gname && epoch_matches t epoch then
-        declare_broken t ~notify_peers:false reason
-  | Wire.Join_req { gname; joiner; uid } ->
-      if gname = t.gname && is_sequencer t then handle_join_req t ~joiner ~uid
-  | Wire.Join_grant { gname; epoch; uid; members; sequencer; base } ->
-      if gname = t.gname then begin
-        match t.join_collect with
-        | Some grants when t.status = Idle ->
-            t.join_collect <-
-              Some ((sequencer, members, base, epoch, uid) :: grants)
-        | Some _ | None -> ()
-      end
-  | Wire.Leave_req { gname; epoch; member } ->
-      if gname = t.gname && epoch_matches t epoch && is_sequencer t then
-        ignore
-          (enqueue t (Wire.Leave_member member) ~body_known:false ~alone:true)
-  | Wire.Reset_invite { gname; instance; view; coord } ->
-      if gname = t.gname then handle_reset_invite t ~instance ~view ~coord
-  | Wire.Reset_state { gname; instance; view; member; have_upto } ->
-      if gname = t.gname && instance = t.epoch.instance then
-        handle_reset_state t ~view ~member ~have_upto
+  | Wire.Hb_ack { epoch; member; have_upto; _ } ->
+      if epoch_matches t epoch && is_sequencer t then record_ack t ~member ~have_upto
+  | Wire.Fail { epoch; reason; _ } ->
+      if epoch_matches t epoch then declare_broken t ~notify_peers:false reason
+  | Wire.Join_req { joiner; uid; _ } ->
+      if is_sequencer t then handle_join_req t ~joiner ~uid
+  | Wire.Join_grant { epoch; uid; members; sequencer; base; _ } -> (
+      match t.join_collect with
+      | Some grants when status t = Idle ->
+          t.join_collect <- Some ((sequencer, members, base, epoch, uid) :: grants)
+      | Some _ | None -> ())
+  | Wire.Leave_req { epoch; member; _ } ->
+      if epoch_matches t epoch && is_sequencer t then
+        ignore (enqueue t (Wire.Leave_member member) ~body_known:false ~alone:true)
+  | Wire.Reset_invite { instance; view; coord; _ } ->
+      feed t (Reset.Invite { instance; now = now t; contig = t.contig; view; coord })
+  | Wire.Reset_state { instance; view; member; have_upto; _ } ->
+      feed t (Reset.State { instance; view; member; have = have_upto })
   | Wire.Reset_fetch { gname; instance; from; upto } ->
-      if gname = t.gname && instance = t.epoch.instance then
-        handle_reset_fetch t ~requester:packet.src ~from ~upto
-  | Wire.Reset_entries { gname; instance; entries } ->
-      if gname = t.gname && instance = t.epoch.instance then
-        handle_reset_entries t entries
-  | Wire.Reset_commit { gname; epoch; members; sequencer; base; patch } ->
-      if gname = t.gname then
-        apply_reset_commit t ~epoch ~members ~sequencer ~base ~patch
+      if instance = (epoch t).instance then
+        unicast t ~dst:packet.src t.counters.c_reset
+          (Wire.Reset_entries
+             { gname; instance; entries = held_range t ~from ~upto })
+  | Wire.Reset_entries { instance; entries; _ } ->
+      let reach = reach t entries t.contig in
+      feed t ~patch:entries (Reset.Entries { instance; src = packet.src; reach })
+  | Wire.Reset_commit { epoch; members; sequencer; base; patch; _ } ->
+      let view = { Reset.epoch; members; sequencer; base } in
+      let reach = reach t patch t.contig in
+      feed t ~patch (Reset.Commit { coord = packet.src; view; reach })
   | _ -> ()
 
 (* The sequencer's watch over the other members, one tick's worth: a
@@ -845,7 +770,7 @@ let handle_packet t (packet : Simnet.Packet.t) =
 let rec watch_members t = function
   | [] -> ()
   | m :: rest ->
-      (if m <> t.me && t.status = Normal then
+      (if m <> t.me && status t = Normal then
          let heard =
            match Hashtbl.find t.last_heard m with
            | v -> v
@@ -859,25 +784,19 @@ let rec watch_members t = function
 (* One failure-detector tick: the sequencer heartbeats and watches
    every member; a member watches the sequencer. *)
 let fd_check t =
-  match t.status with
+  match status t with
   | Normal ->
       if t.sequencer = t.me then begin
         (* Suppress the heartbeat when data traffic is already flowing. *)
         if now t -. t.last_data_sent >= t.config.heartbeat_period then
           multicast t t.counters.c_hb
             (Wire.Heartbeat
-               { gname = t.gname; epoch = t.epoch; highest = t.seq_next - 1 });
+               { gname = t.gname; epoch = epoch t; highest = t.seq_next - 1 });
         watch_members t t.members
       end
       else if now t -. t.last_from_seq > t.config.fail_timeout then
         declare_broken t ~notify_peers:true "sequencer silent"
-  | Broken | Resetting ->
-      (* The wait rule: one [Failed] per expiry, so that the owner resets. *)
-      if now t > unsettled_deadline t then begin
-        t.unsettled_since <- now t;
-        emit t ~name:"unsettled" (fun () -> [ ("gname", Sim.Trace.Str t.gname) ]);
-        Sim.Mailbox.send t.deliver_q (Failed "no view installed")
-      end
+  | Broken | Resetting -> feed t (Reset.Tick { now = now t }) (* the wait rule *)
   | Idle | Left -> ()
 
 (* The failure detector is one periodic timer, parked in [t.fd_tick] so
@@ -890,7 +809,7 @@ let arm_fd t =
     Some
       (Sim.Timer.every t.engine ~period:t.config.heartbeat_period (fun () ->
            fd_check t;
-           if t.status = Left then halt_fd t))
+           if status t = Left then halt_fd t))
 
 let make ?(config = Types.default_config) net nic ~gname =
   let node = Simnet.Network.nic_node nic in
@@ -908,8 +827,8 @@ let make ?(config = Types.default_config) net nic ~gname =
         make_counters (Sim.Engine.metrics engine)
           ~dissemination:config.Types.dissemination;
       me = Sim.Node.id node;
-      status = Idle;
-      epoch = { instance = 0; view = 0 };
+      reset = Reset.init ~me:(Sim.Node.id node) ~fail_timeout:config.fail_timeout;
+      reset_timer = None;
       members = [];
       sequencer = -1;
       store = Hashtbl.create 256;
@@ -935,31 +854,29 @@ let make ?(config = Types.default_config) net nic ~gname =
       join_collect = None;
       join_stash = [];
       bb_bodies = Hashtbl.create 16;
-      reset_seen = (0, -1);
-      reset_states = [];
-      unsettled_since = 0.0;
     }
   in
   (* Packets are handled in their delivery event, as the kernel would.
      Listening replaces the handler of a previous (left) member endpoint
      on this NIC, so a rejoin takes its packets over. *)
   Simnet.Network.listen nic ~proto:t.proto (fun packet ->
-      if t.status <> Left then handle_packet t packet);
+      if status t <> Left then handle_packet t packet);
   arm_fd t;
   (* A crashed node's failure detector must stop ticking: revoke it.
      The batch timer is revoked too, so a crashed sequencer's pending
      batch dies with it instead of being multicast posthumously. *)
   Sim.Node.on_crash node (fun () ->
       halt_fd t;
-      clear_batch t);
+      clear_batch t;
+      Option.iter Sim.Timer.cancel t.reset_timer);
   t
 
 let create_group ?config net nic ~gname =
   let t = make ?config net nic ~gname in
-  t.epoch <- { instance = fresh_instance t; view = 1 };
+  let epoch = { instance = fresh_instance t; view = 1 } in
+  t.reset <- { t.reset with status = Normal; epoch };
   t.members <- [ t.me ];
   t.sequencer <- t.me;
-  t.status <- Normal;
   t.seq_next <- 1;
   Hashtbl.replace t.acked t.me 0;
   Hashtbl.replace t.last_heard t.me (Sim.Engine.now (Simnet.Network.engine net));
@@ -996,11 +913,11 @@ let join_group ?config net nic ~gname =
   in
   match best with
   | None ->
-      t.status <- Left;
+      t.reset <- { t.reset with status = Left };
       halt_fd t;
       raise (Join_failed (Printf.sprintf "%s: no grant received" gname))
   | Some (sequencer, members, base, epoch, _) ->
-      t.epoch <- epoch;
+      t.reset <- { t.reset with status = Normal; epoch };
       t.members <-
         (if List.mem t.me members then members
          else List.sort compare (t.me :: members));
@@ -1008,8 +925,6 @@ let join_group ?config net nic ~gname =
       t.contig <- base;
       t.highest_seen <- base;
       t.seq_next <- base + 1;
-      t.reset_seen <- (epoch.view, sequencer);
-      t.status <- Normal;
       t.last_from_seq <- Sim.Engine.now (Simnet.Network.engine net);
       (* Replay data that raced the join. *)
       let stash = List.rev t.join_stash in
@@ -1022,10 +937,10 @@ let join_group ?config net nic ~gname =
       t
 
 let send t payload =
-  if t.status <> Normal then
-    raise (Group_failure ("send while " ^ Types.status_to_string t.status));
+  if status t <> Normal then
+    raise (Group_failure ("send while " ^ Types.status_to_string (status t)));
   let uid = fresh_uid t in
-  let epoch0 = t.epoch in
+  let epoch0 = epoch t in
   let started = now t in
   let meth =
     match t.config.dissemination with Types.Pb -> "pb" | Types.Bb -> "bb"
@@ -1038,7 +953,7 @@ let send t payload =
           ("method", Sim.Trace.Str meth);
         ]);
   let rec attempt n =
-    if t.status <> Normal || Types.epoch_compare t.epoch epoch0 <> 0 then
+    if status t <> Normal || Types.epoch_compare (epoch t) epoch0 <> 0 then
       raise (Group_failure "group changed during send");
     if n > t.config.send_retries then begin
       declare_broken t ~notify_peers:true "send timed out";
@@ -1055,11 +970,11 @@ let send t payload =
        | Types.Pb ->
            unicast t ~dst:t.sequencer t.counters.c_req
              (Wire.Bcast_req
-                { gname = t.gname; epoch = t.epoch; origin = t.me; uid; payload })
+                { gname = t.gname; epoch = epoch t; origin = t.me; uid; payload })
        | Types.Bb ->
            multicast t t.counters.c_body
              (Wire.Bb_body
-                { gname = t.gname; epoch = t.epoch; origin = t.me; uid; payload }));
+                { gname = t.gname; epoch = epoch t; origin = t.me; uid; payload }));
     match Sim.Ivar.read ~timeout:send_timeout ivar with
     | () ->
         let wait = now t -. started in
@@ -1086,14 +1001,14 @@ let send t payload =
   attempt 1
 
 let rec receive ?timeout t =
-  (match t.status with
+  (match status t with
   | Broken -> raise (Group_failure "group broken")
   | Left -> raise (Group_failure "not a member")
   | Idle -> raise (Group_failure "not joined")
   | Normal | Resetting -> ());
   match Sim.Mailbox.recv ?timeout t.deliver_q with
   | Delivery d -> d
-  | Failed reason when t.status = Broken || t.status = Resetting ->
+  | Failed reason when status t = Broken || status t = Resetting ->
       raise (Group_failure reason)
   | Failed _ -> (* stale: a reset has succeeded since *) receive ?timeout t
 
@@ -1103,10 +1018,10 @@ let batch_timer_active t =
   match t.batch_timer with Some tm -> Sim.Timer.active tm | None -> false
 
 let leave t =
-  match t.status with
+  match status t with
   | Left -> ()
   | Idle | Broken | Resetting ->
-      t.status <- Left;
+      t.reset <- { t.reset with status = Left };
       halt_fd t;
       Sim.Condvar.broadcast t.changed
   | Normal ->
@@ -1121,10 +1036,10 @@ let leave t =
       end
       else
         unicast t ~dst:t.sequencer t.counters.c_leave
-          (Wire.Leave_req { gname = t.gname; epoch = t.epoch; member = t.me });
+          (Wire.Leave_req { gname = t.gname; epoch = epoch t; member = t.me });
       (try
          Sim.Condvar.await ~timeout:send_timeout t.changed (fun () ->
-             t.status = Left)
+             status t = Left)
        with Sim.Proc.Timeout ->
-         t.status <- Left;
+         t.reset <- { t.reset with status = Left };
          halt_fd t)

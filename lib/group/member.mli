@@ -10,18 +10,18 @@
        detected a failure (at once while [Broken]; while [Resetting],
        when the wait rule below fires), after which the application
        must call [reset]}
-    {- [reset] — ResetGroup: one attempt (invite, collect, sync,
-       commit) to rebuild the group from the reachable members; returns
-       the size of the view it ends in (the caller checks it against
-       its majority requirement), or 0 if it installed none (the wait
-       rule's next failure then prompts another attempt)}
+    {- [reset] — ResetGroup: one attempt ({!Reset}: invite, collect,
+       sync, commit) to rebuild the group from the reachable members;
+       returns the size of the view it ends in (the caller checks it
+       against its majority requirement), or 0 if none by the wait
+       rule's deadline (its next failure prompts another attempt)}
     {- [leave] — LeaveGroup}
     {- [info] — GetInfoGroup}}
 
-    {b Wait rule.} A member [Broken] or [Resetting] for longer than
-    [2 * reset_window + fail_timeout] (15 ms windows: 110 ms by
-    default), counted from when it entered that status or last accepted
-    a reset invite, gets one failure queued for [receive].
+    {b Wait rule} ({!Reset.deadline}, on each detector tick). A member
+    [Broken] or [Resetting] for longer than [2 * 15 ms + fail_timeout]
+    (110 ms by default), counted from when it entered that status or
+    last accepted a reset invite, gets one failure queued for [receive].
 
     A member counts every protocol message it sends ([grp.req],
     [grp.data], …) and how long each send blocks

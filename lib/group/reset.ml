@@ -1,0 +1,105 @@
+open Types
+
+type attempt =
+  | Collecting of (int * int) list
+  | Syncing of { states : (int * int) list; base : int; donor : int }
+
+type state = {
+  me : int;
+  fail_timeout : float;
+  status : Types.status;
+  epoch : Types.epoch;
+  seen : int * int;
+  since : float;
+  attempt : attempt option;
+}
+
+let init ~me ~fail_timeout =
+  let epoch = { instance = 0; view = 0 } and attempt = None in
+  { me; fail_timeout; status = Idle; epoch; seen = (0, -1); since = 0.0; attempt }
+
+type view = { epoch : Types.epoch; members : int list; sequencer : int; base : int }
+
+type input =
+  | Start of { now : float; contig : int }
+  | Invite of { instance : int; now : float; contig : int; view : int; coord : int }
+  | State of { instance : int; view : int; member : int; have : int }
+  | Entries of { instance : int; src : int; reach : int }
+  | Commit of { coord : int; view : view; reach : int }
+  | Expired of { contig : int }
+  | Tick of { now : float }
+
+type action =
+  | Invite_all of int
+  | Send_state of { coord : int; view : int; have : int }
+  | Fetch of { donor : int; from : int; upto : int }
+  | Take
+  | Arm of float
+  | Send_commits of view * (int * int) list
+  | Install of view
+  | Failed
+
+let window = 15.0
+
+let deadline (st : state) = st.since +. (2.0 *. window) +. st.fail_timeout
+
+(* Join [coord]'s reset into [view], ours too: the wait rule's clock
+   restarts, and an attempt of our own is abandoned. *)
+let accept (st : state) ~now ~view ~coord =
+  { st with status = Resetting; seen = (view, coord); since = now; attempt = None }
+
+let install (st : state) epoch = { st with status = Normal; epoch; attempt = None }
+
+(* The view is every member that answered, the lowest one sequencing. *)
+let commit (st : state) states base =
+  let members = List.sort compare (List.map fst states) in
+  let epoch = { st.epoch with view = fst st.seen } in
+  let v = { epoch; members; sequencer = List.hd members; base } in
+  let others = List.filter (fun (m, _) -> m <> st.me) states in
+  (install st epoch, [ Send_commits (v, others); Install v ])
+
+let step (st : state) input =
+  match (input, st.attempt) with
+  | _ when st.status = Idle || st.status = Left -> (st, [])
+  | (Invite { instance; _ } | State { instance; _ } | Entries { instance; _ }), _
+  | Commit { view = { epoch = { instance; _ }; _ }; _ }, _
+    when instance <> st.epoch.instance ->
+      (st, [])
+  | Start { now; contig }, _ ->
+      let view = max st.epoch.view (fst st.seen) + 1 in
+      let st = accept st ~now ~view ~coord:st.me in
+      ( { st with attempt = Some (Collecting [ (st.me, contig) ]) },
+        [ Invite_all view; Arm window ] )
+  (* One coordinator per view number; a coordinator yields to a higher. *)
+  | Invite { now; contig; view; coord; _ }, attempt
+    when view > st.epoch.view && compare (view, coord) st.seen > 0
+         && (view > fst st.seen || attempt <> None) ->
+      (accept st ~now ~view ~coord, [ Send_state { coord; view; have = contig } ])
+  | State { view; member; have; _ }, Some (Collecting states)
+    when view = fst st.seen && not (List.mem_assoc member states) ->
+      ({ st with attempt = Some (Collecting ((member, have) :: states)) }, [])
+  | Expired { contig }, Some (Collecting states) ->
+      let base = List.fold_left (fun acc (_, h) -> max acc h) (-1) states in
+      if contig >= base then commit st states base
+      else
+        let donor, _ = List.find (fun (_, h) -> h = base) states in
+        ( { st with attempt = Some (Syncing { states; base; donor }) },
+          [ Fetch { donor; from = contig + 1; upto = base }; Arm window ] )
+  | Expired _, Some (Syncing _) -> ({ st with attempt = None }, [])
+  (* Fetched entries count only for the sync that asked for them. *)
+  | Entries { src; reach; _ }, Some (Syncing { states; base; donor })
+    when src = donor ->
+      if reach < base then (st, [ Take ])
+      else
+        let st, acts = commit st states base in
+        (st, Take :: acts)
+  (* Only the coordinator this member last answered can move it on, and
+     only to a view it can reach. *)
+  | Commit { coord; view = v; reach }, _
+    when (v.epoch.view, coord) = st.seen && v.epoch.view > st.epoch.view
+         && reach >= v.base ->
+      (install st v.epoch, [ Install v ])
+  | Tick { now }, _
+    when (st.status = Broken || st.status = Resetting) && now > deadline st ->
+      ({ st with since = now }, [ Failed ])
+  | _ -> (st, [])

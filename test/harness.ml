@@ -118,3 +118,55 @@ let check_object_table cluster ~server store =
     (List.map
        (fun (dir_id, entry) -> (dir_id, entry.Storage.Object_table.seqno))
        (Storage.Object_table.scan table))
+
+(* Broadcast properties over per-member logs: [(who, keys)], each list
+   the keys that member delivered, in delivery order. [check_order] is
+   integrity (no key twice in one log) and total order (every two keys
+   that two logs share, in the same order). *)
+let check_order ~describe logs =
+  let twice (who, log) =
+    let seen = Hashtbl.create 16 in
+    List.filter_map
+      (fun k ->
+        if Hashtbl.mem seen k then
+          Some (Printf.sprintf "member %d delivered %s twice" who (describe k))
+        else begin
+          Hashtbl.add seen k ();
+          None
+        end)
+      log
+  in
+  (* The first key of [lb] delivered out of [la]'s order, if any. *)
+  let disorder (a, la) (b, lb) =
+    let index = Hashtbl.create 16 in
+    List.iteri (fun i k -> Hashtbl.replace index k i) la;
+    let rec scan last = function
+      | [] -> None
+      | k :: rest -> (
+          match (Hashtbl.find_opt index k, last) with
+          | Some i, Some (j, k') when i < j ->
+              Some
+                (Printf.sprintf "members %d and %d delivered %s and %s in opposite orders" a
+                   b (describe k') (describe k))
+          | Some i, _ -> scan (Some (i, k)) rest
+          | None, _ -> scan last rest)
+    in
+    scan None lb
+  in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest -> List.filter_map (disorder a) rest @ pairs rest
+  in
+  List.concat_map twice logs @ pairs logs
+
+(* Uniform agreement: every [required] key (one that some member
+   delivered) is in every log. *)
+let check_agreement ~describe ~required logs =
+  List.concat_map
+    (fun (who, log) ->
+      List.filter_map
+        (fun k ->
+          if List.mem k log then None
+          else Some (Printf.sprintf "member %d lacks %s" who (describe k)))
+        required)
+    logs

@@ -351,50 +351,15 @@ let check_all r =
 
 (* Integrity and total order over every incarnation's applied log. *)
 let check_order r =
-  let key (a : Dirsvc.Group_server.applied) = (a.a_origin, a.a_uid) in
-  let logs =
-    List.rev_map
-      (fun (server, gs) -> (server, Dirsvc.Group_server.applied_log gs))
-      r.incarnations
-  in
-  let describe (origin, uid) = Printf.sprintf "(%d, %d)" origin uid in
-  let twice (server, log) =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun a ->
-        if Hashtbl.mem seen (key a) then
-          Some
-            (Printf.sprintf "server %d applied %s twice in one incarnation"
-               server (describe (key a)))
-        else begin
-          Hashtbl.add seen (key a) ();
-          None
-        end)
-      log
-  in
-  (* The first update [b] applied out of [a]'s order, if any. *)
-  let disorder (sa, la) (sb, lb) =
-    let index = Hashtbl.create 16 in
-    List.iteri (fun i a -> Hashtbl.replace index (key a) i) la;
-    let rec scan last = function
-      | [] -> None
-      | b :: rest -> (
-          match Hashtbl.find_opt index (key b) with
-          | Some i when i < fst last ->
-              Some
-                (Printf.sprintf
-                   "servers %d and %d applied %s and %s in opposite orders" sa
-                   sb (describe (snd last)) (describe (key b)))
-          | Some i -> scan (i, key b) rest
-          | None -> scan last rest)
-    in
-    scan (-1, (0, 0)) lb
-  in
-  let rec pairs = function
-    | [] -> []
-    | a :: rest -> List.filter_map (disorder a) rest @ pairs rest
-  in
-  List.concat_map twice logs @ pairs logs
+  Harness.check_order
+    ~describe:(fun (origin, uid) -> Printf.sprintf "(%d, %d)" origin uid)
+    (List.rev_map
+       (fun (server, gs) ->
+         ( server,
+           List.map
+             (fun (a : Dirsvc.Group_server.applied) -> (a.a_origin, a.a_uid))
+             (Dirsvc.Group_server.applied_log gs) ))
+       r.incarnations)
 
 let advance r ms =
   C.run_until r.cluster (Sim.Engine.now (C.engine r.cluster) +. ms)

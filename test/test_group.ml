@@ -921,3 +921,117 @@ let suite =
       Alcotest.test_case "crash inside the detector tick stops it" `Quick
         test_crash_inside_detector_tick;
     ]
+
+(* A late commit from an abandoned coordinator must not rewind a member.
+   Four members; member 2 alone holds the last message "b" (the
+   sequencer, 1, ordered it inside a partition with 2 and crashed).
+   Members 3 and 4 reset; 4 coordinates view 2 without 2's state, so
+   its base lacks "b", and its commit to 3 is held back. 3's wait rule
+   fires and 3 coordinates view 3, syncing "b" from 2 too late for its
+   window. The held commit is released the moment 3 delivers "b": were
+   3 to install view 2 then, its delivered prefix would run past the
+   view's base, and view 2's sequencer would reuse that seqno. Every
+   installed view is checked at its "view" event: right after an
+   install, [highest_seen] is the view's base. *)
+let test_late_commit_does_not_rewind () =
+  let w = make_world ~seed:31L () in
+  let members = Hashtbl.create 4 and nodes = Hashtbl.create 4 and nics = Hashtbl.create 4 in
+  List.iter
+    (fun id ->
+      let n = node ~id (Printf.sprintf "srv%d" id) in
+      let nic = Simnet.Network.attach w.net n in
+      Hashtbl.replace nodes id n;
+      Hashtbl.replace nics id nic;
+      Sim.Proc.boot w.engine n (fun () ->
+          let m =
+            if id = 1 then Group.Member.create_group w.net nic ~gname:"g"
+            else begin
+              Sim.Proc.sleep (2.0 +. float_of_int id);
+              Group.Member.join_group w.net nic ~gname:"g"
+            end
+          in
+          Hashtbl.replace members id m))
+    [ 1; 2; 3; 4 ];
+  let get = Hashtbl.find members in
+  (* Member 3 resets on every failure, 4 on the first one only; 2
+     never calls ResetGroup. *)
+  let group_thread id ~once =
+    Sim.Proc.boot w.engine (Hashtbl.find nodes id) (fun () ->
+        let reset = ref false in
+        try
+          while not (once && !reset) do
+            try ignore (Group.Member.receive ~timeout:3000.0 (get id))
+            with Group.Types.Group_failure _ ->
+              reset := true;
+              ignore (Group.Member.reset (get id))
+          done
+        with Sim.Proc.Timeout -> ())
+  in
+  at w ~delay:30.0 (fun () ->
+      group_thread 3 ~once:false;
+      group_thread 4 ~once:true);
+  at w ~delay:40.0 (fun () ->
+      Sim.Proc.boot w.engine (Hashtbl.find nodes 2) (fun () ->
+          Group.Member.send (get 2) (Note "a")));
+  at w ~delay:60.0 (fun () ->
+      Simnet.Network.set_partitions w.net [ [ 1; 2 ]; [ 3 ]; [ 4 ] ];
+      Sim.Proc.boot w.engine (Hashtbl.find nodes 1) (fun () ->
+          try Group.Member.send (get 1) (Note "b") with Group.Types.Group_failure _ -> ()));
+  at w ~delay:62.0 (fun () ->
+      Sim.Node.crash (Hashtbl.find nodes 1);
+      Simnet.Network.heal w.net);
+  let held = ref None and entries_delayed = ref false in
+  Simnet.Network.set_fault_filter w.net
+    (Some
+       (fun packet ->
+         match (packet.Simnet.Packet.payload, packet.dst) with
+         | Group.Wire.Reset_state { member = 2; view = 2; _ }, Unicast 4 -> Simnet.Network.Drop
+         | Group.Wire.Reset_entries _, Unicast 3 when packet.src = 2 && not !entries_delayed ->
+             entries_delayed := true;
+             Simnet.Network.Delay 30.0
+         | (Group.Wire.Reset_commit { epoch = { view = 2; _ }; _ } as commit), Unicast 3
+           when packet.src = 4 && !held = None ->
+             held := Some commit;
+             Simnet.Network.Drop
+         | _ -> Simnet.Network.Deliver));
+  let rewinds = ref [] and released = ref false in
+  let trace = Sim.Trace.create () in
+  Sim.Trace.set_sink trace
+    (Some
+       (fun e ->
+         if e.Sim.Trace.subsystem = "grp" then
+           match (e.name, List.assoc_opt "origin" e.attrs) with
+           | "deliver", Some (Sim.Trace.Int 1) when e.node = 3 && not !released -> (
+               released := true;
+               match !held with
+               | Some commit ->
+                   at w ~delay:0.0 (fun () ->
+                       Simnet.Network.send w.net (Hashtbl.find nics 4) ~dst:3
+                         ~proto:(Group.Wire.proto "g") commit)
+               | None -> ())
+           | "view", _ ->
+               let info = Group.Member.info (get e.node) in
+               if info.next_deliver - 1 > info.highest_seen then
+                 rewinds :=
+                   Printf.sprintf "member %d delivered up to %d past view %s's base %d"
+                     e.node (info.next_deliver - 1)
+                     (match List.assoc_opt "view" e.attrs with
+                     | Some (Sim.Trace.Int v) -> string_of_int v
+                     | _ -> "?")
+                     info.highest_seen
+                   :: !rewinds
+           | _ -> ()));
+  Sim.Engine.set_trace w.engine (Some trace);
+  run_until w 2_000.0;
+  Alcotest.(check bool) "the view-2 commit to 3 was held back" true (!held <> None);
+  Alcotest.(check bool) "3 delivered \"b\"" true !released;
+  Alcotest.(check (list string)) "no member installs a view below its prefix" [] !rewinds;
+  Alcotest.(check (list int)) "2, 3 and 4 end in one view" [ 2; 3; 4 ]
+    (Group.Member.members (get 3))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "late commit from an abandoned coordinator" `Quick
+        test_late_commit_does_not_rewind;
+    ]
