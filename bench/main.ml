@@ -18,6 +18,9 @@
                           report mean ± 95% CI)
    Regression gates:      dune exec bench/main.exe -- gates
                           (exits 1 when a gate fails)
+   Allocation profile:    dune exec bench/main.exe -- speed --profile
+                          (every scenario's events and minor words split
+                          by delivered payload, woken fiber and timer)
    Available experiments: fig7 fig8 fig9 costs ablation-r ablation-size
                           ablation-disk mix availability ablation-method
                           micro shards speed gates *)
@@ -1054,6 +1057,54 @@ let mix =
 
 let speed_quick = ref false
 
+(* [--profile]: charge every engine event of each speed scenario to a
+   bucket (Sim.Engine's profiler) and print the split. *)
+let speed_profile = ref false
+
+(* Every speed scenario builds its deployment through this, so that
+   [--profile] starts the profiler before the first event runs. *)
+let profiled cluster =
+  if !speed_profile then Sim.Engine.set_profiling (C.engine cluster) true;
+  cluster
+
+(* The profiler's buckets and its own totals, for one run. *)
+type profile = {
+  buckets : Sim.Engine.bucket_report list;
+  inside_events : int; (* events executed inside Engine.run *)
+  inside_words : float; (* minor words allocated inside Engine.run *)
+}
+
+(* One bucket per fiber or worker role: digits in a name (node ids,
+   worker indices) become [N], and the buckets that then share a name
+   merge. *)
+let merge_buckets buckets =
+  let digit = function '0' .. '9' -> true | _ -> false in
+  let norm name =
+    let b = Buffer.create (String.length name) in
+    String.iteri
+      (fun i c ->
+        if not (digit c) then Buffer.add_char b c
+        else if i = 0 || not (digit name.[i - 1]) then Buffer.add_char b 'N')
+      name;
+    Buffer.contents b
+  in
+  let merged = Hashtbl.create 64 in
+  List.iter
+    (fun (b : Sim.Engine.bucket_report) ->
+      let key = (b.kind, norm b.name) in
+      match Hashtbl.find_opt merged key with
+      | Some (e, w) -> Hashtbl.replace merged key (e + b.events, w +. b.minor_words)
+      | None -> Hashtbl.replace merged key (b.events, b.minor_words))
+    buckets;
+  Hashtbl.fold
+    (fun (kind, name) (events, minor_words) acc ->
+      { Sim.Engine.kind; name; events; minor_words } :: acc)
+    merged []
+  |> List.sort (fun (a : Sim.Engine.bucket_report) b ->
+         match compare b.minor_words a.minor_words with
+         | 0 -> compare (a.kind, a.name) (b.kind, b.name)
+         | c -> c)
+
 (* What one wall-clock run cost. *)
 type cost = {
   wall_s : float;
@@ -1062,6 +1113,7 @@ type cost = {
   commits : int; (* durable commits (dirsvc.commit) *)
   ops : int; (* simulated operations completed *)
   minor_words : float; (* GC minor words allocated during the run *)
+  profile : profile option; (* under [--profile] *)
 }
 
 (* [run] builds its own deployment, drives it, and returns it with the
@@ -1075,13 +1127,24 @@ let measure_cost run =
   let cluster, ops = run () in
   let wall_s = Unix.gettimeofday () -. t0 in
   let minor_words = Gc.minor_words () -. minor0 in
+  let engine = C.engine cluster in
   {
     wall_s;
-    events = Sim.Engine.events_executed (C.engine cluster);
+    events = Sim.Engine.events_executed engine;
     packets = Sim.Metrics.count (C.metrics cluster) "net.pkt";
     commits = Sim.Metrics.count (C.metrics cluster) "dirsvc.commit";
     ops;
     minor_words;
+    profile =
+      (if Sim.Engine.profiling engine then
+         let inside_events, inside_words = Sim.Engine.profile_totals engine in
+         Some
+           {
+             buckets = merge_buckets (Sim.Engine.profile engine);
+             inside_events;
+             inside_words;
+           }
+       else None);
   }
 
 let per_op c n = if c.ops = 0 then None else Some (n /. float_of_int c.ops)
@@ -1093,7 +1156,7 @@ let throughput_run cluster point = (cluster, point.Workload.Throughput.total_ops
 let scaled_run ?params quick =
   let clients = if quick then 12 else 50 in
   let window = if quick then 500.0 else 2_000.0 in
-  let cluster = C.create ~seed:5001L ?params ~servers:5 C.Group_disk in
+  let cluster = profiled (C.create ~seed:5001L ?params ~servers:5 C.Group_disk) in
   throughput_run cluster
     (Workload.Throughput.append_deletes cluster ~clients ~window)
 
@@ -1110,7 +1173,7 @@ let speed_scenarios =
       run =
         (fun quick ->
           let repeats = if quick then 3 else 40 in
-          let cluster = C.create ~seed:7L C.Group_disk in
+          let cluster = profiled (C.create ~seed:7L C.Group_disk) in
           ignore (Workload.Scenarios.run_fig7 ~repeats cluster);
           (cluster, 3 * repeats));
     };
@@ -1121,7 +1184,7 @@ let speed_scenarios =
       run =
         (fun quick ->
           let window = if quick then 500.0 else 10_000.0 in
-          let cluster = C.create ~seed:801L C.Group_disk in
+          let cluster = profiled (C.create ~seed:801L C.Group_disk) in
           throughput_run cluster
             (Workload.Throughput.lookups cluster ~clients:7 ~window));
     };
@@ -1133,11 +1196,29 @@ let speed_scenarios =
       run =
         (fun quick ->
           let window = if quick then 1_000.0 else 30_000.0 in
-          let cluster = C.create ~seed:901L C.Group_disk in
+          let cluster = profiled (C.create ~seed:901L C.Group_disk) in
           throughput_run cluster
             (Workload.Throughput.append_deletes cluster ~clients:7 ~window));
     };
     { scenario = "scaled_50c_5s"; ceiling = 4.6; run = (fun quick -> scaled_run quick) };
+    (* The shards experiment's cross mix on 4 shards of 3 servers, at a
+       light load like the benchmark's sharded_cross: 4 closed-loop
+       update clients, every 4th iteration a cross-shard move. Four
+       sequencer groups heartbeat side by side, mostly idle. *)
+    {
+      scenario = "shards4_cross";
+      ceiling = 4.6;
+      run =
+        (fun quick ->
+          let clients = 4 and window = if quick then 1_000.0 else 8_000.0 in
+          let params = { Dirsvc.Params.default with shards = 4 } in
+          let cluster =
+            profiled (C.create ~seed:4300L ~params ~servers:3 C.Group_disk)
+          in
+          throughput_run cluster
+            (Workload.Throughput.shard_updates cluster ~clients ~window
+               ~cross_period:4));
+    };
   ]
 
 (* A gate's verdict line, and whether it passed. *)
@@ -1165,16 +1246,29 @@ let packet_gate () =
            s.scenario c.events c.packets ratio s.ceiling))
     speed_scenarios
 
-(* Idle-round gate: one idle 3-member group over 10 simulated s. A
-   heartbeat round is three detector ticks, the sequencer's heartbeat
-   (one multicast, three deliveries with its own loopback) and two
-   Hb_acks: 8 events and 3 packets, exactly, since the group is
-   seed-fixed and nothing else runs. Liveness rounds are most of the
-   simulator's work in every triplicated deployment, so the gate also
-   bounds the minor words one round allocates; its ceiling sits ~1.5x
-   above the current 147 words, so a per-tick or per-packet
-   allocation coming back fails it. *)
-let idle_round_gate () =
+(* Liveness and packet probes: exact per-round and per-send counts of
+   the simulator's smallest recurring units of work, each on its own
+   seed-fixed engine with nothing else running.
+
+   - idle_round: one idle 3-member group over 10 simulated s after a
+     1 s settle. A heartbeat round is three detector ticks, the
+     sequencer's heartbeat (one multicast, three deliveries with its
+     own loopback) and two Hb_acks: 8 events and 3 packets, exactly.
+     Liveness rounds are most of the simulator's work in every
+     triplicated deployment.
+   - unicast / multicast_3: 10 000 sends between three NICs whose
+     handlers do nothing, each run to completion, after 100 warm-up
+     sends (which grow the heap and the delivery slots once). The
+     payload is built once, so a send costs what the network adds. *)
+type probe = {
+  probe : string;
+  units : float; (* rounds or sends measured *)
+  per_events : float; (* engine events per unit *)
+  per_packets : float; (* wire packets per unit *)
+  per_words : float; (* minor words per unit *)
+}
+
+let idle_round_probe () =
   let engine = Sim.Engine.create ~seed:2707L () in
   let net = Simnet.Network.create engine () in
   List.iter
@@ -1195,17 +1289,78 @@ let idle_round_gate () =
   let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
   let minor0 = Gc.minor_words () in
   Sim.Engine.run ~until:(1_000.0 +. window) engine;
-  let words = (Gc.minor_words () -. minor0) /. rounds in
-  let events = float_of_int (Sim.Engine.events_executed engine - events0) /. rounds in
-  let pkts = float_of_int (packets () - packets0) /. rounds in
+  let words = Gc.minor_words () -. minor0 in
+  {
+    probe = "idle_round";
+    units = rounds;
+    per_events = float_of_int (Sim.Engine.events_executed engine - events0) /. rounds;
+    per_packets = float_of_int (packets () - packets0) /. rounds;
+    per_words = words /. rounds;
+  }
+
+let send_probe ~multicast =
+  let engine = Sim.Engine.create ~seed:2708L () in
+  let net = Simnet.Network.create engine () in
+  let nics =
+    List.map
+      (fun id ->
+        let nic =
+          Simnet.Network.attach net
+            (Sim.Node.create ~id ~name:(Printf.sprintf "probe%d" id))
+        in
+        Simnet.Network.listen nic ~proto:"probe" ignore;
+        nic)
+      [ 1; 2; 3 ]
+  in
+  let src = List.hd nics and payload = Simnet.Payload.Opaque "probe" in
+  let sends n =
+    for _ = 1 to n do
+      if multicast then Simnet.Network.multicast net src ~proto:"probe" payload
+      else Simnet.Network.send net src ~dst:2 ~proto:"probe" payload;
+      Sim.Engine.run engine
+    done
+  in
+  sends 100;
+  let n = 10_000 in
+  let packets () = Sim.Metrics.count (Sim.Engine.metrics engine) "net.pkt" in
+  let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
+  let minor0 = Gc.minor_words () in
+  sends n;
+  let words = Gc.minor_words () -. minor0 in
+  let per count = float_of_int count /. float_of_int n in
+  {
+    probe = (if multicast then "multicast_3" else "unicast");
+    units = float_of_int n;
+    per_events = per (Sim.Engine.events_executed engine - events0);
+    per_packets = per (packets () - packets0);
+    per_words = words /. float_of_int n;
+  }
+
+let measure_probes () =
+  [ idle_round_probe (); send_probe ~multicast:false; send_probe ~multicast:true ]
+
+(* Probe gates. The idle round must stay at exactly 8 events and 3
+   packets, and every probe's minor words stay under a ceiling ~1.5x
+   above its current value, so a per-tick, per-packet or per-delivery
+   allocation coming back fails it. *)
+let probe_ceilings =
   [
-    verdict
-      (events = 8.0 && pkts = 3.0 && words <= 220.0)
-      (Printf.sprintf
-         "idle round gate: %.0f rounds  %.2f events (= 8)  %.2f packets (= 3)  \
-          %.0f minor words/round (ceiling 220)"
-         rounds events pkts words);
+    ("idle_round", (8.0, 3.0, 51.0)) (* 34 words today *);
+    ("unicast", (1.0, 1.0, 21.0)) (* 14 *);
+    ("multicast_3", (3.0, 1.0, 33.0)) (* 22 *);
   ]
+
+let probe_gate () =
+  List.map
+    (fun p ->
+      let events, packets, ceiling = List.assoc p.probe probe_ceilings in
+      verdict
+        (p.per_events = events && p.per_packets = packets && p.per_words <= ceiling)
+        (Printf.sprintf
+           "probe gate: %-12s %.2f events (= %.0f)  %.2f packets (= %.0f)  \
+            %.1f minor words (ceiling %.0f)"
+           p.probe p.per_events events p.per_packets packets p.per_words ceiling))
+    (measure_probes ())
 
 (* Batch-efficiency: the scaled update scenario at several batch sizes.
    batch = 1 sends every update in a batch of one and commits it in
@@ -1217,9 +1372,9 @@ let measure_batch quick batch =
   measure_cost (fun () -> scaled_run ~params quick)
 
 (* Group-commit gate: the full-size scaled run with sequencer batching
-   on (batch_max = 8) must allocate at most 185k minor words per
-   completed op, ~1.5x the current build's 123k. Batches of one sit at
-   ~213k, above the ceiling, so losing the batching fails the gate, as
+   on (batch_max = 8) must allocate at most 105k minor words per
+   completed op, ~1.5x the current build's 70k. Batches of one sit at
+   ~125k, above the ceiling, so losing the batching fails the gate, as
    does a per-packet or per-tick allocation coming back. The run must
    also average strictly under one durable commit per op (0.685 today;
    1.0 would mean group commit stopped grouping). The seed-fixed run
@@ -1230,10 +1385,10 @@ let alloc_gate () =
   let c_op = float_of_int c.commits /. float_of_int c.ops in
   [
     verdict
-      (mw_op <= 185_000.0 && c_op < 1.0)
+      (mw_op <= 105_000.0 && c_op < 1.0)
       (Printf.sprintf
          "alloc gate: batched scaled run  %d ops  %.0f minor words/op \
-          (ceiling 185000)  %.3f commits/op (ceiling < 1.0)"
+          (ceiling 105000)  %.3f commits/op (ceiling < 1.0)"
          c.ops mw_op c_op);
   ]
 
@@ -1295,6 +1450,75 @@ let parallel_gate () =
            t1 t4 (t4 /. t1));
     ]
 
+(* ---- speed --profile: where a run's events and minor words go ------ *)
+
+let kind_name = function
+  | Sim.Engine.Deliver -> "deliver"
+  | Wake -> "wake"
+  | Tick -> "timer"
+  | Other -> "other"
+
+let bucket_columns total_words =
+  [
+    text_col "kind" (fun (b : Sim.Engine.bucket_report) -> kind_name b.kind);
+    text_col "bucket" (fun (b : Sim.Engine.bucket_report) -> b.name);
+    int_col "events" "events" (fun (b : Sim.Engine.bucket_report) -> b.events);
+    float_col "minor words" "minor_words" "%.0f"
+      (fun (b : Sim.Engine.bucket_report) -> b.minor_words);
+    text_col "w/event" (fun (b : Sim.Engine.bucket_report) ->
+        if b.events = 0 then "-"
+        else Printf.sprintf "%.1f" (b.minor_words /. float_of_int b.events));
+    text_col "share" (fun (b : Sim.Engine.bucket_report) ->
+        Printf.sprintf "%.1f%%" (100.0 *. b.minor_words /. total_words));
+  ]
+
+(* The buckets' sums against the profiler's independent totals: minor
+   words inside Engine.run (every event, and the loop between them) and
+   the whole run's (deployment and drivers included). *)
+let profile_sums p =
+  let events = List.fold_left (fun n (b : Sim.Engine.bucket_report) -> n + b.events) 0 p.buckets in
+  let words =
+    List.fold_left (fun w (b : Sim.Engine.bucket_report) -> w +. b.minor_words) 0.0 p.buckets
+  in
+  (events, words)
+
+let render_profile (name, c, p) =
+  let events, words = profile_sums p in
+  Printf.sprintf "\nprofile: %s (%d ops)\n" name c.ops
+  ^ table (bucket_columns words) p.buckets
+  ^ Printf.sprintf
+      "buckets: %d events, %.0f minor words; inside Engine.run: %d events, \
+       %.0f minor words (buckets %+.2f%%); whole run %.0f (outside \
+       Engine.run: deployment and drivers %.0f)\n"
+      events words p.inside_events p.inside_words
+      (100.0 *. (words -. p.inside_words) /. p.inside_words)
+      c.minor_words (c.minor_words -. p.inside_words)
+
+let profile_json (name, c, p) =
+  let events, words = profile_sums p in
+  J.Obj
+    [
+      ("scenario", J.String name);
+      ("ops", J.Int c.ops);
+      ("bucket_events", J.Int events);
+      ("bucket_minor_words", J.Float words);
+      ("inside_events", J.Int p.inside_events);
+      ("inside_minor_words", J.Float p.inside_words);
+      ("run_minor_words", J.Float c.minor_words);
+      ( "buckets",
+        J.List
+          (List.map
+             (fun (b : Sim.Engine.bucket_report) ->
+               J.Obj
+                 [
+                   ("kind", J.String (kind_name b.kind));
+                   ("bucket", J.String b.name);
+                   ("events", J.Int b.events);
+                   ("minor_words", J.Float b.minor_words);
+                 ])
+             p.buckets) );
+    ]
+
 let speed =
   let wall = float_col "wall s" "wall_s" "%.3f" (fun c -> c.wall_s) in
   let ops = int_col "ops" "ops" (fun c -> c.ops) in
@@ -1344,6 +1568,15 @@ let speed =
       float_col "speedup" "speedup" "%.2fx" (fun (_, _, speedup) -> speedup);
     ]
   in
+  let probe_columns =
+    [
+      column "probe" "probe" (fun p -> p.probe) Fun.id (fun s -> J.String s);
+      float_col "units" "units" "%.0f" (fun p -> p.units);
+      float_col "events/unit" "events" "%.2f" (fun p -> p.per_events);
+      float_col "packets/unit" "packets" "%.2f" (fun p -> p.per_packets);
+      float_col "minor w/unit" "minor_words" "%.1f" (fun p -> p.per_words);
+    ]
+  in
   let runs _ () =
     let quick = !speed_quick in
     let scenarios =
@@ -1351,35 +1584,48 @@ let speed =
         (fun s -> (s.scenario, measure_cost (fun () -> s.run quick)))
         speed_scenarios
     in
+    let probes = measure_probes () in
     let batches =
       List.map
         (fun batch -> (batch, measure_batch quick batch))
         (if quick then [ 1; 4 ] else [ 1; 4; 8 ])
     in
     let scaling = measure_jobs_scaling quick in
-    (quick, Domain.recommended_domain_count (), scenarios, batches, scaling)
+    (quick, Domain.recommended_domain_count (), scenarios, probes, batches, scaling)
   in
-  let render (quick, cores, scenarios, batches, scaling) =
+  let render (quick, cores, scenarios, probes, batches, scaling) =
+    let profiles =
+      List.filter_map
+        (fun (name, c) -> Option.map (fun p -> (name, c, p)) c.profile)
+        scenarios
+    in
     report
       (Printf.sprintf
          "\n== Speed: wall-clock throughput of the simulation core ==\n\
           (real seconds%s; simulated results are seed-identical)\n\n"
          (if quick then ", --quick" else "")
       ^ table scenario_columns scenarios
+      ^ "\nprobes: one idle heartbeat round, one send to a no-op handler\n"
+      ^ table probe_columns probes
       ^ "\nbatch-efficiency: scaled update scenario, group commit on/off\n"
       ^ table batch_columns batches
       ^ Printf.sprintf
           "\njobs-scaling: full figure grid wall clock (%d cores available)\n"
           cores
-      ^ table jobs_columns scaling)
+      ^ table jobs_columns scaling
+      ^ String.concat "" (List.map render_profile profiles))
       (J.Obj
-         [
-           ("quick", J.Bool quick);
-           ("cores", J.Int cores);
-           ("batch_efficiency", objects batch_columns batches);
-           ("jobs_scaling", objects jobs_columns scaling);
-           ("scenarios", objects scenario_columns scenarios);
-         ])
+         ([
+            ("quick", J.Bool quick);
+            ("cores", J.Int cores);
+            ("batch_efficiency", objects batch_columns batches);
+            ("jobs_scaling", objects jobs_columns scaling);
+            ("probes", objects probe_columns probes);
+            ("scenarios", objects scenario_columns scenarios);
+          ]
+         @
+         if profiles = [] then []
+         else [ ("profiles", J.List (List.map profile_json profiles)) ]))
   in
   experiment ~timing:true "speed" runs render
 
@@ -1540,7 +1786,7 @@ let gates =
   experiment ~timing:true "gates"
     (fun _ () ->
       List.concat_map (fun gate -> gate ())
-        [ packet_gate; idle_round_gate; alloc_gate; shard_gate; parallel_gate ])
+        [ packet_gate; probe_gate; alloc_gate; shard_gate; parallel_gate ])
     (fun verdicts ->
       let failures =
         List.filter_map
@@ -1602,6 +1848,9 @@ let () =
     | [] -> (List.rev names, mode)
     | "--quick" :: rest ->
         speed_quick := true;
+        parse names mode rest
+    | "--profile" :: rest ->
+        speed_profile := true;
         parse names mode rest
     | "--jobs" :: value :: rest ->
         int_flag "--jobs" value rest (fun n rest ->

@@ -217,20 +217,19 @@ let lookup store ~cap ~name ~column =
 
 (* ---- Codec -------------------------------------------------------- *)
 
+let encode_row w row =
+  Storage.Codec.Writer.string w row.name;
+  Storage.Codec.Writer.u32 w (Array.length row.caps);
+  Array.iter (Storage.Cap_codec.write w) row.caps;
+  Array.iter (Storage.Codec.Writer.u32 w) row.masks
+
 let encode_dir dir =
-  let w = Storage.Codec.Writer.create () in
-  Storage.Codec.Writer.u32 w (Array.length dir.columns);
-  Array.iter (Storage.Codec.Writer.string w) dir.columns;
-  Storage.Codec.Writer.u32 w dir.seqno;
-  Storage.Codec.Writer.i64 w dir.secret;
-  Storage.Codec.Writer.list w
-    (fun w row ->
-      Storage.Codec.Writer.string w row.name;
-      Storage.Codec.Writer.u32 w (Array.length row.caps);
-      Array.iter (Storage.Cap_codec.write w) row.caps;
-      Array.iter (Storage.Codec.Writer.u32 w) row.masks)
-    dir.rows;
-  Bytes.to_string (Storage.Codec.Writer.contents w)
+  Storage.Codec.Writer.encode (fun w ->
+      Storage.Codec.Writer.u32 w (Array.length dir.columns);
+      Array.iter (Storage.Codec.Writer.string w) dir.columns;
+      Storage.Codec.Writer.u32 w dir.seqno;
+      Storage.Codec.Writer.i64 w dir.secret;
+      Storage.Codec.Writer.list w encode_row dir.rows)
 
 let decode_dir data =
   let r = Storage.Codec.Reader.of_bytes (Bytes.of_string data) in

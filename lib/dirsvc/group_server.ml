@@ -88,6 +88,7 @@ type t = {
   shard : int option;
   xtransport : Rpc.Transport.t option;
   staged_x : (int, staged_xact) Hashtbl.t;
+  staged_cv : Sim.Condvar.t; (* broadcast when a half is staged *)
   xdecisions : (int, bool) Hashtbl.t; (* txid -> committed? *)
   forwards : (int * int, Wire.reply Sim.Ivar.t) Hashtbl.t;
 }
@@ -331,6 +332,13 @@ let conflicts staged op =
       cap.Capability.obj = c.Capability.obj
   | _ -> false
 
+(* Stage a destination half; the resolver waits for this while nothing
+   is staged. *)
+let stage_x t (prepare : Wire.prepare) =
+  Hashtbl.replace t.staged_x prepare.txid
+    { x_prepare = prepare; x_deadline = Sim.Proc.now () +. Params.xshard_timeout_ms };
+  Sim.Condvar.broadcast t.staged_cv
+
 let conflicts_with_staged t op =
   Hashtbl.length t.staged_x > 0
   && Hashtbl.fold
@@ -353,11 +361,7 @@ let execute_xact t ~origin ~uid xact =
                reservation keeps it valid until the decision. *)
             match Directory.apply t.store ~seqno:(t.useq + 1) op with
             | Ok _ ->
-                Hashtbl.replace t.staged_x txid
-                  {
-                    x_prepare = prepare;
-                    x_deadline = Sim.Proc.now () +. Params.xshard_timeout_ms;
-                  };
+                stage_x t prepare;
                 emit_xact t ~name:"xstaged" ~txid;
                 Wire.Ok_rep
             | Error e -> Wire.Err_rep (Wire.Op_error e))
@@ -783,14 +787,7 @@ let fetch_state_from t ~donor_node ~join_base =
       Hashtbl.reset t.xdecisions;
       List.iter (fun (txid, c) -> Hashtbl.replace t.xdecisions txid c) decisions;
       Hashtbl.reset t.staged_x;
-      List.iter
-        (fun (prepare : Wire.prepare) ->
-          Hashtbl.replace t.staged_x prepare.txid
-            {
-              x_prepare = prepare;
-              x_deadline = Sim.Proc.now () +. Params.xshard_timeout_ms;
-            })
-        staged;
+      List.iter (stage_x t) staged;
       Some (changed, deleted)
   | _ | (exception Rpc.Transport.Rpc_failure _) -> None
 
@@ -1022,9 +1019,22 @@ let resolve_staged t xt txid staged =
           ignore (send_xact t g (Wire.Xabort { txid })))
   | _ -> ()
 
+(* The resolver scans on a 250 ms grid counted from its start, but only
+   while something is staged: with the table empty it waits on
+   [staged_cv] and costs no event. Woken by a stage, it sleeps to the
+   next grid point, so every scan falls on the instant a resolver that
+   never stopped would have scanned at. (The sleep's end, [now +.
+   (next -. now)], is [next] exactly: the difference is exact once
+   [now] is at least 250 ms, by Sterbenz's lemma.) *)
 let xact_resolver t xt () =
+  let next = ref (Sim.Proc.now ()) in
   while true do
-    Sim.Proc.sleep 250.0;
+    Sim.Condvar.await t.staged_cv (fun () -> Hashtbl.length t.staged_x > 0);
+    let now = Sim.Proc.now () in
+    while !next <= now do
+      next := !next +. 250.0
+    done;
+    Sim.Proc.sleep (!next -. now);
     if is_xact_leader t then begin
       let now = Sim.Proc.now () in
       let expired =
@@ -1096,6 +1106,7 @@ let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
       shard;
       xtransport;
       staged_x = Hashtbl.create 8;
+      staged_cv = Sim.Condvar.create ();
       xdecisions = Hashtbl.create 8;
       forwards = Hashtbl.create 8;
     }

@@ -82,14 +82,15 @@ let apply_in_core t op =
    implementation pays "an additional disk operation to store an
    intentions list"). *)
 let write_intention t op =
-  let w = Storage.Codec.Writer.create () in
-  Storage.Codec.Writer.u32 w (Wire.op_size op);
+  let intention =
+    Storage.Codec.Writer.encode_bytes (fun w ->
+        Storage.Codec.Writer.u32 w (Wire.op_size op))
+  in
   let block = t.next_intent_block in
   t.next_intent_block <-
     (if block + 1 >= Storage.Block_device.blocks t.intent_device then 0
      else block + 1);
-  Storage.Block_device.write t.intent_device block
-    (Storage.Codec.Writer.contents w)
+  Storage.Block_device.write t.intent_device block intention
 
 let handle_intend t op =
   let dir_id = Directory.dir_id_of_op t.store op in

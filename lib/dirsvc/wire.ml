@@ -103,13 +103,12 @@ type Simnet.Payload.t +=
   | Intend_busy
 
 let encode_store store =
-  let w = Storage.Codec.Writer.create () in
-  Storage.Codec.Writer.list w
-    (fun w (dir_id, dir) ->
-      Storage.Codec.Writer.u32 w dir_id;
-      Storage.Codec.Writer.string w (Directory.encode_dir dir))
-    (Directory.Store.bindings store);
-  Bytes.to_string (Storage.Codec.Writer.contents w)
+  Storage.Codec.Writer.encode (fun w ->
+      Storage.Codec.Writer.list w
+        (fun w (dir_id, dir) ->
+          Storage.Codec.Writer.u32 w dir_id;
+          Storage.Codec.Writer.string w (Directory.encode_dir dir))
+        (Directory.Store.bindings store))
 
 (* The (dir id, dir) entries [encode_store] wrote, in id order. *)
 let decode_entries data =
@@ -233,14 +232,13 @@ let encode_log_records records =
   match records with
   | [] -> ""
   | records ->
-      let w = Storage.Codec.Writer.create () in
-      Storage.Codec.Writer.list w
-        (fun w (useq, dir_id, op) ->
-          Storage.Codec.Writer.u32 w useq;
-          Storage.Codec.Writer.u32 w dir_id;
-          encode_op w op)
-        records;
-      Bytes.to_string (Storage.Codec.Writer.contents w)
+      Storage.Codec.Writer.encode (fun w ->
+          Storage.Codec.Writer.list w
+            (fun w (useq, dir_id, op) ->
+              Storage.Codec.Writer.u32 w useq;
+              Storage.Codec.Writer.u32 w dir_id;
+              encode_op w op)
+            records)
 
 let decode_log_records data =
   if data = "" then []

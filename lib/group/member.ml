@@ -97,6 +97,12 @@ type t = {
   bb_bodies : (int * int, Simnet.Payload.t) Hashtbl.t;
       (* BB method: bodies received by broadcast, keyed (origin, uid),
          awaiting the sequencer's Accept *)
+  (* Liveness packets, built once and sent again while what they carry
+     is unchanged: the sequencer's heartbeat (epoch, highest assigned)
+     and a member's Hb_ack (epoch, contig, to the sequencer). Each is
+     keyed by its own fields, so a stale one is never sent. *)
+  mutable hb_packet : Simnet.Packet.t option;
+  mutable hback_packet : Simnet.Packet.t option;
 }
 
 (* Instance and message ids come from the engine's per-run counter, not
@@ -193,6 +199,42 @@ let multicast t counter payload =
   Simnet.Network.multicast t.net t.nic ~proto:t.proto payload
 
 let epoch_matches t e = Types.epoch_compare e (epoch t) = 0
+
+let send_packet t counter packet =
+  Sim.Metrics.incr_handle counter;
+  Simnet.Network.send_packet t.net t.nic packet
+
+(* The cached liveness packets (see [hb_packet]): the one sent last,
+   while its fields still match what a fresh one would carry. *)
+let heartbeat_packet t =
+  let highest = t.seq_next - 1 in
+  match t.hb_packet with
+  | Some ({ payload = Wire.Heartbeat { epoch; highest = h; _ }; _ } as packet)
+    when h = highest && epoch_matches t epoch ->
+      packet
+  | Some _ | None ->
+      let packet =
+        Simnet.Network.packet t.nic ~dst:Multicast ~proto:t.proto
+          (Wire.Heartbeat { gname = t.gname; epoch = epoch t; highest })
+      in
+      t.hb_packet <- Some packet;
+      packet
+
+let hb_ack_packet t =
+  match t.hback_packet with
+  | Some
+      ({ dst = Unicast dst; payload = Wire.Hb_ack { epoch; have_upto; _ }; _ } as
+       packet)
+    when dst = t.sequencer && have_upto = t.contig && epoch_matches t epoch ->
+      packet
+  | Some _ | None ->
+      let packet =
+        Simnet.Network.packet t.nic ~dst:(Unicast t.sequencer) ~proto:t.proto
+          (Wire.Hb_ack
+             { gname = t.gname; epoch = epoch t; member = t.me; have_upto = t.contig })
+      in
+      t.hback_packet <- Some packet;
+      packet
 
 (* ---- Failure declaration ---------------------------------------- *)
 
@@ -453,6 +495,7 @@ let enqueue t entry ~body_known ~alone =
     t.batch_timer <-
       Some
         (Sim.Timer.after t.engine ~delay:t.config.batch_window (fun () ->
+             Sim.Engine.attribute t.engine Tick "grp.batch";
              t.batch_timer <- None;
              if is_sequencer t then flush_batch t));
   seqno
@@ -654,6 +697,7 @@ and perform t ~patch action =
       t.reset_timer <-
         Some
           (Sim.Timer.after t.engine ~delay (fun () ->
+               Sim.Engine.attribute t.engine Tick "grp.reset";
                t.reset_timer <- None;
                feed t (Reset.Expired { contig = t.contig })))
   | Send_commits ({ epoch; members; sequencer; base }, targets) ->
@@ -724,14 +768,7 @@ let handle_packet t (packet : Simnet.Packet.t) =
         if highest > t.highest_seen then t.highest_seen <- highest;
         if t.highest_seen > t.contig then request_retrans t;
         if t.sequencer <> t.me then
-          unicast t ~dst:t.sequencer t.counters.c_hback
-            (Wire.Hb_ack
-               {
-                 gname = t.gname;
-                 epoch;
-                 member = t.me;
-                 have_upto = t.contig;
-               })
+          send_packet t t.counters.c_hback (hb_ack_packet t)
       end
   | Wire.Hb_ack { epoch; member; have_upto; _ } ->
       if epoch_matches t epoch && is_sequencer t then record_ack t ~member ~have_upto
@@ -789,9 +826,7 @@ let fd_check t =
       if t.sequencer = t.me then begin
         (* Suppress the heartbeat when data traffic is already flowing. *)
         if now t -. t.last_data_sent >= t.config.heartbeat_period then
-          multicast t t.counters.c_hb
-            (Wire.Heartbeat
-               { gname = t.gname; epoch = epoch t; highest = t.seq_next - 1 });
+          send_packet t t.counters.c_hb (heartbeat_packet t);
         watch_members t t.members
       end
       else if now t -. t.last_from_seq > t.config.fail_timeout then
@@ -808,6 +843,8 @@ let arm_fd t =
   t.fd_tick <-
     Some
       (Sim.Timer.every t.engine ~period:t.config.heartbeat_period (fun () ->
+           Sim.Engine.attribute t.engine Tick
+             (if t.sequencer = t.me then "grp.detector.seq" else "grp.detector.member");
            fd_check t;
            if status t = Left then halt_fd t))
 
@@ -854,6 +891,8 @@ let make ?(config = Types.default_config) net nic ~gname =
       join_collect = None;
       join_stash = [];
       bb_bodies = Hashtbl.create 16;
+      hb_packet = None;
+      hback_packet = None;
     }
   in
   (* Packets are handled in their delivery event, as the kernel would.

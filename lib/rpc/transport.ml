@@ -272,6 +272,7 @@ let trans t ~port ?(size = 128) body =
         unanswered = 0;
         probe =
           Sim.Timer.every (engine t) ~period:enquiry_period (fun () ->
+              Sim.Engine.attribute (engine t) Tick "rpc.enquiry";
               enquire t xid);
       }
     in

@@ -16,6 +16,22 @@ type timer = { mutable state : timer_state }
 
 type event = Thunk of (unit -> unit) | Timer of timer
 
+(* ---- Profiling (off unless [set_profiling]) ----------------------- *)
+
+type kind = Deliver | Wake | Tick | Other
+
+(* [words] is a one-cell float array so that adding to it allocates
+   nothing inside the measured window. *)
+type bucket = { mutable events : int; words : float array }
+
+type profile = {
+  tables : (string, bucket) Hashtbl.t array; (* one per [kind] *)
+  mutable kind : kind; (* the running event's bucket *)
+  mutable name : string;
+  mutable inside_events : int;
+  inside_words : float array; (* allocated inside [run], loop included *)
+}
+
 type t = {
   mutable now : float;
   mutable seq : int;
@@ -26,6 +42,7 @@ type t = {
   mutable trace : Trace.t option;
   metrics : Metrics.t;
   mutable next_id : int;
+  mutable profile : profile option;
 }
 
 exception Stopped
@@ -41,6 +58,7 @@ let create ?(seed = 0x12345678L) () =
     trace = None;
     metrics = Metrics.create ();
     next_id = 0;
+    profile = None;
   }
 
 let now t = t.now
@@ -58,9 +76,13 @@ let rng t = t.rng
 let push t ~delay cell =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   t.seq <- t.seq + 1;
-  Heap.push t.heap ~time:(t.now +. delay) ~seq:t.seq cell
+  Heap.push_after t.heap ~base:t.now ~delay ~seq:t.seq cell
 
 let schedule t ~delay f = push t ~delay (Thunk f)
+
+let event f = Thunk f
+
+let schedule_event t ~delay event = push t ~delay event
 
 let schedule_timer t ~delay f =
   let tm = { state = Armed f } in
@@ -101,51 +123,144 @@ let emit t ~subsystem ~node ~name attrs =
   | None -> ()
   | Some trace -> Trace.emit trace ~time:t.now ~subsystem ~node ~name (attrs ())
 
-let run ?until t =
-  t.stop_requested <- false;
-  let continue = ref true in
-  while !continue do
-    if t.stop_requested then continue := false
-    else if Heap.is_empty t.heap then continue := false
-    else begin
-      (* Peek before popping: an event past the time limit stays in the
-         heap untouched (popping and re-pushing it sifted the whole heap
-         twice on every bounded [run] call). *)
-      let time = Heap.min_time t.heap in
-      match until with
-      | Some limit when time > limit ->
-          t.now <- limit;
-          continue := false
-      | _ -> (
-          match Heap.pop_min_value t.heap with
-          | Thunk f ->
+let kind_index = function Deliver -> 0 | Wake -> 1 | Tick -> 2 | Other -> 3
+
+let set_profiling t on =
+  t.profile <-
+    (if on then
+       Some
+         {
+           tables = Array.init 4 (fun _ -> Hashtbl.create 16);
+           kind = Other;
+           name = "";
+           inside_events = 0;
+           inside_words = [| 0.0 |];
+         }
+     else None)
+
+let profiling t = t.profile <> None
+
+let attribute t kind name =
+  match t.profile with
+  | None -> ()
+  | Some p ->
+      p.kind <- kind;
+      p.name <- name
+
+(* Pop and execute the next entry, unless it lies past [until]; false
+   once the run must end. *)
+let step t until =
+  (* Peek before popping: an event past the time limit stays in the
+     heap untouched (popping and re-pushing it sifted the whole heap
+     twice on every bounded [run] call). *)
+  let time = Heap.min_time t.heap in
+  match until with
+  | Some limit when time > limit ->
+      t.now <- limit;
+      false
+  | _ ->
+      (match Heap.pop_min_value t.heap with
+      | Thunk f ->
+          t.now <- time;
+          t.events_executed <- t.events_executed + 1;
+          f ()
+      | Timer tm as event -> (
+          match tm.state with
+          | Armed f ->
+              tm.state <- Fired;
               t.now <- time;
               t.events_executed <- t.events_executed + 1;
+              attribute t Tick "other";
               f ()
-          | Timer tm as event -> (
+          | Every (period, f) -> (
+              t.now <- time;
+              t.events_executed <- t.events_executed + 1;
+              attribute t Tick "other";
+              f ();
+              (* The next tick is pushed after everything [f]
+                 scheduled, so it takes the same instant and the
+                 same seq a one-shot timer armed at the end of [f]
+                 would. A cancel from inside [f] stops it here. *)
               match tm.state with
-              | Armed f ->
-                  tm.state <- Fired;
-                  t.now <- time;
-                  t.events_executed <- t.events_executed + 1;
-                  f ()
-              | Every (period, f) -> (
-                  t.now <- time;
-                  t.events_executed <- t.events_executed + 1;
-                  f ();
-                  (* The next tick is pushed after everything [f]
-                     scheduled, so it takes the same instant and the
-                     same seq a one-shot timer armed at the end of [f]
-                     would. A cancel from inside [f] stops it here. *)
-                  match tm.state with
-                  | Every _ -> push t ~delay:period event
-                  | Armed _ | Fired | Cancelled -> ())
-              (* Tombstone: discarded without running or counting. The
-                 clock still advances, exactly as when the entry fired
-                 as a dead no-op event — [now] at a drained-heap [run]
-                 exit is observable (drivers anchor their next quantum
-                 on it), and same-seed runs must not shift by an ulp
-                 across versions. *)
-              | Cancelled | Fired -> t.now <- time))
-    end
-  done
+              | Every _ -> push t ~delay:period event
+              | Armed _ | Fired | Cancelled -> ())
+          (* Tombstone: discarded without running or counting. The
+             clock still advances, exactly as when the entry fired
+             as a dead no-op event — [now] at a drained-heap [run]
+             exit is observable (drivers anchor their next quantum
+             on it), and same-seed runs must not shift by an ulp
+             across versions. *)
+          | Cancelled | Fired ->
+              attribute t Tick "(cancelled)";
+              t.now <- time));
+      true
+
+(* One profiled step: the window opens before the pop, so the clock's
+   box and the re-push of a periodic timer are charged to the event
+   that caused them. [Gc.minor_words] returns an unboxed float, so the
+   window itself allocates nothing; a new bucket's entry is made after
+   it closes. *)
+let profiled_step t p until =
+  p.kind <- Other;
+  p.name <- "other";
+  let events0 = t.events_executed in
+  let words0 = Gc.minor_words () in
+  let more = step t until in
+  let words = Gc.minor_words () -. words0 in
+  let ran = t.events_executed - events0 in
+  if more then begin
+    let table = p.tables.(kind_index p.kind) in
+    let b =
+      match Hashtbl.find table p.name with
+      | b -> b
+      | exception Not_found ->
+          let b = { events = 0; words = [| 0.0 |] } in
+          Hashtbl.add table p.name b;
+          b
+    in
+    b.events <- b.events + ran;
+    b.words.(0) <- b.words.(0) +. words
+  end;
+  more
+
+(* The two loops differ only in their step; one loop over a step
+   closure would allocate on every call, and drivers call [run] once
+   per quantum. *)
+let run ?until t =
+  t.stop_requested <- false;
+  match t.profile with
+  | None ->
+      let continue = ref true in
+      while !continue do
+        if t.stop_requested || Heap.is_empty t.heap then continue := false
+        else continue := step t until
+      done
+  | Some p ->
+      let events0 = t.events_executed in
+      let words0 = Gc.minor_words () in
+      let continue = ref true in
+      while !continue do
+        if t.stop_requested || Heap.is_empty t.heap then continue := false
+        else continue := profiled_step t p until
+      done;
+      p.inside_words.(0) <- p.inside_words.(0) +. (Gc.minor_words () -. words0);
+      p.inside_events <- p.inside_events + (t.events_executed - events0)
+
+type bucket_report = { kind : kind; name : string; events : int; minor_words : float }
+
+let profile t =
+  match t.profile with
+  | None -> []
+  | Some p ->
+      List.concat_map
+        (fun kind ->
+          Hashtbl.fold
+            (fun name (b : bucket) acc ->
+              { kind; name; events = b.events; minor_words = b.words.(0) } :: acc)
+            p.tables.(kind_index kind) [])
+        [ Deliver; Wake; Tick; Other ]
+
+let profile_totals t =
+  match t.profile with
+  | None -> (0, 0.0)
+  | Some p -> (p.inside_events, p.inside_words.(0))

@@ -27,6 +27,17 @@ val fresh_id : t -> int
     non-negative. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
+(** A pre-built event: one value that can be scheduled again each time
+    it has run, for a caller that recycles the work it schedules (the
+    network's delivery slots). [schedule_event t ~delay (event f)] runs
+    [f] exactly as [schedule t ~delay f] would, at the same instant and
+    seq, and allocates nothing beyond the heap entry. *)
+type event
+
+val event : (unit -> unit) -> event
+
+val schedule_event : t -> delay:float -> event -> unit
+
 (** A cancelable timer handle (see {!Timer} for the public face). *)
 type timer
 
@@ -92,3 +103,43 @@ val emit :
   name:string ->
   (unit -> (string * Trace.attr) list) ->
   unit
+
+(** {2 Profiling}
+
+    Off by default, and then free: no allocation, no event, one match
+    per executed event. On, every executed event is charged to one
+    bucket: its events and the minor words allocated from just before
+    its pop to its end (so the clock's box and a periodic timer's re-push
+    count for the event that caused them). The event names its bucket
+    with {!attribute} while it runs; an event that names none is charged
+    to [(Other, "other")], or [(Tick, "other")] for a timer. Cancelled
+    timers popped as tombstones execute no event and are charged to
+    [(Tick, "(cancelled)")] with 0 events. The state lives in the
+    engine, so engines on different domains profile independently. *)
+
+type kind =
+  | Deliver  (** a packet delivery, named by its payload constructor *)
+  | Wake  (** a fiber resumed, named by the fiber *)
+  | Tick  (** a timer, named by its owner *)
+  | Other
+
+(** [set_profiling t true] starts a fresh profile; [false] drops it. *)
+val set_profiling : t -> bool -> unit
+
+val profiling : t -> bool
+
+(** Name the bucket of the event now running (the last call wins). A
+    no-op when profiling is off; pass constant strings, so the call
+    allocates nothing either way. *)
+val attribute : t -> kind -> string -> unit
+
+type bucket_report = { kind : kind; name : string; events : int; minor_words : float }
+
+(** Every bucket charged so far, in no particular order. *)
+val profile : t -> bucket_report list
+
+(** Events executed and minor words allocated inside {!run} while
+    profiling, measured around each whole call, independently of the
+    buckets: the buckets' sums equal these up to the loop's own
+    bookkeeping between two events (a new bucket's table entry). *)
+val profile_totals : t -> int * float

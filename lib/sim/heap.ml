@@ -3,25 +3,36 @@
    layout boxed a 3-field entry (plus its [Some]) per event, and
    simulations push millions of events per run.
 
-   Invariant: [values] slots at index >= size hold [dummy]. The heap
-   must never retain a popped value: it is usually a closure over a
-   fiber's continuation, i.e. an arbitrarily large object graph. *)
+   Values do not move with their entries: each sits in a fixed cell of
+   [values], and the heap order permutes only [slots], the cell index
+   of each entry. Sifting thus swaps floats and ints and runs no write
+   barrier; a value is stored once when pushed and cleared once when
+   popped. (Moving the values themselves made each sift step a
+   [caml_modify], and a young value moved into a cell that held an old
+   one — a reused, long-lived event among fresh closures — is a new
+   remembered-set entry: O(log n) per push and pop, enough on a large
+   heap to overflow the table and force extra minor collections.)
+
+   Invariants: [slots] is a permutation of the cell indices; the cells
+   [slots.(i)] for i >= size are free and hold [dummy]. The heap must
+   never retain a popped value: it is usually a closure over a fiber's
+   continuation, i.e. an arbitrarily large object graph. *)
 
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
+  mutable slots : int array;
   mutable values : 'a array;
   mutable size : int;
 }
 
-(* Filler for cleared/unused value slots. An immediate, so [Array.make]
+(* Filler for cleared/unused value cells. An immediate, so [Array.make]
    builds a generic (not flat-float) array even at ['a = float]; all
    accesses below go through the polymorphic array primitives, which
-   handle either representation, and slots at index >= size are never
-   read. *)
+   handle either representation, and free cells are never read. *)
 let dummy : 'a. unit -> 'a = fun () -> Obj.magic 0
 
-let create () = { times = [||]; seqs = [||]; values = [||]; size = 0 }
+let create () = { times = [||]; seqs = [||]; slots = [||]; values = [||]; size = 0 }
 
 let length h = h.size
 
@@ -41,9 +52,9 @@ let swap h i j =
   let s = h.seqs.(i) in
   h.seqs.(i) <- h.seqs.(j);
   h.seqs.(j) <- s;
-  let v = h.values.(i) in
-  h.values.(i) <- h.values.(j);
-  h.values.(j) <- v
+  let k = h.slots.(i) in
+  h.slots.(i) <- h.slots.(j);
+  h.slots.(j) <- k
 
 let grow h =
   let capacity = Array.length h.times in
@@ -54,7 +65,8 @@ let grow h =
     let values = Array.make new_capacity (dummy ()) in
     Array.blit h.times 0 times 0 h.size;
     Array.blit h.seqs 0 seqs 0 h.size;
-    Array.blit h.values 0 values 0 h.size;
+    Array.blit h.values 0 values 0 capacity;
+    h.slots <- Array.init new_capacity (fun i -> if i < capacity then h.slots.(i) else i);
     h.times <- times;
     h.seqs <- seqs;
     h.values <- values
@@ -79,40 +91,51 @@ let rec sift_down h i =
     sift_down h !smallest
   end
 
-let push h ~time ~seq value =
+let[@inline] insert h time seq value =
   grow h;
   let i = h.size in
   h.times.(i) <- time;
   h.seqs.(i) <- seq;
-  h.values.(i) <- value;
+  h.values.(h.slots.(i)) <- value;
   h.size <- i + 1;
   sift_up h i
 
-(* Remove the root: move the last element into slot 0, clear its old
-   value slot, re-establish the heap. Shared by the popping entry
-   points so the slot-clearing invariant lives in one place. *)
+let push h ~time ~seq value = insert h time seq value
+
+(* The sum is formed here, inside the one call: a float argument crosses
+   a module boundary boxed, and [base] and [delay] usually arrive boxed
+   already, so the caller then allocates nothing for the key. *)
+let push_after h ~base ~delay ~seq value = insert h (base +. delay) seq value
+
+(* Remove the root: clear its value cell, move the last entry into
+   position 0 (its freed cell takes the last position's place among the
+   free ones), re-establish the heap. Shared by the popping entry points
+   so the cell-clearing invariant lives in one place. *)
 let remove_min h =
   let last = h.size - 1 in
+  let k = h.slots.(0) in
+  h.values.(k) <- dummy ();
   h.size <- last;
   if last > 0 then begin
     h.times.(0) <- h.times.(last);
     h.seqs.(0) <- h.seqs.(last);
-    h.values.(0) <- h.values.(last);
-    h.values.(last) <- dummy ();
+    h.slots.(0) <- h.slots.(last);
+    h.slots.(last) <- k;
     sift_down h 0
   end
-  else h.values.(0) <- dummy ()
+
+let min_value h = h.values.(h.slots.(0))
 
 let pop_min h =
   if h.size = 0 then None
   else begin
-    let time = h.times.(0) and seq = h.seqs.(0) and value = h.values.(0) in
+    let time = h.times.(0) and seq = h.seqs.(0) and value = min_value h in
     remove_min h;
     Some (time, seq, value)
   end
 
 let peek_min h =
-  if h.size = 0 then None else Some (h.times.(0), h.seqs.(0), h.values.(0))
+  if h.size = 0 then None else Some (h.times.(0), h.seqs.(0), min_value h)
 
 let min_time h =
   if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
@@ -120,6 +143,6 @@ let min_time h =
 
 let pop_min_value h =
   if h.size = 0 then invalid_arg "Heap.pop_min_value: empty heap";
-  let value = h.values.(0) in
+  let value = min_value h in
   remove_min h;
   value

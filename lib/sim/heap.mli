@@ -18,6 +18,11 @@ val is_empty : 'a t -> bool
     sequence numbers pop first. *)
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
+(** [push_after heap ~base ~delay ~seq value] is
+    [push heap ~time:(base +. delay) ~seq value], with the sum formed
+    inside the heap so that the caller need not box it. *)
+val push_after : 'a t -> base:float -> delay:float -> seq:int -> 'a -> unit
+
 (** [pop_min heap] removes and returns the minimum element, or [None]
     when the heap is empty. *)
 val pop_min : 'a t -> (float * int * 'a) option

@@ -82,6 +82,7 @@ let rec run_fiber ctx f =
                   in
                   let fire res =
                     Engine.schedule ctx.engine ~delay:0.0 (fun () ->
+                        Engine.attribute ctx.engine Wake ctx.name;
                         if viable () then
                           match res with
                           | Ok v -> continue k v
@@ -94,6 +95,7 @@ let rec run_fiber ctx f =
 
 and boot engine node ?(name = "fiber") f =
   Engine.schedule engine ~delay:0.0 (fun () ->
+      Engine.attribute engine Wake name;
       if Node.is_alive node then
         run_fiber
           { engine; node; incarnation = Node.incarnation node; name }
@@ -110,7 +112,9 @@ let spawn ?name f =
 let sleep d =
   let ctx = get_ctx () in
   suspend (fun w ->
-      Engine.schedule ctx.engine ~delay:d (fun () -> ignore (Waker.wake w ())))
+      Engine.schedule ctx.engine ~delay:d (fun () ->
+          Engine.attribute ctx.engine Wake ctx.name;
+          ignore (Waker.wake w ())))
 
 let yield () = sleep 0.0
 
@@ -125,6 +129,7 @@ let with_timeout d f =
   suspend (fun w ->
       let tm =
         Engine.schedule_timer ctx.engine ~delay:d (fun () ->
+            Engine.attribute ctx.engine Tick ctx.name;
             ignore (Waker.wake_exn w Timeout))
       in
       Waker.on_wake w (fun () -> Engine.cancel_timer tm);

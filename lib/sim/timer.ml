@@ -11,6 +11,7 @@ let active = Engine.timer_active
 let guard engine waker ~delay exn =
   let tm =
     Engine.schedule_timer engine ~delay (fun () ->
+        Engine.attribute engine Tick "timeout";
         ignore (Proc.Waker.wake_exn waker exn))
   in
   Proc.Waker.on_wake waker (fun () -> Engine.cancel_timer tm);

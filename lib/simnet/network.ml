@@ -22,6 +22,20 @@ type rail = {
   mutable up : bool;
 }
 
+(* A delivery in flight. A slot owns its one engine event, whose
+   closure reads the slot, so scheduling a delivery fills a free slot
+   and pushes that event again: a receiver costs no closure and no
+   event of its own. The slot is cleared before its handler runs and
+   goes back on the free stack, so it holds no packet while idle. *)
+type slot = {
+  mutable packet : Packet.t; (* [no_packet] while idle *)
+  mutable dst : int;
+  mutable event : Sim.Engine.event; (* set once, at creation *)
+}
+
+let no_packet =
+  { Packet.src = -1; dst = Multicast; proto = ""; payload = Payload.Opaque ""; size = 0 }
+
 type t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
@@ -42,6 +56,10 @@ type t = {
   rail_states : rail array;
   mutable loss : float;
   mutable fault_filter : (Packet.t -> fault_action) option;
+  (* Idle delivery slots: a stack in [free.(0 .. n_free - 1)]. Slots are
+     interchangeable; which one carries a delivery changes nothing. *)
+  mutable free : slot array;
+  mutable n_free : int;
 }
 
 let create engine ?(latency = default_latency) ?(rails = 1) ?seed () =
@@ -62,6 +80,8 @@ let create engine ?(latency = default_latency) ?(rails = 1) ?seed () =
     rail_states = Array.init rails (fun _ -> { cells = None; up = true });
     loss = 0.0;
     fault_filter = None;
+    free = [||];
+    n_free = 0;
   }
 
 let engine t = t.engine
@@ -166,31 +186,72 @@ let count_packet t proto =
   Sim.Metrics.incr_handle t.pkt;
   Sim.Metrics.incr_handle (proto_handle t proto)
 
-let delivery_delay t ~src ~dst =
+(* The jitter is [Rng.uniform ~lo:0.0 ~hi:jitter] with its formula
+   spelled out, so the same draw gives the same bits: passing [jitter]
+   out of the flat latency record would box it on every packet. *)
+let[@inline] delivery_delay t ~src ~dst =
   if src = dst then t.latency.local
   else
-    t.latency.base +. Sim.Rng.uniform t.rng ~lo:0.0 ~hi:t.latency.jitter
+    let jitter = t.latency.jitter in
+    t.latency.base +. (0.0 +. ((jitter -. 0.0) *. Sim.Rng.float t.rng))
 
-(* Hand [packet] to [dst]'s handler after [delay]; re-checks liveness,
-   reachability and the listener at delivery time, as a real wire + NIC
-   would. The handler runs inside this delivery event. On an untraced
-   run this closure and its event are all a receiver costs beyond the
-   packet record. *)
-let deliver_later t packet ~dst ~delay =
-  Sim.Engine.schedule t.engine ~delay (fun () ->
-      if reachable t packet.Packet.src dst then
-        match Hashtbl.find t.nics dst with
-        | exception Not_found -> ()
-        | nic -> (
-            if nic_is_live t nic then
-              match Hashtbl.find nic.handlers packet.proto with
-              | handler -> handler packet
-              | exception Not_found -> ()))
+(* Hand [packet] to [dst]'s handler: re-checks liveness, reachability
+   and the listener at delivery time, as a real wire + NIC would. The
+   handler runs inside the delivery event. *)
+let deliver t packet dst =
+  if Sim.Engine.profiling t.engine then
+    Sim.Engine.attribute t.engine Sim.Engine.Deliver
+      (Payload.constructor packet.Packet.payload);
+  if reachable t packet.Packet.src dst then
+    match Hashtbl.find t.nics dst with
+    | exception Not_found -> ()
+    | nic -> (
+        if nic_is_live t nic then
+          match Hashtbl.find nic.handlers packet.proto with
+          | handler -> handler packet
+          | exception Not_found -> ())
+
+let release t slot =
+  if t.n_free = Array.length t.free then begin
+    let free = Array.make (max 8 (2 * t.n_free)) slot in
+    Array.blit t.free 0 free 0 t.n_free;
+    t.free <- free
+  end;
+  t.free.(t.n_free) <- slot;
+  t.n_free <- t.n_free + 1
+
+(* The slot's event: empty the slot and free it first, so the handler
+   can send (and reuse it) and the slot keeps no packet alive. *)
+let fire t slot =
+  let packet = slot.packet and dst = slot.dst in
+  slot.packet <- no_packet;
+  release t slot;
+  deliver t packet dst
+
+let new_slot t =
+  let slot = { packet = no_packet; dst = -1; event = Sim.Engine.event ignore } in
+  slot.event <- Sim.Engine.event (fun () -> fire t slot);
+  slot
+
+(* Schedule [packet]'s delivery to [dst] after [delay] in a free slot.
+   The engine event is the slot's own, pushed at the same instant and
+   seq a fresh one would take. *)
+let[@inline] deliver_later t packet ~dst ~delay =
+  let slot =
+    if t.n_free = 0 then new_slot t
+    else begin
+      t.n_free <- t.n_free - 1;
+      t.free.(t.n_free)
+    end
+  in
+  slot.packet <- packet;
+  slot.dst <- dst;
+  Sim.Engine.schedule_event t.engine ~delay slot.event
 
 let apply_fault_filter t packet =
   match t.fault_filter with None -> Deliver | Some f -> f packet
 
-let lost t ~src ~dst =
+let[@inline] lost t ~src ~dst =
   (* Loopback never touches the wire, so it cannot be lost. *)
   src <> dst && Sim.Rng.bool t.rng ~p:t.loss
 
@@ -199,29 +260,6 @@ let transmit t packet ~dst ~extra_delay =
   then begin
     let delay = delivery_delay t ~src:packet.src ~dst +. extra_delay in
     deliver_later t packet ~dst ~delay
-  end
-
-let send t nic ~dst ~proto ?(size = 64) payload =
-  if nic_is_live t nic then begin
-    let packet =
-      { Packet.src = Sim.Node.id nic.node; dst = Unicast dst; proto; payload; size }
-    in
-    (* The attrs thunk is a closure allocated at the call site even
-       when tracing is off, so an untraced packet skips it. *)
-    if Sim.Engine.tracing t.engine then
-      Sim.Engine.emit t.engine ~subsystem:"net" ~node:packet.src ~name:"send"
-        (fun () ->
-          [
-            ("dst", Sim.Trace.Int dst);
-            ("proto", Sim.Trace.Str proto);
-            ("size", Sim.Trace.Int size);
-            ("payload", Sim.Trace.Str (Payload.to_string payload));
-          ]);
-    count_packet t proto;
-    match apply_fault_filter t packet with
-    | Drop -> ()
-    | Deliver -> transmit t packet ~dst ~extra_delay:0.0
-    | Delay d -> transmit t packet ~dst ~extra_delay:d
   end
 
 (* The cached fan-out set: every live NIC, ascending node id — exactly
@@ -239,40 +277,69 @@ let receiver_array t =
       t.receivers <- Some receivers;
       receivers
 
-let multicast t nic ~proto ?(size = 64) payload =
-  if nic_is_live t nic then begin
-    let src = Sim.Node.id nic.node in
-    let packet = { Packet.src; dst = Multicast; proto; payload; size } in
-    if Sim.Engine.tracing t.engine then
-      Sim.Engine.emit t.engine ~subsystem:"net" ~node:src ~name:"mcast"
-        (fun () ->
-          [
-            ("proto", Sim.Trace.Str proto);
-            ("size", Sim.Trace.Int size);
-            ("payload", Sim.Trace.Str (Payload.to_string payload));
-          ]);
-    (* Ethernet multicast: one packet on the wire regardless of the
-       number of receivers — this is what makes SendToGroup cheap. *)
-    count_packet t proto;
-    Sim.Metrics.incr_handle t.mcast_pkt;
-    match apply_fault_filter t packet with
-    | Drop -> ()
-    | (Deliver | Delay _) as action ->
-        let extra_delay = match action with Delay d -> d | Deliver | Drop -> 0.0 in
-        (* Visit receivers in node-id order so the per-receiver jitter
-           draws are deterministic for a given seed. A loop, not an
-           iterated closure: the fan-out allocates only the deliveries. *)
-        let receivers = receiver_array t in
-        for i = 0 to Array.length receivers - 1 do
-          let dst, nic = receivers.(i) in
-          if Hashtbl.mem nic.handlers proto then
-            if not (lost t ~src ~dst) then begin
-              (* The jitter draw happens for every reachable receiver,
-                 opted-out or not: skipping it would shift the RNG
-                 stream and change every later delivery in the run. *)
-              let delay = delivery_delay t ~src ~dst +. extra_delay in
-              if multicast_interested nic ~proto then
-                deliver_later t packet ~dst ~delay
-            end
-        done
-  end
+let send_unicast t packet dst =
+  (* The attrs thunk is a closure allocated at the call site even
+     when tracing is off, so an untraced packet skips it. *)
+  if Sim.Engine.tracing t.engine then
+    Sim.Engine.emit t.engine ~subsystem:"net" ~node:packet.Packet.src ~name:"send"
+      (fun () ->
+        [
+          ("dst", Sim.Trace.Int dst);
+          ("proto", Sim.Trace.Str packet.proto);
+          ("size", Sim.Trace.Int packet.size);
+          ("payload", Sim.Trace.Str (Payload.to_string packet.payload));
+        ]);
+  count_packet t packet.proto;
+  match apply_fault_filter t packet with
+  | Drop -> ()
+  | Deliver -> transmit t packet ~dst ~extra_delay:0.0
+  | Delay d -> transmit t packet ~dst ~extra_delay:d
+
+let send_multicast t packet =
+  let src = packet.Packet.src and proto = packet.proto in
+  if Sim.Engine.tracing t.engine then
+    Sim.Engine.emit t.engine ~subsystem:"net" ~node:src ~name:"mcast" (fun () ->
+        [
+          ("proto", Sim.Trace.Str proto);
+          ("size", Sim.Trace.Int packet.size);
+          ("payload", Sim.Trace.Str (Payload.to_string packet.payload));
+        ]);
+  (* Ethernet multicast: one packet on the wire regardless of the
+     number of receivers — this is what makes SendToGroup cheap. *)
+  count_packet t proto;
+  Sim.Metrics.incr_handle t.mcast_pkt;
+  match apply_fault_filter t packet with
+  | Drop -> ()
+  | (Deliver | Delay _) as action ->
+      let extra_delay = match action with Delay d -> d | Deliver | Drop -> 0.0 in
+      (* Visit receivers in node-id order so the per-receiver jitter
+         draws are deterministic for a given seed. A loop, not an
+         iterated closure: the fan-out allocates only the deliveries. *)
+      let receivers = receiver_array t in
+      for i = 0 to Array.length receivers - 1 do
+        let dst, nic = receivers.(i) in
+        if Hashtbl.mem nic.handlers proto then
+          if not (lost t ~src ~dst) then begin
+            (* The jitter draw happens for every reachable receiver,
+               opted-out or not: skipping it would shift the RNG
+               stream and change every later delivery in the run. *)
+            let delay = delivery_delay t ~src ~dst +. extra_delay in
+            if multicast_interested nic ~proto then
+              deliver_later t packet ~dst ~delay
+          end
+      done
+
+let send_packet t nic packet =
+  if nic_is_live t nic then
+    match packet.Packet.dst with
+    | Unicast dst -> send_unicast t packet dst
+    | Multicast -> send_multicast t packet
+
+let packet nic ~dst ~proto ?(size = 64) payload =
+  { Packet.src = Sim.Node.id nic.node; dst; proto; payload; size }
+
+let send t nic ~dst ~proto ?size payload =
+  send_packet t nic (packet nic ~dst:(Unicast dst) ~proto ?size payload)
+
+let multicast t nic ~proto ?size payload =
+  send_packet t nic (packet nic ~dst:Multicast ~proto ?size payload)

@@ -76,6 +76,25 @@ val socket : nic -> proto:string -> Packet.t Sim.Mailbox.t
     50 pointless deliveries per packet. *)
 val set_multicast_interest : nic -> proto:string -> bool -> unit
 
+(** [packet nic ~dst ~proto payload] builds the packet [nic]'s node
+    would send; [size] (bytes, for statistics) defaults to 64. *)
+val packet :
+  nic -> dst:Packet.dst -> proto:string -> ?size:int -> Payload.t -> Packet.t
+
+(** [send_packet net nic packet] transmits a packet built by {!packet}
+    for [nic]: a unicast as {!send} does, a multicast as {!multicast}
+    does, and nothing at all once [nic]'s node has crashed or
+    restarted. Packets are immutable, so a sender whose packet does not
+    change between sends (a heartbeat) builds it once and sends it
+    again. [send] and [multicast] are [packet], then [send_packet].
+
+    Each receiver's delivery rides in a slot the network reuses: the
+    slot owns one pre-built engine event ({!Sim.Engine.event}), is
+    filled when the delivery is scheduled and emptied when it runs, so
+    a delivery allocates no closure or event, and an idle slot holds no
+    packet. *)
+val send_packet : t -> nic -> Packet.t -> unit
+
 (** [send net nic ~dst ~proto payload] transmits a unicast packet. It is
     silently dropped when src and dst are in different partition cells,
     when the loss process fires, or when the destination has no live NIC

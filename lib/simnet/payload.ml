@@ -36,3 +36,6 @@ let to_string payload =
             match p payload with Some s -> s | None -> try_printers rest)
       in
       try_printers (Atomic.get printers)
+
+let constructor payload =
+  Obj.Extension_constructor.name (Obj.Extension_constructor.of_val payload)

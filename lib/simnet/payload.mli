@@ -22,3 +22,7 @@ type t += Opaque of string
 val register_printer : name:string -> (t -> string option) -> unit
 
 val to_string : t -> string
+
+(** The name of [payload]'s constructor, as it was declared (for example
+    ["Group.Wire.Heartbeat"]). Allocates nothing. *)
+val constructor : t -> string

@@ -45,6 +45,7 @@ let submit t ~latency action =
   t.busy_until <- finish;
   Sim.Proc.suspend (fun waker ->
       Sim.Engine.schedule t.engine ~delay:(finish -. now) (fun () ->
+          Sim.Engine.attribute t.engine Tick "disk";
           let v = action () in
           ignore (Sim.Proc.Waker.wake waker v)))
 

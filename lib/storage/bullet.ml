@@ -73,27 +73,24 @@ let immediate_limit t = Block_device.block_size t.device - 64
 
 let slot_block t slot = t.first_block + slot
 
-let encode_slot = function
-  | None ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.u8 w 0;
-      Codec.Writer.contents w
-  | Some file ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.u8 w 1;
-      Codec.Writer.u32 w file.obj;
-      Codec.Writer.i64 w file.secret;
-      if file.data_blocks = [] then begin
-        Codec.Writer.u8 w 1;
-        (* immediate *)
-        Codec.Writer.string w file.data
-      end
-      else begin
-        Codec.Writer.u8 w 0;
-        Codec.Writer.u32 w (String.length file.data);
-        Codec.Writer.list w Codec.Writer.u32 file.data_blocks
-      end;
-      Codec.Writer.contents w
+let encode_slot owner =
+  Codec.Writer.encode_bytes (fun w ->
+      match owner with
+      | None -> Codec.Writer.u8 w 0
+      | Some file ->
+          Codec.Writer.u8 w 1;
+          Codec.Writer.u32 w file.obj;
+          Codec.Writer.i64 w file.secret;
+          if file.data_blocks = [] then begin
+            Codec.Writer.u8 w 1;
+            (* immediate *)
+            Codec.Writer.string w file.data
+          end
+          else begin
+            Codec.Writer.u8 w 0;
+            Codec.Writer.u32 w (String.length file.data);
+            Codec.Writer.list w Codec.Writer.u32 file.data_blocks
+          end)
 
 (* Write a slot's current in-core state to its inode block. *)
 let write_inode_block t slot =

@@ -3,7 +3,41 @@ exception Corrupt of string
 module Writer = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 128
+  (* Scratch writers, one stack per domain (Sim.Pool runs simulations
+     on several): an encoding writes into [bufs.(depth)] and copies the
+     result out once. A nested encoding (a store whose entries are
+     encoded directories) takes the next one. *)
+  type scratch = { mutable bufs : Buffer.t array; mutable depth : int }
+
+  let scratch = Domain.DLS.new_key (fun () -> { bufs = [||]; depth = 0 })
+
+  (* A buffer that grew past this is dropped after use rather than kept
+     for the domain's lifetime. *)
+  let keep_limit = 65_536
+
+  let release s depth w =
+    s.depth <- depth;
+    if Buffer.length w > keep_limit then Buffer.reset w else Buffer.clear w
+
+  let with_scratch f finish =
+    let s = Domain.DLS.get scratch in
+    let d = s.depth in
+    if d = Array.length s.bufs then
+      s.bufs <- Array.init (d + 1) (fun i -> if i < d then s.bufs.(i) else Buffer.create 512);
+    let w = s.bufs.(d) in
+    s.depth <- d + 1;
+    match f w with
+    | () ->
+        let result = finish w in
+        release s d w;
+        result
+    | exception e ->
+        release s d w;
+        raise e
+
+  let encode f = with_scratch f Buffer.contents
+
+  let encode_bytes f = with_scratch f Buffer.to_bytes
 
   let u8 t v =
     if v < 0 || v > 0xFF then invalid_arg "Codec.u8: out of range";
@@ -30,8 +64,6 @@ module Writer = struct
   let list t f xs =
     u32 t (List.length xs);
     List.iter (f t) xs
-
-  let contents t = Buffer.to_bytes t
 end
 
 module Reader = struct

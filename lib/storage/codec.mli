@@ -9,7 +9,14 @@ exception Corrupt of string
 module Writer : sig
   type t
 
-  val create : unit -> t
+  (** [encode f] runs [f] on an empty writer and returns what it wrote.
+      The writer is a scratch buffer kept per domain and reused (a
+      nested [encode] gets its own), so an encoding costs one copy of
+      its result: no buffer growth once warm, no second copy. *)
+  val encode : (t -> unit) -> string
+
+  (** [encode_bytes f] is [encode f] as bytes, still one copy. *)
+  val encode_bytes : (t -> unit) -> bytes
 
   val u8 : t -> int -> unit
 
@@ -22,8 +29,6 @@ module Writer : sig
   val string : t -> string -> unit
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
-
-  val contents : t -> bytes
 end
 
 module Reader : sig

@@ -18,15 +18,14 @@ let make ~servers =
   }
 
 let encode t =
-  let w = Codec.Writer.create () in
-  Codec.Writer.u32 w magic;
-  Codec.Writer.u32 w (Array.length t.config_vector);
-  Array.iter (Codec.Writer.bool w) t.config_vector;
-  Codec.Writer.u32 w t.seqno;
-  Codec.Writer.bool w t.recovering;
-  Codec.Writer.u32 w t.boot;
-  Codec.Writer.string w t.log;
-  Codec.Writer.contents w
+  Codec.Writer.encode_bytes (fun w ->
+      Codec.Writer.u32 w magic;
+      Codec.Writer.u32 w (Array.length t.config_vector);
+      Array.iter (Codec.Writer.bool w) t.config_vector;
+      Codec.Writer.u32 w t.seqno;
+      Codec.Writer.bool w t.recovering;
+      Codec.Writer.u32 w t.boot;
+      Codec.Writer.string w t.log)
 
 let decode data =
   if Bytes.length data = 0 then None

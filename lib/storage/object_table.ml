@@ -16,16 +16,13 @@ let block_of t dir_id =
   t.first_block + dir_id
 
 let encode_entry entry =
-  let w = Codec.Writer.create () in
-  Codec.Writer.u32 w magic_present;
-  Cap_codec.write w entry.file_cap;
-  Codec.Writer.u32 w entry.seqno;
-  Codec.Writer.contents w
+  Codec.Writer.encode_bytes (fun w ->
+      Codec.Writer.u32 w magic_present;
+      Cap_codec.write w entry.file_cap;
+      Codec.Writer.u32 w entry.seqno)
 
 let encode_tombstone () =
-  let w = Codec.Writer.create () in
-  Codec.Writer.u32 w magic_absent;
-  Codec.Writer.contents w
+  Codec.Writer.encode_bytes (fun w -> Codec.Writer.u32 w magic_absent)
 
 let decode data =
   if Bytes.length data = 0 then None

@@ -1035,3 +1035,137 @@ let suite =
       Alcotest.test_case "late commit from an abandoned coordinator" `Quick
         test_late_commit_does_not_rewind;
     ]
+
+(* ---- Cached liveness packets ---------------------------------------- *)
+
+(* Every Hb_ack member 2 sends, in order. The filter delivers all. *)
+let record_hb_acks w =
+  let acks = ref [] in
+  Simnet.Network.set_fault_filter w.net
+    (Some
+       (fun packet ->
+         (match packet.Simnet.Packet.payload with
+         | Group.Wire.Hb_ack { have_upto; _ } when packet.src = 2 ->
+             acks := (packet, have_upto) :: !acks
+         | _ -> ());
+         Simnet.Network.Deliver));
+  acks
+
+(* While nothing changes, member 2 sends one Hb_ack packet again and
+   again; once an entry is delivered, the next Hb_ack carries the new
+   [have_upto]. *)
+let test_hb_ack_follows_delivery () =
+  let w = make_world ~seed:32L () in
+  let get, node_of = start_trio w in
+  run_until w 100.0;
+  let acks = record_hb_acks w in
+  run_until w 200.0;
+  let idle = !acks in
+  Alcotest.(check bool) "several Hb_acks while idle" true (List.length idle >= 3);
+  let first, upto = List.hd idle in
+  Alcotest.(check bool) "one packet, sent again" true
+    (List.for_all (fun (p, u) -> p == first && u = upto) idle);
+  at w ~delay:0.0 (fun () ->
+      Sim.Proc.boot w.engine (node_of 1) (fun () ->
+          Group.Member.send (get 1) (Note "x")));
+  run_until w 400.0;
+  let delivered = (Group.Member.info (get 2)).next_deliver - 1 in
+  Alcotest.(check bool) "member 2 delivered the entry" true (delivered > upto);
+  match !acks with
+  | (_, latest) :: _ ->
+      Alcotest.(check int) "the latest Hb_ack carries the new have_upto"
+        delivered latest
+  | [] -> Alcotest.fail "no Hb_ack"
+
+(* After a view change the sequencer's heartbeat carries the new epoch:
+   the cached packet of the old view is never sent in the new one. *)
+let test_heartbeat_follows_view () =
+  let w = make_world ~seed:33L () in
+  let get, node_of = start_trio w in
+  let beats = ref [] in
+  Simnet.Network.set_fault_filter w.net
+    (Some
+       (fun packet ->
+         (match packet.Simnet.Packet.payload with
+         | Group.Wire.Heartbeat { epoch; _ } when packet.src = 1 ->
+             beats := (Sim.Engine.now w.engine, epoch) :: !beats
+         | _ -> ());
+         Simnet.Network.Deliver));
+  at w ~delay:30.0 (fun () ->
+      List.iter
+        (fun id ->
+          Sim.Proc.boot w.engine (node_of id) (fun () ->
+              let m = get id in
+              try
+                while true do
+                  match Group.Member.receive ~timeout:3000.0 m with
+                  | exception Group.Types.Group_failure _ ->
+                      ignore (Group.Member.reset m)
+                  | _ -> ()
+                done
+              with Sim.Proc.Timeout -> ()))
+        [ 1; 2 ]);
+  run_until w 60.0;
+  let old_epoch = (Group.Member.info (get 1)).epoch in
+  at w ~delay:0.0 (fun () -> Sim.Node.crash (node_of 3));
+  run_until w 800.0;
+  let info = Group.Member.info (get 1) in
+  Alcotest.(check (list int)) "view is {1,2}" [ 1; 2 ] info.members;
+  Alcotest.(check bool) "a new view" true
+    (Group.Types.epoch_compare info.epoch old_epoch > 0);
+  let installed_by =
+    match
+      List.find_opt
+        (fun (_, e) -> Group.Types.epoch_compare e info.epoch = 0)
+        (List.rev !beats)
+    with
+    | Some (time, _) -> time
+    | None -> Alcotest.fail "no heartbeat in the new view"
+  in
+  Alcotest.(check bool) "no old-view heartbeat after the new view's first" true
+    (List.for_all
+       (fun (time, e) ->
+         time < installed_by || Group.Types.epoch_compare e info.epoch = 0)
+       !beats)
+
+(* A crashed sequencer sends nothing more, its cached heartbeat
+   included, and after a restart its old heartbeat packet never
+   reappears on the wire. *)
+let test_crashed_node_sends_no_cached_packet () =
+  let w = make_world ~seed:34L () in
+  let _, node_of = start_trio w in
+  run_until w 100.0;
+  let crashed = ref false and cached = ref None and after_crash = ref 0 in
+  Simnet.Network.set_fault_filter w.net
+    (Some
+       (fun packet ->
+         (match packet.Simnet.Packet.payload with
+         | Group.Wire.Heartbeat _ when packet.src = 1 && not !crashed ->
+             cached := Some packet
+         | _ -> ());
+         if !crashed && packet.src = 1 then incr after_crash;
+         (match !cached with
+         | Some p when p == packet && !crashed -> Alcotest.fail "old heartbeat resent"
+         | Some _ | None -> ());
+         Simnet.Network.Deliver));
+  run_until w 200.0;
+  Alcotest.(check bool) "heartbeat seen" true (!cached <> None);
+  crashed := true;
+  Sim.Node.crash (node_of 1);
+  run_until w 1_000.0;
+  Alcotest.(check int) "no packet from the crashed node" 0 !after_crash;
+  Sim.Node.restart (node_of 1);
+  let nic = Simnet.Network.attach w.net (node_of 1) in
+  Sim.Proc.boot w.engine (node_of 1) (fun () ->
+      ignore (Group.Member.create_group w.net nic ~gname:"g"));
+  run_until w 2_000.0;
+  Alcotest.(check bool) "the restarted node sends again" true (!after_crash > 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "Hb_ack follows delivery" `Quick test_hb_ack_follows_delivery;
+      Alcotest.test_case "heartbeat follows the view" `Quick test_heartbeat_follows_view;
+      Alcotest.test_case "crashed node sends no cached packet" `Quick
+        test_crashed_node_sends_no_cached_packet;
+    ]

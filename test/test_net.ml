@@ -385,3 +385,76 @@ let suite =
       Alcotest.test_case "second listen replaces the handler" `Quick
         test_listen_replaces_handler;
     ]
+
+(* ---- Delivery slots and pre-built packets --------------------------- *)
+
+(* Send one fresh packet by unicast and one by multicast, from a helper
+   so that nothing on this stack keeps them; the weak array sees them. *)
+let send_fresh w nic weak =
+  let unicast =
+    Simnet.Network.packet nic ~dst:(Unicast 2) ~proto:"test" (Ping (Sim.Engine.fresh_id w.engine))
+  and multicast =
+    Simnet.Network.packet nic ~dst:Multicast ~proto:"test" (Ping (Sim.Engine.fresh_id w.engine))
+  in
+  Weak.set weak 0 (Some unicast);
+  Weak.set weak 1 (Some multicast);
+  Simnet.Network.send_packet w.net nic unicast;
+  Simnet.Network.send_packet w.net nic multicast
+
+(* A delivery slot empties itself when its event runs: once every
+   delivery has run, the network holds neither packet (its slots stay
+   for reuse). *)
+let test_slot_keeps_no_packet () =
+  let w = make_world () in
+  let nics =
+    List.map (fun id -> Simnet.Network.attach w.net (node ~id (Printf.sprintf "n%d" id))) [ 1; 2; 3 ]
+  in
+  let got = ref 0 in
+  List.iter (fun nic -> Simnet.Network.listen nic ~proto:"test" (fun _ -> incr got)) nics;
+  let weak = Weak.create 2 in
+  send_fresh w (List.hd nics) weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "in flight: held by their slots" true
+    (Weak.check weak 0 && Weak.check weak 1);
+  Sim.Engine.run w.engine;
+  Alcotest.(check int) "one unicast and three multicast deliveries" 4 !got;
+  Gc.full_major ();
+  Alcotest.(check bool) "delivered unicast collectable" false (Weak.check weak 0);
+  Alcotest.(check bool) "delivered multicast collectable" false (Weak.check weak 1);
+  (* The network, slots included, is still live and in use. *)
+  Simnet.Network.send w.net (List.hd nics) ~dst:3 ~proto:"test" (Ping 0);
+  Sim.Engine.run w.engine;
+  Alcotest.(check int) "a later delivery reuses a slot" 5 !got
+
+(* A packet built once and sent again reaches its receiver each time,
+   until its sender's node crashes: then it is never sent, through the
+   old NIC, even after the node restarts. *)
+let test_prebuilt_packet_dies_with_node () =
+  let w = make_world () in
+  let n1 = node ~id:1 "n1" in
+  let nic1 = Simnet.Network.attach w.net n1 in
+  let nic2 = Simnet.Network.attach w.net (node ~id:2 "n2") in
+  let got = ref 0 in
+  Simnet.Network.listen nic2 ~proto:"test" (fun _ -> incr got);
+  let packet = Simnet.Network.packet nic1 ~dst:(Unicast 2) ~proto:"test" (Ping 7) in
+  let pkts () = Sim.Metrics.count w.metrics "net.pkt" in
+  Simnet.Network.send_packet w.net nic1 packet;
+  Simnet.Network.send_packet w.net nic1 packet;
+  Sim.Engine.run w.engine;
+  Alcotest.(check int) "sent twice, delivered twice" 2 !got;
+  Sim.Node.crash n1;
+  Simnet.Network.send_packet w.net nic1 packet;
+  Sim.Node.restart n1;
+  ignore (Simnet.Network.attach w.net n1);
+  Simnet.Network.send_packet w.net nic1 packet;
+  Sim.Engine.run w.engine;
+  Alcotest.(check int) "nothing after the crash" 2 !got;
+  Alcotest.(check int) "not on the wire either" 2 (pkts ())
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a delivery slot keeps no packet" `Quick test_slot_keeps_no_packet;
+      Alcotest.test_case "a pre-built packet dies with its node" `Quick
+        test_prebuilt_packet_dies_with_node;
+    ]

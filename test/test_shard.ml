@@ -997,3 +997,45 @@ let suite =
                           directory"
         `Quick test_ambiguous_prepare;
     ]
+
+(* ---- The resolver's wake-ups ---------------------------------------- *)
+
+(* Resolver wake-ups counted by the engine's profiler while [f] runs. *)
+let resolver_wakes cluster f =
+  let engine = C.engine cluster in
+  Sim.Engine.set_profiling engine true;
+  let v = f () in
+  let wakes =
+    List.fold_left
+      (fun n (b : Sim.Engine.bucket_report) ->
+        if b.name = "dirsvc.xresolve" then n + b.events else n)
+      0 (Sim.Engine.profile engine)
+  in
+  Sim.Engine.set_profiling engine false;
+  (wakes, v)
+
+let idle cluster ms () = C.run_until cluster (Sim.Engine.now (C.engine cluster) +. ms)
+
+(* With nothing staged no server's resolver runs; a staged half wakes
+   the destination's resolvers, which scan until it commits, and then
+   they wait again (after at most one more scan). *)
+let test_resolver_idle_without_staged () =
+  let cluster, src, dst = two_shard_dirs ~seed:23L ~name:"r" in
+  Alcotest.(check int) "idle: no wake-up" 0 (fst (resolver_wakes cluster (idle cluster 2_000.0)));
+  filter_backbone cluster ~prepare_reply:(fun () -> Simnet.Network.Delay 300.0);
+  let wakes, moved =
+    resolver_wakes cluster (fun () ->
+        Harness.on_client cluster (fun client ->
+            outcome (fun () -> Dirsvc.Client.move_row client ~src ~dst ~name:"r")))
+  in
+  Alcotest.(check (result unit service_error)) "move succeeded" (Ok ()) moved;
+  Alcotest.(check bool) "staged: the resolvers ran" true (wakes > 0);
+  idle cluster 500.0 ();
+  Alcotest.(check int) "committed: no wake-up" 0 (fst (resolver_wakes cluster (idle cluster 2_000.0)))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "the resolver sleeps while nothing is staged" `Quick
+        test_resolver_idle_without_staged;
+    ]

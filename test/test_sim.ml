@@ -884,3 +884,57 @@ let suite =
       Alcotest.test_case "mailbox has_waiter false after the waiter's crash"
         `Quick test_has_waiter_after_crash;
     ]
+
+(* ---- The profiler ----------------------------------------------------- *)
+
+(* Every executed event lands in exactly one bucket: named ones where
+   they named themselves, the rest in the default buckets, a cancelled
+   timer in its own with no event. The buckets' sums match the
+   profiler's own totals, measured around [run], up to the few words a
+   new bucket's table entry takes. *)
+let test_profile_buckets_sum () =
+  let engine = Sim.Engine.create () in
+  Alcotest.(check bool) "off by default" false (Sim.Engine.profiling engine);
+  Sim.Engine.attribute engine Deliver "ignored while off";
+  Sim.Engine.set_profiling engine true;
+  let kept = ref [] in
+  for i = 1 to 1000 do
+    Sim.Engine.schedule engine ~delay:(float_of_int i) (fun () ->
+        Sim.Engine.attribute engine Deliver "alloc";
+        kept := Array.make 10 i :: !kept)
+  done;
+  Sim.Engine.schedule engine ~delay:1.0 ignore;
+  ignore (Sim.Timer.after engine ~delay:2.0 ignore);
+  Sim.Timer.cancel (Sim.Timer.after engine ~delay:3.0 ignore);
+  Sim.Engine.run engine;
+  let buckets = Sim.Engine.profile engine in
+  let find kind name =
+    match
+      List.find_opt
+        (fun (b : Sim.Engine.bucket_report) -> b.kind = kind && b.name = name)
+        buckets
+    with
+    | Some b -> b
+    | None -> Alcotest.failf "no bucket %s" name
+  in
+  let alloc = find Deliver "alloc" in
+  Alcotest.(check int) "named events" 1000 alloc.events;
+  Alcotest.(check bool) "each allocated its array and cons" true
+    (alloc.minor_words >= 1000.0 *. 14.0);
+  Alcotest.(check int) "unnamed event" 1 (find Other "other").events;
+  Alcotest.(check int) "unnamed timer" 1 (find Tick "other").events;
+  Alcotest.(check int) "cancelled timer: no event" 0 (find Tick "(cancelled)").events;
+  let events = List.fold_left (fun n (b : Sim.Engine.bucket_report) -> n + b.events) 0 buckets in
+  let words =
+    List.fold_left (fun w (b : Sim.Engine.bucket_report) -> w +. b.minor_words) 0.0 buckets
+  in
+  let inside_events, inside_words = Sim.Engine.profile_totals engine in
+  Alcotest.(check int) "events add up" (Sim.Engine.events_executed engine) events;
+  Alcotest.(check int) "the run's own count agrees" inside_events events;
+  Alcotest.(check bool) "words add up to the run's within 1%" true
+    (Float.abs (words -. inside_words) <= 0.01 *. inside_words);
+  Alcotest.(check int) "kept alive" 1000 (List.length !kept)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "profile buckets add up" `Quick test_profile_buckets_sum ]
