@@ -1336,18 +1336,69 @@ let send_probe ~multicast =
     per_words = words /. float_of_int n;
   }
 
+(* One fiber repeating one blocking step, alone on its engine, each step
+   taking 1 simulated ms; measured over 10 000 steps after 100 warm-up
+   steps. A step is two events, its wake and its resume.
+   - sleep: [Proc.sleep 1.0];
+   - condvar_wake: a [Condvar.wait] that a periodic timer's broadcast
+     ends (the timer itself allocates nothing per tick);
+   - disk_write: one 64-byte [Block_device.write] of a 1 ms disk. *)
+let fiber_probe probe setup =
+  let engine = Sim.Engine.create ~seed:2709L () in
+  let step = setup engine in
+  let steps = ref 0 in
+  Sim.Proc.boot engine (Sim.Node.create ~id:1 ~name:"probe") (fun () ->
+      while true do
+        step ();
+        incr steps
+      done);
+  Sim.Engine.run ~until:100.5 engine;
+  let n = 10_000 in
+  let events0 = Sim.Engine.events_executed engine and steps0 = !steps in
+  let minor0 = Gc.minor_words () in
+  Sim.Engine.run ~until:(100.5 +. float_of_int n) engine;
+  let words = Gc.minor_words () -. minor0 in
+  let units = float_of_int (!steps - steps0) in
+  {
+    probe;
+    units;
+    per_events = float_of_int (Sim.Engine.events_executed engine - events0) /. units;
+    per_packets = 0.0;
+    per_words = words /. units;
+  }
+
 let measure_probes () =
-  [ idle_round_probe (); send_probe ~multicast:false; send_probe ~multicast:true ]
+  [
+    idle_round_probe ();
+    send_probe ~multicast:false;
+    send_probe ~multicast:true;
+    fiber_probe "sleep" (fun _ () -> Sim.Proc.sleep 1.0);
+    fiber_probe "condvar_wake" (fun engine ->
+        let cv = Sim.Condvar.create () in
+        ignore (Sim.Timer.every engine ~period:1.0 (fun () -> Sim.Condvar.broadcast cv));
+        fun () -> Sim.Condvar.wait cv);
+    fiber_probe "disk_write" (fun engine ->
+        let disk =
+          Storage.Block_device.create engine ~blocks:1 ~block_size:64 ~read_ms:1.0
+            ~write_ms:1.0 ()
+        in
+        let data = Bytes.make 64 'x' in
+        fun () -> Storage.Block_device.write disk 0 data);
+  ]
 
 (* Probe gates. The idle round must stay at exactly 8 events and 3
-   packets, and every probe's minor words stay under a ceiling ~1.5x
-   above its current value, so a per-tick, per-packet or per-delivery
-   allocation coming back fails it. *)
+   packets, and a fiber's step at exactly 2 events, and every probe's
+   minor words stay under a ceiling ~1.5x above its current value, so a
+   per-tick, per-packet, per-delivery or per-wait allocation coming
+   back fails it. *)
 let probe_ceilings =
   [
     ("idle_round", (8.0, 3.0, 51.0)) (* 34 words today *);
     ("unicast", (1.0, 1.0, 21.0)) (* 14 *);
     ("multicast_3", (3.0, 1.0, 33.0)) (* 22 *);
+    ("sleep", (2.0, 0.0, 14.0)) (* 9 *);
+    ("condvar_wake", (2.0, 0.0, 41.0)) (* 27 *);
+    ("disk_write", (2.0, 0.0, 96.0)) (* 65 *);
   ]
 
 let probe_gate () =
@@ -1372,9 +1423,9 @@ let measure_batch quick batch =
   measure_cost (fun () -> scaled_run ~params quick)
 
 (* Group-commit gate: the full-size scaled run with sequencer batching
-   on (batch_max = 8) must allocate at most 105k minor words per
-   completed op, ~1.5x the current build's 70k. Batches of one sit at
-   ~125k, above the ceiling, so losing the batching fails the gate, as
+   on (batch_max = 8) must allocate at most 68k minor words per
+   completed op, ~1.5x the current build's 45.5k. Batches of one sit at
+   ~79.5k, above the ceiling, so losing the batching fails the gate, as
    does a per-packet or per-tick allocation coming back. The run must
    also average strictly under one durable commit per op (0.685 today;
    1.0 would mean group commit stopped grouping). The seed-fixed run
@@ -1385,10 +1436,10 @@ let alloc_gate () =
   let c_op = float_of_int c.commits /. float_of_int c.ops in
   [
     verdict
-      (mw_op <= 105_000.0 && c_op < 1.0)
+      (mw_op <= 68_000.0 && c_op < 1.0)
       (Printf.sprintf
          "alloc gate: batched scaled run  %d ops  %.0f minor words/op \
-          (ceiling 105000)  %.3f commits/op (ceiling < 1.0)"
+          (ceiling 68000)  %.3f commits/op (ceiling < 1.0)"
          c.ops mw_op c_op);
   ]
 
@@ -1605,7 +1656,8 @@ let speed =
           (real seconds%s; simulated results are seed-identical)\n\n"
          (if quick then ", --quick" else "")
       ^ table scenario_columns scenarios
-      ^ "\nprobes: one idle heartbeat round, one send to a no-op handler\n"
+      ^ "\nprobes: one idle heartbeat round, one send to a no-op handler, one \
+         fiber's blocking step\n"
       ^ table probe_columns probes
       ^ "\nbatch-efficiency: scaled update scenario, group commit on/off\n"
       ^ table batch_columns batches

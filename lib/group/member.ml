@@ -33,6 +33,8 @@ type counters = {
   c_send_ms : Sim.Metrics.Histogram.t; (* labelled by dissemination *)
 }
 
+type pending = { seqno : int; origin : int; uid : int } (* ordered, not yet resilient *)
+
 type t = {
   net : Simnet.Network.t;
   nic : Simnet.Network.nic;
@@ -76,7 +78,7 @@ type t = {
   mutable batch_timer : Sim.Timer.t option;
   acked : (int, int) Hashtbl.t; (* member -> cumulative have_upto *)
   last_heard : (int, float) Hashtbl.t; (* member -> last ack/hb time *)
-  pending_done : (int, int * int) Hashtbl.t; (* seqno -> origin, uid *)
+  pending_done : pending Queue.t; (* in seqno order, taken from the front *)
   assigned_uids : (int * int, int) Hashtbl.t;
       (* (origin, uid) -> seqno, for sends and joins alike: both draw
          their uids from [fresh_uid], so the keys never collide *)
@@ -277,34 +279,28 @@ let send_done t ~origin ~uid =
     unicast t ~dst:origin t.counters.c_done
       (Wire.Done { gname = t.gname; epoch = epoch t; uid })
 
-let holders t seqno =
-  List.length
-    (List.filter
-       (fun m ->
-         match Hashtbl.find_opt t.acked m with
-         | Some upto -> upto >= seqno
-         | None -> false)
-       t.members)
+(* Members whose cumulative ack covers [seqno]. *)
+let rec count_holders acked seqno n = function
+  | [] -> n
+  | m :: rest -> (
+      match Hashtbl.find acked m with
+      | upto -> count_holders acked seqno (if upto >= seqno then n + 1 else n) rest
+      | exception Not_found -> count_holders acked seqno n rest)
 
+let holders t seqno = count_holders t.acked seqno 0 t.members
+
+(* Acks are cumulative, so [holders] never grows with the seqno: the
+   sends that are resilient are always the oldest pending ones. Take
+   them from the front, in seqno order, until one is not. *)
 let check_pending_done t =
-  (* Every Hb_ack lands here; with nothing pending there is nothing to
-     fold and sort. *)
-  if Hashtbl.length t.pending_done > 0 then begin
-    let needed = needed_holders t in
-    let ready =
-      Hashtbl.fold
-        (fun seqno (origin, uid) acc ->
-          if holders t seqno >= needed then (seqno, origin, uid) :: acc
-          else acc)
-        t.pending_done []
-      |> List.sort compare
-    in
-    List.iter
-      (fun (seqno, origin, uid) ->
-        Hashtbl.remove t.pending_done seqno;
-        send_done t ~origin ~uid)
-      ready
-  end
+  let needed = needed_holders t in
+  while
+    (not (Queue.is_empty t.pending_done))
+    && holders t (Queue.peek t.pending_done).seqno >= needed
+  do
+    let { origin; uid; _ } = Queue.pop t.pending_done in
+    send_done t ~origin ~uid
+  done
 
 let record_ack t ~member ~have_upto =
   let previous =
@@ -361,7 +357,7 @@ let deliver_entry t seqno (entry : Wire.entry) =
             t.sequencer <- first;
             if first = t.me then begin
               t.seq_next <- seqno + 1;
-              Hashtbl.reset t.pending_done;
+              Queue.clear t.pending_done;
               List.iter
                 (fun m' -> Hashtbl.replace t.last_heard m' (now t))
                 t.members
@@ -506,14 +502,17 @@ let enqueue t entry ~body_known ~alone =
 let handle_bcast_req t ~origin ~uid ~payload ~body_known =
   match Hashtbl.find_opt t.assigned_uids (origin, uid) with
   | Some seqno ->
-      (* Duplicate (origin retried): if already resilient, re-notify. *)
-      if not (Hashtbl.mem t.pending_done seqno) then send_done t ~origin ~uid
+      (* Duplicate (origin retried): if already resilient, re-notify.
+         Sends leave [pending_done] only from the front, so the ones
+         still pending are those at or after the front's seqno. *)
+      if Queue.is_empty t.pending_done || seqno < (Queue.peek t.pending_done).seqno
+      then send_done t ~origin ~uid
   | None ->
       let seqno =
         enqueue t (Wire.App { origin; uid; payload }) ~body_known ~alone:false
       in
       Hashtbl.replace t.assigned_uids (origin, uid) seqno;
-      Hashtbl.replace t.pending_done seqno (origin, uid);
+      Queue.push { seqno; origin; uid } t.pending_done;
       (* With r = 0 the send completes as soon as it is ordered. *)
       check_pending_done t
 
@@ -645,7 +644,7 @@ let install t ~patch (v : Reset.view) =
   t.members <- v.members;
   t.sequencer <- v.sequencer;
   t.last_from_seq <- now t;
-  Hashtbl.reset t.pending_done;
+  Queue.clear t.pending_done;
   Hashtbl.reset t.assigned_uids;
   Hashtbl.reset t.bb_bodies;
   fail_pending_sends t "view changed";
@@ -882,7 +881,7 @@ let make ?(config = Types.default_config) net nic ~gname =
       batch_timer = None;
       acked = Hashtbl.create 8;
       last_heard = Hashtbl.create 8;
-      pending_done = Hashtbl.create 8;
+      pending_done = Queue.create ();
       assigned_uids = Hashtbl.create 32;
       last_data_sent = 0.0;
       fd_tick = None;
@@ -1069,7 +1068,7 @@ let leave t =
            the handover point is unambiguous. *)
         (try
            Sim.Condvar.await ~timeout:send_timeout t.changed (fun () ->
-               Hashtbl.length t.pending_done = 0)
+               Queue.is_empty t.pending_done)
          with Sim.Proc.Timeout -> ());
         ignore (enqueue t (Wire.Leave_member t.me) ~body_known:false ~alone:true)
       end

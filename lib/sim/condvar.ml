@@ -1,21 +1,15 @@
-type t = { mutable wait_queue : unit Proc.Waker.t list (* oldest first *) }
+type t = { wait_queue : unit Proc.Waker.t Queue.t (* oldest first *) }
 
-let create () = { wait_queue = [] }
+let create () = { wait_queue = Queue.create () }
 
-let wait ?timeout t =
-  match timeout with
-  | None -> Proc.suspend (fun waker -> t.wait_queue <- t.wait_queue @ [ waker ])
-  | Some d ->
-      (* Only a guarded wait needs the engine (one effect call). *)
-      let engine = Proc.engine () in
-      Proc.suspend (fun waker ->
-          t.wait_queue <- t.wait_queue @ [ waker ];
-          ignore (Timer.guard engine waker ~delay:d Proc.Timeout))
+let wait ?timeout t = Proc.wait ?timeout t.wait_queue
 
+(* A wake only schedules its fiber's resume, so no waiter can join the
+   queue while it drains. *)
 let broadcast t =
-  let waiting = t.wait_queue in
-  t.wait_queue <- [];
-  List.iter (fun waker -> ignore (Proc.Waker.wake waker ())) waiting
+  while not (Queue.is_empty t.wait_queue) do
+    ignore (Proc.Waker.wake (Queue.pop t.wait_queue) ())
+  done
 
 let await ?timeout t pred =
   (* The overall timeout is budgeted across successive waits. *)

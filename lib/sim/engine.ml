@@ -96,6 +96,10 @@ let schedule_every t ~period f =
   push t ~delay:period (Timer tm);
   tm
 
+(* Never scheduled and never mutated ([cancel_timer] leaves a cancelled
+   timer alone), so one value serves every engine and domain. *)
+let no_timer = { state = Cancelled }
+
 let cancel_timer tm =
   match tm.state with
   | Armed _ | Every _ -> tm.state <- Cancelled
@@ -151,29 +155,26 @@ let attribute t kind name =
    once the run must end. *)
 let step t until =
   (* Peek before popping: an event past the time limit stays in the
-     heap untouched (popping and re-pushing it sifted the whole heap
-     twice on every bounded [run] call). *)
-  let time = Heap.min_time t.heap in
+     heap untouched. The heap compares the times, and the clock gets a
+     new box only when its time moves: most events share an instant. *)
   match until with
-  | Some limit when time > limit ->
+  | Some limit when Heap.min_time_after t.heap limit ->
       t.now <- limit;
       false
   | _ ->
+      if Heap.min_time_differs t.heap t.now then t.now <- Heap.min_time t.heap;
       (match Heap.pop_min_value t.heap with
       | Thunk f ->
-          t.now <- time;
           t.events_executed <- t.events_executed + 1;
           f ()
       | Timer tm as event -> (
           match tm.state with
           | Armed f ->
               tm.state <- Fired;
-              t.now <- time;
               t.events_executed <- t.events_executed + 1;
               attribute t Tick "other";
               f ()
           | Every (period, f) -> (
-              t.now <- time;
               t.events_executed <- t.events_executed + 1;
               attribute t Tick "other";
               f ();
@@ -185,14 +186,10 @@ let step t until =
               | Every _ -> push t ~delay:period event
               | Armed _ | Fired | Cancelled -> ())
           (* Tombstone: discarded without running or counting. The
-             clock still advances, exactly as when the entry fired
-             as a dead no-op event — [now] at a drained-heap [run]
-             exit is observable (drivers anchor their next quantum
-             on it), and same-seed runs must not shift by an ulp
-             across versions. *)
-          | Cancelled | Fired ->
-              attribute t Tick "(cancelled)";
-              t.now <- time));
+             clock still advanced, as for a dead no-op event: [now] at
+             a drained-heap [run] exit is observable (drivers anchor
+             their next quantum on it). *)
+          | Cancelled | Fired -> attribute t Tick "(cancelled)"));
       true
 
 (* One profiled step: the window opens before the pop, so the clock's

@@ -65,6 +65,10 @@ val schedule_every : t -> period:float -> (unit -> unit) -> timer
     tick is pushed. *)
 val cancel_timer : timer -> unit
 
+(** A timer that was never scheduled and is not active: a slot's value
+    while it guards nothing. Cancelling it is a no-op. *)
+val no_timer : timer
+
 (** A timer is active until it fires (one-shot) or is canceled. *)
 val timer_active : timer -> bool
 

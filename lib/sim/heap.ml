@@ -141,6 +141,16 @@ let min_time h =
   if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
   h.times.(0)
 
+(* Compared here, so that neither time crosses the module boundary as a
+   fresh box. *)
+let min_time_after h limit =
+  if h.size = 0 then invalid_arg "Heap.min_time_after: empty heap";
+  h.times.(0) > limit
+
+let min_time_differs h time =
+  if h.size = 0 then invalid_arg "Heap.min_time_differs: empty heap";
+  h.times.(0) <> time
+
 let pop_min_value h =
   if h.size = 0 then invalid_arg "Heap.pop_min_value: empty heap";
   let value = min_value h in

@@ -37,6 +37,13 @@ val peek_min : 'a t -> (float * int * 'a) option
     empty heap. *)
 val min_time : 'a t -> float
 
+(** [min_time_after heap limit] is [min_time heap > limit], and
+    [min_time_differs heap time] is [min_time heap <> time]; neither
+    boxes a float. Both raise [Invalid_argument] on an empty heap. *)
+val min_time_after : 'a t -> float -> bool
+
+val min_time_differs : 'a t -> float -> bool
+
 (** [pop_min_value heap] removes the minimum element and returns its
     value alone (no tuple, no option). Raises [Invalid_argument] on an
     empty heap. *)

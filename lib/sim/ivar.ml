@@ -2,24 +2,25 @@ type 'a state = Empty | Full of ('a, exn) result
 
 type 'a t = {
   mutable state : 'a state;
-  mutable readers : 'a Proc.Waker.t list; (* oldest first *)
+  readers : 'a Proc.Waker.t Queue.t; (* oldest first *)
 }
 
-let create () = { state = Empty; readers = [] }
+let create () = { state = Empty; readers = Queue.create () }
 
+(* A wake only schedules its fiber's resume, so no reader can join the
+   queue while it drains. *)
 let complete t result =
   match t.state with
   | Full _ -> ()
   | Empty ->
       t.state <- Full result;
-      let readers = t.readers in
-      t.readers <- [];
-      let wake waker =
-        match result with
-        | Ok v -> ignore (Proc.Waker.wake waker v)
-        | Error e -> ignore (Proc.Waker.wake_exn waker e)
-      in
-      List.iter wake readers
+      while not (Queue.is_empty t.readers) do
+        let waker = Queue.pop t.readers in
+        ignore
+          (match result with
+          | Ok v -> Proc.Waker.wake waker v
+          | Error e -> Proc.Waker.wake_exn waker e)
+      done
 
 let fill t v = complete t (Ok v)
 
@@ -34,12 +35,4 @@ let read ?timeout t =
   match t.state with
   | Full (Ok v) -> v
   | Full (Error e) -> raise e
-  | Empty -> (
-      match timeout with
-      | None -> Proc.suspend (fun waker -> t.readers <- t.readers @ [ waker ])
-      | Some d ->
-          (* Only a guarded wait needs the engine (one effect call). *)
-          let engine = Proc.engine () in
-          Proc.suspend (fun waker ->
-              t.readers <- t.readers @ [ waker ];
-              ignore (Timer.guard engine waker ~delay:d Proc.Timeout)))
+  | Empty -> Proc.wait ?timeout t.readers

@@ -18,15 +18,7 @@ let rec send t v =
 let recv ?timeout t =
   match Queue.take_opt t.queue with
   | Some v -> v
-  | None -> (
-      match timeout with
-      | None -> Proc.suspend (fun waker -> Queue.push waker t.wait_queue)
-      | Some d ->
-          (* Only a guarded wait needs the engine (one effect call). *)
-          let engine = Proc.engine () in
-          Proc.suspend (fun waker ->
-              Queue.push waker t.wait_queue;
-              ignore (Timer.guard engine waker ~delay:d Proc.Timeout)))
+  | None -> Proc.wait ?timeout t.wait_queue
 
 let length t = Queue.length t.queue
 
@@ -40,15 +32,5 @@ let rec has_waiter t =
     has_waiter t
   end
 
-(* Count viable waiters, compacting the dead ones out while we are
-   touching every entry anyway. *)
 let waiters t =
-  let live = Queue.create () in
-  Queue.iter
-    (fun waker -> if Proc.Waker.is_viable waker then Queue.push waker live)
-    t.wait_queue;
-  Queue.clear t.wait_queue;
-  Queue.transfer live t.wait_queue;
-  Queue.length t.wait_queue
-
-
+  Queue.fold (fun n w -> if Proc.Waker.is_viable w then n + 1 else n) 0 t.wait_queue

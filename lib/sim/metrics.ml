@@ -173,7 +173,11 @@ let create () =
     histograms = Hashtbl.create 32;
   }
 
-let counter_ref t key =
+(* A handle is the counter's cell itself: resolving once buys hot paths
+   an increment with no hashing, no lookup and no key building. *)
+type handle = int ref
+
+let counter t key =
   match Hashtbl.find_opt t.counters key with
   | Some r -> r
   | None ->
@@ -182,14 +186,8 @@ let counter_ref t key =
       r
 
 let incr ?(by = 1) t key =
-  let r = counter_ref t key in
+  let r = counter t key in
   r := !r + by
-
-(* A handle is the counter's cell itself: resolving once buys hot paths
-   an increment with no hashing, no lookup and no key building. *)
-type handle = int ref
-
-let counter t key = counter_ref t key
 
 let incr_handle ?(by = 1) h = h := !h + by
 
@@ -214,18 +212,14 @@ let delta ~before ~after =
       if d = 0 then None else Some (key, d))
     keys
 
-let histogram_ref t key =
+let histogram_handle ?(labels = []) t key =
+  let key = labelled key ~labels in
   match Hashtbl.find_opt t.histograms key with
   | Some h -> h
   | None ->
       let h = Histogram.create () in
       Hashtbl.add t.histograms key h;
       h
-
-let observe_hist ?(labels = []) t key v =
-  Histogram.observe (histogram_ref t (labelled key ~labels)) v
-
-let histogram_handle ?(labels = []) t key = histogram_ref t (labelled key ~labels)
 
 let histogram t key = Hashtbl.find_opt t.histograms key
 

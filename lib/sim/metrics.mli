@@ -91,12 +91,6 @@ val delta : before:(string * int) list -> after:(string * int) list -> (string *
 
 (** Histograms. *)
 
-(** [observe_hist t key v] records [v] into the histogram named
-    [labelled key ~labels], creating it (with the default bounds) on
-    first use. *)
-val observe_hist :
-  ?labels:(string * string) list -> t -> string -> float -> unit
-
 val histogram : t -> string -> Histogram.t option
 
 (** [histogram_handle t key] resolves (creating if needed) the histogram

@@ -2,138 +2,169 @@ exception Timeout
 
 exception Cancelled of string
 
-module Waker = struct
-  type 'a t = {
-    mutable used : bool;
-    viable : unit -> bool;
-    fire : ('a, exn) result -> unit;
-    (* Run once, at the moment the waker is consumed — the hook through
-       which a successful wakeup revokes its guard timer, so the timeout
-       event is tombstoned instead of popping later as a dead no-op. *)
-    mutable cleanup : (unit -> unit) option;
-  }
+open Effect.Deep
 
-  let is_viable w = (not w.used) && w.viable ()
+(* What a fiber's resume event does when it next runs. *)
+type next =
+  | Idle
+  | Start of (unit -> unit)
+  | Alarm of (unit, unit) continuation (* asleep: fires as the wake first *)
+  | Resume : ('a, unit) continuation * 'a -> next
+  | Raise : ('a, unit) continuation * exn -> next
 
-  let on_wake w f =
-    match w.cleanup with
-    | None -> w.cleanup <- Some f
-    | Some g ->
-        w.cleanup <-
-          Some
-            (fun () ->
-              g ();
-              f ())
-
-  let consumed w =
-    w.used <- true;
-    match w.cleanup with
-    | None -> ()
-    | Some f ->
-        w.cleanup <- None;
-        f ()
-
-  let wake w v =
-    if is_viable w then begin
-      consumed w;
-      w.fire (Ok v);
-      true
-    end
-    else false
-
-  let wake_exn w e =
-    if is_viable w then begin
-      consumed w;
-      w.fire (Error e);
-      true
-    end
-    else false
-end
-
-type ctx = {
+(* One record per fiber, made by [boot]. [gen] counts the fiber's wakes:
+   a waker carries the count of its suspend, so once the fiber is woken
+   every older waker is inert. [resume] is the fiber's one pre-built
+   engine event; [resume] and [self] are set once, by [boot]. *)
+type fiber = {
   engine : Engine.t;
   node : Node.t;
-  incarnation : int;
   name : string;
+  mutable incarnation : int;
+  mutable gen : int;
+  mutable guard : Engine.timer; (* cancelled by the next wake *)
+  mutable next : next;
+  mutable nap : float; (* the pending sleep's delay *)
+  mutable resume : Engine.event;
+  mutable self : fiber option;
 }
 
+let alive f = Node.is_alive f.node && Node.incarnation f.node = f.incarnation
+
+module Waker = struct
+  type 'a t = { fiber : fiber; gen : int; k : ('a, unit) continuation }
+
+  let is_viable w = w.gen = w.fiber.gen && alive w.fiber
+
+  (* The resume takes the instant and the seq of an event the caller
+     scheduled now at delay 0. *)
+  let fire w next =
+    is_viable w
+    && begin
+         let f = w.fiber in
+         f.gen <- f.gen + 1;
+         Engine.cancel_timer f.guard;
+         f.guard <- Engine.no_timer;
+         f.next <- next;
+         Engine.schedule_event f.engine ~delay:0.0 f.resume;
+         true
+       end
+
+  let wake w v = fire w (Resume (w.k, v))
+
+  let wake_exn w e = fire w (Raise (w.k, e))
+end
+
 type _ Effect.t +=
-  | Suspend : ('a Waker.t -> unit) -> 'a Effect.t
-  | Get_ctx : ctx Effect.t
+  | Wait : 'a Waker.t Queue.t * float option -> 'a Effect.t
+  | Sleep : unit Effect.t (* for the fiber's [nap] *)
 
-let rec run_fiber ctx f =
-  let open Effect.Deep in
-  match_with f ()
+(* The fiber running on this domain, set around each resume. *)
+let running = Domain.DLS.new_key (fun () -> ref None)
+
+let current () =
+  match !(Domain.DLS.get running) with
+  | Some f -> f
+  | None -> invalid_arg "Sim.Proc: not inside a fiber"
+
+let handler fiber =
+  let sleep =
+    Some
+      (fun k ->
+        fiber.next <- Alarm k;
+        Engine.schedule_event fiber.engine ~delay:fiber.nap fiber.resume)
+  in
+  {
+    retc = ignore;
+    (* A fiber's uncaught exception aborts the whole run: protocol code
+       is expected to handle its own errors, so anything escaping is a
+       bug we want tests to see immediately. *)
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Wait (queue, timeout) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let w = { Waker.fiber; gen = fiber.gen; k } in
+                Queue.push w queue;
+                match timeout with
+                | None -> ()
+                | Some delay ->
+                    (* The fiber's one guard: the wake that comes first
+                       cancels it, leaving a tombstone. *)
+                    fiber.guard <-
+                      Engine.schedule_timer fiber.engine ~delay (fun () ->
+                          Engine.attribute fiber.engine Tick "timeout";
+                          ignore (Waker.wake_exn w Timeout)))
+        | Sleep -> sleep
+        | _ -> None);
+  }
+
+let step fiber = function
+  | Idle -> ()
+  | Start f -> match_with f () (handler fiber)
+  | Alarm k ->
+      (* A sleep's wake: the resume follows at delay 0, as behind a waker. *)
+      fiber.gen <- fiber.gen + 1;
+      fiber.next <- Resume (k, ());
+      Engine.schedule_event fiber.engine ~delay:0.0 fiber.resume
+  | Resume (k, v) -> continue k v
+  | Raise (k, e) -> discontinue k e
+
+let resume fiber () =
+  Engine.attribute fiber.engine Wake fiber.name;
+  let next = fiber.next in
+  fiber.next <- Idle;
+  (* A fiber belongs to the incarnation its node has when it starts. *)
+  (match next with Start _ -> fiber.incarnation <- Node.incarnation fiber.node | _ -> ());
+  if alive fiber then begin
+    let cell = Domain.DLS.get running in
+    let outer = !cell in
+    cell := fiber.self;
+    match step fiber next with
+    | () -> cell := outer
+    | exception e ->
+        cell := outer;
+        raise e
+  end
+
+(* A fiber's [resume] until [boot] builds its own. *)
+let unbuilt = Engine.event ignore
+
+let boot engine node ?(name = "fiber") f =
+  let fiber =
     {
-      retc = ignore;
-      (* A fiber's uncaught exception aborts the whole run: protocol code
-         is expected to handle its own errors, so anything escaping is a
-         bug we want tests to see immediately. *)
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  let viable () =
-                    Node.is_alive ctx.node
-                    && Node.incarnation ctx.node = ctx.incarnation
-                  in
-                  let fire res =
-                    Engine.schedule ctx.engine ~delay:0.0 (fun () ->
-                        Engine.attribute ctx.engine Wake ctx.name;
-                        if viable () then
-                          match res with
-                          | Ok v -> continue k v
-                          | Error e -> discontinue k e)
-                  in
-                  register { Waker.used = false; viable; fire; cleanup = None })
-          | Get_ctx -> Some (fun (k : (a, _) continuation) -> continue k ctx)
-          | _ -> None);
+      engine;
+      node;
+      name;
+      incarnation = 0;
+      gen = 0;
+      guard = Engine.no_timer;
+      next = Start f;
+      nap = 0.0;
+      resume = unbuilt;
+      self = None;
     }
+  in
+  fiber.self <- Some fiber;
+  fiber.resume <- Engine.event (resume fiber);
+  Engine.schedule_event engine ~delay:0.0 fiber.resume
 
-and boot engine node ?(name = "fiber") f =
-  Engine.schedule engine ~delay:0.0 (fun () ->
-      Engine.attribute engine Wake name;
-      if Node.is_alive node then
-        run_fiber
-          { engine; node; incarnation = Node.incarnation node; name }
-          f)
-
-let get_ctx () = Effect.perform Get_ctx
-
-let suspend register = Effect.perform (Suspend register)
+let wait ?timeout queue = Effect.perform (Wait (queue, timeout))
 
 let spawn ?name f =
-  let ctx = get_ctx () in
-  boot ctx.engine ctx.node ?name f
+  let fiber = current () in
+  boot fiber.engine fiber.node ?name f
 
 let sleep d =
-  let ctx = get_ctx () in
-  suspend (fun w ->
-      Engine.schedule ctx.engine ~delay:d (fun () ->
-          Engine.attribute ctx.engine Wake ctx.name;
-          ignore (Waker.wake w ())))
+  (current ()).nap <- d;
+  Effect.perform Sleep
 
 let yield () = sleep 0.0
 
-let now () = Engine.now (get_ctx ()).engine
+let now () = Engine.now (current ()).engine
 
-let engine () = (get_ctx ()).engine
+let engine () = (current ()).engine
 
-let node () = (get_ctx ()).node
-
-let with_timeout d f =
-  let ctx = get_ctx () in
-  suspend (fun w ->
-      let tm =
-        Engine.schedule_timer ctx.engine ~delay:d (fun () ->
-            Engine.attribute ctx.engine Tick ctx.name;
-            ignore (Waker.wake_exn w Timeout))
-      in
-      Waker.on_wake w (fun () -> Engine.cancel_timer tm);
-      boot ctx.engine ctx.node ~name:(ctx.name ^ ".timed") (fun () ->
-          match f () with
-          | v -> ignore (Waker.wake w v)
-          | exception e -> ignore (Waker.wake_exn w e)))
+let node () = (current ()).node

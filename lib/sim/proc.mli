@@ -14,29 +14,27 @@ exception Timeout
     (e.g. receiving from a mailbox whose peer is permanently gone). *)
 exception Cancelled of string
 
-(** One-shot wakeup handles for suspended fibers. *)
+(** One-shot wakeup handles for suspended fibers. A waker is one small
+    record: its fiber, the fiber's wake count at the suspend, and the
+    continuation. Waking a fiber bumps that count, so every earlier
+    waker of the same fiber is inert from then on. *)
 module Waker : sig
   type 'a t
 
-  (** [wake w v] resumes the fiber with value [v]. Returns [false] when
-      the waker was already used or its fiber's node incarnation died —
-      in that case the caller keeps ownership of [v] (e.g. a mailbox
-      keeps the message). *)
+  (** [wake w v] resumes the fiber with value [v] at the current instant,
+      as an event scheduled now at delay 0. Returns [false] when the
+      fiber was already woken since [w]'s suspend, or its node
+      incarnation died — in that case the caller keeps ownership of [v]
+      (e.g. a mailbox keeps the message). *)
   val wake : 'a t -> 'a -> bool
 
   (** [wake_exn w e] resumes the fiber by raising [e] at the suspension
       point. Same return convention as {!wake}. *)
   val wake_exn : 'a t -> exn -> bool
 
-  (** A waker is viable while it is unused and its fiber can still run. *)
+  (** A waker is viable while its fiber has not been woken since and can
+      still run. *)
   val is_viable : 'a t -> bool
-
-  (** [on_wake w f] runs [f] once, at the moment [w] is consumed by
-      {!wake} or {!wake_exn}. Used to revoke guard timers (see
-      {!Timer}): when the guarded event happens first, the pending
-      timeout is canceled instead of firing later as a dead event.
-      Multiple hooks compose in registration order. *)
-  val on_wake : 'a t -> (unit -> unit) -> unit
 end
 
 (** [boot engine node ?name f] starts a root fiber for [node]; it begins
@@ -48,28 +46,30 @@ val boot : Engine.t -> Node.t -> ?name:string -> (unit -> unit) -> unit
     Must be called from within a fiber. *)
 val spawn : ?name:string -> (unit -> unit) -> unit
 
-(** [suspend register] parks the calling fiber and hands a {!Waker.t} to
-    [register]; the fiber resumes when the waker fires. This is the one
-    primitive from which sleeps, mailboxes and timeouts are built. *)
-val suspend : ('a Waker.t -> unit) -> 'a
+(** [wait ?timeout q] parks the calling fiber with its waker at the back
+    of [q], whose owner wakes it: the one primitive from which mailboxes,
+    condition variables, ivars, resources and the disk's queue are
+    built. With [timeout], the fiber is woken with {!Timeout} after that
+    many milliseconds unless it was woken first; a wake that comes first
+    cancels that timer, which then runs no event (it stays in the heap
+    as a tombstone, see {!Timer}). *)
+val wait : ?timeout:float -> 'a Waker.t Queue.t -> 'a
 
 (** [sleep d] blocks the calling fiber for [d] milliseconds of virtual
-    time. *)
+    time: one event at [now + d] that wakes it and the resume at delay
+    0 behind it, as a timer's wake of a waiting fiber would; neither
+    allocates a closure. *)
 val sleep : float -> unit
 
 (** Reschedule the calling fiber at the current time, letting other
     ready events run first. *)
 val yield : unit -> unit
 
-(** Virtual time, engine, and identity of the calling fiber. *)
+(** Virtual time, engine, and identity of the calling fiber: each
+    reads the fiber running on this domain, which is set around every
+    resume. Outside a fiber they raise [Invalid_argument]. *)
 val now : unit -> float
 
 val engine : unit -> Engine.t
 
 val node : unit -> Node.t
-
-(** [with_timeout d f] runs [f ()] in a child fiber and raises {!Timeout}
-    at the caller if no result arrived after [d] milliseconds. On timeout
-    the child keeps running in the background and its eventual result is
-    discarded — like a kernel call whose late reply nobody collects. *)
-val with_timeout : float -> (unit -> 'a) -> 'a

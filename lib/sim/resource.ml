@@ -1,22 +1,21 @@
 type t = {
   capacity : int;
   mutable held : int;
-  mutable wait_queue : unit Proc.Waker.t list; (* oldest first *)
+  wait_queue : unit Proc.Waker.t Queue.t; (* oldest first *)
 }
 
 let create ~capacity () =
   if capacity <= 0 then invalid_arg "Resource.create: capacity must be positive";
-  { capacity; held = 0; wait_queue = [] }
+  { capacity; held = 0; wait_queue = Queue.create () }
 
 let acquire t =
   if t.held < t.capacity then t.held <- t.held + 1
-  else Proc.suspend (fun waker -> t.wait_queue <- t.wait_queue @ [ waker ])
+  else Proc.wait t.wait_queue
 
 let rec release t =
-  match t.wait_queue with
-  | [] -> t.held <- t.held - 1
-  | waker :: rest ->
-      t.wait_queue <- rest;
+  match Queue.take_opt t.wait_queue with
+  | None -> t.held <- t.held - 1
+  | Some waker ->
       (* Hand the unit over directly; if the waiter died, try the next. *)
       if not (Proc.Waker.wake waker ()) then release t
 

@@ -34,9 +34,3 @@ val cancel : t -> unit
 
 (** A timer is active until it fires (one-shot) or is canceled. *)
 val active : t -> bool
-
-(** [guard engine waker ~delay exn] arms a timeout on a suspended
-    fiber's waker: after [delay] the waker is woken with [exn]. If the
-    waker is consumed first (the guarded event happened), the timer is
-    revoked automatically via {!Proc.Waker.on_wake}. *)
-val guard : Engine.t -> 'a Proc.Waker.t -> delay:float -> exn -> t

@@ -1,14 +1,34 @@
+(* One kind of operation: its latency, and its counter and labelled
+   histogram, resolved at the op's first use (building the labelled key
+   on every op cost more than the rest of the op). Each kind resolves
+   on its own, so a device that never reads registers no
+   [disk.read_ms] histogram. *)
+type op = {
+  key : string;
+  ms : float;
+  metrics : (Sim.Metrics.handle * Sim.Metrics.Histogram.t) Lazy.t;
+}
+
 type t = {
   engine : Sim.Engine.t;
   name : string;
   blocks : int;
   block_size : int;
-  read_ms : float;
-  write_ms : float;
+  read : op;
+  write : op;
   data : bytes array;
   mutable busy_until : float;
   mutable writes_completed : int;
 }
+
+let op engine ~dev key ms =
+  let metrics =
+    lazy
+      (let m = Sim.Engine.metrics engine in
+       ( Sim.Metrics.counter m key,
+         Sim.Metrics.histogram_handle m (key ^ "_ms") ~labels:[ ("dev", dev) ] ))
+  in
+  { key; ms; metrics }
 
 let create engine ?(name = "disk") ~blocks ~block_size ~read_ms
     ~write_ms () =
@@ -19,8 +39,8 @@ let create engine ?(name = "disk") ~blocks ~block_size ~read_ms
     name;
     blocks;
     block_size;
-    read_ms;
-    write_ms;
+    read = op engine ~dev:name "disk.read" read_ms;
+    write = op engine ~dev:name "disk.write" write_ms;
     data = Array.init blocks (fun _ -> Bytes.create 0);
     busy_until = 0.0;
     writes_completed = 0;
@@ -36,57 +56,44 @@ let check_index t i =
   if i < 0 || i >= t.blocks then
     invalid_arg (Printf.sprintf "%s: block %d out of range" t.name i)
 
-(* Queue an operation behind the disk arm. [action] runs at completion
-   time whether or not the issuing fiber is still alive. *)
-let submit t ~latency action =
+(* Count [op] on block [i], record its latency (the wait behind the arm
+   plus its own) and queue it behind the arm. [action] runs at
+   completion time whether or not the issuing fiber is still alive. *)
+let submit t op i action =
   let now = Sim.Engine.now t.engine in
-  let start = max now t.busy_until in
-  let finish = start +. latency in
-  t.busy_until <- finish;
-  Sim.Proc.suspend (fun waker ->
-      Sim.Engine.schedule t.engine ~delay:(finish -. now) (fun () ->
-          Sim.Engine.attribute t.engine Tick "disk";
-          let v = action () in
-          ignore (Sim.Proc.Waker.wake waker v)))
-
-let count t key = Sim.Metrics.incr (Sim.Engine.metrics t.engine) key
-
-(* [queue_ms] at emit time = how long the op will wait behind the arm. *)
-(* Guarded: the attrs thunk is allocated even when tracing is off. *)
-let emit_op t ~name ~block ~latency =
+  let queued = max 0.0 (t.busy_until -. now) in
+  (* Guarded: the attrs thunk is allocated even when tracing is off. *)
   if Sim.Engine.tracing t.engine then
-    Sim.Engine.emit t.engine ~subsystem:"storage" ~node:(-1) ~name (fun () ->
+    Sim.Engine.emit t.engine ~subsystem:"storage" ~node:(-1) ~name:op.key (fun () ->
         [
           ("dev", Sim.Trace.Str t.name);
-          ("block", Sim.Trace.Int block);
-          ( "queue_ms",
-            Sim.Trace.Float (max 0.0 (t.busy_until -. Sim.Engine.now t.engine))
-          );
-          ("latency_ms", Sim.Trace.Float latency);
-        ])
-
-let observe_hist t key latency =
-  Sim.Metrics.observe_hist (Sim.Engine.metrics t.engine) key
-    ~labels:[ ("dev", t.name) ] latency
+          ("block", Sim.Trace.Int i);
+          ("queue_ms", Sim.Trace.Float queued);
+          ("latency_ms", Sim.Trace.Float op.ms);
+        ]);
+  let ops, latency = Lazy.force op.metrics in
+  Sim.Metrics.incr_handle ops;
+  Sim.Metrics.Histogram.observe latency (queued +. op.ms);
+  let finish = Float.max now t.busy_until +. op.ms in
+  t.busy_until <- finish;
+  (* The op's own queue: its completion wakes exactly its fiber. *)
+  let waiting = Queue.create () in
+  Sim.Engine.schedule t.engine ~delay:(finish -. now) (fun () ->
+      Sim.Engine.attribute t.engine Tick "disk";
+      let v = action () in
+      ignore (Sim.Proc.Waker.wake (Queue.pop waiting) v));
+  Sim.Proc.wait waiting
 
 let read t i =
   check_index t i;
-  count t "disk.read";
-  emit_op t ~name:"disk.read" ~block:i ~latency:t.read_ms;
-  let queued = max 0.0 (t.busy_until -. Sim.Engine.now t.engine) in
-  observe_hist t "disk.read_ms" (queued +. t.read_ms);
-  submit t ~latency:t.read_ms (fun () -> Bytes.copy t.data.(i))
+  submit t t.read i (fun () -> Bytes.copy t.data.(i))
 
 let write t i data =
   check_index t i;
   if Bytes.length data > t.block_size then
     invalid_arg (Printf.sprintf "%s: write exceeds block size" t.name);
-  count t "disk.write";
-  emit_op t ~name:"disk.write" ~block:i ~latency:t.write_ms;
-  let queued = max 0.0 (t.busy_until -. Sim.Engine.now t.engine) in
-  observe_hist t "disk.write_ms" (queued +. t.write_ms);
   let committed = Bytes.copy data in
-  submit t ~latency:t.write_ms (fun () ->
+  submit t t.write i (fun () ->
       t.writes_completed <- t.writes_completed + 1;
       t.data.(i) <- committed)
 

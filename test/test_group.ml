@@ -1169,3 +1169,66 @@ let suite =
       Alcotest.test_case "crashed node sends no cached packet" `Quick
         test_crashed_node_sends_no_cached_packet;
     ]
+
+(* r = 2 in a trio: a send is resilient once all three members hold it,
+   and the sequencer then sends its origin one Done. Member 3's
+   cumulative acks are held back by shrinking delays, so later acks
+   overtake earlier ones and one ack releases several sends at once.
+   Every Done is still sent once, in seqno order. *)
+let test_done_once_in_seqno_order () =
+  let w = make_world ~seed:31L () in
+  let get, node_of = start_trio w in
+  run_until w 100.0;
+  let note_of_uid = Hashtbl.create 8 and dones = ref [] in
+  let ack_delay = ref 60.0 and acks = ref [] in
+  Simnet.Network.set_fault_filter w.net
+    (Some
+       (fun packet ->
+         match packet.Simnet.Packet.payload with
+         | Group.Wire.Bcast_req { origin; uid; payload = Note s; _ } ->
+             Hashtbl.replace note_of_uid (origin, uid) s;
+             Simnet.Network.Deliver
+         | Group.Wire.Done { uid; _ } ->
+             (match packet.dst with
+             | Unicast origin -> dones := Hashtbl.find note_of_uid (origin, uid) :: !dones
+             | Multicast -> Alcotest.fail "multicast Done");
+             Simnet.Network.Deliver
+         | Group.Wire.Ack { member = 3; have_upto; _ } ->
+             ack_delay := Float.max 0.0 (!ack_delay -. 15.0);
+             acks := (have_upto, Sim.Engine.now w.engine +. !ack_delay) :: !acks;
+             Simnet.Network.Delay !ack_delay
+         | _ -> Simnet.Network.Deliver));
+  let seqno_of = Hashtbl.create 8 in
+  Sim.Proc.boot w.engine (node_of 1) (fun () ->
+      let m = get 1 in
+      try
+        while true do
+          match Group.Member.receive ~timeout:500.0 m with
+          | Group.Types.Msg { seqno; payload = Note s; _ } -> Hashtbl.replace seqno_of s seqno
+          | _ -> ()
+        done
+      with Sim.Proc.Timeout -> ());
+  List.iter
+    (fun (id, i) ->
+      Sim.Proc.boot w.engine (node_of id) (fun () ->
+          Group.Member.send (get id) (Note (Printf.sprintf "%d.%d" id i))))
+    [ (2, 1); (3, 1); (2, 2); (3, 2); (2, 3) ];
+  run_until w 1_000.0;
+  let arrivals = List.rev !acks in
+  Alcotest.(check bool) "a later ack arrived before an earlier one" true
+    (List.exists2
+       (fun (_, a) (_, b) -> b < a)
+       (List.filteri (fun i _ -> i < List.length arrivals - 1) arrivals)
+       (List.tl arrivals));
+  let dones = List.rev !dones in
+  Alcotest.(check int) "one Done per send" 5 (List.length dones);
+  Alcotest.(check int) "no Done twice" 5 (List.length (List.sort_uniq compare dones));
+  let seqnos = List.map (Hashtbl.find seqno_of) dones in
+  Alcotest.(check (list int)) "Dones in seqno order" (List.sort compare seqnos) seqnos
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "r = 2, acks out of order: each Done once, in seqno order"
+        `Quick test_done_once_in_seqno_order;
+    ]

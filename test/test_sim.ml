@@ -254,26 +254,27 @@ let test_resource_release_on_exception () =
   Sim.Engine.run engine;
   Alcotest.(check bool) "resource was released" true !second_ran
 
-let test_with_timeout_fires () =
+(* [Proc.wait ~timeout] on a queue nobody serves raises [Timeout] at
+   the deadline; woken before it, the fiber gets the value. *)
+let test_wait_timeout_fires () =
   let engine = Sim.Engine.create () in
   let node = Sim.Node.create ~id:1 ~name:"n1" in
   let outcome = ref "" in
   Sim.Proc.boot engine node (fun () ->
-      match Sim.Proc.with_timeout 5.0 (fun () -> Sim.Proc.sleep 100.0) with
-      | () -> outcome := "finished"
-      | exception Sim.Proc.Timeout -> outcome := "timeout");
+      match Sim.Proc.wait ~timeout:5.0 (Queue.create ()) with
+      | () -> outcome := "woken"
+      | exception Sim.Proc.Timeout ->
+          outcome := "timeout at " ^ string_of_float (Sim.Proc.now ()));
   Sim.Engine.run engine;
-  Alcotest.(check string) "timeout raised" "timeout" !outcome
+  Alcotest.(check string) "timeout raised" "timeout at 5." !outcome
 
-let test_with_timeout_completes () =
+let test_wait_timeout_completes () =
   let engine = Sim.Engine.create () in
   let node = Sim.Node.create ~id:1 ~name:"n1" in
-  let outcome = ref 0 in
-  Sim.Proc.boot engine node (fun () ->
-      outcome :=
-        Sim.Proc.with_timeout 5.0 (fun () ->
-            Sim.Proc.sleep 1.0;
-            42));
+  let outcome = ref 0 and waiting = Queue.create () in
+  Sim.Proc.boot engine node (fun () -> outcome := Sim.Proc.wait ~timeout:5.0 waiting);
+  Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+      ignore (Sim.Proc.Waker.wake (Queue.pop waiting) 42));
   Sim.Engine.run engine;
   Alcotest.(check int) "value returned" 42 !outcome
 
@@ -413,10 +414,11 @@ let test_histogram_quantiles () =
 
 let test_histogram_labelled () =
   let m = Sim.Metrics.create () in
-  Sim.Metrics.observe_hist m "op_ms" ~labels:[ ("server", "2"); ("op", "w") ]
-    4.0;
-  Sim.Metrics.observe_hist m "op_ms" ~labels:[ ("op", "w"); ("server", "2") ]
-    6.0;
+  let observe labels v =
+    Sim.Metrics.Histogram.observe (Sim.Metrics.histogram_handle m "op_ms" ~labels) v
+  in
+  observe [ ("server", "2"); ("op", "w") ] 4.0;
+  observe [ ("op", "w"); ("server", "2") ] 6.0;
   (* Label order must not matter: both observations hit one histogram
      under the canonical key. *)
   match Sim.Metrics.histogram m "op_ms{op=w,server=2}" with
@@ -666,8 +668,8 @@ let suite =
     tc "drive: drained heap returns at once" `Quick test_drive_drained_heap;
     tc "resource serialises" `Quick test_resource_serialises;
     tc "resource releases on exception" `Quick test_resource_release_on_exception;
-    tc "with_timeout fires" `Quick test_with_timeout_fires;
-    tc "with_timeout completes" `Quick test_with_timeout_completes;
+    tc "wait timeout fires" `Quick test_wait_timeout_fires;
+    tc "wait timeout completes" `Quick test_wait_timeout_completes;
     tc "condvar await" `Quick test_condvar_await;
     tc "determinism" `Quick test_determinism;
     tc "rng statistics" `Quick test_rng_statistics;
@@ -938,3 +940,152 @@ let test_profile_buckets_sum () =
 let suite =
   suite
   @ [ Alcotest.test_case "profile buckets add up" `Quick test_profile_buckets_sum ]
+
+(* ---- Waker rules ------------------------------------------------------ *)
+
+(* Waking a fiber moves its wake count, so a waker from an earlier
+   suspend is inert: it returns false and the fiber does not resume a
+   second time. *)
+let test_stale_waker_inert () =
+  let engine = Sim.Engine.create () in
+  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let waiting = Queue.create () and resumed = ref 0 in
+  Sim.Proc.boot engine node (fun () ->
+      for _ = 1 to 2 do
+        Sim.Proc.wait waiting;
+        incr resumed
+      done);
+  Sim.Engine.run engine;
+  let first = Queue.pop waiting in
+  Alcotest.(check bool) "first waker wakes" true (Sim.Proc.Waker.wake first ());
+  Alcotest.(check bool) "and only once" false (Sim.Proc.Waker.wake first ());
+  Sim.Engine.run engine;
+  Alcotest.(check int) "resumed once" 1 !resumed;
+  let second = Queue.pop waiting in
+  Alcotest.(check bool) "second suspend's waker is fresh" true
+    (Sim.Proc.Waker.is_viable second);
+  Alcotest.(check bool) "the first stays inert" false (Sim.Proc.Waker.wake first ());
+  Alcotest.(check bool) "nor can it raise" false
+    (Sim.Proc.Waker.wake_exn first Sim.Proc.Timeout);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "still once" 1 !resumed;
+  ignore (Sim.Proc.Waker.wake second ());
+  Sim.Engine.run engine;
+  Alcotest.(check int) "the fresh waker resumes it" 2 !resumed
+
+(* A timed wait satisfied before its deadline leaves its guard as a
+   tombstone: no timeout event runs, and the clock still reaches the
+   guard's instant when the heap drains. *)
+let test_satisfied_timed_wait_tombstone () =
+  let engine = Sim.Engine.create () in
+  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let cv = Sim.Condvar.create () in
+  let outcome = ref "" in
+  Sim.Engine.set_profiling engine true;
+  Sim.Proc.boot engine node (fun () ->
+      match Sim.Condvar.wait ~timeout:50.0 cv with
+      | () -> outcome := "signalled"
+      | exception Sim.Proc.Timeout -> outcome := "timeout");
+  Sim.Engine.schedule engine ~delay:1.0 (fun () -> Sim.Condvar.broadcast cv);
+  Sim.Engine.run engine;
+  Alcotest.(check string) "the broadcast wins" "signalled" !outcome;
+  let bucket kind name =
+    List.find_opt
+      (fun (b : Sim.Engine.bucket_report) -> b.kind = kind && b.name = name)
+      (Sim.Engine.profile engine)
+  in
+  Alcotest.(check bool) "no timeout event" true (bucket Tick "timeout" = None);
+  (match bucket Tick "(cancelled)" with
+  | Some b -> Alcotest.(check int) "a tombstone, no event" 0 b.events
+  | None -> Alcotest.fail "no tombstone popped");
+  (* Boot, broadcast, resume. *)
+  Alcotest.(check int) "three events" 3 (Sim.Engine.events_executed engine);
+  check_float "clock at the guard's instant" 50.0 (Sim.Engine.now engine)
+
+(* A node that crashes after its fiber's wake but before the resume
+   event runs never resumes that fiber; its next incarnation boots and
+   waits as usual. *)
+let test_crash_between_wake_and_resume () =
+  let engine = Sim.Engine.create () in
+  let node = Sim.Node.create ~id:1 ~name:"n1" in
+  let waiting = Queue.create () and resumed = ref false in
+  Sim.Proc.boot engine node (fun () ->
+      Sim.Proc.wait waiting;
+      resumed := true);
+  Sim.Engine.run engine;
+  let w = Queue.pop waiting in
+  let woke = ref false and next = ref [] in
+  Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+      woke := Sim.Proc.Waker.wake w ();
+      Sim.Node.crash node;
+      Sim.Node.restart node;
+      Sim.Proc.boot engine node (fun () ->
+          let mbox = Sim.Mailbox.create () in
+          Sim.Engine.schedule (Sim.Proc.engine ()) ~delay:2.0 (fun () ->
+              Sim.Mailbox.send mbox "m");
+          next := [ Sim.Mailbox.recv mbox ];
+          Sim.Proc.sleep 1.0;
+          next := string_of_float (Sim.Proc.now ()) :: !next));
+  Sim.Engine.run engine;
+  Alcotest.(check bool) "the wake was accepted" true !woke;
+  Alcotest.(check bool) "the old fiber never resumed" false !resumed;
+  Alcotest.(check bool) "its waker is dead" false (Sim.Proc.Waker.is_viable w);
+  Alcotest.(check (list string)) "the next incarnation runs" [ "4."; "m" ] !next
+
+let test_now_outside_fiber_raises () =
+  let raised =
+    match Sim.Proc.now () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "Proc.now outside a fiber raises" true raised;
+  (* Also after a fiber ran and finished on this domain. *)
+  let engine = Sim.Engine.create () in
+  Sim.Proc.boot engine (Sim.Node.create ~id:1 ~name:"n1") (fun () ->
+      ignore (Sim.Proc.now ()));
+  Sim.Engine.run engine;
+  Alcotest.(check bool) "and after a run" true
+    (match Sim.Proc.engine () with _ -> false | exception Invalid_argument _ -> true)
+
+(* Two engines on two domains, their fibers interleaving in wall-clock
+   time: each fiber must always see its own node and its own engine's
+   clock. *)
+let test_pool_current_fiber_per_domain () =
+  let simulate id =
+    let engine = Sim.Engine.create ~seed:(Int64.of_int id) () in
+    let bad = ref 0 and steps = ref 0 in
+    for f = 1 to 4 do
+      let node = Sim.Node.create ~id:((10 * id) + f) ~name:"n" in
+      Sim.Proc.boot engine node (fun () ->
+          for i = 1 to 2_000 do
+            Sim.Proc.sleep (float_of_int ((i mod 3) + f));
+            incr steps;
+            if Sim.Proc.node () != node
+               || Sim.Proc.engine () != engine
+               || Sim.Proc.now () <> Sim.Engine.now engine
+            then incr bad
+          done)
+    done;
+    Sim.Engine.run engine;
+    (!steps, !bad)
+  in
+  let results = Sim.Pool.with_pool ~jobs:2 (fun pool -> Sim.Pool.map pool simulate [ 1; 2 ]) in
+  List.iter
+    (fun (steps, bad) ->
+      Alcotest.(check int) "every step ran" 8_000 steps;
+      Alcotest.(check int) "each fiber saw itself" 0 bad)
+    results
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "waker: a stale waker is inert" `Quick test_stale_waker_inert;
+      Alcotest.test_case "waker: a satisfied timed wait leaves a tombstone" `Quick
+        test_satisfied_timed_wait_tombstone;
+      Alcotest.test_case "waker: crash between wake and resume" `Quick
+        test_crash_between_wake_and_resume;
+      Alcotest.test_case "proc: now outside a fiber raises" `Quick
+        test_now_outside_fiber_raises;
+      Alcotest.test_case "proc: one current fiber per pool domain" `Quick
+        test_pool_current_fiber_per_domain;
+    ]
