@@ -8,6 +8,8 @@ type t = {
   mutable files : Capability.t Directory.Store.t;
       (* dir -> Bullet file currently holding it (in-core copy of the
          object table's capabilities, for retiring old versions) *)
+  mutable retirer : (int * Capability.t Sim.Mailbox.t) option;
+      (* the node incarnation whose retiring fiber drains this queue *)
 }
 
 let attach transport ~bullet_port ~device ~slots =
@@ -16,6 +18,7 @@ let attach transport ~bullet_port ~device ~slots =
     bullet_port;
     table = Storage.Object_table.attach device ~first_block:1 ~slots;
     files = Directory.Store.empty;
+    retirer = None;
   }
 
 (* The Bullet server can be transiently unlocatable when all its worker
@@ -30,15 +33,28 @@ let create_file t data =
   in
   go 8
 
-(* Off the critical path, per Fig. 5's "remove old Bullet files". The
-   Bullet server may be down or the file already gone; either way the
-   file is no longer named, so a failure is ignored. *)
-let retire t = function
-  | Some cap ->
-      Sim.Proc.spawn ~name:"retire-file" (fun () ->
-          try Storage.Bullet.delete t.transport ~port:t.bullet_port cap
-          with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ())
-  | None -> ()
+(* The Bullet server may be down or the file already gone; either way
+   the file is no longer named, so a failure is ignored. *)
+let delete_file t cap =
+  try Storage.Bullet.delete t.transport ~port:t.bullet_port cap
+  with Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _ -> ()
+
+(* Off the critical path, per Fig. 5's "remove old Bullet files": one
+   fiber per node incarnation deletes the retired files in turn. The
+   first retire spawns it with that file in hand, later ones queue for
+   it, and it dies with its incarnation. *)
+let retire t cap =
+  let incarnation = Sim.Node.incarnation (Sim.Proc.node ()) in
+  match t.retirer with
+  | Some (i, queue) when i = incarnation -> Sim.Mailbox.send queue cap
+  | Some _ | None ->
+      let queue = Sim.Mailbox.create () in
+      t.retirer <- Some (incarnation, queue);
+      Sim.Proc.spawn ~name:"dirsvc.retirer" (fun () ->
+          delete_file t cap;
+          while true do
+            delete_file t (Sim.Mailbox.recv queue)
+          done)
 
 let persist t ~deleted store dir_id =
   let file =
@@ -55,7 +71,7 @@ let persist t ~deleted store dir_id =
   in
   let old = Directory.Store.find_opt dir_id t.files in
   t.files <- Directory.Store.update dir_id (fun _ -> file) t.files;
-  retire t old
+  Option.iter (retire t) old
 
 let load t ~lost =
   List.fold_left

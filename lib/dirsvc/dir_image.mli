@@ -3,7 +3,8 @@
     Bullet file, and its object-table entry (one disk block, written
     after the file exists) is the commit point. A new version is a new
     file; the file it replaces is deleted afterwards, off the critical
-    path. *)
+    path, by one retiring fiber per node incarnation that the first
+    retirement spawns. *)
 
 type t
 

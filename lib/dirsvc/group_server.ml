@@ -56,9 +56,9 @@ type t = {
   mutable serving_watch : (unit -> unit) option;
   mutable stayed_up : bool;
   applied : Sim.Condvar.t;
-  (* The reply to each update this server initiated, keyed by its
-     (origin, uid) and filed by the group thread at delivery. *)
-  replies : (int * int, Wire.reply) Hashtbl.t;
+  (* The reply to each update this server initiated, keyed by its uid
+     and filed by the group thread at delivery. *)
+  replies : (int, Wire.reply) Hashtbl.t;
   mutable next_uid : int;
   mutable boot : int; (* this boot's number, durable in the commit block *)
   mutable next_secret : int;
@@ -82,7 +82,7 @@ type t = {
      [staged_x] / [xdecisions] are driven exclusively by
      ordered deliveries, so every replica of the shard converges;
      [xtransport] rides the backbone network for prepares, forwarded
-     commits and re-sent decisions. [forwards] holds, per (origin, uid) of a
+     commits and re-sent decisions. [forwards] holds, per uid of a
      commit decision this server initiated, the destination's answer to
      the forwarded commit. *)
   shard : int option;
@@ -90,7 +90,7 @@ type t = {
   staged_x : (int, staged_xact) Hashtbl.t;
   staged_cv : Sim.Condvar.t; (* broadcast when a half is staged *)
   xdecisions : (int, bool) Hashtbl.t; (* txid -> committed? *)
-  forwards : (int * int, Wire.reply Sim.Ivar.t) Hashtbl.t;
+  forwards : (int, Wire.reply Sim.Ivar.t) Hashtbl.t;
 }
 
 (* A replica whose group is between views does not serve. *)
@@ -131,7 +131,7 @@ let fresh_secret t =
     (Int64.of_int ((Sim.Node.id t.node * 1_000_000_007) + t.next_secret))
 
 (* Unique across reboots: the boot count leads, so a rebooted server's
-   (origin, uid) keys never repeat its earlier ones. *)
+   uids never repeat its earlier ones. *)
 let fresh_uid t =
   t.next_uid <- t.next_uid + 1;
   (t.boot * 1_000_000_000) + t.next_uid
@@ -302,7 +302,7 @@ let forward_commit t ~origin ~uid ~txid ~peer_port =
   match t.xtransport with
   | Some xt when origin = Sim.Node.id t.node ->
       let answer = Sim.Ivar.create () in
-      Hashtbl.replace t.forwards (origin, uid) answer;
+      Hashtbl.replace t.forwards uid answer;
       Sim.Proc.spawn ~name:"dirsvc.xforward" (fun () ->
           Sim.Ivar.fill answer
             (xshard_call xt ~port:peer_port (Wire.Xcommit { txid })))
@@ -403,21 +403,18 @@ let execute_xact t ~origin ~uid xact =
 
 (* The reply to an update this server initiated waits for its sender. *)
 let file_reply t ~origin ~uid reply =
-  if origin = Sim.Node.id t.node then
-    Hashtbl.replace t.replies (origin, uid) reply
+  if origin = Sim.Node.id t.node then Hashtbl.replace t.replies uid reply
 
-let process_delivery t delivery =
-  let seqno = Group.Types.delivery_seqno delivery in
+let process_delivery t (seqno, entry) =
   if seqno > t.gprocessed then begin
-    (match delivery with
-    | Group.Types.Msg { payload = Wire.Dir_op_msg { origin; uid; op }; _ } ->
+    (match entry with
+    | Group.Wire.App { origin; payload = Wire.Dir_op_msg { uid; op }; _ } ->
         file_reply t ~origin ~uid
           (if conflicts_with_staged t op then Wire.Err_rep Wire.Busy
            else execute_op t ~origin ~uid op)
-    | Group.Types.Msg { payload = Wire.Dir_xact_msg { origin; uid; xact }; _ }
-      ->
+    | Group.Wire.App { origin; payload = Wire.Dir_xact_msg { uid; xact }; _ } ->
         file_reply t ~origin ~uid (execute_xact t ~origin ~uid xact)
-    | Group.Types.Msg _ | Group.Types.Joined _ | Group.Types.Departed _ -> ());
+    | Group.Wire.App _ | Group.Wire.Join_member _ | Group.Wire.Leave_member _ -> ());
     t.gprocessed <- seqno
   end
 
@@ -511,27 +508,25 @@ let handle_read t ~dirs serve =
         serve t.store
       end)
 
-(* Send one message through the total order, stamped with a fresh
-   (origin, uid), and wait until the local group thread has executed it
-   and filed its reply. *)
+(* Send one message through the total order, stamped with a fresh uid,
+   and wait until the local group thread has executed it and filed its
+   reply. *)
 let send_and_await t g message =
-  let origin = Sim.Node.id t.node in
   let uid = fresh_uid t in
-  match Group.Member.send g (message ~origin ~uid) with
+  match Group.Member.send g (message uid) with
   | exception Group.Types.Group_failure reason ->
       Wire.Err_rep (Wire.Unavailable ("group: " ^ reason))
   | () ->
-      let key = (origin, uid) in
-      if not (await_applied t (fun () -> Hashtbl.mem t.replies key)) then
+      if not (await_applied t (fun () -> Hashtbl.mem t.replies uid)) then
         Wire.Err_rep (Wire.Unavailable "execution timeout")
       else begin
-        let reply = Hashtbl.find t.replies key in
-        Hashtbl.remove t.replies key;
-        match Hashtbl.find_opt t.forwards key with
+        let reply = Hashtbl.find t.replies uid in
+        Hashtbl.remove t.replies uid;
+        match Hashtbl.find_opt t.forwards uid with
         | None -> reply
         | Some answer ->
             (* A move is acknowledged once both halves are durable. *)
-            Hashtbl.remove t.forwards key;
+            Hashtbl.remove t.forwards uid;
             Sim.Ivar.read answer
       end
 
@@ -546,13 +541,11 @@ let handle_write t op =
         | other -> other
       in
       Sim.Resource.use t.cpu Params.cpu_write_ms;
-      send_and_await t g (fun ~origin ~uid ->
-          Wire.Dir_op_msg { origin; uid; op }))
+      send_and_await t g (fun uid -> Wire.Dir_op_msg { uid; op }))
 
 let send_xact t g xact =
   Sim.Resource.use t.cpu Params.cpu_write_ms;
-  send_and_await t g (fun ~origin ~uid ->
-      Wire.Dir_xact_msg { origin; uid; xact })
+  send_and_await t g (fun uid -> Wire.Dir_xact_msg { uid; xact })
 
 (* The source server that takes a client's [Xmove] runs the move: it
    looks the row up under the read gate, has the destination stage the
@@ -649,7 +642,7 @@ let peer_state t =
 
 let admin_handler t ~client:_ body =
   match body with
-  | Wire.Exchange_req _ -> Wire.Exchange_rep (peer_state t)
+  | Wire.Exchange_req -> Wire.Exchange_rep (peer_state t)
   | Wire.Fetch_state_req { required; have } ->
       (* Quiesce to the requester's join point before snapshotting, so
          store + watermark form a consistent cut. *)
@@ -756,8 +749,7 @@ let exchange_with_peers t member_nodes =
         if sid = t.server_id || not (List.mem node_id member_nodes) then None
         else
           match
-            Rpc.Transport.trans t.transport ~port:(admin_port node_id)
-              (Wire.Exchange_req { server = t.server_id })
+            Rpc.Transport.trans t.transport ~port:(admin_port node_id) Wire.Exchange_req
           with
           | Wire.Exchange_rep peer -> Some peer
           | _ | (exception Rpc.Transport.Rpc_failure _) -> None)

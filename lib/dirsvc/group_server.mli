@@ -54,11 +54,12 @@ type t
     capabilities minted by other shards with {!Wire.Wrong_shard},
     labels its op histograms with the shard index, accepts cross-shard
     prepare / commit / abort records through its total order, and runs
-    an abandonment resolver. [xnet] is the inter-shard backbone; the
-    server answers transaction-status queries on it (port
-    ["xs@"^port]) so a peer shard can terminate a transaction whose
-    coordinator crashed. Both are absent in a single-group deployment,
-    which has no other shard to bounce to or query. *)
+    an abandonment resolver. [xnet] is the inter-shard backbone; on it
+    (port ["xs@"^port]) the server takes the cross-shard records a peer
+    shard sends, prepares, decisions, forwarded commits and aborts, and
+    orders each through its own group. Both are absent in a
+    single-group deployment, which has no other shard to bounce to or
+    move rows with. *)
 val start :
   params:Params.t ->
   ?nvram:Storage.Block_device.t ->

@@ -81,9 +81,9 @@ let cap_of_request = function
 type Simnet.Payload.t +=
   | Dir_request of request
   | Dir_reply of reply
-  | Dir_op_msg of { origin : int; uid : int; op : Directory.op }
-  | Dir_xact_msg of { origin : int; uid : int; xact : xshard_cmd }
-  | Exchange_req of { server : int }
+  | Dir_op_msg of { uid : int; op : Directory.op }
+  | Dir_xact_msg of { uid : int; xact : xshard_cmd }
+  | Exchange_req
   | Exchange_rep of Skeen.peer_state
   | Fetch_state_req of {
       required : int;
@@ -284,10 +284,9 @@ let () =
     | Dir_request (Xshard_req (Xabort { txid })) ->
         Some (Printf.sprintf "dir.xabort %d" txid)
     | Dir_reply _ -> Some "dir.reply"
-    | Dir_op_msg { origin; uid; _ } -> Some (Printf.sprintf "dir.op %d.%d" origin uid)
-    | Dir_xact_msg { origin; uid; _ } ->
-        Some (Printf.sprintf "dir.xact %d.%d" origin uid)
-    | Exchange_req { server } -> Some (Printf.sprintf "dir.exchange? s%d" server)
+    | Dir_op_msg { uid; _ } -> Some (Printf.sprintf "dir.op %d" uid)
+    | Dir_xact_msg { uid; _ } -> Some (Printf.sprintf "dir.xact %d" uid)
+    | Exchange_req -> Some "dir.exchange?"
     | Exchange_rep { Skeen.server; useq; _ } ->
         Some (Printf.sprintf "dir.exchange s%d useq=%d" server useq)
     | Fetch_state_req { required; have } ->

@@ -86,12 +86,14 @@ val cap_of_request : request -> Capability.t option
 type Simnet.Payload.t +=
   | Dir_request of request
   | Dir_reply of reply
-  | Dir_op_msg of { origin : int; uid : int; op : Directory.op }
-      (** an update travelling through SendToGroup *)
-  | Dir_xact_msg of { origin : int; uid : int; xact : xshard_cmd }
+  | Dir_op_msg of { uid : int; op : Directory.op }
+      (** an update travelling through SendToGroup; [uid] is the
+          initiating server's, whose node the group entry names as its
+          origin *)
+  | Dir_xact_msg of { uid : int; xact : xshard_cmd }
       (** a cross-shard transaction record travelling through one
           shard's total order *)
-  | Exchange_req of { server : int }
+  | Exchange_req  (** recovery: ask a peer for its [Exchange_rep] *)
   | Exchange_rep of Skeen.peer_state
       (** recovery: mourned set + update sequence number (Fig. 6) *)
   | Fetch_state_req of {

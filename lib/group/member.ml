@@ -1,6 +1,6 @@
 open Types
 
-type item = Delivery of Types.delivery | Failed of string
+type item = Delivery of (int * Wire.entry) | Failed of string
 
 (* Protocol constants no deployment varies; times in ms. *)
 let send_timeout = 60.0 (* per-attempt wait for a send to complete *)
@@ -79,9 +79,10 @@ type t = {
   acked : (int, int) Hashtbl.t; (* member -> cumulative have_upto *)
   last_heard : (int, float) Hashtbl.t; (* member -> last ack/hb time *)
   pending_done : pending Queue.t; (* in seqno order, taken from the front *)
-  assigned_uids : (int * int, int) Hashtbl.t;
-      (* (origin, uid) -> seqno, for sends and joins alike: both draw
-         their uids from [fresh_uid], so the keys never collide *)
+  assigned_uids : (int, int) Hashtbl.t;
+      (* uid -> seqno, for sends and joins alike: both draw their uids
+         from [fresh_uid], which leads with the member's id, so the keys
+         never collide *)
   mutable last_data_sent : float;
   (* The failure detector's periodic timer. Held so that a member
      leaving the group, or crashing, can revoke it: its pending tick is
@@ -93,12 +94,14 @@ type t = {
   mutable last_retrans_req : float;
   (* Join state. *)
   mutable join_collect : (int * int list * int * Types.epoch * int) list option;
-      (* (sequencer, members, base, epoch, uid) grants, while joining *)
+      (* (sequencer, members, base, epoch, uid) grants, while joining;
+         a grant's sequencer is the member that sent it *)
   mutable join_stash : (Types.epoch * int * Wire.entry) list;
       (* data overheard while still joining; replayed after adoption *)
-  bb_bodies : (int * int, Simnet.Payload.t) Hashtbl.t;
-      (* BB method: bodies received by broadcast, keyed (origin, uid),
-         awaiting the sequencer's Accept *)
+  bb_bodies : (int, Wire.entry) Hashtbl.t;
+      (* BB method: bodies received by broadcast, keyed by uid, each
+         already the entry its Accept will order (its origin is the
+         body's packet source) *)
   (* Liveness packets, built once and sent again while what they carry
      is unchanged: the sequencer's heartbeat (epoch, highest assigned)
      and a member's Hb_ack (epoch, contig, to the sequencer). Each is
@@ -217,7 +220,7 @@ let heartbeat_packet t =
   | Some _ | None ->
       let packet =
         Simnet.Network.packet t.nic ~dst:Multicast ~proto:t.proto
-          (Wire.Heartbeat { gname = t.gname; epoch = epoch t; highest })
+          (Wire.Heartbeat { epoch = epoch t; highest })
       in
       t.hb_packet <- Some packet;
       packet
@@ -232,8 +235,7 @@ let hb_ack_packet t =
   | Some _ | None ->
       let packet =
         Simnet.Network.packet t.nic ~dst:(Unicast t.sequencer) ~proto:t.proto
-          (Wire.Hb_ack
-             { gname = t.gname; epoch = epoch t; member = t.me; have_upto = t.contig })
+          (Wire.Hb_ack { epoch = epoch t; have_upto = t.contig })
       in
       t.hback_packet <- Some packet;
       packet
@@ -258,7 +260,7 @@ let declare_broken t ~notify_peers reason =
     Sim.Condvar.broadcast t.changed;
     if notify_peers then
       multicast t t.counters.c_fail
-        (Wire.Fail { gname = t.gname; epoch = epoch t; reason })
+        (Wire.Fail { epoch = epoch t; reason })
   end
 
 (* ---- Sequencer: resilience bookkeeping --------------------------- *)
@@ -276,8 +278,7 @@ let complete_send t uid =
 let send_done t ~origin ~uid =
   if origin = t.me then complete_send t uid
   else
-    unicast t ~dst:origin t.counters.c_done
-      (Wire.Done { gname = t.gname; epoch = epoch t; uid })
+    unicast t ~dst:origin t.counters.c_done (Wire.Done { epoch = epoch t; uid })
 
 (* Members whose cumulative ack covers [seqno]. *)
 let rec count_holders acked seqno n = function
@@ -327,13 +328,12 @@ let deliver_entry t seqno (entry : Wire.entry) =
           ("kind", Sim.Trace.Str kind);
           ("origin", Sim.Trace.Int origin);
         ]);
+  Sim.Mailbox.send t.deliver_q (Delivery (seqno, entry));
   match entry with
-  | Wire.App { origin; payload; _ } ->
-      Sim.Mailbox.send t.deliver_q (Delivery (Msg { seqno; origin; payload }))
+  | Wire.App _ -> ()
   | Wire.Join_member m ->
       if not (List.mem m t.members) then
         t.members <- List.sort compare (m :: t.members);
-      Sim.Mailbox.send t.deliver_q (Delivery (Joined { seqno; member = m }));
       if is_sequencer t then begin
         (* Admit the joiner: it starts with a clean slate at [seqno]. *)
         Hashtbl.replace t.acked m seqno;
@@ -341,7 +341,6 @@ let deliver_entry t seqno (entry : Wire.entry) =
       end
   | Wire.Leave_member m ->
       t.members <- List.filter (fun x -> x <> m) t.members;
-      Sim.Mailbox.send t.deliver_q (Delivery (Departed { seqno; member = m }));
       if m = t.me then begin
         t.reset <- { t.reset with status = Left };
         halt_fd t;
@@ -370,8 +369,7 @@ let send_cumulative_ack t =
     if t.sequencer = t.me then record_ack t ~member:t.me ~have_upto:t.contig
     else
       unicast t ~dst:t.sequencer t.counters.c_ack
-        (Wire.Ack
-           { gname = t.gname; epoch = epoch t; member = t.me; have_upto = t.contig })
+        (Wire.Ack { epoch = epoch t; have_upto = t.contig })
 
 (* Deliver every stored entry that has become contiguous. *)
 let advance t =
@@ -404,8 +402,7 @@ let request_retrans t =
           ("highest_seen", Sim.Trace.Int t.highest_seen);
         ]);
     unicast t ~dst:t.sequencer t.counters.c_retrans
-      (Wire.Retrans
-         { gname = t.gname; epoch = epoch t; member = t.me; from = t.contig + 1 })
+      (Wire.Retrans { epoch = epoch t; from = t.contig + 1 })
   end
 
 (* An ordered entry is worth holding at [seqno] unless it was already
@@ -437,26 +434,20 @@ let flush_batch t =
           ]);
     if t.batch_bodies then begin
       (* BB: every body already traveled by its sender's own broadcast,
-         so one flat Accept orders the whole batch. *)
-      let pairs = Array.make (2 * count) 0 in
-      for i = 0 to count - 1 do
-        match t.batch_scratch.(i) with
-        | Wire.App { origin; uid; _ } ->
-            pairs.(2 * i) <- origin;
-            pairs.((2 * i) + 1) <- uid
-        | Wire.Join_member _ | Wire.Leave_member _ -> assert false
-      done;
+         so one Accept of their uids orders the whole batch. *)
+      let uids =
+        Array.init count (fun i ->
+            match t.batch_scratch.(i) with
+            | Wire.App { uid; _ } -> uid
+            | Wire.Join_member _ | Wire.Leave_member _ -> assert false)
+      in
       multicast t t.counters.c_accept
-        (Wire.Bb_accept_batch { gname = t.gname; epoch = epoch t; base; pairs })
+        (Wire.Bb_accept_batch { epoch = epoch t; base; uids })
     end
     else
       multicast t t.counters.c_data
         (Wire.Data_batch
-           {
-             gname = t.gname;
-             epoch = epoch t;
-             batch = Wire.encode_batch ~base ~count t.batch_scratch;
-           });
+           { epoch = epoch t; batch = Wire.encode_batch ~base ~count t.batch_scratch });
     t.batch_bodies <- true;
     advance t;
     check_pending_done t
@@ -500,7 +491,7 @@ let enqueue t entry ~body_known ~alone =
    and the sequencer's own sends) or, under BB, as a broadcast body
    ([body_known]) that a tiny Accept will order. *)
 let handle_bcast_req t ~origin ~uid ~payload ~body_known =
-  match Hashtbl.find_opt t.assigned_uids (origin, uid) with
+  match Hashtbl.find_opt t.assigned_uids uid with
   | Some seqno ->
       (* Duplicate (origin retried): if already resilient, re-notify.
          Sends leave [pending_done] only from the front, so the ones
@@ -511,47 +502,44 @@ let handle_bcast_req t ~origin ~uid ~payload ~body_known =
       let seqno =
         enqueue t (Wire.App { origin; uid; payload }) ~body_known ~alone:false
       in
-      Hashtbl.replace t.assigned_uids (origin, uid) seqno;
+      Hashtbl.replace t.assigned_uids uid seqno;
       Queue.push { seqno; origin; uid } t.pending_done;
       (* With r = 0 the send completes as soon as it is ordered. *)
       check_pending_done t
 
-(* Member side: unpack a batch frame back into individual ordered
-   entries — one store pass, then a single [advance], so one cumulative
-   Ack covers the whole range. *)
-let store_batch t (b : Wire.batch) =
-  let last = b.Wire.base + b.Wire.count - 1 in
+(* Member side: store a batch frame's entries, each at its seqno — one
+   store pass, then a single [advance], so one cumulative Ack covers the
+   whole range. *)
+let store_batch t ({ base; entries } : Wire.batch) =
+  let last = base + Array.length entries - 1 in
   if last > t.highest_seen then t.highest_seen <- last;
-  for i = 0 to b.Wire.count - 1 do
-    let seqno = b.Wire.base + i in
-    if unheld t seqno then Hashtbl.replace t.store seqno (Wire.decode_entry b i)
-  done;
+  Array.iteri
+    (fun i entry -> if unheld t (base + i) then Hashtbl.replace t.store (base + i) entry)
+    entries;
   advance t;
   if t.highest_seen > t.contig then request_retrans t
 
-(* BB method, member side: an Accept pairs each (origin, uid) in the
-   flat pair array with its broadcast body, then one [advance] covers
-   the whole range. A missing body is recovered through the ordinary
-   retransmission path (the sequencer holds every ordered entry). *)
-let handle_bb_accept_batch t ~base ~pairs =
-  let n = Array.length pairs / 2 in
-  if base + n - 1 > t.highest_seen then t.highest_seen <- base + n - 1;
-  for i = 0 to n - 1 do
-    let origin = pairs.(2 * i) and uid = pairs.((2 * i) + 1) in
-    match Hashtbl.find_opt t.bb_bodies (origin, uid) with
-    | Some payload ->
-        Hashtbl.remove t.bb_bodies (origin, uid);
-        let seqno = base + i in
-        if unheld t seqno then
-          Hashtbl.replace t.store seqno (Wire.App { origin; uid; payload })
-    | None -> ()
-  done;
+(* BB method, member side: an Accept pairs each uid with the entry its
+   broadcast body became, then one [advance] covers the whole range. A
+   missing body is recovered through the ordinary retransmission path
+   (the sequencer holds every ordered entry). *)
+let handle_bb_accept_batch t ~base ~uids =
+  let last = base + Array.length uids - 1 in
+  if last > t.highest_seen then t.highest_seen <- last;
+  Array.iteri
+    (fun i uid ->
+      match Hashtbl.find_opt t.bb_bodies uid with
+      | Some entry ->
+          Hashtbl.remove t.bb_bodies uid;
+          if unheld t (base + i) then Hashtbl.replace t.store (base + i) entry
+      | None -> ())
+    uids;
   advance t;
   if t.highest_seen > t.contig then request_retrans t
 
 let handle_join_req t ~joiner ~uid =
   let seqno =
-    match Hashtbl.find_opt t.assigned_uids (joiner, uid) with
+    match Hashtbl.find_opt t.assigned_uids uid with
     | Some seqno -> seqno
     | None ->
         (* The Join travels alone, after any pending batch. Ordering it
@@ -560,19 +548,11 @@ let handle_join_req t ~joiner ~uid =
         let seqno =
           enqueue t (Wire.Join_member joiner) ~body_known:false ~alone:true
         in
-        Hashtbl.replace t.assigned_uids (joiner, uid) seqno;
+        Hashtbl.replace t.assigned_uids uid seqno;
         seqno
   in
   unicast t ~dst:joiner t.counters.c_grant
-    (Wire.Join_grant
-       {
-         gname = t.gname;
-         epoch = epoch t;
-         uid;
-         members = t.members;
-         sequencer = t.sequencer;
-         base = seqno;
-       })
+    (Wire.Join_grant { epoch = epoch t; uid; members = t.members; base = seqno })
 
 let handle_retrans t ~member ~from =
   let upto = min (from + retrans_batch - 1) (t.seq_next - 1) in
@@ -586,27 +566,20 @@ let handle_retrans t ~member ~from =
       ]);
   (* Each contiguous stored run in [from..upto] travels as one covering
      batch frame; gaps split the range. *)
-  let run = ref [] and run_len = ref 0 and run_base = ref from in
+  let run = ref [] and run_base = ref from in
   let flush_run () =
-    if !run_len > 0 then begin
-      let arr = Array.of_list (List.rev !run) in
+    if !run <> [] then begin
+      let entries = Array.of_list (List.rev !run) in
       unicast t ~dst:member t.counters.c_data
-        (Wire.Data_batch
-           {
-             gname = t.gname;
-             epoch = epoch t;
-             batch = Wire.encode_batch ~base:!run_base ~count:!run_len arr;
-           });
-      run := [];
-      run_len := 0
+        (Wire.Data_batch { epoch = epoch t; batch = { base = !run_base; entries } });
+      run := []
     end
   in
   for seqno = from to upto do
     match Hashtbl.find_opt t.store seqno with
     | Some entry ->
-        if !run_len = 0 then run_base := seqno;
-        run := entry :: !run;
-        incr run_len
+        if !run = [] then run_base := seqno;
+        run := entry :: !run
     | None -> flush_run ()
   done;
   flush_run ()
@@ -679,17 +652,15 @@ let rec feed ?(patch = []) t input =
   if st.status <> was then Sim.Condvar.broadcast t.changed
 
 and perform t ~patch action =
-  let gname = t.gname and instance = (epoch t).instance in
+  let instance = (epoch t).instance in
   match action with
   | Reset.Invite_all view ->
-      let invite = Wire.Reset_invite { gname; instance; view; coord = t.me } in
-      multicast t t.counters.c_reset invite
+      multicast t t.counters.c_reset (Wire.Reset_invite { instance; view })
   | Send_state { coord; view; have } ->
       unicast t ~dst:coord t.counters.c_reset
-        (Wire.Reset_state { gname; instance; view; member = t.me; have_upto = have })
+        (Wire.Reset_state { instance; view; have_upto = have })
   | Fetch { donor; from; upto } ->
-      unicast t ~dst:donor t.counters.c_reset
-        (Wire.Reset_fetch { gname; instance; from; upto })
+      unicast t ~dst:donor t.counters.c_reset (Wire.Reset_fetch { instance; from; upto })
   | Take -> take t patch
   | Arm delay ->
       Option.iter Sim.Timer.cancel t.reset_timer;
@@ -704,7 +675,7 @@ and perform t ~patch action =
         (fun (m, have) ->
           let patch = held_range t ~from:(have + 1) ~upto:base in
           unicast t ~dst:m t.counters.c_reset
-            (Wire.Reset_commit { gname; epoch; members; sequencer; base; patch }))
+            (Wire.Reset_commit { epoch; members; sequencer; base; patch }))
         targets
   | Install v -> install t ~patch v
   | Failed ->
@@ -728,8 +699,9 @@ let reset t =
 (* Every packet here is this group's: a member listens on [Wire.proto
    gname] only. *)
 let handle_packet t (packet : Simnet.Packet.t) =
+  let src = packet.src in
   match packet.payload with
-  | Wire.Data_batch { epoch; batch; _ } ->
+  | Wire.Data_batch { epoch; batch } ->
       if epoch_matches t epoch && status t = Normal then begin
         t.last_from_seq <- now t;
         store_batch t batch
@@ -737,31 +709,30 @@ let handle_packet t (packet : Simnet.Packet.t) =
       else if status t = Idle && t.join_collect <> None then
         (* Traffic racing our join: keep it until we know which group
            (and base) we were admitted to. *)
-        for i = 0 to batch.Wire.count - 1 do
-          t.join_stash <-
-            (epoch, batch.Wire.base + i, Wire.decode_entry batch i) :: t.join_stash
-        done
-  | Wire.Bb_accept_batch { epoch; base; pairs; _ } ->
+        Array.iteri
+          (fun i entry -> t.join_stash <- (epoch, batch.base + i, entry) :: t.join_stash)
+          batch.entries
+  | Wire.Bb_accept_batch { epoch; base; uids } ->
       if epoch_matches t epoch && status t = Normal then begin
         t.last_from_seq <- now t;
-        handle_bb_accept_batch t ~base ~pairs
+        handle_bb_accept_batch t ~base ~uids
       end
-  | Wire.Bcast_req { epoch; origin; uid; payload; _ } ->
+  | Wire.Bcast_req { epoch; uid; payload } ->
       if epoch_matches t epoch && is_sequencer t then
-        handle_bcast_req t ~origin ~uid ~payload ~body_known:false
-  | Wire.Bb_body { epoch; origin; uid; payload; _ } ->
+        handle_bcast_req t ~origin:src ~uid ~payload ~body_known:false
+  | Wire.Bb_body { epoch; uid; payload } ->
       if epoch_matches t epoch && status t = Normal then
         if is_sequencer t then
-          handle_bcast_req t ~origin ~uid ~payload ~body_known:true
+          handle_bcast_req t ~origin:src ~uid ~payload ~body_known:true
         else
           (* Keep our own loopback copy too: the Accept will need it. *)
-          Hashtbl.replace t.bb_bodies (origin, uid) payload
-  | Wire.Ack { epoch; member; have_upto; _ } ->
-      if epoch_matches t epoch && is_sequencer t then record_ack t ~member ~have_upto
-  | Wire.Done { epoch; uid; _ } -> if epoch_matches t epoch then complete_send t uid
-  | Wire.Retrans { epoch; member; from; _ } ->
-      if epoch_matches t epoch && is_sequencer t then handle_retrans t ~member ~from
-  | Wire.Heartbeat { epoch; highest; _ } ->
+          Hashtbl.replace t.bb_bodies uid (Wire.App { origin = src; uid; payload })
+  | Wire.Ack { epoch; have_upto } ->
+      if epoch_matches t epoch && is_sequencer t then record_ack t ~member:src ~have_upto
+  | Wire.Done { epoch; uid } -> if epoch_matches t epoch then complete_send t uid
+  | Wire.Retrans { epoch; from } ->
+      if epoch_matches t epoch && is_sequencer t then handle_retrans t ~member:src ~from
+  | Wire.Heartbeat { epoch; highest } ->
       if epoch_matches t epoch && status t = Normal then begin
         t.last_from_seq <- now t;
         if highest > t.highest_seen then t.highest_seen <- highest;
@@ -769,36 +740,34 @@ let handle_packet t (packet : Simnet.Packet.t) =
         if t.sequencer <> t.me then
           send_packet t t.counters.c_hback (hb_ack_packet t)
       end
-  | Wire.Hb_ack { epoch; member; have_upto; _ } ->
-      if epoch_matches t epoch && is_sequencer t then record_ack t ~member ~have_upto
-  | Wire.Fail { epoch; reason; _ } ->
+  | Wire.Hb_ack { epoch; have_upto } ->
+      if epoch_matches t epoch && is_sequencer t then record_ack t ~member:src ~have_upto
+  | Wire.Fail { epoch; reason } ->
       if epoch_matches t epoch then declare_broken t ~notify_peers:false reason
-  | Wire.Join_req { joiner; uid; _ } ->
-      if is_sequencer t then handle_join_req t ~joiner ~uid
-  | Wire.Join_grant { epoch; uid; members; sequencer; base; _ } -> (
+  | Wire.Join_req { uid } -> if is_sequencer t then handle_join_req t ~joiner:src ~uid
+  | Wire.Join_grant { epoch; uid; members; base } -> (
       match t.join_collect with
       | Some grants when status t = Idle ->
-          t.join_collect <- Some ((sequencer, members, base, epoch, uid) :: grants)
+          t.join_collect <- Some ((src, members, base, epoch, uid) :: grants)
       | Some _ | None -> ())
-  | Wire.Leave_req { epoch; member; _ } ->
+  | Wire.Leave_req { epoch } ->
       if epoch_matches t epoch && is_sequencer t then
-        ignore (enqueue t (Wire.Leave_member member) ~body_known:false ~alone:true)
-  | Wire.Reset_invite { instance; view; coord; _ } ->
-      feed t (Reset.Invite { instance; now = now t; contig = t.contig; view; coord })
-  | Wire.Reset_state { instance; view; member; have_upto; _ } ->
-      feed t (Reset.State { instance; view; member; have = have_upto })
-  | Wire.Reset_fetch { gname; instance; from; upto } ->
+        ignore (enqueue t (Wire.Leave_member src) ~body_known:false ~alone:true)
+  | Wire.Reset_invite { instance; view } ->
+      feed t (Reset.Invite { instance; now = now t; contig = t.contig; view; coord = src })
+  | Wire.Reset_state { instance; view; have_upto } ->
+      feed t (Reset.State { instance; view; member = src; have = have_upto })
+  | Wire.Reset_fetch { instance; from; upto } ->
       if instance = (epoch t).instance then
-        unicast t ~dst:packet.src t.counters.c_reset
-          (Wire.Reset_entries
-             { gname; instance; entries = held_range t ~from ~upto })
-  | Wire.Reset_entries { instance; entries; _ } ->
+        unicast t ~dst:src t.counters.c_reset
+          (Wire.Reset_entries { instance; entries = held_range t ~from ~upto })
+  | Wire.Reset_entries { instance; entries } ->
       let reach = reach t entries t.contig in
-      feed t ~patch:entries (Reset.Entries { instance; src = packet.src; reach })
-  | Wire.Reset_commit { epoch; members; sequencer; base; patch; _ } ->
+      feed t ~patch:entries (Reset.Entries { instance; src; reach })
+  | Wire.Reset_commit { epoch; members; sequencer; base; patch } ->
       let view = { Reset.epoch; members; sequencer; base } in
       let reach = reach t patch t.contig in
-      feed t ~patch (Reset.Commit { coord = packet.src; view; reach })
+      feed t ~patch (Reset.Commit { coord = src; view; reach })
   | _ -> ()
 
 (* The sequencer's watch over the other members, one tick's worth: a
@@ -911,7 +880,7 @@ let make ?(config = Types.default_config) net nic ~gname =
 
 let create_group ?config net nic ~gname =
   let t = make ?config net nic ~gname in
-  let epoch = { instance = fresh_instance t; view = 1 } in
+  let epoch = { instance = fresh_instance t; view = 1; coord = t.me } in
   t.reset <- { t.reset with status = Normal; epoch };
   t.members <- [ t.me ];
   t.sequencer <- t.me;
@@ -921,7 +890,7 @@ let create_group ?config net nic ~gname =
   t
 
 (* Uids must be unique across member incarnations on the same node: the
-   sequencer deduplicates (origin, uid), so a restarted member reusing an
+   sequencer deduplicates by uid, so a restarted member reusing an
    old uid would be handed the original answer — e.g. a join grant with a
    long-gone base, making it re-execute history. The engine counter is
    shared by every incarnation in a run, which gives exactly that. *)
@@ -931,7 +900,7 @@ let join_group ?config net nic ~gname =
   let t = make ?config net nic ~gname in
   let uid = fresh_uid t in
   t.join_collect <- Some [];
-  multicast t t.counters.c_join (Wire.Join_req { gname; joiner = t.me; uid });
+  multicast t t.counters.c_join (Wire.Join_req { uid });
   Sim.Proc.sleep join_window;
   let grants = match t.join_collect with Some g -> g | None -> [] in
   t.join_collect <- None;
@@ -1007,12 +976,9 @@ let send t payload =
        match t.config.dissemination with
        | Types.Pb ->
            unicast t ~dst:t.sequencer t.counters.c_req
-             (Wire.Bcast_req
-                { gname = t.gname; epoch = epoch t; origin = t.me; uid; payload })
+             (Wire.Bcast_req { epoch = epoch t; uid; payload })
        | Types.Bb ->
-           multicast t t.counters.c_body
-             (Wire.Bb_body
-                { gname = t.gname; epoch = epoch t; origin = t.me; uid; payload }));
+           multicast t t.counters.c_body (Wire.Bb_body { epoch = epoch t; uid; payload }));
     match Sim.Ivar.read ~timeout:send_timeout ivar with
     | () ->
         let wait = now t -. started in
@@ -1073,8 +1039,7 @@ let leave t =
         ignore (enqueue t (Wire.Leave_member t.me) ~body_known:false ~alone:true)
       end
       else
-        unicast t ~dst:t.sequencer t.counters.c_leave
-          (Wire.Leave_req { gname = t.gname; epoch = epoch t; member = t.me });
+        unicast t ~dst:t.sequencer t.counters.c_leave (Wire.Leave_req { epoch = epoch t });
       (try
          Sim.Condvar.await ~timeout:send_timeout t.changed (fun () ->
              status t = Left)

@@ -53,7 +53,12 @@ val me : t -> int
 
 val send : t -> Simnet.Payload.t -> unit
 
-val receive : ?timeout:float -> t -> Types.delivery
+(** The next delivery in the total order: its seqno and the entry this
+    member holds there (as {!held} gives it). Seqnos are contiguous
+    across entries: membership changes occupy slots in the same
+    numbering as application messages, so a consumer can always tell
+    how far it has processed the stream. *)
+val receive : ?timeout:float -> t -> int * Wire.entry
 
 val reset : t -> int
 

@@ -15,7 +15,7 @@ type state = {
 }
 
 let init ~me ~fail_timeout =
-  let epoch = { instance = 0; view = 0 } and attempt = None in
+  let epoch = { instance = 0; view = 0; coord = -1 } and attempt = None in
   { me; fail_timeout; status = Idle; epoch; seen = (0, -1); since = 0.0; attempt }
 
 type view = { epoch : Types.epoch; members : int list; sequencer : int; base : int }
@@ -50,10 +50,12 @@ let accept (st : state) ~now ~view ~coord =
 
 let install (st : state) epoch = { st with status = Normal; epoch; attempt = None }
 
-(* The view is every member that answered, the lowest one sequencing. *)
+(* The view is every member that answered, the lowest one sequencing;
+   its epoch names the coordinator, so no two views share one. *)
 let commit (st : state) states base =
   let members = List.sort compare (List.map fst states) in
-  let epoch = { st.epoch with view = fst st.seen } in
+  let view, coord = st.seen in
+  let epoch = { st.epoch with view; coord } in
   let v = { epoch; members; sequencer = List.hd members; base } in
   let others = List.filter (fun (m, _) -> m <> st.me) states in
   (install st epoch, [ Send_commits (v, others); Install v ])

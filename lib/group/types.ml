@@ -2,11 +2,11 @@ exception Group_failure of string
 
 exception Join_failed of string
 
-type epoch = { instance : int; view : int }
+type epoch = { instance : int; view : int; coord : int }
 
 let epoch_compare a b =
   match compare a.instance b.instance with
-  | 0 -> compare a.view b.view
+  | 0 -> ( match compare a.view b.view with 0 -> compare a.coord b.coord | c -> c)
   | c -> c
 
 type status = Idle | Normal | Broken | Resetting | Left
@@ -17,14 +17,6 @@ let status_to_string = function
   | Broken -> "broken"
   | Resetting -> "resetting"
   | Left -> "left"
-
-type delivery =
-  | Msg of { seqno : int; origin : int; payload : Simnet.Payload.t }
-  | Joined of { seqno : int; member : int }
-  | Departed of { seqno : int; member : int }
-
-let delivery_seqno = function
-  | Msg { seqno; _ } | Joined { seqno; _ } | Departed { seqno; _ } -> seqno
 
 type dissemination = Pb | Bb
 

@@ -10,10 +10,14 @@ exception Join_failed of string
 
 (** A group {e instance} is one creation lineage of a named group; a
     fresh [create_group] starts a new instance. Within an instance the
-    view number increases on every successful ResetGroup. Messages are
-    only accepted from the exact same (instance, view): anything else is
-    either another partition's lineage or a superseded view. *)
-type epoch = { instance : int; view : int }
+    view number increases on every successful ResetGroup. A view's
+    epoch also names the member that made it: the creator, or the
+    coordinator that committed the reset. Two coordinators that never
+    hear each other can commit the same view number, and [coord] keeps
+    their views apart. Messages are only accepted from the exact same
+    (instance, view, coord): anything else is another partition's
+    lineage or view, or a superseded one. *)
+type epoch = { instance : int; view : int; coord : int }
 
 val epoch_compare : epoch -> epoch -> int
 
@@ -25,17 +29,6 @@ type status =
   | Left  (** after LeaveGroup *)
 
 val status_to_string : status -> string
-
-(** What [receive] (ReceiveFromGroup) delivers, in total order. Sequence
-    numbers are contiguous across items: membership changes occupy slots
-    in the same numbering as application messages, so a consumer can
-    always tell how far it has processed the stream. *)
-type delivery =
-  | Msg of { seqno : int; origin : int; payload : Simnet.Payload.t }
-  | Joined of { seqno : int; member : int }
-  | Departed of { seqno : int; member : int }
-
-val delivery_seqno : delivery -> int
 
 (** How a message reaches the members (Kaashoek & Tanenbaum's two
     methods). {b PB}: the sender passes the message point-to-point to

@@ -3,117 +3,32 @@ type entry =
   | Join_member of int
   | Leave_member of int
 
-type member_state = { member : int; have_upto : int }
-
-(* Flat batch framing. A batch covers the contiguous seqno range
-   [base .. base + count - 1]. Per entry the header array holds three
-   ints — tag, member-or-origin, uid — and the payload array one slot
-   (App payloads; membership entries leave the empty filler). The
-   int-encoded header keeps the frame a pair of flat arrays instead of
-   [count] boxed entry records, and lets the sequencer build it from a
-   reused scratch vector with two [Array.sub]s. *)
-let no_payload = Simnet.Payload.Opaque ""
-
-type batch = {
-  base : int;
-  count : int;
-  hdr : int array; (* 3 ints per entry: tag, member/origin, uid *)
-  payloads : Simnet.Payload.t array;
-}
-
-let tag_app = 0
-let tag_join = 1
-let tag_leave = 2
+type batch = { base : int; entries : entry array }
 
 let encode_batch ~base ~count entries =
   if count <= 0 || count > Array.length entries then
     invalid_arg "Wire.encode_batch: bad count";
-  let hdr = Array.make (3 * count) 0 in
-  let payloads = Array.make count no_payload in
-  for i = 0 to count - 1 do
-    let k = 3 * i in
-    match entries.(i) with
-    | App { origin; uid; payload } ->
-        hdr.(k) <- tag_app;
-        hdr.(k + 1) <- origin;
-        hdr.(k + 2) <- uid;
-        payloads.(i) <- payload
-    | Join_member m ->
-        hdr.(k) <- tag_join;
-        hdr.(k + 1) <- m
-    | Leave_member m ->
-        hdr.(k) <- tag_leave;
-        hdr.(k + 1) <- m
-  done;
-  { base; count; hdr; payloads }
-
-let decode_entry b i =
-  if i < 0 || i >= b.count then invalid_arg "Wire.decode_entry: bad index";
-  let k = 3 * i in
-  let tag = b.hdr.(k) in
-  if tag = tag_app then
-    App { origin = b.hdr.(k + 1); uid = b.hdr.(k + 2); payload = b.payloads.(i) }
-  else if tag = tag_join then Join_member b.hdr.(k + 1)
-  else if tag = tag_leave then Leave_member b.hdr.(k + 1)
-  else invalid_arg "Wire.decode_entry: bad tag"
-
-let batch_entries b = List.init b.count (decode_entry b)
+  { base; entries = Array.sub entries 0 count }
 
 type Simnet.Payload.t +=
-  | Bcast_req of {
-      gname : string;
-      epoch : Types.epoch;
-      origin : int;
-      uid : int;
-      payload : Simnet.Payload.t;
-    }
-  | Bb_body of {
-      gname : string;
-      epoch : Types.epoch;
-      origin : int;
-      uid : int;
-      payload : Simnet.Payload.t;
-    }
-  | Data_batch of { gname : string; epoch : Types.epoch; batch : batch }
-  | Bb_accept_batch of {
-      gname : string;
-      epoch : Types.epoch;
-      base : int;
-      pairs : int array; (* 2 ints per accept: origin, uid *)
-    }
-  | Ack of { gname : string; epoch : Types.epoch; member : int; have_upto : int }
-  | Done of { gname : string; epoch : Types.epoch; uid : int }
-  | Retrans of {
-      gname : string;
-      epoch : Types.epoch;
-      member : int;
-      from : int;
-    }
-  | Heartbeat of { gname : string; epoch : Types.epoch; highest : int }
-  | Hb_ack of { gname : string; epoch : Types.epoch; member : int; have_upto : int }
-  | Fail of { gname : string; epoch : Types.epoch; reason : string }
-  | Join_req of { gname : string; joiner : int; uid : int }
-  | Join_grant of {
-      gname : string;
-      epoch : Types.epoch;
-      uid : int;
-      members : int list;
-      sequencer : int;
-      base : int;
-    }
-  | Leave_req of { gname : string; epoch : Types.epoch; member : int }
-  | Reset_invite of { gname : string; instance : int; view : int; coord : int }
-  | Reset_state of {
-      gname : string;
-      instance : int;
-      view : int;
-      member : int;
-      have_upto : int;
-    }
-  | Reset_fetch of { gname : string; instance : int; from : int; upto : int }
-  | Reset_entries of { gname : string; instance : int; entries : (int * entry) list }
+  | Bcast_req of { epoch : Types.epoch; uid : int; payload : Simnet.Payload.t }
+  | Bb_body of { epoch : Types.epoch; uid : int; payload : Simnet.Payload.t }
+  | Data_batch of { epoch : Types.epoch; batch : batch }
+  | Bb_accept_batch of { epoch : Types.epoch; base : int; uids : int array }
+  | Ack of { epoch : Types.epoch; have_upto : int }
+  | Done of { epoch : Types.epoch; uid : int }
+  | Retrans of { epoch : Types.epoch; from : int }
+  | Heartbeat of { epoch : Types.epoch; highest : int }
+  | Hb_ack of { epoch : Types.epoch; have_upto : int }
+  | Fail of { epoch : Types.epoch; reason : string }
+  | Join_req of { uid : int }
+  | Join_grant of { epoch : Types.epoch; uid : int; members : int list; base : int }
+  | Leave_req of { epoch : Types.epoch }
+  | Reset_invite of { instance : int; view : int }
+  | Reset_state of { instance : int; view : int; have_upto : int }
+  | Reset_fetch of { instance : int; from : int; upto : int }
+  | Reset_entries of { instance : int; entries : (int * entry) list }
   | Reset_commit of {
-      gname : string;
       epoch : Types.epoch;
       members : int list;
       sequencer : int;
@@ -125,35 +40,30 @@ let proto gname = "grp:" ^ gname
 
 let () =
   Simnet.Payload.register_printer ~name:"group" (function
-    | Bcast_req { origin; uid; _ } ->
-        Some (Printf.sprintf "grp.req %d.%d" origin uid)
+    | Bcast_req { uid; _ } -> Some (Printf.sprintf "grp.req %d" uid)
     | Data_batch { batch; _ } ->
         Some
           (Printf.sprintf "grp.data #%d..%d" batch.base
-             (batch.base + batch.count - 1))
-    | Bb_accept_batch { base; pairs; _ } ->
+             (batch.base + Array.length batch.entries - 1))
+    | Bb_accept_batch { base; uids; _ } ->
         Some
-          (Printf.sprintf "grp.bb-accept #%d..%d" base
-             (base + (Array.length pairs / 2) - 1))
-    | Bb_body { origin; uid; _ } -> Some (Printf.sprintf "grp.bb-body %d.%d" origin uid)
-    | Ack { member; have_upto; _ } ->
-        Some (Printf.sprintf "grp.ack %d<=%d" member have_upto)
+          (Printf.sprintf "grp.bb-accept #%d..%d" base (base + Array.length uids - 1))
+    | Bb_body { uid; _ } -> Some (Printf.sprintf "grp.bb-body %d" uid)
+    | Ack { have_upto; _ } -> Some (Printf.sprintf "grp.ack <=%d" have_upto)
     | Done { uid; _ } -> Some (Printf.sprintf "grp.done %d" uid)
-    | Retrans { member; from; _ } ->
-        Some (Printf.sprintf "grp.retrans %d from %d" member from)
+    | Retrans { from; _ } -> Some (Printf.sprintf "grp.retrans from %d" from)
     | Heartbeat { highest; _ } -> Some (Printf.sprintf "grp.hb %d" highest)
-    | Hb_ack { member; _ } -> Some (Printf.sprintf "grp.hback %d" member)
+    | Hb_ack _ -> Some "grp.hback"
     | Fail { reason; _ } -> Some (Printf.sprintf "grp.fail %s" reason)
-    | Join_req { joiner; _ } -> Some (Printf.sprintf "grp.join %d" joiner)
+    | Join_req _ -> Some "grp.join"
     | Join_grant { members; _ } ->
         Some
           (Printf.sprintf "grp.grant [%s]"
              (String.concat "," (List.map string_of_int members)))
-    | Leave_req { member; _ } -> Some (Printf.sprintf "grp.leave %d" member)
-    | Reset_invite { view; coord; _ } ->
-        Some (Printf.sprintf "grp.reset-invite v%d by %d" view coord)
-    | Reset_state { member; have_upto; _ } ->
-        Some (Printf.sprintf "grp.reset-state %d<=%d" member have_upto)
+    | Leave_req _ -> Some "grp.leave"
+    | Reset_invite { view; _ } -> Some (Printf.sprintf "grp.reset-invite v%d" view)
+    | Reset_state { have_upto; _ } ->
+        Some (Printf.sprintf "grp.reset-state <=%d" have_upto)
     | Reset_fetch { from; upto; _ } ->
         Some (Printf.sprintf "grp.reset-fetch %d..%d" from upto)
     | Reset_entries { entries; _ } ->

@@ -15,103 +15,65 @@
     gossip; gaps trigger [Retrans]; silence triggers [Fail]; recovery is
     the invite/state/commit view change behind ResetGroup. *)
 
+(** An ordered entry. An [App]'s [origin] is the member that sent it,
+    and its [uid] is unique across members: it leads with that member's
+    node id. *)
 type entry =
   | App of { origin : int; uid : int; payload : Simnet.Payload.t }
   | Join_member of int
   | Leave_member of int
 
-type member_state = {
-  member : int;
-  have_upto : int;  (** highest contiguous seqno this member holds *)
-}
-
-(** Flat batch framing: the sequencer packs concurrently arriving
-    updates into one multicast covering the contiguous seqno range
-    [base .. base + count - 1]. The header is int-encoded — three ints
-    per entry (tag, member-or-origin, uid) — and App payloads ride in a
-    parallel array, so a frame is two flat arrays rather than [count]
-    boxed entries. Delivery unpacks it back into individual ordered
-    entries with {!decode_entry}, which is what keeps the layers above
-    (and the recovery path) unchanged. *)
+(** One ordered multicast: the entries at the contiguous seqno range
+    [base .. base + Array.length entries - 1]. The sequencer freezes
+    them out of its reused scratch vector with one [Array.sub], and a
+    receiver stores the very entries it is handed, so a frame carries
+    the entries the sequencer holds and nothing is re-encoded. *)
 type batch = {
   base : int;  (** seqno of the first entry *)
-  count : int;
-  hdr : int array;  (** 3 ints per entry: tag, member/origin, uid *)
-  payloads : Simnet.Payload.t array;
+  entries : entry array;
 }
 
 (** [encode_batch ~base ~count entries] freezes the first [count] slots
     of [entries] (typically the sequencer's reused scratch vector) into
-    a flat frame. Raises [Invalid_argument] on an empty or oversized
+    a frame. Raises [Invalid_argument] on an empty or oversized
     count. *)
 val encode_batch : base:int -> count:int -> entry array -> batch
 
-(** [decode_entry b i] reconstructs entry [i] (seqno [b.base + i]). *)
-val decode_entry : batch -> int -> entry
-
-(** All entries, in seqno order. *)
-val batch_entries : batch -> entry list
-
+(** A member listens on [proto gname] only, so no message names its
+    group, and none names its sender, which is the packet's [src]: the
+    origin of a [Bcast_req] or a [Bb_body], the member of an [Ack], an
+    [Hb_ack], a [Retrans], a [Leave_req] or a [Reset_state], the joiner
+    of a [Join_req], the sequencer of a [Join_grant] and the coordinator
+    of a [Reset_invite] or a [Reset_commit]. *)
 type Simnet.Payload.t +=
-  | Bcast_req of {
-      gname : string;
-      epoch : Types.epoch;
-      origin : int;
-      uid : int;
-      payload : Simnet.Payload.t;
-    }
-  | Bb_body of {
-      gname : string;
-      epoch : Types.epoch;
-      origin : int;
-      uid : int;
-      payload : Simnet.Payload.t;
-    }
-  | Data_batch of { gname : string; epoch : Types.epoch; batch : batch }
+  | Bcast_req of { epoch : Types.epoch; uid : int; payload : Simnet.Payload.t }
+  | Bb_body of { epoch : Types.epoch; uid : int; payload : Simnet.Payload.t }
+  | Data_batch of { epoch : Types.epoch; batch : batch }
       (** one ordered multicast covering a whole batch (PB, and BB
           batches that contain entries whose bodies never traveled);
           also the retransmission frame *)
-  | Bb_accept_batch of {
-      gname : string;
-      epoch : Types.epoch;
-      base : int;
-      pairs : int array;  (** 2 ints per accept: origin, uid *)
-    }
+  | Bb_accept_batch of { epoch : Types.epoch; base : int; uids : int array }
       (** BB: one Accept covering [base .. base + n - 1]; members pair
-          each (origin, uid) with its broadcast body *)
-  | Ack of { gname : string; epoch : Types.epoch; member : int; have_upto : int }
-  | Done of { gname : string; epoch : Types.epoch; uid : int }
-  | Retrans of {
-      gname : string;
-      epoch : Types.epoch;
-      member : int;
-      from : int;
-    }
-  | Heartbeat of { gname : string; epoch : Types.epoch; highest : int }
-  | Hb_ack of { gname : string; epoch : Types.epoch; member : int; have_upto : int }
-  | Fail of { gname : string; epoch : Types.epoch; reason : string }
-  | Join_req of { gname : string; joiner : int; uid : int }
+          each uid with the body broadcast under it *)
+  | Ack of { epoch : Types.epoch; have_upto : int }
+  | Done of { epoch : Types.epoch; uid : int }
+  | Retrans of { epoch : Types.epoch; from : int }
+  | Heartbeat of { epoch : Types.epoch; highest : int }
+  | Hb_ack of { epoch : Types.epoch; have_upto : int }
+  | Fail of { epoch : Types.epoch; reason : string }
+  | Join_req of { uid : int }
   | Join_grant of {
-      gname : string;
       epoch : Types.epoch;
       uid : int;
       members : int list;
-      sequencer : int;
       base : int;  (** joiner's first seqno is [base + 1] *)
     }
-  | Leave_req of { gname : string; epoch : Types.epoch; member : int }
-  | Reset_invite of { gname : string; instance : int; view : int; coord : int }
-  | Reset_state of {
-      gname : string;
-      instance : int;
-      view : int;
-      member : int;
-      have_upto : int;
-    }
-  | Reset_fetch of { gname : string; instance : int; from : int; upto : int }
-  | Reset_entries of { gname : string; instance : int; entries : (int * entry) list }
+  | Leave_req of { epoch : Types.epoch }
+  | Reset_invite of { instance : int; view : int }
+  | Reset_state of { instance : int; view : int; have_upto : int }
+  | Reset_fetch of { instance : int; from : int; upto : int }
+  | Reset_entries of { instance : int; entries : (int * entry) list }
   | Reset_commit of {
-      gname : string;
       epoch : Types.epoch;  (** the new view *)
       members : int list;
       sequencer : int;

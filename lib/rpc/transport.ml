@@ -69,47 +69,48 @@ let complete t call outcome =
   Sim.Timer.cancel call.probe;
   Sim.Ivar.fill call.ivar outcome
 
+(* The peer a packet names is its source: the client of a Locate,
+   Request or Enquiry, the server of a Reply or a HEREIS. *)
 let handle_packet t (packet : Simnet.Packet.t) =
+  let peer = packet.src in
   match packet.payload with
-  | Wire.Locate { port; xid; client } -> (
+  | Wire.Locate { port; xid } -> (
       match Hashtbl.find_opt t.services port with
       | Some service when service.active && Sim.Mailbox.has_waiter service.queue
         ->
-          send t ~dst:client (Wire.Here_is { port; xid; server = t.node_id })
+          send t ~dst:peer (Wire.Here_is { port; xid })
       | Some _ | None -> ())
-  | Wire.Request { port; xid; client; body } -> (
+  | Wire.Request { port; xid; body } -> (
       match Hashtbl.find_opt t.services port with
       | Some service when service.active && Sim.Mailbox.has_waiter service.queue
         ->
           Hashtbl.replace t.held xid ();
-          Sim.Mailbox.send service.queue (xid, client, body)
-      | Some _ | None ->
-          send t ~dst:client (Wire.Not_here { port; xid; server = t.node_id }))
-  | Wire.Reply { xid; server; body } -> (
+          Sim.Mailbox.send service.queue (xid, peer, body)
+      | Some _ | None -> send t ~dst:peer (Wire.Not_here { port; xid }))
+  | Wire.Reply { xid; body } -> (
       match Hashtbl.find_opt t.pending xid with
       | Some call ->
           (* The kernel acknowledges the reply: third packet of the
              3-message Amoeba RPC. *)
-          send t ~dst:server (Wire.Ack { xid; client = t.node_id });
+          send t ~dst:peer (Wire.Ack { xid });
           complete t call (Got_reply body)
       | None -> ())
   | Wire.Not_here { xid; _ } -> (
       match Hashtbl.find_opt t.pending xid with
       | Some call -> complete t call Bounced
       | None -> ())
-  | Wire.Enquiry { xid; client } ->
+  | Wire.Enquiry { xid } ->
       (* Answered by the kernel, not by a worker: a server that is
          busy with the request says so at no cost. A fresh incarnation
          holds no xid and stays silent. *)
-      if Hashtbl.mem t.held xid then
-        send t ~dst:client (Wire.Alive { xid; server = t.node_id })
-  | Wire.Alive { xid; _ } -> (
+      if Hashtbl.mem t.held xid then send t ~dst:peer (Wire.Alive { xid })
+  | Wire.Alive { xid } -> (
       match Hashtbl.find_opt t.pending xid with
       | Some call -> call.unanswered <- 0
       | None -> ())
-  | Wire.Here_is { xid; server; _ } -> (
+  | Wire.Here_is { xid; _ } -> (
       match Hashtbl.find_opt t.locates xid with
-      | Some responders -> responders := server :: !responders
+      | Some responders -> responders := peer :: !responders
       | None -> ())
   | Wire.Ack _ -> ()
   | _ -> ()
@@ -157,7 +158,7 @@ let serve t ~port ?(threads = 2) handler =
       let xid, client, body = Sim.Mailbox.recv service.queue in
       let reply = handler ~client body in
       Hashtbl.remove t.held xid;
-      send t ~dst:client (Wire.Reply { xid; server = t.node_id; body = reply })
+      send t ~dst:client (Wire.Reply { xid; body = reply })
     done
   in
   let node = Simnet.Network.nic_node t.nic in
@@ -201,7 +202,7 @@ let locate t ~port =
     emit t ~name:"locate" (fun () ->
         [ ("port", Sim.Trace.Str port); ("xid", Sim.Trace.Int xid) ]);
   Simnet.Network.multicast t.net t.nic ~proto:Wire.proto
-    (Wire.Locate { port; xid; client = t.node_id });
+    (Wire.Locate { port; xid });
   Sim.Proc.sleep locate_window;
   Hashtbl.remove t.locates xid;
   let in_arrival_order = List.rev !responders in
@@ -243,7 +244,7 @@ let enquire t xid =
   | Some call when call.unanswered >= 2 -> complete t call Dead
   | Some call ->
       call.unanswered <- call.unanswered + 1;
-      send t ~dst:call.server (Wire.Enquiry { xid; client = t.node_id })
+      send t ~dst:call.server (Wire.Enquiry { xid })
 
 let trans t ~port ?(size = 128) body =
   let started = Sim.Engine.now (engine t) in
@@ -262,7 +263,7 @@ let trans t ~port ?(size = 128) body =
             ("size", Sim.Trace.Int size);
           ]);
     Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto ~size
-      (Wire.Request { port; xid; client = t.node_id; body });
+      (Wire.Request { port; xid; body });
     let call =
       {
         xid;

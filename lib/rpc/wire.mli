@@ -14,22 +14,20 @@
     whose enquiries go unanswered gives up on that server; there is no
     other deadline on a transaction. *)
 
+(** No message names its sender: that is the packet's [src], the
+    client for [Locate], [Request], [Ack] and [Enquiry] and the server
+    for the others. *)
 type Simnet.Payload.t +=
-  | Locate of { port : string; xid : int; client : int }
-  | Here_is of { port : string; xid : int; server : int }
-  | Request of {
-      port : string;
-      xid : int;
-      client : int;
-      body : Simnet.Payload.t;
-    }
-  | Reply of { xid : int; server : int; body : Simnet.Payload.t }
-  | Not_here of { port : string; xid : int; server : int }
-  | Ack of { xid : int; client : int }
-  | Enquiry of { xid : int; client : int }
+  | Locate of { port : string; xid : int }
+  | Here_is of { port : string; xid : int }
+  | Request of { port : string; xid : int; body : Simnet.Payload.t }
+  | Reply of { xid : int; body : Simnet.Payload.t }
+  | Not_here of { port : string; xid : int }
+  | Ack of { xid : int }
+  | Enquiry of { xid : int }
       (** client to server while a reply is outstanding: do you still
           hold [xid]? *)
-  | Alive of { xid : int; server : int }
+  | Alive of { xid : int }
       (** the server's answer: [xid] was accepted and not yet replied
           to. A server that does not hold it stays silent. *)
 

@@ -1,8 +1,8 @@
 type 'a t = {
   queue : 'a Queue.t;
   (* Oldest first. Dead wakers (crashed node, fired timeout) are pruned
-     lazily as they reach the front — [send] used to rebuild the whole
-     list per delivery, which made every receive O(waiters). *)
+     lazily as they reach the front, so a delivery costs O(1) however
+     many waiters have died. *)
   wait_queue : 'a Proc.Waker.t Queue.t;
 }
 

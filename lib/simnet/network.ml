@@ -39,10 +39,10 @@ let no_packet =
 type t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
-  (* Pre-resolved packet counters in the engine's registry.
-     ["net.pkt." ^ proto] used to be built (and hashed) on every packet;
-     protos are few, so each is interned once and found again by a
-     small-string table probe with no allocation. *)
+  (* Pre-resolved packet counters in the engine's registry, so no key
+     ["net.pkt." ^ proto] is built or hashed per packet: protos are few,
+     so each is interned once and found again by a small-string table
+     probe with no allocation. *)
   pkt : Sim.Metrics.handle;
   mcast_pkt : Sim.Metrics.handle;
   by_proto : (string, Sim.Metrics.handle) Hashtbl.t;
@@ -262,9 +262,9 @@ let transmit t packet ~dst ~extra_delay =
     deliver_later t packet ~dst ~delay
   end
 
-(* The cached fan-out set: every live NIC, ascending node id — exactly
-   the order the old sort-per-send computed, so same-seed runs keep
-   byte-identical traces. *)
+(* The cached fan-out set: every live NIC, ascending node id, so a
+   multicast's deliveries are scheduled in node-id order and same-seed
+   runs keep byte-identical traces. *)
 let receiver_array t =
   match t.receivers with
   | Some receivers -> receivers

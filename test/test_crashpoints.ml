@@ -20,10 +20,13 @@
    once the script has finished and every server serves again, which
    must happen within [serve_ms] (liveness).
 
-   Every run also checks two properties of the total order on each
+   Every run also checks four properties of the total order on each
    replica incarnation's applied updates ([Group_server.applied_log]):
-   integrity, no (origin, uid) applied twice, and total order, every
-   two updates that two incarnations both applied in the same order.
+   integrity, no (origin, uid) applied twice; total order, every two
+   updates that two incarnations both applied in the same order;
+   and, over the incarnations up at the end, uniform agreement, every
+   acknowledged update in each log whose range covers its sequence
+   number, and validity, every acknowledged update held.
 
    [suite] is the quick set that [dune runtest] runs; [slow_suite] is
    the wider sweep of [dune build @crash-slow]. *)
@@ -349,17 +352,73 @@ let check_all r =
         keys)
     (C.store_snapshots r.cluster)
 
+let key (a : Dirsvc.Group_server.applied) = (a.a_origin, a.a_uid)
+
+let describe_key (origin, uid) = Printf.sprintf "(%d, %d)" origin uid
+
 (* Integrity and total order over every incarnation's applied log. *)
 let check_order r =
-  Harness.check_order
-    ~describe:(fun (origin, uid) -> Printf.sprintf "(%d, %d)" origin uid)
+  Harness.check_order ~describe:describe_key
     (List.rev_map
        (fun (server, gs) ->
-         ( server,
-           List.map
-             (fun (a : Dirsvc.Group_server.applied) -> (a.a_origin, a.a_uid))
-             (Dirsvc.Group_server.applied_log gs) ))
+         (server, List.map key (Dirsvc.Group_server.applied_log gs)))
        r.incarnations)
+
+(* Whether the applied [op] is the client's acknowledged op [i]. The
+   script names each directory and row once, so the capability and the
+   row name tell ops apart. *)
+let acknowledges r i (op : Dirsvc.Directory.op) =
+  i.acked
+  &&
+  match Hashtbl.find_opt r.caps (fst (item i.op)) with
+  | None -> false
+  | Some dir -> (
+      match (i.op, op) with
+      | Create _, Create_dir { secret; _ } -> Capability.validate dir secret
+      | Delete_dir _, Delete_dir { cap } -> Capability.equal cap dir
+      | Append (_, row), Append_row { cap; name; _ }
+      | Delete (_, row), Delete_row { cap; name } ->
+          name = row && Capability.equal cap dir
+      | _ -> false)
+
+(* The acknowledged updates, each with the update sequence number it
+   was applied at, from whichever log holds it. *)
+let acknowledged r =
+  List.concat_map (fun (_, gs) -> Dirsvc.Group_server.applied_log gs) r.incarnations
+  |> List.filter (fun (a : Dirsvc.Group_server.applied) ->
+         List.exists (fun i -> acknowledges r i a.a_op) r.history)
+  |> List.map (fun a -> (key a, a.Dirsvc.Group_server.a_useq))
+  |> List.sort_uniq compare
+
+(* Uniform agreement and validity, over the logs of the incarnations up
+   at the end: the correct members. A crashed one may have applied an
+   entry that it ordered or received and that never reached the others
+   (a sequencer delivers before its multicast leaves), which recovery
+   discards by adopting its donor's state. An incarnation's log holds
+   the updates it applied after the state it started from (a boot's
+   disk image or a state transfer), one per sequence number, so it
+   covers (useq - length, useq]: every acknowledged update in that range
+   must be in it (agreement), and none may lie past its useq (validity:
+   it holds every acknowledged update, applied or in the state it
+   started from). *)
+let check_agreement r =
+  let acked = acknowledged r in
+  List.concat_map
+    (fun server ->
+      let gs = C.group_server r.cluster server in
+      let log = List.map key (Dirsvc.Group_server.applied_log gs) in
+      let upto = Dirsvc.Group_server.useq gs in
+      let base = upto - List.length log in
+      let after_base = List.filter (fun (_, u) -> u > base) acked in
+      Harness.check_agreement ~describe:describe_key
+        ~required:(List.filter_map (fun (k, u) -> if u <= upto then Some k else None) after_base)
+        [ (server, log) ]
+      @ List.map
+          (fun (k, u) ->
+            Printf.sprintf "server %d ends at useq %d without acknowledged %s (useq %d)"
+              server upto (describe_key k) u)
+          (List.filter (fun (_, u) -> u > upto) after_base))
+    (List.init (C.n_servers r.cluster) (fun i -> i + 1))
 
 let advance r ms =
   C.run_until r.cluster (Sim.Engine.now (C.engine r.cluster) +. ms)
@@ -376,7 +435,7 @@ let serve_and_check r =
     ]
   else begin
     advance r 1_000.0;
-    check_all r @ check_order r
+    check_all r @ check_order r @ check_agreement r
   end
 
 let recover_and_check r =
@@ -450,7 +509,7 @@ let sweep ~suite ~index cfg =
         let point = if r.point = "" then "never reached" else r.point in
         [ report k r ~point problems ]
   in
-  (match check_all dry @ check_order dry with
+  (match check_all dry @ check_order dry @ check_agreement dry with
   | [] -> []
   | problems -> [ report 0 dry ~point:"none (no crash)" problems ])
   @ List.concat_map rerun (List.init points (fun k -> k + 1))

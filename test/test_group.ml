@@ -6,7 +6,7 @@ open Harness
 type Simnet.Payload.t += Note of string
 
 let note_of = function
-  | Group.Types.Msg { payload = Note s; _ } -> Some s
+  | _, Group.Wire.App { payload = Note s; _ } -> Some s
   | _ -> None
 
 (* A triplicated group: node 1 creates, nodes 2 and 3 join. Returns a
@@ -633,14 +633,15 @@ let batch_codec_property =
             | _ -> Group.Wire.Leave_member a)
           raw
       in
-      let arr = Array.of_list entries in
-      let batch = Group.Wire.encode_batch ~base ~count:(Array.length arr) arr in
-      let back = Group.Wire.batch_entries batch in
+      (* A scratch vector one slot longer than the batch, overwritten
+         once the frame is taken, as the sequencer reuses its own. *)
+      let count = List.length entries in
+      let scratch = Array.of_list (entries @ [ Group.Wire.Join_member 0 ]) in
+      let batch = Group.Wire.encode_batch ~base ~count scratch in
+      Array.fill scratch 0 (count + 1) (Group.Wire.Leave_member (-1));
       batch.Group.Wire.base = base
-      && batch.Group.Wire.count = Array.length arr
-      && List.length back = Array.length arr
-      && List.for_all2 entry_equal entries back
-      && entry_equal (Group.Wire.decode_entry batch 0) (List.hd entries))
+      && Array.length batch.Group.Wire.entries = count
+      && List.for_all2 entry_equal entries (Array.to_list batch.Group.Wire.entries))
 
 (* Shared receiver harness: app-message logs per member, oldest first. *)
 let collect_logs w get node_of ids ~timeout =
@@ -985,7 +986,8 @@ let test_late_commit_does_not_rewind () =
     (Some
        (fun packet ->
          match (packet.Simnet.Packet.payload, packet.dst) with
-         | Group.Wire.Reset_state { member = 2; view = 2; _ }, Unicast 4 -> Simnet.Network.Drop
+         | Group.Wire.Reset_state { view = 2; _ }, Unicast 4 when packet.src = 2 ->
+             Simnet.Network.Drop
          | Group.Wire.Reset_entries _, Unicast 3 when packet.src = 2 && not !entries_delayed ->
              entries_delayed := true;
              Simnet.Network.Delay 30.0
@@ -1185,15 +1187,15 @@ let test_done_once_in_seqno_order () =
     (Some
        (fun packet ->
          match packet.Simnet.Packet.payload with
-         | Group.Wire.Bcast_req { origin; uid; payload = Note s; _ } ->
-             Hashtbl.replace note_of_uid (origin, uid) s;
+         | Group.Wire.Bcast_req { uid; payload = Note s; _ } ->
+             Hashtbl.replace note_of_uid (packet.src, uid) s;
              Simnet.Network.Deliver
          | Group.Wire.Done { uid; _ } ->
              (match packet.dst with
              | Unicast origin -> dones := Hashtbl.find note_of_uid (origin, uid) :: !dones
              | Multicast -> Alcotest.fail "multicast Done");
              Simnet.Network.Deliver
-         | Group.Wire.Ack { member = 3; have_upto; _ } ->
+         | Group.Wire.Ack { have_upto; _ } when packet.src = 3 ->
              ack_delay := Float.max 0.0 (!ack_delay -. 15.0);
              acks := (have_upto, Sim.Engine.now w.engine +. !ack_delay) :: !acks;
              Simnet.Network.Delay !ack_delay
@@ -1204,7 +1206,7 @@ let test_done_once_in_seqno_order () =
       try
         while true do
           match Group.Member.receive ~timeout:500.0 m with
-          | Group.Types.Msg { seqno; payload = Note s; _ } -> Hashtbl.replace seqno_of s seqno
+          | seqno, Group.Wire.App { payload = Note s; _ } -> Hashtbl.replace seqno_of s seqno
           | _ -> ()
         done
       with Sim.Proc.Timeout -> ());

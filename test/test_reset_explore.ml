@@ -16,9 +16,10 @@
    coordinator it answered still has its own timer armed (the rule
    waits two windows longer than any attempt). Visited states are
    memoised. It checks:
-   - views that share an (instance, view) never share a member, so at
-     most one of them can hold a majority, and each is installed with
-     the base and members its coordinator sent;
+   - at most one view is installed per epoch (instance, view and
+     coordinator), with the base and members its coordinator sent;
+   - views that share an instance and view number never share a
+     member, so at most one of them can hold a majority;
    - no member installs a view whose base lies below an entry it has
      delivered (the view's sequencer would reuse that seqno);
    - a member that installs a view then holds every entry the members
@@ -67,9 +68,9 @@ type member = {
   armed : bool;  (** the reset timer *)
 }
 
-(* A view as its coordinator committed it, with the (member, have_upto)
-   states it was built from. *)
-type committed = { view : R.view; coord : int; states : (int * int) list }
+(* A view as its coordinator ([view.epoch.coord]) committed it, with the
+   (member, have_upto) states it was built from. *)
+type committed = { view : R.view; states : (int * int) list }
 
 type world = {
   ms : member array;  (** member [i] at index [i - 1] *)
@@ -108,7 +109,7 @@ let ids = [ 1; 2; 3 ]
 
 (* One instance in view 1, member 1 sequencing, nothing ordered yet. *)
 let initial =
-  let epoch = { instance = 1; view = 1 } in
+  let epoch = { instance = 1; view = 1; coord = 1 } in
   let member id =
     {
       st = { (R.init ~me:id ~fail_timeout:80.0) with status = Normal; epoch };
@@ -167,29 +168,32 @@ let send w ~src ~dst msg =
 
 let describe (s, e) = Printf.sprintf "e%d (view %d) at %d" e.uid e.tag s
 
-(* Member [id] installs [v], as [Member] does, checking that no two
-   views of one number share a member, that every member installs the
-   view its coordinator committed, that the member has delivered
-   nothing past the base (the new sequencer reuses those seqnos), and
-   that it then holds every entry the members the view was built from
-   had delivered when they answered (uniform agreement across the
-   reset). *)
+(* Member [id] installs [v], as [Member] does, checking that one epoch
+   names one view (every member installs the view its coordinator
+   committed), that no two views of one number share a member, that
+   the member has delivered nothing past the base (the new sequencer
+   reuses those seqnos), and that it then holds every entry the members
+   the view was built from had delivered when they answered (uniform
+   agreement across the reset). *)
 let install w id c ~patch =
   let m = w.ms.(id - 1) in
   let v = c.view in
-  let same c' = c'.view.epoch = v.epoch in
   let c =
-    match List.find_opt (fun c' -> same c' && c'.coord = c.coord) w.views with
+    match List.find_opt (fun c' -> c'.view.epoch = v.epoch) w.views with
     | Some c' when c'.view <> v ->
-        violation "member %d installs view %d unlike its coordinator %d" id v.epoch.view c.coord
+        violation "member %d installs view %d of coordinator %d unlike the one committed"
+          id v.epoch.view v.epoch.coord
     | Some c' -> c'
     | None -> c
   in
   List.iter
-    (fun c' ->
-      if same c' && c'.coord <> c.coord
-         && List.exists (fun x -> List.mem x c'.view.members) v.members
-      then violation "views %d of coordinators %d and %d share a member" v.epoch.view c.coord c'.coord)
+    (fun { view = v'; _ } ->
+      if v'.epoch.instance = v.epoch.instance && v'.epoch.view = v.epoch.view
+         && v'.epoch.coord <> v.epoch.coord
+         && List.exists (fun x -> List.mem x v'.members) v.members
+      then
+        violation "views %d of coordinators %d and %d share a member" v.epoch.view
+          v.epoch.coord v'.epoch.coord)
     w.views;
   List.iter
     (fun (s, e) ->
@@ -212,11 +216,11 @@ let install w id c ~patch =
   let w =
     set w id { m with members = v.members; sequencer = v.sequencer; armed = false; failed = false }
   in
-  if c.coord = id then { w with views = c :: w.views } else w
+  if v.epoch.coord = id then { w with views = c :: w.views } else w
 
 (* Feed [input] to member [id]'s [step] and carry out its actions, as
    [Member] does; [None] when nothing changes. *)
-let feed w id ?(coord = id) ?(patch = []) input =
+let feed w id ?(patch = []) input =
   let m = w.ms.(id - 1) in
   let st, actions = R.step m.st input in
   (* What [live] relies on: installed views and accepted invites only
@@ -249,14 +253,13 @@ let feed w id ?(coord = id) ?(patch = []) input =
               let patch = range w.ms.(id - 1) ~from:(have + 1) ~upto:view.base in
               send w ~src:id ~dst (Commit { view; patch }))
             w targets
-      | Install view -> install w id { view; coord; states } ~patch
+      | Install view -> install w id { view; states } ~patch
       | Failed -> set w id { (w.ms.(id - 1)) with failed = true }
     in
     let w = List.fold_left act w actions in
     Some (set w id { (w.ms.(id - 1)) with st })
 
-let feed_or_same w id ?coord ?patch input =
-  Option.value ~default:w (feed w id ?coord ?patch input)
+let feed_or_same w id ?patch input = Option.value ~default:w (feed w id ?patch input)
 
 (* The failure detector's verdict at a [Normal] member, as
    [declare_broken]: the member queues a failure and tells the others. *)
@@ -288,7 +291,7 @@ let arrive w { src; dst; msg } =
       feed_or_same w dst ~patch:entries
         (R.Entries { instance; src; reach = reach m entries })
   | Commit { view; patch } ->
-      feed_or_same w dst ~coord:src ~patch (R.Commit { coord = src; view; reach = reach m patch })
+      feed_or_same w dst ~patch (R.Commit { coord = src; view; reach = reach m patch })
 
 let rec remove p = function [] -> [] | q :: rest -> if q = p then rest else q :: remove p rest
 
@@ -501,3 +504,34 @@ let slow_suite =
     Alcotest.test_case "every interleaving, large bound" `Quick (run large);
     Alcotest.test_case "every interleaving, three starts" `Quick (run deep);
   ]
+
+(* Two coordinators that never hear each other each commit a view 2:
+   member 1 is down and member 3's invite to member 2 is lost. The
+   data member 2's view orders must be refused at member 3, which
+   installed the other view 2: their epochs differ only in the
+   coordinator they name. *)
+let split_views =
+  [
+    Crash 1; Suspect 2; Deliver (2, 3, "fail v1"); Start 2; Start 3;
+    Lose (3, 2, "invite v2"); Fire 2; Fire 3; Order 2;
+  ]
+
+let test_split_views () =
+  let b = { small with losses = 1; crashes = 1 } in
+  let w = replay b split_views in
+  let epoch id = w.ms.(id - 1).st.epoch in
+  Alcotest.(check (list int)) "both installed view 2" [ 2; 2 ]
+    [ (epoch 2).view; (epoch 3).view ];
+  Alcotest.(check bool) "their epochs differ" true (epoch 2 <> epoch 3);
+  match List.find_opt (fun p -> p.src = 2 && p.dst = 3) w.flight with
+  | Some ({ msg = Data _; _ } as p) ->
+      let w = arrive { w with flight = remove p w.flight } p in
+      Alcotest.(check int) "member 3 delivered nothing" 0 (List.length w.ms.(2).log)
+  | _ -> Alcotest.fail "member 2's data to member 3 is not in flight"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "two views of one number: one's data is refused by the other"
+        `Quick test_split_views;
+    ]
