@@ -1,0 +1,71 @@
+#!/usr/bin/env bash
+# Refactor identity check: a change that claims no behaviour change must
+# leave every simulated metric of the repo benchmark exactly where the
+# parent commit has it.
+#
+#   bash bench/identity.sh PARENT_DIR
+#
+# PARENT_DIR is a checkout of the parent commit (for instance
+# `git archive HEAD | tar -x -C DIR` before committing). For seeds 1..3
+# both trees run `bash benchmark/run.sh --quick --seed N`; per workload
+# and seed the script compares p50_ms, p99_ms, update_p50_ms,
+# max_rate_ops_s, attempted, failed and correct exactly, and prints the
+# change in minor_words_per_op (wall-clock setup_s is left out). It exits
+# 1 on any simulated difference, 2 on a bad argument.
+set -euo pipefail
+
+if [ $# -ne 1 ] || [ ! -f "$1/benchmark/run.sh" ]; then
+  echo "usage: bash bench/identity.sh PARENT_DIR (a checkout with benchmark/run.sh)" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+here=$(cd "$(dirname "$0")/.." && pwd)
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+for seed in 1 2 3; do
+  for side in parent change; do
+    if [ "$side" = parent ]; then dir=$parent; else dir=$here; fi
+    log=$out/$side.$seed.log
+    if ! (cd "$dir" && bash benchmark/run.sh --quick --seed "$seed" --out "$out/$side.jsonl") \
+      >/dev/null 2>"$log"; then
+      echo "$side tree, seed $seed: benchmark/run.sh failed" >&2
+      cat "$log" >&2
+      exit 1
+    fi
+  done
+done
+
+python3 - "$out/parent.jsonl" "$out/change.jsonl" <<'EOF'
+import json, sys
+
+def load(path):
+    with open(path) as f:
+        return {(r["workload"], r["seed"]): r for r in map(json.loads, f)}
+
+parent, change = load(sys.argv[1]), load(sys.argv[2])
+exact = ["p50_ms", "p99_ms", "update_p50_ms", "max_rate_ops_s"]
+differ = 0
+if parent.keys() != change.keys():
+    print("runs differ: parent %s, change %s" % (sorted(parent), sorted(change)))
+    differ += 1
+for key in sorted(parent.keys() & change.keys()):
+    p, c = parent[key], change[key]
+    diffs = [
+        "%s %s -> %s" % (f, p[f], c[f]) for f in ("correct", "attempted", "failed") if p[f] != c[f]
+    ] + [
+        "%s %r -> %r" % (m, p["metrics"][m]["value"], c["metrics"][m]["value"])
+        for m in exact
+        if p["metrics"][m]["value"] != c["metrics"][m]["value"]
+    ]
+    pw = p["metrics"]["minor_words_per_op"]["value"]
+    cw = c["metrics"]["minor_words_per_op"]["value"]
+    print(
+        "%-14s seed %s  %s  minor words/op %.1f -> %.1f (%+.2f%%)"
+        % (key[0], key[1], "DIFFERS" if diffs else "identical", pw, cw, 100.0 * (cw - pw) / pw)
+    )
+    for d in diffs:
+        print("    " + d)
+    differ += bool(diffs)
+sys.exit(1 if differ else 0)
+EOF

@@ -5,6 +5,7 @@ type t = {
   transport : Rpc.Transport.t;
   bullet_port : string;
   table : Storage.Object_table.t;
+  slots : int;
   mutable files : Capability.t Directory.Store.t;
       (* dir -> Bullet file currently holding it (in-core copy of the
          object table's capabilities, for retiring old versions) *)
@@ -17,6 +18,7 @@ let attach transport ~bullet_port ~device ~slots =
     transport;
     bullet_port;
     table = Storage.Object_table.attach device ~first_block:1 ~slots;
+    slots;
     files = Directory.Store.empty;
     retirer = None;
   }
@@ -55,6 +57,9 @@ let retire t cap =
           while true do
             delete_file t (Sim.Mailbox.recv queue)
           done)
+
+let admits t op dir_id =
+  match op with Directory.Create_dir _ -> dir_id < t.slots | _ -> true
 
 let persist t ~deleted store dir_id =
   let file =

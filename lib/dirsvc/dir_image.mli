@@ -18,6 +18,13 @@ val attach :
   slots:int ->
   t
 
+(** [admits t op dir_id] is false when [op] creates [dir_id]
+    ({!Directory.dir_id_of_op}) past the object table, where it could
+    never be made stable: a server refuses it with [Table_full] before
+    applying it. Every replica decides on the same store, so all refuse
+    it alike. *)
+val admits : t -> Directory.op -> Directory.dir_id -> bool
+
 (** [persist t ~deleted store dir_id] makes [dir_id]'s state in [store]
     the stable copy: a new Bullet file, then the object-table entry,
     then the old file is retired. A directory absent from [store] has

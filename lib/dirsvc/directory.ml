@@ -51,6 +51,7 @@ type error =
   | Bad_capability
   | No_permission
   | Bad_request of string
+  | Table_full
 
 let error_to_string = function
   | Not_found -> "not found"
@@ -58,6 +59,7 @@ let error_to_string = function
   | Bad_capability -> "bad capability"
   | No_permission -> "no permission"
   | Bad_request s -> "bad request: " ^ s
+  | Table_full -> "object table full"
 
 type op_result = Created of dir_id | Updated
 

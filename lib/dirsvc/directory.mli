@@ -85,6 +85,7 @@ type error =
   | Bad_capability
   | No_permission
   | Bad_request of string
+  | Table_full  (** a create past the servers' object table *)
 
 val error_to_string : error -> string
 

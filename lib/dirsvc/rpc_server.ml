@@ -172,7 +172,9 @@ let handle_write t op =
           Dir_front.write_reply ~port:t.port op outcome
     end
   in
-  attempt 0
+  (* Refused before the peer hears of it, so neither server applies it. *)
+  if Dir_image.admits t.image op dir_id then attempt 0
+  else Dir_front.write_reply ~port:t.port op (Error Directory.Table_full)
 
 let handle_read t ~dirs:_ serve =
   Sim.Resource.use t.cpu Params.cpu_read_ms;

@@ -240,28 +240,12 @@ let hb_ack_packet t =
       t.hback_packet <- Some packet;
       packet
 
-(* ---- Failure declaration ---------------------------------------- *)
-
 let fail_pending_sends t reason =
   let pending = Hashtbl.fold (fun uid ivar acc -> (uid, ivar) :: acc) t.pending_sends [] in
   Hashtbl.reset t.pending_sends;
   List.iter
     (fun (_, ivar) -> Sim.Ivar.fill_exn ivar (Group_failure reason))
     pending
-
-let declare_broken t ~notify_peers reason =
-  if status t = Normal then begin
-    emit t ~name:"broken" (fun () ->
-        [ ("gname", Sim.Trace.Str t.gname); ("reason", Sim.Trace.Str reason) ]);
-    t.reset <- { t.reset with status = Broken; since = now t };
-    clear_batch t;
-    fail_pending_sends t reason;
-    Sim.Mailbox.send t.deliver_q (Failed reason);
-    Sim.Condvar.broadcast t.changed;
-    if notify_peers then
-      multicast t t.counters.c_fail
-        (Wire.Fail { epoch = epoch t; reason })
-  end
 
 (* ---- Sequencer: resilience bookkeeping --------------------------- *)
 
@@ -311,9 +295,33 @@ let record_ack t ~member ~have_upto =
   Hashtbl.replace t.last_heard member (now t);
   check_pending_done t
 
-(* ---- Delivery --------------------------------------------------- *)
+(* ---- Delivery, and carrying out [Reset.step] ---------------------- *)
 
-let deliver_entry t seqno (entry : Wire.entry) =
+(* The entries held in [from .. upto], in seqno order. *)
+let held_range t ~from ~upto =
+  let entries = ref [] in
+  for seqno = upto downto from do
+    match Hashtbl.find_opt t.store seqno with
+    | Some entry -> entries := (seqno, entry) :: !entries
+    | None -> ()
+  done;
+  !entries
+
+(* An ordered entry is worth holding at [seqno] unless it was already
+   delivered or is already held. *)
+let unheld t seqno = seqno > t.contig && not (Hashtbl.mem t.store seqno)
+
+let take t entries =
+  List.iter (fun (s, e) -> if unheld t s then Hashtbl.replace t.store s e) entries
+
+let send_cumulative_ack t =
+  if status t = Normal then
+    if t.sequencer = t.me then record_ack t ~member:t.me ~have_upto:t.contig
+    else
+      unicast t ~dst:t.sequencer t.counters.c_ack
+        (Wire.Ack { epoch = epoch t; have_upto = t.contig })
+
+let rec deliver_entry t seqno (entry : Wire.entry) =
   if tracing t then
     emit t ~name:"deliver" (fun () ->
         let kind, origin =
@@ -341,12 +349,7 @@ let deliver_entry t seqno (entry : Wire.entry) =
       end
   | Wire.Leave_member m ->
       t.members <- List.filter (fun x -> x <> m) t.members;
-      if m = t.me then begin
-        t.reset <- { t.reset with status = Left };
-        halt_fd t;
-        fail_pending_sends t "left group";
-        Sim.Condvar.broadcast t.changed
-      end
+      if m = t.me then feed t (Reset.Depart "left group")
       else if m = t.sequencer then begin
         (* Deterministic handover: lowest surviving id becomes sequencer;
            everyone computes the same answer from the same total order. *)
@@ -364,15 +367,8 @@ let deliver_entry t seqno (entry : Wire.entry) =
         t.last_from_seq <- now t
       end
 
-let send_cumulative_ack t =
-  if status t = Normal then
-    if t.sequencer = t.me then record_ack t ~member:t.me ~have_upto:t.contig
-    else
-      unicast t ~dst:t.sequencer t.counters.c_ack
-        (Wire.Ack { epoch = epoch t; have_upto = t.contig })
-
 (* Deliver every stored entry that has become contiguous. *)
-let advance t =
+and advance t =
   let advanced = ref false in
   let continue = ref true in
   while !continue do
@@ -389,6 +385,98 @@ let advance t =
     Sim.Condvar.broadcast t.changed
   end
 
+(* Enter view [v]: a reset's commit, the view [create_group] makes, or
+   a join grant (the joiner's [contig] already at the grant's base). *)
+and install t ~patch (v : Reset.view) =
+  (* A batch pending under the dead view was never multicast, and entries
+     past the base belonged to it: the new sequencer reuses their seqnos. *)
+  clear_batch t;
+  Option.iter Sim.Timer.cancel t.reset_timer;
+  take t patch;
+  Hashtbl.filter_map_inplace (fun s e -> if s > v.base then None else Some e) t.store;
+  t.highest_seen <- v.base;
+  advance t;
+  t.members <- v.members;
+  t.sequencer <- v.sequencer;
+  t.last_from_seq <- now t;
+  Queue.clear t.pending_done;
+  Hashtbl.reset t.assigned_uids;
+  Hashtbl.reset t.bb_bodies;
+  fail_pending_sends t "view changed";
+  if v.sequencer = t.me then begin
+    t.seq_next <- v.base + 1;
+    Hashtbl.reset t.acked;
+    List.iter
+      (fun m ->
+        Hashtbl.replace t.acked m v.base;
+        Hashtbl.replace t.last_heard m (now t))
+      v.members
+  end
+
+(* Run one input through [Reset.step] and carry out its actions ([patch]:
+   the packet's entries): the one place a member's status and view
+   change. The state lands after the actions, so an install delivers
+   before [Normal]. *)
+and feed ?(patch = []) t input =
+  let st, actions = Reset.step t.reset input in
+  List.iter (perform t ~patch) actions;
+  let was = status t in
+  t.reset <- st;
+  if st.status <> was then Sim.Condvar.broadcast t.changed
+
+and perform t ~patch action =
+  let instance = (epoch t).instance in
+  match action with
+  | Reset.Invite_all view ->
+      multicast t t.counters.c_reset (Wire.Reset_invite { instance; view })
+  | Send_state { coord; view; have } ->
+      unicast t ~dst:coord t.counters.c_reset
+        (Wire.Reset_state { instance; view; have_upto = have })
+  | Fetch { donor; from; upto } ->
+      unicast t ~dst:donor t.counters.c_reset (Wire.Reset_fetch { instance; from; upto })
+  | Take -> take t patch
+  | Arm delay ->
+      Option.iter Sim.Timer.cancel t.reset_timer;
+      t.reset_timer <-
+        Some
+          (Sim.Timer.after t.engine ~delay (fun () ->
+               Sim.Engine.attribute t.engine Tick "grp.reset";
+               t.reset_timer <- None;
+               feed t (Reset.Expired { contig = t.contig })))
+  | Send_commits ({ epoch; members; sequencer; base }, targets) ->
+      List.iter
+        (fun (m, have) ->
+          let patch = held_range t ~from:(have + 1) ~upto:base in
+          unicast t ~dst:m t.counters.c_reset
+            (Wire.Reset_commit { epoch; members; sequencer; base; patch }))
+        targets
+  | Install v ->
+      install t ~patch v;
+      emit t ~name:"view" (fun () ->
+          [
+            ("gname", Sim.Trace.Str t.gname);
+            ("instance", Sim.Trace.Int v.epoch.instance);
+            ("view", Sim.Trace.Int v.epoch.view);
+            ("sequencer", Sim.Trace.Int v.sequencer);
+            ("members", Sim.Trace.Str (String.concat "," (List.map string_of_int v.members)));
+          ])
+  | Adopt_view v -> install t ~patch v
+  | Failed ->
+      emit t ~name:"unsettled" (fun () -> [ ("gname", Sim.Trace.Str t.gname) ]);
+      Sim.Mailbox.send t.deliver_q (Failed "no view installed")
+  | Break reason ->
+      emit t ~name:"broken" (fun () ->
+          [ ("gname", Sim.Trace.Str t.gname); ("reason", Sim.Trace.Str reason) ]);
+      clear_batch t;
+      fail_pending_sends t reason;
+      Sim.Mailbox.send t.deliver_q (Failed reason)
+  | Tell reason -> multicast t t.counters.c_fail (Wire.Fail { epoch = epoch t; reason })
+  | Fail_sends reason -> fail_pending_sends t reason
+  | Halt -> halt_fd t
+
+(* A suspicion this member raises itself: the others are told. *)
+let suspect t reason = feed t (Reset.Suspect { now = now t; epoch = epoch t; reason; tell = true })
+
 let request_retrans t =
   if
     status t = Normal && t.sequencer <> t.me
@@ -404,10 +492,6 @@ let request_retrans t =
     unicast t ~dst:t.sequencer t.counters.c_retrans
       (Wire.Retrans { epoch = epoch t; from = t.contig + 1 })
   end
-
-(* An ordered entry is worth holding at [seqno] unless it was already
-   delivered or is already held. *)
-let unheld t seqno = seqno > t.contig && not (Hashtbl.mem t.store seqno)
 
 let store_data t ~seqno ~entry =
   if seqno > t.highest_seen then t.highest_seen <- seqno;
@@ -584,103 +668,13 @@ let handle_retrans t ~member ~from =
   done;
   flush_run ()
 
-(* ---- Reset (ResetGroup view change): carrying out [Reset.step] ---- *)
-
-(* The entries held in [from .. upto], in seqno order. *)
-let held_range t ~from ~upto =
-  let entries = ref [] in
-  for seqno = upto downto from do
-    match Hashtbl.find_opt t.store seqno with
-    | Some entry -> entries := (seqno, entry) :: !entries
-    | None -> ()
-  done;
-  !entries
-
-let take t entries =
-  List.iter (fun (s, e) -> if unheld t s then Hashtbl.replace t.store s e) entries
+(* ---- ResetGroup --------------------------------------------------- *)
 
 (* The contiguous prefix we would hold with [entries] taken. *)
 let rec reach t entries c =
   if Hashtbl.mem t.store (c + 1) || List.mem_assoc (c + 1) entries then
     reach t entries (c + 1)
   else c
-
-let install t ~patch (v : Reset.view) =
-  (* A batch pending under the dead view was never multicast, and entries
-     past the base belonged to it: the new sequencer reuses their seqnos. *)
-  clear_batch t;
-  Option.iter Sim.Timer.cancel t.reset_timer;
-  take t patch;
-  Hashtbl.filter_map_inplace (fun s e -> if s > v.base then None else Some e) t.store;
-  t.highest_seen <- v.base;
-  advance t;
-  t.members <- v.members;
-  t.sequencer <- v.sequencer;
-  t.last_from_seq <- now t;
-  Queue.clear t.pending_done;
-  Hashtbl.reset t.assigned_uids;
-  Hashtbl.reset t.bb_bodies;
-  fail_pending_sends t "view changed";
-  if v.sequencer = t.me then begin
-    t.seq_next <- v.base + 1;
-    Hashtbl.reset t.acked;
-    List.iter
-      (fun m ->
-        Hashtbl.replace t.acked m v.base;
-        Hashtbl.replace t.last_heard m (now t))
-      v.members
-  end;
-  emit t ~name:"view" (fun () ->
-      [
-        ("gname", Sim.Trace.Str t.gname);
-        ("instance", Sim.Trace.Int v.epoch.instance);
-        ("view", Sim.Trace.Int v.epoch.view);
-        ("sequencer", Sim.Trace.Int v.sequencer);
-        ("members", Sim.Trace.Str (String.concat "," (List.map string_of_int v.members)));
-      ])
-
-(* Run one input through [Reset.step] and carry out its actions ([patch]:
-   the packet's entries). The state lands after them, so an install delivers
-   before [Normal]; a [Normal] member joining a reset fails its sends. *)
-let rec feed ?(patch = []) t input =
-  let st, actions = Reset.step t.reset input in
-  List.iter (perform t ~patch) actions;
-  let was = status t in
-  t.reset <- st;
-  if was = Normal && st.status = Resetting then
-    fail_pending_sends t "reset in progress";
-  if st.status <> was then Sim.Condvar.broadcast t.changed
-
-and perform t ~patch action =
-  let instance = (epoch t).instance in
-  match action with
-  | Reset.Invite_all view ->
-      multicast t t.counters.c_reset (Wire.Reset_invite { instance; view })
-  | Send_state { coord; view; have } ->
-      unicast t ~dst:coord t.counters.c_reset
-        (Wire.Reset_state { instance; view; have_upto = have })
-  | Fetch { donor; from; upto } ->
-      unicast t ~dst:donor t.counters.c_reset (Wire.Reset_fetch { instance; from; upto })
-  | Take -> take t patch
-  | Arm delay ->
-      Option.iter Sim.Timer.cancel t.reset_timer;
-      t.reset_timer <-
-        Some
-          (Sim.Timer.after t.engine ~delay (fun () ->
-               Sim.Engine.attribute t.engine Tick "grp.reset";
-               t.reset_timer <- None;
-               feed t (Reset.Expired { contig = t.contig })))
-  | Send_commits ({ epoch; members; sequencer; base }, targets) ->
-      List.iter
-        (fun (m, have) ->
-          let patch = held_range t ~from:(have + 1) ~upto:base in
-          unicast t ~dst:m t.counters.c_reset
-            (Wire.Reset_commit { epoch; members; sequencer; base; patch }))
-        targets
-  | Install v -> install t ~patch v
-  | Failed ->
-      emit t ~name:"unsettled" (fun () -> [ ("gname", Sim.Trace.Str t.gname) ]);
-      Sim.Mailbox.send t.deliver_q (Failed "no view installed")
 
 (* One attempt, run by [Reset.step] from here on; then wait for a view
    until the wait rule's deadline, whose next [Failed] is the retry. *)
@@ -743,7 +737,7 @@ let handle_packet t (packet : Simnet.Packet.t) =
   | Wire.Hb_ack { epoch; have_upto } ->
       if epoch_matches t epoch && is_sequencer t then record_ack t ~member:src ~have_upto
   | Wire.Fail { epoch; reason } ->
-      if epoch_matches t epoch then declare_broken t ~notify_peers:false reason
+      feed t (Reset.Suspect { now = now t; epoch; reason; tell = false })
   | Wire.Join_req { uid } -> if is_sequencer t then handle_join_req t ~joiner:src ~uid
   | Wire.Join_grant { epoch; uid; members; base } -> (
       match t.join_collect with
@@ -782,8 +776,7 @@ let rec watch_members t = function
            | exception Not_found -> 0.0
          in
          if now t -. heard > t.config.fail_timeout then
-           declare_broken t ~notify_peers:true
-             (Printf.sprintf "member %d silent" m));
+           suspect t (Printf.sprintf "member %d silent" m));
       watch_members t rest
 
 (* One failure-detector tick: the sequencer heartbeats and watches
@@ -798,23 +791,21 @@ let fd_check t =
         watch_members t t.members
       end
       else if now t -. t.last_from_seq > t.config.fail_timeout then
-        declare_broken t ~notify_peers:true "sequencer silent"
+        suspect t "sequencer silent"
   | Broken | Resetting -> feed t (Reset.Tick { now = now t }) (* the wait rule *)
   | Idle | Left -> ()
 
 (* The failure detector is one periodic timer, parked in [t.fd_tick] so
    [halt_fd] can revoke it — also from inside a tick, when the tick
-   itself crashes the node (a fault filter on its heartbeat). A member
-   found [Left] after a tick stops, as a chain re-armed only while not
-   [Left] would. *)
+   itself crashes the node (a fault filter on its heartbeat). Every
+   departure halts it ([Reset.Halt]). *)
 let arm_fd t =
   t.fd_tick <-
     Some
       (Sim.Timer.every t.engine ~period:t.config.heartbeat_period (fun () ->
            Sim.Engine.attribute t.engine Tick
              (if t.sequencer = t.me then "grp.detector.seq" else "grp.detector.member");
-           fd_check t;
-           if status t = Left then halt_fd t))
+           fd_check t))
 
 let make ?(config = Types.default_config) net nic ~gname =
   let node = Simnet.Network.nic_node nic in
@@ -881,12 +872,7 @@ let make ?(config = Types.default_config) net nic ~gname =
 let create_group ?config net nic ~gname =
   let t = make ?config net nic ~gname in
   let epoch = { instance = fresh_instance t; view = 1; coord = t.me } in
-  t.reset <- { t.reset with status = Normal; epoch };
-  t.members <- [ t.me ];
-  t.sequencer <- t.me;
-  t.seq_next <- 1;
-  Hashtbl.replace t.acked t.me 0;
-  Hashtbl.replace t.last_heard t.me (Sim.Engine.now (Simnet.Network.engine net));
+  feed t (Reset.Adopt { epoch; members = [ t.me ]; sequencer = t.me; base = 0 });
   t
 
 (* Uids must be unique across member incarnations on the same node: the
@@ -920,19 +906,14 @@ let join_group ?config net nic ~gname =
   in
   match best with
   | None ->
-      t.reset <- { t.reset with status = Left };
-      halt_fd t;
+      feed t (Reset.Depart "no grant");
       raise (Join_failed (Printf.sprintf "%s: no grant received" gname))
   | Some (sequencer, members, base, epoch, _) ->
-      t.reset <- { t.reset with status = Normal; epoch };
-      t.members <-
-        (if List.mem t.me members then members
-         else List.sort compare (t.me :: members));
-      t.sequencer <- sequencer;
+      let members =
+        if List.mem t.me members then members else List.sort compare (t.me :: members)
+      in
       t.contig <- base;
-      t.highest_seen <- base;
-      t.seq_next <- base + 1;
-      t.last_from_seq <- Sim.Engine.now (Simnet.Network.engine net);
+      feed t (Reset.Adopt { epoch; members; sequencer; base });
       (* Replay data that raced the join. *)
       let stash = List.rev t.join_stash in
       t.join_stash <- [];
@@ -963,7 +944,7 @@ let send t payload =
     if status t <> Normal || Types.epoch_compare (epoch t) epoch0 <> 0 then
       raise (Group_failure "group changed during send");
     if n > t.config.send_retries then begin
-      declare_broken t ~notify_peers:true "send timed out";
+      suspect t "send timed out";
       raise (Group_failure "send timed out")
     end;
     let ivar = Sim.Ivar.create () in
@@ -1023,11 +1004,7 @@ let batch_timer_active t =
 
 let leave t =
   match status t with
-  | Left -> ()
-  | Idle | Broken | Resetting ->
-      t.reset <- { t.reset with status = Left };
-      halt_fd t;
-      Sim.Condvar.broadcast t.changed
+  | Idle | Broken | Resetting | Left -> feed t (Reset.Depart "left group")
   | Normal ->
       if t.sequencer = t.me then begin
         (* Drain pending resilience work, then order our own departure so
@@ -1043,6 +1020,4 @@ let leave t =
       (try
          Sim.Condvar.await ~timeout:send_timeout t.changed (fun () ->
              status t = Left)
-       with Sim.Proc.Timeout ->
-         t.reset <- { t.reset with status = Left };
-         halt_fd t)
+       with Sim.Proc.Timeout -> feed t (Reset.Depart "left group"))

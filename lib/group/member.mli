@@ -1,7 +1,8 @@
 (** A group member endpoint: Amoeba's Fig. 1 primitives.
 
     {ul
-    {- [create_group] / [join_group] — CreateGroup / JoinGroup}
+    {- [create_group] / [join_group] — CreateGroup / JoinGroup: the
+       member adopts its first view}
     {- [send] — SendToGroup: blocks until the message is held by r+1
        members (resilience degree r); raises {!Types.Group_failure} if
        the group breaks first}
@@ -18,6 +19,13 @@
     {- [leave] — LeaveGroup}
     {- [info] — GetInfoGroup}}
 
+    {b One writer.} A member's status and installed view change only
+    in {!Reset.step}: creating, joining, leaving, suspecting, failing
+    and resetting are its inputs, and the member carries out the
+    actions it returns. Every view is entered the same way, whether a
+    reset commits it, [create_group] makes it or a join grant names
+    it; only a reset's is traced as a [grp]/[view] event.
+
     {b Wait rule} ({!Reset.deadline}, on each detector tick). A member
     [Broken] or [Resetting] for longer than [2 * 15 ms + fail_timeout]
     (110 ms by default), counted from when it entered that status or
@@ -32,6 +40,8 @@
 
 type t
 
+(** [create_group net nic ~gname] starts a new instance of the group
+    with this member alone in view 1, sequencing from seqno 1. *)
 val create_group :
   ?config:Types.config ->
   Simnet.Network.t ->
@@ -40,8 +50,11 @@ val create_group :
   t
 
 (** [join_group net nic ~gname] broadcasts a join request, collects
-    grants for 5 ms, and adopts the largest granting group.
-    Raises {!Types.Join_failed} when nobody grants. *)
+    grants for 5 ms, and adopts the largest granting group (ties toward
+    the lowest sequencer): its view, with this member in it, from the
+    seqno its [Join_member] holds. Data of that view overheard while
+    joining is kept and replayed past that seqno. Raises
+    {!Types.Join_failed} when nobody grants, leaving the member [Left]. *)
 val join_group :
   ?config:Types.config ->
   Simnet.Network.t ->
@@ -62,6 +75,11 @@ val receive : ?timeout:float -> t -> int * Wire.entry
 
 val reset : t -> int
 
+(** LeaveGroup. A [Normal] member has its departure ordered (a
+    sequencer drains its pending sends first) and is [Left] when it
+    delivers its own [Leave_member], or after 60 ms without it; a member
+    in any other status is [Left] at once. Leaving fails the pending
+    sends and stops the failure detector. *)
 val leave : t -> unit
 
 val info : t -> Types.info

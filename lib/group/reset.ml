@@ -21,6 +21,9 @@ let init ~me ~fail_timeout =
 type view = { epoch : Types.epoch; members : int list; sequencer : int; base : int }
 
 type input =
+  | Adopt of view
+  | Suspect of { now : float; epoch : Types.epoch; reason : string; tell : bool }
+  | Depart of string
   | Start of { now : float; contig : int }
   | Invite of { instance : int; now : float; contig : int; view : int; coord : int }
   | State of { instance : int; view : int; member : int; have : int }
@@ -37,16 +40,25 @@ type action =
   | Arm of float
   | Send_commits of view * (int * int) list
   | Install of view
+  | Adopt_view of view
   | Failed
+  | Break of string
+  | Tell of string
+  | Fail_sends of string
+  | Halt
 
 let window = 15.0
 
 let deadline (st : state) = st.since +. (2.0 *. window) +. st.fail_timeout
 
 (* Join [coord]'s reset into [view], ours too: the wait rule's clock
-   restarts, and an attempt of our own is abandoned. *)
-let accept (st : state) ~now ~view ~coord =
-  { st with status = Resetting; seen = (view, coord); since = now; attempt = None }
+   restarts, and an attempt of our own is abandoned. A [Normal] member
+   fails its pending sends once the other actions are out. *)
+let accept (st : state) ~now ~view ~coord actions =
+  let actions =
+    if st.status = Normal then actions @ [ Fail_sends "reset in progress" ] else actions
+  in
+  ({ st with status = Resetting; seen = (view, coord); since = now; attempt = None }, actions)
 
 let install (st : state) epoch = { st with status = Normal; epoch; attempt = None }
 
@@ -62,21 +74,27 @@ let commit (st : state) states base =
 
 let step (st : state) input =
   match (input, st.attempt) with
-  | _ when st.status = Idle || st.status = Left -> (st, [])
+  | _ when st.status = Left -> (st, [])
+  | Adopt v, _ -> if st.status = Idle then (install st v.epoch, [ Adopt_view v ]) else (st, [])
+  | Depart reason, _ -> ({ st with status = Left; attempt = None }, [ Halt; Fail_sends reason ])
+  | _ when st.status = Idle -> (st, [])
+  (* Suspicion counts only against the installed view, and only once. *)
+  | Suspect { now; epoch; reason; tell }, _ when st.status = Normal && epoch = st.epoch ->
+      ( { st with status = Broken; since = now },
+        Break reason :: (if tell then [ Tell reason ] else []) )
   | (Invite { instance; _ } | State { instance; _ } | Entries { instance; _ }), _
   | Commit { view = { epoch = { instance; _ }; _ }; _ }, _
     when instance <> st.epoch.instance ->
       (st, [])
   | Start { now; contig }, _ ->
       let view = max st.epoch.view (fst st.seen) + 1 in
-      let st = accept st ~now ~view ~coord:st.me in
-      ( { st with attempt = Some (Collecting [ (st.me, contig) ]) },
-        [ Invite_all view; Arm window ] )
+      let st, actions = accept st ~now ~view ~coord:st.me [ Invite_all view; Arm window ] in
+      ({ st with attempt = Some (Collecting [ (st.me, contig) ]) }, actions)
   (* One coordinator per view number; a coordinator yields to a higher. *)
   | Invite { now; contig; view; coord; _ }, attempt
     when view > st.epoch.view && compare (view, coord) st.seen > 0
          && (view > fst st.seen || attempt <> None) ->
-      (accept st ~now ~view ~coord, [ Send_state { coord; view; have = contig } ])
+      accept st ~now ~view ~coord [ Send_state { coord; view; have = contig } ]
   | State { view; member; have; _ }, Some (Collecting states)
     when view = fst st.seen && not (List.mem_assoc member states) ->
       ({ st with attempt = Some (Collecting ((member, have) :: states)) }, [])

@@ -679,3 +679,48 @@ let suite =
       Alcotest.test_case "await_serving stops on the boundary past its deadline"
         `Quick test_await_serving_deadline;
     ]
+
+(* A create past the object table is refused with [Table_full] before
+   any replica applies it, so no replica fails persisting it: the run
+   goes on and the replicas converge. Three slots hold directories 0..2;
+   an RPC server mints ids from its half of the id space (server 1: 1,
+   then 3), so the pair refuses its second create. *)
+let test_table_full flavor ~created () =
+  let params = { Dirsvc.Params.default with admin_slots = 3 } in
+  let cluster = boot ~params flavor in
+  let outcomes =
+    Harness.on_client cluster (fun client ->
+        let caps = ref [] in
+        let outcomes =
+          List.init 5 (fun _ ->
+              match Dirsvc.Client.create_dir client ~columns:[ "owner" ] with
+              | cap ->
+                  caps := cap :: !caps;
+                  "ok"
+              | exception Dirsvc.Wire.Dir_error (Dirsvc.Wire.Op_error Dirsvc.Directory.Table_full)
+                ->
+                  "full")
+        in
+        let cap = List.hd (List.rev !caps) in
+        Dirsvc.Client.append_row client cap ~name:"after" [ cap ];
+        Alcotest.(check bool) "the row is there" true
+          (Dirsvc.Client.lookup client cap "after" <> None);
+        outcomes)
+  in
+  Alcotest.(check (list string)) "creates past the table are refused"
+    (List.init 5 (fun i -> if i < created then "ok" else "full"))
+    outcomes;
+  (* Long enough for every background apply and lazy replication. *)
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 5_000.0);
+  check_converged cluster
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "object table full: group/disk refuses the create" `Quick
+        (test_table_full C.Group_disk ~created:3);
+      Alcotest.test_case "object table full: group/nvram refuses the create" `Quick
+        (test_table_full C.Group_nvram ~created:3);
+      Alcotest.test_case "object table full: rpc pair refuses the create" `Quick
+        (test_table_full C.Rpc_pair ~created:1);
+    ]

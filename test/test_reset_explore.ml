@@ -34,7 +34,11 @@
 module R = Group.Reset
 open Group.Types
 
-type entry = { tag : int; uid : int }  (** ordered in view [tag] *)
+(* Ordered in view [tag]. A [Join_member] names its [joiner] (0 for an
+   application entry) and has uid [10 * sequencer + joiner]. *)
+type entry = { tag : int; uid : int; joiner : int }
+
+let name e = Printf.sprintf "%s%d" (if e.joiner > 0 then "j" else "e") e.uid
 
 type msg =
   | Data of { epoch : epoch; seqno : int; entry : entry }
@@ -44,15 +48,19 @@ type msg =
   | Fetch of { instance : int; from : int; upto : int }
   | Entries of { instance : int; entries : (int * entry) list }
   | Commit of { view : R.view; patch : (int * entry) list }
+  | Join_req
+  | Grant of { epoch : epoch; members : int list; base : int }
 
 let show_msg = function
-  | Data { seqno; entry; _ } -> Printf.sprintf "data %d = e%d" seqno entry.uid
+  | Data { seqno; entry; _ } -> Printf.sprintf "data %d = %s" seqno (name entry)
   | Fail { epoch } -> Printf.sprintf "fail v%d" epoch.view
   | Invite { view; _ } -> Printf.sprintf "invite v%d" view
   | State { view; have; _ } -> Printf.sprintf "state v%d have %d" view have
   | Fetch { from; upto; _ } -> Printf.sprintf "fetch %d..%d" from upto
   | Entries { entries; _ } -> Printf.sprintf "entries x%d" (List.length entries)
   | Commit { view; _ } -> Printf.sprintf "commit v%d base %d" view.epoch.view view.base
+  | Join_req -> "join"
+  | Grant { base; _ } -> Printf.sprintf "grant base %d" base
 
 type packet = { src : int; dst : int; msg : msg }
 
@@ -66,6 +74,13 @@ type member = {
   alive : bool;
   failed : bool;  (** holds a [Failed] *)
   armed : bool;  (** the reset timer *)
+  floor : int;
+      (** a joiner's base: the entries up to it come by the application's
+          state transfer, not by the group *)
+  joining : bool;  (** collecting grants *)
+  grants : (int * int list * int * epoch) list;
+      (** (sequencer, members, base, epoch), newest first *)
+  stash : (epoch * int * entry) list;  (** data overheard while joining *)
 }
 
 (* A view as its coordinator ([view.epoch.coord]) committed it, with the
@@ -80,10 +95,20 @@ type world = {
   ordered : int;
   starts : int;
   suspicions : int;
+  rejoins : int;
   views : committed list;
+  retired : (int * (int * entry) list) list;
+      (** the deliveries of each member's incarnation before a rejoin *)
 }
 
-type bounds = { losses : int; crashes : int; entries : int; starts : int; suspicions : int }
+type bounds = {
+  losses : int;
+  crashes : int;
+  entries : int;
+  starts : int;
+  suspicions : int;
+  rejoins : int;
+}
 
 type choice =
   | Deliver of (int * int * string)
@@ -94,6 +119,8 @@ type choice =
   | Start of int
   | Suspect of int
   | Order of int
+  | Rejoin of int
+  | Close_join of int
 
 let show_choice = function
   | Deliver (s, d, m) -> Printf.sprintf "Deliver (%d, %d, %S)" s d m
@@ -104,24 +131,36 @@ let show_choice = function
   | Start m -> Printf.sprintf "Start %d" m
   | Suspect m -> Printf.sprintf "Suspect %d" m
   | Order m -> Printf.sprintf "Order %d" m
+  | Rejoin m -> Printf.sprintf "Rejoin %d" m
+  | Close_join m -> Printf.sprintf "Close_join %d" m
 
 let ids = [ 1; 2; 3 ]
 
-(* One instance in view 1, member 1 sequencing, nothing ordered yet. *)
+(* A member as it boots, in no group. *)
+let fresh id =
+  {
+    st = R.init ~me:id ~fail_timeout:80.0;
+    store = [];
+    contig = 0;
+    log = [];
+    members = [];
+    sequencer = 0;
+    alive = true;
+    failed = false;
+    armed = false;
+    floor = 0;
+    joining = false;
+    grants = [];
+    stash = [];
+  }
+
+(* One instance in view 1, member 1 sequencing, nothing ordered yet:
+   every member has adopted the view its creator made. *)
 let initial =
-  let epoch = { instance = 1; view = 1; coord = 1 } in
+  let view = { R.epoch = { instance = 1; view = 1; coord = 1 }; members = ids; sequencer = 1; base = 0 } in
   let member id =
-    {
-      st = { (R.init ~me:id ~fail_timeout:80.0) with status = Normal; epoch };
-      store = [];
-      contig = 0;
-      log = [];
-      members = ids;
-      sequencer = 1;
-      alive = true;
-      failed = false;
-      armed = false;
-    }
+    let st, _ = R.step (fresh id).st (R.Adopt view) in
+    { (fresh id) with st; members = ids; sequencer = 1 }
   in
   {
     ms = Array.of_list (List.map member ids);
@@ -131,7 +170,9 @@ let initial =
     ordered = 0;
     starts = 0;
     suspicions = 0;
+    rejoins = 0;
     views = [];
+    retired = [];
   }
 
 exception Violation of string
@@ -140,10 +181,15 @@ let violation fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 
 let held m seqno = List.mem_assoc seqno m.store
 
-(* Deliver what became contiguous. *)
+(* Deliver what became contiguous; a [Join_member] adds its joiner. *)
 let rec advance m =
   match List.assoc_opt (m.contig + 1) m.store with
-  | Some e -> advance { m with contig = m.contig + 1; log = m.log @ [ (m.contig + 1, e) ] }
+  | Some e ->
+      let members =
+        if e.joiner = 0 || List.mem e.joiner m.members then m.members
+        else List.sort compare (e.joiner :: m.members)
+      in
+      advance { m with contig = m.contig + 1; log = m.log @ [ (m.contig + 1, e) ]; members }
   | None -> m
 
 (* Store what is not held yet, without delivering it. *)
@@ -166,17 +212,31 @@ let set w id m =
 let send w ~src ~dst msg =
   if w.ms.(dst - 1).alive then { w with flight = { src; dst; msg } :: w.flight } else w
 
-let describe (s, e) = Printf.sprintf "e%d (view %d) at %d" e.uid e.tag s
+let describe (s, e) = Printf.sprintf "%s (view %d) at %d" (name e) e.tag s
 
-(* Member [id] installs [v], as [Member] does, checking that one epoch
-   names one view (every member installs the view its coordinator
-   committed), that no two views of one number share a member, that
-   the member has delivered nothing past the base (the new sequencer
-   reuses those seqnos), and that it then holds every entry the members
-   the view was built from had delivered when they answered (uniform
-   agreement across the reset). *)
-let install w id c ~patch =
+(* Member [id] enters view [v] (a reset's commit, or the grant it
+   joins by), as [Member.install] does, after checking that it has
+   delivered nothing past the base (the new sequencer reuses those
+   seqnos). *)
+let enter w id (v : R.view) ~patch =
   let m = w.ms.(id - 1) in
+  List.iter
+    (fun (s, e) ->
+      if s > v.base then
+        violation "member %d installs view %d at base %d but delivered %s at %d" id
+          v.epoch.view v.base (name e) s)
+    m.log;
+  let m = take m patch in
+  let m = advance { m with store = List.filter (fun (s, _) -> s <= v.base) m.store } in
+  set w id { m with members = v.members; sequencer = v.sequencer; armed = false; failed = false }
+
+(* Member [id] installs a reset's commit, checking that one epoch names
+   one view (every member installs the view its coordinator committed),
+   that no two views of one number share a member, and that the member
+   then holds every entry the members the view was built from had
+   delivered when they answered (uniform agreement across the reset; a
+   joiner, only those past its base). *)
+let install w id c ~patch =
   let v = c.view in
   let c =
     match List.find_opt (fun c' -> c'.view.epoch = v.epoch) w.views with
@@ -195,27 +255,19 @@ let install w id c ~patch =
         violation "views %d of coordinators %d and %d share a member" v.epoch.view
           v.epoch.coord v'.epoch.coord)
     w.views;
-  List.iter
-    (fun (s, e) ->
-      if s > v.base then
-        violation "member %d installs view %d at base %d but delivered e%d at %d" id
-          v.epoch.view v.base e.uid s)
-    m.log;
-  let m = take m patch in
-  let m = advance { m with store = List.filter (fun (s, _) -> s <= v.base) m.store } in
+  let w = enter w id v ~patch in
+  let m = w.ms.(id - 1) in
   let required =
     List.sort_uniq compare
       (List.concat_map
-         (fun (x, have) -> List.filter (fun (s, _) -> s <= have) w.ms.(x - 1).log)
+         (fun (x, have) ->
+           List.filter (fun (s, _) -> s <= have && s > m.floor) w.ms.(x - 1).log)
          c.states)
   in
   (match Harness.check_agreement ~describe ~required [ (id, m.log) ] with
   | [] -> ()
   | problem :: _ ->
       violation "installing view %d (instance %d): %s" v.epoch.view v.epoch.instance problem);
-  let w =
-    set w id { m with members = v.members; sequencer = v.sequencer; armed = false; failed = false }
-  in
   if v.epoch.coord = id then { w with views = c :: w.views } else w
 
 (* Feed [input] to member [id]'s [step] and carry out its actions, as
@@ -254,30 +306,29 @@ let feed w id ?(patch = []) input =
               send w ~src:id ~dst (Commit { view; patch }))
             w targets
       | Install view -> install w id { view; states } ~patch
-      | Failed -> set w id { (w.ms.(id - 1)) with failed = true }
+      | Failed | Break _ -> set w id { (w.ms.(id - 1)) with failed = true }
+      | Tell _ ->
+          List.fold_left
+            (fun w dst ->
+              if dst = id then w else send w ~src:id ~dst (Fail { epoch = m.st.epoch }))
+            w ids
+      | Adopt_view view -> enter w id view ~patch
+      | Fail_sends _ | Halt -> w
     in
     let w = List.fold_left act w actions in
     Some (set w id { (w.ms.(id - 1)) with st })
 
 let feed_or_same w id ?patch input = Option.value ~default:w (feed w id ?patch input)
 
-(* The failure detector's verdict at a [Normal] member, as
-   [declare_broken]: the member queues a failure and tells the others. *)
-let break w id =
-  let m = w.ms.(id - 1) in
-  let w = set w id { m with st = { m.st with status = Broken; since = 0.0 }; failed = true } in
-  List.fold_left
-    (fun w dst -> if dst = id then w else send w ~src:id ~dst (Fail { epoch = m.st.epoch }))
-    w ids
-
 (* A packet reaching its destination. *)
 let arrive w { src; dst; msg } =
   let m = w.ms.(dst - 1) in
   match msg with
-  | Fail { epoch } -> if m.st.status = Normal && epoch = m.st.epoch then break w dst else w
+  | Fail { epoch } -> feed_or_same w dst (R.Suspect { now = 0.0; epoch; reason = "fail"; tell = false })
   | Data { epoch; seqno; entry } ->
       if m.st.status = Normal && epoch = m.st.epoch then
         set w dst (advance (take m [ (seqno, entry) ]))
+      else if m.joining then set w dst { m with stash = (epoch, seqno, entry) :: m.stash }
       else w
   | Invite { instance; view; coord } ->
       feed_or_same w dst (R.Invite { instance; now = 0.0; contig = m.contig; view; coord })
@@ -292,6 +343,54 @@ let arrive w { src; dst; msg } =
         (R.Entries { instance; src; reach = reach m entries })
   | Commit { view; patch } ->
       feed_or_same w dst ~patch (R.Commit { coord = src; view; reach = reach m patch })
+  | Join_req ->
+      (* A [Normal] sequencer orders the joiner's [Join_member], alone,
+         and grants it the view with the entry's seqno as its base. *)
+      if m.st.status = Normal && m.sequencer = dst then
+        let seqno = m.contig + 1 in
+        let entry = { tag = m.st.epoch.view; uid = (10 * dst) + src; joiner = src } in
+        let m = advance (take m [ (seqno, entry) ]) in
+        let w =
+          List.fold_left
+            (fun w o ->
+              if o = dst then w else send w ~src:dst ~dst:o (Data { epoch = m.st.epoch; seqno; entry }))
+            (set w dst m) ids
+        in
+        send w ~src:dst ~dst:src (Grant { epoch = m.st.epoch; members = m.members; base = seqno })
+      else w
+  | Grant { epoch; members; base } ->
+      if m.joining then set w dst { m with grants = (src, members, base, epoch) :: m.grants }
+      else w
+
+(* The join window closes at member [id], as in [Member.join_group]:
+   it adopts the largest granting group (ties toward the lowest
+   sequencer) at the grant's base, then replays what it overheard of
+   that view past the base; with no grant it departs. *)
+let close_join w id =
+  let m = w.ms.(id - 1) in
+  let w = set w id { m with joining = false; grants = []; stash = [] } in
+  let best =
+    List.fold_left
+      (fun acc ((_, members, _, _) as grant) ->
+        match acc with
+        | None -> Some grant
+        | Some (seq', members', _, _) ->
+            let cmp = compare (List.length members) (List.length members') in
+            if cmp > 0 || (cmp = 0 && List.hd members < seq') then Some grant else acc)
+      None m.grants
+  in
+  match best with
+  | None -> feed_or_same w id (R.Depart "no grant")
+  | Some (sequencer, members, base, epoch) ->
+      let members = if List.mem id members then members else List.sort compare (id :: members) in
+      let w = set w id { (w.ms.(id - 1)) with contig = base; floor = base } in
+      let w = feed_or_same w id (R.Adopt { epoch; members; sequencer; base }) in
+      let overheard =
+        List.filter_map
+          (fun (e, s, entry) -> if e = epoch && s > base then Some (s, entry) else None)
+          (List.rev m.stash)
+      in
+      set w id (advance (take w.ms.(id - 1) overheard))
 
 let rec remove p = function [] -> [] | q :: rest -> if q = p then rest else q :: remove p rest
 
@@ -318,11 +417,21 @@ let successors (b : bounds) w =
   let per_member id =
     let m = w.ms.(id - 1) in
     let when_ cond c f = if cond then [ (c, f) ] else [] in
-    if not m.alive then []
+    if not m.alive then
+      (* A crashed member restarts as a fresh incarnation and asks to join. *)
+      when_ (w.rejoins < b.rejoins) (Rejoin id) (fun () ->
+          let w =
+            { w with rejoins = w.rejoins + 1; retired = (id, m.log) :: w.retired }
+          in
+          List.fold_left
+            (fun w dst -> if dst = id then w else send w ~src:id ~dst Join_req)
+            (set w id { (fresh id) with joining = true })
+            ids)
     else
       when_ (w.crashes < b.crashes) (Crash id) (fun () ->
           let w = set w id { m with alive = false; armed = false } in
           { w with crashes = w.crashes + 1; flight = List.filter (fun p -> p.dst <> id) w.flight })
+      @ when_ m.joining (Close_join id) (fun () -> close_join w id)
       @ when_ m.armed (Fire id) (fun () ->
             feed_or_same (set w id { m with armed = false }) id (R.Expired { contig = m.contig }))
       @ (match
@@ -335,13 +444,15 @@ let successors (b : bounds) w =
             let w = { (set w id { m with failed = false }) with starts = w.starts + 1 } in
             feed_or_same w id (R.Start { now = 0.0; contig = m.contig }))
       @ when_ (m.st.status = Normal && w.suspicions < b.suspicions) (Suspect id) (fun () ->
-            break { w with suspicions = w.suspicions + 1 } id)
+            let w = { w with suspicions = w.suspicions + 1 } in
+            feed_or_same w id
+              (R.Suspect { now = 0.0; epoch = m.st.epoch; reason = "suspect"; tell = true }))
       @ when_
           (m.st.status = Normal && m.sequencer = id && w.ordered < b.entries)
           (Order id)
           (fun () ->
             let seqno = m.contig + 1 in
-            let entry = { tag = m.st.epoch.view; uid = w.ordered + 1 } in
+            let entry = { tag = m.st.epoch.view; uid = w.ordered + 1; joiner = 0 } in
             let w = set w id (advance (take m [ (seqno, entry) ])) in
             let w =
               List.fold_left
@@ -360,14 +471,18 @@ let successors (b : bounds) w =
 
 (* At a dead end: every member's deliveries in order, and liveness. *)
 let check_end w =
-  let logs = List.map (fun id -> (id, List.map snd w.ms.(id - 1).log)) ids in
-  (match Harness.check_order ~describe:(fun e -> Printf.sprintf "e%d" e.uid) logs with
+  (* Member [10 + x] is member [x] before its rejoin. *)
+  let logs =
+    List.map (fun id -> (id, List.map snd w.ms.(id - 1).log)) ids
+    @ List.map (fun (id, log) -> (10 + id, List.map snd log)) w.retired
+  in
+  (match Harness.check_order ~describe:name logs with
   | [] -> ()
   | problem :: _ -> violation "%s" problem);
   List.iter
     (fun id ->
       let m = w.ms.(id - 1) in
-      if m.alive && m.st.status <> Normal && not m.failed then
+      if m.alive && m.st.status <> Normal && m.st.status <> Left && not m.failed then
         violation "member %d is stuck %s with no view and no failure" id
           (status_to_string m.st.status))
     ids
@@ -377,9 +492,10 @@ let check_end w =
    that), so a packet one of them has passed is a no-op from then on and
    is dropped at once, once its delivery now is seen to be one. This
    relies on nothing else [step] guards. *)
-(* Data and failures count only in the member's view, once [Normal]. *)
+(* Data and failures count only in the member's view, once [Normal];
+   a joiner keeps data. *)
 let may_count m epoch =
-  (m.st.status = Normal && epoch = m.st.epoch) || epoch.view > m.st.epoch.view
+  (m.st.status = Normal && epoch = m.st.epoch) || epoch.view > m.st.epoch.view || m.joining
 
 let may_act w p =
   let m = w.ms.(p.dst - 1) in
@@ -393,7 +509,8 @@ let may_act w p =
       | Some (R.Collecting states) -> view = fst st.seen && not (List.mem_assoc member states)
       | _ -> false)
   | Commit { view; _ } -> view.epoch.view > st.epoch.view
-  | Fetch _ | Entries _ -> true
+  | Grant _ -> m.joining
+  | Fetch _ | Entries _ | Join_req -> true
 
 let live w p =
   may_act w p
@@ -452,9 +569,11 @@ let run b () =
 
 (* [dune runtest]'s bound, and the two wider ones of [dune build
    @crash-slow]: faults, and a third [Start]. *)
-let small = { losses = 0; crashes = 0; entries = 1; starts = 2; suspicions = 1 }
+let small = { losses = 0; crashes = 0; entries = 1; starts = 2; suspicions = 1; rejoins = 0 }
 
-let large = { losses = 2; crashes = 2; entries = 1; starts = 2; suspicions = 1 }
+let large = { small with losses = 2; crashes = 2 }
+
+let rejoin = { small with crashes = 1; rejoins = 1; starts = 1 }
 
 let deep = { small with starts = 3 }
 
@@ -482,6 +601,29 @@ let test_lineage_merge () =
       Alcotest.(check string) "violation"
         "installing view 3 (instance 1): member 1 lacks e2 (view 2) at 1" msg
 
+(* Past the rejoin bound, with a second [Start], a rejoin reaches the
+   same merge with no application entry at all: a [Join_member] is an
+   ordered entry too. Member 2's join request is granted by sequencer 1
+   (j12 at 1) and, late, by member 3, which has meanwhile committed a
+   view 2 alone (j32 at 1); member 1's reset then takes both in. This
+   pins the finding until the reset state carries the lineage. *)
+let rejoin_merge =
+  [
+    Crash 2; Rejoin 2; Deliver (2, 1, "join"); Deliver (1, 2, "data 1 = j12");
+    Deliver (1, 2, "grant base 1"); Suspect 1; Deliver (1, 2, "fail v1"); Deliver (1, 3, "fail v1");
+    Close_join 2; Start 3; Deliver (3, 1, "invite v2"); Deliver (3, 2, "invite v2"); Start 1;
+    Deliver (1, 2, "invite v3"); Deliver (2, 1, "state v3 have 1"); Fire 3; Deliver (2, 3, "join");
+    Deliver (1, 3, "invite v3"); Deliver (3, 1, "state v3 have 1"); Fire 1;
+  ]
+
+let test_rejoin_merge () =
+  let b = { rejoin with starts = 2; entries = 0 } in
+  match replay b rejoin_merge with
+  | _ -> Alcotest.fail "the known rejoin merge no longer diverges: widen the rejoin bound"
+  | exception Violation msg ->
+      Alcotest.(check string) "violation"
+        "installing view 3 (instance 1): member 1 lacks j32 (view 2) at 1" msg
+
 (* The broadcast predicates the crash sweep shares catch what they check. *)
 let test_predicates () =
   let describe = string_of_int in
@@ -503,6 +645,7 @@ let slow_suite =
   [
     Alcotest.test_case "every interleaving, large bound" `Quick (run large);
     Alcotest.test_case "every interleaving, three starts" `Quick (run deep);
+    Alcotest.test_case "every interleaving, one crashed member rejoins" `Quick (run rejoin);
   ]
 
 (* Two coordinators that never hear each other each commit a view 2:
@@ -534,4 +677,5 @@ let suite =
   @ [
       Alcotest.test_case "two views of one number: one's data is refused by the other"
         `Quick test_split_views;
+      Alcotest.test_case "a rejoin: the known lineage merge replays" `Quick test_rejoin_merge;
     ]
