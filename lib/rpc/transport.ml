@@ -246,7 +246,7 @@ let enquire t xid =
       call.unanswered <- call.unanswered + 1;
       send t ~dst:call.server (Wire.Enquiry { xid })
 
-let trans t ~port ?(size = 128) body =
+let trans t ~port body =
   let started = Sim.Engine.now (engine t) in
   let rec attempt n =
     if n > t.max_attempts then
@@ -260,10 +260,8 @@ let trans t ~port ?(size = 128) body =
             ("xid", Sim.Trace.Int xid);
             ("server", Sim.Trace.Int server);
             ("attempt", Sim.Trace.Int n);
-            ("size", Sim.Trace.Int size);
           ]);
-    Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto ~size
-      (Wire.Request { port; xid; body });
+    Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto (Wire.Request { port; xid; body });
     let call =
       {
         xid;

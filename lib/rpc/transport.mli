@@ -67,8 +67,7 @@ val stop_serving : t -> port:string -> unit
     within 200 ms costs no enquiry, so an RPC stays 3 packets. Raises
     {!Rpc_failure} when the service is unreachable. Must run inside a
     fiber on the transport's node. *)
-val trans :
-  t -> port:string -> ?size:int -> Simnet.Payload.t -> Simnet.Payload.t
+val trans : t -> port:string -> Simnet.Payload.t -> Simnet.Payload.t
 
 (** The cached server list for [port], in first-replied-first order
     (tests observe the balancing behaviour through this). *)

@@ -34,7 +34,7 @@ type slot = {
 }
 
 let no_packet =
-  { Packet.src = -1; dst = Multicast; proto = ""; payload = Payload.Opaque ""; size = 0 }
+  { Packet.src = -1; dst = Multicast; proto = ""; payload = Payload.Opaque "" }
 
 type t = {
   engine : Sim.Engine.t;
@@ -286,7 +286,6 @@ let send_unicast t packet dst =
         [
           ("dst", Sim.Trace.Int dst);
           ("proto", Sim.Trace.Str packet.proto);
-          ("size", Sim.Trace.Int packet.size);
           ("payload", Sim.Trace.Str (Payload.to_string packet.payload));
         ]);
   count_packet t packet.proto;
@@ -301,7 +300,6 @@ let send_multicast t packet =
     Sim.Engine.emit t.engine ~subsystem:"net" ~node:src ~name:"mcast" (fun () ->
         [
           ("proto", Sim.Trace.Str proto);
-          ("size", Sim.Trace.Int packet.size);
           ("payload", Sim.Trace.Str (Payload.to_string packet.payload));
         ]);
   (* Ethernet multicast: one packet on the wire regardless of the
@@ -335,11 +333,8 @@ let send_packet t nic packet =
     | Unicast dst -> send_unicast t packet dst
     | Multicast -> send_multicast t packet
 
-let packet nic ~dst ~proto ?(size = 64) payload =
-  { Packet.src = Sim.Node.id nic.node; dst; proto; payload; size }
+let packet nic ~dst ~proto payload = { Packet.src = Sim.Node.id nic.node; dst; proto; payload }
 
-let send t nic ~dst ~proto ?size payload =
-  send_packet t nic (packet nic ~dst:(Unicast dst) ~proto ?size payload)
+let send t nic ~dst ~proto payload = send_packet t nic (packet nic ~dst:(Unicast dst) ~proto payload)
 
-let multicast t nic ~proto ?size payload =
-  send_packet t nic (packet nic ~dst:Multicast ~proto ?size payload)
+let multicast t nic ~proto payload = send_packet t nic (packet nic ~dst:Multicast ~proto payload)

@@ -77,9 +77,8 @@ val socket : nic -> proto:string -> Packet.t Sim.Mailbox.t
 val set_multicast_interest : nic -> proto:string -> bool -> unit
 
 (** [packet nic ~dst ~proto payload] builds the packet [nic]'s node
-    would send; [size] (bytes, for statistics) defaults to 64. *)
-val packet :
-  nic -> dst:Packet.dst -> proto:string -> ?size:int -> Payload.t -> Packet.t
+    would send. *)
+val packet : nic -> dst:Packet.dst -> proto:string -> Payload.t -> Packet.t
 
 (** [send_packet net nic packet] transmits a packet built by {!packet}
     for [nic]: a unicast as {!send} does, a multicast as {!multicast}
@@ -99,12 +98,12 @@ val send_packet : t -> nic -> Packet.t -> unit
     silently dropped when src and dst are in different partition cells,
     when the loss process fires, or when the destination has no live NIC
     or no [proto] listener at delivery time. *)
-val send : t -> nic -> dst:int -> proto:string -> ?size:int -> Payload.t -> unit
+val send : t -> nic -> dst:int -> proto:string -> Payload.t -> unit
 
 (** [multicast net nic ~proto payload] delivers one packet to every node
     in the sender's partition cell that listens to [proto] — including
     the sender itself. *)
-val multicast : t -> nic -> proto:string -> ?size:int -> Payload.t -> unit
+val multicast : t -> nic -> proto:string -> Payload.t -> unit
 
 (** Partition control. [set_partitions net cells] installs clean cells,
     e.g. [[ [1;2]; [3] ]]. Nodes not listed are unreachable by and from

@@ -5,5 +5,4 @@ type t = {
   dst : dst;
   proto : string;
   payload : Payload.t;
-  size : int;
 }

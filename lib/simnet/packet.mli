@@ -7,5 +7,4 @@ type t = {
   dst : dst;
   proto : string;  (** selects the receiving handler, e.g. ["rpc"] *)
   payload : Payload.t;
-  size : int;  (** bytes, for statistics only *)
 }

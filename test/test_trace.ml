@@ -201,7 +201,7 @@ let test_scaled_digest_golden () =
   in
   let engine = Dirsvc.Cluster.engine cluster in
   Alcotest.(check string) "pinned trace digest"
-    "ac1f21fc61ef82ebf30df3d7a06f904e"
+    "c60dd85bef5a9a42018253e1b9307c07"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
   Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
   Alcotest.(check int) "pinned event count" 7_330
