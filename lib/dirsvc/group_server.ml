@@ -251,11 +251,12 @@ let flush t =
 let execute_op t ~origin ~uid op =
   let useq' = t.useq + 1 in
   let dir_id = Directory.dir_id_of_op t.store op in
+  let applied =
+    if Dir_image.admits t.image op dir_id then Directory.apply t.store ~seqno:useq' op
+    else Error Directory.Table_full
+  in
   Dir_front.write_reply ~port:t.port op
-    (match
-       if Dir_image.admits t.image op dir_id then Directory.apply t.store ~seqno:useq' op
-       else Error Directory.Table_full
-     with
+    (match applied with
     | Ok (store', result) ->
         t.useq <- useq';
         t.store <- store';

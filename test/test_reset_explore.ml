@@ -1,17 +1,19 @@
-(* Exhaustive small-scope check of ResetGroup ([Group.Reset.step]) for
-   three members, without the simulator: no clock, only the order of
-   inputs. Each member is its reset state, its store of ordered entries
-   and its contiguous prefix; an entry is named by the view that
-   ordered it and a unique id. The model carries out [step]'s actions
-   as [Member] does. From every global state the explorer
-   branches on every enabled choice:
+(* Exhaustive small-scope check of group membership ([Group.Reset.step]:
+   ResetGroup, suspicion, join) for three members, without the
+   simulator: no clock, only the order of inputs. Each member is its
+   membership state, its store of ordered entries and its contiguous
+   prefix; an entry is named by the view that ordered it and a unique
+   id. The model carries out [step]'s actions as [Member] does. From
+   every global state the explorer branches on every enabled choice:
    - deliver any packet in flight, or lose it (a bounded number);
    - crash a member (bounded);
    - fire a member's armed reset timer;
    - fire the wait rule at a member outside [Normal];
    - [Start] a member that holds a failure (bounded);
    - suspect a [Normal] member, as its failure detector may at any time;
-   - have a [Normal] sequencer order one new entry (bounded).
+   - have a [Normal] sequencer order one new entry (bounded);
+   - restart a crashed member, which asks to join (bounded);
+   - close a joiner's grant window.
    Time enters in one place: a member's wait rule cannot fire while the
    coordinator it answered still has its own timer armed (the rule
    waits two windows longer than any attempt). Visited states are
@@ -25,9 +27,11 @@
    - a member that installs a view then holds every entry the members
      the view was built from had delivered when they answered
      (uniform agreement across the reset);
-   - integrity and total order of every member's deliveries;
-   - at a dead end, every live member outside [Normal] holds a failure
-     (liveness without clocks: its owner resets again).
+   - integrity and total order of every member's deliveries, a
+     rejoined member's before its crash included;
+   - at a dead end, every live member outside [Normal] and [Left]
+     holds a failure (liveness without clocks: its owner resets
+     again).
    A violation prints the choices that lead to it as a list for
    [replay]. *)
 
@@ -152,27 +156,6 @@ let fresh id =
     joining = false;
     grants = [];
     stash = [];
-  }
-
-(* One instance in view 1, member 1 sequencing, nothing ordered yet:
-   every member has adopted the view its creator made. *)
-let initial =
-  let view = { R.epoch = { instance = 1; view = 1; coord = 1 }; members = ids; sequencer = 1; base = 0 } in
-  let member id =
-    let st, _ = R.step (fresh id).st (R.Adopt view) in
-    { (fresh id) with st; members = ids; sequencer = 1 }
-  in
-  {
-    ms = Array.of_list (List.map member ids);
-    flight = [];
-    losses = 0;
-    crashes = 0;
-    ordered = 0;
-    starts = 0;
-    suspicions = 0;
-    rejoins = 0;
-    views = [];
-    retired = [];
   }
 
 exception Violation of string
@@ -320,11 +303,32 @@ let feed w id ?(patch = []) input =
 
 let feed_or_same w id ?patch input = Option.value ~default:w (feed w id ?patch input)
 
+(* One instance in view 1, member 1 sequencing, nothing ordered yet:
+   every member adopts the view its creator made. *)
+let initial =
+  let view = { R.epoch = { instance = 1; view = 1; coord = 1 }; members = ids; sequencer = 1; base = 0 } in
+  let booted =
+    {
+      ms = Array.of_list (List.map fresh ids);
+      flight = [];
+      losses = 0;
+      crashes = 0;
+      ordered = 0;
+      starts = 0;
+      suspicions = 0;
+      rejoins = 0;
+      views = [];
+      retired = [];
+    }
+  in
+  List.fold_left (fun w id -> feed_or_same w id (R.Adopt view)) booted ids
+
 (* A packet reaching its destination. *)
 let arrive w { src; dst; msg } =
   let m = w.ms.(dst - 1) in
   match msg with
-  | Fail { epoch } -> feed_or_same w dst (R.Suspect { now = 0.0; epoch; reason = "fail"; tell = false })
+  | Fail { epoch } ->
+      feed_or_same w dst (R.Suspect { now = 0.0; epoch; reason = "fail"; tell = false })
   | Data { epoch; seqno; entry } ->
       if m.st.status = Normal && epoch = m.st.epoch then
         set w dst (advance (take m [ (seqno, entry) ]))
