@@ -6,9 +6,10 @@ type t = {
   bullet_port : string;
   table : Storage.Object_table.t;
   slots : int;
-  mutable files : Capability.t Directory.Store.t;
-      (* dir -> Bullet file currently holding it (in-core copy of the
-         object table's capabilities, for retiring old versions) *)
+  files : Capability.t option array;
+      (* dir id -> Bullet file currently holding it (in-core copy of
+         the object table's capabilities, for retiring old versions);
+         ids are bounded by the table's slots *)
   mutable retirer : (int * Capability.t Sim.Mailbox.t) option;
       (* the node incarnation whose retiring fiber drains this queue *)
 }
@@ -19,7 +20,7 @@ let attach transport ~bullet_port ~device ~slots =
     bullet_port;
     table = Storage.Object_table.attach device ~first_block:1 ~slots;
     slots;
-    files = Directory.Store.empty;
+    files = Array.make slots None;
     retirer = None;
   }
 
@@ -45,7 +46,7 @@ let delete_file t cap =
    fiber per node incarnation deletes the retired files in turn. The
    first retire spawns it with that file in hand, later ones queue for
    it, and it dies with its incarnation. *)
-let retire t cap =
+let retire_file t cap =
   let incarnation = Sim.Node.incarnation (Sim.Proc.node ()) in
   match t.retirer with
   | Some (i, queue) when i = incarnation -> Sim.Mailbox.send queue cap
@@ -61,7 +62,7 @@ let retire t cap =
 let admits t op dir_id =
   match op with Directory.Create_dir _ -> dir_id < t.slots | _ -> true
 
-let persist t ~deleted store dir_id =
+let persist t store dir_id =
   let file =
     match Directory.Store.find_opt dir_id store with
     | Some dir ->
@@ -71,12 +72,13 @@ let persist t ~deleted store dir_id =
         Some cap
     | None ->
         Storage.Object_table.clear_entry t.table ~dir_id;
-        deleted ();
         None
   in
-  let old = Directory.Store.find_opt dir_id t.files in
-  t.files <- Directory.Store.update dir_id (fun _ -> file) t.files;
-  Option.iter (retire t) old
+  let replaced = t.files.(dir_id) in
+  t.files.(dir_id) <- file;
+  replaced
+
+let retire t = function Some cap -> retire_file t cap | None -> ()
 
 let load t ~lost =
   List.fold_left
@@ -84,7 +86,7 @@ let load t ~lost =
       match Storage.Bullet.read t.transport ~port:t.bullet_port file_cap with
       | data ->
           let dir = Directory.decode_dir data in
-          t.files <- Directory.Store.add dir_id file_cap t.files;
+          t.files.(dir_id) <- Some file_cap;
           Directory.Store.add dir_id dir store
       | exception (Storage.Bullet.Error _ | Rpc.Transport.Rpc_failure _) ->
           lost dir_id;

@@ -25,13 +25,16 @@ val attach :
     it alike. *)
 val admits : t -> Directory.op -> Directory.dir_id -> bool
 
-(** [persist t ~deleted store dir_id] makes [dir_id]'s state in [store]
-    the stable copy: a new Bullet file, then the object-table entry,
-    then the old file is retired. A directory absent from [store] has
-    its entry cleared, then [deleted ()] runs, then its file is
-    retired. *)
-val persist :
-  t -> deleted:(unit -> unit) -> Directory.store -> Directory.dir_id -> unit
+(** [persist t store dir_id] makes [dir_id]'s state in [store] the
+    stable copy: a new Bullet file, then the object-table entry. A
+    directory absent from [store] has its entry cleared instead. Returns
+    the file the write replaced, for [retire] once the caller has made
+    the rest of the update durable (a deletion's commit-block write). *)
+val persist : t -> Directory.store -> Directory.dir_id -> Capability.t option
+
+(** [retire t file] hands a replaced file, if any, to the retiring
+    fiber, which deletes it off the critical path. *)
+val retire : t -> Capability.t option -> unit
 
 (** [load t ~lost] reads every directory the object table names, at
     boot. A file that cannot be read is skipped and reported to

@@ -77,10 +77,29 @@ let lowest_free_id store =
   let rec go i = if Store.mem i store then go (i + 1) else i in
   go 0
 
-let pad_to n filler list =
-  let len = List.length list in
-  if len > n then None
-  else Some (Array.init n (fun i -> if i < len then List.nth list i else filler))
+(* The padding of a row's capabilities: one constant, not one per row. *)
+let null_cap = Capability.owner ~port:"" ~obj:0 0L
+
+let rec fill padded i = function
+  | [] -> Some padded
+  | x :: rest ->
+      if i = Array.length padded then None
+      else begin
+        padded.(i) <- x;
+        fill padded (i + 1) rest
+      end
+
+let pad_to n filler list = fill (Array.make n filler) 0 list
+
+let rec has_row name = function
+  | [] -> false
+  | r :: rest -> String.equal r.name name || has_row name rest
+
+let rec without_row name = function
+  | [] -> []
+  | r :: rest ->
+      if String.equal r.name name then without_row name rest
+      else r :: without_row name rest
 
 let ( let* ) = Result.bind
 
@@ -110,13 +129,9 @@ let apply store ~seqno op =
   | Append_row { cap; name; caps; masks } ->
       let* dir = authorise store cap ~need:right_modify in
       if name = "" then Error (Bad_request "empty name")
-      else if List.exists (fun r -> r.name = name) dir.rows then
-        Error Already_exists
+      else if has_row name dir.rows then Error Already_exists
       else begin
         let ncols = Array.length dir.columns in
-        let null_cap =
-          Capability.owner ~port:"" ~obj:0 0L
-        in
         match (pad_to ncols null_cap caps, pad_to ncols Capability.all_rights masks) with
         | Some caps, Some masks ->
             let row = { name; caps; masks } in
@@ -132,7 +147,7 @@ let apply store ~seqno op =
         | Some m -> Ok m
         | None -> Error (Bad_request "more masks than columns")
       in
-      if List.exists (fun r -> r.name = name) dir.rows then begin
+      if has_row name dir.rows then begin
         let rows =
           List.map (fun r -> if r.name = name then { r with masks } else r) dir.rows
         in
@@ -141,8 +156,8 @@ let apply store ~seqno op =
       else Error Not_found
   | Delete_row { cap; name } ->
       let* dir = authorise store cap ~need:right_modify in
-      if List.exists (fun r -> r.name = name) dir.rows then begin
-        let rows = List.filter (fun r -> r.name <> name) dir.rows in
+      if has_row name dir.rows then begin
+        let rows = without_row name dir.rows in
         Ok (Store.add cap.obj { dir with rows; seqno } store, Updated)
       end
       else Error Not_found
@@ -151,7 +166,7 @@ let apply store ~seqno op =
       let ncols = Array.length dir.columns in
       let missing =
         List.find_opt
-          (fun (name, _) -> not (List.exists (fun r -> r.name = name) dir.rows))
+          (fun (name, _) -> not (has_row name dir.rows))
           replacements
       in
       let oversized =
@@ -162,7 +177,6 @@ let apply store ~seqno op =
       | None, Some (name, _) ->
           Error (Bad_request ("too many capabilities for row " ^ name))
       | None, None ->
-          let null_cap = Capability.owner ~port:"" ~obj:0 0L in
           let replace row =
             match List.assoc_opt row.name replacements with
             | None -> row
@@ -219,16 +233,24 @@ let lookup store ~cap ~name ~column =
 
 (* ---- Codec -------------------------------------------------------- *)
 
+(* Loops, not [Array.iter (write w)]: a partial application allocates a
+   closure per row. *)
 let encode_row w row =
   Storage.Codec.Writer.string w row.name;
   Storage.Codec.Writer.u32 w (Array.length row.caps);
-  Array.iter (Storage.Cap_codec.write w) row.caps;
-  Array.iter (Storage.Codec.Writer.u32 w) row.masks
+  for i = 0 to Array.length row.caps - 1 do
+    Storage.Cap_codec.write w row.caps.(i)
+  done;
+  for i = 0 to Array.length row.masks - 1 do
+    Storage.Codec.Writer.u32 w row.masks.(i)
+  done
 
 let encode_dir dir =
   Storage.Codec.Writer.encode (fun w ->
       Storage.Codec.Writer.u32 w (Array.length dir.columns);
-      Array.iter (Storage.Codec.Writer.string w) dir.columns;
+      for i = 0 to Array.length dir.columns - 1 do
+        Storage.Codec.Writer.string w dir.columns.(i)
+      done;
       Storage.Codec.Writer.u32 w dir.seqno;
       Storage.Codec.Writer.i64 w dir.secret;
       Storage.Codec.Writer.list w encode_row dir.rows)

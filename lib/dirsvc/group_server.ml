@@ -1,5 +1,13 @@
-(* One modification whose directory blocks are not rewritten yet. *)
-type log_record = { useq : int; dir_id : int; op : Directory.op }
+(* One modification whose directory blocks are not rewritten yet, and
+   its commit-block log encoding once a commit-block write has needed
+   it ([""] before): a record is encoded once, however many writes of a
+   lingering log carry it. *)
+type log_record = {
+  useq : int;
+  dir_id : int;
+  op : Directory.op;
+  mutable encoded : string;
+}
 
 let admin_port node_id = Printf.sprintf "dira@%d" node_id
 
@@ -148,12 +156,22 @@ let current_vector t =
 
 (* ---- Commit pipeline ---------------------------------------------- *)
 
-let encode_log records =
-  Wire.encode_log_records
-    (List.rev_map (fun (r : log_record) -> (r.useq, r.dir_id, r.op)) records)
+let encoding r =
+  if r.encoded = "" then
+    r.encoded <- Wire.encode_log_record ~useq:r.useq ~dir_id:r.dir_id r.op;
+  r.encoded
 
-let fits t log =
-  String.length log + 64 <= Storage.Block_device.block_size t.commit_device
+(* [records] (newest first) as the commit block's log: their cached
+   encodings, oldest first. *)
+let encode_log records = Wire.join_log_records (List.rev_map encoding records)
+
+(* What [encode_log records] would take, from the cached lengths. *)
+let log_size = function
+  | [] -> 0
+  | records -> List.fold_left (fun n r -> n + String.length (encoding r)) 4 records
+
+let fits t records =
+  log_size records + 64 <= Storage.Block_device.block_size t.commit_device
 
 (* [records] encoded, less the newest ones that do not fit. The log fits
    in the commit block, except inside a flush that overflows: a
@@ -163,8 +181,7 @@ let fits t log =
 let rec fitting t = function
   | [] -> ""
   | _ :: older as records ->
-      let log = encode_log records in
-      if fits t log then log else fitting t older
+      if fits t records then encode_log records else fitting t older
 
 let write_commit_block ?log t =
   Storage.Commit_block.write t.commit_device
@@ -175,6 +192,14 @@ let write_commit_block ?log t =
       boot = t.boot;
       log = (match log with Some log -> log | None -> fitting t t.log);
     }
+
+(* One directory's stable copy: its new file and entry, or for a
+   deletion its cleared entry and a commit-block write; then the file
+   it replaced is retired. *)
+let persist t dir =
+  let replaced = Dir_image.persist t.image t.store dir in
+  if not (Directory.Store.mem dir t.store) then write_commit_block t;
+  Dir_image.retire t.image replaced
 
 (* The one way a directory's stable copy is written: persist each of
    [dirs], then drop its records. A deletion leaves a trace of the
@@ -189,14 +214,21 @@ let write_commit_block ?log t =
 let rewrite t dirs =
   List.iter
     (fun dir ->
-      Dir_image.persist t.image t.store dir ~deleted:(fun () ->
-          write_commit_block t);
+      persist t dir;
       t.log <- List.filter (fun r -> r.dir_id <> dir) t.log)
     dirs
 
 let logged_dirs t = List.sort_uniq compare (List.map (fun r -> r.dir_id) t.log)
 
-let apply_log t = rewrite t (logged_dirs t)
+(* Rewrite every logged directory, in ascending id order. The eager
+   commit's log is one record: its directory, with no list to sort or
+   filter. *)
+let apply_log t =
+  match t.log with
+  | [ r ] ->
+      persist t r.dir_id;
+      t.log <- []
+  | _ -> rewrite t (logged_dirs t)
 
 (* Staging does no I/O: [flush] makes the log's changes stable. The
    /tmp effect reaches across the whole log: a delete canceling an
@@ -232,13 +264,11 @@ let flush t =
     t.stale <- false;
     Sim.Metrics.incr_handle t.c_commit;
     if t.in_place then apply_log t
-    else
-      let log = encode_log t.log in
-      if fits t log then write_commit_block ~log t
-      else begin
-        apply_log t;
-        write_commit_block t
-      end
+    else if fits t t.log then write_commit_block ~log:(encode_log t.log) t
+    else begin
+      apply_log t;
+      write_commit_block t
+    end
   end
 
 (* ---- Applying ordered updates -------------------------------------- *)
@@ -263,7 +293,7 @@ let execute_op t ~origin ~uid op =
         t.op_log <-
           { a_useq = useq'; a_origin = origin; a_uid = uid; a_op = op }
           :: t.op_log;
-        stage t { useq = useq'; dir_id; op };
+        stage t { useq = useq'; dir_id; op; encoded = "" };
         if not t.group_commit then flush t;
         Ok result
     | Error e -> Error e)
@@ -725,7 +755,7 @@ let load_disk_state t =
   | Some cb when cb.Storage.Commit_block.log <> "" ->
       List.iter
         (fun (useq, dir_id, op) ->
-          let record = { useq; dir_id; op } in
+          let record = { useq; dir_id; op; encoded = "" } in
           if replay_record record then t.log <- record :: t.log)
         (Wire.decode_log_records cb.Storage.Commit_block.log)
   | Some _ | None -> ());

@@ -64,7 +64,7 @@ let next_seqno t op =
   | None -> 1
 
 let persist_dir_to_disk t dir_id =
-  Dir_image.persist t.image ~deleted:ignore t.store dir_id
+  Dir_image.retire t.image (Dir_image.persist t.image t.store dir_id)
 
 let apply_in_core t op =
   let seqno = next_seqno t op in

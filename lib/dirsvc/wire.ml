@@ -226,19 +226,19 @@ let decode_op r : Directory.op =
       Directory.Replace_set { cap; rows }
   | n -> raise (Storage.Codec.Corrupt (Printf.sprintf "op: bad tag %d" n))
 
-(* The commit-block log itself: (useq, dir id, op) records, oldest
-   first. *)
-let encode_log_records records =
-  match records with
+(* The commit-block log itself: a count, then (useq, dir id, op)
+   records, oldest first. *)
+let encode_log_record ~useq ~dir_id op =
+  Storage.Codec.Writer.encode (fun w ->
+      Storage.Codec.Writer.u32 w useq;
+      Storage.Codec.Writer.u32 w dir_id;
+      encode_op w op)
+
+let join_log_records = function
   | [] -> ""
   | records ->
       Storage.Codec.Writer.encode (fun w ->
-          Storage.Codec.Writer.list w
-            (fun w (useq, dir_id, op) ->
-              Storage.Codec.Writer.u32 w useq;
-              Storage.Codec.Writer.u32 w dir_id;
-              encode_op w op)
-            records)
+          Storage.Codec.Writer.list w Storage.Codec.Writer.raw records)
 
 let decode_log_records data =
   if data = "" then []

@@ -143,9 +143,15 @@ val install :
   Directory.store * Directory.dir_id list
 
 (** Codec for the commit-block log: [(useq, dir_id, op)] records,
-    oldest first. [encode_log_records []] is [""]. *)
+    oldest first. A log is written as its records' encodings, each made
+    once by [encode_log_record], joined by [join_log_records] (oldest
+    first), so a writer that keeps each record's encoding builds every
+    later log without encoding a record again. [join_log_records []] is
+    [""]. *)
 
-val encode_log_records : (int * int * Directory.op) list -> string
+val encode_log_record : useq:int -> dir_id:int -> Directory.op -> string
+
+val join_log_records : string list -> string
 
 val decode_log_records : string -> (int * int * Directory.op) list
 

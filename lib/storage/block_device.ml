@@ -92,10 +92,11 @@ let write t i data =
   check_index t i;
   if Bytes.length data > t.block_size then
     invalid_arg (Printf.sprintf "%s: write exceeds block size" t.name);
-  let committed = Bytes.copy data in
+  (* [data] is the caller's fresh encoding, handed over: the block keeps
+     it as is. *)
   submit t t.write i (fun () ->
       t.writes_completed <- t.writes_completed + 1;
-      t.data.(i) <- committed)
+      t.data.(i) <- data)
 
 let peek t i =
   check_index t i;

@@ -37,9 +37,16 @@ val block_size : t -> int
     a copy of block [i]. *)
 val read : t -> int -> bytes
 
-(** [write t i data] pads or rejects [data] against the block size and
-    commits it atomically. Raises [Invalid_argument] if [data] exceeds
-    the block size or [i] is out of range. *)
+(** [write t i data] rejects [data] against the block size and commits
+    it atomically. Raises [Invalid_argument] if [data] exceeds the block
+    size or [i] is out of range.
+
+    Ownership: the device keeps [data] itself as the block's contents,
+    not a copy, so the caller hands it over and must never mutate it
+    afterwards. Every writer passes bytes made for this one write (a
+    fresh {!Codec.Writer.encode_bytes} result or a new [Bytes.t]); a
+    buffer that is reused, such as a codec's scratch writer, must be
+    copied out before it is written. *)
 val write : t -> int -> bytes -> unit
 
 (** Instant, latency-free read used only at boot-time recovery scans

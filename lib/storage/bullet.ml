@@ -94,7 +94,11 @@ let encode_slot owner =
 
 (* Write a slot's current in-core state to its inode block. *)
 let write_inode_block t slot =
-  let owner = Option.bind t.slot_owner.(slot) (Hashtbl.find_opt t.files) in
+  let owner =
+    match t.slot_owner.(slot) with
+    | Some obj -> Hashtbl.find_opt t.files obj
+    | None -> None
+  in
   Block_device.write t.device (slot_block t slot) (encode_slot owner)
 
 let charge_cpu t =
@@ -114,18 +118,27 @@ let find_free_slot t =
       in
       go 0
 
+(* The [count] lowest free data blocks, lowest first. *)
 let alloc_data_blocks t count =
-  let acquired = ref [] in
-  (try
-     for i = 0 to t.data_blocks - 1 do
-       if List.length !acquired < count && t.data_free.(i) then
-         acquired := i :: !acquired;
-       if List.length !acquired = count then raise Exit
-     done
-   with Exit -> ());
-  if List.length !acquired < count then raise (Error "bullet: disk full");
-  List.iter (fun i -> t.data_free.(i) <- false) !acquired;
-  List.rev_map (fun i -> t.data_first + i) !acquired
+  let rec scan i found acquired =
+    if found = count then acquired
+    else if i = t.data_blocks then raise (Error "bullet: disk full")
+    else if t.data_free.(i) then scan (i + 1) (found + 1) (i :: acquired)
+    else scan (i + 1) found acquired
+  in
+  let acquired = scan 0 0 [] in
+  List.iter (fun i -> t.data_free.(i) <- false) acquired;
+  List.rev_map (fun i -> t.data_first + i) acquired
+
+let rec holds_tombstone slot = function
+  | [] -> false
+  | f :: rest -> f.slot = slot || holds_tombstone slot rest
+
+let rec drop_tombstones slot = function
+  | [] -> []
+  | f :: rest ->
+      if f.slot = slot then drop_tombstones slot rest
+      else f :: drop_tombstones slot rest
 
 let do_create t data =
   let slot = find_free_slot t in
@@ -147,18 +160,18 @@ let do_create t data =
   in
   (* Reusing a pending-tombstone slot: this create's inode write covers
      the tombstone, so drop it from the flush queue. *)
-  t.dirty_tombstones <-
-    List.filter (fun f -> f.slot <> slot) t.dirty_tombstones;
+  if holds_tombstone slot t.dirty_tombstones then
+    t.dirty_tombstones <- drop_tombstones slot t.dirty_tombstones;
   Hashtbl.replace t.files obj file;
   t.slot_owner.(slot) <- Some obj;
   (* Write the data blocks first, then commit via the inode block. *)
   List.iteri
     (fun i block ->
-      let chunk =
-        let off = i * block_size in
-        String.sub data off (min block_size (String.length data - off))
-      in
-      Block_device.write t.device block (Bytes.of_string chunk))
+      let off = i * block_size in
+      let len = min block_size (String.length data - off) in
+      let chunk = Bytes.create len in
+      Bytes.blit_string data off chunk 0 len;
+      Block_device.write t.device block chunk)
     file.data_blocks;
   write_inode_block t slot;
   Capability.owner ~port:t.port ~obj secret

@@ -19,7 +19,9 @@ module Writer = struct
     s.depth <- depth;
     if Buffer.length w > keep_limit then Buffer.reset w else Buffer.clear w
 
-  let with_scratch f finish =
+  (* [finish w tail] makes the result; [tail] is passed through, so no
+     finisher is a closure. *)
+  let with_scratch f finish tail =
     let s = Domain.DLS.get scratch in
     let d = s.depth in
     if d = Array.length s.bufs then
@@ -28,16 +30,12 @@ module Writer = struct
     s.depth <- d + 1;
     match f w with
     | () ->
-        let result = finish w in
+        let result = finish w tail in
         release s d w;
         result
     | exception e ->
         release s d w;
         raise e
-
-  let encode f = with_scratch f Buffer.contents
-
-  let encode_bytes f = with_scratch f Buffer.to_bytes
 
   let u8 t v =
     if v < 0 || v > 0xFF then invalid_arg "Codec.u8: out of range";
@@ -61,9 +59,41 @@ module Writer = struct
     u32 t (String.length s);
     Buffer.add_string t s
 
+  let raw = Buffer.add_string
+
+  let contents w _ = Buffer.contents w
+
+  let to_bytes w _ = Buffer.to_bytes w
+
+  (* The tail as [string] writes it: its length in the scratch writer,
+     then its bytes copied once, straight into the result. *)
+  let with_tail w tail =
+    let len = String.length tail in
+    u32 w len;
+    let head = Buffer.length w in
+    let b = Bytes.create (head + len) in
+    Buffer.blit w 0 b 0 head;
+    Bytes.blit_string tail 0 b head len;
+    b
+
+  let encode f = with_scratch f contents ""
+
+  let encode_bytes ?tail f =
+    match tail with
+    | None -> with_scratch f to_bytes ""
+    | Some tail -> with_scratch f with_tail tail
+
+  (* Not [List.iter (f t)]: the partial application would allocate a
+     closure per list. *)
+  let rec iter t f = function
+    | [] -> ()
+    | x :: rest ->
+        f t x;
+        iter t f rest
+
   let list t f xs =
     u32 t (List.length xs);
-    List.iter (f t) xs
+    iter t f xs
 end
 
 module Reader = struct

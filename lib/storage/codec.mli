@@ -15,8 +15,10 @@ module Writer : sig
       its result: no buffer growth once warm, no second copy. *)
   val encode : (t -> unit) -> string
 
-  (** [encode_bytes f] is [encode f] as bytes, still one copy. *)
-  val encode_bytes : (t -> unit) -> bytes
+  (** [encode_bytes f] is [encode f] as bytes, still one copy. With
+      [~tail], [tail] follows what [f] wrote, as {!string} would write
+      it, and is copied once, straight into the result. *)
+  val encode_bytes : ?tail:string -> (t -> unit) -> bytes
 
   val u8 : t -> int -> unit
 
@@ -27,6 +29,10 @@ module Writer : sig
   val bool : t -> bool -> unit
 
   val string : t -> string -> unit
+
+  (** [raw t s] writes the bytes of [s] alone, with no length: for
+      splicing in what another encoding produced. *)
+  val raw : t -> string -> unit
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
 end

@@ -17,15 +17,17 @@ let make ~servers =
     log = "";
   }
 
+(* The log is the block's last field, copied once into the image. *)
 let encode t =
-  Codec.Writer.encode_bytes (fun w ->
+  Codec.Writer.encode_bytes ~tail:t.log (fun w ->
       Codec.Writer.u32 w magic;
       Codec.Writer.u32 w (Array.length t.config_vector);
-      Array.iter (Codec.Writer.bool w) t.config_vector;
+      for i = 0 to Array.length t.config_vector - 1 do
+        Codec.Writer.bool w t.config_vector.(i)
+      done;
       Codec.Writer.u32 w t.seqno;
       Codec.Writer.bool w t.recovering;
-      Codec.Writer.u32 w t.boot;
-      Codec.Writer.string w t.log)
+      Codec.Writer.u32 w t.boot)
 
 let decode data =
   if Bytes.length data = 0 then None

@@ -237,6 +237,51 @@ let test_bullet_crash_recovery () =
           | None -> Alcotest.fail "create never completed"));
   run_until w 500.0
 
+(* [Block_device.write] keeps the bytes it is handed, so every writer
+   hands it a fresh encoding and never a buffer it reuses: the images a
+   Bullet create, an object-table write and a commit-block write leave
+   on disk stay as they were while later encodings run through the same
+   domain's scratch writers, and while the caller scribbles over the
+   bytes later encoders hand back, of every length up to 64 bytes (the
+   three images are 29 to 36 bytes long). *)
+let test_written_images_are_owned () =
+  let w, _server, client, ct, device, _bullet, _st = bullet_world () in
+  let table = Storage.Object_table.attach device ~first_block:1 ~slots:8 in
+  let blocks = [ 0; 3; 16 ] (* commit block, dir 2's entry, slot 0's inode *) in
+  let first =
+    run_fiber w client (fun () ->
+        let file_cap = Storage.Bullet.create ct ~port:port1 "an immediate file" in
+        Storage.Object_table.write_entry table ~dir_id:2
+          { Storage.Object_table.file_cap; seqno = 3 };
+        Storage.Commit_block.write device
+          { (Storage.Commit_block.make ~servers:3) with seqno = 4; log = "a log" };
+        List.map (Storage.Block_device.peek device) blocks)
+  in
+  let scribble b = Bytes.fill b 0 (Bytes.length b) '!' in
+  for i = 0 to 60 do
+    scribble
+      (Storage.Commit_block.encode
+         { (Storage.Commit_block.make ~servers:3) with seqno = i; log = "a log" });
+    scribble
+      (Storage.Codec.Writer.encode_bytes (fun w ->
+           Storage.Codec.Writer.string w (String.make i 'z')));
+    ignore
+      (Dirsvc.Directory.encode_dir
+         {
+           Dirsvc.Directory.columns = [| "c" |];
+           rows = [];
+           seqno = i;
+           secret = Capability.mint_secret 9L;
+         })
+  done;
+  List.iter2
+    (fun block image ->
+      Alcotest.(check string)
+        (Printf.sprintf "block %d keeps its first image" block)
+        (Bytes.to_string image)
+        (Bytes.to_string (Storage.Block_device.peek device block)))
+    blocks first
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -256,4 +301,6 @@ let suite =
     tc "bullet reuses freed data blocks" `Quick
       test_bullet_reuses_freed_data_blocks;
     tc "bullet crash recovery" `Quick test_bullet_crash_recovery;
+    tc "written images are owned by the device" `Quick
+      test_written_images_are_owned;
   ]
