@@ -10,8 +10,11 @@
 # both trees run `bash benchmark/run.sh --quick --seed N`; per workload
 # and seed the script compares p50_ms, p99_ms, update_p50_ms,
 # max_rate_ops_s, attempted, failed and correct exactly, and prints the
-# change in minor_words_per_op (wall-clock setup_s is left out). It exits
-# 1 on any simulated difference, 2 on a bad argument.
+# change in minor_words_per_op (wall-clock setup_s is left out). A second,
+# traced pass (`--quick --trace 1 --seed N`) compares the simulation's
+# own counts exactly: sim.events_per_op, net.pkts_per_op,
+# disk.writes_per_update and grp.msgs_per_update. It exits 1 on any
+# simulated difference, 2 on a bad argument.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -f "$1/benchmark/run.sh" ]; then
@@ -26,17 +29,19 @@ trap 'rm -rf "$out"' EXIT
 for seed in 1 2 3; do
   for side in parent change; do
     if [ "$side" = parent ]; then dir=$parent; else dir=$here; fi
-    log=$out/$side.$seed.log
-    if ! (cd "$dir" && bash benchmark/run.sh --quick --seed "$seed" --out "$out/$side.jsonl") \
-      >/dev/null 2>"$log"; then
-      echo "$side tree, seed $seed: benchmark/run.sh failed" >&2
-      cat "$log" >&2
-      exit 1
-    fi
+    for trace in 0 1; do
+      log=$out/$side.$seed.$trace.log
+      if ! (cd "$dir" && bash benchmark/run.sh --quick --trace "$trace" --seed "$seed" \
+        --out "$out/$side.$trace.jsonl") >/dev/null 2>"$log"; then
+        echo "$side tree, seed $seed, trace $trace: benchmark/run.sh failed" >&2
+        cat "$log" >&2
+        exit 1
+      fi
+    done
   done
 done
 
-python3 - "$out/parent.jsonl" "$out/change.jsonl" <<'EOF'
+python3 - "$out/parent.0.jsonl" "$out/change.0.jsonl" "$out/parent.1.jsonl" "$out/change.1.jsonl" <<'EOF'
 import json, sys
 
 def load(path):
@@ -44,19 +49,31 @@ def load(path):
         return {(r["workload"], r["seed"]): r for r in map(json.loads, f)}
 
 parent, change = load(sys.argv[1]), load(sys.argv[2])
+traced_parent, traced_change = load(sys.argv[3]), load(sys.argv[4])
 exact = ["p50_ms", "p99_ms", "update_p50_ms", "max_rate_ops_s"]
+counts = ["sim.events_per_op", "net.pkts_per_op", "disk.writes_per_update", "grp.msgs_per_update"]
 differ = 0
-if parent.keys() != change.keys():
-    print("runs differ: parent %s, change %s" % (sorted(parent), sorted(change)))
-    differ += 1
+for name, p, c in (("runs", parent, change), ("traced runs", traced_parent, traced_change)):
+    if p.keys() != c.keys():
+        print("%s differ: parent %s, change %s" % (name, sorted(p), sorted(c)))
+        differ += 1
+
+def value(run, metric):
+    return run["metrics"][metric]["value"] if run else None
+
 for key in sorted(parent.keys() & change.keys()):
     p, c = parent[key], change[key]
+    tp, tc = traced_parent.get(key), traced_change.get(key)
     diffs = [
         "%s %s -> %s" % (f, p[f], c[f]) for f in ("correct", "attempted", "failed") if p[f] != c[f]
     ] + [
         "%s %r -> %r" % (m, p["metrics"][m]["value"], c["metrics"][m]["value"])
         for m in exact
         if p["metrics"][m]["value"] != c["metrics"][m]["value"]
+    ] + [
+        "traced %s %r -> %r" % (m, value(tp, m), value(tc, m))
+        for m in counts
+        if value(tp, m) != value(tc, m)
     ]
     pw = p["metrics"]["minor_words_per_op"]["value"]
     cw = c["metrics"]["minor_words_per_op"]["value"]

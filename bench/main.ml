@@ -1479,6 +1479,90 @@ let eager_update_probe () =
     failwith "eager_update probe: the updates did not finish";
   Option.get (Sim.Ivar.peek result)
 
+(* One bare RPC transaction: a client fiber calls a one-worker service
+   on a second NIC back to back, 10 000 calls after 100 warm-up ones
+   (which locate the server and fill the port cache). A call is the
+   request, the reply and the ack (3 packets) and 5 events: their three
+   deliveries, the worker's wake and the caller's. The handler returns
+   the body it is given, so a call costs what the RPC layer adds to
+   its packets. *)
+let rpc_trans_probe () =
+  let engine = Sim.Engine.create ~seed:2712L () in
+  let net = Simnet.Network.create engine () in
+  let transport id =
+    let node = Sim.Node.create ~id ~name:(Printf.sprintf "rpc%d" id) in
+    (node, Rpc.Transport.create net (Simnet.Network.attach net node))
+  in
+  let _, server = transport 1 and client_node, client = transport 2 in
+  Rpc.Transport.serve server ~port:"probe" ~threads:1 (fun ~client:_ body -> body);
+  let packets () = Sim.Metrics.count (Sim.Engine.metrics engine) "net.pkt" in
+  let n = 10_000 and result = ref None in
+  Sim.Proc.boot engine client_node (fun () ->
+      let body = Simnet.Payload.Opaque "probe" in
+      let calls k =
+        for _ = 1 to k do
+          ignore (Rpc.Transport.trans client ~port:"probe" body)
+        done
+      in
+      calls 100;
+      let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
+      let minor0 = Gc.minor_words () in
+      calls n;
+      let words = Gc.minor_words () -. minor0 in
+      let per count = float_of_int count /. float_of_int n in
+      result :=
+        Some
+          {
+            probe = "rpc_trans";
+            units = float_of_int n;
+            per_events = per (Sim.Engine.events_executed engine - events0);
+            per_packets = per (packets () - packets0);
+            per_writes = 0.0;
+            per_words = words /. float_of_int n;
+          });
+  Sim.Engine.run engine;
+  match !result with Some p -> p | None -> failwith "rpc_trans probe: the calls did not finish"
+
+(* One client lookup, Fig. 8's request, against an idle 3-replica
+   Group_disk deployment: 2 000 lookups of one row back to back, after
+   100 warm-up ones. One replica answers each from its store, with no
+   group message: the RPC's 3 packets and 5 events, the replica's CPU
+   step (2 events), and the idle group's heartbeat rounds in between. *)
+let lookup_probe () =
+  let cluster = C.create ~seed:2713L ~servers:3 C.Group_disk in
+  let engine = C.engine cluster in
+  let client = C.client cluster in
+  let packets () = Sim.Metrics.count (C.metrics cluster) "net.pkt" in
+  let n = 2_000 and result = Sim.Ivar.create () in
+  if not (C.await_serving cluster ~count:(C.n_servers cluster)) then
+    failwith "lookup probe: the deployment never served";
+  Sim.Proc.boot engine (Rpc.Transport.node (Dirsvc.Client.transport client)) (fun () ->
+      let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+      Dirsvc.Client.append_row client cap ~name:"row" [ cap ];
+      let lookups k =
+        for _ = 1 to k do
+          ignore (Dirsvc.Client.lookup client cap "row")
+        done
+      in
+      lookups 100;
+      let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
+      let minor0 = Gc.minor_words () in
+      lookups n;
+      let words = Gc.minor_words () -. minor0 in
+      let per count = float_of_int count /. float_of_int n in
+      Sim.Ivar.fill result
+        {
+          probe = "lookup";
+          units = float_of_int n;
+          per_events = per (Sim.Engine.events_executed engine - events0);
+          per_packets = per (packets () - packets0);
+          per_writes = 0.0;
+          per_words = words /. float_of_int n;
+        });
+  if not (Sim.Drive.run_until_filled ~max_quanta:600 engine result) then
+    failwith "lookup probe: the lookups did not finish";
+  Option.get (Sim.Ivar.peek result)
+
 let no_writes () = 0
 
 let measure_probes () =
@@ -1501,6 +1585,8 @@ let measure_probes () =
         ( (fun () -> Storage.Block_device.write disk 0 data),
           fun () -> Storage.Block_device.writes_completed disk ));
     eager_update_probe ();
+    rpc_trans_probe ();
+    lookup_probe ();
   ]
 
 (* Probe gates. The idle round must stay at exactly 8 events and 3
@@ -1510,11 +1596,13 @@ let measure_probes () =
    exactly its packets and disk writes: 2 per replica (§3.1), plus
    about 0.1 of tombstones the Bullet flusher writes itself, for the
    creates that ran before the retirer's delete freed the slot they
-   would have reused (with the flusher off, exactly 6.00). Every probe's
-   disk writes are pinned, and its minor words stay under
+   would have reused (with the flusher off, exactly 6.00). A bare RPC
+   stays at exactly 5 events and 3 packets, and a lookup at exactly its
+   events and packets, the idle group's heartbeats included. Every
+   probe's disk writes are pinned, and its minor words stay under
    a ceiling ~1.5x above its current value, so a per-tick, per-packet,
-   per-delivery, per-wait or per-update allocation coming back fails
-   it. Each row: events (if pinned), packets, disk writes, words
+   per-delivery, per-wait, per-update or per-lookup allocation coming
+   back fails it. Each row: events (if pinned), packets, disk writes, words
    ceiling. *)
 let probe_ceilings =
   [
@@ -1526,7 +1614,10 @@ let probe_ceilings =
     ("condvar_wake", (Some 2.0, 0.0, 0.0, 41.0)) (* 27 *);
     ("disk_write", (Some 2.0, 0.0, 1.0, 83.0)) (* 55 *);
     (* 12 379 packets and 2 439 disk writes over the 400 updates *)
-    ("eager_update", (None, 12379.0 /. 400.0, 2439.0 /. 400.0, 3920.0)) (* 2595 *);
+    ("eager_update", (None, 12379.0 /. 400.0, 2439.0 /. 400.0, 3620.0)) (* 2405 *);
+    ("rpc_trans", (Some 5.0, 3.0, 0.0, 207.0)) (* 138 *);
+    (* 16 944 events and 7 104 packets over the 2 000 lookups *)
+    ("lookup", (Some (16944.0 /. 2000.0), 7104.0 /. 2000.0, 0.0, 285.0)) (* 192 *);
   ]
 
 let probe_gate () =
@@ -1541,7 +1632,7 @@ let probe_gate () =
            "probe gate: %-12s %.2f events (%s)  %.2f packets (= %.2f)  \
             %.2f disk writes (= %.2f)  %.1f minor words (ceiling %.0f)"
            p.probe p.per_events
-           (Option.fold ~none:"not pinned" ~some:(Printf.sprintf "= %.0f") events)
+           (Option.fold ~none:"not pinned" ~some:(Printf.sprintf "= %g") events)
            p.per_packets packets p.per_writes writes p.per_words ceiling))
     (measure_probes ())
 
@@ -1794,7 +1885,7 @@ let speed =
       ^ table scenario_columns scenarios
       ^ "\nprobes: one idle heartbeat round, one send to a no-op handler, one \
          SendToGroup through the sequencer, one fiber's blocking step, one \
-         eager update\n"
+         eager update, one bare RPC, one lookup\n"
       ^ table probe_columns probes
       ^ "\nbatch-efficiency: scaled update scenario, group commit on/off\n"
       ^ table batch_columns batches

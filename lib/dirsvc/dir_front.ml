@@ -35,9 +35,9 @@ let create ~shard net ~node server =
   }
 
 let histogram t ~op =
-  match Hashtbl.find_opt t.hists op with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.hists op with
+  | h -> h
+  | exception Not_found ->
       let h =
         Sim.Metrics.histogram_handle
           (Sim.Engine.metrics t.engine)
@@ -47,10 +47,13 @@ let histogram t ~op =
       Hashtbl.add t.hists op h;
       h
 
-let timed t ~op f =
-  let started = Sim.Engine.now t.engine in
-  let reply = f () in
-  let elapsed = Sim.Engine.now t.engine -. started in
+let now t = Sim.Engine.now t.engine
+
+(* Record a request's latency from its [started] stamp and return its
+   reply. A stamp, not a wrapped thunk: the thunk would be a closure per
+   request. *)
+let observe t ~op ~started reply =
+  let elapsed = now t -. started in
   Sim.Metrics.Histogram.observe (histogram t ~op) elapsed;
   (* Guarded: the attrs thunk is allocated even when tracing is off. *)
   if Sim.Engine.tracing t.engine then
@@ -75,29 +78,35 @@ let write_reply ~port op outcome =
   | _, Ok _ -> Wire.Ok_rep
   | _, Error e -> Wire.Err_rep (Wire.Op_error e)
 
+(* [dir] added to [dirs], which is sorted with no duplicate. *)
+let rec add_dir dir = function
+  | [] -> [ dir ]
+  | d :: rest as dirs ->
+      if dir < d then dir :: dirs
+      else if dir = d then dirs
+      else d :: add_dir dir rest
+
+(* The directories a lookup's items name, ascending, each once. Not
+   [List.sort_uniq], which builds its local closures on every call. *)
+let rec dirs_of = function
+  | [] -> []
+  | ((cap : Capability.t), _) :: rest -> add_dir cap.obj (dirs_of rest)
+
 let handler t ~write ~read ~client:_ body =
+  let started = now t in
   match body with
   | Wire.Dir_request (Wire.Write_op op) ->
-      Wire.Dir_reply (timed t ~op:(Directory.op_kind op) (fun () -> write op))
+      Wire.Dir_reply (observe t ~op:(Directory.op_kind op) ~started (write op))
   | Wire.Dir_request (Wire.List_req { cap; column }) ->
       Wire.Dir_reply
-        (timed t ~op:"list" (fun () ->
-             read ~dirs:[ cap.Capability.obj ] (fun store ->
-                 match Directory.list_dir store ~cap ~column with
-                 | Ok listing -> Wire.Listing_rep listing
-                 | Error e -> Wire.Err_rep (Wire.Op_error e))))
+        (observe t ~op:"list" ~started
+           (read ~dirs:[ cap.Capability.obj ] (fun store ->
+                match Directory.list_dir store ~cap ~column with
+                | Ok listing -> Wire.Listing_rep listing
+                | Error e -> Wire.Err_rep (Wire.Op_error e))))
   | Wire.Dir_request (Wire.Lookup_req { items; column }) ->
       Wire.Dir_reply
-        (timed t ~op:"lookup" (fun () ->
-             let dirs =
-               List.sort_uniq compare
-                 (List.map (fun ((cap : Capability.t), _) -> cap.obj) items)
-             in
-             read ~dirs (fun store ->
-                 let resolve (cap, name) =
-                   match Directory.lookup store ~cap ~name ~column with
-                   | Ok (cap, mask) -> Some (cap, mask)
-                   | Error _ -> None
-                 in
-                 Wire.Lookup_rep (List.map resolve items))))
+        (observe t ~op:"lookup" ~started
+           (read ~dirs:(dirs_of items) (fun store ->
+                Wire.Lookup_rep (Directory.lookup_items store ~column items))))
   | _ -> Wire.Dir_reply (Wire.Err_rep (Wire.Unavailable "bad request"))

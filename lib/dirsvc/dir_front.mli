@@ -24,10 +24,14 @@ val create :
   server ->
   t
 
-(** [timed t ~op f] runs [f], recording its simulated latency under
-    [op] and emitting the trace event. For requests a server answers
-    outside {!handler} (the group server's cross-shard commands). *)
-val timed : t -> op:string -> (unit -> Wire.reply) -> Wire.reply
+(** The simulated clock, for a request's [started] stamp. *)
+val now : t -> float
+
+(** [observe t ~op ~started reply] records the simulated latency since
+    [started] under [op], emits the trace event and returns [reply].
+    For requests a server answers outside {!handler} (the group
+    server's cross-shard commands). *)
+val observe : t -> op:string -> started:float -> Wire.reply -> Wire.reply
 
 (** The client's reply to an applied write: the owner capability
     (minted for [port]) for a Create_dir, [Ok_rep] for any other

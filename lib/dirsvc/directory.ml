@@ -66,9 +66,9 @@ type op_result = Created of dir_id | Updated
 (* Authorise [cap] against the stored directory; [need] is the rights
    requirement. *)
 let authorise store cap ~need =
-  match Store.find_opt cap.Capability.obj store with
-  | None -> Error Not_found
-  | Some dir ->
+  match Store.find cap.Capability.obj store with
+  | exception Stdlib.Not_found -> Error Not_found
+  | dir ->
       if not (Capability.validate cap dir.secret) then Error Bad_capability
       else if not (Capability.has_rights cap ~need) then Error No_permission
       else Ok dir
@@ -101,6 +101,11 @@ let rec without_row name = function
       if String.equal r.name name then without_row name rest
       else r :: without_row name rest
 
+(* The on-disk format stores a mask as an unsigned 32-bit word. *)
+let rec masks_fit = function
+  | [] -> true
+  | m :: rest -> m >= 0 && m <= 0xFFFF_FFFF && masks_fit rest
+
 let ( let* ) = Result.bind
 
 let apply store ~seqno op =
@@ -129,6 +134,7 @@ let apply store ~seqno op =
   | Append_row { cap; name; caps; masks } ->
       let* dir = authorise store cap ~need:right_modify in
       if name = "" then Error (Bad_request "empty name")
+      else if not (masks_fit masks) then Error (Bad_request "mask out of range")
       else if has_row name dir.rows then Error Already_exists
       else begin
         let ncols = Array.length dir.columns in
@@ -143,9 +149,11 @@ let apply store ~seqno op =
       let* dir = authorise store cap ~need:right_modify in
       let ncols = Array.length dir.columns in
       let* masks =
-        match pad_to ncols Capability.all_rights masks with
-        | Some m -> Ok m
-        | None -> Error (Bad_request "more masks than columns")
+        if not (masks_fit masks) then Error (Bad_request "mask out of range")
+        else
+          match pad_to ncols Capability.all_rights masks with
+          | Some m -> Ok m
+          | None -> Error (Bad_request "more masks than columns")
       in
       if has_row name dir.rows then begin
         let rows =
@@ -211,25 +219,50 @@ type listing = {
   entries : (string * Capability.t * int) list;
 }
 
-let check_column dir column =
-  if column < 0 || column >= Array.length dir.columns then
-    Error (Bad_request "no such column")
-  else Ok ()
+(* The directory [cap] may read [column] of, or the refusal. A column
+   outside the four a directory can have names no read right
+   ([column_right] refuses it), so it is refused before authorisation;
+   one past the directory's own columns, after. *)
+let readable store cap ~column =
+  let no_such_column = Error (Bad_request "no such column") in
+  if column < 0 || column > 3 then no_such_column
+  else
+    match authorise store cap ~need:(column_right column) with
+    | Ok dir when column >= Array.length dir.columns -> no_such_column
+    | authorised -> authorised
 
 let list_dir store ~cap ~column =
-  let* dir = authorise store cap ~need:(column_right column) in
-  let* () = check_column dir column in
+  let* dir = readable store cap ~column in
   let entries =
     List.map (fun r -> (r.name, r.caps.(column), r.masks.(column))) dir.rows
   in
   Ok { listed_columns = Array.to_list dir.columns; entries }
 
+(* [name]'s capability and mask in [column] of [rows]. A loop, not
+   [List.find_opt]: its predicate would be a closure per lookup. *)
+let rec entry name column = function
+  | [] -> None
+  | r :: rest ->
+      if String.equal r.name name then Some (r.caps.(column), r.masks.(column))
+      else entry name column rest
+
 let lookup store ~cap ~name ~column =
-  let* dir = authorise store cap ~need:(column_right column) in
-  let* () = check_column dir column in
-  match List.find_opt (fun r -> r.name = name) dir.rows with
-  | Some row -> Ok (row.caps.(column), row.masks.(column))
-  | None -> Error Not_found
+  match readable store cap ~column with
+  | Error e -> Error e
+  | Ok dir -> (
+      match entry name column dir.rows with
+      | Some found -> Ok found
+      | None -> Error Not_found)
+
+let rec lookup_items store ~column = function
+  | [] -> []
+  | (cap, name) :: rest ->
+      let found =
+        match readable store cap ~column with
+        | Ok dir -> entry name column dir.rows
+        | Error _ -> None
+      in
+      found :: lookup_items store ~column rest
 
 (* ---- Codec -------------------------------------------------------- *)
 

@@ -94,7 +94,8 @@ type op_result = Created of dir_id | Updated
 (** [apply store ~seqno op] executes one update atomically. [seqno]
     stamps the touched directory (the group seqno / update counter).
     Deterministic: identical stores and arguments give identical
-    results on every replica. *)
+    results on every replica. A mask outside [0 .. 0xFFFF_FFFF], which
+    the on-disk format cannot hold, is refused with [Bad_request]. *)
 val apply : store -> seqno:int -> op -> (store * op_result, error) result
 
 (** Short stable name of an operation's constructor, for metric labels
@@ -108,7 +109,9 @@ val op_kind : op -> string
 val dir_id_of_op : store -> op -> dir_id
 
 (** Reads (Fig. 2's List / Lookup). [column] selects the protection
-    domain; the capability must carry that column's read right. *)
+    domain; the capability must carry that column's read right. A
+    column outside [0 .. 3], or past the directory's columns, is
+    refused with [Bad_request "no such column"]. *)
 
 type listing = {
   listed_columns : string list;
@@ -125,6 +128,15 @@ val lookup :
   name:string ->
   column:int ->
   (Capability.t * int, error) result
+
+(** A lookup's items, each resolved as {!lookup} does: its capability
+    and mask in [column], or [None] where {!lookup} refuses it. A loop
+    with no closure: the read path of every lookup request. *)
+val lookup_items :
+  store ->
+  column:int ->
+  (Capability.t * string) list ->
+  (Capability.t * int) option list
 
 (** Binary codec for one directory — the bytes stored in its Bullet
     file. *)

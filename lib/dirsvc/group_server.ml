@@ -494,53 +494,68 @@ let blocks_read t g ~dirs seqno =
       | _ -> false)
   | Some (Group.Wire.Join_member _ | Group.Wire.Leave_member _) -> false
 
-(* The first ordered entry up to [target] that a read of [dirs] must see
-   applied before it is answered, if any. A read naming a directory the
-   store does not hold falls back to Fig. 5's full wait: every buffered
-   entry blocks it. *)
-let read_blocker t g ~dirs ~target =
-  let known = List.for_all (fun dir -> Directory.Store.mem dir t.store) dirs in
-  let rec scan seqno =
-    if seqno > target then None
-    else if (not known) || blocks_read t g ~dirs seqno then Some seqno
-    else scan (seqno + 1)
-  in
-  scan (t.gprocessed + 1)
+(* Whether the store holds every directory of [dirs]. *)
+let rec all_held store = function
+  | [] -> true
+  | dir :: rest -> Directory.Store.mem dir store && all_held store rest
 
+(* The first ordered entry from [seqno] up to [target] that a read of
+   [dirs] must see applied before it is answered, if any. *)
+let rec first_blocker t g ~dirs ~target seqno =
+  if seqno > target then None
+  else if blocks_read t g ~dirs seqno then Some seqno
+  else first_blocker t g ~dirs ~target (seqno + 1)
+
+(* [first_blocker] over the entries not applied yet. A read naming a
+   directory the store does not hold falls back to Fig. 5's full wait:
+   every buffered entry blocks it. Top-level recursions: the read path
+   allocates no closure to find that nothing blocks it. *)
+let read_blocker t g ~dirs ~target =
+  let next = t.gprocessed + 1 in
+  if next > target then None
+  else if not (all_held t.store dirs) then Some next
+  else first_blocker t g ~dirs ~target next
+
+(* Every client request is refused without a majority, as by
+   [with_group], here without its closure. *)
 let handle_read t ~dirs serve =
-  with_group t (fun g ->
-      (* Fig. 5's read path, narrowed to the directories read: every
-         update to [dirs] ordered before the read arrived (up to the
-         highest seqno buffered then) must be applied first, otherwise a
-         client could read past its own write performed via another
-         server. Linearizability is local, so updates to other
-         directories need not be waited for. *)
-      let target = (Group.Member.info g).highest_seen in
-      let blocker () = read_blocker t g ~dirs ~target in
-      let caught_up =
-        match blocker () with
-        | None -> true
-        | Some seqno ->
-            let started = Sim.Proc.now () in
-            let caught_up =
-              await_applied t (fun () -> Option.is_none (blocker ()))
-            in
-            emit t ~name:"read_wait" (fun () ->
-                [
-                  ("server", Sim.Trace.Int t.server_id);
-                  ( "dir",
-                    Sim.Trace.Str
-                      (String.concat "," (List.map string_of_int dirs)) );
-                  ("seqno", Sim.Trace.Int seqno);
-                  ("waited_ms", Sim.Trace.Float (Sim.Proc.now () -. started));
-                ]);
-            caught_up
-      in
-      if not caught_up then Wire.Err_rep (Wire.Unavailable "catch-up timeout")
-      else begin
-        Sim.Resource.use t.cpu Params.cpu_read_ms;
-        serve t.store
-      end)
+  if not (majority_ok t) then Wire.Err_rep Wire.No_majority
+  else
+    match t.group with
+    | None -> Wire.Err_rep (Wire.Unavailable "no group")
+    | Some g ->
+        (* Fig. 5's read path, narrowed to the directories read: every
+           update to [dirs] ordered before the read arrived (up to the
+           highest seqno buffered then) must be applied first, otherwise
+           a client could read past its own write performed via another
+           server. Linearizability is local, so updates to other
+           directories need not be waited for. *)
+        let target = Group.Member.highest_seen g in
+        let caught_up =
+          match read_blocker t g ~dirs ~target with
+          | None -> true
+          | Some seqno ->
+              let started = Sim.Proc.now () in
+              let caught_up =
+                await_applied t (fun () ->
+                    Option.is_none (read_blocker t g ~dirs ~target))
+              in
+              emit t ~name:"read_wait" (fun () ->
+                  [
+                    ("server", Sim.Trace.Int t.server_id);
+                    ( "dir",
+                      Sim.Trace.Str
+                        (String.concat "," (List.map string_of_int dirs)) );
+                    ("seqno", Sim.Trace.Int seqno);
+                    ("waited_ms", Sim.Trace.Float (Sim.Proc.now () -. started));
+                  ]);
+              caught_up
+        in
+        if not caught_up then Wire.Err_rep (Wire.Unavailable "catch-up timeout")
+        else begin
+          Sim.Resource.use t.cpu Params.cpu_read_ms;
+          serve t.store
+        end
 
 (* Send one message through the total order, stamped with a fresh uid,
    and wait until the local group thread has executed it and filed its
@@ -647,9 +662,10 @@ let client_handler t front =
     | Wire.Dir_request request when wrong_shard t request ->
         Wire.Dir_reply (Wire.Err_rep Wire.Wrong_shard)
     | Wire.Dir_request (Wire.Xmove { txid; src; dst; name }) ->
+        let started = Dir_front.now front in
         Wire.Dir_reply
-          (Dir_front.timed front ~op:"move" (fun () ->
-               handle_move t ~txid ~src ~dst ~name))
+          (Dir_front.observe front ~op:"move" ~started
+             (handle_move t ~txid ~src ~dst ~name))
     | body -> serve ~client body
 
 (* ---- Admin (recovery) handlers -------------------------------------- *)

@@ -191,6 +191,8 @@ let info t =
     highest_seen = t.highest_seen;
   }
 
+let highest_seen t = t.highest_seen
+
 let held t seqno = Hashtbl.find_opt t.store seqno
 
 let is_sequencer t = status t = Normal && t.sequencer = t.me

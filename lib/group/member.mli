@@ -87,6 +87,10 @@ val info : t -> Types.info
 (** Sorted ids of the current view (= [(info t).members]). *)
 val members : t -> int list
 
+(** The highest seqno this member has seen ordered (=
+    [(info t).highest_seen]), read without building {!info}'s record. *)
+val highest_seen : t -> int
+
 (** The ordered entry this member holds at [seqno] — an application
     payload or a membership change — or [None] while it is not held.
     Delivered entries stay held, so a caller that consumes deliveries

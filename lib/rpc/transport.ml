@@ -16,15 +16,20 @@ let locate_backoff = 5.0
    crash, and one lost [Alive] never abandons a live one. *)
 let enquiry_period = 200.0
 
-type outcome = Got_reply of Simnet.Payload.t | Bounced | Dead
+(* How an attempt ends other than by its reply: raised at the caller's
+   wait. Constant, so ending an attempt allocates nothing. *)
+exception Bounced
 
-(* One outstanding attempt: its reply cell and the liveness enquiry
-   that watches it. *)
+exception Dead
+
+(* One outstanding attempt: the caller parked on it and the liveness
+   enquiry that watches it. The reply wakes the caller with its body;
+   a bounce or a dead verdict wakes it by raising. *)
 type call = {
   xid : int;
   server : int;
   sent : float; (* when the request went out *)
-  ivar : outcome Sim.Ivar.t;
+  caller : Simnet.Payload.t Sim.Proc.Waker.t Queue.t; (* at most one *)
   mutable unanswered : int; (* enquiries sent since the last Alive *)
   probe : Sim.Timer.t; (* the periodic enquiry *)
 }
@@ -63,11 +68,21 @@ let send t ~dst payload = Simnet.Network.send t.net t.nic ~dst ~proto:Wire.proto
 let engine t = Simnet.Network.engine t.net
 
 (* End an attempt; its enquiry stops with it, also when the enquiry's
-   own tick ends it. *)
-let complete t call outcome =
+   own tick ends it. The caller is always parked by now: a call is
+   entered in [pending] just before its caller waits, with no event in
+   between. A caller whose node crashed is not resumed ([wake] refuses
+   its stale waker). *)
+let finish t call =
   Hashtbl.remove t.pending call.xid;
-  Sim.Timer.cancel call.probe;
-  Sim.Ivar.fill call.ivar outcome
+  Sim.Timer.cancel call.probe
+
+let complete t call reply =
+  finish t call;
+  ignore (Sim.Proc.Waker.wake (Queue.pop call.caller) reply)
+
+let abandon t call outcome =
+  finish t call;
+  ignore (Sim.Proc.Waker.wake_exn (Queue.pop call.caller) outcome)
 
 (* The peer a packet names is its source: the client of a Locate,
    Request or Enquiry, the server of a Reply or a HEREIS. *)
@@ -75,43 +90,43 @@ let handle_packet t (packet : Simnet.Packet.t) =
   let peer = packet.src in
   match packet.payload with
   | Wire.Locate { port; xid } -> (
-      match Hashtbl.find_opt t.services port with
-      | Some service when service.active && Sim.Mailbox.has_waiter service.queue
+      match Hashtbl.find t.services port with
+      | service when service.active && Sim.Mailbox.has_waiter service.queue
         ->
           send t ~dst:peer (Wire.Here_is { port; xid })
-      | Some _ | None -> ())
+      | _ | exception Not_found -> ())
   | Wire.Request { port; xid; body } -> (
-      match Hashtbl.find_opt t.services port with
-      | Some service when service.active && Sim.Mailbox.has_waiter service.queue
+      match Hashtbl.find t.services port with
+      | service when service.active && Sim.Mailbox.has_waiter service.queue
         ->
           Hashtbl.replace t.held xid ();
           Sim.Mailbox.send service.queue (xid, peer, body)
-      | Some _ | None -> send t ~dst:peer (Wire.Not_here { port; xid }))
+      | _ | exception Not_found -> send t ~dst:peer (Wire.Not_here { port; xid }))
   | Wire.Reply { xid; body } -> (
-      match Hashtbl.find_opt t.pending xid with
-      | Some call ->
+      match Hashtbl.find t.pending xid with
+      | call ->
           (* The kernel acknowledges the reply: third packet of the
              3-message Amoeba RPC. *)
           send t ~dst:peer (Wire.Ack { xid });
-          complete t call (Got_reply body)
-      | None -> ())
+          complete t call body
+      | exception Not_found -> ())
   | Wire.Not_here { xid; _ } -> (
-      match Hashtbl.find_opt t.pending xid with
-      | Some call -> complete t call Bounced
-      | None -> ())
+      match Hashtbl.find t.pending xid with
+      | call -> abandon t call Bounced
+      | exception Not_found -> ())
   | Wire.Enquiry { xid } ->
       (* Answered by the kernel, not by a worker: a server that is
          busy with the request says so at no cost. A fresh incarnation
          holds no xid and stays silent. *)
       if Hashtbl.mem t.held xid then send t ~dst:peer (Wire.Alive { xid })
   | Wire.Alive { xid } -> (
-      match Hashtbl.find_opt t.pending xid with
-      | Some call -> call.unanswered <- 0
-      | None -> ())
+      match Hashtbl.find t.pending xid with
+      | call -> call.unanswered <- 0
+      | exception Not_found -> ())
   | Wire.Here_is { xid; _ } -> (
-      match Hashtbl.find_opt t.locates xid with
-      | Some responders -> responders := peer :: !responders
-      | None -> ())
+      match Hashtbl.find t.locates xid with
+      | responders -> responders := peer :: !responders
+      | exception Not_found -> ())
   | Wire.Ack _ -> ()
   | _ -> ()
 
@@ -144,11 +159,11 @@ let serve t ~port ?(threads = 2) handler =
   (* First service: start listening to Locate broadcasts. *)
   Simnet.Network.set_multicast_interest t.nic ~proto:Wire.proto true;
   let service =
-    match Hashtbl.find_opt t.services port with
-    | Some service ->
+    match Hashtbl.find t.services port with
+    | service ->
         service.active <- true;
         service
-    | None ->
+    | exception Not_found ->
         let service = { active = true; queue = Sim.Mailbox.create () } in
         Hashtbl.add t.services port service;
         service
@@ -169,19 +184,21 @@ let serve t ~port ?(threads = 2) handler =
   done
 
 let stop_serving t ~port =
-  match Hashtbl.find_opt t.services port with
-  | Some service -> service.active <- false
-  | None -> ()
+  match Hashtbl.find t.services port with
+  | service -> service.active <- false
+  | exception Not_found -> ()
 
 let cached_servers t ~port =
-  match Hashtbl.find_opt t.port_cache port with Some l -> !l | None -> []
+  match Hashtbl.find t.port_cache port with
+  | l -> !l
+  | exception Not_found -> []
 
 let invalidate_cache t ~port = Hashtbl.remove t.port_cache port
 
 let drop_cached t ~port server =
-  match Hashtbl.find_opt t.port_cache port with
-  | Some l -> l := List.filter (fun s -> s <> server) !l
-  | None -> ()
+  match Hashtbl.find t.port_cache port with
+  | l -> l := List.filter (fun s -> s <> server) !l
+  | exception Not_found -> ()
 
 let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"rpc"
@@ -239,78 +256,80 @@ let ensure_located t ~port =
    [enquiry_period]: ask the server whether it still holds the
    request; two unanswered enquiries in a row end the attempt. *)
 let enquire t xid =
-  match Hashtbl.find_opt t.pending xid with
-  | None -> ()
-  | Some call when call.unanswered >= 2 -> complete t call Dead
-  | Some call ->
+  match Hashtbl.find t.pending xid with
+  | call when call.unanswered >= 2 -> abandon t call Dead
+  | call ->
       call.unanswered <- call.unanswered + 1;
       send t ~dst:call.server (Wire.Enquiry { xid })
+  | exception Not_found -> ()
 
-let trans t ~port body =
-  let started = Sim.Engine.now (engine t) in
-  let rec attempt n =
-    if n > t.max_attempts then
-      raise (Rpc_failure (Printf.sprintf "service %s: no reply" port));
-    let server = ensure_located t ~port in
-    let xid = fresh_xid t in
-    if tracing t then
-      emit t ~name:"trans" (fun () ->
+(* Attempt [n] of a transaction that began at [started]: send the
+   request to the first cached server and park on the call until its
+   reply, a bounce or a dead verdict ends it. *)
+let rec attempt t ~port body ~started n =
+  if n > t.max_attempts then
+    raise (Rpc_failure (Printf.sprintf "service %s: no reply" port));
+  let server = ensure_located t ~port in
+  let xid = fresh_xid t in
+  if tracing t then
+    emit t ~name:"trans" (fun () ->
+        [
+          ("port", Sim.Trace.Str port);
+          ("xid", Sim.Trace.Int xid);
+          ("server", Sim.Trace.Int server);
+          ("attempt", Sim.Trace.Int n);
+        ]);
+  send t ~dst:server (Wire.Request { port; xid; body });
+  let call =
+    {
+      xid;
+      server;
+      sent = Sim.Engine.now (engine t);
+      caller = Queue.create ();
+      unanswered = 0;
+      probe =
+        Sim.Timer.every (engine t) ~period:enquiry_period (fun () ->
+            Sim.Engine.attribute (engine t) Tick "rpc.enquiry";
+            enquire t xid);
+    }
+  in
+  Hashtbl.replace t.pending xid call;
+  match Sim.Proc.wait call.caller with
+  | reply ->
+      if tracing t then
+        emit t ~name:"trans.done" (fun () ->
+            [
+              ("port", Sim.Trace.Str port);
+              ("xid", Sim.Trace.Int xid);
+              ("server", Sim.Trace.Int server);
+              ("attempts", Sim.Trace.Int n);
+              ( "latency_ms",
+                Sim.Trace.Float (Sim.Engine.now (engine t) -. started) );
+            ]);
+      reply
+  | exception Bounced ->
+      (* NOTHERE: the server was busy; try the next cached one. *)
+      emit t ~name:"trans.bounce" (fun () ->
           [
             ("port", Sim.Trace.Str port);
             ("xid", Sim.Trace.Int xid);
             ("server", Sim.Trace.Int server);
-            ("attempt", Sim.Trace.Int n);
           ]);
-    Simnet.Network.send t.net t.nic ~dst:server ~proto:Wire.proto (Wire.Request { port; xid; body });
-    let call =
-      {
-        xid;
-        server;
-        sent = Sim.Engine.now (engine t);
-        ivar = Sim.Ivar.create ();
-        unanswered = 0;
-        probe =
-          Sim.Timer.every (engine t) ~period:enquiry_period (fun () ->
-              Sim.Engine.attribute (engine t) Tick "rpc.enquiry";
-              enquire t xid);
-      }
-    in
-    Hashtbl.replace t.pending xid call;
-    match Sim.Ivar.read call.ivar with
-    | Got_reply reply ->
-        if tracing t then
-          emit t ~name:"trans.done" (fun () ->
-              [
-                ("port", Sim.Trace.Str port);
-                ("xid", Sim.Trace.Int xid);
-                ("server", Sim.Trace.Int server);
-                ("attempts", Sim.Trace.Int n);
-                ( "latency_ms",
-                  Sim.Trace.Float (Sim.Engine.now (engine t) -. started) );
-              ]);
-        reply
-    | Bounced ->
-        (* NOTHERE: the server was busy; try the next cached one. *)
-        emit t ~name:"trans.bounce" (fun () ->
-            [
-              ("port", Sim.Trace.Str port);
-              ("xid", Sim.Trace.Int xid);
-              ("server", Sim.Trace.Int server);
-            ]);
-        drop_cached t ~port server;
-        attempt (n + 1)
-    | Dead ->
-        (* Two enquiries went unanswered: the server crashed, rebooted
-           or is cut off, and it may have executed the request. *)
-        emit t ~name:"trans.dead" (fun () ->
-            [
-              ("port", Sim.Trace.Str port);
-              ("xid", Sim.Trace.Int xid);
-              ("server", Sim.Trace.Int server);
-              ( "waited_ms",
-                Sim.Trace.Float (Sim.Engine.now (engine t) -. call.sent) );
-            ]);
-        drop_cached t ~port server;
-        attempt (n + 1)
-  in
-  attempt 1
+      drop_cached t ~port server;
+      attempt t ~port body ~started (n + 1)
+  | exception Dead ->
+      (* Two enquiries went unanswered: the server crashed, rebooted
+         or is cut off, and it may have executed the request. *)
+      emit t ~name:"trans.dead" (fun () ->
+          [
+            ("port", Sim.Trace.Str port);
+            ("xid", Sim.Trace.Int xid);
+            ("server", Sim.Trace.Int server);
+            ( "waited_ms",
+              Sim.Trace.Float (Sim.Engine.now (engine t) -. call.sent) );
+          ]);
+      drop_cached t ~port server;
+      attempt t ~port body ~started (n + 1)
+
+let trans t ~port body =
+  attempt t ~port body ~started:(Sim.Engine.now (engine t)) 1

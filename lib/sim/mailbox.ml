@@ -9,16 +9,16 @@ type 'a t = {
 let create () = { queue = Queue.create (); wait_queue = Queue.create () }
 
 (* Hand [v] to the oldest still-viable waiter; [wake] refuses dead
-   wakers, so each is discarded the first time it surfaces. *)
+   wakers, so each is discarded the first time it surfaces. Tested with
+   [is_empty] and taken with [pop], as [take_opt]'s option would cost
+   an allocation per message. *)
 let rec send t v =
-  match Queue.take_opt t.wait_queue with
-  | None -> Queue.push v t.queue
-  | Some waker -> if not (Proc.Waker.wake waker v) then send t v
+  if Queue.is_empty t.wait_queue then Queue.push v t.queue
+  else if not (Proc.Waker.wake (Queue.pop t.wait_queue) v) then send t v
 
 let recv ?timeout t =
-  match Queue.take_opt t.queue with
-  | Some v -> v
-  | None -> Proc.wait ?timeout t.wait_queue
+  if Queue.is_empty t.queue then Proc.wait ?timeout t.wait_queue
+  else Queue.pop t.queue
 
 let length t = Queue.length t.queue
 

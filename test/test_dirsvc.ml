@@ -724,3 +724,86 @@ let suite =
       Alcotest.test_case "object table full: rpc pair refuses the create" `Quick
         (test_table_full C.Rpc_pair ~created:1);
     ]
+
+(* A column outside 0..3 names no read right. A lookup of one comes
+   back [None] and a listing is refused as a bad request, on every
+   server; neither may escape the server's worker and abort the run.
+   The service answers normally afterwards. *)
+let test_column_out_of_range ?params flavor () =
+  let cluster = boot ?params flavor in
+  Harness.on_client cluster (fun client ->
+      let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+      Dirsvc.Client.append_row client cap ~name:"row" [ cap ];
+      List.iter
+        (fun column ->
+          Alcotest.(check bool)
+            (Printf.sprintf "lookup in column %d finds nothing" column)
+            true
+            (Dirsvc.Client.lookup client ~column cap "row" = None);
+          match Dirsvc.Client.list_dir client ~column cap with
+          | _ -> Alcotest.failf "column %d listed" column
+          | exception
+              Dirsvc.Wire.Dir_error
+                (Dirsvc.Wire.Op_error (Dirsvc.Directory.Bad_request reason)) ->
+              Alcotest.(check string) "refused" "no such column" reason)
+        [ 4; -1 ];
+      Alcotest.(check bool) "column 0 still answers" true
+        (Dirsvc.Client.lookup client cap "row" <> None);
+      Alcotest.(check int) "the listing still answers" 1
+        (List.length (Dirsvc.Client.list_dir client cap).Dirsvc.Directory.entries))
+
+(* A mask the on-disk format cannot hold (a 32-bit unsigned word) is
+   refused by [Directory.apply] before any replica changes state, on an
+   append and on a chmod; the row keeps its mask and a later update
+   succeeds. *)
+let test_mask_out_of_range ?params flavor () =
+  let cluster = boot ?params flavor in
+  Harness.on_client cluster (fun client ->
+      let cap = Dirsvc.Client.create_dir client ~columns:[ "owner" ] in
+      Dirsvc.Client.append_row client cap ~name:"row" ~masks:[ 3 ] [ cap ];
+      let refused what f =
+        match f () with
+        | () -> Alcotest.failf "%s accepted" what
+        | exception
+            Dirsvc.Wire.Dir_error
+              (Dirsvc.Wire.Op_error (Dirsvc.Directory.Bad_request reason)) ->
+            Alcotest.(check string) what "mask out of range" reason
+      in
+      List.iter
+        (fun mask ->
+          refused (Printf.sprintf "append with mask %d" mask) (fun () ->
+              Dirsvc.Client.append_row client cap ~name:"bad" ~masks:[ mask ]
+                [ cap ]);
+          refused (Printf.sprintf "chmod to mask %d" mask) (fun () ->
+              Dirsvc.Client.chmod_row client cap ~name:"row" ~masks:[ mask ]))
+        [ -1; 1 lsl 33; 0xFFFF_FFFF + 1 ];
+      Alcotest.(check bool) "no row appended" true
+        (Dirsvc.Client.lookup client cap "bad" = None);
+      Alcotest.(check (option int)) "the row keeps its mask" (Some 3)
+        (Option.map snd (Dirsvc.Client.lookup client cap "row"));
+      Dirsvc.Client.chmod_row client cap ~name:"row" ~masks:[ 0xFFFF_FFFF ];
+      Alcotest.(check (option int)) "a later chmod applies" (Some 0xFFFF_FFFF)
+        (Option.map snd (Dirsvc.Client.lookup client cap "row")));
+  C.run_until cluster (Sim.Engine.now (C.engine cluster) +. 5_000.0);
+  check_converged cluster
+
+let suite =
+  suite
+  @ List.concat_map
+      (fun (label, params, flavor) ->
+        [
+          Alcotest.test_case
+            (Printf.sprintf "column outside 0..3 is refused (%s)" label)
+            `Quick
+            (test_column_out_of_range ?params flavor);
+          Alcotest.test_case
+            (Printf.sprintf "mask outside 32 bits is refused (%s)" label)
+            `Quick
+            (test_mask_out_of_range ?params flavor);
+        ])
+      [
+        ("group/disk", None, C.Group_disk);
+        ("group/disk batch 4", Some batched_params, C.Group_disk);
+        ("rpc pair", None, C.Rpc_pair);
+        ("nfs", None, C.Nfs_single);
+      ]

@@ -318,6 +318,96 @@ let test_lost_alive_tolerated () =
   Alcotest.(check int) "handler ran once" 1 !runs;
   Alcotest.(check bool) "not abandoned" false (List.mem "trans.dead" (events ()))
 
+(* A caller parks on its own call. A server cut off after accepting a
+   request is abandoned as dead and the request retried on the other
+   one; the partition heals while the retry is outstanding, so the cut
+   server's reply reaches the client late. That reply belongs to no
+   pending call: it is dropped unacknowledged, and the caller, parked on
+   the retry's call by then, resumes once, with the retry's reply. *)
+let test_late_reply_dropped () =
+  let w = setup_world () in
+  let _, st1 = rpc_node w ~id:1 "server1" in
+  let _, st2 = rpc_node w ~id:2 "server2" in
+  let runs = [| ref 0; ref 0 |] in
+  let serve_on st id =
+    Rpc.Transport.serve st ~port:"ha" (fun ~client:_ -> function
+      | Work d ->
+          incr runs.(id - 1);
+          Sim.Proc.sleep d;
+          Echo_rep (Printf.sprintf "s%d" id)
+      | _ -> Echo_rep "?")
+  in
+  serve_on st1 1;
+  serve_on st2 2;
+  let client, ct = rpc_node w ~id:3 "client" in
+  let late_replies = ref 0 and acks_to_holder = ref 0 and holder = ref 0 in
+  let returns = ref 0 in
+  let events = rpc_events w in
+  let reply, finished =
+    run_fiber w client (fun () ->
+        ignore (Rpc.Transport.trans ct ~port:"ha" (Work 0.0));
+        holder := List.hd (Rpc.Transport.cached_servers ct ~port:"ha");
+        let other = 3 - !holder in
+        Simnet.Network.set_fault_filter w.net
+          (Some
+             (fun packet ->
+               (match packet.Simnet.Packet.payload with
+               | Rpc.Wire.Reply _ when packet.src = !holder -> incr late_replies
+               | Rpc.Wire.Ack _ when packet.dst = Unicast !holder -> incr acks_to_holder
+               | _ -> ());
+               Simnet.Network.Deliver));
+        let start = Sim.Proc.now () in
+        (* Cut off the holder once it has the request; heal while the
+           retry runs, before the holder's 1.5 s handler answers. *)
+        at w ~delay:50.0 (fun () ->
+            Simnet.Network.set_partitions w.net [ [ !holder ]; [ other; 3 ] ]);
+        at w ~delay:900.0 (fun () -> Simnet.Network.heal w.net);
+        let reply = Rpc.Transport.trans ct ~port:"ha" (Work 1_500.0) in
+        incr returns;
+        Sim.Proc.sleep 5_000.0;
+        (reply, Sim.Proc.now () -. start -. 5_000.0))
+  in
+  Alcotest.(check bool) "the retry's reply" true
+    (reply = Echo_rep (Printf.sprintf "s%d" (3 - !holder)));
+  Alcotest.(check int) "the caller resumed once" 1 !returns;
+  Alcotest.(check bool)
+    (Printf.sprintf "after the retry's 1.5 s (%.0f ms)" finished)
+    true
+    (finished > 1_500.0 +. (2.0 *. period));
+  Alcotest.(check (list int)) "each server ran the request once" [ 1; 1 ]
+    [ !(runs.(0)) - (if !holder = 1 then 1 else 0);
+      !(runs.(1)) - (if !holder = 2 then 1 else 0) ];
+  Alcotest.(check int) "the cut server's late reply arrived" 1 !late_replies;
+  Alcotest.(check int) "and was not acknowledged" 0 !acks_to_holder;
+  Alcotest.(check (list string)) "a dead attempt, then the retry"
+    [ "trans"; "trans.done"; "trans"; "trans.dead"; "trans"; "trans.done" ]
+    (List.filter (fun e -> e <> "locate" && e <> "locate.done") (events ()))
+
+(* A caller whose node crashes mid-call is never resumed: the reply
+   cannot reach it, its call's enquiries go unanswered, and the dead
+   verdict that ends the call finds only a stale waker. The enquiry
+   stops with the call. *)
+let test_crashed_caller_not_resumed () =
+  let w = setup_world () in
+  let _, st = rpc_node w ~id:1 "server" in
+  let runs = ref 0 in
+  serve_work st "s1" ~delay:(ref 300.0) ~runs;
+  let client, ct = rpc_node w ~id:2 "client" in
+  let resumed = ref false in
+  Sim.Proc.boot w.engine client (fun () ->
+      (match Rpc.Transport.trans ct ~port:"ha" (Echo_req "x") with
+      | _ -> ()
+      | exception _ -> ());
+      resumed := true);
+  at w ~delay:100.0 (fun () -> Sim.Node.crash client);
+  run_until w 10_000.0;
+  let events = Sim.Engine.events_executed w.engine in
+  run_until w 20_000.0;
+  Alcotest.(check int) "the server ran the request" 1 !runs;
+  Alcotest.(check bool) "the caller never resumed" false !resumed;
+  Alcotest.(check int) "the enquiry stopped" events
+    (Sim.Engine.events_executed w.engine)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -336,4 +426,8 @@ let suite =
       test_rebooted_server_silent;
     tc "one lost Alive does not abandon a live server" `Quick
       test_lost_alive_tolerated;
+    tc "a late reply after a dead verdict is dropped" `Quick
+      test_late_reply_dropped;
+    tc "a caller whose node crashed is never resumed" `Quick
+      test_crashed_caller_not_resumed;
   ]
