@@ -1345,6 +1345,9 @@ let send_probe ~multicast =
    - sleep: [Proc.sleep 1.0];
    - condvar_wake: a [Condvar.wait] that a periodic timer's broadcast
      ends (the timer itself allocates nothing per tick);
+   - timed_wait: the same wait with a 10 ms timeout, which the
+     broadcast beats: its guard timer (a closure and a heap entry)
+     is armed and cancelled, and pops later as a tombstone, no event;
    - disk_write: one 64-byte [Block_device.write] of a 1 ms disk. The
      device keeps the bytes it is handed (see [Block_device.write]), so
      a step copies nothing: the probe hands it the same 64 bytes, which
@@ -1576,6 +1579,10 @@ let measure_probes () =
         let cv = Sim.Condvar.create () in
         ignore (Sim.Timer.every engine ~period:1.0 (fun () -> Sim.Condvar.broadcast cv));
         ((fun () -> Sim.Condvar.wait cv), no_writes));
+    fiber_probe "timed_wait" (fun engine ->
+        let cv = Sim.Condvar.create () in
+        ignore (Sim.Timer.every engine ~period:1.0 (fun () -> Sim.Condvar.broadcast cv));
+        ((fun () -> Sim.Condvar.wait ~timeout:10.0 cv), no_writes));
     fiber_probe "disk_write" (fun engine ->
         let disk =
           Storage.Block_device.create engine ~blocks:1 ~block_size:64 ~read_ms:1.0
@@ -1611,13 +1618,14 @@ let probe_ceilings =
     ("multicast_3", (Some 3.0, 1.0, 0.0, 33.0)) (* 22 *);
     ("send_3", (None, 5.0, 0.0, 372.0)) (* 248 *);
     ("sleep", (Some 2.0, 0.0, 0.0, 14.0)) (* 9 *);
-    ("condvar_wake", (Some 2.0, 0.0, 0.0, 41.0)) (* 27 *);
-    ("disk_write", (Some 2.0, 0.0, 1.0, 83.0)) (* 55 *);
+    ("condvar_wake", (Some 2.0, 0.0, 0.0, 21.0)) (* 14 *);
+    ("timed_wait", (Some 2.0, 0.0, 0.0, 38.0)) (* 26 *);
+    ("disk_write", (Some 2.0, 0.0, 1.0, 45.0)) (* 30 *);
     (* 12 379 packets and 2 439 disk writes over the 400 updates *)
-    ("eager_update", (None, 12379.0 /. 400.0, 2439.0 /. 400.0, 3620.0)) (* 2405 *);
-    ("rpc_trans", (Some 5.0, 3.0, 0.0, 207.0)) (* 138 *);
+    ("eager_update", (None, 12379.0 /. 400.0, 2439.0 /. 400.0, 2942.0)) (* 1961 *);
+    ("rpc_trans", (Some 5.0, 3.0, 0.0, 168.0)) (* 112 *);
     (* 16 944 events and 7 104 packets over the 2 000 lookups *)
-    ("lookup", (Some (16944.0 /. 2000.0), 7104.0 /. 2000.0, 0.0, 285.0)) (* 192 *);
+    ("lookup", (Some (16944.0 /. 2000.0), 7104.0 /. 2000.0, 0.0, 249.0)) (* 166 *);
   ]
 
 let probe_gate () =

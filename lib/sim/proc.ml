@@ -15,7 +15,8 @@ type next =
 (* One record per fiber, made by [boot]. [gen] counts the fiber's wakes:
    a waker carries the count of its suspend, so once the fiber is woken
    every older waker is inert. [resume] is the fiber's one pre-built
-   engine event; [resume] and [self] are set once, by [boot]. *)
+   engine event; [resume] and [self] are set once, by [boot]. [queue]
+   and [timeout] are the pending wait's stash (see [wait]). *)
 type fiber = {
   engine : Engine.t;
   node : Node.t;
@@ -25,6 +26,8 @@ type fiber = {
   mutable guard : Engine.timer; (* cancelled by the next wake *)
   mutable next : next;
   mutable nap : float; (* the pending sleep's delay *)
+  mutable queue : Obj.t; (* the pending wait's ['a Waker.t Queue.t] *)
+  mutable timeout : float option; (* and its timeout *)
   mutable resume : Engine.event;
   mutable self : fiber option;
 }
@@ -56,7 +59,7 @@ module Waker = struct
 end
 
 type _ Effect.t +=
-  | Wait : 'a Waker.t Queue.t * float option -> 'a Effect.t
+  | Wait : 'a Effect.t (* for the fiber's [queue] and [timeout] *)
   | Sleep : unit Effect.t (* for the fiber's [nap] *)
 
 (* The fiber running on this domain, set around each resume. *)
@@ -67,12 +70,43 @@ let current () =
   | Some f -> f
   | None -> invalid_arg "Sim.Proc: not inside a fiber"
 
+(* The [queue] of a fiber that is not parking. *)
+let empty = Obj.repr ()
+
+(* Built once per fiber, like its [sleep] handler: the effect is a
+   constant and the parker reads the wait from the fiber. The stash and
+   the continuation are held at [Obj.t], the one unchecked conversion in
+   this module. It is sound because [wait] writes the stash and
+   performs [Wait] at the queue's own ['a], and the handler it reaches
+   is this fiber's (the running one's), which consumes the stash before
+   anything else runs: no event, and so no other wait of this fiber,
+   comes in between. So [k] resumes with an ['a] and the waker joins an
+   ['a Waker.t Queue.t]. *)
 let handler fiber =
   let sleep =
     Some
       (fun k ->
         fiber.next <- Alarm k;
         Engine.schedule_event fiber.engine ~delay:fiber.nap fiber.resume)
+  in
+  let park =
+    Some
+      (fun (k : (Obj.t, unit) continuation) ->
+        let w = { Waker.fiber; gen = fiber.gen; k } in
+        let queue : Obj.t Waker.t Queue.t = Obj.obj fiber.queue in
+        let timeout = fiber.timeout in
+        fiber.queue <- empty;
+        fiber.timeout <- None;
+        Queue.push w queue;
+        match timeout with
+        | None -> ()
+        | Some delay ->
+            (* The fiber's one guard: the wake that comes first
+               cancels it, leaving a tombstone. *)
+            fiber.guard <-
+              Engine.schedule_timer fiber.engine ~delay (fun () ->
+                  Engine.attribute fiber.engine Tick "timeout";
+                  ignore (Waker.wake_exn w Timeout)))
   in
   {
     retc = ignore;
@@ -83,20 +117,7 @@ let handler fiber =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Wait (queue, timeout) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let w = { Waker.fiber; gen = fiber.gen; k } in
-                Queue.push w queue;
-                match timeout with
-                | None -> ()
-                | Some delay ->
-                    (* The fiber's one guard: the wake that comes first
-                       cancels it, leaving a tombstone. *)
-                    fiber.guard <-
-                      Engine.schedule_timer fiber.engine ~delay (fun () ->
-                          Engine.attribute fiber.engine Tick "timeout";
-                          ignore (Waker.wake_exn w Timeout)))
+        | Wait -> (Obj.magic park : ((a, unit) continuation -> unit) option)
         | Sleep -> sleep
         | _ -> None);
   }
@@ -143,6 +164,8 @@ let boot engine node ?(name = "fiber") f =
       guard = Engine.no_timer;
       next = Start f;
       nap = 0.0;
+      queue = empty;
+      timeout = None;
       resume = unbuilt;
       self = None;
     }
@@ -151,7 +174,11 @@ let boot engine node ?(name = "fiber") f =
   fiber.resume <- Engine.event (resume fiber);
   Engine.schedule_event engine ~delay:0.0 fiber.resume
 
-let wait ?timeout queue = Effect.perform (Wait (queue, timeout))
+let wait ?timeout queue =
+  let fiber = current () in
+  fiber.queue <- Obj.repr queue;
+  fiber.timeout <- timeout;
+  Effect.perform Wait
 
 let spawn ?name f =
   let fiber = current () in

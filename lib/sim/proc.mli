@@ -52,7 +52,12 @@ val spawn : ?name:string -> (unit -> unit) -> unit
     built. With [timeout], the fiber is woken with {!Timeout} after that
     many milliseconds unless it was woken first; a wake that comes first
     cancels that timer, which then runs no event (it stays in the heap
-    as a tombstone, see {!Timer}). *)
+    as a tombstone, see {!Timer}).
+
+    A wait allocates its waker, and with [timeout] its guard timer;
+    nothing else. The queue and the timeout are left on the calling
+    fiber and read by that fiber's parker, which {!boot} builds once.
+    Outside a fiber it raises [Invalid_argument]. *)
 val wait : ?timeout:float -> 'a Waker.t Queue.t -> 'a
 
 (** [sleep d] blocks the calling fiber for [d] milliseconds of virtual

@@ -12,12 +12,11 @@ let acquire t =
   if t.held < t.capacity then t.held <- t.held + 1
   else Proc.wait t.wait_queue
 
+(* Hand the unit over directly; if the waiter died, try the next.
+   Tested with [is_empty] and taken with [pop], as in [Mailbox.send]. *)
 let rec release t =
-  match Queue.take_opt t.wait_queue with
-  | None -> t.held <- t.held - 1
-  | Some waker ->
-      (* Hand the unit over directly; if the waiter died, try the next. *)
-      if not (Proc.Waker.wake waker ()) then release t
+  if Queue.is_empty t.wait_queue then t.held <- t.held - 1
+  else if not (Proc.Waker.wake (Queue.pop t.wait_queue) ()) then release t
 
 let use t d =
   acquire t;

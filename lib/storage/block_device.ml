@@ -9,6 +9,16 @@ type op = {
   metrics : (Sim.Metrics.handle * Sim.Metrics.Histogram.t) Lazy.t;
 }
 
+(* A submitted op, applied at its completion. *)
+type pending = Read of int | Write of int * bytes
+
+(* The arm finishes ops in the order they were submitted: each one's
+   finish is [max now busy_until + ms], never before the previous one's,
+   and the engine breaks a tie by seq. So one FIFO of ops, one FIFO of
+   their waiters (each op's fiber parks right after submitting it, with
+   no event in between) and one engine event pushed at each finish
+   suffice: each firing completes the head op and wakes the head
+   waiter. A write wakes its waiter with the bytes it wrote. *)
 type t = {
   engine : Sim.Engine.t;
   name : string;
@@ -19,6 +29,9 @@ type t = {
   data : bytes array;
   mutable busy_until : float;
   mutable writes_completed : int;
+  ops : pending Queue.t;
+  waiters : bytes Sim.Proc.Waker.t Queue.t;
+  mutable complete : Sim.Engine.event; (* set once, by [create] *)
 }
 
 let op engine ~dev key ms =
@@ -30,21 +43,41 @@ let op engine ~dev key ms =
   in
   { key; ms; metrics }
 
+(* Complete the oldest op, whether or not its fiber is still alive. *)
+let complete t () =
+  Sim.Engine.attribute t.engine Tick "disk";
+  let v =
+    match Queue.pop t.ops with
+    | Read i -> Bytes.copy t.data.(i)
+    | Write (i, data) ->
+        t.writes_completed <- t.writes_completed + 1;
+        t.data.(i) <- data;
+        data
+  in
+  ignore (Sim.Proc.Waker.wake (Queue.pop t.waiters) v)
+
 let create engine ?(name = "disk") ~blocks ~block_size ~read_ms
     ~write_ms () =
   if blocks <= 0 || block_size <= 0 then
     invalid_arg "Block_device.create: bad geometry";
-  {
-    engine;
-    name;
-    blocks;
-    block_size;
-    read = op engine ~dev:name "disk.read" read_ms;
-    write = op engine ~dev:name "disk.write" write_ms;
-    data = Array.init blocks (fun _ -> Bytes.create 0);
-    busy_until = 0.0;
-    writes_completed = 0;
-  }
+  let t =
+    {
+      engine;
+      name;
+      blocks;
+      block_size;
+      read = op engine ~dev:name "disk.read" read_ms;
+      write = op engine ~dev:name "disk.write" write_ms;
+      data = Array.init blocks (fun _ -> Bytes.create 0);
+      busy_until = 0.0;
+      writes_completed = 0;
+      ops = Queue.create ();
+      waiters = Queue.create ();
+      complete = Sim.Engine.event ignore;
+    }
+  in
+  t.complete <- Sim.Engine.event (complete t);
+  t
 
 let name t = t.name
 
@@ -57,9 +90,9 @@ let check_index t i =
     invalid_arg (Printf.sprintf "%s: block %d out of range" t.name i)
 
 (* Count [op] on block [i], record its latency (the wait behind the arm
-   plus its own) and queue it behind the arm. [action] runs at
-   completion time whether or not the issuing fiber is still alive. *)
-let submit t op i action =
+   plus its own), queue [pending] behind the arm and park until it
+   completes. *)
+let submit t op i pending =
   let now = Sim.Engine.now t.engine in
   let queued = max 0.0 (t.busy_until -. now) in
   (* Guarded: the attrs thunk is allocated even when tracing is off. *)
@@ -76,17 +109,13 @@ let submit t op i action =
   Sim.Metrics.Histogram.observe latency (queued +. op.ms);
   let finish = Float.max now t.busy_until +. op.ms in
   t.busy_until <- finish;
-  (* The op's own queue: its completion wakes exactly its fiber. *)
-  let waiting = Queue.create () in
-  Sim.Engine.schedule t.engine ~delay:(finish -. now) (fun () ->
-      Sim.Engine.attribute t.engine Tick "disk";
-      let v = action () in
-      ignore (Sim.Proc.Waker.wake (Queue.pop waiting) v));
-  Sim.Proc.wait waiting
+  Queue.push pending t.ops;
+  Sim.Engine.schedule_event t.engine ~delay:(finish -. now) t.complete;
+  Sim.Proc.wait t.waiters
 
 let read t i =
   check_index t i;
-  submit t t.read i (fun () -> Bytes.copy t.data.(i))
+  submit t t.read i (Read i)
 
 let write t i data =
   check_index t i;
@@ -94,9 +123,7 @@ let write t i data =
     invalid_arg (Printf.sprintf "%s: write exceeds block size" t.name);
   (* [data] is the caller's fresh encoding, handed over: the block keeps
      it as is. *)
-  submit t t.write i (fun () ->
-      t.writes_completed <- t.writes_completed + 1;
-      t.data.(i) <- data)
+  ignore (submit t t.write i (Write (i, data)))
 
 let peek t i =
   check_index t i;

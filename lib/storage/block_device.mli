@@ -10,6 +10,13 @@
     Writes are atomic per block, which is the paper's implicit assumption
     for the commit block.
 
+    Ops complete in the order they were submitted (the arm's schedule
+    never lets a later op finish first), so a device keeps one queue of
+    pending ops and one of waiting fibers, and completes them through
+    one engine event built at {!create}: an op costs its queue entry
+    and its fiber's waker. [read] and [write] block the calling fiber
+    and must be called from one.
+
     Every device counts into its engine's registry
     ({!Sim.Engine.metrics}): the [disk.read] / [disk.write] counters and
     the [disk.read_ms] / [disk.write_ms] histograms labelled by device

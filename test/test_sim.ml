@@ -1032,6 +1032,61 @@ let test_crash_between_wake_and_resume () =
   Alcotest.(check bool) "its waker is dead" false (Sim.Proc.Waker.is_viable w);
   Alcotest.(check (list string)) "the next incarnation runs" [ "4."; "m" ] !next
 
+(* A fiber's parker is built once and reads each wait's queue and
+   timeout from the fiber: one fiber waits in turn on an [int] mailbox
+   (a timed wait a send beats), a [string] ivar (untimed, past the
+   first wait's deadline), a resource, a condition variable and a raw
+   queue whose timeouts fire, and a last raw queue. Each wait returns
+   the value it was woken with or raises [Timeout], at its instant; the
+   wakers the timeouts leave behind are inert. A second fiber parked in
+   a timed wait when its node crashes is resumed neither by a send nor
+   by its guard. *)
+let test_parker_reads_each_wait () =
+  let engine = Sim.Engine.create () in
+  let n1 = Sim.Node.create ~id:1 ~name:"n1" and n2 = Sim.Node.create ~id:2 ~name:"n2" in
+  let mbox = Sim.Mailbox.create () and ivar = Sim.Ivar.create () in
+  let res = Sim.Resource.create ~capacity:1 () and cv = Sim.Condvar.create () in
+  let raw = Queue.create () and last = Queue.create () in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%g %s" (Sim.Proc.now ()) s :: !log in
+  let timed f = match f () with () -> "woken" | exception Sim.Proc.Timeout -> "timeout" in
+  Sim.Proc.boot engine n1 (fun () ->
+      note (Printf.sprintf "mailbox %d" (Sim.Mailbox.recv ~timeout:5.0 mbox));
+      note ("ivar " ^ Sim.Ivar.read ivar);
+      Sim.Resource.with_held res (fun () -> note "resource");
+      note ("condvar " ^ timed (fun () -> Sim.Condvar.wait ~timeout:3.0 cv));
+      note ("raw " ^ timed (fun () -> ignore (Sim.Proc.wait ~timeout:2.0 raw : int)));
+      note ("last " ^ Sim.Proc.wait last));
+  Sim.Proc.boot engine n1 (fun () -> Sim.Resource.use res 30.0);
+  let crashed = ref false and late = Sim.Mailbox.create () in
+  Sim.Proc.boot engine n2 (fun () ->
+      ignore (Sim.Mailbox.recv ~timeout:15.0 late : string);
+      crashed := true);
+  let at delay f = Sim.Engine.schedule engine ~delay f in
+  at 1.0 (fun () -> Sim.Mailbox.send mbox 7);
+  at 10.0 (fun () -> Sim.Node.crash n2);
+  at 12.0 (fun () -> Sim.Mailbox.send late "m");
+  at 20.0 (fun () -> Sim.Ivar.fill ivar "s");
+  let stale = ref [] in
+  at 40.0 (fun () ->
+      Sim.Condvar.broadcast cv;
+      stale := [ Sim.Proc.Waker.wake (Queue.pop raw) 9 ]);
+  at 50.0 (fun () -> ignore (Sim.Proc.Waker.wake (Queue.pop last) "end"));
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "each wait ends as it was woken"
+    [
+      "1 mailbox 7";
+      "20 ivar s";
+      "30 resource";
+      "33 condvar timeout";
+      "35 raw timeout";
+      "50 last end";
+    ]
+    (List.rev !log);
+  Alcotest.(check (list bool)) "a timed-out waker is inert" [ false ] !stale;
+  Alcotest.(check bool) "the crashed fiber never resumed" false !crashed;
+  Alcotest.(check int) "its mailbox kept the message" 1 (Sim.Mailbox.length late)
+
 let test_now_outside_fiber_raises () =
   let raised =
     match Sim.Proc.now () with
@@ -1084,6 +1139,8 @@ let suite =
         test_satisfied_timed_wait_tombstone;
       Alcotest.test_case "waker: crash between wake and resume" `Quick
         test_crash_between_wake_and_resume;
+      Alcotest.test_case "waker: one parker reads each wait" `Quick
+        test_parker_reads_each_wait;
       Alcotest.test_case "proc: now outside a fiber raises" `Quick
         test_now_outside_fiber_raises;
       Alcotest.test_case "proc: one current fiber per pool domain" `Quick

@@ -237,6 +237,55 @@ let test_bullet_crash_recovery () =
           | None -> Alcotest.fail "create never completed"));
   run_until w 500.0
 
+(* The arm completes ops in the order they were submitted, so two
+   fibers interleaving reads and writes on one device each read the
+   bytes of the writes submitted before the read, at the instants the
+   arm's schedule gives (write 40 ms, read 15 ms, each after the op
+   ahead of it). B's last write is in flight when its node crashes: it
+   still lands, and B never resumes. *)
+let test_device_fifo_completions () =
+  let w = make_world () in
+  let a = node ~id:1 "a" and b = node ~id:2 "b" in
+  let device = make_device w () in
+  let log = ref [] in
+  let note s = log := (s, Sim.Proc.now ()) :: !log in
+  let write who i s =
+    Storage.Block_device.write device i (Bytes.of_string s);
+    note (Printf.sprintf "%s wrote %d" who i)
+  and read who i =
+    let got = Storage.Block_device.read device i in
+    note (Printf.sprintf "%s read %d = %s" who i (Bytes.to_string got))
+  in
+  Sim.Proc.boot w.engine a (fun () ->
+      write "A" 1 "a1";
+      read "A" 2;
+      write "A" 2 "a2";
+      read "A" 1;
+      read "A" 3);
+  Sim.Proc.boot w.engine b (fun () ->
+      write "B" 2 "b1";
+      read "B" 1;
+      write "B" 1 "b2";
+      write "B" 3 "lost?");
+  at w ~delay:200.0 (fun () -> Sim.Node.crash b);
+  Sim.Engine.run w.engine;
+  Alcotest.(check (list (pair string (float 0.0)))) "completions in submission order"
+    [
+      ("A wrote 1", 40.0);
+      ("B wrote 2", 80.0);
+      ("A read 2 = b1", 95.0);
+      ("B read 1 = a1", 110.0);
+      ("A wrote 2", 150.0);
+      ("B wrote 1", 190.0);
+      ("A read 1 = b2", 205.0);
+      ("A read 3 = lost?", 260.0);
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "every write landed" 5
+    (Storage.Block_device.writes_completed device);
+  Alcotest.(check string) "the crashed fiber's write is on disk" "lost?"
+    (Bytes.to_string (Storage.Block_device.peek device 3))
+
 (* [Block_device.write] keeps the bytes it is handed, so every writer
    hands it a fresh encoding and never a buffer it reuses: the images a
    Bullet create, an object-table write and a commit-block write leave
@@ -289,6 +338,8 @@ let suite =
       test_device_latency_and_serialisation;
     tc "write survives caller crash" `Quick
       test_device_write_survives_caller_crash;
+    tc "device completes ops in submission order" `Quick
+      test_device_fifo_completions;
     tc "commit block roundtrip" `Quick test_commit_block_roundtrip;
     tc "commit block blank" `Quick test_commit_block_blank;
     QCheck_alcotest.to_alcotest commit_block_codec_property;
