@@ -338,8 +338,6 @@ let suite =
       test_device_latency_and_serialisation;
     tc "write survives caller crash" `Quick
       test_device_write_survives_caller_crash;
-    tc "device completes ops in submission order" `Quick
-      test_device_fifo_completions;
     tc "commit block roundtrip" `Quick test_commit_block_roundtrip;
     tc "commit block blank" `Quick test_commit_block_blank;
     QCheck_alcotest.to_alcotest commit_block_codec_property;
@@ -354,4 +352,6 @@ let suite =
     tc "bullet crash recovery" `Quick test_bullet_crash_recovery;
     tc "written images are owned by the device" `Quick
       test_written_images_are_owned;
+    tc "device completes ops in submission order" `Quick
+      test_device_fifo_completions;
   ]
