@@ -57,12 +57,16 @@ type t = {
   (* Group state. *)
   mutable group : Group.Member.t option;
   mutable gprocessed : int; (* group position applied *)
-  mutable serving : bool;
-  (* Called synchronously whenever [serving] flips to true: how the
+  (* Fig. 6's recovery, written only by [feed]: whether the server
+     serves, its recovering flag and Skeen's [stayed_up]. *)
+  mutable recovery : Recovery.state;
+  (* The simulated ms the current recovery has spent backing off,
+     waiting for a majority, exchanging, fetching and reinstalling. *)
+  spent : float array;
+  (* Called synchronously each time recovery ends in serving: how the
      benchmark times a restarted server's rejoin to the millisecond.
      Drivers that wait for serving poll [serving] instead. *)
   mutable serving_watch : (unit -> unit) option;
-  mutable stayed_up : bool;
   applied : Sim.Condvar.t;
   (* The reply to each update this server initiated, keyed by its uid
      and filed by the group thread at delivery. *)
@@ -71,12 +75,6 @@ type t = {
   mutable boot : int; (* this boot's number, durable in the commit block *)
   mutable next_secret : int;
   mutable op_log : applied list; (* newest first; see applied_log *)
-  mutable forced_recovery : bool; (* administrator's escape hatch *)
-  (* Set from the block-0 write before a state fetch until the final
-     block-0 write of that recovery: every commit-block write in between
-     carries it, so a crash there leaves a server nobody recovers from
-     (paper §3). *)
-  mutable recovering : bool;
   (* Every record whose directory blocks are not rewritten yet, newest
      first: the in-memory copy of the commit block's log, plus what the
      next flush adds to it. Unless [in_place], the directories are
@@ -103,16 +101,11 @@ type t = {
 
 (* A replica whose group is between views does not serve. *)
 let serving t =
-  t.serving
-  &&
   match t.group with
-  | Some g -> (Group.Member.info g).status = Group.Types.Normal
+  | Some g -> Recovery.serving t.recovery && (Group.Member.info g).status = Group.Types.Normal
   | None -> false
 
 let set_serving_watch t w = t.serving_watch <- w
-
-let notify_serving t =
-  match t.serving_watch with None -> () | Some f -> f ()
 
 let useq t = t.useq
 
@@ -120,14 +113,12 @@ let store_snapshot t = t.store
 
 let n_servers t = List.length t.peers
 
-let majority t = (n_servers t / 2) + 1
+let members t = match t.group with Some g -> Group.Member.members g | None -> []
 
-let majority_ok t =
-  t.serving
-  &&
-  match t.group with
-  | Some g -> List.length (Group.Member.members g) >= majority t
-  | None -> false
+(* The node ids of the view this server serves in; [] while it recovers. *)
+let serving_view t = if Recovery.serving t.recovery then members t else []
+
+let majority_ok t = List.length (serving_view t) > n_servers t / 2
 
 let emit t ~name attrs =
   Sim.Engine.emit (Simnet.Network.engine t.net) ~subsystem:"dirsvc"
@@ -144,15 +135,25 @@ let fresh_uid t =
   t.next_uid <- t.next_uid + 1;
   (t.boot * 1_000_000_000) + t.next_uid
 
+let read_commit_block t =
+  try Storage.Commit_block.decode (Storage.Block_device.peek t.commit_device 0)
+  with Storage.Codec.Corrupt _ -> None
+
+(* The configuration vector on disk; all up on a fresh disk. *)
+let disk_vector t =
+  match read_commit_block t with
+  | Some cb -> cb.Storage.Commit_block.config_vector
+  | None -> Array.make (n_servers t) true
+
+(* The members of the view this server serves in; while it recovers,
+   the vector its last majority view left on disk, so that a crash
+   before it serves again mourns no more servers than that view did. *)
 let current_vector t =
-  let up =
-    match t.group with
-    | Some g when t.serving ->
-        let member_nodes = Group.Member.members g in
-        fun sid -> List.exists (fun (s, n) -> s = sid && List.mem n member_nodes) t.peers
-    | Some _ | None -> fun sid -> sid = t.server_id
-  in
-  Array.init (n_servers t) (fun i -> up (i + 1))
+  match serving_view t with
+  | [] -> disk_vector t
+  | view ->
+      Array.init (n_servers t) (fun i ->
+          List.exists (fun (s, n) -> s = i + 1 && List.mem n view) t.peers)
 
 (* ---- Commit pipeline ---------------------------------------------- *)
 
@@ -188,7 +189,7 @@ let write_commit_block ?log t =
     {
       Storage.Commit_block.config_vector = current_vector t;
       seqno = t.useq;
-      recovering = t.recovering;
+      recovering = t.recovery.recovering;
       boot = t.boot;
       log = (match log with Some log -> log | None -> fitting t t.log);
     }
@@ -670,23 +671,14 @@ let client_handler t front =
 
 (* ---- Admin (recovery) handlers -------------------------------------- *)
 
-let read_commit_block t =
-  try Storage.Commit_block.decode (Storage.Block_device.peek t.commit_device 0)
-  with Storage.Codec.Corrupt _ -> None
-
-let my_mourned t =
-  match read_commit_block t with
-  | Some cb -> Skeen.mourned_of_vector cb.Storage.Commit_block.config_vector
-  | None -> Skeen.Int_set.empty
-
 (* What this server contributes to Skeen's exchange; [serving] is
    false while it recovers. *)
 let peer_state t =
   {
     Skeen.server = t.server_id;
-    mourned = my_mourned t;
+    mourned = Skeen.mourned_of_vector (disk_vector t);
     useq = t.useq;
-    stayed_up = t.stayed_up;
+    stayed_up = t.recovery.stayed_up;
     serving = majority_ok t;
   }
 
@@ -715,16 +707,13 @@ let admin_handler t ~client:_ body =
 (* ---- Boot-time state loading ---------------------------------------- *)
 
 let load_disk_state t =
-  let commit = read_commit_block t in
-  (* Count this boot before anything can mint a uid. *)
   let block =
-    Option.value commit ~default:(Storage.Commit_block.make ~servers:(n_servers t))
+    Option.value (read_commit_block t)
+      ~default:(Storage.Commit_block.make ~servers:(n_servers t))
   in
+  (* Count this boot before anything can mint a uid. *)
   t.boot <- block.Storage.Commit_block.boot + 1;
   Storage.Commit_block.write t.commit_device { block with boot = t.boot };
-  let crashed_during_recovery =
-    match commit with Some cb -> cb.Storage.Commit_block.recovering | None -> false
-  in
   t.store <-
     Dir_image.load t.image ~lost:(fun dir_id ->
         emit t ~name:"lost_dir" (fun () ->
@@ -737,10 +726,7 @@ let load_disk_state t =
       (fun _ dir acc -> max acc dir.Directory.seqno)
       t.store 0
   in
-  let commit_seqno =
-    match commit with Some cb -> cb.Storage.Commit_block.seqno | None -> 0
-  in
-  t.useq <- max commit_seqno max_dir_seqno;
+  t.useq <- max block.seqno max_dir_seqno;
   (* Replay one log record against the loaded image. Idempotent: a
      record is skipped when the directory's own seqno already covers it
      (deleted dirs leave no trace but the useq). Returns whether the
@@ -767,15 +753,12 @@ let load_disk_state t =
      commit-block write whose per-directory blocks were never rewritten.
      Replayed records go back into the log so they stay covered by future
      commit-block writes until their directories are persisted. *)
-  (match commit with
-  | Some cb when cb.Storage.Commit_block.log <> "" ->
-      List.iter
-        (fun (useq, dir_id, op) ->
-          let record = { useq; dir_id; op; encoded = "" } in
-          if replay_record record then t.log <- record :: t.log)
-        (Wire.decode_log_records cb.Storage.Commit_block.log)
-  | Some _ | None -> ());
-  if crashed_during_recovery then begin
+  List.iter
+    (fun (useq, dir_id, op) ->
+      let record = { useq; dir_id; op; encoded = "" } in
+      if replay_record record then t.log <- record :: t.log)
+    (Wire.decode_log_records block.log);
+  if block.recovering then begin
     (* Crash during recovery: our state may mix old and new directory
        versions. Zero the sequence number so nobody recovers from us
        (paper §3). *)
@@ -784,39 +767,47 @@ let load_disk_state t =
     t.useq <- 0
   end
 
-(* ---- Recovery (Fig. 6) ---------------------------------------------- *)
+(* ---- Recovery (Fig. 6): carrying out [Recovery.step]'s actions ------ *)
 
-let leave_group t =
-  (match t.group with
-  | Some g -> ( try Group.Member.leave g with Group.Types.Group_failure _ -> ())
-  | None -> ());
-  t.group <- None
+(* The one writer of [t.recovery]. *)
+let feed t input =
+  let recovery, actions = Recovery.step t.recovery input in
+  t.recovery <- recovery;
+  actions
 
-let exchange_with_peers t member_nodes =
-  let others =
-    List.filter_map
-      (fun (sid, node_id) ->
-        if sid = t.server_id || not (List.mem node_id member_nodes) then None
-        else
-          match
-            Rpc.Transport.trans t.transport ~port:(admin_port node_id) Wire.Exchange_req
-          with
-          | Wire.Exchange_rep peer -> Some peer
-          | _ | (exception Rpc.Transport.Rpc_failure _) -> None)
-      t.peers
+let join_or_create t =
+  let config = Params.group_config t.params ~servers:(n_servers t) in
+  let nic = Rpc.Transport.nic t.transport in
+  let g =
+    try Group.Member.join_group ~config t.net nic ~gname:t.gname
+    with Group.Types.Join_failed _ -> Group.Member.create_group ~config t.net nic ~gname:t.gname
   in
-  peer_state t :: others
+  t.group <- Some g;
+  Recovery.Joined { base = (Group.Member.info g).next_deliver - 1; members = List.length (members t) }
+
+(* Every other member's state, or [Unanswered] if one gives none. *)
+let exchange_with_peers t =
+  let members = members t in
+  let asked = List.filter (fun (sid, n) -> sid <> t.server_id && List.mem n members) t.peers in
+  let ask (_, node_id) =
+    match Rpc.Transport.trans t.transport ~port:(admin_port node_id) Wire.Exchange_req with
+    | Wire.Exchange_rep peer -> Some peer
+    | _ | (exception Rpc.Transport.Rpc_failure _) -> None
+  in
+  let answers = List.filter_map ask asked in
+  if List.compare_lengths answers asked < 0 then Recovery.Unanswered
+  else Recovery.Exchanged (peer_state t :: answers)
 
 (* Adopt the donor's state: only the directories that differ from our
    inventory travel (an already-identical store costs almost nothing),
    and the cross-shard tables come whole, so a rejoined replica answers
    a re-sent decision for a move its shard decided. The decision table only
    grows, so its share of the transfer grows with every move the shard
-   ever decided (DESIGN.md §9 item 6). Returns the ids of the
+   ever decided (DESIGN.md §9 item 6). [Fetched] carries the ids of the
    directories the transfer changed and deleted. *)
-let fetch_state_from t ~donor_node ~join_base =
+let fetch_state_from t ~donor ~join_base =
   match
-    Rpc.Transport.trans t.transport ~port:(admin_port donor_node)
+    Rpc.Transport.trans t.transport ~port:(admin_port (List.assoc donor t.peers))
       (Wire.Fetch_state_req { required = join_base; have = Wire.inventory t.store })
   with
   | Wire.Fetch_state_rep { changed; deleted; useq; watermark; decisions; staged }
@@ -830,8 +821,8 @@ let fetch_state_from t ~donor_node ~join_base =
       List.iter (fun (txid, c) -> Hashtbl.replace t.xdecisions txid c) decisions;
       Hashtbl.reset t.staged_x;
       List.iter (stage_x t) staged;
-      Some (changed, deleted)
-  | _ | (exception Rpc.Transport.Rpc_failure _) -> None
+      Recovery.Fetched { changed; deleted }
+  | _ | (exception Rpc.Transport.Rpc_failure _) -> Recovery.Fetch_failed
 
 (* Make the stable copy match the adopted store. A directory's copy is
    stale only if the transfer changed or deleted it, or if its latest
@@ -839,7 +830,7 @@ let fetch_state_from t ~donor_node ~join_base =
    supersedes, so the log is dropped first. The rewrites are the commit
    pipeline's own: a directory the transfer deleted writes the commit
    block like any deletion, with the recovering flag still set, so a
-   crash before [run_recovery]'s final write (the donor's seqno, an
+   crash before the recovery's [Serve] write (the donor's seqno, an
    empty log, the flag cleared) leaves a server nobody recovers from. *)
 let reinstall_disk_state t ~changed ~deleted =
   let started = Sim.Proc.now () in
@@ -857,119 +848,43 @@ let reinstall_disk_state t ~changed ~deleted =
         ("ms", Sim.Trace.Float (Sim.Proc.now () -. started));
       ])
 
-let all_server_ids t = List.map fst t.peers
+let trace_ids ids = Sim.Trace.Str (String.concat "," (List.map string_of_int ids))
 
-let rec run_recovery t ~attempt =
-  leave_group t;
-  (* Stagger retries so concurrent creators converge. *)
-  Sim.Proc.sleep
-    (10.0
-    +. (float_of_int t.server_id *. 7.0)
-    +. (float_of_int attempt *. 13.0));
-  let config = Params.group_config t.params ~servers:(n_servers t) in
-  let nic = Rpc.Transport.nic t.transport in
-  let g =
-    match Group.Member.join_group ~config t.net nic ~gname:t.gname with
-    | g -> g
-    | exception Group.Types.Join_failed _ ->
-        Group.Member.create_group ~config t.net nic ~gname:t.gname
-  in
-  t.group <- Some g;
-  let join_base = (Group.Member.info g).next_deliver - 1 in
-  (* Wait for a majority to assemble (Fig. 6's waiting loop). *)
-  let deadline = Sim.Proc.now () +. 500.0 in
-  let rec wait_majority () =
-    if List.length (Group.Member.members g) >= majority t then true
-    else if Sim.Proc.now () > deadline then false
-    else begin
-      Sim.Proc.sleep 15.0;
-      wait_majority ()
-    end
-  in
-  if not (wait_majority ()) then run_recovery t ~attempt:(attempt + 1)
-  else begin
-    let rec attempt_exchange tries =
-      let member_nodes = Group.Member.members g in
-      let present = exchange_with_peers t member_nodes in
-      let verdict = Skeen.decide ~all:(all_server_ids t) ~present in
-      let verdict =
-        (* Administrator override: accept the best reachable data even
-           when the last-to-fail set is not covered. *)
-        match verdict with
-        | Skeen.Wait_for _ when t.forced_recovery -> (
-            match Skeen.donor present with
-            | Some d ->
-                emit t ~name:"forced_recovery" (fun () ->
-                    [
-                      ("server", Sim.Trace.Int t.server_id);
-                      ("donor", Sim.Trace.Int d.Skeen.server);
-                    ]);
-                Skeen.Recover
-                  { donor = d.Skeen.server; last_set = Skeen.Int_set.empty }
-            | None -> verdict)
-        | _ -> verdict
-      in
-      match verdict with
-      | Skeen.Recover { donor; _ } ->
-          let ok =
-            if donor = t.server_id then begin
-              t.gprocessed <- max t.gprocessed join_base;
-              true
-            end
-            else begin
-              (* Always adopt the donor's state, even when our own
-                 sequence number is equal or higher: a rebooted server
-                 may carry an uncommitted suffix that must be
-                 discarded. *)
-              let donor_node = List.assoc donor t.peers in
-              (* Mark recovery in progress: a crash between here and the
-                 final commit-block write leaves mixed state behind. *)
-              t.recovering <- true;
-              write_commit_block t;
-              match fetch_state_from t ~donor_node ~join_base with
-              | Some (changed, deleted) ->
-                  reinstall_disk_state t ~changed ~deleted;
-                  true
-              | None -> false
-            end
-          in
-          if not ok then run_recovery t ~attempt:(attempt + 1)
-          else begin
-            t.serving <- true;
-            notify_serving t;
-            t.stayed_up <- true;
-            t.forced_recovery <- false;
-            t.recovering <- false;
-            write_commit_block t;
-            emit t ~name:"recovered" (fun () ->
-                [
-                  ("server", Sim.Trace.Int t.server_id);
-                  ( "view",
-                    Sim.Trace.Str
-                      (String.concat ","
-                         (List.map string_of_int (Group.Member.members g))) );
-                  ("useq", Sim.Trace.Int t.useq);
-                ])
-          end
-      | Skeen.Wait_for missing ->
-          emit t ~name:"wait_last_set" (fun () ->
-              [
-                ("server", Sim.Trace.Int t.server_id);
-                ( "missing",
-                  Sim.Trace.Str
-                    (String.concat ","
-                       (List.map string_of_int
-                          (Skeen.Int_set.elements missing))) );
-              ]);
-          if tries > 6 then run_recovery t ~attempt:(attempt + 1)
-          else begin
-            Sim.Proc.sleep 60.0;
-            attempt_exchange (tries + 1)
-          end
-      | Skeen.No_majority -> run_recovery t ~attempt:(attempt + 1)
-    in
-    attempt_exchange 0
-  end
+(* Carry out one action; a blocking one returns the input it ends in. *)
+let perform t = function
+  | Recovery.Leave ->
+      Option.iter (fun g -> try Group.Member.leave g with Group.Types.Group_failure _ -> ()) t.group;
+      t.group <- None;
+      None
+  | Back_off ms -> Sim.Proc.sleep ms; Some Recovery.Backed_off
+  | Join -> Some (join_or_create t)
+  | Poll_in ms -> Sim.Proc.sleep ms; Some (Recovery.Polled (List.length (members t)))
+  | Exchange after -> if after > 0.0 then Sim.Proc.sleep after; Some (exchange_with_peers t)
+  | Forced donor ->
+      emit t ~name:"forced_recovery" (fun () ->
+          [ ("server", Sim.Trace.Int t.server_id); ("donor", Sim.Trace.Int donor) ]);
+      None
+  | Mark_recovering | Write_vector -> write_commit_block t; None
+  | Fetch { donor; base } -> Some (fetch_state_from t ~donor ~join_base:base)
+  | Reinstall { changed; deleted } -> reinstall_disk_state t ~changed ~deleted; Some Recovery.Reinstalled
+  | Serve { base; attempt } ->
+      t.gprocessed <- max t.gprocessed base;
+      Option.iter (fun f -> f ()) t.serving_watch;
+      write_commit_block t;
+      emit t ~name:"recovered" (fun () ->
+          [
+            ("server", Sim.Trace.Int t.server_id);
+            ("view", trace_ids (members t));
+            ("useq", Sim.Trace.Int t.useq);
+            ("attempt", Sim.Trace.Int attempt);
+          ]
+          @ List.mapi (fun i span -> (span ^ "_ms", Sim.Trace.Float t.spent.(i))) Recovery.spans);
+      Array.fill t.spent 0 (Array.length t.spent) 0.0;
+      None
+  | Wait_last_set missing ->
+      emit t ~name:"wait_last_set" (fun () ->
+          [ ("server", Sim.Trace.Int t.server_id); ("missing", trace_ids (Skeen.Int_set.elements missing)) ]);
+      None
 
 (* ---- The group thread (Fig. 5 bottom + recovery trigger) ------------ *)
 
@@ -981,7 +896,8 @@ let rec run_recovery t ~attempt =
    flush.
    Quiet periods — no delivery within batch_persist_idle_ms while the
    commit-block log is non-empty — apply that log to the directories'
-   own blocks in the background. *)
+   own blocks in the background. A group failure ends in the recovery
+   actions it asks for. *)
 let group_step t g =
   let settle () =
     flush t;
@@ -1000,26 +916,35 @@ let group_step t g =
       process_delivery t (Group.Member.receive g)
     done
   with
-  | () -> settle ()
-  | exception Sim.Proc.Timeout -> apply_log t
+  | () -> settle (); []
+  | exception Sim.Proc.Timeout -> apply_log t; []
   | exception Group.Types.Group_failure _ -> (
       (* Updates ordered before the failure are legitimate: make what we
          already applied stable, then rebuild the group; with a majority
          we continue, else we fall back to full recovery. *)
       settle ();
       match Group.Member.reset g with
-      | size when size >= majority t -> write_commit_block t
-      | 0 -> () (* no view yet: the member's wait rule retries *)
-      | _ | (exception Group.Types.Group_failure _) -> t.serving <- false)
+      | size -> feed t (Recovery.Reset size)
+      | exception Group.Types.Group_failure _ -> feed t Recovery.Lost)
 
+(* Serve while [t.recovery] does, else carry out its actions in order,
+   feeding each blocking one's outcome back, and charge each action's
+   time to its phase's slot of [spent]. *)
 let group_thread t () =
-  while true do
-    if not t.serving then run_recovery t ~attempt:0
-    else
-      match t.group with
-      | None -> t.serving <- false
-      | Some g -> group_step t g
-  done
+  let rec run = function
+    | action :: rest ->
+        let started = Sim.Proc.now () in
+        let next = perform t action in
+        (match Recovery.slot t.recovery.phase with
+        | Some i -> t.spent.(i) <- t.spent.(i) +. (Sim.Proc.now () -. started)
+        | None -> ());
+        run (match next with None -> rest | Some input -> rest @ feed t input)
+    | [] -> (
+        match t.group with
+        | Some g when Recovery.serving t.recovery -> run (group_step t g)
+        | Some _ | None -> run (feed t Recovery.Lost))
+  in
+  run (feed t Recovery.Lost)
 
 (* ---- Cross-shard abandonment resolver -------------------------------- *)
 
@@ -1036,12 +961,9 @@ let xshard_handler t ~client:_ body =
    decision maker per shard keeps resolution traffic down; the decision
    itself still travels through the total order. *)
 let is_xact_leader t =
-  match t.group with
-  | Some g when t.serving -> (
-      match Group.Member.members g with
-      | [] -> false
-      | members -> List.fold_left min max_int members = Sim.Node.id t.node)
-  | Some _ | None -> false
+  match serving_view t with
+  | [] -> false
+  | view -> List.fold_left min max_int view = Sim.Node.id t.node
 
 (* A staged half whose forwarded commit has not arrived by its deadline
    (its coordinator crashed, or the forward was lost): re-send the
@@ -1128,17 +1050,15 @@ let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
       useq = 0;
       group = None;
       gprocessed = 0;
-      serving = false;
+      recovery = Recovery.init ~me:server_id ~all:(List.map fst peers);
+      spent = Array.make (List.length Recovery.spans) 0.0;
       serving_watch = None;
-      stayed_up = false;
       applied = Sim.Condvar.create ();
       replies = Hashtbl.create 32;
       next_uid = 0;
       boot = 0;
       next_secret = 0;
       op_log = [];
-      forced_recovery = false;
-      recovering = false;
       log = [];
       stale = false;
       c_commit =
@@ -1173,4 +1093,4 @@ let start ~params ?nvram ?shard ?xnet net ~server_id ~peers ~node ~device
 
 let applied_log t = List.rev t.op_log
 
-let force_recover t = t.forced_recovery <- true
+let force_recover t = ignore (feed t Recovery.Force)

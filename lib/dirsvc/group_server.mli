@@ -18,7 +18,14 @@
        deletions advance the sequence number in the commit block;}
     {- on a group failure it calls ResetGroup; with a majority it updates
        the configuration vector and continues, otherwise it runs the
-       recovery protocol of Fig. 6.}}
+       recovery protocol of Fig. 6. That protocol is {!Recovery.step}, a
+       pure transition, with {!Skeen.decide} for the last-to-fail rule;
+       the group thread carries out its actions in order (leave, back
+       off, join or create, poll, exchange, fetch, reinstall, serve) and
+       feeds each blocking one's outcome back. The one field it writes
+       says whether the server serves, its recovering flag and Skeen's
+       [stayed_up]. While the server recovers, its commit-block writes
+       keep the configuration vector on disk.}}
 
     Every update goes through one stage-and-flush pipeline. With
     [params.batch_max] = 1 each update is flushed on its own before its

@@ -1118,3 +1118,46 @@ let suite =
       Alcotest.test_case "reset coordinator dies before its commit" `Quick
         test_reset_coordinator_dies;
     ]
+
+(* A recovering server's commit-block writes keep the vector its last
+   majority view left: a crash before it serves again must not leave it
+   mourning every other server, which would shrink Skeen's last set (the
+   recovery explorer found an acknowledged update lost that way). Server
+   3 crashes while serving in {1,2,3}, misses an append and restarts;
+   once its flag is set for the fetch, its vector still marks all three
+   up, and only serving again rewrites it. *)
+let test_recovering_vector_kept () =
+  let cluster = boot ~seed:44L C.Group_disk in
+  let cap =
+    Harness.on_client cluster (fun client ->
+        retrying (fun () -> Dirsvc.Client.create_dir client ~columns:[ "owner" ]))
+  in
+  C.crash_server cluster 3;
+  advance cluster 500.0;
+  Harness.on_client cluster (fun client ->
+      retrying (fun () -> Dirsvc.Client.append_row client cap ~name:"missed" [ cap ]));
+  C.restart_server cluster 3;
+  let block () = Storage.Commit_block.decode (Storage.Block_device.peek (C.device cluster 3) 0) in
+  let rec until_flagged n =
+    match block () with
+    | Some cb when cb.Storage.Commit_block.recovering -> cb
+    | _ when n = 0 -> Alcotest.fail "server 3 never set its recovering flag"
+    | _ ->
+        advance cluster 1.0;
+        until_flagged (n - 1)
+  in
+  let flagged = until_flagged 10_000 in
+  Alcotest.(check (array bool)) "vector while recovering" [| true; true; true |]
+    flagged.config_vector;
+  Alcotest.(check bool) "server 3 back" true (C.await_serving ~timeout:15_000.0 cluster ~count:3);
+  (* Serving's own commit-block write clears the flag once it lands. *)
+  advance cluster 200.0;
+  match block () with
+  | Some cb -> Alcotest.(check bool) "flag cleared" false cb.recovering
+  | None -> Alcotest.fail "no commit block"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a recovering server keeps its vector" `Quick test_recovering_vector_kept;
+    ]

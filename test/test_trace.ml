@@ -188,7 +188,9 @@ let suite =
    shards = 1) pinned to constants. Unlike the run-twice digest tests
    above, this catches a change that perturbs the trace
    deterministically in BOTH runs — one reordered or reworded event and
-   the digest moves. *)
+   the digest moves. The last re-pin only added the attempt and the
+   per-span ms to the five [recovered] events; the op count, event
+   count and final clock stayed as they were. *)
 let test_scaled_digest_golden () =
   let cluster =
     Dirsvc.Cluster.create ~seed:5001L ~servers:5 Dirsvc.Cluster.Group_disk
@@ -201,7 +203,7 @@ let test_scaled_digest_golden () =
   in
   let engine = Dirsvc.Cluster.engine cluster in
   Alcotest.(check string) "pinned trace digest"
-    "c60dd85bef5a9a42018253e1b9307c07"
+    "de59824a14c4c7ea4899a1d693071fbc"
     (Digest.to_hex (Digest.string (Sim.Trace.to_jsonl trace)));
   Alcotest.(check int) "pinned op count" 13 point.Workload.Throughput.total_ops;
   Alcotest.(check int) "pinned event count" 7_330
