@@ -1269,6 +1269,29 @@ type probe = {
   per_words : float; (* minor words per unit *)
 }
 
+let no_writes () = 0
+
+(* What [measured] costs on [engine], per unit: the engine events, wire
+   packets, disk writes (counted by [writes]) and minor words it takes;
+   [measured] returns the number of units it ran. *)
+let measure_probe probe engine ?(writes = no_writes) measured =
+  let packets () = Sim.Metrics.count (Sim.Engine.metrics engine) "net.pkt" in
+  let events0 = Sim.Engine.events_executed engine
+  and packets0 = packets ()
+  and writes0 = writes () in
+  let minor0 = Gc.minor_words () in
+  let units = measured () in
+  let words = Gc.minor_words () -. minor0 in
+  let per count = float_of_int count /. units in
+  {
+    probe;
+    units;
+    per_events = per (Sim.Engine.events_executed engine - events0);
+    per_packets = per (packets () - packets0);
+    per_writes = per (writes () - writes0);
+    per_words = words /. units;
+  }
+
 let idle_round_probe () =
   let engine = Sim.Engine.create ~seed:2707L () in
   let net = Simnet.Network.create engine () in
@@ -1285,20 +1308,9 @@ let idle_round_probe () =
     [ 1; 2; 3 ];
   Sim.Engine.run ~until:1_000.0 engine;
   let window = 10_000.0 in
-  let rounds = window /. Group.Types.default_config.heartbeat_period in
-  let packets () = Sim.Metrics.count (Sim.Engine.metrics engine) "net.pkt" in
-  let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
-  let minor0 = Gc.minor_words () in
-  Sim.Engine.run ~until:(1_000.0 +. window) engine;
-  let words = Gc.minor_words () -. minor0 in
-  {
-    probe = "idle_round";
-    units = rounds;
-    per_events = float_of_int (Sim.Engine.events_executed engine - events0) /. rounds;
-    per_packets = float_of_int (packets () - packets0) /. rounds;
-    per_writes = 0.0;
-    per_words = words /. rounds;
-  }
+  measure_probe "idle_round" engine (fun () ->
+      Sim.Engine.run ~until:(1_000.0 +. window) engine;
+      window /. Group.Types.default_config.heartbeat_period)
 
 let send_probe ~multicast =
   let engine = Sim.Engine.create ~seed:2708L () in
@@ -1324,20 +1336,9 @@ let send_probe ~multicast =
   in
   sends 100;
   let n = 10_000 in
-  let packets () = Sim.Metrics.count (Sim.Engine.metrics engine) "net.pkt" in
-  let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
-  let minor0 = Gc.minor_words () in
-  sends n;
-  let words = Gc.minor_words () -. minor0 in
-  let per count = float_of_int count /. float_of_int n in
-  {
-    probe = (if multicast then "multicast_3" else "unicast");
-    units = float_of_int n;
-    per_events = per (Sim.Engine.events_executed engine - events0);
-    per_packets = per (packets () - packets0);
-    per_writes = 0.0;
-    per_words = words /. float_of_int n;
-  }
+  measure_probe (if multicast then "multicast_3" else "unicast") engine (fun () ->
+      sends n;
+      float_of_int n)
 
 (* One fiber repeating one blocking step, alone on its engine, each step
    taking 1 simulated ms; measured over 10 000 steps after 100 warm-up
@@ -1363,21 +1364,10 @@ let fiber_probe probe setup =
         incr steps
       done);
   Sim.Engine.run ~until:100.5 engine;
-  let n = 10_000 in
-  let events0 = Sim.Engine.events_executed engine and steps0 = !steps in
-  let writes0 = writes () in
-  let minor0 = Gc.minor_words () in
-  Sim.Engine.run ~until:(100.5 +. float_of_int n) engine;
-  let words = Gc.minor_words () -. minor0 in
-  let units = float_of_int (!steps - steps0) in
-  {
-    probe;
-    units;
-    per_events = float_of_int (Sim.Engine.events_executed engine - events0) /. units;
-    per_packets = 0.0;
-    per_writes = float_of_int (writes () - writes0) /. units;
-    per_words = words /. units;
-  }
+  let n = 10_000 and steps0 = !steps in
+  measure_probe probe engine ~writes (fun () ->
+      Sim.Engine.run ~until:(100.5 +. float_of_int n) engine;
+      float_of_int (!steps - steps0))
 
 (* One SendToGroup through the sequencer: member 2 of an otherwise idle
    trio (member 1 sequencing, r = 2) sends back to back, 2 000 sends
@@ -1388,7 +1378,6 @@ let fiber_probe probe setup =
 let send_3_probe () =
   let engine = Sim.Engine.create ~seed:2710L () in
   let net = Simnet.Network.create engine () in
-  let packets () = Sim.Metrics.count (Sim.Engine.metrics engine) "net.pkt" in
   let n = 2_000 and result = ref None in
   List.iter
     (fun id ->
@@ -1405,23 +1394,13 @@ let send_3_probe () =
               for _ = 1 to 100 do
                 Group.Member.send m payload
               done;
-              let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
-              let minor0 = Gc.minor_words () in
-              for _ = 1 to n do
-                Group.Member.send m payload
-              done;
-              let words = Gc.minor_words () -. minor0 in
-              let per count = float_of_int count /. float_of_int n in
               result :=
                 Some
-                  {
-                    probe = "send_3";
-                    units = float_of_int n;
-                    per_events = per (Sim.Engine.events_executed engine - events0);
-                    per_packets = per (packets () - packets0);
-                    per_writes = 0.0;
-                    per_words = words /. float_of_int n;
-                  }
+                  (measure_probe "send_3" engine (fun () ->
+                       for _ = 1 to n do
+                         Group.Member.send m payload
+                       done;
+                       float_of_int n))
             end
           end))
     [ 1; 2; 3 ];
@@ -1442,7 +1421,6 @@ let eager_update_probe () =
   let cluster = C.create ~seed:2711L ~servers:3 C.Group_disk in
   let engine = C.engine cluster in
   let client = C.client cluster in
-  let packets () = Sim.Metrics.count (C.metrics cluster) "net.pkt" in
   let writes () =
     List.fold_left
       (fun n i -> n + Storage.Block_device.writes_completed (C.device cluster i))
@@ -1461,23 +1439,10 @@ let eager_update_probe () =
         done
       in
       pairs 20;
-      let events0 = Sim.Engine.events_executed engine
-      and packets0 = packets ()
-      and writes0 = writes () in
-      let minor0 = Gc.minor_words () in
-      pairs n;
-      let words = Gc.minor_words () -. minor0 in
-      let updates = float_of_int (2 * n) in
-      let per count = float_of_int count /. updates in
       Sim.Ivar.fill result
-        {
-          probe = "eager_update";
-          units = updates;
-          per_events = per (Sim.Engine.events_executed engine - events0);
-          per_packets = per (packets () - packets0);
-          per_writes = per (writes () - writes0);
-          per_words = words /. updates;
-        });
+        (measure_probe "eager_update" engine ~writes (fun () ->
+             pairs n;
+             float_of_int (2 * n))));
   if not (Sim.Drive.run_until_filled ~max_quanta:600 engine result) then
     failwith "eager_update probe: the updates did not finish";
   Option.get (Sim.Ivar.peek result)
@@ -1498,7 +1463,6 @@ let rpc_trans_probe () =
   in
   let _, server = transport 1 and client_node, client = transport 2 in
   Rpc.Transport.serve server ~port:"probe" ~threads:1 (fun ~client:_ body -> body);
-  let packets () = Sim.Metrics.count (Sim.Engine.metrics engine) "net.pkt" in
   let n = 10_000 and result = ref None in
   Sim.Proc.boot engine client_node (fun () ->
       let body = Simnet.Payload.Opaque "probe" in
@@ -1508,21 +1472,11 @@ let rpc_trans_probe () =
         done
       in
       calls 100;
-      let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
-      let minor0 = Gc.minor_words () in
-      calls n;
-      let words = Gc.minor_words () -. minor0 in
-      let per count = float_of_int count /. float_of_int n in
       result :=
         Some
-          {
-            probe = "rpc_trans";
-            units = float_of_int n;
-            per_events = per (Sim.Engine.events_executed engine - events0);
-            per_packets = per (packets () - packets0);
-            per_writes = 0.0;
-            per_words = words /. float_of_int n;
-          });
+          (measure_probe "rpc_trans" engine (fun () ->
+               calls n;
+               float_of_int n)));
   Sim.Engine.run engine;
   match !result with Some p -> p | None -> failwith "rpc_trans probe: the calls did not finish"
 
@@ -1535,7 +1489,6 @@ let lookup_probe () =
   let cluster = C.create ~seed:2713L ~servers:3 C.Group_disk in
   let engine = C.engine cluster in
   let client = C.client cluster in
-  let packets () = Sim.Metrics.count (C.metrics cluster) "net.pkt" in
   let n = 2_000 and result = Sim.Ivar.create () in
   if not (C.await_serving cluster ~count:(C.n_servers cluster)) then
     failwith "lookup probe: the deployment never served";
@@ -1548,25 +1501,13 @@ let lookup_probe () =
         done
       in
       lookups 100;
-      let events0 = Sim.Engine.events_executed engine and packets0 = packets () in
-      let minor0 = Gc.minor_words () in
-      lookups n;
-      let words = Gc.minor_words () -. minor0 in
-      let per count = float_of_int count /. float_of_int n in
       Sim.Ivar.fill result
-        {
-          probe = "lookup";
-          units = float_of_int n;
-          per_events = per (Sim.Engine.events_executed engine - events0);
-          per_packets = per (packets () - packets0);
-          per_writes = 0.0;
-          per_words = words /. float_of_int n;
-        });
+        (measure_probe "lookup" engine (fun () ->
+             lookups n;
+             float_of_int n)));
   if not (Sim.Drive.run_until_filled ~max_quanta:600 engine result) then
     failwith "lookup probe: the lookups did not finish";
   Option.get (Sim.Ivar.peek result)
-
-let no_writes () = 0
 
 let measure_probes () =
   [

@@ -93,9 +93,9 @@ type t = {
   mutable last_from_seq : float;
   mutable last_retrans_req : float;
   (* Join state. *)
-  mutable join_collect : (int * int list * int * Types.epoch * int) list option;
-      (* (sequencer, members, base, epoch, uid) grants, while joining;
-         a grant's sequencer is the member that sent it *)
+  mutable join_collect : (Reset.view * int) list option;
+      (* (view, uid) grants, newest first, while joining; a grant's
+         sequencer is the member that sent it *)
   mutable join_stash : (Types.epoch * int * Wire.entry) list;
       (* data overheard while still joining; replayed after adoption *)
   bb_bodies : (int, Wire.entry) Hashtbl.t;
@@ -744,7 +744,7 @@ let handle_packet t (packet : Simnet.Packet.t) =
   | Wire.Join_grant { epoch; uid; members; base } -> (
       match t.join_collect with
       | Some grants when status t = Idle ->
-          t.join_collect <- Some ((src, members, base, epoch, uid) :: grants)
+          t.join_collect <- Some (({ Reset.epoch; members; sequencer = src; base }, uid) :: grants)
       | Some _ | None -> ())
   | Wire.Leave_req { epoch } ->
       if epoch_matches t epoch && is_sequencer t then
@@ -892,36 +892,22 @@ let join_group ?config net nic ~gname =
   Sim.Proc.sleep join_window;
   let grants = match t.join_collect with Some g -> g | None -> [] in
   t.join_collect <- None;
-  (* Prefer the largest group; break ties toward the lowest sequencer.
-     This makes partition-merge joins converge instead of ping-ponging. *)
-  let grants = List.filter (fun (_, _, _, _, u) -> u = uid) grants in
-  let best =
-    List.fold_left
-      (fun acc ((_, members, _, _, _) as grant) ->
-        match acc with
-        | None -> Some grant
-        | Some (seq', members', _, _, _) ->
-            let cmp = compare (List.length members) (List.length members') in
-            if cmp > 0 || (cmp = 0 && List.hd members < seq') then Some grant
-            else acc)
-      None grants
-  in
-  match best with
+  (* The largest group wins: partition-merge joins converge instead of
+     ping-ponging. *)
+  let grants = List.filter_map (fun (v, u) -> if u = uid then Some v else None) grants in
+  match Reset.choose_grant ~me:t.me grants with
   | None ->
       feed t (Reset.Depart "no grant");
       raise (Join_failed (Printf.sprintf "%s: no grant received" gname))
-  | Some (sequencer, members, base, epoch, _) ->
-      let members =
-        if List.mem t.me members then members else List.sort compare (t.me :: members)
-      in
-      t.contig <- base;
-      feed t (Reset.Adopt { epoch; members; sequencer; base });
+  | Some view ->
+      t.contig <- view.base;
+      feed t (Reset.Adopt view);
       (* Replay data that raced the join. *)
       let stash = List.rev t.join_stash in
       t.join_stash <- [];
       List.iter
         (fun (e, seqno, entry) ->
-          if Types.epoch_compare e epoch = 0 && seqno > base then
+          if Types.epoch_compare e view.epoch = 0 && seqno > view.base then
             store_data t ~seqno ~entry)
         stash;
       t

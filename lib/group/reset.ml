@@ -51,6 +51,18 @@ let window = 15.0
 
 let deadline (st : state) = st.since +. (2.0 *. window) +. st.fail_timeout
 
+let choose_grant ~me grants =
+  let better (g : view) (best : view) =
+    let cmp = compare (List.length g.members) (List.length best.members) in
+    cmp > 0 || (cmp = 0 && List.hd g.members < best.sequencer)
+  in
+  List.fold_left
+    (fun best g -> match best with Some b when not (better g b) -> best | _ -> Some g)
+    None grants
+  |> Option.map (fun v ->
+         if List.mem me v.members then v
+         else { v with members = List.sort compare (me :: v.members) })
+
 (* Join [coord]'s reset into [view], ours too: the wait rule's clock
    restarts, and an attempt of our own is abandoned. A [Normal] member
    fails its pending sends once the other actions are out. *)

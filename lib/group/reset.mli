@@ -82,4 +82,10 @@ type action =
     a live coordinator commits within two windows of its invite. *)
 val deadline : state -> float
 
+(** The grant a joiner adopts, of those it collected (in [grants]' order;
+    [None] when there are none): the largest group wins, and on a tie a
+    later grant whose lowest member is below the best-so-far grant's
+    sequencer; the joiner adds itself to the view's members. *)
+val choose_grant : me:int -> view list -> view option
+
 val step : state -> input -> state * action list

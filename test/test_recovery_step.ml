@@ -86,13 +86,6 @@ let kind = function
   | Wait_last_set _ -> "wait_last_set"
   | Write_vector -> "write_vector"
 
-(* "-" when nothing changes, else the phase it ends in and the kinds of
-   action, in order. *)
-let outcome st input =
-  match R.step st input with
-  | st', [] when st' = st -> "-"
-  | st', actions -> String.concat " " (phase_name st' :: List.map kind actions)
-
 (* One row per phase, one column per input in [inputs]' order. [Lost]
    starts an attempt from any phase and the force is taken in any; every
    other input counts only in the phase that waits for it. The
@@ -149,14 +142,7 @@ let table =
       ] );
   ]
 
-let test_table () =
-  List.iter2
-    (fun (name, st) (row, expected) ->
-      Alcotest.(check string) "row order" row name;
-      Alcotest.(check (list (pair string string)))
-        (name ^ " row") (List.combine (List.map fst inputs) expected)
-        (List.map (fun (input, i) -> (input, outcome st i)) inputs))
-    phases table
+let test_table () = Explore.check_table ~step:R.step ~name:phase_name ~kind ~inputs phases table
 
 (* The liveness knobs as the actions carry them: back-off [10 + 7·id +
    13·attempt] ms; a poll every 15 ms while polls · 15 <= 500, then the

@@ -16,8 +16,7 @@
    - close a joiner's grant window.
    Time enters in one place: a member's wait rule cannot fire while the
    coordinator it answered still has its own timer armed (the rule
-   waits two windows longer than any attempt). Visited states are
-   memoised. It checks:
+   waits two windows longer than any attempt). It checks:
    - at most one view is installed per epoch (instance, view and
      coordinator), with the base and members its coordinator sent;
    - views that share an instance and view number never share a
@@ -32,8 +31,8 @@
    - at a dead end, every live member outside [Normal] and [Left]
      holds a failure (liveness without clocks: its owner resets
      again).
-   A violation prints the choices that lead to it as a list for
-   [replay]. *)
+   It is a model for [Explore], which prints a shortest schedule to a
+   violation. *)
 
 module R = Group.Reset
 open Group.Types
@@ -82,8 +81,7 @@ type member = {
       (** a joiner's base: the entries up to it come by the application's
           state transfer, not by the group *)
   joining : bool;  (** collecting grants *)
-  grants : (int * int list * int * epoch) list;
-      (** (sequencer, members, base, epoch), newest first *)
+  grants : R.view list;  (** newest first *)
   stash : (epoch * int * entry) list;  (** data overheard while joining *)
 }
 
@@ -158,9 +156,7 @@ let fresh id =
     stash = [];
   }
 
-exception Violation of string
-
-let violation fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
+let violation = Explore.violation
 
 let held m seqno = List.mem_assoc seqno m.store
 
@@ -363,35 +359,24 @@ let arrive w { src; dst; msg } =
         send w ~src:dst ~dst:src (Grant { epoch = m.st.epoch; members = m.members; base = seqno })
       else w
   | Grant { epoch; members; base } ->
-      if m.joining then set w dst { m with grants = (src, members, base, epoch) :: m.grants }
+      if m.joining then
+        set w dst { m with grants = { R.epoch; members; sequencer = src; base } :: m.grants }
       else w
 
 (* The join window closes at member [id], as in [Member.join_group]:
-   it adopts the largest granting group (ties toward the lowest
-   sequencer) at the grant's base, then replays what it overheard of
-   that view past the base; with no grant it departs. *)
+   it adopts the grant [R.choose_grant] picks, then replays what it
+   overheard of that view past the base; with no grant it departs. *)
 let close_join w id =
   let m = w.ms.(id - 1) in
   let w = set w id { m with joining = false; grants = []; stash = [] } in
-  let best =
-    List.fold_left
-      (fun acc ((_, members, _, _) as grant) ->
-        match acc with
-        | None -> Some grant
-        | Some (seq', members', _, _) ->
-            let cmp = compare (List.length members) (List.length members') in
-            if cmp > 0 || (cmp = 0 && List.hd members < seq') then Some grant else acc)
-      None m.grants
-  in
-  match best with
+  match R.choose_grant ~me:id m.grants with
   | None -> feed_or_same w id (R.Depart "no grant")
-  | Some (sequencer, members, base, epoch) ->
-      let members = if List.mem id members then members else List.sort compare (id :: members) in
-      let w = set w id { (w.ms.(id - 1)) with contig = base; floor = base } in
-      let w = feed_or_same w id (R.Adopt { epoch; members; sequencer; base }) in
+  | Some v ->
+      let w = set w id { (w.ms.(id - 1)) with contig = v.base; floor = v.base } in
+      let w = feed_or_same w id (R.Adopt v) in
       let overheard =
         List.filter_map
-          (fun (e, s, entry) -> if e = epoch && s > base then Some (s, entry) else None)
+          (fun (e, s, entry) -> if e = v.epoch && s > v.base then Some (s, entry) else None)
           (List.rev m.stash)
       in
       set w id (advance (take w.ms.(id - 1) overheard))
@@ -520,7 +505,7 @@ let live w p =
   may_act w p
   ||
   let w = { w with flight = remove p w.flight } in
-  match arrive w p with w' -> w' <> w | exception Violation _ -> true
+  match arrive w p with w' -> w' <> w | exception Explore.Violation _ -> true
 
 (* A world in the form the explorer keys on: dead packets dropped, the
    flight and the views sorted. *)
@@ -531,45 +516,13 @@ let canon w =
     views = List.sort compare w.views;
   }
 
-exception Found of string * choice list
+include Explore.Make (struct
+  type nonrec state = world and choice = choice and bounds = bounds
 
-(* Depth-first over every interleaving; the number of states visited. *)
-let explore b =
-  let seen = Hashtbl.create 65_536 in
-  let rec visit path w =
-    let w = canon w in
-    let k = Digest.string (Marshal.to_string w [ Marshal.No_sharing ]) in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      match successors b w with
-      | [] -> ( try check_end w with Violation msg -> raise (Found (msg, List.rev path)))
-      | next ->
-          List.iter
-            (fun (c, step) ->
-              match step () with
-              | w' -> visit (c :: path) w'
-              | exception Violation msg -> raise (Found (msg, List.rev (c :: path))))
-            next
-    end
-  in
-  visit [] initial;
-  Hashtbl.length seen
-
-(* Take [choices] in order from the initial state, as a violation
-   printed them; raises [Violation] where the explorer found one. *)
-let replay b choices =
-  List.fold_left
-    (fun w c ->
-      match List.assoc_opt c (successors b (canon w)) with
-      | Some step -> step ()
-      | None -> Alcotest.failf "replay: %s is not enabled" (show_choice c))
-    initial choices
-
-let run b () =
-  match explore b with
-  | states -> Printf.printf "explored %d states, no violation\n" states
-  | exception Found (msg, path) ->
-      Alcotest.failf "%s\n  replay: [%s]" msg (String.concat "; " (List.map show_choice path))
+  let initial = initial and canon = canon and successors = successors and show_choice = show_choice
+  let expand_canon = true (* [successors] relies on the sorted flight *)
+  let check _ w ~dead_end = if dead_end then check_end w
+end)
 
 (* [dune runtest]'s bound, and the two wider ones of [dune build
    @crash-slow]: faults, and a third [Start]. *)
@@ -598,12 +551,9 @@ let lineage_merge =
   ]
 
 let test_lineage_merge () =
-  let b = { small with entries = 2 } in
-  match replay b lineage_merge with
-  | _ -> Alcotest.fail "the known lineage merge no longer diverges: widen the bounds"
-  | exception Violation msg ->
-      Alcotest.(check string) "violation"
-        "installing view 3 (instance 1): member 1 lacks e2 (view 2) at 1" msg
+  replays_to { small with entries = 2 } lineage_merge
+    ~expected:"installing view 3 (instance 1): member 1 lacks e2 (view 2) at 1"
+    ~fixed:"the known lineage merge no longer diverges: widen the bounds"
 
 (* Past the rejoin bound, with a second [Start], a rejoin reaches the
    same merge with no application entry at all: a [Join_member] is an
@@ -621,12 +571,9 @@ let rejoin_merge =
   ]
 
 let test_rejoin_merge () =
-  let b = { rejoin with starts = 2; entries = 0 } in
-  match replay b rejoin_merge with
-  | _ -> Alcotest.fail "the known rejoin merge no longer diverges: widen the rejoin bound"
-  | exception Violation msg ->
-      Alcotest.(check string) "violation"
-        "installing view 3 (instance 1): member 1 lacks j32 (view 2) at 1" msg
+  replays_to { rejoin with starts = 2; entries = 0 } rejoin_merge
+    ~expected:"installing view 3 (instance 1): member 1 lacks j32 (view 2) at 1"
+    ~fixed:"the known rejoin merge no longer diverges: widen the rejoin bound"
 
 (* The broadcast predicates the crash sweep shares catch what they check. *)
 let test_predicates () =
@@ -636,21 +583,6 @@ let test_predicates () =
     (Harness.check_order ~describe [ (1, [ 1; 2; 2 ]); (2, [ 2; 1 ]) ]);
   Alcotest.(check (list string)) "uniform agreement" [ "member 2 lacks 2" ]
     (Harness.check_agreement ~describe ~required:[ 1; 2 ] [ (1, [ 1; 2 ]); (2, [ 1 ]) ])
-
-let suite =
-  [
-    Alcotest.test_case "every interleaving, small bound" `Quick (run small);
-    Alcotest.test_case "two entries: the known lineage merge replays" `Quick
-      test_lineage_merge;
-    Alcotest.test_case "broadcast predicates flag violations" `Quick test_predicates;
-  ]
-
-let slow_suite =
-  [
-    Alcotest.test_case "every interleaving, large bound" `Quick (run large);
-    Alcotest.test_case "every interleaving, three starts" `Quick (run deep);
-    Alcotest.test_case "every interleaving, one crashed member rejoins" `Quick (run rejoin);
-  ]
 
 (* Two coordinators that never hear each other each commit a view 2:
    member 1 is down and member 3's invite to member 2 is lost. The
@@ -677,9 +609,20 @@ let test_split_views () =
   | _ -> Alcotest.fail "member 2's data to member 3 is not in flight"
 
 let suite =
-  suite
-  @ [
-      Alcotest.test_case "two views of one number: one's data is refused by the other"
-        `Quick test_split_views;
-      Alcotest.test_case "a rejoin: the known lineage merge replays" `Quick test_rejoin_merge;
-    ]
+  [
+    Alcotest.test_case "every interleaving, small bound" `Quick (run small ~states:143_900);
+    Alcotest.test_case "two entries: the known lineage merge replays" `Quick
+      test_lineage_merge;
+    Alcotest.test_case "broadcast predicates flag violations" `Quick test_predicates;
+    Alcotest.test_case "two views of one number: one's data is refused by the other" `Quick
+      test_split_views;
+    Alcotest.test_case "a rejoin: the known lineage merge replays" `Quick test_rejoin_merge;
+  ]
+
+let slow_suite =
+  [
+    Alcotest.test_case "every interleaving, large bound" `Quick (run large ~states:3_494_261);
+    Alcotest.test_case "every interleaving, three starts" `Quick (run deep ~states:3_606_407);
+    Alcotest.test_case "every interleaving, one crashed member rejoins" `Quick
+      (run rejoin ~states:839_125);
+  ]

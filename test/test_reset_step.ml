@@ -62,13 +62,6 @@ let kind = function
   | Fail_sends _ -> "fail_sends"
   | Halt -> "halt"
 
-(* "-" when nothing changes, else the status it ends in and the kinds of
-   action, in order. *)
-let outcome st input =
-  match R.step st input with
-  | st', [] when st' = st -> "-"
-  | st', actions -> String.concat " " (status_to_string st'.status :: List.map kind actions)
-
 (* One row per status, one column per input in [inputs]' order. A view
    is adopted only from [Idle]; suspicion counts only from [Normal] and
    only in the installed view; departure works from any status; nothing
@@ -97,13 +90,26 @@ let table =
   ]
 
 let test_table () =
-  List.iter2
-    (fun (status, st) (row, expected) ->
-      Alcotest.(check string) "row order" row status;
-      Alcotest.(check string) "fixture status" status (status_to_string st.R.status);
-      Alcotest.(check (list (pair string string)))
-        (status ^ " row") (List.combine (List.map fst inputs) expected)
-        (List.map (fun (name, input) -> (name, outcome st input)) inputs))
-    statuses table
+  let name (st : R.state) = status_to_string st.status in
+  List.iter (fun (status, st) -> Alcotest.(check string) "fixture status" status (name st)) statuses;
+  Explore.check_table ~step:R.step ~name ~kind ~inputs statuses table
 
-let suite = [ Alcotest.test_case "every status against every input" `Quick test_table ]
+(* The grant joiner 4 of five adopts. Member 1 rejoined under sequencer
+   3, so a tie goes by the grants' order: the rule compares a grant's
+   lowest member with the best-so-far grant's sequencer. *)
+let test_choose_grant () =
+  let grant sequencer members = { granted with members; sequencer } in
+  let a = grant 3 [ 1; 3 ] and b = grant 2 [ 2; 5 ] in
+  let chosen grants =
+    Option.map (fun (v : R.view) -> (v.sequencer, v.members)) (R.choose_grant ~me:4 grants)
+  in
+  Alcotest.(check (list (option (pair int (list int)))))
+    "none; the largest group; a tie, either order; a member already"
+    [ None; Some (2, [ 1; 2; 4; 5 ]); Some (2, [ 2; 4; 5 ]); Some (3, [ 1; 3; 4 ]); Some (2, [ 2; 4 ]) ]
+    (List.map chosen [ []; [ a; grant 2 [ 1; 2; 5 ] ]; [ a; b ]; [ b; a ]; [ grant 2 [ 2; 4 ] ] ])
+
+let suite =
+  [
+    Alcotest.test_case "every status against every input" `Quick test_table;
+    Alcotest.test_case "join grant: the largest group, ties by order" `Quick test_choose_grant;
+  ]
